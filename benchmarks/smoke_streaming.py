@@ -10,6 +10,9 @@ path (:mod:`repro.core.incremental`).  Asserts:
   from-scratch :class:`EventCounts` field by field;
 * a ``num_arrays=1`` session over the same stream is bit-identical to
   the single-array vectorized engine on the final graph;
+* each session runs the whole stream as at most ``MAX_SEGMENTS`` (2)
+  engine batches — its net deletions, then its net insertions — a count
+  gate that, unlike wall time, cannot pass on a fast machine by luck;
 * incremental throughput is at least ``MIN_SPEEDUP`` (5x) over per-op
   full recounts (the number is recorded in ``benchmarks/results/``).
 
@@ -38,6 +41,8 @@ ATTACH = 8
 NUM_ARRAYS = 4
 SHARD_BY = "degree"
 MIN_SPEEDUP = 5.0
+#: Engine batches one apply() call may run: net deletions, net insertions.
+MAX_SEGMENTS = 2
 #: Full recounts actually timed to estimate the per-op recount cost.
 RECOUNT_SAMPLES = 3
 
@@ -68,6 +73,17 @@ def make_stream(graph, num_ops: int, seed: int = 7):
     return ops
 
 
+def _check_segments(label: str, segments: int) -> int:
+    """1 (a violation) if the stream ran as more than ``MAX_SEGMENTS`` batches."""
+    if segments <= MAX_SEGMENTS:
+        return 0
+    print(
+        f"{label}: stream ran as {segments} engine batches > {MAX_SEGMENTS}",
+        file=sys.stderr,
+    )
+    return 1
+
+
 def main(argv: list[str]) -> int:
     num_ops = int(argv[1]) if len(argv) > 1 else 1_000
     graph = generators.barabasi_albert(NUM_VERTICES, ATTACH, seed=42)
@@ -90,6 +106,11 @@ def main(argv: list[str]) -> int:
         f"incremental: {num_ops:,} ops in {incremental_s:.3f}s "
         f"({update.segments} engine batches, {update.inserted} inserts, "
         f"{update.deleted} deletes, delta {update.delta_triangles:+,})"
+    )
+    failures += _check_segments("sharded session", update.segments)
+    lines.append(
+        f"engine batches: {update.segments} (gate <= {MAX_SEGMENTS}); "
+        f"{update.inserted} net inserts, {update.deleted} net deletes"
     )
 
     final_graph = session.graph
@@ -115,7 +136,7 @@ def main(argv: list[str]) -> int:
     # --- num_arrays=1: bit-identical to the single-array engine --------
     single = open_session(graph)
     single.count()
-    single.apply(ops)
+    failures += _check_segments("num_arrays=1 session", single.apply(ops).segments)
     reference = TCIMAccelerator(AcceleratorConfig()).run(final_graph)
     single_run = single.run()
     if single.count() != reference.triangles or dataclasses.asdict(

@@ -195,26 +195,29 @@ class UpdateReport:
     """Outcome of one incremental update batch/stream.
 
     ``events`` / ``cache_stats`` account the engine work of the delta
-    re-joins (merged across segments, terms, and shards) — the numbers
+    re-joins (merged across batches, terms, and shards) — the numbers
     the performance model prices, exactly as for full runs.
     """
 
     #: Operations submitted (including no-ops).
     requested: int
-    #: Edges actually inserted (submitted minus no-ops/duplicates).
+    #: Edges the call added to the graph: net insertions that were
+    #: absent before it (an edge inserted then deleted counts nowhere).
+    #: With ``record=True``, every effective insert op counts.
     inserted: int
-    #: Edges actually deleted.
+    #: Edges the call removed from the graph, counted the same way.
     deleted: int
     #: Net triangle-count change of the whole batch.
     delta_triangles: int
     #: Exact triangle count after the batch.
     triangles: int
-    #: Engine batches executed (consecutive same-type ops coalesce).
+    #: Engine batches executed: at most 2 (net deletions, then net
+    #: insertions) unless ``record=True``, which runs one per effective op.
     segments: int
     events: EventCounts = field(default_factory=EventCounts)
     cache_stats: CacheStatistics = field(default_factory=CacheStatistics)
     #: Signed per-operation deltas, only with ``record=True`` (each op
-    #: runs as its own segment, the differential-testing mode).
+    #: runs as its own batch, the differential-testing mode).
     per_op_deltas: list[int] | None = None
 
     def to_mapping(self) -> dict:
@@ -298,15 +301,18 @@ class TCIMSession:
         self._accelerator = TCIMAccelerator(self.config)
         self._model = model
         # One reentrant lock serialises every public entry point (count
-        # calls itself from _apply_segments, hence reentrant).
+        # calls itself from _apply_batches, hence reentrant).
         self._lock = threading.RLock()
         # Bumped on every successful mutation (and on close); lets callers
         # — the serving tier's cache coalescing in particular — detect
         # that resident caches were rebuilt, i.e. engine work was redone.
         self._generation = 0
         self._num_vertices = graph.num_vertices
+        # Once the session mutates, the symmetric slice structure is the
+        # only edge set: membership reads its bits, the edge count is
+        # maintained here, and ``graph`` is rebuilt from the bits lazily.
         self._graph: Graph | None = graph
-        self._edge_set: set[tuple[int, int]] | None = None
+        self._num_edges = graph.num_edges
         # Where the large resident arrays live (repro.storage.backing):
         # config.storage_dir selects a memmap store that spills slice
         # payloads and plan arrays to disk; the default ram store keeps
@@ -399,6 +405,9 @@ class TCIMSession:
     def close(self) -> None:
         """Drop every cached structure (the session stays usable)."""
         with self._lock:
+            # The symmetric structure may be the only copy of the edge
+            # set; keep the graph it describes before dropping it.
+            self.graph
             self._invalidate()
             self._sym_sliced = None
 
@@ -437,34 +446,46 @@ class TCIMSession:
     def num_edges(self) -> int:
         """Current edge count."""
         with self._lock:
-            if self._edge_set is not None:
-                return len(self._edge_set)
-            return self.graph.num_edges
+            return self._num_edges
 
     @property
     def graph(self) -> Graph:
-        """Snapshot of the current graph (rebuilt lazily after updates)."""
+        """Snapshot of the current graph (rebuilt lazily after updates).
+
+        After a mutation the graph is reassembled from the symmetric
+        structure's bits, which are already in CSR order.
+        """
         with self._lock:
             if self._graph is None:
-                edges = np.array(sorted(self._edge_set), dtype=np.int64)
-                self._graph = Graph(self._num_vertices, edges.reshape(-1, 2))
+                rows, cols = self._sym_sliced.nonzeros()
+                indptr = np.zeros(self._num_vertices + 1, dtype=np.int64)
+                np.cumsum(
+                    np.bincount(rows, minlength=self._num_vertices), out=indptr[1:]
+                )
+                upper = rows < cols
+                edges = np.stack([rows[upper], cols[upper]], axis=1)
+                self._graph = Graph.from_parts(self._num_vertices, edges, indptr, cols)
             return self._graph
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the undirected edge ``{u, v}`` is currently present."""
         with self._lock:
-            self._materialise_edge_set()
-            return (min(u, v), max(u, v)) in self._edge_set
+            n = self._num_vertices
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                return False
+            if self._graph is not None:
+                return bool(self._graph.has_edge(u, v))
+            return bool(incremental.test_bits(self._sym_sliced, [u], [v])[0])
 
     def resident_bytes(self) -> int:
         """Estimated footprint of the resident compressed structures.
 
         Sums the numpy payloads of every cached :class:`SlicedMatrix`
         (row, column, and incrementally maintained symmetric structures),
-        the oriented edge arrays, the compiled join plan, and a per-edge
-        estimate for the materialised edge set.  This is the figure
-        :class:`repro.serve.SessionPool` budgets its eviction against;
-        a freshly opened session reports only its graph's edge storage.
+        the oriented edge arrays, the compiled join plans, and the graph's
+        edge list.  This is the figure :class:`repro.serve.SessionPool`
+        budgets its eviction against; a freshly opened session reports
+        only its graph's edge storage.
         """
         return self.resident_bytes_detail()["total"]
 
@@ -473,8 +494,10 @@ class TCIMSession:
 
         Keys (all bytes): ``slices`` (the resident slice structures),
         ``plan`` / ``sym_plan`` (the compiled join plans), ``edges``
-        (the oriented edge arrays), ``graph`` (the edge list and the
-        materialised edge set), ``shards`` (the self-contained coloring
+        (the oriented edge arrays), ``graph`` (the graph's edge list; 0
+        after a mutation until something reads ``graph`` — the symmetric
+        structure in ``slices`` is then the only edge set), ``shards``
+        (the self-contained coloring
         shard contexts — per-shard structures, edge lanes and lane
         plans; 0 unless ``shard_by="coloring"`` contexts are resident),
         ``spilled`` (how much of the above is disk-backed rather than
@@ -499,10 +522,6 @@ class TCIMSession:
             plan = self._join_plan.nbytes if self._join_plan is not None else 0
             sym_plan = self._sym_plan.nbytes if self._sym_plan is not None else 0
             graph = self._graph.edge_array().nbytes if self._graph is not None else 0
-            if self._edge_set is not None:
-                # CPython footprint of a set of int 2-tuples, measured
-                # ~200 B/edge; 128 keeps the estimate conservative-cheap.
-                graph += 128 * len(self._edge_set)
             shards = sum(
                 context.nbytes for context in (self._shard_contexts or ())
             )
@@ -1021,32 +1040,48 @@ class TCIMSession:
         """Apply one ordered stream of ``(op, u, v)`` updates.
 
         ``op`` is ``"+"``/``"insert"`` or ``"-"``/``"delete"``; the
-        stream semantics match :meth:`DynamicTriangleCounter.apply_ops`
-        exactly (order preserved, no-ops ignored).  Consecutive
-        same-type operations commute, so they coalesce into one delta
-        re-join batch on the vectorized engine; an alternating stream
-        degenerates to per-op batches but never to full recounts.
+        final graph and count match :meth:`DynamicTriangleCounter.apply_ops`
+        exactly (order preserved, no-ops ignored).  Only the last op on
+        each edge decides its final state, and the count depends only on
+        the final edge set, so the stream reduces to its net effect: one
+        delta re-join batch of net deletions, then one of net insertions
+        (disjoint sets, so the order between them cannot matter).  Each
+        call therefore rewrites the resident structures at most twice,
+        however the stream interleaves, and
+        :attr:`UpdateReport.inserted` / :attr:`~UpdateReport.deleted`
+        count net edge changes.
 
-        ``record=True`` forces one batch per operation and returns the
-        signed per-op deltas in :attr:`UpdateReport.per_op_deltas` — the
-        differential-testing mode cross-checked against the
+        ``record=True`` instead runs one batch per operation and returns
+        the signed per-op deltas in :attr:`UpdateReport.per_op_deltas` —
+        the differential-testing mode cross-checked against the
         :class:`DynamicTriangleCounter` oracle in the test-suite.
 
         **Failure semantics**: if a batch raises (e.g. a capacity
         :class:`~repro.errors.ArchitectureError`), the failing batch is
-        rolled back completely — slice structures, edge set, and count
-        all restored — while batches already applied stay applied.  The
-        session remains consistent and usable; re-submitting the same
-        stream is safe because applied operations filter out as no-ops.
+        rolled back completely — slice structures, edge count, and
+        triangle count all restored — while batches already applied stay
+        applied: the net-deletion batch commits before the net-insertion
+        batch runs.  The raised error carries ``applied_operations`` (the
+        committed prefix, as ``(op, u, v)`` triples) and
+        ``partial_update`` (its :class:`UpdateReport`).  The session
+        remains consistent and usable; re-submitting the same stream is
+        safe because applied operations filter out as no-ops.
         """
         parsed = self._parse_ops(ops)
-        segments: list[tuple[str, list[tuple[int, int]]]] = []
-        for code, u, v in parsed:
-            if record or not segments or segments[-1][0] != code:
-                segments.append((code, []))
-            segments[-1][1].append((u, v))
+        if record:
+            batches = [(code, [(u, v)]) for code, u, v in parsed]
+        else:
+            last: dict[tuple[int, int], str] = {}
+            for code, u, v in parsed:
+                if u != v:
+                    last[(u, v) if u < v else (v, u)] = code
+            batches = [
+                (code, sorted(edge for edge, op in last.items() if op == code))
+                for code in ("-", "+")
+                if code in last.values()
+            ]
         with self._lock:
-            return self._apply_segments(segments, len(parsed), record)
+            return self._apply_batches(batches, len(parsed), record)
 
     def apply_edges(
         self, insertions=(), deletions=(), record: bool = False
@@ -1054,7 +1089,8 @@ class TCIMSession:
         """Two-list batch form: all insertions first, then all deletions.
 
         Matches :meth:`DynamicTriangleCounter.apply`'s ordering
-        semantics; each list runs as one delta re-join batch.
+        semantics (an edge in both lists ends absent); runs as
+        :meth:`apply` on the concatenated stream.
         """
         ins = [("+", u, v) for u, v in insertions]
         dels = [("-", u, v) for u, v in deletions]
@@ -1085,22 +1121,21 @@ class TCIMSession:
             parsed.append(("+" if action == "insert" else "-", u, v))
         return parsed
 
-    def _apply_segments(self, segments, requested: int, record: bool) -> UpdateReport:
-        # Callers hold self._lock.  On failure, the *failing* segment is
+    def _apply_batches(self, batches, requested: int, record: bool) -> UpdateReport:
+        # Callers hold self._lock.  On failure, the *failing* batch is
         # rolled back completely (see _insert_batch/_delete_batch) while
-        # segments already applied stay applied — the session is always
+        # batches already applied stay applied — the session is always
         # consistent, and re-submitting the stream is safe because
         # already-applied operations filter out as no-ops.
         # The delta path needs a base count to update; bootstrap with one
         # full run on the resident structures if none exists yet.
         self.count()
-        self._materialise_edge_set()
         events = EventCounts()
         cache_stats = CacheStatistics()
         delta_total = 0
         inserted = deleted = executed = 0
         per_op: list[int] | None = [] if record else None
-        for index, (code, batch) in enumerate(segments):
+        for index, (code, batch) in enumerate(batches):
             try:
                 canonical = incremental.canonical_delta_edges(
                     batch, self._num_vertices
@@ -1114,7 +1149,7 @@ class TCIMSession:
                     delta = -outcome.triangles
                     deleted += changed
             except Exception as error:
-                # The failing segment rolled back; segments before it are
+                # The failing batch rolled back; batches before it are
                 # committed.  Attach what DID happen so callers that
                 # account for engine work (the serving tier's pricing and
                 # op journal) stay in sync with the session's real state.
@@ -1131,7 +1166,7 @@ class TCIMSession:
                 )
                 error.applied_operations = [
                     (earlier_code, u, v)
-                    for earlier_code, earlier_batch in segments[:index]
+                    for earlier_code, earlier_batch in batches[:index]
                     for u, v in earlier_batch
                 ]
                 raise
@@ -1155,58 +1190,59 @@ class TCIMSession:
         )
 
     def _insert_batch(self, canonical: np.ndarray):
-        fresh = [
-            (u, v)
-            for u, v in canonical.tolist()
-            if (u, v) not in self._edge_set
+        sym = self._sym()
+        delta_edges = canonical[
+            ~incremental.test_bits(sym, canonical[:, 0], canonical[:, 1])
         ]
-        if not fresh:
+        if not delta_edges.size:
             return incremental.DeltaOutcome(triangles=0), 0
-        delta_edges = np.asarray(fresh, dtype=np.int64)
         # The delta join runs against the pre-insertion structure and may
         # raise (capacity); mutate only after it succeeds.
         outcome = incremental.symmetric_delta(
-            self._num_vertices, self._sym(), delta_edges, self.config
+            self._num_vertices, sym, delta_edges, self.config
         )
         try:
             sym_delta = incremental.set_bits(
-                self._sym(), *_both_directions(delta_edges)
+                sym, *_both_directions(delta_edges), store=self._store
             )
         except Exception:
             # The fresh edges were absent from the base, so their bits
             # were all zero: clearing both directions restores the
             # structure exactly even if set_bits died half-way.
-            incremental.clear_bits(self._sym(), *_both_directions(delta_edges))
+            incremental.clear_bits(
+                sym, *_both_directions(delta_edges), store=self._store
+            )
             raise
-        self._edge_set.update(fresh)
+        self._num_edges += len(delta_edges)
         self._triangles += outcome.triangles
         self._commit_mutation(delta_edges, insert=True, sym_delta=sym_delta)
-        return outcome, len(fresh)
+        return outcome, len(delta_edges)
 
     def _delete_batch(self, canonical: np.ndarray):
-        present = [
-            (u, v) for u, v in canonical.tolist() if (u, v) in self._edge_set
+        sym = self._sym()
+        delta_edges = canonical[
+            incremental.test_bits(sym, canonical[:, 0], canonical[:, 1])
         ]
-        if not present:
+        if not delta_edges.size:
             return incremental.DeltaOutcome(triangles=0), 0
         # Remove first: the destroyed triangles are the ones the delta
         # edges would re-create on the post-deletion graph.  The join can
         # raise (capacity), so roll the removal back on failure to keep
         # the session consistent.
-        delta_edges = np.asarray(present, dtype=np.int64)
-        sym = self._sym()
-        sym_delta = incremental.clear_bits(sym, *_both_directions(delta_edges))
+        sym_delta = incremental.clear_bits(
+            sym, *_both_directions(delta_edges), store=self._store
+        )
         try:
             outcome = incremental.symmetric_delta(
                 self._num_vertices, sym, delta_edges, self.config
             )
         except Exception:
-            incremental.set_bits(sym, *_both_directions(delta_edges))
+            incremental.set_bits(sym, *_both_directions(delta_edges), store=self._store)
             raise
-        self._edge_set.difference_update(present)
+        self._num_edges -= len(delta_edges)
         self._triangles -= outcome.triangles
         self._commit_mutation(delta_edges, insert=False, sym_delta=sym_delta)
-        return outcome, len(present)
+        return outcome, len(delta_edges)
 
     def _sym(self) -> SlicedMatrix:
         """The incrementally maintained symmetric slice structure."""
@@ -1216,10 +1252,6 @@ class TCIMSession:
                 store=self._store,
             )
         return self._sym_sliced
-
-    def _materialise_edge_set(self) -> None:
-        if self._edge_set is None:
-            self._edge_set = set(map(tuple, self.graph.edge_array().tolist()))
 
     def _prepare(self) -> None:
         """Build (once) the resident structures full runs consume.
@@ -1751,7 +1783,7 @@ class TCIMSession:
     ) -> None:
         """Record one committed delta batch against the resident caches.
 
-        Callers hold ``self._lock`` and run this only after a segment has
+        Callers hold ``self._lock`` and run this only after a batch has
         fully committed (never on a rolled-back failure), so a bumped
         generation always marks a consistent new state.  Query-result
         caches are dropped (they priced the old graph); the *structural*
@@ -1769,7 +1801,8 @@ class TCIMSession:
         (against this exact delta) or dropped; it cannot be queued.
         """
         self._generation += 1
-        self._graph = None if self._edge_set is not None else self._graph
+        # The symmetric structure now holds the only current edge set.
+        self._graph = None
         self._slice_stats = None
         self._run = None
         self._report = None
@@ -1863,12 +1896,14 @@ class TCIMSession:
                     *joinplan.oriented_structure_bits(
                         delta_edges, orientation, "row"
                     ),
+                    store=self._store,
                 )
                 col_delta = mutate(
                     self._col_sliced,
                     *joinplan.oriented_structure_bits(
                         delta_edges, orientation, "col"
                     ),
+                    store=self._store,
                 )
                 new_edges = joinplan.merge_oriented_edges(
                     *self._edge_arrays,
@@ -1948,7 +1983,6 @@ class TCIMSession:
         Callers hold ``self._lock``.
         """
         self._generation += 1
-        self._graph = None if self._edge_set is not None else self._graph
         self._drop_structural_caches()
         self._drop_sym_plan()
         self._plan = None

@@ -933,9 +933,10 @@ def build_parser() -> argparse.ArgumentParser:
         "stream",
         help="apply an incremental insert/delete stream via the session",
         description=(
-            "Stream edge updates through TCIMSession.apply: consecutive "
-            "same-type ops coalesce into delta re-join batches on the "
-            "vectorized engine (shard-aware with --num-arrays > 1)."
+            "Stream edge updates through TCIMSession.apply: the stream "
+            "reduces to its net deletions and net insertions, two delta "
+            "re-join batches on the vectorized engine (shard-aware with "
+            "--num-arrays > 1)."
         ),
     )
     stream.add_argument("graph")

@@ -308,6 +308,25 @@ class SlicedMatrix:
             np.arange(self.num_rows, dtype=np.int64), np.diff(self.indptr)
         )
 
+    def nonzeros(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, cols)`` of every set bit, in row-major order.
+
+        The inverse of :meth:`from_nonzeros`.  Only bytes holding a set
+        bit are unpacked, so the cost follows the non-zero count rather
+        than ``N_VS x |S|``.
+        """
+        width = self.slice_bits // 8
+        flat = self.data.reshape(-1)
+        hot = np.flatnonzero(flat)
+        which, bit = np.nonzero(
+            np.unpackbits(flat[hot][:, None], axis=1, bitorder="little")
+        )
+        byte = hot[which]
+        slot = byte // width
+        rows = self.owner_rows()[slot]
+        cols = self.slice_ids[slot] * self.slice_bits + (byte % width) * 8 + bit
+        return rows, cols
+
     def global_keys(self) -> np.ndarray:
         """``row * slices_per_row + slice_id`` for every valid slice.
 

@@ -122,7 +122,8 @@ class SessionEntry:
     journal: list = field(default_factory=list)
     #: Serialises writers per session (created lazily by the service).
     write_lock: object | None = None
-    #: kind -> (generation, in-flight future) for read coalescing.
+    #: kind -> (generation, in-flight future) for read coalescing; a
+    #: slot is removed once its future settles.
     inflight: dict = field(default_factory=dict)
     #: Last known ``session.resident_bytes()``, refreshed on release (and
     #: by the service's workers) so the pool's budget check can sum plain

@@ -482,6 +482,7 @@ class Service:
             f"common_neighbors_many:{digest}",
             partial(self._cn_many_work, pairs=pairs),
             fusion=("pairs", ("many", pairs)),
+            label="common_neighbors_many",
         )
 
     async def apply(
@@ -695,13 +696,15 @@ class Service:
             self._pool.release(entry)
 
     async def _read(
-        self, source, config, overrides, kind: str, work, fusion=None
+        self, source, config, overrides, kind: str, work, fusion=None, label=None
     ) -> object:
+        # ``kind`` keys read coalescing; ``label`` (default: ``kind``) is
+        # the ``by_kind`` counter, so per-probe kinds can share one.
         await self._admit()
         try:
             entry = await self._checkout(source, config, overrides)
             try:
-                entry.count_query(kind)
+                entry.count_query(label or kind)
                 loop = asyncio.get_running_loop()
                 # The service-maintained generation mirror: reading the
                 # real session.generation here would block the event loop
@@ -724,14 +727,14 @@ class Service:
                     and entry.session.config.num_arrays == 1
                 ):
                     future = self._enqueue_fused(entry, kind, fusion, work)
-                    entry.inflight[kind] = (generation, future)
+                    _publish_inflight(entry, kind, generation, future)
                 else:
                     with self._stats_lock:
                         self._launches += 1
                     future = loop.run_in_executor(
                         self._executor, partial(work, entry)
                     )
-                    entry.inflight[kind] = (generation, future)
+                    _publish_inflight(entry, kind, generation, future)
                 result = await future
                 self._queries += 1
                 return result
@@ -1257,6 +1260,23 @@ class Service:
                 ),
                 shards=entry.session.shard_residency() if resident else [],
             )
+
+
+def _publish_inflight(entry: SessionEntry, kind: str, generation: int, future) -> None:
+    """Expose ``future`` as ``kind``'s in-flight read until it settles.
+
+    The settled slot is removed so the map holds only reads still
+    computing — but only while it is still this read's slot: a newer read
+    of the same kind may have replaced it meanwhile.
+    """
+    slot = (generation, future)
+    entry.inflight[kind] = slot
+
+    def settle(_future) -> None:
+        if entry.inflight.get(kind) is slot:
+            del entry.inflight[kind]
+
+    future.add_done_callback(settle)
 
 
 def open_service(

@@ -39,12 +39,11 @@ the array is garbage collected, so the live
 :attr:`BackingStore.spilled_bytes` / :attr:`BackingStore.shared_bytes`
 counters track exactly the backing bytes the session still references.
 
-Structural mutations (``np.insert``/``np.delete`` inside
-:mod:`repro.core.incremental`) reallocate the payload onto the heap; the
-spilled backing is reclaimed then and the array migrates back to disk
-the next time it flows through :meth:`BackingStore.adopt` (snapshot
-hydration or a structural rebuild).  In-place payload mutation — the
-incremental fast path — persists directly into the mapped file.
+Structural mutations (the slice splices of :mod:`repro.core.incremental`)
+allocate their output through the owning session's store, so a spilled
+structure stays spilled; the superseded file is reclaimed when the old
+array is collected.  In-place payload mutation persists directly into
+the mapped file.
 """
 
 from __future__ import annotations

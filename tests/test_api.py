@@ -558,8 +558,20 @@ class TestConcurrency:
         assert session.resident_bytes() > fresh
 
 
+def _assert_same_structure(left: SlicedMatrix, right: SlicedMatrix) -> None:
+    assert np.array_equal(left.indptr, right.indptr)
+    assert np.array_equal(left.slice_ids, right.slice_ids)
+    assert np.array_equal(left.data, right.data)
+
+
 class TestApplyRollback:
-    """Injected failures mid-stream: the failing segment rolls back fully."""
+    """Injected failures mid-call: the failing batch rolls back fully.
+
+    A ``record=False`` call runs its net deletions as one batch, then its
+    net insertions as a second.  When a batch fails, the batches before
+    it stay committed and ``error.applied_operations`` names them — the
+    net-deletion batch, or nothing.
+    """
 
     def _session_and_stream(self):
         graph = generators.barabasi_albert(300, 4, seed=2)
@@ -573,26 +585,27 @@ class TestApplyRollback:
             if (u, v) not in present
         ]
         existing = sorted(present)[:3]
-        # Three segments: inserts, deletes (real edges), inserts.
-        stream = [
-            [("+", *edge) for edge in absent[:3]],
-            [("-", *edge) for edge in existing],
-            [("+", *absent[3])],
-        ]
-        return graph, session, stream
+        # Inserts, deletes (real edges), one more insert: the net effect
+        # is one batch deleting ``existing``, then one inserting four.
+        stream = (
+            [("+", *edge) for edge in absent[:3]]
+            + [("-", *edge) for edge in existing]
+            + [("+", *absent[3])]
+        )
+        return graph, session, stream, [("-", *edge) for edge in existing]
 
-    def _assert_consistent(self, session, graph, applied_batches):
+    def _assert_consistent(self, session, graph, applied):
+        """The session equals ``applied`` replayed on the oracle."""
         oracle = DynamicTriangleCounter(graph.num_vertices, graph)
-        for batch in applied_batches:
-            oracle.apply_ops(batch)
+        oracle.apply_ops(applied)
         assert session.count() == oracle.triangles
         assert session.num_edges == oracle.num_edges
+        expected = oracle.to_graph()
+        assert np.array_equal(session.graph.edge_array(), expected.edge_array())
         # The maintained symmetric structure equals a from-scratch build.
-        fresh = SlicedMatrix.from_graph(session.graph, "symmetric")
-        mutated = session._sym()
-        assert np.array_equal(fresh.indptr, mutated.indptr)
-        assert np.array_equal(fresh.slice_ids, mutated.slice_ids)
-        assert np.array_equal(fresh.data, mutated.data)
+        _assert_same_structure(
+            SlicedMatrix.from_graph(expected, "symmetric"), session._sym()
+        )
         # Full queries still work and agree.
         assert session.run().triangles == oracle.triangles
 
@@ -600,7 +613,11 @@ class TestApplyRollback:
     def test_delta_join_failure_on_late_segment(self, monkeypatch, failing_call):
         import repro.core.incremental as incremental
 
-        graph, session, stream = self._session_and_stream()
+        graph, session, stream, deletions = self._session_and_stream()
+        # The stream goes in as two calls.  The first (inserts only) is
+        # one batch, delta join 1; the second nets to a deletion batch
+        # (join 2) and then an insertion batch (join 3).
+        first, second = stream[:3], stream[3:]
         real = incremental.symmetric_delta
         calls = {"n": 0}
 
@@ -611,63 +628,79 @@ class TestApplyRollback:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(incremental, "symmetric_delta", flaky)
-        ops = [op for batch in stream for op in batch]
-        with pytest.raises(RuntimeError, match="injected"):
-            session.apply(ops)
-        # Segments before the failing one stay applied; the failing one
-        # (and everything after) rolled back completely.
-        self._assert_consistent(session, graph, stream[: failing_call - 1])
+        session.apply(first)
+        with pytest.raises(RuntimeError, match="injected") as failure:
+            session.apply(second)
+        # Batches before the failing one stay applied and are reported;
+        # the failing one rolled back completely.
+        committed = failure.value.applied_operations
+        assert committed == ([] if failing_call == 2 else deletions)
+        assert failure.value.partial_update.deleted == len(committed)
+        self._assert_consistent(session, graph, first + committed)
         # The session stays usable: re-submitting finishes the stream
         # (already-applied operations filter out as no-ops).
         monkeypatch.setattr(incremental, "symmetric_delta", real)
-        session.apply(ops)
+        session.apply(second)
         self._assert_consistent(session, graph, stream)
 
     def test_set_bits_failure_during_insert_segment(self, monkeypatch):
         import repro.core.incremental as incremental
 
-        graph, session, stream = self._session_and_stream()
+        graph, session, stream, deletions = self._session_and_stream()
         real = incremental.set_bits
         calls = {"n": 0}
 
         def flaky(*args, **kwargs):
             calls["n"] += 1
-            # Call 1 commits segment 1's inserts; call 2 is segment 3's
-            # post-join maintenance (deletes only restore via set_bits on
-            # rollback) -- fail there, after two committed segments.
+            # The net-deletion batch only clears bits (set_bits restores
+            # them on rollback alone), so call 1 is the insertion batch's
+            # splice: fail there, after the deletion batch committed.
             # (The deferred structure patches of _flush_patches run at
             # query time, not here, so they do not shift the numbering.)
-            if calls["n"] == 2:
+            if calls["n"] == 1:
                 raise MemoryError("injected maintenance failure")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(incremental, "set_bits", flaky)
-        ops = [op for batch in stream for op in batch]
-        with pytest.raises(MemoryError, match="injected"):
-            session.apply(ops)
+        with pytest.raises(MemoryError, match="injected") as failure:
+            session.apply(stream)
         monkeypatch.setattr(incremental, "set_bits", real)
-        self._assert_consistent(session, graph, stream[:2])
+        assert calls["n"] == 1
+        assert failure.value.applied_operations == deletions
+        self._assert_consistent(session, graph, deletions)
+        session.apply(stream)
+        self._assert_consistent(session, graph, stream)
 
     def test_capacity_failure_on_second_segment(self):
-        # Hub at the last vertex: the first (insert) segment fits, the
-        # delete segment's symmetric hub row exceeds the per-array
-        # capacity -- the non-injected variant of the late-segment test.
+        # Hub at the last vertex: the upper-oriented bootstrap fits the
+        # tiny array, but the symmetric hub row exceeds the per-array
+        # capacity.  The net-deletion batch (edge {1, 2}, off the hub)
+        # fits and commits; the net-insertion batch joins the hub row and
+        # raises -- the non-injected variant of the late-segment test.
         n = 8194
-        graph = Graph(n, [(i, n - 1) for i in range(n - 1)])
-        session = open_session(graph, array_bytes=800)
+        hub = n - 1
+        star = [(i, hub) for i in range(1, hub)]
+        session = open_session(Graph(n, star + [(1, 2)]), array_bytes=800)
         before = session.count()
-        with pytest.raises(ArchitectureError, match="row region"):
-            session.apply([("+", 0, 1), ("-", 0, n - 1)])
-        assert session.has_edge(0, n - 1)
-        assert session.has_edge(0, 1)  # first segment committed
-        # The committed insert closes exactly one triangle (0, 1, hub);
-        # the rolled-back delete must not have changed anything else.
-        assert session.count() == before + 1
-        fresh = SlicedMatrix.from_graph(session.graph, "symmetric")
-        mutated = session._sym()
-        assert np.array_equal(fresh.indptr, mutated.indptr)
-        assert np.array_equal(fresh.slice_ids, mutated.slice_ids)
-        assert np.array_equal(fresh.data, mutated.data)
+        stream = [("+", 0, hub), ("-", 1, 2)]
+        with pytest.raises(ArchitectureError, match="row region") as failure:
+            session.apply(stream)
+        assert failure.value.applied_operations == [("-", 1, 2)]
+        assert not session.has_edge(1, 2)  # first batch committed
+        assert not session.has_edge(0, hub)  # second batch rolled back
+        # The committed delete opens exactly one triangle (1, 2, hub);
+        # the rolled-back insert must not have changed anything else.
+        assert session.count() == before - 1
+        assert session.num_edges == len(star)
+        fresh = SlicedMatrix.from_graph(Graph(n, star), "symmetric")
+        _assert_same_structure(fresh, session._sym())
+        # Re-submitting is safe: the committed delete is now a no-op and
+        # the insert fails again without side effects.
+        with pytest.raises(ArchitectureError, match="row region") as again:
+            session.apply(stream)
+        assert again.value.partial_update.deleted == 0
+        assert session.count() == before - 1
+        _assert_same_structure(fresh, session._sym())
 
 
 class TestResolveGraphScaleValidation:

@@ -365,7 +365,8 @@ class TestPatchedPlanEqualsRebuild:
             + [("+", 1, v) for v in range(80, 90)]
         )
         report = session.apply(ops)
-        assert report.segments == 3
+        # Net effect: one deletion batch, then one insertion batch.
+        assert report.segments == 2
         patched = session.join_plan
         _, _, reference = self._reference(session, "upper")
         assert_plans_equal(patched, reference)

@@ -563,7 +563,8 @@ class TestReviewRegressions:
         def flaky(*args, **kwargs):
             calls["n"] += 1
             # The warm-up full run never calls the delta join; call 1 is
-            # the insert segment, call 2 the delete segment — fail there.
+            # the net-deletion batch, call 2 the net-insertion batch —
+            # fail there.
             if calls["n"] == 2:
                 raise RuntimeError("injected")
             return real(*args, **kwargs)
@@ -580,18 +581,24 @@ class TestReviewRegressions:
                 journal = svc.journal(graph)
                 final = await svc.count(graph)
                 events = svc.report().sessions[0].events
-                return journal, final, events
+                # Re-submitting the stream finishes it.
+                await svc.apply(graph, ops)
+                finished = await svc.count(graph)
+                return journal, final, events, finished
 
-        journal, final, events = run(main(True))
-        # The journal holds exactly the committed prefix (segment 1)...
-        assert journal == [[("+", *edge) for edge in absent[:3]]]
+        journal, final, events, finished = run(main(True))
+        # The journal holds exactly the committed prefix (the
+        # net-deletion batch)...
+        assert journal == [[("-", *edge) for edge in existing]]
         # ...and replaying it reproduces the session's actual state.
         oracle = DynamicTriangleCounter(graph.num_vertices, graph)
         for batch in journal:
             oracle.apply_ops(batch)
         assert final == oracle.triangles
-        # The committed segment's engine work is priced, not dropped.
+        # The committed batch's engine work is priced, not dropped.
         assert events.edges_processed > 0
+        oracle.apply_ops(ops)
+        assert finished == oracle.triangles
 
     def test_close_discards_writeback_state(self, paper_graph):
         pool = SessionPool(max_sessions=1)
@@ -832,6 +839,29 @@ class TestWorkloadOps:
         assert by_kind["cluster"] == 1
         assert by_kind["common_neighbors:0:3:None"] == 1
         assert by_kind["common_neighbors:0:None:2"] == 1
+
+    def test_inflight_slots_and_counters_stay_bounded(self, paper_graph):
+        # A settled read's coalescing slot goes away, and every batched
+        # probe counts under one by_kind key whatever its digest.
+        probes = [(u, v) for u in range(4) for v in range(4)]
+
+        async def main():
+            async with open_service(max_sessions=2) as service:
+                for pair in probes:
+                    await service.common_neighbors_many(paper_graph, [pair])
+                await asyncio.gather(
+                    *(
+                        service.common_neighbors_many(paper_graph, [pair, pair[::-1]])
+                        for pair in probes
+                    )
+                )
+                await service.count(paper_graph)
+                entry = service.pool.entries()[0]
+                return dict(entry.inflight), service.report().sessions[0].by_kind
+
+        inflight, by_kind = run(main())
+        assert inflight == {}
+        assert by_kind == {"common_neighbors_many": 2 * len(probes), "count": 1}
 
     def test_concurrent_identical_workloads_coalesce(self):
         graph = generators.barabasi_albert(3000, 5, seed=3)

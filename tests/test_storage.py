@@ -248,6 +248,26 @@ class TestMemmapSessions:
             assert disk.count() == ram.count()
         assert disk.support() == ram.support()
 
+    def test_splices_keep_structures_spilled(self, tmp_path):
+        # A structural splice allocates through the session's store: the
+        # symmetric, row and column payloads stay on disk across an
+        # apply and the patch flush of the next priced run.
+        graph = generators.barabasi_albert(4000, 6, seed=1)
+        session = open_session(
+            graph, storage_dir=str(tmp_path), spill_threshold_bytes=64 * 1024
+        )
+        session.simulate()
+        session.common_neighbors(0, 1)  # builds the symmetric structure
+        structures = (session._sym(), session._row_sliced, session._col_sliced)
+        assert all(isinstance(s.data, np.memmap) for s in structures)
+        spilled = session.resident_bytes_detail()["spilled"]
+        absent = [(0, v) for v in range(1, 4000) if not graph.has_edge(0, v)][:2]
+        session.apply([("+", *edge) for edge in absent])
+        session.simulate()
+        structures = (session._sym(), session._row_sliced, session._col_sliced)
+        assert all(isinstance(s.data, np.memmap) for s in structures)
+        assert session.resident_bytes_detail()["spilled"] >= spilled
+
     def test_resident_bytes_detail_structure(self, tmp_path):
         session = open_session(
             _graph(seed=9), storage_dir=str(tmp_path), spill_threshold_bytes=0
