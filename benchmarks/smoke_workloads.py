@@ -11,6 +11,10 @@ gather→AND→popcount kernel path of :mod:`repro.core.kernels`) and gates:
 * **plan reuse** — a repeat ``support()`` against the resident symmetric
   join plan is at least ``MIN_SPEEDUP`` (5x) faster than the pure-Python
   ``edge_support`` oracle;
+* **cold truss** — ``truss()`` with every memoised workload result
+  dropped (support sweep, triangle-witness enumeration, frontier peel
+  and the result dict) is at least ``MIN_TRUSS_SPEEDUP`` (5x) faster
+  than the pure-Python ``truss_decomposition`` oracle;
 * **incremental coherence** — after a randomized 120-op insert/delete
   stream, the patched resident state answers every workload identically
   to a fresh session on the mutated graph and to the oracles.
@@ -38,6 +42,7 @@ RESULTS_DIR = Path(__file__).parent / "results"
 NUM_VERTICES = 8_000
 ATTACH = 8
 MIN_SPEEDUP = 5.0
+MIN_TRUSS_SPEEDUP = 5.0
 REPEATS = 3
 STREAM_OPS = 120
 
@@ -123,6 +128,32 @@ def main(argv: list[str]) -> int:
         print("FAIL: resident support() below the speedup threshold", file=sys.stderr)
         failures += 1
 
+    # --- cold truss: witness enumeration + frontier peel vs the oracle ---
+    def cold_truss():
+        # Drop every memoised workload result, supports included: the
+        # timed call runs the support sweep, the witness enumeration, the
+        # peel and the dict against the resident symmetric join plan.
+        session._workload_cache.clear()
+        return session.truss()
+
+    truss_oracle_s, truss_oracle = best_of(
+        REPEATS, lambda: truss_decomposition(graph)
+    )
+    truss_s, truss_map = best_of(REPEATS, cold_truss)
+    truss_speedup = truss_oracle_s / truss_s if truss_s else float("inf")
+    print(f"cold truss() oracle:   {truss_oracle_s * 1e3:8.2f} ms")
+    print(f"cold truss() resident: {truss_s * 1e3:8.2f} ms")
+    print(
+        f"cold truss speedup: {truss_speedup:6.1f} x "
+        f"(threshold {MIN_TRUSS_SPEEDUP:.1f}x)"
+    )
+    if truss_map != truss_oracle:
+        print("FAIL: timed cold truss diverges from oracle", file=sys.stderr)
+        failures += 1
+    if truss_speedup < MIN_TRUSS_SPEEDUP:
+        print("FAIL: cold truss() below the speedup threshold", file=sys.stderr)
+        failures += 1
+
     # --- incremental coherence after a randomized stream -----------------
     rng = np.random.default_rng(7)
     present = set(map(tuple, graph.edge_array().tolist()))
@@ -164,6 +195,9 @@ def main(argv: list[str]) -> int:
             f"repeat support() {oracle_s * 1e3:.2f} ms oracle vs "
             f"{resident_s * 1e3:.2f} ms resident -> {speedup:.1f}x "
             f"(threshold {min_speedup}x)\n"
+            f"cold truss() {truss_oracle_s * 1e3:.2f} ms oracle vs "
+            f"{truss_s * 1e3:.2f} ms resident -> {truss_speedup:.1f}x "
+            f"(threshold {MIN_TRUSS_SPEEDUP}x)\n"
             f"exactness: support/truss/clustering/common_neighbors vs oracles, "
             f"plan on/off + 4-array sharded + after {STREAM_OPS}-op stream: "
             f"{'ok' if failures == 0 else 'FAILED'}\n"

@@ -882,41 +882,43 @@ class TCIMSession:
             cached = self._workload_cache.get("support_map")
             if cached is None:
                 per_edge, _, _ = self._supports_run()
-                sources, destinations = self._ensure_sym_edges()
-                forward = sources < destinations
-                cached = {
-                    (u, v): score
-                    for u, v, score in zip(
-                        sources[forward].tolist(),
-                        destinations[forward].tolist(),
-                        per_edge[forward].tolist(),
-                    )
-                }
+                positions, _, _ = self._forward_edges()
+                cached = dict(zip(self._forward_keys(), per_edge[positions].tolist()))
                 self._workload_cache["support_map"] = cached
-            # Hand out a copy: peeling callers mutate their support maps.
+            # Hand out a copy: a caller editing its map must not edit the cache.
             return dict(cached)
 
     def truss(self, k: int | None = None):
-        """Truss decomposition seeded from the engine-computed supports.
+        """Truss decomposition from witness enumeration plus a frontier peel.
 
         ``truss()`` returns the full ``{(u, v): trussness}`` mapping;
-        ``truss(k)`` returns the k-truss subgraph as a :class:`Graph`.
-        The peeling itself is the oracle's
-        (:func:`repro.analysis.truss.truss_decomposition`), but its
-        O(E·d) support recomputation is replaced by :meth:`support`.
+        ``truss(k)`` returns the k-truss subgraph (the edges of trussness
+        ``>= k``) as a :class:`Graph`.  Both read one per-edge trussness
+        array, computed once per generation on the resident symmetric
+        structures: :func:`repro.core.kernels.triangle_witnesses` ANDs the
+        forward edges' slice pairs through the resident symmetric join
+        plan and names every triangle by its three edge ids, and
+        :func:`repro.analysis.truss.peel_trussness` peels from the
+        :meth:`support` sweep's per-edge supports.  Value-identical to
+        :func:`repro.analysis.truss.truss_decomposition` /
+        :func:`~repro.analysis.truss.k_truss`.
         """
-        from repro.analysis.truss import k_truss, truss_decomposition
-
         with self._lock:
-            decomposition = self._workload_cache.get("truss")
-            if decomposition is None:
-                decomposition = truss_decomposition(
-                    self.graph, support=self.support()
+            if k is not None and k < 2:
+                raise GraphError(f"k must be >= 2, got {k}")
+            trussness = self._trussness()
+            if k is not None:
+                _, sources, destinations = self._forward_edges()
+                keep = trussness >= k
+                return Graph(
+                    self._num_vertices,
+                    np.stack([sources[keep], destinations[keep]], axis=1),
                 )
-                self._workload_cache["truss"] = decomposition
-            if k is None:
-                return dict(decomposition)
-            return k_truss(self.graph, k, support=self.support())
+            cached = self._workload_cache.get("truss_map")
+            if cached is None:
+                cached = dict(zip(self._forward_keys(), trussness.tolist()))
+                self._workload_cache["truss_map"] = cached
+            return dict(cached)
 
     def clustering(self) -> ClusteringReport:
         """Clustering metrics from one per-vertex tally workload.
@@ -1412,6 +1414,60 @@ class TCIMSession:
             run = (result.value, EventCounts(**result.events), result.cache_stats)
         self._workload_cache["supports"] = run
         return run
+
+    def _forward_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(positions, sources, destinations)`` of the forward edges.
+
+        Callers hold ``self._lock``.  The forward edges ``u < v`` of
+        :meth:`_ensure_sym_edges`, in CSR order, and their positions in
+        it: forward edge ``i`` is edge id ``i`` of the truss arrays and
+        of the ``support()`` / ``truss()`` maps.  Cached until the graph
+        changes.
+        """
+        cached = self._workload_cache.get("forward")
+        if cached is None:
+            sources, destinations = self._ensure_sym_edges()
+            positions = np.flatnonzero(sources < destinations)
+            cached = (positions, sources[positions], destinations[positions])
+            self._workload_cache["forward"] = cached
+        return cached
+
+    def _forward_keys(self) -> list[tuple[int, int]]:
+        """The ``(u, v)`` key of every forward edge (callers hold the lock)."""
+        cached = self._workload_cache.get("forward_keys")
+        if cached is None:
+            _, sources, destinations = self._forward_edges()
+            cached = list(zip(sources.tolist(), destinations.tolist()))
+            self._workload_cache["forward_keys"] = cached
+        return cached
+
+    def _trussness(self) -> np.ndarray:
+        """Trussness of every forward edge (callers hold the lock).
+
+        Enumerates the triangles once through the resident symmetric
+        plan restricted to the forward edges (a throwaway plan when
+        ``use_plan`` is off), then peels them as arrays from the
+        per-edge supports of :meth:`_supports_run`.  Cached until the
+        graph changes.
+        """
+        from repro.analysis.truss import peel_trussness
+
+        cached = self._workload_cache.get("trussness")
+        if cached is None:
+            per_edge, _, _ = self._supports_run()
+            positions, sources, destinations = self._forward_edges()
+            sym_plan = self._ensure_sym_plan()
+            triangles = kernels.triangle_witnesses(
+                self._sym(),
+                sources,
+                destinations,
+                plan=sym_plan.subset(positions) if sym_plan is not None else None,
+                chunk_edges=self._plan_chunk_edges,
+                store=self._store,
+            )
+            cached = peel_trussness(per_edge[positions], triangles)
+            self._workload_cache["trussness"] = cached
+        return cached
 
     def _sharded_supports(
         self, sym: SlicedMatrix, sources: np.ndarray, destinations: np.ndarray

@@ -58,6 +58,7 @@ from repro.graph.graph import Graph
 
 __all__ = [
     "ENGINES",
+    "conjunctions",
     "execute_batched",
     "join_batches",
     "pair_popcount",
@@ -81,7 +82,7 @@ DEFAULT_BATCH_CANDIDATES = 1 << 21
 DENSE_LOOKUP_MAX_KEYS = 1 << 24
 
 #: Payload lanes (words or bytes) ANDed per conjunction chunk; bounds the
-#: scratch buffers of :func:`pair_popcount` to a few tens of MB.
+#: scratch buffers of :func:`conjunctions` to a few tens of MB.
 CONJUNCTION_CHUNK_LANES = 1 << 21
 
 
@@ -109,7 +110,7 @@ def oriented_edges(graph: Graph, orientation: str) -> tuple[np.ndarray, np.ndarr
 class _Workspace:
     """Reusable gather/AND/popcount buffers for one engine invocation.
 
-    ``pair_popcount`` chunks its position arrays and re-gathers into
+    :func:`conjunctions` chunks its position arrays and re-gathers into
     these buffers with ``np.take(..., out=...)`` instead of allocating
     fresh temporaries per chunk — at millions of matched pairs per query
     the allocator traffic is a measurable slice of the planned fast
@@ -139,6 +140,52 @@ class _Workspace:
         return self.left, self.right, self.counts
 
 
+def conjunctions(
+    row_data: np.ndarray,
+    col_data: np.ndarray,
+    row_positions: np.ndarray,
+    col_positions: np.ndarray,
+    workspace: _Workspace | None = None,
+):
+    """Chunked gather → AND over matched slice-pair positions.
+
+    Yields ``(start, anded, counts)`` per chunk: ``anded[i]`` is
+    ``row_data[r] & col_data[c]`` for pair ``start + i``, and ``counts``
+    is a same-shape uint8 scratch block for its popcounts.  Payloads are
+    processed as 64-bit words (:func:`repro.graph.bitops.word_view`)
+    whenever the slice width is a multiple of 64 bits — 8x fewer lanes
+    than per-byte work — and per-byte otherwise; ``anded.view(np.uint8)``
+    recovers the payload byte layout either way.  Both blocks are
+    workspace buffers reused by the next chunk, and the chunk size bounds
+    them to a few tens of MB however many pairs there are.
+    """
+    total_pairs = int(row_positions.size)
+    if total_pairs == 0:
+        return
+    wide_row = bitops.word_view(row_data)
+    wide_col = bitops.word_view(col_data)
+    if wide_row is not None and wide_col is not None:
+        row_data, col_data = wide_row, wide_col
+    lanes = row_data.shape[1]
+    if lanes == 0:
+        return
+    if workspace is None:
+        workspace = _Workspace()
+    chunk_rows = max(1, CONJUNCTION_CHUNK_LANES // lanes)
+    left, right, counts = workspace.buffers(
+        min(chunk_rows, total_pairs), lanes, row_data.dtype
+    )
+    for start in range(0, total_pairs, chunk_rows):
+        stop = min(start + chunk_rows, total_pairs)
+        n = stop - start
+        a = left[:n]
+        b = right[:n]
+        np.take(row_data, row_positions[start:stop], axis=0, out=a)
+        np.take(col_data, col_positions[start:stop], axis=0, out=b)
+        np.bitwise_and(a, b, out=a)
+        yield start, a, counts[:n]
+
+
 def pair_popcount(
     row_data: np.ndarray,
     col_data: np.ndarray,
@@ -150,39 +197,15 @@ def pair_popcount(
 
     The computational-array step of the dataflow for an arbitrary list
     of matched pairs: ``sum(popcount(row_data[r] & col_data[c]))`` over
-    ``zip(row_positions, col_positions)``.  Payloads are processed as
-    64-bit words (:func:`repro.graph.bitops.word_view`) whenever the
-    slice width is a multiple of 64 bits — 8x fewer lanes than per-byte
-    counting — and per-byte otherwise; both give identical sums.
+    ``zip(row_positions, col_positions)``, one chunk of
+    :func:`conjunctions` at a time.
     """
-    total_pairs = int(row_positions.size)
-    if total_pairs == 0:
-        return 0
-    wide_row = bitops.word_view(row_data)
-    wide_col = bitops.word_view(col_data)
-    if wide_row is not None and wide_col is not None:
-        row_data, col_data = wide_row, wide_col
-    lanes = row_data.shape[1]
-    if lanes == 0:
-        return 0
-    if workspace is None:
-        workspace = _Workspace()
-    chunk_rows = max(1, CONJUNCTION_CHUNK_LANES // lanes)
-    left, right, counts = workspace.buffers(
-        min(chunk_rows, total_pairs), lanes, row_data.dtype
-    )
     accumulator = 0
-    for start in range(0, total_pairs, chunk_rows):
-        stop = min(start + chunk_rows, total_pairs)
-        n = stop - start
-        a = left[:n]
-        b = right[:n]
-        c = counts[:n]
-        np.take(row_data, row_positions[start:stop], axis=0, out=a)
-        np.take(col_data, col_positions[start:stop], axis=0, out=b)
-        np.bitwise_and(a, b, out=a)
-        np.bitwise_count(a, out=c)
-        accumulator += int(c.sum())
+    for _, anded, counts in conjunctions(
+        row_data, col_data, row_positions, col_positions, workspace
+    ):
+        np.bitwise_count(anded, out=counts)
+        accumulator += int(counts.sum())
     return accumulator
 
 
@@ -201,36 +224,14 @@ def pair_popcounts(
     the per-edge and per-vertex workload kernels
     (:mod:`repro.core.kernels`) reduce over edge runs.  Summing the
     result equals :func:`pair_popcount` exactly; both walk the same
-    chunked word-view gather.
+    chunked :func:`conjunctions`.
     """
-    total_pairs = int(row_positions.size)
-    result = np.zeros(total_pairs, dtype=np.int64)
-    if total_pairs == 0:
-        return result
-    wide_row = bitops.word_view(row_data)
-    wide_col = bitops.word_view(col_data)
-    if wide_row is not None and wide_col is not None:
-        row_data, col_data = wide_row, wide_col
-    lanes = row_data.shape[1]
-    if lanes == 0:
-        return result
-    if workspace is None:
-        workspace = _Workspace()
-    chunk_rows = max(1, CONJUNCTION_CHUNK_LANES // lanes)
-    left, right, counts = workspace.buffers(
-        min(chunk_rows, total_pairs), lanes, row_data.dtype
-    )
-    for start in range(0, total_pairs, chunk_rows):
-        stop = min(start + chunk_rows, total_pairs)
-        n = stop - start
-        a = left[:n]
-        b = right[:n]
-        c = counts[:n]
-        np.take(row_data, row_positions[start:stop], axis=0, out=a)
-        np.take(col_data, col_positions[start:stop], axis=0, out=b)
-        np.bitwise_and(a, b, out=a)
-        np.bitwise_count(a, out=c)
-        c.sum(axis=1, dtype=np.int64, out=result[start:stop])
+    result = np.zeros(int(row_positions.size), dtype=np.int64)
+    for start, anded, counts in conjunctions(
+        row_data, col_data, row_positions, col_positions, workspace
+    ):
+        np.bitwise_count(anded, out=counts)
+        counts.sum(axis=1, dtype=np.int64, out=result[start: start + counts.shape[0]])
     return result
 
 

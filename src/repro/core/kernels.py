@@ -12,7 +12,11 @@ positions; only the reduction differs:
   the pair popcounts *per oriented edge* — over the symmetric
   orientation each directed edge's popcount is ``|N(u) ∩ N(v)|``;
 * **per-vertex tallies** (clustering coefficients) further reduce the
-  per-edge supports onto their source vertices.
+  per-edge supports onto their source vertices;
+* **triangle witnesses** (k-truss peeling) keep the ANDed bits
+  themselves: :func:`triangle_witnesses` reads each common neighbour
+  off the conjunction of a forward edge's slice pairs and names every
+  triangle once by its three edge ids.
 
 :func:`execute_workload` is the one executor behind all of them: the
 generalisation of the batched triangle dataflow
@@ -52,6 +56,7 @@ __all__ = [
     "WorkloadResult",
     "execute_fused",
     "execute_workload",
+    "triangle_witnesses",
     "vertex_tallies_from_supports",
 ]
 
@@ -60,6 +65,101 @@ __all__ = [
 #: gathers segment-locally into the shared output instead (identical
 #: results — the stack is an execution detail, not a semantic one).
 FUSED_STACK_MAX_ROWS_PER_PAIR = 2
+
+
+def triangle_witnesses(
+    sliced: SlicedMatrix,
+    sources: np.ndarray,
+    destinations: np.ndarray,
+    plan=None,
+    *,
+    chunk_edges: int | None = None,
+    store=None,
+) -> np.ndarray:
+    """Every triangle exactly once, as the ids of its three edges.
+
+    ``sliced`` is a symmetric slice structure and ``(sources,
+    destinations)`` its forward edges ``u < v`` in CSR order (ascending
+    ``(u, v)``); edge id ``i`` is position ``i`` of that list.  ``plan``
+    is the join plan of exactly this edge list against ``(sliced,
+    sliced)`` — a session passes ``JoinPlan.subset`` of its resident
+    symmetric plan — and ``None`` compiles a throwaway one
+    (``chunk_edges`` / ``store`` as for
+    :func:`repro.core.plan.build_join_plan`).
+
+    Each matched slice pair of edge ``(u, v)`` is ANDed in the chunked
+    gather of :func:`repro.core.engine.conjunctions`; a set bit of
+    slice ``k`` at position ``t`` is a common neighbour ``w = k·|S| + t``.
+    Keeping only ``w > v`` names each triangle once, at its lowest edge,
+    and pairs whose slice lies wholly at or below column ``v`` are
+    dropped before the gather.  Returns a ``(t, 3)`` int64 array of edge
+    ids ``(e_uv, e_uw, e_vw)`` in ascending ``(u, v, w)`` order, so each
+    edge id occurs as often as its triangle support.
+    """
+    from repro.core.plan import build_join_plan
+
+    sources = np.asarray(sources, dtype=np.int64)
+    destinations = np.asarray(destinations, dtype=np.int64)
+    if plan is None:
+        plan = build_join_plan(
+            sliced, sliced, sources, destinations,
+            chunk_edges=chunk_edges, store=store,
+        )
+    if plan.num_edges != sources.size:
+        raise ArchitectureError(
+            f"join plan covers {plan.num_edges} edges but the witness pass "
+            f"supplies {sources.size}; compile a plan for this edge list"
+        )
+    stale = plan.staleness(sliced, sliced)
+    if stale:
+        raise ArchitectureError(f"stale join plan: {stale}; rebuild or patch it")
+    bits = sliced.slice_bits
+    pair_edges = np.repeat(np.arange(sources.size, dtype=np.int64), plan.pair_counts)
+    pair_slices = sliced.slice_ids[plan.row_positions]
+    useful = np.flatnonzero(pair_slices >= (destinations[pair_edges] + 1) // bits)
+    pair_edges = pair_edges[useful]
+    pair_slices = pair_slices[useful]
+    width = bits // 8
+    edge_parts: list[np.ndarray] = []
+    witness_parts: list[np.ndarray] = []
+    for start, anded, _ in engine.conjunctions(
+        sliced.data,
+        sliced.data,
+        plan.row_positions[useful],
+        plan.col_positions[useful],
+    ):
+        flat = anded.view(np.uint8).reshape(-1)
+        hot = np.flatnonzero(flat)
+        which, bit = np.nonzero(
+            np.unpackbits(flat[hot][:, None], axis=1, bitorder="little")
+        )
+        byte = hot[which]
+        pair = start + byte // width
+        witness = pair_slices[pair] * bits + (byte % width) * 8 + bit
+        edges = pair_edges[pair]
+        keep = witness > destinations[edges]
+        edge_parts.append(edges[keep])
+        witness_parts.append(witness[keep])
+    if not edge_parts:
+        return np.empty((0, 3), dtype=np.int64)
+    uv = np.concatenate(edge_parts)
+    w = np.concatenate(witness_parts)
+    scale = np.int64(max(sliced.num_rows, 1))
+    keys = sources * scale + destinations
+    triangles = np.empty((uv.size, 3), dtype=np.int64)
+    triangles[:, 0] = uv
+    for column, low in ((1, sources[uv]), (2, destinations[uv])):
+        wanted = low * scale + w
+        found = np.searchsorted(keys, wanted)
+        if found.size and (
+            found.max() >= keys.size or bool((keys[found] != wanted).any())
+        ):
+            raise ArchitectureError(
+                "a witness bit names a missing edge: the slice structure and "
+                "the forward edge list disagree"
+            )
+        triangles[:, column] = found
+    return triangles
 
 
 def vertex_tallies_from_supports(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.errors import GraphError
@@ -10,6 +11,7 @@ from repro.analysis.truss import (
     edge_support,
     k_truss,
     max_trussness,
+    peel_trussness,
     truss_decomposition,
 )
 from repro.baselines.intersection import triangle_count_forward
@@ -93,38 +95,54 @@ class TestTrussDecomposition:
         assert trussness[(0, 1)] == 4
 
 
+def seeded(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Per-edge supports and ``(e_uv, e_uw, e_vw)`` triangle rows of
+    ``graph``, by brute force; edge ids follow ``graph.edge_array()``."""
+    edges = graph.edge_array().tolist()
+    ids = {tuple(edge): i for i, edge in enumerate(edges)}
+    support = edge_support(graph)
+    triangles = [
+        (i, ids[(u, w)], ids[(v, w)])
+        for i, (u, v) in enumerate(edges)
+        for w in graph.neighbors(u).tolist()
+        if w > v and (v, w) in ids
+    ]
+    supports = np.array([support[tuple(edge)] for edge in edges], dtype=np.int64)
+    return supports, np.array(triangles, dtype=np.int64).reshape(-1, 3)
+
+
 class TestPrecomputedSupport:
-    """The peeling entry points accept externally computed supports (the
-    session's engine-computed map) and must behave identically."""
+    """The array peel starts from precomputed supports (the session's
+    engine-computed array) and must agree with the oracle, which computes
+    its own."""
 
     def test_decomposition_with_seeded_support(self, random_graphs):
         for graph in random_graphs:
-            support = edge_support(graph)
-            assert truss_decomposition(graph, support=support) == (
-                truss_decomposition(graph)
-            )
+            trussness = peel_trussness(*seeded(graph))
+            keys = map(tuple, graph.edge_array().tolist())
+            assert dict(zip(keys, trussness.tolist())) == truss_decomposition(graph)
 
     def test_k_truss_with_seeded_support(self, random_graphs):
         graph = random_graphs[0]
-        support = edge_support(graph)
+        trussness = peel_trussness(*seeded(graph))
         for k in (2, 3, 4):
-            seeded = k_truss(graph, k, support=support)
-            plain = k_truss(graph, k)
-            assert seeded.num_vertices == plain.num_vertices
-            assert (seeded.edge_array() == plain.edge_array()).all()
+            expected = k_truss(graph, k).edge_array()
+            assert np.array_equal(graph.edge_array()[trussness >= k], expected)
 
     def test_max_trussness_with_seeded_support(self, paper_graph):
-        support = edge_support(paper_graph)
-        assert max_trussness(paper_graph, support=support) == 3
+        trussness = peel_trussness(*seeded(paper_graph))
+        assert int(trussness.max()) == max_trussness(paper_graph) == 3
 
     def test_seeded_support_not_mutated(self, paper_graph):
-        support = edge_support(paper_graph)
-        snapshot = dict(support)
-        truss_decomposition(paper_graph, support=support)
-        assert support == snapshot
+        supports, triangles = seeded(paper_graph)
+        snapshot = supports.copy()
+        peel_trussness(supports, triangles)
+        assert np.array_equal(supports, snapshot)
 
     def test_missing_edge_rejected(self, paper_graph):
-        support = edge_support(paper_graph)
-        del support[(0, 1)]
-        with pytest.raises(GraphError, match="missing edge"):
-            truss_decomposition(paper_graph, support=support)
+        supports, triangles = seeded(paper_graph)
+        with pytest.raises(GraphError, match="outside"):
+            peel_trussness(supports[:-1], triangles)
+        supports[0] += 1
+        with pytest.raises(GraphError, match="edge 0 has support 2"):
+            peel_trussness(supports, triangles)

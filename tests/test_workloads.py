@@ -5,7 +5,10 @@ Every workload — :meth:`TCIMSession.support`, :meth:`truss`,
 to its pure-Python oracle across engines configurations
 (``num_arrays ∈ {1, 4}``, plan on/off), on fresh sessions and after a
 randomized mutation stream (i.e. through the incrementally patched
-symmetric join plan).
+symmetric join plan).  The truss battery also covers every slice width
+(byte-packed and word payloads), memmap backing with a tiny spill
+threshold, edge cases from complete graphs to an emptied graph, and the
+triangle-witness pass on its own.
 """
 
 from __future__ import annotations
@@ -14,11 +17,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import api
 from repro.analysis import metrics
+from repro.analysis import truss as truss_module
 from repro.analysis.truss import edge_support, k_truss, truss_decomposition
 from repro.api import ClusteringReport, TCIMSession, open_session
-from repro.errors import GraphError
+from repro.core import kernels
+from repro.core.engine import oriented_edges
+from repro.core.plan import build_join_plan
+from repro.core.slicing import SlicedMatrix
+from repro.errors import ArchitectureError, GraphError
 from repro.graph import generators
 from repro.graph.graph import Graph
 
@@ -80,6 +91,30 @@ class TestSupport:
             assert session.support() == edge_support(session.graph)
 
 
+#: Slice widths of the witness pass: 8 and 24 bits are byte-packed
+#: payloads (``bitops.word_view`` does not apply), 64 and 128 are words.
+SLICE_BITS = [8, 24, 64, 128]
+
+#: Nested cliques: a K5 sharing vertex 4 with a K4, a K3 hanging off
+#: the K4, and a pendant path.
+NESTED_CLIQUES = Graph(
+    12,
+    [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    + [(u, v) for u in range(4, 8) for v in range(u + 1, 8)]
+    + [(7, 8), (7, 9), (8, 9), (9, 10), (10, 11)],
+)
+
+
+def witness_oracle(graph: Graph) -> set[tuple[int, int, int]]:
+    """Every triangle ``u < v < w`` of ``graph``, by brute force."""
+    return {
+        (u, v, w)
+        for u, v in graph.edge_array().tolist()
+        for w in graph.neighbors(v).tolist()
+        if w > v and graph.has_edge(u, w)
+    }
+
+
 class TestTruss:
     @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
     def test_decomposition_matches_oracle(self, random_graphs, config):
@@ -96,9 +131,143 @@ class TestTruss:
                     assert got.num_vertices == expected.num_vertices
                     assert np.array_equal(got.edge_array(), expected.edge_array())
 
+    def test_k_truss_reuses_cached_decomposition(self, random_graphs, monkeypatch):
+        """``truss(k)`` after ``truss()`` neither enumerates nor peels again."""
+        graph = random_graphs[4]
+        expected = {k: k_truss(graph, k).edge_array() for k in (2, 3, 4, 5)}
+        calls = []
+        for module, name in (
+            (truss_module, "peel_trussness"),
+            (truss_module, "truss_decomposition"),
+            (kernels, "triangle_witnesses"),
+        ):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        with open_session(graph) as session:
+            session.truss()
+            assert calls == ["triangle_witnesses", "peel_trussness"]
+            calls.clear()
+            for k, edges in expected.items():
+                assert np.array_equal(session.truss(k).edge_array(), edges)
+            assert calls == []
+
+    def test_k_validation(self, paper_graph):
+        with open_session(paper_graph) as session:
+            with pytest.raises(GraphError, match="k must be"):
+                session.truss(1)
+
     def test_paper_graph(self, paper_graph):
         with open_session(paper_graph) as session:
             assert max(session.truss().values()) == 3
+
+    @pytest.mark.parametrize("slice_bits", SLICE_BITS)
+    @pytest.mark.parametrize("use_plan", [True, False], ids=["plan", "noplan"])
+    def test_slice_widths(self, random_graphs, slice_bits, use_plan):
+        for graph in random_graphs:
+            with open_session(
+                graph, slice_bits=slice_bits, use_plan=use_plan
+            ) as session:
+                assert session.truss() == truss_decomposition(graph)
+
+    @pytest.mark.parametrize("use_plan", [True, False], ids=["plan", "noplan"])
+    def test_memmap_session(self, random_graphs, tmp_path, monkeypatch, use_plan):
+        # Tiny plan windows too, so the compile streams in chunks.
+        monkeypatch.setattr(api, "_PLAN_CHUNK_EDGES", 64)
+        for index, graph in enumerate(random_graphs):
+            with open_session(
+                graph,
+                storage_dir=tmp_path / str(index),
+                spill_threshold_bytes=64,
+                use_plan=use_plan,
+            ) as session:
+                assert session.truss() == truss_decomposition(graph)
+                assert session._store.spilled_bytes > 0
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_complete_graph(self, n):
+        graph = generators.complete_graph(n)
+        with open_session(graph) as session:
+            trussness = session.truss()
+            assert len(trussness) == n * (n - 1) // 2
+            assert set(trussness.values()) <= {n}
+            assert trussness == truss_decomposition(graph)
+
+    def test_nested_cliques(self):
+        with open_session(NESTED_CLIQUES) as session:
+            trussness = session.truss()
+            assert trussness == truss_decomposition(NESTED_CLIQUES)
+            assert trussness[(0, 1)] == 5
+            assert trussness[(5, 6)] == 4
+            assert trussness[(7, 8)] == 3
+            assert trussness[(10, 11)] == 2
+            assert session.truss(5).num_edges == 10
+
+    def test_triangle_free(self):
+        graph = generators.complete_bipartite(5, 7)
+        with open_session(graph) as session:
+            assert set(session.truss().values()) == {2}
+            assert session.truss(3).num_edges == 0
+
+    def test_empty_graph(self, empty_graph, isolated_vertices):
+        for graph in (empty_graph, isolated_vertices):
+            with open_session(graph) as session:
+                assert session.truss() == {}
+                assert session.truss(2).num_edges == 0
+
+    @pytest.mark.parametrize("use_plan", [True, False], ids=["plan", "noplan"])
+    def test_every_edge_deleted(self, k5, use_plan):
+        with open_session(k5, use_plan=use_plan) as session:
+            session.truss()
+            session.apply([("-", u, v) for u, v in k5.edge_array().tolist()])
+            assert session.num_edges == 0
+            assert session.truss() == {} == truss_decomposition(session.graph)
+            assert session.truss(2).num_edges == 0
+
+    @pytest.mark.parametrize("slice_bits", SLICE_BITS)
+    def test_witness_pass(self, random_graphs, slice_bits):
+        """Each triangle once as ``u < v < w``; the total is the triangle
+        count and each edge lies in as many triangles as its support."""
+        for graph in random_graphs + [NESTED_CLIQUES]:
+            sym = SlicedMatrix.from_graph(graph, "symmetric", slice_bits=slice_bits)
+            sources, destinations = oriented_edges(graph, "symmetric")
+            forward = np.flatnonzero(sources < destinations)
+            resident = build_join_plan(sym, sym, sources, destinations)
+            edges = graph.edge_array()
+            support = edge_support(graph)
+            with open_session(graph) as session:
+                count = session.count()
+            for plan in (resident.subset(forward), None):
+                triangles = kernels.triangle_witnesses(
+                    sym, sources[forward], destinations[forward], plan=plan
+                )
+                u, v = edges[triangles[:, 0]].T
+                assert np.array_equal(edges[triangles[:, 1], 0], u)
+                assert np.array_equal(edges[triangles[:, 2], 0], v)
+                w = edges[triangles[:, 1], 1]
+                assert np.array_equal(edges[triangles[:, 2], 1], w)
+                assert bool(((u < v) & (v < w)).all())
+                named = set(zip(u.tolist(), v.tolist(), w.tolist()))
+                assert len(named) == len(triangles)
+                assert named == witness_oracle(graph)
+                assert len(triangles) == count
+                counts = np.bincount(triangles.reshape(-1), minlength=len(edges))
+                assert counts.tolist() == [support[tuple(e)] for e in edges.tolist()]
+
+    def test_witness_pass_rejects_foreign_plan(self, random_graphs):
+        graph = random_graphs[0]
+        sym = SlicedMatrix.from_graph(graph, "symmetric")
+        sources, destinations = oriented_edges(graph, "symmetric")
+        plan = build_join_plan(sym, sym, sources, destinations)
+        forward = sources < destinations
+        with pytest.raises(ArchitectureError, match="compile a plan"):
+            kernels.triangle_witnesses(
+                sym, sources[forward], destinations[forward], plan=plan
+            )
 
 
 class TestClustering:
@@ -207,6 +376,15 @@ class TestCommonNeighbors:
             assert session.common_neighbors(isolated[0]) == []
 
 
+#: A triangle-rich base graph for apply-stream properties; ops draw
+#: endpoints from its first 14 vertices, so rounds keep revisiting edges.
+STREAM_BASE = generators.powerlaw_cluster(24, 3, 0.6, seed=5)
+_stream_op = st.tuples(
+    st.sampled_from(["+", "-"]), st.integers(0, 13), st.integers(0, 13)
+)
+STREAM_CALLS = st.lists(st.lists(_stream_op, max_size=16), min_size=1, max_size=5)
+
+
 class TestWorkloadsAfterMutations:
     """The tentpole coherence property: after a randomized apply stream
     the (patched) resident state answers every workload identically to a
@@ -239,6 +417,19 @@ class TestWorkloadsAfterMutations:
                 # than dropping it.
                 session.support()
                 assert session._sym_plan is not None
+
+    @pytest.mark.parametrize("use_plan", [True, False], ids=["plan", "noplan"])
+    @settings(max_examples=25, deadline=None)
+    @given(calls=STREAM_CALLS)
+    def test_truss_tracks_apply_stream(self, use_plan, calls):
+        """Property: after every apply round, ``truss()`` is the oracle's
+        decomposition of the mutated graph (the cached trussness never
+        outlives its generation)."""
+        with open_session(STREAM_BASE, use_plan=use_plan) as session:
+            session.truss()
+            for ops in calls:
+                session.apply(ops)
+                assert session.truss() == truss_decomposition(session.graph)
 
     def test_update_only_stream_then_workload(self, paper_graph):
         with open_session(paper_graph) as session:
