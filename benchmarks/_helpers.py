@@ -51,33 +51,28 @@ def scaled_array_bytes(key: str) -> int:
     return max(scaled, 64 * 1024)
 
 
-def session_for(
-    key: str, array_bytes: int | None = None, engine: str = "vectorized"
-) -> TCIMSession:
-    """A resident :class:`TCIMSession` per (dataset, array size, engine).
+def session_for(key: str, array_bytes: int | None = None) -> TCIMSession:
+    """A resident :class:`TCIMSession` per (dataset, array size).
 
     The session keeps the sliced structures and the run result cached, so
     benchmarks that share a configuration share all the expensive work.
     """
     if array_bytes is None:
         array_bytes = scaled_array_bytes(key)
-    cache_key = (key, array_bytes, engine)
+    cache_key = (key, array_bytes)
     if cache_key not in _SESSION_CACHE:
         _SESSION_CACHE[cache_key] = open_session(
-            graph_for(key), array_bytes=array_bytes, engine=engine
+            graph_for(key), array_bytes=array_bytes
         )
     return _SESSION_CACHE[cache_key]
 
 
-def accelerator_run(
-    key: str, array_bytes: int | None = None, engine: str = "vectorized"
-) -> TCIMRunResult:
+def accelerator_run(key: str, array_bytes: int | None = None) -> TCIMRunResult:
     """One full TCIM accelerator run (cached via :func:`session_for`).
 
-    Both engines produce bit-identical results; the vectorized default
-    keeps the benchmark suite fast, and passing ``engine="legacy"`` times
-    the per-edge oracle loop instead."""
-    return session_for(key, array_bytes, engine).run()
+    Bit-identical to :func:`repro.analysis.validation.per_edge_reference`
+    on the same config, which a benchmark can time as the oracle loop."""
+    return session_for(key, array_bytes).run()
 
 
 def nonempty_rows(graph: Graph) -> int:

@@ -74,7 +74,7 @@ def bench_kernel_vectorized_engine(benchmark, enron_graph):
     """Full accelerator run on the batched engine (the production path)."""
     from repro.core.accelerator import AcceleratorConfig, TCIMAccelerator
 
-    accelerator = TCIMAccelerator(AcceleratorConfig(engine="vectorized"))
+    accelerator = TCIMAccelerator(AcceleratorConfig())
     result = benchmark.pedantic(
         lambda: accelerator.run(enron_graph), rounds=3, iterations=1
     )
@@ -82,7 +82,8 @@ def bench_kernel_vectorized_engine(benchmark, enron_graph):
 
 
 def bench_kernel_engine_speedup(benchmark, enron_graph):
-    """Vectorized vs legacy engine: identical results, large speedup.
+    """Vectorized engine vs the per-edge reference loop: identical
+    results, large speedup.
 
     Guards the engine against perf regressions: if the batched dataflow
     ever drops under 3x the per-edge oracle loop on email-enron, something
@@ -93,23 +94,29 @@ def bench_kernel_engine_speedup(benchmark, enron_graph):
     """
     import time as _time
 
+    from repro.analysis.validation import per_edge_reference
     from repro.core.accelerator import AcceleratorConfig, TCIMAccelerator
 
-    def run(engine):
+    config = AcceleratorConfig()
+
+    def best_of_3(work):
         best, result = float("inf"), None
         for _ in range(3):
             start = _time.perf_counter()
-            result = TCIMAccelerator(AcceleratorConfig(engine=engine)).run(
-                enron_graph
-            )
+            result = work()
             best = min(best, _time.perf_counter() - start)
         return best, result
 
-    run("vectorized")  # warm numpy before timing either engine
-    legacy_s, legacy = run("legacy")
-    vectorized_s, vectorized = benchmark.pedantic(
-        lambda: run("vectorized"), rounds=1, iterations=1
+    def vectorized_run():
+        return TCIMAccelerator(config).run(enron_graph)
+
+    vectorized_run()  # warm numpy before timing either path
+    reference_s, (triangles, events, _) = best_of_3(
+        lambda: per_edge_reference(enron_graph, config)
     )
-    assert vectorized.triangles == legacy.triangles
-    assert vectorized.events == legacy.events
-    assert legacy_s / vectorized_s > 3.0
+    vectorized_s, vectorized = benchmark.pedantic(
+        lambda: best_of_3(vectorized_run), rounds=1, iterations=1
+    )
+    assert vectorized.triangles == triangles
+    assert vectorized.events == events
+    assert reference_s / vectorized_s > 3.0

@@ -99,9 +99,7 @@ def bench_table5_runtime_comparison(benchmark, emit):
         # vectorized batch engine (the production execution path).
         sim_wall, sim_result = wall_clock(
             TCIMAccelerator(
-                AcceleratorConfig(
-                    array_bytes=scaled_array_bytes(key), engine="vectorized"
-                )
+                AcceleratorConfig(array_bytes=scaled_array_bytes(key))
             ).run,
             graph,
         )

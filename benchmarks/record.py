@@ -195,29 +195,34 @@ def measure_workloads(num_vertices: int, attach: int) -> dict:
 
 
 def measure_parallelism(num_vertices: int, attach: int) -> dict:
-    """Measured process-pool parallelism: coloring vs degree-LPT, shm vs pickle.
+    """Measured process-pool parallelism: coloring vs degree-LPT, held
+    shm pool vs one-shot.
 
     For each fleet width the degree-LPT column times the status-quo
     sharded path (fresh pool per call, shared structures shipped through
-    the initializer every time) and the coloring columns time repeat
-    :class:`~repro.core.sharding.ContextPool` sweeps under both pool
-    backings: ``shm`` (arrays exported once into named shared-memory
-    segments, workers attach zero-copy, one batched dispatch message per
-    worker per sweep) and ``pickle`` (the ship-once contexts-through-the-
-    initializer baseline).  The ``*_cycle_s`` columns time the full
-    construct-plus-two-sweeps cycle; the ``*_fence_cycle_s`` columns
-    time the delta-fence cycle (``publish()`` + ``run()``) — the
-    quantity the shm-smoke CI job gates at >= 2x for 16 arrays, since
-    making a delta visible costs the pickle plane an executor respawn
-    and re-ship but costs the shm plane only an identity probe over the
-    manifests.  Every row records the worker count, the host CPU count,
-    and the backing of the primary (``coloring_sweep_s``) timing.
+    the initializer every time); the coloring columns time repeat sweeps
+    of a held :class:`~repro.core.sharding.ContextPool` (arrays exported
+    once into named shared-memory segments, workers attach zero-copy,
+    one batched dispatch message per worker per sweep) against a
+    one-shot :func:`~repro.core.sharding.execute_contexts` call on the
+    same contexts (a fresh process pool ships every context and sweeps
+    once).  ``shm_cycle_s`` times the pool's construct-plus-two-sweeps
+    cycle and ``shm_fence_cycle_s`` its delta-fence cycle (``publish()``
+    + ``run()``); ``one_shot_s`` is the baseline the shm-smoke CI job
+    gates that fence cycle against (>= 2x at 16 arrays), since making a
+    delta visible without a held pool means shipping every context
+    again.  Every row records the worker count and the host CPU count.
     """
     import os
 
     from repro.arch.pipeline import measured_shard_report
     from repro.arch.perf import default_pim_model
-    from repro.core.sharding import ContextPool, build_shard_contexts, context_balance
+    from repro.core.sharding import (
+        ContextPool,
+        build_shard_contexts,
+        context_balance,
+        execute_contexts,
+    )
 
     graph = generators.barabasi_albert(num_vertices, attach, seed=0)
     cpu_count = os.cpu_count()
@@ -242,35 +247,35 @@ def measure_parallelism(num_vertices: int, attach: int) -> dict:
             )
         assert result.triangles == baseline.triangles
 
-        sweep_s = {}
-        cycle_s = {}
-        fence_s = {}
-        num_segments = 0
-        for backing in ("shm", "pickle"):
-            contexts = build_shard_contexts(graph, "upper", num_arrays)
-            cycle_start = time.perf_counter()
-            with ContextPool(
-                contexts,
-                config.capacity_slices,
-                config.policy,
-                config.seed,
-                workers=workers,
-                backing=backing,
-            ) as pool:
-                for _ in range(2):
-                    outcome = pool.run()
-                cycle_s[backing] = time.perf_counter() - cycle_start
-                sweep_s[backing], outcome = best_of(3, pool.run)
-
-                def fence():
-                    pool.publish()
-                    return pool.run()
-
-                fence_s[backing], outcome = best_of(3, fence)
-                if backing == "shm":
-                    num_segments = pool.shared_segments
-            assert outcome.accumulator == baseline.triangles
         contexts = build_shard_contexts(graph, "upper", num_arrays)
+        one_shot_s, outcome = best_of(
+            3,
+            lambda: execute_contexts(
+                contexts, config.capacity_slices, config.policy, config.seed,
+                workers=workers,
+            ),
+        )
+        assert outcome.accumulator == baseline.triangles
+        cycle_start = time.perf_counter()
+        with ContextPool(
+            contexts,
+            config.capacity_slices,
+            config.policy,
+            config.seed,
+            workers=workers,
+        ) as pool:
+            for _ in range(2):
+                outcome = pool.run()
+            cycle_s = time.perf_counter() - cycle_start
+            sweep_s, outcome = best_of(3, pool.run)
+
+            def fence():
+                pool.publish()
+                return pool.run()
+
+            fence_s, outcome = best_of(3, fence)
+            num_segments = pool.shared_segments
+        assert outcome.accumulator == baseline.triangles
         coloring_run = TCIMAccelerator(
             AcceleratorConfig(num_arrays=num_arrays, shard_by="coloring")
         ).run(graph)
@@ -285,19 +290,14 @@ def measure_parallelism(num_vertices: int, attach: int) -> dict:
                 "shards": len(contexts),
                 "pool_workers": workers,
                 "cpu_count": cpu_count,
-                "backing": "shm",
                 "degree_lpt_sweep_s": shared_s,
-                "coloring_sweep_s": sweep_s["shm"],
-                "coloring_speedup": (
-                    shared_s / sweep_s["shm"] if sweep_s["shm"] else None
-                ),
-                "pickle_sweep_s": sweep_s["pickle"],
-                "shm_cycle_s": cycle_s["shm"],
-                "pickle_cycle_s": cycle_s["pickle"],
-                "shm_fence_cycle_s": fence_s["shm"],
-                "pickle_fence_cycle_s": fence_s["pickle"],
-                "shm_vs_pickle_speedup": (
-                    fence_s["pickle"] / fence_s["shm"] if fence_s["shm"] else None
+                "coloring_sweep_s": sweep_s,
+                "coloring_speedup": shared_s / sweep_s if sweep_s else None,
+                "one_shot_s": one_shot_s,
+                "shm_cycle_s": cycle_s,
+                "shm_fence_cycle_s": fence_s,
+                "shm_vs_one_shot_speedup": (
+                    one_shot_s / fence_s if fence_s else None
                 ),
                 "shared_segments": num_segments,
                 "balance": context_balance(contexts),
@@ -313,10 +313,9 @@ def measure_parallelism(num_vertices: int, attach: int) -> dict:
         "triangles": baseline.triangles,
         "pool_workers": workers,
         "cpu_count": cpu_count,
-        "backing": "shm",
         "curve": curve,
         "coloring_speedup_at_16": at_16["coloring_speedup"],
-        "shm_vs_pickle_at_16": at_16["shm_vs_pickle_speedup"],
+        "shm_vs_one_shot_at_16": at_16["shm_vs_one_shot_speedup"],
     }
 
 
@@ -531,7 +530,7 @@ def main(argv: list[str]) -> int:
     quick = "--quick" in argv
     scale = 4 if quick else 1
     payload = {
-        "schema": 5,
+        "schema": 6,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": platform.python_version(),
         "quick": quick,
@@ -553,7 +552,7 @@ def main(argv: list[str]) -> int:
         "parallelism coloring "
         f"{payload['parallelism']['coloring_speedup_at_16']:.1f}x vs "
         "degree-LPT at 16 arrays (shm pool "
-        f"{payload['parallelism']['shm_vs_pickle_at_16']:.1f}x vs pickle-ship); "
+        f"{payload['parallelism']['shm_vs_one_shot_at_16']:.1f}x vs one-shot); "
         f"serving {payload['serving']['queries_per_second']:,.0f} queries/s "
         f"({payload['serving']['coalesced']} coalesced, fusion "
         f"{payload['serving']['fusion_speedup']:.1f}x on probes); "

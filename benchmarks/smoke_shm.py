@@ -2,23 +2,24 @@
 
 Two gates, exit code 0 only if both hold:
 
-* **exactness** — ``backing="shm"`` sessions (coloring shards swept by a
-  zero-copy :class:`~repro.core.sharding.ContextPool`) produce triangle
-  counts bit-identical to plain RAM-backed sessions, with the per-lane
-  join plans on and off, on a generator graph and again after a
-  randomized insert/delete stream with forced full engine re-runs
-  (which exercise the publish/generation-fence path);
+* **exactness** — accelerator runs swept by a held zero-copy
+  :class:`~repro.core.sharding.ContextPool` produce triangle counts
+  bit-identical to the unsharded run, with the per-lane join plans on
+  and off, and ``backing="shm"`` sessions (coloring shards swept by
+  their resident pool) stay bit-identical to plain RAM-backed sessions
+  through a randomized insert/delete stream with forced full engine
+  re-runs (which exercise the publish/generation-fence path);
 * **throughput** — the delta-fence sweep cycle (``publish()`` followed
-  by ``run()``) of a shm :class:`~repro.core.sharding.ContextPool` at
-  16 arrays runs at least **2x** faster than the same cycle on the
-  PR 9 pickle-ship pool.  The cycle is the execution plane's per-delta
-  overhead, isolated: making an owner-side delta visible to the workers
-  and sweeping once.  The pickle plane must recycle its executor on
-  every publish (workers hold shipped copies, so visibility requires a
-  respawn and re-ship); the shm plane's in-place payload writes already
-  landed in the attached pages, so its fence is an identity probe over
-  the manifests and the sweep is one batched message per worker.
-  Applying the delta itself costs both planes the same and is excluded.
+  by ``run()``) of a held :class:`~repro.core.sharding.ContextPool` at
+  16 arrays runs at least **2x** faster than a one-shot
+  :func:`~repro.core.sharding.execute_contexts` call with the same
+  workers on the same contexts.  The one-shot call is what making an
+  owner-side delta visible costs without a held pool: start the worker
+  processes, ship every context, sweep once.  The held pool's in-place
+  payload writes already landed in the attached pages, so its fence is
+  an identity probe over the manifests and the sweep is one batched
+  message per worker.  Applying the delta itself costs both the same
+  and is excluded.
 
 Usage::
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from repro.api import TCIMSession
 from repro.core.accelerator import AcceleratorConfig, TCIMAccelerator
-from repro.core.sharding import ContextPool, build_shard_contexts
+from repro.core.sharding import ContextPool, build_shard_contexts, execute_contexts
 from repro.graph import generators
 from repro.graph.graph import Graph
 
@@ -55,15 +56,25 @@ def check_exactness(num_vertices: int) -> int:
     failures = 0
     for num_arrays in (4, 16):
         for use_plan in (True, False):
-            result = TCIMAccelerator(
-                AcceleratorConfig(
-                    num_arrays=num_arrays,
-                    shard_by="coloring",
-                    use_plan=use_plan,
-                    workers=workers,
-                    backing="shm",
+            config = AcceleratorConfig(
+                num_arrays=num_arrays,
+                shard_by="coloring",
+                use_plan=use_plan,
+                workers=workers,
+            )
+            contexts = build_shard_contexts(
+                graph, "upper", num_arrays, use_plan=use_plan
+            )
+            with ContextPool(
+                contexts,
+                config.capacity_slices,
+                config.policy,
+                config.seed,
+                workers=workers,
+            ) as pool:
+                result = TCIMAccelerator(config).run(
+                    graph, shard_contexts=contexts, context_pool=pool
                 )
-            ).run(graph)
             status = "ok"
             if result.triangles != baseline.triangles:
                 status = (
@@ -72,7 +83,8 @@ def check_exactness(num_vertices: int) -> int:
                 )
                 failures += 1
             print(
-                f"shm num_arrays={num_arrays} plan={'on' if use_plan else 'off'}: "
+                f"shm pool num_arrays={num_arrays} "
+                f"plan={'on' if use_plan else 'off'}: "
                 f"{result.triangles:,} triangles ... {status}"
             )
 
@@ -134,37 +146,47 @@ def check_throughput(num_vertices: int) -> int:
     config = AcceleratorConfig(num_arrays=THROUGHPUT_ARRAYS)
     baseline = TCIMAccelerator(AcceleratorConfig(num_arrays=1)).run(graph)
 
-    def fence_cycle(backing: str) -> float:
-        """Best delta-fence cycle: publish (visibility fence) + sweep."""
-        contexts = build_shard_contexts(graph, "upper", THROUGHPUT_ARRAYS)
-        with ContextPool(
-            contexts,
-            config.capacity_slices,
-            config.policy,
-            config.seed,
-            workers=workers,
-            backing=backing,
-        ) as pool:
-            pool.run()
-            pool.publish()
-            pool.run()  # warm: attach/ship costs land before timing
-            best = float("inf")
-            for _ in range(CYCLES):
-                start = time.perf_counter()
-                pool.publish()
-                outcome = pool.run()
-                best = min(best, time.perf_counter() - start)
-            assert outcome.accumulator == baseline.triangles
+    contexts = build_shard_contexts(graph, "upper", THROUGHPUT_ARRAYS)
+
+    def timed(work) -> float:
+        best = float("inf")
+        for _ in range(CYCLES):
+            start = time.perf_counter()
+            outcome = work()
+            best = min(best, time.perf_counter() - start)
+        assert outcome.accumulator == baseline.triangles
         return best
 
-    pickle_best = fence_cycle("pickle")
-    shm_best = fence_cycle("shm")
-    speedup = pickle_best / shm_best if shm_best else float("inf")
+    # One-shot baseline: a fresh process pool ships and sweeps the
+    # contexts per call.
+    one_shot_best = timed(
+        lambda: execute_contexts(
+            contexts, config.capacity_slices, config.policy, config.seed,
+            workers=workers,
+        )
+    )
+    with ContextPool(
+        contexts,
+        config.capacity_slices,
+        config.policy,
+        config.seed,
+        workers=workers,
+    ) as pool:
+        pool.run()
+        pool.publish()
+        pool.run()  # warm: attach costs land before timing
+
+        def fence_cycle():
+            pool.publish()
+            return pool.run()
+
+        shm_best = timed(fence_cycle)
+    speedup = one_shot_best / shm_best if shm_best else float("inf")
     print(
         f"throughput at {THROUGHPUT_ARRAYS} arrays ({workers} workers, "
-        f"publish+sweep fence cycle, best of {CYCLES}): "
-        f"pickle-ship {pickle_best * 1e3:.1f} ms, "
-        f"shm {shm_best * 1e3:.1f} ms -> {speedup:.2f}x "
+        f"best of {CYCLES}): one-shot execute_contexts "
+        f"{one_shot_best * 1e3:.1f} ms, held shm pool publish+sweep "
+        f"{shm_best * 1e3:.1f} ms -> {speedup:.2f}x "
         f"(gate {THROUGHPUT_GATE}x)"
     )
     if speedup < THROUGHPUT_GATE:

@@ -22,7 +22,11 @@ from repro.analysis.truss import (
     max_trussness,
     truss_decomposition,
 )
-from repro.analysis.validation import default_implementations, validate_implementations
+from repro.analysis.validation import (
+    default_implementations,
+    per_edge_reference,
+    validate_implementations,
+)
 
 __all__ = [
     "edge_support",
@@ -42,5 +46,6 @@ __all__ = [
     "format_count",
     "geometric_mean",
     "default_implementations",
+    "per_edge_reference",
     "validate_implementations",
 ]

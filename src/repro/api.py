@@ -55,12 +55,14 @@ from repro.core.accelerator import (
     EventCounts,
     TCIMAccelerator,
     TCIMRunResult,
+    array_share,
+    split_capacity,
 )
 from repro.core.engine import oriented_edges
 from repro.core.reuse import CacheStatistics
 from repro.core.sharding import plan_shards
 from repro.core.slicing import SlicedMatrix, SliceStatistics, slice_statistics
-from repro.errors import ArchitectureError, GraphError, ReproError, StorageError
+from repro.errors import GraphError, ReproError, StorageError
 from repro.graph.graph import Graph
 from repro.storage import snapshot as storage_snapshot
 from repro.storage.backing import BackingStore
@@ -151,7 +153,6 @@ class RunReport:
         config = self.result.config
         payload = {
             "triangles": self.result.triangles,
-            "engine": config.engine,
             "num_arrays": config.num_arrays,
             "shard_by": config.shard_by,
             "events": asdict(self.result.events),
@@ -297,7 +298,7 @@ class TCIMSession:
         model=None,
     ) -> None:
         self.config = config or AcceleratorConfig()
-        # Validates the config eagerly (engine/partitioner names, capacity).
+        # Validates the config eagerly (partitioner names, capacity).
         self._accelerator = TCIMAccelerator(self.config)
         self._model = model
         # One reentrant lock serialises every public entry point (count
@@ -342,8 +343,9 @@ class TCIMSession:
         # The zero-copy execution plane (backing="shm" with workers):
         # a resident ContextPool whose workers hold the coloring shards
         # attached as shared-memory segments.  Created lazily with the
-        # contexts, published to after every context patch, closed
-        # whenever the contexts drop.
+        # contexts (and again after a worker crash closed it),
+        # published to after every context patch, closed whenever the
+        # contexts drop.
         self._context_pool = None
         self._use_pool = (
             self._use_contexts
@@ -359,19 +361,14 @@ class TCIMSession:
         # Coloring sessions never consume the global count-orientation
         # plan — every context lane compiles its own — so skip building
         # it; config.use_plan still gates the per-lane plans.
-        self._use_plan = (
-            bool(self.config.use_plan)
-            and self.config.engine == "vectorized"
-            and not self._use_contexts
-        )
+        self._use_plan = bool(self.config.use_plan) and not self._use_contexts
         # The symmetric-orientation twin of the resident plan: workload
         # queries (support/truss/clustering/common-neighbors) all join
         # the symmetric structure against itself, so they share one
         # compiled valid-pair index.  The symmetric structure mutates
         # eagerly per committed batch (see _insert_batch/_delete_batch),
-        # so this plan is patched eagerly too — gated only by
-        # config.use_plan because workloads always run the vectorized
-        # kernel path regardless of config.engine.
+        # so this plan is patched eagerly too — gated by config.use_plan
+        # like the count plan.
         self._sym_edge_arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._sym_plan = None
         self._use_workload_plan = bool(self.config.use_plan)
@@ -525,9 +522,6 @@ class TCIMSession:
             shards = sum(
                 context.nbytes for context in (self._shard_contexts or ())
             )
-            shared = self._store.shared_bytes
-            if self._context_pool is not None:
-                shared += self._context_pool.shared_bytes
             return {
                 "slices": slices,
                 "plan": plan,
@@ -536,9 +530,20 @@ class TCIMSession:
                 "graph": graph,
                 "shards": shards,
                 "spilled": self._store.spilled_bytes,
-                "shared": shared,
+                "shared": self.shared_bytes,
                 "total": slices + plan + sym_plan + edges + graph + shards,
             }
+
+    @property
+    def shared_bytes(self) -> int:
+        """Bytes in named shared-memory segments (``resident_bytes_detail``'s
+        ``shared``): the session store's plus the resident pool's.
+
+        Reads two integer counters and takes no lock, so a monitor (the
+        serving tier's ``stats`` op) never waits behind a running query.
+        """
+        pool = self._context_pool
+        return self._store.shared_bytes + (pool.shared_bytes if pool else 0)
 
     def shard_residency(self) -> list[dict]:
         """Per-shard residency of the resident coloring contexts.
@@ -1298,7 +1303,9 @@ class TCIMSession:
                     min_colors(self.config.num_arrays),
                     self.config.seed,
                 )
-            if self._use_pool and self._context_pool is None:
+            if self._use_pool and (
+                self._context_pool is None or self._context_pool.closed
+            ):
                 from repro.core.sharding import ContextPool
 
                 self._context_pool = ContextPool(
@@ -1307,7 +1314,6 @@ class TCIMSession:
                     self.config.policy,
                     self.config.seed,
                     workers=self.config.workers,
-                    backing="shm",
                 )
         elif self.config.num_arrays > 1 and self._plan is None:
             self._plan = plan_shards(
@@ -1391,13 +1397,9 @@ class TCIMSession:
         elif self.config.num_arrays > 1:
             run = self._sharded_supports(sym, sources, destinations)
         else:
-            row_region = int(sym.row_valid_counts().max(initial=0))
-            column_capacity = self.config.capacity_slices - row_region
-            if column_capacity < 1:
-                raise ArchitectureError(
-                    f"array too small: row region needs {row_region} slices "
-                    f"but capacity is {self.config.capacity_slices}"
-                )
+            _, column_capacity = split_capacity(
+                self.config.capacity_slices, sym.row_valid_counts()
+            )
             result = kernels.execute_workload(
                 kernels.EdgeSupportKernel(),
                 None,
@@ -1481,13 +1483,7 @@ class TCIMSession:
         of the resident symmetric plan.
         """
         config = self.config
-        per_array_capacity = config.capacity_slices // config.num_arrays
-        if per_array_capacity < 2:
-            raise ArchitectureError(
-                f"array of {config.capacity_slices} slices split "
-                f"{config.num_arrays} ways leaves {per_array_capacity} "
-                "slices per array; need at least 2"
-            )
+        per_array_capacity = array_share(config.capacity_slices, config.num_arrays)
         # Coloring owns edges for the resident count contexts; workload
         # passes over the shared symmetric structure are position-split,
         # so fall back to the degree-LPT balancer there.
@@ -1508,15 +1504,9 @@ class TCIMSession:
                 continue
             shard_sources = sources[positions]
             _, touched_counts = sym.row_slice_ranges(np.unique(shard_sources))
-            row_region = int(touched_counts.max(initial=0))
-            column_capacity = per_array_capacity - row_region
-            if column_capacity < 1:
-                raise ArchitectureError(
-                    f"shard {shard_id}: per-array capacity "
-                    f"{per_array_capacity} slices cannot hold its row "
-                    f"region ({row_region} slices) plus a column cache; "
-                    "use fewer arrays or a larger array"
-                )
+            _, column_capacity = split_capacity(
+                per_array_capacity, touched_counts, f"shard {shard_id}"
+            )
             result = kernels.execute_workload(
                 kernels.EdgeSupportKernel(),
                 None,
@@ -1546,13 +1536,9 @@ class TCIMSession:
         """
         sym = self._sym()
         _, touched_counts = sym.row_slice_ranges(np.unique(sources))
-        row_region = int(touched_counts.max(initial=0))
-        column_capacity = self.config.capacity_slices - row_region
-        if column_capacity < 1:
-            raise ArchitectureError(
-                f"array too small: row region needs {row_region} slices "
-                f"but capacity is {self.config.capacity_slices}"
-            )
+        _, column_capacity = split_capacity(
+            self.config.capacity_slices, touched_counts
+        )
         result = kernels.execute_workload(
             kernels.EdgeSupportKernel(),
             None,
@@ -1630,13 +1616,9 @@ class TCIMSession:
             if plan is None:
                 return ("unfusible", None, self._generation)
             row_sliced, col_sliced = self._row_sliced, self._col_sliced
-            row_region = int(row_sliced.row_valid_counts().max(initial=0))
-            column_capacity = self.config.capacity_slices - row_region
-            if column_capacity < 1:
-                raise ArchitectureError(
-                    f"array too small: row region needs {row_region} slices "
-                    f"but capacity is {self.config.capacity_slices}"
-                )
+            _, column_capacity = split_capacity(
+                self.config.capacity_slices, row_sliced.row_valid_counts()
+            )
             segment = kernels.FusedSegment(
                 kernel=kernels.CountKernel(),
                 plan=plan,
@@ -1685,13 +1667,9 @@ class TCIMSession:
             plan = self._ensure_sym_plan()
             if plan is None:
                 return ("unfusible", None, self._generation)
-            row_region = int(sym.row_valid_counts().max(initial=0))
-            column_capacity = self.config.capacity_slices - row_region
-            if column_capacity < 1:
-                raise ArchitectureError(
-                    f"array too small: row region needs {row_region} slices "
-                    f"but capacity is {self.config.capacity_slices}"
-                )
+            _, column_capacity = split_capacity(
+                self.config.capacity_slices, sym.row_valid_counts()
+            )
             segment = kernels.FusedSegment(
                 kernel=kernels.EdgeSupportKernel(),
                 plan=plan,
@@ -1743,13 +1721,9 @@ class TCIMSession:
             sym = self._sym()
             plan = joinplan.build_join_plan(sym, sym, sources, destinations)
             _, touched_counts = sym.row_slice_ranges(np.unique(sources))
-            row_region = int(touched_counts.max(initial=0))
-            column_capacity = self.config.capacity_slices - row_region
-            if column_capacity < 1:
-                raise ArchitectureError(
-                    f"array too small: row region needs {row_region} slices "
-                    f"but capacity is {self.config.capacity_slices}"
-                )
+            _, column_capacity = split_capacity(
+                self.config.capacity_slices, touched_counts
+            )
             segment = kernels.FusedSegment(
                 kernel=kernels.EdgeSupportKernel(),
                 plan=plan,
@@ -2103,6 +2077,9 @@ def _open_snapshot_session(
     """Hydrate a session from a snapshot directory (``open_session``'s back)."""
     meta = storage_snapshot.read_snapshot_meta(path)
     base = dict(meta.get("config", {}))
+    # Snapshots written while the config still had an engine field carry
+    # it; it never shaped the persisted arrays, so it is simply dropped.
+    base.pop("engine", None)
     if isinstance(config, AcceleratorConfig):
         base.update(config.to_mapping())
     elif config:

@@ -160,9 +160,8 @@ def simulate_parallel(
     """Run the accelerator on ``graph`` and price it under ``parallel_config``.
 
     One-call entry point for the architecture studies: the functional run
-    uses whichever execution engine ``accelerator_config`` selects (the
-    vectorized batch engine by default), and the resulting event counts
-    feed the parallel performance model.  Returns the functional result
+    executes ``accelerator_config`` on the vectorized batch engine, and
+    the resulting event counts feed the parallel performance model.  Returns the functional result
     alongside the priced report.
     """
     from repro.core.engine import oriented_edges

@@ -1,6 +1,7 @@
 """Vectorized batch execution engine for the TCIM dataflow.
 
-The legacy loop in :mod:`repro.core.accelerator` walks the oriented
+The per-edge reference loop
+(:func:`repro.analysis.validation.per_edge_reference`) walks the oriented
 adjacency structure one edge at a time and one slice pair at a time in
 pure Python — faithful to Algorithm 1, but minutes-to-hours away from the
 paper's Table II graphs (wiki-Talk has ~5M edges, cit-Patents ~16.5M).
@@ -21,15 +22,15 @@ This module executes the *same* dataflow in bulk:
    classified by :func:`repro.core.reuse.simulate_key_trace`, whose
    eviction-free prefix is vectorized.
 
-The engine is **bit-identical** to the legacy loop: the same triangle
+The engine is **bit-identical** to the reference loop: the same triangle
 count, the same :class:`EventCounts` field by field, and the same cache
-statistics.  The emitted key trace preserves the legacy access order —
+statistics.  The emitted key trace preserves the reference access order —
 rows ascending, successors ascending within a row, slice ids ascending
 within an edge; slice ids of a matched pair ascend regardless of which
 side is probed, so the join direction never changes the trace.  The
 differential test-suite in ``tests/test_engine.py`` asserts all of this
 across generators, orientations, slice widths and capacity-starved
-caches; the legacy loop stays in the tree as the oracle.
+caches.
 
 :func:`execute_batched` also serves as the per-array kernel of the
 sharded multi-array subsystem (:mod:`repro.core.sharding`, modelling the
@@ -57,7 +58,6 @@ from repro.graph import bitops
 from repro.graph.graph import Graph
 
 __all__ = [
-    "ENGINES",
     "conjunctions",
     "execute_batched",
     "join_batches",
@@ -66,9 +66,6 @@ __all__ = [
     "oriented_edges",
     "DEFAULT_BATCH_CANDIDATES",
 ]
-
-#: Recognised values of ``AcceleratorConfig.engine``.
-ENGINES = ("vectorized", "legacy")
 
 #: Candidate slice pairs examined per batch.  Bounds peak memory of the
 #: expanded join arrays (several int64 temporaries per candidate, so a few
@@ -87,7 +84,7 @@ CONJUNCTION_CHUNK_LANES = 1 << 21
 
 
 def oriented_edges(graph: Graph, orientation: str) -> tuple[np.ndarray, np.ndarray]:
-    """``(sources, destinations)`` of the oriented matrix, in the legacy
+    """``(sources, destinations)`` of the oriented matrix, in the reference
     iteration order (rows ascending, successors ascending within a row).
 
     ``"upper"`` yields each undirected edge once as ``u -> v`` with
@@ -247,7 +244,7 @@ def join_batches(
 
     Yields ``(row_positions, col_positions, edge_ids)`` per batch:
     positions of each matched pair in ``row_sliced.data`` /
-    ``col_sliced.data``, in the legacy iteration order (edges in input
+    ``col_sliced.data``, in the reference iteration order (edges in input
     order, slice ids ascending within an edge).  ``edge_ids`` (the index
     into ``sources`` of each match's edge) is only materialised when
     ``with_edge_ids`` — the plan compiler needs it, the executor does
@@ -362,7 +359,7 @@ def execute_batched(
     this module without a cycle.
 
     ``edges`` restricts the run to one shard: a ``(sources, destinations)``
-    pair holding a subset of the oriented edge list *in the legacy
+    pair holding a subset of the oriented edge list *in the reference
     iteration order* (rows ascending, successors ascending within a row).
     The shard pays row-slice WRITEs only for the rows it actually touches
     and runs its own private column-cache trace — exactly the behaviour of

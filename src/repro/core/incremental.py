@@ -50,7 +50,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.accelerator import AcceleratorConfig, EventCounts
+from repro.core.accelerator import (
+    AcceleratorConfig,
+    EventCounts,
+    array_share,
+    split_capacity,
+)
 from repro.core.engine import execute_batched
 from repro.core.reuse import CacheStatistics
 from repro.core.sharding import plan_shards
@@ -455,7 +460,7 @@ def symmetric_delta(
         (base_sym, d_sym, directed_src, directed_dst, 2),
         (d_sym, d_sym, undirected_src, undirected_dst, 3),
     )
-    per_array_capacity = config.capacity_slices // max(config.num_arrays, 1)
+    per_array_capacity = array_share(config.capacity_slices, config.num_arrays)
     triangles = 0
     events = EventCounts()
     cache_stats = CacheStatistics()
@@ -483,14 +488,9 @@ def symmetric_delta(
             _, touched_counts = row_sliced.row_slice_ranges(
                 np.unique(shard_sources)
             )
-            row_region = int(touched_counts.max(initial=0))
-            column_capacity = per_array_capacity - row_region
-            if column_capacity < 1:
-                raise ArchitectureError(
-                    f"incremental batch needs a row region of {row_region} "
-                    f"slices but the per-array capacity is "
-                    f"{per_array_capacity}; use fewer arrays or a larger array"
-                )
+            _, column_capacity = split_capacity(
+                per_array_capacity, touched_counts, "incremental batch"
+            )
             shard_accumulator, fields, shard_cache = execute_batched(
                 None,
                 row_sliced,

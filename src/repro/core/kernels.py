@@ -318,7 +318,7 @@ def execute_workload(
     if edges is None:
         sources, destinations = engine.oriented_edges(graph, orientation)
         # Rows without successors carry no valid slices, so the per-row sum
-        # of the legacy loop equals the total valid-slice count.
+        # of the reference loop equals the total valid-slice count.
         row_writes = row_sliced.num_valid_slices
     else:
         sources, destinations = edges

@@ -13,7 +13,7 @@ A :class:`JoinPlan` materialises that derivation once:
 
 * ``row_positions`` / ``col_positions`` — the matched pair positions
   into the row/column :class:`~repro.core.slicing.SlicedMatrix` payload
-  arrays, in the exact legacy iteration order (int32 wherever the
+  arrays, in the exact reference iteration order (int32 wherever the
   position space allows);
 * ``trace_keys`` — the column-slice cache trace the pairs induce, whose
   hit/miss/exchange classification is memoised per cache configuration;
@@ -555,7 +555,7 @@ def merge_oriented_edges(
     ``insert=True`` merges the delta edges in (they must be absent);
     ``insert=False`` removes them (they must be present) — the session
     filters no-ops before calling, exactly as for the slice maintenance.
-    Preserves the legacy iteration order (lexicographic by source, then
+    Preserves the reference iteration order (lexicographic by source, then
     destination) for both orientations.
     """
     u, v = delta_edges[:, 0], delta_edges[:, 1]

@@ -67,6 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.accelerator import EventCounts, array_share, split_capacity
 from repro.core.engine import execute_batched, oriented_edges
 from repro.core.reuse import CacheStatistics
 from repro.core.slicing import SlicedMatrix
@@ -109,8 +110,8 @@ class ShardPlan:
 
     ``assignments[s]`` holds the positions (indices into the oriented
     edge arrays) owned by shard ``s``, ascending — so each shard walks its
-    edges in the legacy iteration order and its private cache trace stays
-    deterministic.  Shards may be empty (more arrays than edges).
+    edges in the reference iteration order and its private cache trace
+    stays deterministic.  Shards may be empty (more arrays than edges).
 
     ``orientation`` records which oriented edge list the positions index
     into; :func:`execute_sharded` rejects a plan built for a different
@@ -287,19 +288,13 @@ def _run_one_shard(
     this shard's slice of a compiled :class:`repro.core.plan.JoinPlan`
     (see :meth:`JoinPlan.subset`); the kernel then skips the merge-join.
     """
-    from repro.core.accelerator import EventCounts
     from repro.core.engine import DEFAULT_BATCH_CANDIDATES
 
     touched_rows = np.unique(shard_sources)
     _, touched_counts = row_sliced.row_slice_ranges(touched_rows)
-    row_region = int(touched_counts.max(initial=0))
-    column_capacity = per_array_capacity - row_region
-    if column_capacity < 1:
-        raise ArchitectureError(
-            f"shard {shard_id}: per-array capacity {per_array_capacity} "
-            f"slices cannot hold its row region ({row_region} slices) plus "
-            f"a column cache; use fewer arrays or a larger array"
-        )
+    row_region, column_capacity = split_capacity(
+        per_array_capacity, touched_counts, f"shard {shard_id}"
+    )
     accumulator, fields, cache_stats = execute_batched(
         graph,
         row_sliced,
@@ -361,8 +356,6 @@ def execute_sharded(
     oriented edge list) — a count mismatch raises rather than silently
     mis-joining.
     """
-    from repro.core.accelerator import EventCounts
-
     if workers < 0:
         raise ArchitectureError(f"workers must be >= 0, got {workers}")
     if plan.orientation != orientation:
@@ -371,12 +364,7 @@ def execute_sharded(
             f"run uses {orientation!r}; shard positions index different "
             "edge lists — rebuild the plan with plan_shards"
         )
-    per_array_capacity = capacity_slices // plan.num_arrays
-    if per_array_capacity < 2:
-        raise ArchitectureError(
-            f"array of {capacity_slices} slices split {plan.num_arrays} ways "
-            f"leaves {per_array_capacity} slices per array; need at least 2"
-        )
+    per_array_capacity = array_share(capacity_slices, plan.num_arrays)
     if edge_arrays is None:
         sources, destinations = oriented_edges(graph, orientation)
     else:
@@ -914,21 +902,14 @@ def _run_context(
     state — the property the process-pool path (and the no-shared-
     structures test) relies on.
     """
-    from repro.core.accelerator import EventCounts
     from repro.core.engine import DEFAULT_BATCH_CANDIDATES
     from repro.core.kernels import CountKernel, execute_workload
 
     touched = context.touched_rows()
     _, touched_counts = context.row_sliced.row_slice_ranges(touched)
-    row_region = int(touched_counts.max(initial=0))
-    column_capacity = per_array_capacity - row_region
-    if column_capacity < 1:
-        raise ArchitectureError(
-            f"shard {context.shard_id}: per-array capacity "
-            f"{per_array_capacity} slices cannot hold its row region "
-            f"({row_region} slices) plus a column cache; use fewer arrays "
-            "or a larger array"
-        )
+    row_region, column_capacity = split_capacity(
+        per_array_capacity, touched_counts, f"shard {context.shard_id}"
+    )
     accumulator = 0
     events = EventCounts()
     cache_stats = CacheStatistics()
@@ -967,8 +948,6 @@ def _run_context(
 
 def _merge_shard_results(shard_results: list[ShardResult]) -> ShardedOutcome:
     """Sum accumulators and additive counters across shard results."""
-    from repro.core.accelerator import EventCounts
-
     accumulator = sum(result.accumulator for result in shard_results)
     events = EventCounts()
     cache_stats = CacheStatistics()
@@ -983,16 +962,6 @@ def _merge_shard_results(shard_results: list[ShardResult]) -> ShardedOutcome:
     )
 
 
-def _context_capacity(capacity_slices: int, num_contexts: int) -> int:
-    per_array_capacity = capacity_slices // num_contexts
-    if per_array_capacity < 2:
-        raise ArchitectureError(
-            f"array of {capacity_slices} slices split {num_contexts} ways "
-            f"leaves {per_array_capacity} slices per array; need at least 2"
-        )
-    return per_array_capacity
-
-
 def execute_contexts(
     contexts: list[ShardContext],
     capacity_slices: int,
@@ -1001,37 +970,23 @@ def execute_contexts(
     workers: int = 0,
     batch_candidates: int | None = None,
     use_plan: bool = True,
-    backing: str = "pickle",
 ) -> ShardedOutcome:
-    """Run a list of self-contained contexts and merge their results.
+    """Run a list of self-contained contexts once and merge their results.
 
     The communication-free counterpart of :func:`execute_sharded`: no
     shared slice structures, no join-plan subsetting, no global edge
-    list — each context executes against what it owns.  ``workers>0``
-    fans contexts out over worker processes: ``backing="pickle"``
-    (default for a one-shot call) ships each whole shard through a
-    :class:`ProcessPoolExecutor` initializer; ``backing="shm"`` adopts
-    the contexts into shared segments and sweeps them through a
-    transient zero-copy :class:`ContextPool`.  For resident repeat-query
-    serving, hold a :class:`ContextPool` open instead.
+    list — each context executes against what it owns.  ``workers=0``
+    runs serially in-process; ``workers>0`` ships the whole context list
+    once through a per-call :class:`ProcessPoolExecutor` initializer.
+    For resident repeat-query serving, hold a :class:`ContextPool` open
+    instead.
     """
     if not contexts:
         raise ArchitectureError("execute_contexts needs at least one context")
     if workers < 0:
         raise ArchitectureError(f"workers must be >= 0, got {workers}")
-    per_array_capacity = _context_capacity(capacity_slices, len(contexts))
+    per_array_capacity = array_share(capacity_slices, len(contexts))
     if workers > 0 and len(contexts) > 1:
-        if backing == "shm":
-            with ContextPool(
-                contexts,
-                capacity_slices,
-                policy,
-                seed,
-                workers=workers,
-                batch_candidates=batch_candidates,
-                backing="shm",
-            ) as pool:
-                return pool.run(use_plan=use_plan)
         max_workers = min(workers, len(contexts), os.cpu_count() or 1)
         with ProcessPoolExecutor(
             max_workers=max_workers,
@@ -1085,7 +1040,7 @@ def _run_resident_context(job: tuple[int, bool]) -> ShardResult:
 # Zero-copy manifests: contexts as segment names instead of array bytes
 # ----------------------------------------------------------------------
 #
-# A :class:`ShardContext` under ``backing="shm"`` lives in named
+# A :class:`ShardContext` held by a :class:`ContextPool` lives in named
 # shared-memory segments (see :mod:`repro.storage.backing`).  What
 # crosses the process boundary is a *manifest* — nested dicts of
 # ``{"segment": name, "dtype": ..., "shape": ...}`` entries plus the
@@ -1395,31 +1350,24 @@ class ContextPool:
     The :class:`ShardPlan` path pays its data movement on *every*
     sharded call: a fresh process pool, the graph and both global slice
     structures shipped through the initializer, per-shard edge subsets
-    and plan slices pickled into each job.  Self-contained contexts
-    invert that, and the pool supports two residency planes:
-
-    ``backing="shm"`` (default)
-        Zero-copy.  Every context array is adopted into named
-        shared-memory segments (:class:`repro.storage.BackingStore`,
-        ``kind="shm"``) at construction; workers attach each segment
-        **once** and every :meth:`run` sends one batched message per
-        worker — a chunk of shard ids plus byte-free manifests — instead
-        of one future per shard.  In-place payload deltas applied by the
-        owner are visible to workers with **no re-ship**; structural
-        mutations are fenced by :meth:`publish`, which bumps a
-        generation counter so workers rebuild from the republished
-        manifests.  :meth:`run` and :meth:`publish` serialise on one
-        lock, so a concurrent delta is either fully visible to a sweep
-        or fully invisible — never torn.
-
-    ``backing="pickle"``
-        The PR 9 plane, kept as the measured baseline: the full context
-        list is pickled into each worker via the pool initializer and
-        sweeps dispatch ``(shard_id, use_plan)`` futures.
+    and plan slices pickled into each job.  The pool inverts that with
+    zero-copy residency: every context array is adopted into named
+    shared-memory segments (:class:`repro.storage.BackingStore`,
+    ``kind="shm"``) at construction; workers attach each segment
+    **once** and every :meth:`run` sends one batched message per worker
+    — a chunk of shard ids plus byte-free manifests — instead of one
+    future per shard.  In-place payload deltas applied by the owner are
+    visible to workers with **no re-ship**; structural mutations are
+    fenced by :meth:`publish`, which bumps a generation counter so
+    workers rebuild from the republished manifests.  :meth:`run` and
+    :meth:`publish` serialise on one lock, so a concurrent delta is
+    either fully visible to a sweep or fully invisible — never torn.
 
     Use as a context manager or call :meth:`close` (idempotent; a
-    worker crash mid-sweep reclaims the executor and every shm segment
-    before the error propagates).  Results are bit-identical to
+    worker crash mid-sweep reclaims the executor and unlinks every shm
+    segment before the error propagates).  The contexts stay usable
+    after the pool closes: their arrays keep their mappings until they
+    are garbage collected.  Results are bit-identical to
     :func:`execute_contexts` serial execution.
     """
 
@@ -1431,61 +1379,40 @@ class ContextPool:
         seed: int,
         workers: int,
         batch_candidates: int | None = None,
-        backing: str = "shm",
     ) -> None:
+        from repro.storage.backing import BackingStore
+
         if not contexts:
             raise ArchitectureError("ContextPool needs at least one context")
         if workers < 1:
             raise ArchitectureError(
                 f"ContextPool needs workers >= 1, got {workers}"
             )
-        if backing not in ("shm", "pickle"):
-            raise ArchitectureError(
-                f"ContextPool backing must be 'shm' or 'pickle', got {backing!r}"
-            )
-        per_array_capacity = _context_capacity(capacity_slices, len(contexts))
-        self.backing = backing
+        per_array_capacity = array_share(capacity_slices, len(contexts))
         self._contexts = contexts
         self._shard_ids = [ctx.shard_id for ctx in contexts]
-        self._initargs = (per_array_capacity, policy, seed, batch_candidates)
         self._max_workers = min(workers, len(contexts), os.cpu_count() or 1)
         self._lock = threading.Lock()
         self._closed = False
         self._generation = 0
-        self._store = None
-        self._manifests: dict[int, dict] = {}
-        self._versions: dict[int, int] = {}
-        self._signatures: dict[int, tuple] = {}
-        self._identities: dict[int, tuple] = {}
-        if backing == "shm":
-            from repro.storage.backing import BackingStore
-
-            self._store = BackingStore("shm")
-            self._manifests = {
-                ctx.shard_id: _share_context(ctx, self._store) for ctx in contexts
-            }
-            self._versions = {sid: 0 for sid in self._manifests}
-            self._signatures = {
-                sid: _manifest_signature(manifest)
-                for sid, manifest in self._manifests.items()
-            }
-            # Identities are recorded after export: adoption rebinds the
-            # context arrays onto the shared pages, so these are the ids
-            # a structural mutation would replace.
-            self._identities = {
-                ctx.shard_id: _context_identity(ctx) for ctx in contexts
-            }
-            self._executor = ProcessPoolExecutor(
-                max_workers=self._max_workers,
-                initializer=_init_pool_worker,
-                initargs=self._initargs,
-            )
-        else:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self._max_workers,
-                initializer=_init_context_worker,
-                initargs=(contexts,) + self._initargs,
-            )
+        self._store = BackingStore("shm")
+        self._manifests = {
+            ctx.shard_id: _share_context(ctx, self._store) for ctx in contexts
+        }
+        self._versions = {sid: 0 for sid in self._manifests}
+        self._signatures = {
+            sid: _manifest_signature(manifest)
+            for sid, manifest in self._manifests.items()
+        }
+        # Identities are recorded after export: adoption rebinds the
+        # context arrays onto the shared pages, so these are the ids a
+        # structural mutation would replace.
+        self._identities = {ctx.shard_id: _context_identity(ctx) for ctx in contexts}
+        self._executor = ProcessPoolExecutor(
+            max_workers=self._max_workers,
+            initializer=_init_pool_worker,
+            initargs=(per_array_capacity, policy, seed, batch_candidates),
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1503,13 +1430,13 @@ class ContextPool:
 
     @property
     def shared_bytes(self) -> int:
-        """Bytes in live shared segments (0 under pickle backing)."""
-        return self._store.shared_bytes if self._store is not None else 0
+        """Bytes in live shared segments (0 once closed)."""
+        return self._store.shared_bytes
 
     @property
     def shared_segments(self) -> int:
-        """Live shared segments (0 under pickle backing)."""
-        return self._store.shared_segments if self._store is not None else 0
+        """Live shared segments (0 once closed)."""
+        return self._store.shared_segments
 
     @property
     def closed(self) -> bool:
@@ -1520,48 +1447,30 @@ class ContextPool:
     # ------------------------------------------------------------------
 
     def run(self, use_plan: bool = True) -> ShardedOutcome:
-        """One full sweep over the resident shards.
-
-        Under shm backing: one batched message per worker (chunked
-        shard-id lists + manifests), attached arrays read zero-copy.
-        Under pickle backing: one ``(shard_id, use_plan)`` future per
-        shard against the shipped copies.
-        """
+        """One full sweep over the resident shards: one batched message
+        per worker (chunked shard-id lists + manifests), attached arrays
+        read zero-copy."""
         with self._lock:
             if self._closed:
                 raise ArchitectureError("ContextPool is closed")
+            chunks = [
+                self._shard_ids[i :: self._max_workers]
+                for i in range(self._max_workers)
+            ]
+            jobs = [
+                (
+                    [(sid, self._versions[sid], self._manifests[sid]) for sid in chunk],
+                    use_plan,
+                )
+                for chunk in chunks
+                if chunk
+            ]
             try:
-                if self.backing == "pickle":
-                    shard_results = list(
-                        self._executor.map(
-                            _run_resident_context,
-                            [(sid, use_plan) for sid in self._shard_ids],
-                        )
-                    )
-                else:
-                    chunks = [
-                        self._shard_ids[i :: self._max_workers]
-                        for i in range(self._max_workers)
-                    ]
-                    jobs = [
-                        (
-                            [
-                                (sid, self._versions[sid], self._manifests[sid])
-                                for sid in chunk
-                            ],
-                            use_plan,
-                        )
-                        for chunk in chunks
-                        if chunk
-                    ]
-                    shard_results = [
-                        result
-                        for chunk_results in self._executor.map(
-                            _run_manifest_chunk, jobs
-                        )
-                        for result in chunk_results
-                    ]
-                    shard_results.sort(key=lambda result: result.shard_id)
+                shard_results = [
+                    result
+                    for chunk_results in self._executor.map(_run_manifest_chunk, jobs)
+                    for result in chunk_results
+                ]
             except BrokenProcessPool:
                 # A worker died mid-sweep: nothing it held can be
                 # trusted and the executor is unusable — reclaim the
@@ -1571,6 +1480,7 @@ class ContextPool:
                     "ContextPool worker died mid-sweep; the pool has been "
                     "closed and its shared segments reclaimed"
                 ) from None
+        shard_results.sort(key=lambda result: result.shard_id)
         return _merge_shard_results(shard_results)
 
     def publish(self, mutator=None) -> None:
@@ -1583,9 +1493,7 @@ class ContextPool:
         landed in the shared pages), and only shards whose manifest
         fingerprint actually changed get a version bump — workers keep
         their cached rebuilds for every other shard, so a payload-only
-        delta costs the next sweep nothing.  Under pickle backing the
-        workers hold stale copies, so the executor is recycled to
-        re-ship.
+        delta costs the next sweep nothing.
         """
         with self._lock:
             if self._closed:
@@ -1593,28 +1501,20 @@ class ContextPool:
             if mutator is not None:
                 mutator()
             self._generation += 1
-            if self.backing == "shm":
-                for context in self._contexts:
-                    sid = context.shard_id
-                    if _context_identity(context) == self._identities[sid]:
-                        # No array reallocated, no manifest scalar moved:
-                        # the exported manifest is still exact and the
-                        # workers' cached rebuilds stay valid.
-                        continue
-                    manifest = _share_context(context, self._store)
-                    signature = _manifest_signature(manifest)
-                    if signature != self._signatures[sid]:
-                        self._versions[sid] += 1
-                        self._signatures[sid] = signature
-                    self._manifests[sid] = manifest
-                    self._identities[sid] = _context_identity(context)
-            else:
-                self._executor.shutdown(wait=True)
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self._max_workers,
-                    initializer=_init_context_worker,
-                    initargs=(self._contexts,) + self._initargs,
-                )
+            for context in self._contexts:
+                sid = context.shard_id
+                if _context_identity(context) == self._identities[sid]:
+                    # No array reallocated, no manifest scalar moved: the
+                    # exported manifest is still exact and the workers'
+                    # cached rebuilds stay valid.
+                    continue
+                manifest = _share_context(context, self._store)
+                signature = _manifest_signature(manifest)
+                if signature != self._signatures[sid]:
+                    self._versions[sid] += 1
+                    self._signatures[sid] = signature
+                self._manifests[sid] = manifest
+                self._identities[sid] = _context_identity(context)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -1632,8 +1532,7 @@ class ContextPool:
             self._versions = {}
             self._signatures = {}
             self._identities = {}
-            if self._store is not None:
-                self._store.close()
+            self._store.close()
 
     def close(self) -> None:
         """Shut the workers down and unlink every shared segment.

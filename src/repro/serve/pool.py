@@ -13,8 +13,8 @@ serving benchmark's serial baseline measures it).
 
 Entries are keyed by ``(graph source, effective AcceleratorConfig)``:
 two requests naming the same spec and config share one resident session,
-while the same graph under a different engine or shard layout gets its
-own.  Entries are reference-counted; an entry leased by an in-flight
+while the same graph under a different slice width or shard layout gets
+its own.  Entries are reference-counted; an entry leased by an in-flight
 request is never evicted, so the pool may transiently exceed its budget
 under load and trims back as leases are returned.
 
@@ -74,9 +74,6 @@ class PoolStats:
     misses: int = 0
     evictions: int = 0
     peak_resident: int = 0
-    #: Read replicas built for hot entries / discarded by write fences.
-    replicas_built: int = 0
-    replicas_retired: int = 0
     #: Eviction snapshots persisted to the spill directory.
     snapshots_written: int = 0
     #: Acquires served warm from an eviction snapshot (no re-slice,
@@ -129,13 +126,6 @@ class SessionEntry:
     #: by the service's workers) so the pool's budget check can sum plain
     #: ints under its lock instead of taking every session's lock.
     cached_bytes: int = 0
-    #: Read replicas of a hot entry: ``(session, generation-at-build)``.
-    #: Reads fan across ``[primary, *replicas]`` round-robin; a committed
-    #: write bumps the primary's generation, which fences every replica
-    #: built before it (they are pruned, never served stale).
-    replicas: list = field(default_factory=list)
-    #: Round-robin cursor over the read fan-out (monotone).
-    replica_cursor: int = 0
     #: Guards the accounting fields against concurrent worker threads.
     stats_lock: threading.Lock = field(default_factory=threading.Lock)
 
@@ -347,80 +337,6 @@ class SessionPool:
             self._evict_over_budget_locked()
 
     # ------------------------------------------------------------------
-    # Hot-graph read replicas
-    # ------------------------------------------------------------------
-    def replica_for(self, entry: SessionEntry, limit: int) -> TCIMSession:
-        """A read target for one pure-read query: primary or replica.
-
-        Fans reads round-robin across the primary and up to ``limit``
-        replicas, building replicas lazily from a generation-stamped
-        snapshot of the primary's graph.  Replicas whose build generation
-        trails the primary's are stale — a write landed — and are pruned
-        here rather than served; readers fall back to the primary until a
-        current replica is rebuilt.  Callers must hold a lease on
-        ``entry`` (which they do: this runs inside served requests), so
-        the entry cannot retire mid-call.
-        """
-        if limit < 1:
-            return entry.session
-        primary = entry.session
-        with primary.lock:
-            generation = primary.generation
-        with entry.stats_lock:
-            stale = [r for r in entry.replicas if r[1] != generation]
-            if stale:
-                entry.replicas = [
-                    r for r in entry.replicas if r[1] == generation
-                ]
-            cursor = entry.replica_cursor
-            entry.replica_cursor += 1
-            slot = cursor % (limit + 1)
-            if 0 < slot <= len(entry.replicas):
-                target = entry.replicas[slot - 1][0]
-            else:
-                target = None
-        for session, _ in stale:
-            session.close()
-        if stale:
-            with self._lock:
-                self.stats.replicas_retired += len(stale)
-        if target is not None:
-            return target
-        if slot == 0:
-            return primary
-        # Build one replica outside all locks; snapshot the graph and its
-        # generation atomically so the replica is stamped consistently.
-        with primary.lock:
-            graph = primary.graph
-            build_generation = primary.generation
-        if build_generation != generation:
-            return primary  # a write landed mid-build; don't chase it
-        replica = open_session(graph, primary.config, model=self._model)
-        with entry.stats_lock:
-            if (
-                entry.known_generation == build_generation
-                and len(entry.replicas) < limit
-            ):
-                entry.replicas.append((replica, build_generation))
-                installed = True
-            else:
-                installed = False
-        if not installed:
-            replica.close()
-            return primary
-        with self._lock:
-            self.stats.replicas_built += 1
-        return replica
-
-    def replica_count(self) -> int:
-        """Currently-built replicas across all resident entries."""
-        total = 0
-        for entry in self.entries():
-            with entry.stats_lock:
-                total += len(entry.replicas)
-        return total
-
-    # ------------------------------------------------------------------
     # Budget and eviction
     # ------------------------------------------------------------------
     def resident_bytes(self) -> int:
@@ -432,15 +348,13 @@ class SessionPool:
     def shared_bytes(self) -> int:
         """Combined shm-segment bytes of every pooled session.
 
-        Refreshes the :attr:`PoolStats.shared_bytes` gauge as a side
-        effect; 0 unless sessions run ``backing="shm"``.
+        Takes no session lock — each session reports its segments
+        through lock-free counters (:attr:`TCIMSession.shared_bytes`),
+        0 unless it runs ``backing="shm"`` — so a ``stats`` poll never
+        waits behind a running query.  Refreshes the
+        :attr:`PoolStats.shared_bytes` gauge as a side effect.
         """
-        with self._lock:
-            entries = list(self._entries.values())
-        total = sum(
-            entry.session.resident_bytes_detail().get("shared", 0)
-            for entry in entries
-        )
+        total = sum(entry.session.shared_bytes for entry in self.entries())
         self.stats.shared_bytes = total
         return total
 
@@ -466,11 +380,6 @@ class SessionPool:
 
     def _retire_locked(self, key: str) -> None:
         entry = self._entries.pop(key)
-        with entry.stats_lock:
-            replicas, entry.replicas = entry.replicas, []
-        for session, _ in replicas:
-            session.close()
-        self.stats.replicas_retired += len(replicas)
         if entry.session.generation > 0:
             # The session was mutated since it was opened: write its
             # current graph back so a later acquire resumes from the

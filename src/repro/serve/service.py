@@ -21,7 +21,7 @@
   event loop stays responsive and independent sessions' numpy kernels
   overlap.
 
-Three serving-scale facilities are layered on top (all off by default,
+Two serving-scale facilities are layered on top (both off by default,
 so a plain ``Service()`` behaves exactly as before):
 
 * **cross-session query fusion** (``fuse_window_ms``): instead of one
@@ -39,10 +39,7 @@ so a plain ``Service()`` behaves exactly as before):
 * **bounded admission** (``max_queue``): at most that many requests may
   be in flight; excess requests are either rejected with
   :class:`~repro.errors.OverloadedError` (``admission="reject"``) or
-  parked FIFO until a slot frees (``admission="block"``);
-* **hot-graph replication** (``replicas``): the pool may hold up to N
-  read replicas per entry and fan pure reads across them; writes land
-  on the primary and fence the replicas by generation.
+  parked FIFO until a slot frees (``admission="block"``).
 
 Every piece of engine work a session performs for the service — the
 residency-establishing first run, post-update re-runs (priced once per
@@ -169,7 +166,7 @@ class ServiceReport:
     resident: int = 0
     max_sessions: int = 0
     resident_bytes: int = 0
-    # --- fusion / admission / replication (PR 7) ----------------------
+    # --- fusion / admission ------------------------------------------
     #: Requests currently inside the service (admitted + parked).
     queue_depth: int = 0
     #: Requests rejected with ``OverloadedError`` (admission="reject").
@@ -187,8 +184,6 @@ class ServiceReport:
     #: sweeps); what :func:`~repro.arch.perf.evaluate_fleet` amortises
     #: its per-launch cost over.
     kernel_launches: int = 0
-    #: Read replicas currently built across resident entries.
-    replicas: int = 0
 
     @property
     def occupancy(self) -> float:
@@ -214,7 +209,6 @@ class ServiceReport:
             "max_fused_batch": self.max_fused_batch,
             "fenced": self.fenced,
             "kernel_launches": self.kernel_launches,
-            "replicas": self.replicas,
         }
         if self.fleet is not None:
             payload["fleet"] = {
@@ -252,7 +246,6 @@ class Service:
         fuse_window_ms: float | None = None,
         max_queue: int | None = None,
         admission: str = "reject",
-        replicas: int = 0,
         **overrides,
     ) -> None:
         if fuse_window_ms is not None and fuse_window_ms < 0:
@@ -265,8 +258,6 @@ class Service:
             raise ReproError(
                 f"admission must be 'reject' or 'block', got {admission!r}"
             )
-        if replicas < 0:
-            raise ReproError(f"replicas must be >= 0, got {replicas}")
         if pool is not None and (
             max_sessions != 8
             or max_resident_bytes is not None
@@ -313,8 +304,7 @@ class Service:
         self._admitted = 0
         self._admission_waiters: deque = deque()
         self._shed = 0
-        # --- replication / counters ---------------------------------
-        self._replicas = replicas
+        # --- counters -----------------------------------------------
         #: Guards the counters below against fused worker threads.
         self._stats_lock = threading.Lock()
         self._fused_batches = 0
@@ -581,7 +571,6 @@ class Service:
             max_fused_batch=max_fused_batch,
             fenced=fenced,
             kernel_launches=launches,
-            replicas=self._pool.replica_count(),
         )
 
     def stats(self) -> dict:
@@ -612,7 +601,6 @@ class Service:
             "max_fused_batch": max_fused_batch,
             "fenced": fenced,
             "kernel_launches": launches,
-            "replicas": self._pool.replica_count(),
             "resident": self._pool.resident,
             # Out-of-core paging traffic (see repro.serve.pool): eviction
             # snapshots written, warm hydrations served, and the payload
@@ -1095,15 +1083,6 @@ class Service:
         segments.append(segment)
         finishers.append(finish)
 
-    # ------------------------------------------------------------------
-    # Replication
-    # ------------------------------------------------------------------
-    def _read_target(self, entry: SessionEntry):
-        """The session a pure read should run on (primary or replica)."""
-        if not self._replicas:
-            return entry.session
-        return self._pool.replica_for(entry, self._replicas)
-
     def _warm(self, entry: SessionEntry) -> None:
         """Establish (and price) residency: the Fig. 4 'load the sliced
         graph into the array' step, exactly once per pool entry."""
@@ -1134,7 +1113,7 @@ class Service:
 
     def _count_work(self, entry: SessionEntry) -> int:
         self._warm(entry)
-        return self._read_target(entry).count()
+        return entry.session.count()
 
     def _simulate_work(self, entry: SessionEntry) -> RunReport:
         self._warm(entry)
@@ -1152,7 +1131,7 @@ class Service:
 
     def _support_work(self, entry: SessionEntry) -> dict:
         self._warm(entry)
-        support = self._read_target(entry).support()
+        support = entry.session.support()
         histogram: dict[str, int] = {}
         for value in support.values():
             key = str(value)
@@ -1166,7 +1145,7 @@ class Service:
 
     def _truss_work(self, entry: SessionEntry, k) -> dict:
         self._warm(entry)
-        session = self._read_target(entry)
+        session = entry.session
         trussness = session.truss()
         histogram: dict[str, int] = {}
         for value in trussness.values():
@@ -1184,11 +1163,11 @@ class Service:
 
     def _cluster_work(self, entry: SessionEntry) -> dict:
         self._warm(entry)
-        return self._read_target(entry).clustering().to_mapping()
+        return entry.session.clustering().to_mapping()
 
     def _common_neighbors_work(self, entry: SessionEntry, u, v, k) -> dict:
         self._warm(entry)
-        session = self._read_target(entry)
+        session = entry.session
         if v is not None:
             return {
                 "u": int(u),
@@ -1208,7 +1187,7 @@ class Service:
 
     def _cn_many_work(self, entry: SessionEntry, pairs) -> dict:
         self._warm(entry)
-        scores = self._read_target(entry).common_neighbors_many(pairs)
+        scores = entry.session.common_neighbors_many(pairs)
         return {"pairs": len(scores), "scores": [int(s) for s in scores]}
 
     def _apply_work(self, entry: SessionEntry, ops, record: bool) -> UpdateReport:
@@ -1291,7 +1270,6 @@ def open_service(
     fuse_window_ms: float | None = None,
     max_queue: int | None = None,
     admission: str = "reject",
-    replicas: int = 0,
     **overrides,
 ) -> Service:
     """Open a :class:`Service` (the serving counterpart of ``open_session``).
@@ -1312,6 +1290,5 @@ def open_service(
         fuse_window_ms=fuse_window_ms,
         max_queue=max_queue,
         admission=admission,
-        replicas=replicas,
         **overrides,
     )

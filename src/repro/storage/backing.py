@@ -120,10 +120,15 @@ class BackingStore:
         # Live spill files: path -> nbytes.  Finalizers remove entries as
         # the owning arrays are collected; close() sweeps the remainder.
         self._live: dict[Path, int] = {}
-        # Live shared segments: name -> (SharedMemory, nbytes).  The
-        # store keeps the owning handle so the mapping outlives temporary
-        # drops of the array reference; finalizers and close() reclaim.
+        # Live (still named) shared segments: name -> (SharedMemory,
+        # nbytes).  Each array's finalizer holds the same handle, so the
+        # mapping lives exactly as long as the array; the finalizer
+        # unlinks the name unless close() already did, then unmaps.
         self._segments: dict[str, tuple[shared_memory.SharedMemory, int]] = {}
+        # Sum of the ``_segments`` byte counts, kept as one integer so
+        # readers on other threads (the serving tier's ``stats`` op)
+        # never iterate a dict a finalizer may be mutating.
+        self._shared_bytes = 0
         # id(array) -> segment name for arrays allocated here, so
         # manifest export can name the segment an array lives in.  The
         # same finalizer that reclaims the segment removes the entry, so
@@ -198,15 +203,18 @@ class BackingStore:
         except OSError:
             pass
 
-    def _release_segment(self, name: str, array_id: int) -> None:
-        # Finalizer: the owning array was collected — reclaim the
-        # segment.  Unlink first so the name dies even if close() balks.
+    def _release_segment(
+        self, segment: shared_memory.SharedMemory, array_id: int
+    ) -> None:
+        # Finalizer: the owning array was collected — unlink the name
+        # (unless close() already did) and only then unmap the pages.
         self._owners.pop(array_id, None)
-        entry = self._segments.pop(name, None)
-        if entry is None:
-            return
-        segment, _nbytes = entry
-        for step in (segment.unlink, segment.close):
+        steps = [segment.close]
+        entry = self._segments.pop(segment.name, None)
+        if entry is not None:
+            self._shared_bytes -= entry[1]
+            steps.insert(0, segment.unlink)
+        for step in steps:
             try:
                 step()
             except (OSError, BufferError):
@@ -226,8 +234,9 @@ class BackingStore:
                 ) from None
             array = np.ndarray(shape, dtype=dtype, buffer=segment.buf)
             self._segments[segment.name] = (segment, nbytes)
+            self._shared_bytes += nbytes
             self._owners[id(array)] = segment.name
-            weakref.finalize(array, self._release_segment, segment.name, id(array))
+            weakref.finalize(array, self._release_segment, segment, id(array))
             return array
         if not self._spills(nbytes):
             return np.empty(shape, dtype=dtype)
@@ -279,20 +288,24 @@ class BackingStore:
 
     @property
     def shared_bytes(self) -> int:
-        """Shared-segment bytes currently backing live arrays."""
-        return sum(nbytes for _segment, nbytes in self._segments.values())
+        """Bytes of the named shared segments backing live arrays.
+
+        One integer read: safe without any lock, from any thread.
+        """
+        return self._shared_bytes
 
     @property
     def shared_segments(self) -> int:
-        """Number of live shared segments."""
+        """Number of live, still-named shared segments."""
         return len(self._segments)
 
     def close(self) -> None:
         """Stop offloading; unlink every remaining spill file and segment.
 
         Idempotent.  Arrays still referencing the mappings stay readable
-        on POSIX (the kernel keeps the pages until the mapping dies);
-        subsequent allocations fall back to heap.
+        (POSIX keeps unlinked files and segments alive while mapped):
+        each shared segment is unmapped by its array's finalizer, never
+        here.  Subsequent allocations fall back to heap.
         """
         self._closed = True
         for path in list(self._live):
@@ -303,12 +316,12 @@ class BackingStore:
                 pass
         self._owners.clear()
         for name in list(self._segments):
-            segment, _nbytes = self._segments.pop(name)
-            for step in (segment.unlink, segment.close):
-                try:
-                    step()
-                except (OSError, BufferError):
-                    pass
+            segment, nbytes = self._segments.pop(name)
+            self._shared_bytes -= nbytes
+            try:
+                segment.unlink()
+            except OSError:
+                pass
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = f", directory={str(self.directory)!r}" if self.directory else ""

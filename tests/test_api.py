@@ -3,8 +3,8 @@
 Covers the tentpole guarantees:
 
 * equivalence — ``TCIMSession.count()/simulate()`` bit-identical to
-  direct ``TCIMAccelerator.run`` + ``simulate_sharded`` across engines
-  and ``num_arrays``;
+  direct ``TCIMAccelerator.run`` + ``simulate_sharded`` across configs
+  and ``num_arrays``, and to the per-edge reference loop;
 * the incremental fast path — randomized op-stream differential against
   the :class:`DynamicTriangleCounter` oracle (op by op, via ``record``)
   and against full recounts, including shard-boundary edges and
@@ -22,6 +22,7 @@ import pytest
 
 from repro.api import TCIMSession, UpdateReport, open_session, resolve_graph
 from repro.arch.pipeline import measured_shard_report, simulate_sharded
+from repro.analysis.validation import per_edge_reference
 from repro.arch.perf import default_pim_model
 from repro.core.accelerator import AcceleratorConfig, EventCounts, TCIMAccelerator
 from repro.core.dynamic import DynamicTriangleCounter
@@ -58,8 +59,8 @@ class TestOpenSession:
         assert session.config.shard_by == "rows"
 
     def test_mapping_config(self, paper_graph):
-        session = open_session(paper_graph, {"engine": "legacy"})
-        assert session.config.engine == "legacy"
+        session = open_session(paper_graph, {"policy": "fifo"})
+        assert session.config.policy == "fifo"
 
     def test_config_object_with_overrides(self, paper_graph):
         base = AcceleratorConfig(num_arrays=2)
@@ -76,7 +77,7 @@ class TestOpenSession:
 
     def test_invalid_config_rejected_eagerly(self, paper_graph):
         with pytest.raises(ArchitectureError):
-            open_session(paper_graph, engine="warp-drive")
+            open_session(paper_graph, shard_by="warp-drive")
 
     def test_context_manager(self, paper_graph):
         with open_session(paper_graph) as session:
@@ -90,7 +91,7 @@ class TestEquivalence:
 
     CONFIGS = [
         {},
-        {"engine": "legacy"},
+        {"array_bytes": 4096, "policy": "fifo"},
         {"num_arrays": 2, "shard_by": "edges"},
         {"num_arrays": 4, "shard_by": "rows"},
         {"num_arrays": 4, "shard_by": "degree"},
@@ -107,6 +108,16 @@ class TestEquivalence:
         assert session_result.cache_stats == direct.cache_stats
         assert session_result.row_region_slices == direct.row_region_slices
         assert session_result.column_cache_slices == direct.column_cache_slices
+
+    @pytest.mark.parametrize("orientation", ["upper", "symmetric"])
+    def test_run_matches_per_edge_reference(self, orientation):
+        graph = generators.barabasi_albert(300, 5, seed=11)
+        config = AcceleratorConfig(array_bytes=4096, orientation=orientation)
+        triangles, events, cache_stats = per_edge_reference(graph, config)
+        session_result = open_session(graph, config).run()
+        assert session_result.triangles == triangles
+        _assert_same_events(session_result.events, events)
+        assert session_result.cache_stats == cache_stats
 
     def test_simulate_matches_direct_pricing_single_array(self):
         graph = generators.erdos_renyi(200, 900, seed=3)
@@ -389,7 +400,7 @@ class TestBitMaintenance:
 
 class TestConfigMapping:
     def test_roundtrip(self):
-        config = AcceleratorConfig(num_arrays=4, shard_by="degree", engine="legacy")
+        config = AcceleratorConfig(num_arrays=4, shard_by="degree", policy="fifo")
         rebuilt = AcceleratorConfig.from_mapping(config.to_mapping())
         assert rebuilt == config
 
@@ -404,6 +415,13 @@ class TestConfigMapping:
     def test_unknown_key(self):
         with pytest.raises(ArchitectureError, match="unknown AcceleratorConfig"):
             AcceleratorConfig.from_mapping({"warp": 9})
+
+    def test_retired_engine_key_rejected(self, paper_graph):
+        # The engine knob is gone: naming it fails loudly, never silently.
+        with pytest.raises(ArchitectureError, match="engine"):
+            AcceleratorConfig.from_mapping({"engine": "vectorized"})
+        with pytest.raises(ArchitectureError, match="engine"):
+            open_session(paper_graph, engine="legacy")
 
     def test_bad_int(self):
         with pytest.raises(ArchitectureError, match="integer"):

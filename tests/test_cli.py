@@ -66,26 +66,6 @@ class TestCommands:
         assert "modelled TCIM latency" in output
         assert "cache hit %" in output
 
-    def test_simulate_engine_flag(self, capsys):
-        assert main(
-            ["simulate", "dataset:roadnet-pa@0.005", "--engine", "legacy"]
-        ) == 0
-        legacy_out = capsys.readouterr().out
-        assert "legacy" in legacy_out
-        assert main(
-            ["simulate", "dataset:roadnet-pa@0.005", "--engine", "vectorized"]
-        ) == 0
-        vectorized_out = capsys.readouterr().out
-        assert "vectorized" in vectorized_out
-
-        def triangles(text):
-            for line in text.splitlines():
-                if "triangles" in line:
-                    return line
-            return None
-
-        assert triangles(legacy_out) == triangles(vectorized_out)
-
     def test_device(self, capsys):
         assert main(["device"]) == 0
         output = capsys.readouterr().out
@@ -211,15 +191,8 @@ class TestCommands:
 
 
 class TestShardedFlags:
-    """--engine/--num-arrays/--shard-by/--workers are shared by count
-    and simulate."""
-
-    def test_count_engine_flag(self, capsys, tmp_path, paper_graph):
-        path = tmp_path / "g.txt"
-        write_edge_list(paper_graph, path)
-        for engine in ("vectorized", "legacy"):
-            assert main(["count", str(path), "--engine", engine]) == 0
-            assert "triangles (tcim): 2" in capsys.readouterr().out
+    """--num-arrays/--shard-by/--workers are shared by count and
+    simulate."""
 
     def test_count_sharded_matches_single_array(self, capsys):
         spec = "dataset:roadnet-pa@0.005"
@@ -290,19 +263,6 @@ class TestShardedFlags:
         # --set wins over --no-plan (highest precedence layer).
         assert main(["simulate", spec, "--no-plan", "--set", "use_plan=true"]) == 0
         assert "disabled" not in capsys.readouterr().out
-
-    def test_legacy_engine_rejects_sharding(self, capsys):
-        assert main(
-            [
-                "count",
-                "dataset:roadnet-pa@0.005",
-                "--engine",
-                "legacy",
-                "--num-arrays",
-                "2",
-            ]
-        ) == 1
-        assert "vectorized" in capsys.readouterr().err
 
     def test_bad_num_arrays_is_an_error(self, capsys):
         assert main(
@@ -402,12 +362,13 @@ class TestConfigFileAndSet:
         path = tmp_path / "g.txt"
         write_edge_list(paper_graph, path)
         config = tmp_path / "tcim.toml"
-        config.write_text('engine = "legacy"\nseed = 3\n', encoding="utf-8")
+        config.write_text('shard_by = "rows"\nnum_arrays = 2\n', encoding="utf-8")
         assert main(
             ["simulate", str(path), "--config", str(config), "--json"]
         ) == 0
         payload = json_module.loads(capsys.readouterr().out)
-        assert payload["engine"] == "legacy"
+        assert payload["shard_by"] == "rows"
+        assert payload["num_arrays"] == 2
 
     def test_flag_overrides_config_file(self, capsys, tmp_path, paper_graph):
         import json as json_module
@@ -415,15 +376,15 @@ class TestConfigFileAndSet:
         path = tmp_path / "g.txt"
         write_edge_list(paper_graph, path)
         config = tmp_path / "tcim.json"
-        config.write_text('{"engine": "legacy"}', encoding="utf-8")
+        config.write_text('{"shard_by": "rows", "num_arrays": 2}', encoding="utf-8")
         assert main(
             [
                 "simulate", str(path),
-                "--config", str(config), "--engine", "vectorized", "--json",
+                "--config", str(config), "--shard-by", "degree", "--json",
             ]
         ) == 0
         payload = json_module.loads(capsys.readouterr().out)
-        assert payload["engine"] == "vectorized"
+        assert payload["shard_by"] == "degree"
 
     def test_set_overrides_everything(self, capsys, tmp_path, paper_graph):
         import json as json_module
@@ -454,6 +415,11 @@ class TestConfigFileAndSet:
         write_edge_list(paper_graph, path)
         assert main(["count", str(path), "--set", "warp=9"]) == 1
         assert "unknown AcceleratorConfig" in capsys.readouterr().err
+        # The retired engine knob fails the same way from a config file.
+        config = tmp_path / "tcim.json"
+        config.write_text('{"engine": "legacy"}', encoding="utf-8")
+        assert main(["count", str(path), "--config", str(config)]) == 1
+        assert "unknown AcceleratorConfig keys ['engine']" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys, tmp_path, paper_graph):
         path = tmp_path / "g.txt"

@@ -1,11 +1,11 @@
-"""Differential tests: the vectorized engine vs the legacy oracle loop.
+"""Differential tests: the vectorized engine vs the per-edge reference loop.
 
 The batched engine (:mod:`repro.core.engine`) must be *bit-identical* to
-the per-edge legacy loop — the same triangle count, every
-:class:`EventCounts` field, and the same cache hit/miss/exchange
-statistics — across graph families, orientations, slice widths,
-replacement policies and capacity-starved caches.  Any divergence is a
-bug in the engine, never an acceptable approximation.
+:func:`repro.analysis.validation.per_edge_reference` — the same triangle
+count, every :class:`EventCounts` field, and the same cache
+hit/miss/exchange statistics — across graph families, orientations,
+slice widths, replacement policies and capacity-starved caches.  Any
+divergence is a bug in the engine, never an acceptable approximation.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.analysis.validation import per_edge_reference
 from repro.core import engine
 from repro.core.accelerator import AcceleratorConfig, TCIMAccelerator
 from repro.core.slicing import SlicedMatrix
@@ -23,24 +24,29 @@ from repro.graph.graph import Graph
 
 
 def run_both(graph: Graph, **config_kwargs):
-    legacy = TCIMAccelerator(
-        AcceleratorConfig(engine="legacy", **config_kwargs)
-    ).run(graph)
-    vectorized = TCIMAccelerator(
-        AcceleratorConfig(engine="vectorized", **config_kwargs)
-    ).run(graph)
-    return legacy, vectorized
+    """``(reference, vectorized)``: the per-edge loop's ``(triangles,
+    events, cache_stats)`` and the accelerator's run on the same config."""
+    config = AcceleratorConfig(**config_kwargs)
+    reference = per_edge_reference(graph, config)
+    vectorized = TCIMAccelerator(config).run(graph)
+    return reference, vectorized
 
 
 def assert_identical(graph: Graph, **config_kwargs):
-    legacy, vectorized = run_both(graph, **config_kwargs)
-    assert vectorized.triangles == legacy.triangles
-    assert dataclasses.asdict(vectorized.events) == dataclasses.asdict(legacy.events)
+    (triangles, events, cache_stats), vectorized = run_both(graph, **config_kwargs)
+    assert vectorized.triangles == triangles
+    assert dataclasses.asdict(vectorized.events) == dataclasses.asdict(events)
     assert dataclasses.asdict(vectorized.cache_stats) == dataclasses.asdict(
-        legacy.cache_stats
+        cache_stats
     )
-    assert vectorized.row_region_slices == legacy.row_region_slices
-    assert vectorized.column_cache_slices == legacy.column_cache_slices
+    # The row region is the widest row; the rest of the array caches columns.
+    config = vectorized.config
+    row_sliced = SlicedMatrix.from_graph(
+        graph, config.orientation, slice_bits=config.slice_bits
+    )
+    row_region = int(row_sliced.row_valid_counts().max(initial=0))
+    assert vectorized.row_region_slices == row_region
+    assert vectorized.column_cache_slices == config.capacity_slices - row_region
 
 
 GRAPH_FAMILIES = {
@@ -87,13 +93,13 @@ class TestDifferentialCachePressure:
     @pytest.mark.parametrize("array_bytes", [128, 512, 4096])
     def test_policies_under_pressure(self, policy, array_bytes):
         graph = generators.powerlaw_cluster(150, 5, 0.7, seed=6)
-        legacy, vectorized = run_both(
+        (triangles, _, cache_stats), vectorized = run_both(
             graph, array_bytes=array_bytes, policy=policy, seed=9
         )
         assert dataclasses.asdict(vectorized.cache_stats) == dataclasses.asdict(
-            legacy.cache_stats
+            cache_stats
         )
-        assert vectorized.triangles == legacy.triangles
+        assert vectorized.triangles == triangles
 
     def test_exchanges_actually_forced(self):
         graph = generators.powerlaw_cluster(150, 5, 0.7, seed=6)
@@ -254,8 +260,9 @@ class TestEngineConfig:
     def test_unknown_engine_rejected(self):
         from repro.errors import ArchitectureError
 
+        # There is one engine; the retired selector is an unknown key.
         with pytest.raises(ArchitectureError, match="engine"):
-            TCIMAccelerator(AcceleratorConfig(engine="warp-drive"))
+            AcceleratorConfig.from_mapping({"engine": "warp-drive"})
 
     def test_bad_num_arrays_rejected(self):
         from repro.errors import ArchitectureError
@@ -265,7 +272,19 @@ class TestEngineConfig:
                 TCIMAccelerator(AcceleratorConfig(num_arrays=bad))
 
     def test_default_is_vectorized(self):
-        assert AcceleratorConfig().engine == "vectorized"
+        # There is one execution path: a run is exactly the batched engine
+        # on the run's own column-cache budget.
+        graph = GRAPH_FAMILIES["powerlaw"]()
+        result = TCIMAccelerator().run(graph)
+        row_sliced = SlicedMatrix.from_graph(graph, "upper")
+        col_sliced = SlicedMatrix.from_graph(graph, "lower")
+        accumulator, fields, cache_stats = engine.execute_batched(
+            graph, row_sliced, col_sliced, "upper",
+            result.column_cache_slices, "lru", 0,
+        )
+        assert result.triangles == accumulator
+        assert dataclasses.asdict(result.events) == fields
+        assert result.cache_stats == cache_stats
 
     def test_oriented_edges_rejects_unknown_orientation(self):
         from repro.errors import ArchitectureError
@@ -277,7 +296,7 @@ class TestEngineConfig:
     def test_oriented_edges_order_matches_legacy_iteration(self):
         graph = generators.erdos_renyi(30, 90, seed=11)
         sources, destinations = engine.oriented_edges(graph, "upper")
-        # Lexicographic by (source, destination) — the legacy loop order.
+        # Lexicographic by (source, destination) — the reference loop order.
         keys = sources * graph.num_vertices + destinations
         assert np.all(np.diff(keys) > 0)
         sym_src, sym_dst = engine.oriented_edges(graph, "symmetric")
@@ -297,13 +316,13 @@ class TestEngineSpeed:
         import time
 
         graph = generators.barabasi_albert(4000, 8, seed=12)
-        config_v = AcceleratorConfig(engine="vectorized")
-        TCIMAccelerator(config_v).run(graph)  # warm numpy
+        config = AcceleratorConfig()
+        TCIMAccelerator(config).run(graph)  # warm numpy
         start = time.perf_counter()
-        vectorized = TCIMAccelerator(config_v).run(graph)
+        vectorized = TCIMAccelerator(config).run(graph)
         vectorized_s = time.perf_counter() - start
         start = time.perf_counter()
-        legacy = TCIMAccelerator(AcceleratorConfig(engine="legacy")).run(graph)
-        legacy_s = time.perf_counter() - start
-        assert vectorized.triangles == legacy.triangles
-        assert legacy_s / vectorized_s > 3.0
+        triangles, _, _ = per_edge_reference(graph, config)
+        reference_s = time.perf_counter() - start
+        assert vectorized.triangles == triangles
+        assert reference_s / vectorized_s > 3.0

@@ -1,4 +1,4 @@
-"""Tests for cross-session query fusion, admission control, and replicas.
+"""Tests for cross-session query fusion and admission control.
 
 Covers the fusion stack layer by layer:
 
@@ -11,7 +11,7 @@ Covers the fusion stack layer by layer:
   ``apply``, plus ``parse_pairs`` / ``common_neighbors_many``;
 * **service** — fused serving bit-identical to per-request serving on a
   randomized trace; a mutation landing mid-sweep fences the fused group
-  and the requests transparently re-run; read replicas fence on write;
+  and the requests transparently re-run;
 * **admission** — deterministic ``OverloadedError`` under a full queue,
   FIFO completion in blocking mode, and parameter validation;
 * **protocol** — the ``stats`` and ``common_neighbors_many`` ops;
@@ -326,7 +326,7 @@ class TestSessionFusionHooks:
 
 
 # ----------------------------------------------------------------------
-# Service: fused serving differential + fencing + replicas
+# Service: fused serving differential + fencing
 # ----------------------------------------------------------------------
 class TestServiceFusion:
     def test_fused_serving_bit_identical(self, two_graphs):
@@ -441,32 +441,6 @@ class TestServiceFusion:
         assert report.fenced >= 1
         expected.close()
 
-    def test_replicas_fan_reads_and_fence_on_write(self, two_graphs):
-        graph = two_graphs[0]
-
-        async def main():
-            async with open_service(max_sessions=2, replicas=2) as service:
-                base = await service.count(graph)
-                for _ in range(5):
-                    assert await service.count(graph) == base
-                report = service.report()
-                assert report.replicas >= 1
-                assert report.pool.replicas_built >= 1
-                await service.apply(graph, [("+", 0, 149)])
-                after = await service.count(graph)
-                for _ in range(5):
-                    assert await service.count(graph) == after
-                final = service.report()
-                assert final.pool.replicas_retired >= 1
-                return base, after
-
-        base, after = run(main())
-        oracle = open_session(graph)
-        assert base == oracle.count()
-        oracle.apply([("+", 0, 149)])
-        assert after == oracle.count()
-        oracle.close()
-
 
 # ----------------------------------------------------------------------
 # Admission control
@@ -561,8 +535,6 @@ class TestAdmission:
             open_service(admission="drop")
         with pytest.raises(ReproError, match="fuse_window_ms"):
             open_service(fuse_window_ms=-1)
-        with pytest.raises(ReproError, match="replicas"):
-            open_service(replicas=-1)
 
 
 # ----------------------------------------------------------------------
@@ -581,7 +553,6 @@ class TestProtocolOps:
                     "fused_batches",
                     "fused_reads",
                     "kernel_launches",
-                    "replicas",
                 ):
                     assert field in result
                 unknown = await handle_request(service, {"id": 2, "op": "nope"})

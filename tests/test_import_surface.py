@@ -75,8 +75,8 @@ def test_registry_lookup_does_not_require_manual_imports():
 import sys
 sys.modules.pop("repro", None)
 from repro import registry
-assert "vectorized" in registry.engine_names()
 assert "forward" in registry.baseline_names()
+assert "dataset" in registry.source_schemes()
 print("OK")
 """
     result = subprocess.run(

@@ -100,27 +100,13 @@ class TestScaling:
 class TestSimulateParallel:
     def test_one_call_pipeline(self):
         from repro.arch.pipeline import simulate_parallel
-        from repro.core.accelerator import AcceleratorConfig
 
         graph = generators.powerlaw_cluster(200, 4, 0.6, seed=3)
         result, report = simulate_parallel(
             graph, parallel_config=ParallelConfig(compute_units=8)
         )
-        assert result.config.engine == "vectorized"
         assert result.triangles == TCIMAccelerator().run(graph).triangles
         assert report.latency_s > 0
-
-    def test_engine_choice_does_not_change_report(self):
-        from repro.arch.pipeline import simulate_parallel
-        from repro.core.accelerator import AcceleratorConfig
-
-        graph = generators.erdos_renyi(100, 350, seed=4)
-        _, vectorized = simulate_parallel(
-            graph, AcceleratorConfig(engine="vectorized")
-        )
-        _, legacy = simulate_parallel(graph, AcceleratorConfig(engine="legacy"))
-        assert vectorized.latency_s == pytest.approx(legacy.latency_s)
-        assert vectorized.system_energy_j == pytest.approx(legacy.system_energy_j)
 
 
 class TestMeasuredShardPricing:

@@ -161,18 +161,6 @@ class TestPlannedExecutionDifferential:
         assert without.plan_resident_bytes() == 0
         assert with_plan.resident_bytes() > without.resident_bytes()
 
-    def test_legacy_engine_never_uses_plans(self):
-        graph = generators.barabasi_albert(200, 4, seed=1)
-        session = open_session(graph, engine="legacy")
-        session.count()
-        assert session.join_plan is None
-        row, col = structures(graph)
-        plan = build_join_plan(row, col, *oriented_edges(graph, "upper"))
-        with pytest.raises(ArchitectureError, match="vectorized"):
-            TCIMAccelerator(AcceleratorConfig(engine="legacy")).run(
-                graph, join_plan=plan
-            )
-
     def test_plan_edge_count_mismatch_rejected(self):
         graph = generators.barabasi_albert(200, 4, seed=1)
         row, col = structures(graph)

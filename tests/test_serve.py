@@ -11,7 +11,7 @@ Covers the tentpole guarantees:
   recorded op journal serially through ``DynamicTriangleCounter``;
 * **read coalescing** keyed by session generation, and write
   serialisation per session;
-* **backend plumbing** — a custom engine registered through
+* **backend plumbing** — a custom graph source registered through
   ``repro.registry`` serves unchanged;
 * the JSON **line protocol** (dispatch, errors, stream driver) and the
   aggregate **ServiceReport** priced through ``arch/perf``.
@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -187,21 +189,55 @@ class TestService:
 
         run(main())
 
-    def test_custom_engine_serves_unchanged(self, paper_graph):
-        kernel = registry.engine_kernel("vectorized")
-        registry.register_engine("serve-test-engine", kernel, replace=True)
-        try:
-            async def main():
-                async with open_service(
-                    max_sessions=2, engine="serve-test-engine"
-                ) as service:
-                    assert await service.count(paper_graph) == 2
-                    update = await service.apply(paper_graph, [("+", 0, 3)])
-                    assert update.triangles == 4
+    def test_stats_takes_no_session_lock(self):
+        # The stats op runs on the event loop; it must answer while a
+        # long query or apply holds a session's lock, and report the
+        # same shared bytes it reports once that session is idle.
+        graph = generators.erdos_renyi(300, 1800, seed=3)
 
-            run(main())
-        finally:
-            registry._ENGINES.pop("serve-test-engine", None)
+        async def main():
+            async with open_service(
+                max_sessions=2,
+                num_arrays=4,
+                shard_by="coloring",
+                workers=2,
+                backing="shm",
+            ) as service:
+                await service.count(graph)
+                await service.count(generators.erdos_renyi(40, 80, seed=4))
+                (session,) = [
+                    entry.session
+                    for entry in service.pool.entries()
+                    if entry.session.num_vertices == 300
+                ]
+                idle = service.stats()["shared_bytes"]
+                assert idle > 0
+                assert idle == sum(
+                    entry.session.resident_bytes_detail()["shared"]
+                    for entry in service.pool.entries()
+                )
+                held, release = threading.Event(), threading.Event()
+
+                def hold() -> None:
+                    with session.lock:
+                        held.set()
+                        release.wait(3.0)
+
+                holder = threading.Thread(target=hold)
+                holder.start()
+                held.wait()
+                try:
+                    start = time.perf_counter()
+                    busy = service.stats()
+                    elapsed = time.perf_counter() - start
+                finally:
+                    release.set()
+                    holder.join()
+                assert elapsed < 0.5
+                assert busy["shared_bytes"] == idle
+                assert service.stats()["shared_bytes"] == idle
+
+        run(main())
 
     def test_custom_source_scheme_serves_unchanged(self, paper_graph):
         registry.register_source(

@@ -256,10 +256,6 @@ class TestValidation:
         with pytest.raises(ArchitectureError, match="workers"):
             TCIMAccelerator(AcceleratorConfig(workers=-1))
 
-    def test_legacy_engine_cannot_shard(self):
-        with pytest.raises(ArchitectureError, match="vectorized"):
-            TCIMAccelerator(AcceleratorConfig(engine="legacy", num_arrays=2))
-
     def test_plan_validation(self):
         graph = GRAPHS["ba"]()
         with pytest.raises(ArchitectureError, match="num_arrays"):

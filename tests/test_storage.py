@@ -469,6 +469,21 @@ class TestSessionSnapshots:
         with pytest.raises(ReproError, match="graph source or a snapshot"):
             open_session()
 
+    def test_snapshot_with_retired_engine_key_reopens(self, tmp_path):
+        # Snapshots written while the config had an ``engine`` field
+        # carry it in their manifest; it never shaped the arrays, so
+        # reopening drops it and hydrates warm as usual.
+        session = open_session(_graph(seed=18))
+        count = session.count()
+        target = session.snapshot(tmp_path / "snap")
+        manifest = json.loads((target / "manifest.json").read_text())
+        manifest["meta"]["config"]["engine"] = "legacy"
+        (target / "manifest.json").write_text(json.dumps(manifest))
+        restored = open_session(snapshot=target)
+        assert restored._join_plan is not None
+        assert restored.count() == count
+        assert "engine" not in restored.config.to_mapping()
+
     def test_snapshot_segment_dropped(self, tmp_path):
         session = open_session(_graph(seed=17, n=40, m=80))
         session.count()
