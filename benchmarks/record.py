@@ -1,7 +1,9 @@
 """Record the engine's perf trajectory: write ``BENCH_engine.json``.
 
 Runs compact versions of the smoke benchmarks — cold build vs plan-reuse
-repeat-query latency, incremental streaming throughput, per-workload
+repeat-query latency, symmetric-plan patch vs rebuild for one 8-edge
+batch and its undo (``smoke_plan.measure_plan_patch``), incremental
+streaming throughput, per-workload
 (support/truss/cluster) resident-vs-oracle latency, the measured
 process-pool parallelism curve (coloring contexts vs degree-LPT), and
 multi-session serving throughput — and writes one machine-readable JSON
@@ -37,6 +39,7 @@ from repro.core.engine import oriented_edges
 from repro.core.plan import build_join_plan
 from repro.core.slicing import SlicedMatrix
 from repro.graph import generators
+from smoke_plan import PATCH_VERTICES, measure_plan_patch
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_engine.json"
@@ -529,12 +532,20 @@ def measure_storage(num_vertices: int, attach: int) -> dict:
 def main(argv: list[str]) -> int:
     quick = "--quick" in argv
     scale = 4 if quick else 1
+    engine = measure_engine(20_000 // scale, 8)
+    patch = measure_plan_patch(PATCH_VERTICES // scale)
+    engine.update(
+        sym_plan_patch_s=patch["sym_plan_patch_s"],
+        sym_plan_rebuild_s=patch["sym_plan_rebuild_s"],
+        plan_patch_speedup=patch["plan_patch_speedup"],
+        plan_patch_graph=patch["graph"],
+    )
     payload = {
-        "schema": 6,
+        "schema": 7,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": platform.python_version(),
         "quick": quick,
-        "engine": measure_engine(20_000 // scale, 8),
+        "engine": engine,
         "streaming": measure_streaming(20_000 // scale, 8, 500 // scale),
         "workloads": measure_workloads(8_000 // scale, 8),
         "parallelism": measure_parallelism(12_000 // scale, 8),
@@ -548,6 +559,8 @@ def main(argv: list[str]) -> int:
         f"{payload['engine']['repeat_query_planless_s'] * 1e3:.2f} ms -> "
         f"{payload['engine']['repeat_query_planned_s'] * 1e3:.2f} ms "
         f"({payload['engine']['plan_reuse_speedup']:.1f}x); "
+        f"sym plan patch {payload['engine']['plan_patch_speedup']:.1f}x "
+        "vs rebuild; "
         f"streaming {payload['streaming']['ops_per_second']:,.0f} ops/s; "
         "parallelism coloring "
         f"{payload['parallelism']['coloring_speedup_at_16']:.1f}x vs "

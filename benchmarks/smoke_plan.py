@@ -14,7 +14,14 @@ plan-free engine versus the planned fast path
 * after a randomized 120-op insert/delete stream through the session,
   the incrementally patched plan is array-equal to a plan compiled from
   scratch on freshly sliced structures, and the session's full run still
-  matches a from-scratch accelerator run field by field.
+  matches a from-scratch accelerator run field by field;
+* on the 8k-vertex Holme–Kim graph of the ``analytics`` benchmark, with
+  both of a session's plans resident, one 8-edge insert batch and its
+  delete batch leave the count plan and the symmetric plan array-equal
+  (dtypes included) to a rebuild, and ``patch_join_plan`` of the
+  symmetric plan runs at least ``MIN_PATCH_SPEEDUP`` (5x) faster than
+  ``build_join_plan`` on the same post-batch structures (summed over
+  the insert and the delete).
 
 Exit code 0 on success, 1 on any violation.  Usage::
 
@@ -31,9 +38,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.api import open_session
+from repro.core import incremental
 from repro.core.accelerator import AcceleratorConfig, TCIMAccelerator
 from repro.core.engine import oriented_edges
-from repro.core.plan import build_join_plan
+from repro.core.plan import build_join_plan, merge_oriented_edges, patch_join_plan
 from repro.core.slicing import SlicedMatrix
 from repro.graph import generators
 
@@ -43,6 +51,12 @@ NUM_VERTICES = 20_000
 ATTACH = 8
 MIN_SPEEDUP = 3.0
 REPEATS = 5
+#: The analytics benchmark's graph and batch: Holme–Kim, 8k vertices.
+PATCH_VERTICES = 8_000
+PATCH_ATTACH = 8
+PATCH_TRIAD_P = 0.5
+PATCH_BATCH = 8
+MIN_PATCH_SPEEDUP = 5.0
 
 
 def best_of(repeats, work):
@@ -61,6 +75,99 @@ def identical(a, b) -> bool:
         and dataclasses.asdict(a.events) == dataclasses.asdict(b.events)
         and dataclasses.asdict(a.cache_stats) == dataclasses.asdict(b.cache_stats)
     )
+
+
+def plans_identical(a, b) -> bool:
+    return a.num_edges == b.num_edges and all(
+        getattr(a, name).dtype == getattr(b, name).dtype
+        and np.array_equal(getattr(a, name), getattr(b, name))
+        for name in (
+            "row_positions", "col_positions", "trace_keys", "pair_counts", "bounds"
+        )
+    )
+
+
+def rebuilt_plans(graph):
+    """Count and symmetric plans compiled from scratch for ``graph``."""
+    row = SlicedMatrix.from_graph(graph, "upper")
+    col = SlicedMatrix.from_graph(graph, "lower")
+    sym = SlicedMatrix.from_graph(graph, "symmetric")
+    return (
+        build_join_plan(row, col, *oriented_edges(graph, "upper")),
+        build_join_plan(sym, sym, *oriented_edges(graph, "symmetric")),
+    )
+
+
+def measure_plan_patch(
+    num_vertices: int = PATCH_VERTICES, repeats: int = REPEATS
+) -> dict:
+    """Plan patch vs rebuild for one batch and its undo, exactness checked.
+
+    A session with both plans resident applies ``PATCH_BATCH`` absent
+    edges, then deletes them; after each its count and symmetric plans
+    must equal a rebuild.  Timing runs on the symmetric plan outside the
+    session, so each side can be repeated on identical inputs: best of
+    ``repeats`` for ``patch_join_plan`` and for ``build_join_plan`` on the
+    same post-batch structures, summed over the insert and the delete.
+    """
+    graph = generators.powerlaw_cluster(
+        num_vertices, PATCH_ATTACH, PATCH_TRIAD_P, seed=0
+    )
+    rng = np.random.default_rng(11)
+    batch = set()
+    while len(batch) < PATCH_BATCH:
+        u, v = sorted(map(int, rng.integers(num_vertices, size=2)))
+        if u != v and not graph.has_edge(u, v):
+            batch.add((u, v))
+    delta = np.array(sorted(batch), dtype=np.int64)
+    exact = True
+    session = open_session(graph)
+    session.count()
+    session.support()
+    for code in ("+", "-"):
+        session.apply([(code, u, v) for u, v in batch])
+        count_plan, sym_plan = rebuilt_plans(session.graph)
+        exact &= plans_identical(session.join_plan, count_plan)
+        exact &= plans_identical(session._sym_plan, sym_plan)
+    exact &= not any(session.fallback_counts.values())
+
+    sym = SlicedMatrix.from_graph(graph, "symmetric")
+    sources, destinations = oriented_edges(graph, "symmetric")
+    plan = build_join_plan(sym, sym, sources, destinations)
+    both = (
+        np.concatenate([delta[:, 0], delta[:, 1]]),
+        np.concatenate([delta[:, 1], delta[:, 0]]),
+    )
+    patch_s = rebuild_s = 0.0
+    for insert in (True, False):
+        mutate = incremental.set_bits if insert else incremental.clear_bits
+        sym_delta = mutate(sym, *both)
+        sources, destinations, edge_delta = merge_oriented_edges(
+            sources, destinations, delta, "symmetric", num_vertices, insert
+        )
+        seconds, patched = best_of(
+            repeats,
+            lambda: patch_join_plan(
+                plan, sym, sym, sources, destinations,
+                edge_delta, sym_delta, sym_delta,
+            ),
+        )
+        patch_s += seconds
+        seconds, rebuilt = best_of(
+            repeats, lambda: build_join_plan(sym, sym, sources, destinations)
+        )
+        rebuild_s += seconds
+        exact &= plans_identical(patched, rebuilt)
+        plan = patched
+    return {
+        "graph": {"num_vertices": graph.num_vertices, "num_edges": graph.num_edges},
+        "batch_edges": PATCH_BATCH,
+        "sym_plan_pairs": plan.num_pairs,
+        "sym_plan_patch_s": patch_s,
+        "sym_plan_rebuild_s": rebuild_s,
+        "plan_patch_speedup": rebuild_s / patch_s if patch_s else None,
+        "exact": bool(exact),
+    }
 
 
 def main(argv: list[str]) -> int:
@@ -161,6 +268,22 @@ def main(argv: list[str]) -> int:
             f"({patched.num_pairs:,} pairs), session exact"
         )
 
+    # --- one analytics batch and its undo: patch vs rebuild -------------
+    patch = measure_plan_patch()
+    print(
+        f"sym plan patch ({patch['sym_plan_pairs']:,} pairs, "
+        f"{PATCH_BATCH}-edge insert + delete): "
+        f"{patch['sym_plan_patch_s'] * 1e3:.2f} ms vs rebuild "
+        f"{patch['sym_plan_rebuild_s'] * 1e3:.2f} ms -> "
+        f"{patch['plan_patch_speedup']:.1f}x (threshold {MIN_PATCH_SPEEDUP}x)"
+    )
+    if not patch["exact"]:
+        print("FAIL: a patched plan != rebuild on the analytics graph", file=sys.stderr)
+        failures += 1
+    if patch["plan_patch_speedup"] < MIN_PATCH_SPEEDUP:
+        print("FAIL: plan patch below the speedup threshold", file=sys.stderr)
+        failures += 1
+
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "smoke_plan.txt").write_text(
         (
@@ -170,6 +293,13 @@ def main(argv: list[str]) -> int:
             f"planned -> {speedup:.1f}x (threshold {min_speedup}x)\n"
             f"plan {plan.num_pairs:,} pairs / {plan.nbytes / 1e6:.1f} MB; "
             f"patched==rebuild after 120 ops: {plan_equal}\n"
+            f"Holme-Kim n={patch['graph']['num_vertices']:,} "
+            f"m={patch['graph']['num_edges']:,}: sym plan patch "
+            f"{patch['sym_plan_patch_s'] * 1e3:.2f} ms vs rebuild "
+            f"{patch['sym_plan_rebuild_s'] * 1e3:.2f} ms over one "
+            f"{PATCH_BATCH}-edge insert + delete -> "
+            f"{patch['plan_patch_speedup']:.1f}x (threshold "
+            f"{MIN_PATCH_SPEEDUP}x); patched==rebuild: {patch['exact']}\n"
         ),
         encoding="utf-8",
     )

@@ -43,6 +43,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -82,6 +83,16 @@ __all__ = [
 #: on dense pair distributions, while large enough that the per-window
 #: merge-join overhead stays negligible.
 _PLAN_CHUNK_EDGES = 65_536
+
+#: The silent fallbacks :attr:`TCIMSession.fallback_counts` counts: each
+#: is a place where an optimisation gives up and drops resident caches
+#: for a lazy rebuild instead of failing the request.
+_FALLBACKS = (
+    "flush_patch_error",
+    "sym_plan_patch_error",
+    "context_patch_error",
+    "backlog_drop",
+)
 
 
 def resolve_graph(spec) -> Graph:
@@ -383,6 +394,7 @@ class TCIMSession:
         # pays one patch instead of a re-slice + plan recompile.
         self._pending_patches: list[tuple[np.ndarray, bool]] = []
         self._pending_edges = 0
+        self._fallbacks = dict.fromkeys(_FALLBACKS, 0)
         # Cached query results, invalidated by updates.
         self._slice_stats: SliceStatistics | None = None
         self._run: TCIMRunResult | None = None
@@ -544,6 +556,22 @@ class TCIMSession:
         """
         pool = self._context_pool
         return self._store.shared_bytes + (pool.shared_bytes if pool else 0)
+
+    @property
+    def fallback_counts(self) -> Mapping[str, int]:
+        """How often each silent fallback fired (a read-only live view).
+
+        ``flush_patch_error`` — a deferred patch of the oriented
+        structures or the count plan raised, so they were dropped;
+        ``sym_plan_patch_error`` — the eager symmetric-plan patch raised,
+        so the symmetric plan and edge list were dropped;
+        ``context_patch_error`` — routing a batch into the coloring
+        shards raised, so the contexts were dropped; ``backlog_drop`` —
+        the pending churn passed ~¼ of the graph, so the structural
+        caches were dropped instead of spliced.  Every dropped cache is
+        rebuilt by the next query that needs it.  Takes no lock.
+        """
+        return MappingProxyType(self._fallbacks)
 
     def shard_residency(self) -> list[dict]:
         """Per-shard residency of the resident coloring contexts.
@@ -1853,6 +1881,7 @@ class TCIMSession:
         # A deep backlog (a churn comparable to the graph itself) is
         # cheaper to re-slice than to splice batch by batch.
         if self._pending_edges > max(1024, self.num_edges // 4):
+            self._fallbacks["backlog_drop"] += 1
             self._drop_structural_caches()
 
     def _patch_sym_plan(
@@ -1872,7 +1901,7 @@ class TCIMSession:
             return
         try:
             sym = self._sym()
-            new_edges = joinplan.merge_oriented_edges(
+            sources, destinations, edge_delta = joinplan.merge_oriented_edges(
                 *self._sym_edge_arrays,
                 delta_edges,
                 "symmetric",
@@ -1884,14 +1913,16 @@ class TCIMSession:
                     self._sym_plan,
                     sym,
                     sym,
-                    *self._sym_edge_arrays,
-                    *new_edges,
+                    sources,
+                    destinations,
+                    edge_delta,
                     sym_delta,
                     sym_delta,
                     store=self._store,
                 )
-            self._sym_edge_arrays = new_edges
+            self._sym_edge_arrays = (sources, destinations)
         except Exception:
+            self._fallbacks["sym_plan_patch_error"] += 1
             self._drop_sym_plan()
 
     def _drop_sym_plan(self) -> None:
@@ -1935,7 +1966,7 @@ class TCIMSession:
                     ),
                     store=self._store,
                 )
-                new_edges = joinplan.merge_oriented_edges(
+                sources, destinations, edge_delta = joinplan.merge_oriented_edges(
                     *self._edge_arrays,
                     delta_edges,
                     orientation,
@@ -1947,14 +1978,16 @@ class TCIMSession:
                         self._join_plan,
                         self._row_sliced,
                         self._col_sliced,
-                        *self._edge_arrays,
-                        *new_edges,
+                        sources,
+                        destinations,
+                        edge_delta,
                         row_delta,
                         col_delta,
                         store=self._store,
                     )
-                self._edge_arrays = new_edges
+                self._edge_arrays = (sources, destinations)
         except Exception:
+            self._fallbacks["flush_patch_error"] += 1
             self._drop_structural_caches()
 
     def _patch_contexts(self, pending: list[tuple[np.ndarray, bool]]) -> None:
@@ -1980,6 +2013,7 @@ class TCIMSession:
                 # and fences a new generation so pool workers rebuild.
                 self._context_pool.publish()
         except Exception:
+            self._fallbacks["context_patch_error"] += 1
             self._shard_contexts = None
             self._shard_colors = None
             self._close_context_pool()

@@ -168,6 +168,10 @@ class StructureDelta:
     One call only ever inserts (``set_bits``) or removes
     (``clear_bits``), never both.  :attr:`changed` is ``False`` for a
     payload-only mutation, whose positions all stay valid.
+
+    :func:`repro.core.plan.merge_oriented_edges` reports the splice of
+    an oriented edge list the same way: positions are edge indices and
+    the rows are the spliced edges' sources.
     """
 
     inserted_before: np.ndarray

@@ -28,12 +28,14 @@ Plans stay *coherent* with their structures through
 :attr:`SlicedMatrix.structure_version`: the in-place slice maintenance
 of :mod:`repro.core.incremental` reports every structural change as a
 :class:`~repro.core.incremental.StructureDelta`, and
-:func:`patch_join_plan` splices exactly the affected edges' pair sets
-into a new plan — position renumbering for shifted slices, a delta
-re-join only for edges whose endpoint structures changed — instead of
-recompiling the whole thing.  ``tests/test_plan.py`` asserts a patched
-plan is array-equal to a from-scratch rebuild after every operation of
-randomized insert/delete streams.
+:func:`patch_join_plan` splices a batch into a new plan instead of
+recompiling the whole thing.  Its cost is a re-join of the *cut* edges
+only — the delta edges and the edges whose source row or destination
+column changed its valid-slice set — plus one copy pass over the
+surviving pairs, block by block between cuts, with no per-pair search.
+``tests/test_plan.py`` asserts a patched plan is array-equal to a
+from-scratch rebuild after every operation of randomized insert/delete
+streams.
 
 This mirrors what real-PIM follow-ups observe (PIM-TC, Asquini et al.
 2025): precomputed, partition-local work assignments are what make
@@ -99,6 +101,47 @@ def _expand_runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) + np.repeat(delta, counts)
 
 
+def _plan_dtypes(row_sliced: SlicedMatrix, col_sliced: SlicedMatrix) -> tuple:
+    """``(row, col, trace)`` dtypes of a plan over these structures."""
+    return (
+        _position_dtype(max(row_sliced.num_valid_slices, 1) - 1),
+        _position_dtype(max(col_sliced.num_valid_slices, 1) - 1),
+        _position_dtype(col_sliced.num_rows * col_sliced.slices_per_row),
+    )
+
+
+def _join(
+    row_sliced: SlicedMatrix,
+    col_sliced: SlicedMatrix,
+    sources: np.ndarray,
+    destinations: np.ndarray,
+    batch_candidates: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(row_positions, col_positions, pair_counts)`` of an edge list.
+
+    The matched pairs of :func:`repro.core.engine.join_batches`,
+    concatenated in join order, and the pairs per edge.
+    """
+    row_parts: list[np.ndarray] = []
+    col_parts: list[np.ndarray] = []
+    edge_parts: list[np.ndarray] = []
+    for row_hit, col_hit, edge_ids in engine.join_batches(
+        row_sliced, col_sliced, sources, destinations,
+        batch_candidates, with_edge_ids=True,
+    ):
+        row_parts.append(row_hit)
+        col_parts.append(col_hit)
+        edge_parts.append(edge_ids)
+    if not row_parts:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, np.zeros(sources.size, dtype=np.int64)
+    return (
+        np.concatenate(row_parts),
+        np.concatenate(col_parts),
+        np.bincount(np.concatenate(edge_parts), minlength=sources.size),
+    )
+
+
 @dataclass(eq=False)
 class JoinPlan:
     """The compiled valid-pair index of one oriented edge list.
@@ -145,12 +188,14 @@ class JoinPlan:
 
     @property
     def nbytes(self) -> int:
-        """Resident footprint of the plan arrays (pool-budget quantity)."""
+        """Resident footprint of the plan arrays (pool-budget quantity),
+        the per-edge :attr:`bounds` included once materialised."""
         return (
             self.row_positions.nbytes
             + self.col_positions.nbytes
             + self.trace_keys.nbytes
             + self.pair_counts.nbytes
+            + (self._bounds.nbytes if self._bounds is not None else 0)
         )
 
     @property
@@ -276,38 +321,16 @@ def build_join_plan(
                 row_sliced, col_sliced, sources, destinations,
                 batch_candidates, int(chunk_edges), store,
             )
-    row_parts: list[np.ndarray] = []
-    col_parts: list[np.ndarray] = []
-    edge_parts: list[np.ndarray] = []
-    for row_hit, col_hit, edge_ids in engine.join_batches(
-        row_sliced, col_sliced, sources, destinations,
-        batch_candidates, with_edge_ids=True,
-    ):
-        row_parts.append(row_hit)
-        col_parts.append(col_hit)
-        edge_parts.append(edge_ids)
-    row_dtype = _position_dtype(max(row_sliced.num_valid_slices, 1) - 1)
-    col_dtype = _position_dtype(max(col_sliced.num_valid_slices, 1) - 1)
-    key_space = col_sliced.num_rows * col_sliced.slices_per_row
-    trace_dtype = _position_dtype(key_space)
-    if row_parts:
-        row_positions = np.concatenate(row_parts).astype(row_dtype, copy=False)
-        col_positions = np.concatenate(col_parts).astype(col_dtype, copy=False)
-        edge_ids = np.concatenate(edge_parts)
-        pair_counts = np.bincount(edge_ids, minlength=num_edges)
-        trace_keys = col_sliced.global_keys()[col_positions].astype(
-            trace_dtype, copy=False
-        )
-    else:
-        row_positions = np.empty(0, dtype=row_dtype)
-        col_positions = np.empty(0, dtype=col_dtype)
-        pair_counts = np.zeros(num_edges, dtype=np.int64)
-        trace_keys = np.empty(0, dtype=trace_dtype)
+    row_positions, col_positions, pair_counts = _join(
+        row_sliced, col_sliced, sources, destinations, batch_candidates
+    )
+    row_dtype, col_dtype, trace_dtype = _plan_dtypes(row_sliced, col_sliced)
+    trace_keys = col_sliced.global_keys()[col_positions]
     return JoinPlan(
-        row_positions=_adopt(store, row_positions),
-        col_positions=_adopt(store, col_positions),
-        trace_keys=_adopt(store, trace_keys),
-        pair_counts=pair_counts.astype(np.int64, copy=False),
+        row_positions=_adopt(store, row_positions.astype(row_dtype, copy=False)),
+        col_positions=_adopt(store, col_positions.astype(col_dtype, copy=False)),
+        trace_keys=_adopt(store, trace_keys.astype(trace_dtype, copy=False)),
+        pair_counts=pair_counts,
         num_edges=num_edges,
         row_version=row_sliced.structure_version,
         col_version=col_sliced.structure_version,
@@ -334,36 +357,21 @@ def _build_join_plan_chunked(
     than one window of pair records on the heap.
     """
     num_edges = int(sources.size)
-    row_dtype = _position_dtype(max(row_sliced.num_valid_slices, 1) - 1)
-    col_dtype = _position_dtype(max(col_sliced.num_valid_slices, 1) - 1)
-    trace_dtype = _position_dtype(col_sliced.num_rows * col_sliced.slices_per_row)
+    row_dtype, col_dtype, trace_dtype = _plan_dtypes(row_sliced, col_sliced)
     col_keys = col_sliced.global_keys()
     pair_counts = np.zeros(num_edges, dtype=np.int64)
     windows: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for start in range(0, num_edges, chunk_edges):
         stop = min(start + chunk_edges, num_edges)
-        row_parts: list[np.ndarray] = []
-        col_parts: list[np.ndarray] = []
-        edge_parts: list[np.ndarray] = []
-        # edge_ids are relative to the window's edge slice, exactly the
-        # offsets needed for this pair_counts stripe.
-        for row_hit, col_hit, edge_ids in engine.join_batches(
+        rows, cols, pair_counts[start:stop] = _join(
             row_sliced, col_sliced, sources[start:stop], destinations[start:stop],
-            batch_candidates, with_edge_ids=True,
-        ):
-            row_parts.append(row_hit)
-            col_parts.append(col_hit)
-            edge_parts.append(edge_ids)
-        if not row_parts:
-            continue
-        rows = np.concatenate(row_parts).astype(row_dtype, copy=False)
-        cols = np.concatenate(col_parts)
-        pair_counts[start:stop] = np.bincount(
-            np.concatenate(edge_parts), minlength=stop - start
+            batch_candidates,
         )
+        if not rows.size:
+            continue
         windows.append(
             (
-                _adopt(store, rows),
+                _adopt(store, rows.astype(row_dtype, copy=False)),
                 _adopt(store, cols.astype(col_dtype, copy=False)),
                 _adopt(store, col_keys[cols].astype(trace_dtype, copy=False)),
             )
@@ -549,7 +557,7 @@ def merge_oriented_edges(
     orientation: str,
     num_vertices: int,
     insert: bool,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, StructureDelta]:
     """Splice a canonical delta batch into a sorted oriented edge list.
 
     ``insert=True`` merges the delta edges in (they must be absent);
@@ -557,6 +565,13 @@ def merge_oriented_edges(
     filters no-ops before calling, exactly as for the slice maintenance.
     Preserves the reference iteration order (lexicographic by source, then
     destination) for both orientations.
+
+    Returns ``(sources, destinations, splice)``: the new edge list and a
+    :class:`~repro.core.incremental.StructureDelta` over edge positions —
+    ``inserted_before`` / ``removed_at`` are the :func:`np.insert` /
+    :func:`np.delete` positions of the splice and ``inserted_rows`` /
+    ``removed_rows`` the delta edges' sources.  :func:`patch_join_plan`
+    takes it as its edge diff.
     """
     u, v = delta_edges[:, 0], delta_edges[:, 1]
     if orientation == "upper":
@@ -575,6 +590,7 @@ def merge_oriented_edges(
     delta_src, delta_dst = delta_src[order], delta_dst[order]
     old_keys = sources * scale + destinations
     where = np.searchsorted(old_keys, delta_keys)
+    empty = np.empty(0, dtype=np.int64)
     if insert:
         if old_keys.size:
             clamped = np.minimum(where, old_keys.size - 1)
@@ -586,6 +602,7 @@ def merge_oriented_edges(
         return (
             np.insert(sources, where, delta_src),
             np.insert(destinations, where, delta_dst),
+            StructureDelta(where, delta_src, empty, empty),
         )
     if old_keys.size == 0 or bool(
         (old_keys[np.minimum(where, old_keys.size - 1)] != delta_keys).any()
@@ -594,41 +611,46 @@ def merge_oriented_edges(
             "delta batch names edges missing from the resident edge list; "
             "filter no-op deletions before splicing"
         )
-    return np.delete(sources, where), np.delete(destinations, where)
+    return (
+        np.delete(sources, where),
+        np.delete(destinations, where),
+        StructureDelta(empty, empty, where, delta_src),
+    )
 
 
-def _shift_positions(positions: np.ndarray, delta: StructureDelta) -> np.ndarray:
-    """Renumber surviving slice positions across one structural mutation."""
-    if delta.inserted_before.size and delta.removed_at.size:
-        raise ArchitectureError(
-            "a single StructureDelta cannot both insert and remove slices"
-        )
+def _size_before(sliced: SlicedMatrix, delta: StructureDelta) -> int:
+    """Valid-slice count of ``sliced`` before it moved by ``delta``."""
+    return (
+        sliced.num_valid_slices - delta.inserted_before.size + delta.removed_at.size
+    )
+
+
+def _position_map(sliced: SlicedMatrix, delta: StructureDelta, dtype) -> np.ndarray:
+    """Old → new slice position table of a structure that moved by ``delta``.
+
+    A removed position's entry is meaningless: no surviving pair holds
+    it.  The shift is a step function — +1 past every insertion point,
+    -1 past every removed slice — so the table is one ``arange`` plus
+    one ``repeat`` of the step heights.
+    """
+    old_size = _size_before(sliced, delta)
     if delta.inserted_before.size:
-        return positions + np.searchsorted(
-            delta.inserted_before, positions, side="right"
-        )
-    if delta.removed_at.size:
-        return positions - np.searchsorted(delta.removed_at, positions)
-    return positions
-
-
-def _membership(sorted_keys: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """Boolean membership of ``probes`` in a sorted key array."""
-    if sorted_keys.size == 0:
-        return np.zeros(probes.size, dtype=bool)
-    where = np.searchsorted(sorted_keys, probes)
-    clamped = np.minimum(where, sorted_keys.size - 1)
-    return sorted_keys[clamped] == probes
+        steps, sign = delta.inserted_before, 1
+    else:
+        steps, sign = delta.removed_at + 1, -1
+    heights = np.arange(0, sign * (steps.size + 1), sign, dtype=dtype)
+    table = np.repeat(heights, np.diff(steps, prepend=0, append=old_size))
+    table += np.arange(old_size, dtype=dtype)
+    return table
 
 
 def patch_join_plan(
     plan: JoinPlan,
     row_sliced: SlicedMatrix,
     col_sliced: SlicedMatrix,
-    old_sources: np.ndarray,
-    old_destinations: np.ndarray,
-    new_sources: np.ndarray,
-    new_destinations: np.ndarray,
+    sources: np.ndarray,
+    destinations: np.ndarray,
+    edge_delta: StructureDelta,
     row_delta: StructureDelta,
     col_delta: StructureDelta,
     batch_candidates: int = engine.DEFAULT_BATCH_CANDIDATES,
@@ -637,103 +659,140 @@ def patch_join_plan(
 ) -> JoinPlan:
     """Splice one committed update batch into a compiled plan.
 
-    ``plan`` was compiled for ``(old_sources, old_destinations)`` against
-    the structures *before* the batch; ``row_sliced``/``col_sliced`` are
-    the structures *after* the in-place slice maintenance, whose
-    structural changes are described by ``row_delta``/``col_delta``
-    (exactly what :func:`repro.core.incremental.set_bits`/``clear_bits``
-    return).  Only the affected edges — those added or removed, plus any
-    existing edge whose source row or destination column gained/lost a
-    valid slice — are re-joined; every other pair survives with a
-    vectorised position renumbering.  Returns a **new** plan (the input
-    is never mutated), array-equal to ``build_join_plan`` on the new
-    edge list against the new structures.
+    ``plan`` was compiled for the edge list and structures *before* the
+    batch; ``(sources, destinations)`` and ``row_sliced``/``col_sliced``
+    are the state *after* it.  Three
+    :class:`~repro.core.incremental.StructureDelta` reports say what
+    moved: ``edge_delta`` the edge list (the splice
+    :func:`merge_oriented_edges` returns; ``StructureDelta.unchanged()``
+    when the list kept its edges) and ``row_delta``/``col_delta`` the
+    slice arrays (what :func:`repro.core.incremental.set_bits` /
+    ``clear_bits`` return).
+
+    Cost: a re-join of the *cut* edges plus one copy pass, with no
+    per-pair search.  The cut is the delta edges, the contiguous edge
+    ranges of the source rows whose valid-slice set changed, and the
+    edges into changed destination rows (one boolean gather); only they
+    go through :func:`repro.core.engine.join_batches`.  Every kept run
+    between cuts is block-copied: row positions plus one constant shift
+    per run, column positions through one old → new position table of
+    the column structure, trace keys verbatim (a surviving slice keeps
+    its global key).  Runs also break wherever the sources cross a
+    changed row, since the row shift changes there even when the list
+    holds no edge of that row (a coloring lane shares its row structure
+    with edges it does not own).
+
+    Returns ``plan`` itself when nothing moved, else a **new** plan (the
+    input is never mutated), array-equal to ``build_join_plan`` on the
+    new edge list against the new structures.
     """
-    num_rows = row_sliced.num_rows
-    scale = np.int64(max(num_rows, 1))
-    old_keys = old_sources * scale + old_destinations
-    new_keys = new_sources * scale + new_destinations
-    affected_row = np.zeros(num_rows, dtype=bool)
-    affected_row[row_delta.inserted_rows] = True
-    affected_row[row_delta.removed_rows] = True
-    affected_col = np.zeros(col_sliced.num_rows, dtype=bool)
-    affected_col[col_delta.inserted_rows] = True
-    affected_col[col_delta.removed_rows] = True
-    keep_old = (
-        _membership(new_keys, old_keys)
-        & ~affected_row[old_sources]
-        & ~affected_col[old_destinations]
+    if not (edge_delta.changed or row_delta.changed or col_delta.changed):
+        return plan
+    num_edges = int(sources.size)
+    inserted_at = edge_delta.inserted_before
+    removed_at = edge_delta.removed_at
+    # Alignment: the plan must describe exactly the pre-batch edge list
+    # and structures, so every position it holds indexes them.
+    before = (
+        num_edges - inserted_at.size + removed_at.size,
+        _size_before(row_sliced, row_delta),
+        _size_before(col_sliced, col_delta),
     )
-    redo_new = (
-        ~_membership(old_keys, new_keys)
-        | affected_row[new_sources]
-        | affected_col[new_destinations]
-    )
-    keep_new = ~redo_new
-    if int(keep_old.sum()) != int(keep_new.sum()):
+    if before != (plan.num_edges, plan.row_valid_slices, plan.col_valid_slices):
         raise ArchitectureError(
-            "plan patch lost alignment between the old and new edge lists; "
-            "this is a bug — rebuild the plan"
+            f"plan patch lost alignment: the plan covers {plan.num_edges} "
+            f"edges over {plan.row_valid_slices}/{plan.col_valid_slices} "
+            f"row/col slices, the batch started from {before[0]} edges over "
+            f"{before[1]}/{before[2]}; this is a bug — rebuild the plan"
         )
-    # --- surviving pairs: gather, then renumber shifted positions ------
-    keep_idx = np.flatnonzero(keep_old)
-    kept_counts = plan.pair_counts[keep_idx]
-    kept_take = _expand_runs(plan.bounds[keep_idx], kept_counts)
-    kept_row = _shift_positions(plan.row_positions[kept_take], row_delta)
-    kept_col = _shift_positions(plan.col_positions[kept_take], col_delta)
-    # Global keys of surviving column slices are invariant (owner row and
-    # slice id never change), so the kept trace is a pure gather.
-    kept_trace = plan.trace_keys[kept_take]
-    # --- affected edges: delta re-join against the updated structures --
-    redo_idx = np.flatnonzero(redo_new)
-    redo_row_parts: list[np.ndarray] = []
-    redo_col_parts: list[np.ndarray] = []
-    redo_edge_parts: list[np.ndarray] = []
-    for row_hit, col_hit, edge_ids in engine.join_batches(
-        row_sliced,
-        col_sliced,
-        new_sources[redo_idx],
-        new_destinations[redo_idx],
+    # --- the cut, in new edge-list coordinates -------------------------
+    changed_cols = np.zeros(col_sliced.num_rows, dtype=bool)
+    changed_cols[col_delta.inserted_rows] = True
+    changed_cols[col_delta.removed_rows] = True
+    cut = changed_cols[destinations]
+    changed_rows = np.unique(
+        np.concatenate((row_delta.inserted_rows, row_delta.removed_rows))
+    )
+    row_lo = np.searchsorted(sources, changed_rows)
+    row_hi = np.searchsorted(sources, changed_rows, side="right")
+    cut[_expand_runs(row_lo, row_hi - row_lo)] = True
+    inserted = inserted_at + np.arange(inserted_at.size)
+    cut[inserted] = True
+    cut_idx = np.flatnonzero(cut)
+    # --- kept runs: uncut stretches, also broken at deletion gaps and
+    # at changed rows (where the row shift steps) ------------------------
+    gaps = removed_at - np.arange(removed_at.size)
+    breaks = np.unique(
+        np.concatenate(([0, num_edges], cut_idx, cut_idx + 1, gaps, row_lo))
+    )
+    run_lo, run_hi = breaks[:-1], breaks[1:]
+    kept = ~cut[run_lo]
+    run_lo, run_hi = run_lo[kept], run_hi[kept]
+    old_lo = (
+        run_lo
+        - np.searchsorted(inserted, run_lo)
+        + np.searchsorted(gaps, run_lo, side="right")
+    )
+    run_sources = sources[run_lo]
+    row_shift = np.searchsorted(
+        row_delta.inserted_rows, run_sources
+    ) - np.searchsorted(row_delta.removed_rows, run_sources)
+    # --- per-edge counts and bounds, the cut's from its re-join ---------
+    redo_row, redo_col, redo_counts = _join(
+        row_sliced, col_sliced, sources[cut_idx], destinations[cut_idx],
         batch_candidates,
-        with_edge_ids=True,
-    ):
-        redo_row_parts.append(row_hit)
-        redo_col_parts.append(col_hit)
-        redo_edge_parts.append(edge_ids)
-    if redo_row_parts:
-        redo_row = np.concatenate(redo_row_parts)
-        redo_col = np.concatenate(redo_col_parts)
-        redo_counts = np.bincount(
-            np.concatenate(redo_edge_parts), minlength=redo_idx.size
-        )
-        redo_trace = col_sliced.global_keys()[redo_col]
+    )
+    if inserted_at.size:
+        pair_counts = np.insert(plan.pair_counts, inserted_at, 0)
+    elif removed_at.size:
+        pair_counts = np.delete(plan.pair_counts, removed_at)
     else:
-        redo_row = np.empty(0, dtype=np.int64)
-        redo_col = np.empty(0, dtype=np.int64)
-        redo_counts = np.zeros(redo_idx.size, dtype=np.int64)
-        redo_trace = np.empty(0, dtype=np.int64)
-    # --- splice ---------------------------------------------------------
-    num_edges = int(new_sources.size)
-    pair_counts = np.zeros(num_edges, dtype=np.int64)
-    pair_counts[keep_new] = kept_counts
-    pair_counts[redo_idx] = redo_counts
+        pair_counts = plan.pair_counts.copy()
+    pair_counts[cut_idx] = redo_counts
     bounds = np.zeros(num_edges + 1, dtype=np.int64)
     np.cumsum(pair_counts, out=bounds[1:])
     total = int(bounds[-1])
-    row_dtype = _position_dtype(max(row_sliced.num_valid_slices, 1) - 1)
-    col_dtype = _position_dtype(max(col_sliced.num_valid_slices, 1) - 1)
-    trace_dtype = _position_dtype(col_sliced.num_rows * col_sliced.slices_per_row)
+    row_dtype, col_dtype, trace_dtype = _plan_dtypes(row_sliced, col_sliced)
     row_positions = _alloc(store, total, row_dtype)
     col_positions = _alloc(store, total, col_dtype)
     trace_keys = _alloc(store, total, trace_dtype)
-    kept_targets = _expand_runs(bounds[np.flatnonzero(keep_new)], kept_counts)
-    row_positions[kept_targets] = kept_row
-    col_positions[kept_targets] = kept_col
-    trace_keys[kept_targets] = kept_trace
-    redo_targets = _expand_runs(bounds[redo_idx], redo_counts)
-    row_positions[redo_targets] = redo_row
-    col_positions[redo_targets] = redo_col
-    trace_keys[redo_targets] = redo_trace
+    # --- one copy pass over the kept runs -------------------------------
+    col_map = (
+        _position_map(col_sliced, col_delta, col_dtype)
+        if col_delta.changed
+        else None
+    )
+    old_bounds = plan.bounds
+    old_rows, old_cols, old_trace = (
+        plan.row_positions, plan.col_positions, plan.trace_keys
+    )
+    for src, stop, dst, shift in zip(
+        old_bounds[old_lo].tolist(),
+        old_bounds[old_lo + (run_hi - run_lo)].tolist(),
+        bounds[run_lo].tolist(),
+        row_shift.tolist(),
+    ):
+        if stop == src:
+            continue
+        end = dst + stop - src
+        if shift:
+            np.add(old_rows[src:stop], shift, out=row_positions[dst:end])
+        else:
+            row_positions[dst:end] = old_rows[src:stop]
+        if col_map is None:
+            col_positions[dst:end] = old_cols[src:stop]
+        else:
+            # Unbuffered: the alignment check bounds every old position.
+            np.take(
+                col_map, old_cols[src:stop], out=col_positions[dst:end], mode="clip"
+            )
+        trace_keys[dst:end] = old_trace[src:stop]
+    # --- the cut's pairs land in their own slots ------------------------
+    if redo_row.size:
+        targets = _expand_runs(bounds[cut_idx], redo_counts)
+        row_positions[targets] = redo_row
+        col_positions[targets] = redo_col
+        trace_keys[targets] = col_sliced.global_keys()[redo_col]
     patched = JoinPlan(
         row_positions=row_positions,
         col_positions=col_positions,

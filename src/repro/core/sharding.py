@@ -661,9 +661,10 @@ class ShardContext:
         gets every owned oriented bit (one :class:`StructureDelta`
         shared by all lane-plan patches), each lane's column structure
         gets the owned bits whose *source* vertex carries the lane's
-        witness color, and each lane whose pivot pair matches an owned
-        edge splices its edge list and patches its compiled plan
-        (:func:`repro.core.plan.patch_join_plan`).  Returns ``False``
+        witness color, each lane whose pivot pair matches an owned edge
+        splices its edge list, and every lane plan is patched
+        (:func:`repro.core.plan.patch_join_plan`; a lane where nothing
+        moved keeps its plan object).  Returns ``False``
         without touching anything when the shard owns no edge of the
         batch — the routing property that makes sharded ``apply``
         O(owning shards), not O(all shards).
@@ -709,32 +710,29 @@ class ShardContext:
             else:
                 col_delta = StructureDelta.unchanged()
             lane_owned = (pair_lo == lane.pair[0]) & (pair_hi == lane.pair[1])
-            old_src, old_dst = lane.sources, lane.destinations
             if bool(lane_owned.any()):
-                new_src, new_dst = merge_oriented_edges(
-                    old_src,
-                    old_dst,
+                lane.sources, lane.destinations, edge_delta = merge_oriented_edges(
+                    lane.sources,
+                    lane.destinations,
                     owned_edges[lane_owned],
                     self.orientation,
                     self.num_vertices,
                     insert,
                 )
             else:
-                new_src, new_dst = old_src, old_dst
+                edge_delta = StructureDelta.unchanged()
             if lane.join_plan is not None:
                 lane.join_plan = patch_join_plan(
                     lane.join_plan,
                     self.row_sliced,
                     lane.col_sliced,
-                    old_src,
-                    old_dst,
-                    new_src,
-                    new_dst,
+                    lane.sources,
+                    lane.destinations,
+                    edge_delta,
                     row_delta,
                     col_delta,
                     candidates,
                 )
-            lane.sources, lane.destinations = new_src, new_dst
         return True
 
 

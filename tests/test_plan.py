@@ -24,6 +24,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from repro.api import open_session
 from repro.core import incremental
@@ -31,6 +33,7 @@ from repro.core import plan as joinplan
 from repro.core.accelerator import AcceleratorConfig, TCIMAccelerator
 from repro.core.dynamic import DynamicTriangleCounter
 from repro.core.engine import execute_batched, oriented_edges
+from repro.core.incremental import StructureDelta
 from repro.core.plan import (
     JoinPlan,
     build_join_plan,
@@ -89,6 +92,17 @@ def assert_plans_equal(left: JoinPlan, right: JoinPlan):
         a = np.asarray(getattr(left, name), dtype=np.int64)
         b = np.asarray(getattr(right, name), dtype=np.int64)
         assert np.array_equal(a, b), name
+
+
+def assert_plans_identical(patched: JoinPlan, rebuilt: JoinPlan):
+    """Field by field, dtypes included (``assert_plans_equal`` widens)."""
+    assert patched.num_edges == rebuilt.num_edges
+    for name in (
+        "row_positions", "col_positions", "trace_keys", "pair_counts", "bounds"
+    ):
+        left, right = getattr(patched, name), getattr(rebuilt, name)
+        assert left.dtype == right.dtype, name
+        assert np.array_equal(left, right), name
 
 
 def assert_structures_equal(mutated: SlicedMatrix, fresh: SlicedMatrix):
@@ -405,10 +419,15 @@ class TestPatchedPlanEqualsRebuild:
             raise RuntimeError("injected patch failure")
 
         monkeypatch.setattr(joinplan, "patch_join_plan", boom)
+        before = dict(session.fallback_counts)
         session.apply([("+", 0, 150)])
         # The fallback dropped the caches; queries rebuild and stay exact.
         scratch = TCIMAccelerator(AcceleratorConfig()).run(session.graph)
         assert session.run().triangles == scratch.triangles
+        # ...and it did not drop them silently: exactly one count.
+        after = dict(session.fallback_counts)
+        assert after.pop("flush_patch_error") == before.pop("flush_patch_error") + 1
+        assert after == before
         monkeypatch.undo()
         assert_plans_equal(
             session.join_plan,
@@ -428,12 +447,164 @@ class TestPatchedPlanEqualsRebuild:
         session.apply(ops)
         # Structural caches were dropped rather than spliced...
         assert session._row_sliced is None or not session._pending_patches
+        assert session.fallback_counts["backlog_drop"] == 1
         # ...and the next query rebuilds an exact plan.
         scratch = TCIMAccelerator(AcceleratorConfig()).run(session.graph)
         assert session.run().triangles == scratch.triangles
         assert_plans_equal(
             session.join_plan, self._reference(session, "upper")[2]
         )
+
+    def test_read_after_write_stream_fires_no_fallback(self):
+        graph = generators.powerlaw_cluster(300, 4, 0.5, seed=14)
+        session = open_session(graph)
+        session.count()
+        session.support()  # both plans resident: the count and the symmetric
+        rng = np.random.default_rng(19)
+        n = graph.num_vertices
+        for _ in range(6):
+            batch = []
+            while len(batch) < 8:
+                u, v = map(int, rng.integers(n, size=2))
+                if u != v and not session.has_edge(u, v):
+                    batch.append(("+", u, v))
+            for ops in (batch, [("-", u, v) for _, u, v in batch]):
+                session.apply(ops)
+                session.run()
+                session.support()
+        assert dict(session.fallback_counts) == dict.fromkeys(
+            session.fallback_counts, 0
+        )
+        assert len(session.fallback_counts) == 4
+        with pytest.raises(TypeError):
+            session.fallback_counts["backlog_drop"] = 1
+
+
+@st.composite
+def splice_cases(draw):
+    """A small graph, one insert or delete batch, and the plan's edge share.
+
+    ``owner`` is ``None`` when the plan covers every oriented edge (the
+    session's plans), else a per-vertex flag: the plan then covers only
+    the edges whose endpoints carry equal flags — a coloring lane, whose
+    row and column structures also move for edges it does not own.
+    """
+    n = draw(st.integers(2, 40))
+    slice_bits = draw(st.sampled_from([8, 64]))
+    orientation = draw(st.sampled_from(["upper", "symmetric"]))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    base = draw(st.sets(st.sampled_from(pairs), max_size=60))
+    insert = draw(st.booleans())
+    pool = sorted(set(pairs) - base) if insert else sorted(base)
+    assume(pool)
+    batch = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=12))
+    owner = draw(st.none() | st.tuples(*[st.booleans()] * n))
+    return n, slice_bits, orientation, sorted(base), insert, sorted(batch), owner
+
+
+class TestBlockSplicePatch:
+    """``patch_join_plan`` equals ``build_join_plan`` on the new state."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(splice_cases())
+    # A vertex gains its first edge (2 and 5 are isolated before).
+    @example((6, 64, "upper", [(0, 1)], True, [(2, 5)], None))
+    @example((6, 8, "symmetric", [(0, 1)], True, [(2, 5)], None))
+    # A vertex loses its last edge.
+    @example((6, 64, "upper", [(0, 1), (2, 5)], False, [(2, 5)], None))
+    @example((6, 8, "symmetric", [(0, 1), (2, 5)], False, [(2, 5)], None))
+    # Payload-only insert: slice 0 of row 0 and of row 2 already exist.
+    @example((10, 64, "upper", [(0, 1), (0, 3), (1, 2)], True, [(0, 2)], None))
+    @example((10, 64, "symmetric", [(0, 1), (0, 3), (1, 2)], True, [(0, 2)], None))
+    # Edges at vertex 0 and vertex n - 1.
+    @example((40, 8, "upper", [(0, 9), (5, 39)], True, [(0, 39), (0, 20)], None))
+    @example((40, 8, "symmetric", [(0, 39), (3, 9), (0, 5)], False, [(0, 39)], None))
+    # An empty plan gains edges; a plan loses every edge.
+    @example((12, 8, "upper", [], True, [(1, 7), (3, 11)], None))
+    @example((12, 8, "symmetric", [(1, 7), (3, 11)], False, [(1, 7), (3, 11)], None))
+    # Lane rows move while its edge list does not: the batch edge's flags
+    # differ, so it joins no lane edge, but it adds a slice to row 2 (and
+    # 6), between the lane's sources — the row shift steps mid-run.
+    @example(
+        (10, 8, "upper", [(0, 1), (4, 5), (8, 9)], True, [(2, 9)],
+         (True, True, False, True, True, True, True, True, True, True))
+    )
+    @example(
+        (10, 8, "symmetric", [(0, 1), (4, 5), (8, 9)], True, [(2, 6)],
+         (True, True, False, True, True, True, True, True, True, True))
+    )
+    def test_patch_equals_rebuild(self, case):
+        n, slice_bits, orientation, base, insert, batch, owner = case
+
+        def owned(edges):
+            if owner is None:
+                return list(edges)
+            return [(u, v) for u, v in edges if owner[u] == owner[v]]
+
+        graph = Graph(n, base)
+        col_orientation = "lower" if orientation == "upper" else "symmetric"
+        row = SlicedMatrix.from_graph(graph, orientation, slice_bits=slice_bits)
+        # The session's symmetric plan joins one structure against itself.
+        shared = orientation == "symmetric" and owner is None
+        col = row if shared else SlicedMatrix.from_graph(
+            graph, col_orientation, slice_bits=slice_bits
+        )
+        sources, destinations = oriented_edges(Graph(n, owned(base)), orientation)
+        plan = build_join_plan(row, col, sources, destinations)
+        mutate = incremental.set_bits if insert else incremental.clear_bits
+        delta = np.array(batch, dtype=np.int64)
+        row_delta = mutate(row, *oriented_structure_bits(delta, orientation, "row"))
+        col_delta = row_delta if shared else mutate(
+            col, *oriented_structure_bits(delta, orientation, "col")
+        )
+        plan_batch = np.array(owned(batch), dtype=np.int64).reshape(-1, 2)
+        if plan_batch.size:
+            sources, destinations, edge_delta = merge_oriented_edges(
+                sources, destinations, plan_batch, orientation, n, insert
+            )
+        else:
+            edge_delta = StructureDelta.unchanged()
+        patched = patch_join_plan(
+            plan, row, col, sources, destinations,
+            edge_delta, row_delta, col_delta,
+        )
+        assert_plans_identical(
+            patched, build_join_plan(row, col, sources, destinations)
+        )
+        assert patched.matches(row, col)
+        if not (edge_delta.changed or row_delta.changed or col_delta.changed):
+            assert patched is plan
+
+    def test_misaligned_inputs_are_rejected(self):
+        graph = generators.barabasi_albert(60, 3, seed=4)
+        row, col = structures(graph, slice_bits=8)
+        sources, destinations = oriented_edges(graph, "upper")
+        plan = build_join_plan(row, col, sources, destinations)
+        # A column of row 0 outside its valid slices: a structural insert.
+        covered = set(row.row_slices(0)[0].tolist())
+        v = next(v for v in range(1, 60) if v // 8 not in covered)
+        delta = np.array([[0, v]], dtype=np.int64)
+        new_src, new_dst, edge_delta = merge_oriented_edges(
+            sources, destinations, delta, "upper", 60, True
+        )
+        unchanged = StructureDelta.unchanged()
+        # The splice report names two insertions; the list grew by one.
+        doubled = StructureDelta(
+            np.repeat(edge_delta.inserted_before, 2),
+            np.repeat(edge_delta.inserted_rows, 2),
+            edge_delta.removed_at,
+            edge_delta.removed_rows,
+        )
+        with pytest.raises(ArchitectureError, match="alignment"):
+            patch_join_plan(
+                plan, row, col, new_src, new_dst, doubled, unchanged, unchanged
+            )
+        # The row structure moved without a report.
+        assert incremental.set_bits(row, delta[:, 0], delta[:, 1]).changed
+        with pytest.raises(ArchitectureError, match="alignment"):
+            patch_join_plan(
+                plan, row, col, new_src, new_dst, edge_delta, unchanged, unchanged
+            )
 
 
 class TestPlanPrimitives:
@@ -455,6 +626,21 @@ class TestPlanPrimitives:
         assert plain[0] == planned[0]
         assert plain[1] == planned[1]
         assert dataclasses.asdict(plain[2]) == dataclasses.asdict(planned[2])
+
+    def test_nbytes_counts_every_array_after_a_patch(self):
+        graph = generators.barabasi_albert(120, 4, seed=2)
+        session = open_session(graph)
+        session.support()
+        v = next(v for v in range(119, 0, -1) if not session.has_edge(0, v))
+        session.apply([("+", 0, v)])
+        plan = session._sym_plan
+        assert plan._bounds is not None  # a patched plan carries its bounds
+        arrays = (
+            plan.row_positions, plan.col_positions, plan.trace_keys,
+            plan.pair_counts, plan.bounds,
+        )
+        assert plan.nbytes == sum(array.nbytes for array in arrays)
+        assert session.resident_bytes_detail()["sym_plan"] == plan.nbytes
 
     def test_cache_statistics_memo_returns_fresh_copies(self):
         graph = generators.barabasi_albert(200, 4, seed=5)
