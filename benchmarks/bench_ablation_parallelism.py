@@ -19,23 +19,16 @@ The partitioner sweep compares the three partition strategies at every
 width — ``contiguous`` (equal edge ranges), ``degree-LPT``
 (longest-processing-time over row work), and ``coloring``
 (self-contained :class:`~repro.core.sharding.ShardContext` shards, one
-per color triple) — on two axes: the architecture model's critical-path
-latency (where coloring drops the per-shard merge read-back entirely)
-and the measured host wall-clock of repeat process-pool sweeps (where
-coloring's ship-once resident contexts amortise the data movement the
-shared-structure path pays on every call).
+per color triple) — on the architecture model's critical-path latency
+(where coloring drops the per-shard merge read-back entirely).
 """
 
 from __future__ import annotations
-
-import os
-import time
 
 from repro.analysis.reporting import Table, format_seconds
 from repro.arch.perf import default_pim_model
 from repro.arch.pipeline import ParallelConfig, ParallelPimModel, measured_shard_report
 from repro.core.accelerator import AcceleratorConfig, TCIMAccelerator
-from repro.core.sharding import ContextPool, build_shard_contexts, context_balance
 
 from _helpers import accelerator_run, graph_for, nonempty_rows, scaled_array_bytes
 
@@ -47,16 +40,11 @@ PARTITIONERS = {
     "degree-LPT": "degree",
     "coloring": "coloring",
 }
-POOL_WORKERS = os.cpu_count() or 2
-POOL_SWEEPS = 3
 
 
-def _sharded_run(graph, array_bytes, num_arrays, shard_by, workers=0):
+def _sharded_run(graph, array_bytes, num_arrays, shard_by):
     config = AcceleratorConfig(
-        array_bytes=array_bytes,
-        num_arrays=num_arrays,
-        shard_by=shard_by,
-        workers=workers,
+        array_bytes=array_bytes, num_arrays=num_arrays, shard_by=shard_by
     )
     return TCIMAccelerator(config).run(graph)
 
@@ -150,67 +138,6 @@ def bench_ablation_parallelism(benchmark, emit):
                 ]
             )
     emit("ablation_parallelism_partitioners", partitioner_table)
-
-    # Measured host wall-clock: repeat process-pool sweeps.  The shared-
-    # structure path (degree-LPT) re-creates the pool and re-ships the
-    # global structures every call; coloring ships its self-contained
-    # contexts once and then dispatches shard ids.
-    pool_table = Table(
-        [
-            "arrays",
-            "degree-LPT sweep",
-            "coloring sweep",
-            "coloring speedup",
-            "balance (max/mean)",
-        ],
-        title=(
-            f"Repeat process-pool sweeps on {DATASET} (scaled), "
-            f"{POOL_WORKERS} workers, best of {POOL_SWEEPS}"
-        ),
-    )
-    curve = {}
-    for num_arrays in ARRAYS[1:]:
-        shared_best = float("inf")
-        for _ in range(POOL_SWEEPS):
-            start = time.perf_counter()
-            result = _sharded_run(
-                graph, array_bytes, num_arrays, "degree", workers=POOL_WORKERS
-            )
-            shared_best = min(shared_best, time.perf_counter() - start)
-            assert result.triangles == run.triangles
-        contexts = build_shard_contexts(graph, "upper", num_arrays)
-        config = AcceleratorConfig(array_bytes=array_bytes, num_arrays=num_arrays)
-        with ContextPool(
-            contexts,
-            config.capacity_slices,
-            config.policy,
-            config.seed,
-            workers=POOL_WORKERS,
-        ) as pool:
-            context_best = float("inf")
-            for _ in range(POOL_SWEEPS):
-                start = time.perf_counter()
-                outcome = pool.run()
-                context_best = min(context_best, time.perf_counter() - start)
-                assert outcome.accumulator == run.triangles
-        speedup = shared_best / context_best
-        curve[num_arrays] = speedup
-        pool_table.add_row(
-            [
-                num_arrays,
-                format_seconds(shared_best),
-                format_seconds(context_best),
-                f"{speedup:.2f}x",
-                f"{context_balance(contexts):.3f}",
-            ]
-        )
-    emit("ablation_parallelism_pool", pool_table)
-
-    # The resident-context pool must beat the re-ship-everything path
-    # once the fleet is wide (the CI gate in smoke_coloring.py holds the
-    # 1.5x line; here the bench only insists the curve points the right
-    # way on a possibly-loaded machine).
-    assert max(curve[16], curve[32]) > 1.0
 
     # The measured 16-array configuration must actually help.
     final = measured_shard_report(

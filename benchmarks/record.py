@@ -4,9 +4,10 @@ Runs compact versions of the smoke benchmarks — cold build vs plan-reuse
 repeat-query latency, symmetric-plan patch vs rebuild for one 8-edge
 batch and its undo (``smoke_plan.measure_plan_patch``), incremental
 streaming throughput, per-workload
-(support/truss/cluster) resident-vs-oracle latency, the measured
-process-pool parallelism curve (coloring contexts vs degree-LPT), and
-multi-session serving throughput — and writes one machine-readable JSON
+(support/truss/cluster) resident-vs-oracle latency, the host time of
+multi-array sweeps next to their modelled latency (degree-LPT and
+coloring against the single-array sweep), and multi-session serving
+throughput — and writes one machine-readable JSON
 file at the repository root.  CI uploads the file as an artifact per run, so the
 sequence of artifacts is the measured performance trajectory of the
 engine across PRs; the ``modelled`` section adds the architecture
@@ -198,127 +199,98 @@ def measure_workloads(num_vertices: int, attach: int) -> dict:
 
 
 def measure_parallelism(num_vertices: int, attach: int) -> dict:
-    """Measured process-pool parallelism: coloring vs degree-LPT, held
-    shm pool vs one-shot.
+    """Host time of multi-array sweeps next to their modelled latency.
 
-    For each fleet width the degree-LPT column times the status-quo
-    sharded path (fresh pool per call, shared structures shipped through
-    the initializer every time); the coloring columns time repeat sweeps
-    of a held :class:`~repro.core.sharding.ContextPool` (arrays exported
-    once into named shared-memory segments, workers attach zero-copy,
-    one batched dispatch message per worker per sweep) against a
-    one-shot :func:`~repro.core.sharding.execute_contexts` call on the
-    same contexts (a fresh process pool ships every context and sweeps
-    once).  ``shm_cycle_s`` times the pool's construct-plus-two-sweeps
-    cycle and ``shm_fence_cycle_s`` its delta-fence cycle (``publish()``
-    + ``run()``); ``one_shot_s`` is the baseline the shm-smoke CI job
-    gates that fence cycle against (>= 2x at 16 arrays), since making a
-    delta visible without a held pool means shipping every context
-    again.  Every row records the worker count and the host CPU count.
+    Shards run one after another in-process, so each row times, for one
+    fleet width, the resident re-sweep a ``simulate()`` runs (structures,
+    join plan, shard plan or coloring contexts all built once
+    beforehand) under degree-LPT and under coloring, next to the
+    single-array resident sweep, which gives the same count.  The
+    ``modelled_*`` columns are the architecture model's critical path of
+    the same runs (``measured_shard_report``): the modelled latency
+    falls with width while the host time does not, because the arrays
+    are a modelled organisation.  Every row records the host CPU count.
     """
     import os
 
-    from repro.arch.pipeline import measured_shard_report
     from repro.arch.perf import default_pim_model
+    from repro.arch.pipeline import measured_shard_report
     from repro.core.sharding import (
-        ContextPool,
         build_shard_contexts,
         context_balance,
-        execute_contexts,
+        plan_shards,
     )
 
     graph = generators.barabasi_albert(num_vertices, attach, seed=0)
     cpu_count = os.cpu_count()
-    workers = cpu_count or 2
-    baseline = TCIMAccelerator(AcceleratorConfig()).run(graph)
     model = default_pim_model()
+    row = SlicedMatrix.from_graph(graph, "upper")
+    col = SlicedMatrix.from_graph(graph, "lower")
+    edge_arrays = oriented_edges(graph, "upper")
+    join_plan = build_join_plan(row, col, *edge_arrays)
+    resident = dict(row_sliced=row, col_sliced=col, edge_arrays=edge_arrays)
+    single_s, baseline = best_of(
+        5,
+        lambda: TCIMAccelerator(AcceleratorConfig()).run(
+            graph, **resident, join_plan=join_plan
+        ),
+    )
     curve = []
     for num_arrays in (1, 4, 16, 32):
-        config = AcceleratorConfig(num_arrays=num_arrays, shard_by="degree")
-        if num_arrays == 1:
-            shared_s, result = best_of(
-                3, lambda: TCIMAccelerator(AcceleratorConfig()).run(graph)
-            )
-        else:
-            shared_s, result = best_of(
-                3,
-                lambda: TCIMAccelerator(
-                    AcceleratorConfig(
-                        num_arrays=num_arrays, shard_by="degree", workers=workers
-                    )
-                ).run(graph),
-            )
-        assert result.triangles == baseline.triangles
-
-        contexts = build_shard_contexts(graph, "upper", num_arrays)
-        one_shot_s, outcome = best_of(
-            3,
-            lambda: execute_contexts(
-                contexts, config.capacity_slices, config.policy, config.seed,
-                workers=workers,
+        degree = TCIMAccelerator(
+            AcceleratorConfig(num_arrays=num_arrays, shard_by="degree")
+        )
+        shard_plan = plan_shards(
+            graph, "upper", num_arrays, "degree", sources=edge_arrays[0]
+        )
+        degree_s, degree_run = best_of(
+            5,
+            lambda: degree.run(
+                graph, **resident, plan=shard_plan, join_plan=join_plan
             ),
         )
-        assert outcome.accumulator == baseline.triangles
-        cycle_start = time.perf_counter()
-        with ContextPool(
-            contexts,
-            config.capacity_slices,
-            config.policy,
-            config.seed,
-            workers=workers,
-        ) as pool:
-            for _ in range(2):
-                outcome = pool.run()
-            cycle_s = time.perf_counter() - cycle_start
-            sweep_s, outcome = best_of(3, pool.run)
-
-            def fence():
-                pool.publish()
-                return pool.run()
-
-            fence_s, outcome = best_of(3, fence)
-            num_segments = pool.shared_segments
-        assert outcome.accumulator == baseline.triangles
-        coloring_run = TCIMAccelerator(
+        coloring = TCIMAccelerator(
             AcceleratorConfig(num_arrays=num_arrays, shard_by="coloring")
-        ).run(graph)
-        modelled = (
-            model.evaluate(baseline.events).latency_s
-            if num_arrays == 1
-            else measured_shard_report(coloring_run, model).latency_s
         )
+        contexts = (
+            build_shard_contexts(graph, "upper", num_arrays, edge_arrays=edge_arrays)
+            if num_arrays > 1
+            else None
+        )
+        coloring_s, coloring_run = best_of(
+            5,
+            lambda: coloring.run(
+                graph, **resident, join_plan=join_plan, shard_contexts=contexts
+            ),
+        )
+        assert degree_run.triangles == coloring_run.triangles == baseline.triangles
+
+        def modelled(result):
+            if not result.shards:
+                return model.evaluate(result.events).latency_s
+            return measured_shard_report(result, model).latency_s
+
         curve.append(
             {
                 "arrays": num_arrays,
-                "shards": len(contexts),
-                "pool_workers": workers,
                 "cpu_count": cpu_count,
-                "degree_lpt_sweep_s": shared_s,
-                "coloring_sweep_s": sweep_s,
-                "coloring_speedup": shared_s / sweep_s if sweep_s else None,
-                "one_shot_s": one_shot_s,
-                "shm_cycle_s": cycle_s,
-                "shm_fence_cycle_s": fence_s,
-                "shm_vs_one_shot_speedup": (
-                    one_shot_s / fence_s if fence_s else None
-                ),
-                "shared_segments": num_segments,
-                "balance": context_balance(contexts),
-                "modelled_coloring_latency_s": modelled,
-                "modelled_pool_plane_latency_s": model.evaluate_pool_plane(
-                    num_segments, workers
-                ).latency_s,
+                "coloring_shards": len(contexts) if contexts else 1,
+                "coloring_balance": context_balance(contexts) if contexts else 1.0,
+                "single_array_sweep_s": single_s,
+                "degree_lpt_sweep_s": degree_s,
+                "coloring_sweep_s": coloring_s,
+                "modelled_degree_lpt_latency_s": modelled(degree_run),
+                "modelled_coloring_latency_s": modelled(coloring_run),
             }
         )
     at_16 = next(point for point in curve if point["arrays"] == 16)
     return {
         "graph": {"num_vertices": graph.num_vertices, "num_edges": graph.num_edges},
         "triangles": baseline.triangles,
-        "pool_workers": workers,
         "cpu_count": cpu_count,
         "curve": curve,
-        "coloring_speedup_at_16": at_16["coloring_speedup"],
-        "shm_vs_one_shot_at_16": at_16["shm_vs_one_shot_speedup"],
+        "degree_lpt_vs_single_at_16": at_16["degree_lpt_sweep_s"] / single_s,
+        "coloring_vs_single_at_16": at_16["coloring_sweep_s"] / single_s,
     }
 
 
@@ -541,7 +513,7 @@ def main(argv: list[str]) -> int:
         plan_patch_graph=patch["graph"],
     )
     payload = {
-        "schema": 7,
+        "schema": 8,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": platform.python_version(),
         "quick": quick,
@@ -562,10 +534,9 @@ def main(argv: list[str]) -> int:
         f"sym plan patch {payload['engine']['plan_patch_speedup']:.1f}x "
         "vs rebuild; "
         f"streaming {payload['streaming']['ops_per_second']:,.0f} ops/s; "
-        "parallelism coloring "
-        f"{payload['parallelism']['coloring_speedup_at_16']:.1f}x vs "
-        "degree-LPT at 16 arrays (shm pool "
-        f"{payload['parallelism']['shm_vs_one_shot_at_16']:.1f}x vs one-shot); "
+        "16-array sweep host time vs single array: degree-LPT "
+        f"{payload['parallelism']['degree_lpt_vs_single_at_16']:.1f}x, "
+        f"coloring {payload['parallelism']['coloring_vs_single_at_16']:.1f}x; "
         f"serving {payload['serving']['queries_per_second']:,.0f} queries/s "
         f"({payload['serving']['coalesced']} coalesced, fusion "
         f"{payload['serving']['fusion_speedup']:.1f}x on probes); "

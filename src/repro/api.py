@@ -61,7 +61,7 @@ from repro.core.accelerator import (
 )
 from repro.core.engine import oriented_edges
 from repro.core.reuse import CacheStatistics
-from repro.core.sharding import plan_shards
+from repro.core.sharding import plan_shards, position_shards, run_shard
 from repro.core.slicing import SlicedMatrix, SliceStatistics, slice_statistics
 from repro.errors import GraphError, ReproError, StorageError
 from repro.graph.graph import Graph
@@ -83,6 +83,10 @@ __all__ = [
 #: on dense pair distributions, while large enough that the per-window
 #: merge-join overhead stays negligible.
 _PLAN_CHUNK_EDGES = 65_536
+
+#: Config keys of earlier releases that older snapshots still carry.
+#: None of them shaped the persisted arrays, so they are dropped on open.
+_RETIRED_CONFIG_KEYS = ("engine", "workers", "backing")
 
 #: The silent fallbacks :attr:`TCIMSession.fallback_counts` counts: each
 #: is a place where an optimisation gives up and drops resident caches
@@ -351,18 +355,6 @@ class TCIMSession:
         self._use_contexts = (
             self.config.num_arrays > 1 and self.config.shard_by == "coloring"
         )
-        # The zero-copy execution plane (backing="shm" with workers):
-        # a resident ContextPool whose workers hold the coloring shards
-        # attached as shared-memory segments.  Created lazily with the
-        # contexts (and again after a worker crash closed it),
-        # published to after every context patch, closed whenever the
-        # contexts drop.
-        self._context_pool = None
-        self._use_pool = (
-            self._use_contexts
-            and self.config.workers > 0
-            and self.config.backing == "shm"
-        )
         self._sym_sliced: SlicedMatrix | None = None
         # The compiled valid-pair index (repro.core.plan.JoinPlan):
         # built once per generation, incrementally patched by apply, and
@@ -510,9 +502,7 @@ class TCIMSession:
         shard contexts — per-shard structures, edge lanes and lane
         plans; 0 unless ``shard_by="coloring"`` contexts are resident),
         ``spilled`` (how much of the above is disk-backed rather than
-        on heap — 0 for a ram store), ``shared`` (how much lives in
-        named shared-memory segments pool workers attach zero-copy —
-        0 unless ``backing="shm"``), and ``total``
+        on heap — 0 for a ram store), and ``total``
         (== :meth:`resident_bytes`).  Surfaced per session by the
         serving tier's ``stats`` protocol op.
         """
@@ -542,20 +532,8 @@ class TCIMSession:
                 "graph": graph,
                 "shards": shards,
                 "spilled": self._store.spilled_bytes,
-                "shared": self.shared_bytes,
                 "total": slices + plan + sym_plan + edges + graph + shards,
             }
-
-    @property
-    def shared_bytes(self) -> int:
-        """Bytes in named shared-memory segments (``resident_bytes_detail``'s
-        ``shared``): the session store's plus the resident pool's.
-
-        Reads two integer counters and takes no lock, so a monitor (the
-        serving tier's ``stats`` op) never waits behind a running query.
-        """
-        pool = self._context_pool
-        return self._store.shared_bytes + (pool.shared_bytes if pool else 0)
 
     @property
     def fallback_counts(self) -> Mapping[str, int]:
@@ -1331,18 +1309,6 @@ class TCIMSession:
                     min_colors(self.config.num_arrays),
                     self.config.seed,
                 )
-            if self._use_pool and (
-                self._context_pool is None or self._context_pool.closed
-            ):
-                from repro.core.sharding import ContextPool
-
-                self._context_pool = ContextPool(
-                    self._shard_contexts,
-                    self.config.capacity_slices,
-                    self.config.policy,
-                    self.config.seed,
-                    workers=self.config.workers,
-                )
         elif self.config.num_arrays > 1 and self._plan is None:
             self._plan = plan_shards(
                 self.graph,
@@ -1504,52 +1470,40 @@ class TCIMSession:
     ) -> tuple[np.ndarray, EventCounts, CacheStatistics]:
         """One support pass split across ``config.num_arrays`` arrays.
 
-        Mirrors :func:`repro.core.sharding.execute_sharded`'s capacity
-        and accounting model — equal per-array slice budgets, a private
-        row region and cache trace per shard — with each shard running
-        the per-edge kernel over its :meth:`~repro.core.plan.JoinPlan.subset`
+        Each position shard (:func:`repro.core.sharding.position_shards`)
+        is one :func:`~repro.core.sharding.run_shard` lane running the
+        per-edge kernel over its :meth:`~repro.core.plan.JoinPlan.subset`
         of the resident symmetric plan.
         """
         config = self.config
         per_array_capacity = array_share(config.capacity_slices, config.num_arrays)
-        # Coloring owns edges for the resident count contexts; workload
-        # passes over the shared symmetric structure are position-split,
-        # so fall back to the degree-LPT balancer there.
-        shard_by = "degree" if config.shard_by == "coloring" else config.shard_by
-        shard_plan = plan_shards(
-            None,
-            "symmetric",
-            config.num_arrays,
-            shard_by,
-            sources=sources,
-        )
         sym_plan = self._ensure_sym_plan()
         per_edge = np.zeros(sources.size, dtype=np.int64)
         events = EventCounts()
         cache_stats = CacheStatistics()
-        for shard_id, positions in enumerate(shard_plan.assignments):
+        shards = position_shards(sources, config.num_arrays, config.shard_by)
+        for shard_id, positions in enumerate(shards):
             if positions.size == 0:
                 continue
-            shard_sources = sources[positions]
-            _, touched_counts = sym.row_slice_ranges(np.unique(shard_sources))
-            _, column_capacity = split_capacity(
-                per_array_capacity, touched_counts, f"shard {shard_id}"
-            )
-            result = kernels.execute_workload(
-                kernels.EdgeSupportKernel(),
-                None,
+            result, (value,) = run_shard(
+                shard_id,
                 sym,
-                sym,
+                [
+                    (
+                        sources[positions],
+                        destinations[positions],
+                        sym,
+                        sym_plan.subset(positions) if sym_plan is not None else None,
+                    )
+                ],
+                per_array_capacity,
                 "symmetric",
-                column_capacity,
                 config.policy,
                 config.seed,
-                edges=(shard_sources, destinations[positions]),
-                row_writes=int(touched_counts.sum()),
-                plan=sym_plan.subset(positions) if sym_plan is not None else None,
+                kernel=kernels.EdgeSupportKernel(),
             )
-            per_edge[positions] = result.value
-            events = events.merge(EventCounts(**result.events))
+            per_edge[positions] = value
+            events = events.merge(result.events)
             cache_stats = cache_stats.merge(result.cache_stats)
         return per_edge, events, cache_stats
 
@@ -1830,7 +1784,6 @@ class TCIMSession:
                 plan=self._plan,
                 join_plan=self._ensure_join_plan(),
                 shard_contexts=self._shard_contexts,
-                context_pool=self._context_pool,
             )
             self._triangles = self._run.triangles
             self._slice_stats = self._run.slice_stats
@@ -2001,31 +1954,15 @@ class TCIMSession:
         ``_prepare``), mirroring the global-structure fallback.
         """
         if self._shard_contexts is None:
-            self._close_context_pool()
             return
         try:
             for delta_edges, insert in pending:
                 for context in self._shard_contexts:
                     context.apply_delta(delta_edges, self._shard_colors, insert)
-            if self._context_pool is not None:
-                # Payload writes already landed in the shared segments;
-                # the publish re-exports structurally reallocated arrays
-                # and fences a new generation so pool workers rebuild.
-                self._context_pool.publish()
         except Exception:
             self._fallbacks["context_patch_error"] += 1
             self._shard_contexts = None
             self._shard_colors = None
-            self._close_context_pool()
-
-    def _close_context_pool(self) -> None:
-        """Reclaim the resident zero-copy pool (workers + shm segments)."""
-        pool, self._context_pool = self._context_pool, None
-        if pool is not None:
-            try:
-                pool.close()
-            except Exception:
-                pass
 
     def _drop_structural_caches(self) -> None:
         self._row_sliced = None
@@ -2034,7 +1971,6 @@ class TCIMSession:
         self._join_plan = None
         self._shard_contexts = None
         self._shard_colors = None
-        self._close_context_pool()
         self._pending_patches.clear()
         self._pending_edges = 0
 
@@ -2111,9 +2047,8 @@ def _open_snapshot_session(
     """Hydrate a session from a snapshot directory (``open_session``'s back)."""
     meta = storage_snapshot.read_snapshot_meta(path)
     base = dict(meta.get("config", {}))
-    # Snapshots written while the config still had an engine field carry
-    # it; it never shaped the persisted arrays, so it is simply dropped.
-    base.pop("engine", None)
+    for key in _RETIRED_CONFIG_KEYS:
+        base.pop(key, None)
     if isinstance(config, AcceleratorConfig):
         base.update(config.to_mapping())
     elif config:

@@ -106,19 +106,6 @@ class PimTimingParams:
     #: conservative NVMe-class sequential read figure.  See
     #: EXPERIMENTS.md §8 for the hydrate-vs-cold-open comparison.
     hydrate_bytes_per_s: float = 2e9
-    #: Mapping one named shared-memory segment into a pool worker
-    #: (shm_open + mmap + page-table setup) — the **one-time** cost of
-    #: the zero-copy execution plane, paid per segment per worker at
-    #: first attach and never again; sweeps after that read the owner's
-    #: pages directly.  An order of magnitude above a kernel dispatch,
-    #: many below re-shipping the payload bytes.  See EXPERIMENTS.md §10.
-    segment_attach_latency_s: float = 20e-6
-    #: One batched dispatch message of the zero-copy pool — the host
-    #: serialises a chunk of shard ids plus byte-free manifests and
-    #: collects the merged reply, once per worker per sweep (contrast
-    #: the pickle plane, which re-ships whole contexts).  See
-    #: EXPERIMENTS.md §10.
-    dispatch_message_latency_s: float = 50e-6
 
 
 @dataclass(frozen=True)
@@ -580,61 +567,6 @@ class PimPerformanceModel:
             },
             energy_breakdown_j={
                 "dynamic": dynamic,
-                "leakage": leakage,
-                "host": host,
-            },
-        )
-
-    def evaluate_pool_plane(
-        self,
-        num_segments: int,
-        num_workers: int,
-        sweeps: int = 1,
-    ) -> PerfReport:
-        """Price the zero-copy pool's host-side data movement.
-
-        The shm :class:`~repro.core.sharding.ContextPool` replaces the
-        pickle plane's ship-once context transfer (whole shards through
-        the pool initializer, priced by payload volume) with two far
-        smaller terms: a **one-time attach** — each worker maps its
-        shards' named segments once (``segment_attach_latency_s`` each;
-        workers attach their disjoint chunks concurrently, so the
-        critical path is the largest per-worker share) — and a
-        **per-sweep dispatch** — one batched message per worker per
-        sweep (``dispatch_message_latency_s``), independent of graph
-        size.  Everything else a sweep touches is the owner's own
-        pages.  Combine with :meth:`evaluate_context_build` (the shard
-        construction itself) for the full cold-start bill; amortised
-        over ``sweeps`` repeat queries the dispatch term dominates and
-        scaling stays near-linear in workers (EXPERIMENTS.md §10).
-        """
-        if num_segments < 0:
-            raise ArchitectureError(
-                f"num_segments must be >= 0, got {num_segments}"
-            )
-        if num_workers < 1:
-            raise ArchitectureError(
-                f"num_workers must be >= 1, got {num_workers}"
-            )
-        if sweeps < 0:
-            raise ArchitectureError(f"sweeps must be >= 0, got {sweeps}")
-        timing, energy = self.timing, self.energy
-        per_worker_segments = -(-num_segments // num_workers)
-        attach = per_worker_segments * timing.segment_attach_latency_s
-        dispatch = sweeps * num_workers * timing.dispatch_message_latency_s
-        latency = attach + dispatch
-        leakage = energy.leakage_power_w * latency
-        host = energy.host_power_w * latency
-        return PerfReport(
-            latency_s=latency,
-            array_energy_j=leakage,
-            system_energy_j=leakage + host,
-            latency_breakdown_s={
-                "segment_attach": attach,
-                "sweep_dispatch": dispatch,
-            },
-            energy_breakdown_j={
-                "dynamic": 0.0,
                 "leakage": leakage,
                 "host": host,
             },

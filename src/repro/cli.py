@@ -21,10 +21,10 @@ the form ``dataset:<key>[@<scale>]``, e.g. ``dataset:roadnet-pa@0.02``.
 ``count``, ``simulate``, ``stream``, and the workload commands
 (``truss``, ``cluster``, ``common-neighbors``) share the accelerator flags
 (:func:`add_accelerator_args`): ``--num-arrays``, ``--shard-by``,
-``--workers``, ``--no-plan`` (disable the resident join plan),
-``--storage-dir``, ``--backing``, plus ``--config FILE`` (a TOML or
-JSON file of :class:`AcceleratorConfig` fields), repeatable ``--set
-key=value`` overrides, and ``--json`` structured output.  Precedence: ``--set`` >
+``--no-plan`` (disable the resident join plan), ``--storage-dir``,
+plus ``--config FILE`` (a TOML or JSON file of
+:class:`AcceleratorConfig` fields), repeatable ``--set key=value``
+overrides, and ``--json`` structured output.  Precedence: ``--set`` >
 explicit flags > ``--config`` file > built-in defaults.
 
 Every command runs on top of :class:`repro.api.TCIMSession`, the
@@ -72,12 +72,6 @@ def add_accelerator_args(parser: argparse.ArgumentParser) -> None:
         help="edge partitioner for sharded runs",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for sharded runs (0 = serial in-process)",
-    )
-    parser.add_argument(
         "--no-plan",
         action="store_true",
         help=(
@@ -93,17 +87,6 @@ def add_accelerator_args(parser: argparse.ArgumentParser) -> None:
             "out-of-core storage directory: slice payloads and compiled "
             "plans at or above the spill threshold become disk-backed "
             "memmaps under DIR/spill (results are identical)"
-        ),
-    )
-    parser.add_argument(
-        "--backing",
-        choices=["ram", "memmap", "shm"],
-        default=None,
-        help=(
-            "resident backing tier: ram (heap), memmap (disk spill under "
-            "--storage-dir), or shm — named shared-memory segments that "
-            "let coloring-shard pool workers sweep zero-copy "
-            "(results are identical)"
         ),
     )
     parser.add_argument(
@@ -169,13 +152,7 @@ def _accelerator_config(args: argparse.Namespace, **flag_overrides) -> Accelerat
     mapping: dict = {}
     if getattr(args, "config", None):
         mapping.update(_load_config_file(args.config))
-    for name in (
-        "num_arrays",
-        "shard_by",
-        "workers",
-        "storage_dir",
-        "backing",
-    ):
+    for name in ("num_arrays", "shard_by", "storage_dir"):
         value = getattr(args, name, None)
         if value is not None:
             mapping[name] = value
@@ -829,8 +806,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="count triangles",
         description=(
             "Count triangles.  The accelerator flags (--num-arrays, "
-            "--shard-by, --workers, --config, --set) apply to the default "
-            "tcim method; the software baselines ignore them."
+            "--shard-by, --config, --set) apply to the default tcim "
+            "method; the software baselines ignore them."
         ),
     )
     count.add_argument("graph", help="file path or dataset:<key>[@scale]")

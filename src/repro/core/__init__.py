@@ -32,7 +32,6 @@ from repro.core.plan import JoinPlan, build_join_plan, patch_join_plan
 from repro.core.sharding import (
     PARTITIONERS,
     POSITION_PARTITIONERS,
-    ContextPool,
     ShardContext,
     ShardLane,
     ShardPlan,
@@ -61,7 +60,6 @@ __all__ = [
     "symmetric_delta",
     "PARTITIONERS",
     "POSITION_PARTITIONERS",
-    "ContextPool",
     "ShardContext",
     "ShardLane",
     "ShardPlan",

@@ -90,10 +90,11 @@ class AcceleratorConfig:
     (the paper's Fig. 4 bank organisation, see
     :mod:`repro.core.sharding`), each owning an equal share of
     ``array_bytes`` with its own row region and column-slice cache.
-    ``shard_by`` picks the partitioner (``"edges"``, ``"rows"`` or
-    ``"degree"``) and ``workers`` > 0 fans shards out over a process
-    pool (0 = serial in-process).  ``num_arrays=1`` is bit-identical to
-    the unsharded run.
+    ``shard_by`` picks the partitioner: ``"edges"``, ``"rows"`` or
+    ``"degree"`` split positions of the shared edge list, ``"coloring"``
+    builds self-contained color-triple shards.  Shards run one after
+    another in the calling process.  ``num_arrays=1`` is bit-identical
+    to the unsharded run.
 
     ``use_plan`` lets a resident caller (:class:`repro.api.TCIMSession`)
     compile the valid-pair join once per graph generation
@@ -110,16 +111,6 @@ class AcceleratorConfig:
     edge windows, and the session pool pages evicted sessions out as
     snapshots under ``<storage_dir>/pool``.  ``None`` (the default)
     keeps everything on heap — byte-identical results either way.
-
-    ``backing`` names the resident tier explicitly: ``"ram"``,
-    ``"memmap"`` (requires ``storage_dir``) or ``"shm"`` — the
-    zero-copy shared-memory execution plane, under which a resident
-    session's coloring-shard sweeps with ``workers > 0`` run through a
-    held :class:`~repro.core.sharding.ContextPool` (workers attach named
-    segments once; sweeps dispatch one batched message per worker).
-    ``None`` (the default) keeps the historical routing:
-    ``storage_dir`` set implies ``memmap``, otherwise ``ram``.  Results
-    are bit-identical across all three.
     """
 
     slice_bits: int = 64
@@ -129,18 +120,9 @@ class AcceleratorConfig:
     seed: int = 0
     num_arrays: int = 1
     shard_by: str = "edges"
-    workers: int = 0
     use_plan: bool = True
     storage_dir: str | None = None
     spill_threshold_bytes: int | None = None
-    backing: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.backing not in (None, "ram", "memmap", "shm"):
-            raise ArchitectureError(
-                f"backing must be 'ram', 'memmap', 'shm' or unset, "
-                f"got {self.backing!r}"
-            )
 
     @property
     def slice_bytes(self) -> int:
@@ -154,7 +136,7 @@ class AcceleratorConfig:
 
     #: Fields coerced through ``int()`` by :meth:`from_mapping` (config
     #: files and ``--set key=value`` overrides arrive as strings).
-    _INT_FIELDS = ("slice_bits", "array_bytes", "seed", "num_arrays", "workers")
+    _INT_FIELDS = ("slice_bits", "array_bytes", "seed", "num_arrays")
     #: Boolean fields, accepting true/false/1/0/yes/no strings.
     _BOOL_FIELDS = ("use_plan",)
     #: Optional fields: ``None`` (or the strings ""/"none"/"null") stays
@@ -162,7 +144,6 @@ class AcceleratorConfig:
     _OPTIONAL_FIELDS = {
         "storage_dir": str,
         "spill_threshold_bytes": int,
-        "backing": str,
     }
 
     @classmethod
@@ -382,10 +363,6 @@ class TCIMAccelerator:
                 f"shard_by must be one of {PARTITIONERS}, "
                 f"got {self.config.shard_by!r}"
             )
-        if self.config.workers < 0:
-            raise ArchitectureError(
-                f"workers must be >= 0, got {self.config.workers}"
-            )
 
     def run(
         self,
@@ -397,7 +374,6 @@ class TCIMAccelerator:
         plan=None,
         join_plan=None,
         shard_contexts=None,
-        context_pool=None,
     ) -> TCIMRunResult:
         """Execute Algorithm 1 on ``graph`` and collect all statistics.
 
@@ -423,10 +399,6 @@ class TCIMAccelerator:
         owns its own compiled plan — and records the coloring metadata
         (colors, shard count, partitioner balance, the
         communication-free flag) in :attr:`TCIMRunResult.notes`.
-        ``context_pool`` additionally passes a live
-        :class:`repro.core.sharding.ContextPool` holding those contexts
-        resident in its workers — the sweep then dispatches through the
-        pool zero-copy instead of spawning processes per call.
         """
         config = self.config
         orientation = config.orientation
@@ -456,17 +428,12 @@ class TCIMAccelerator:
                 )
         shards: list = []
         notes: dict = {}
-        use_contexts = (
-            shard_contexts is not None
-            or context_pool is not None
-            or (config.num_arrays > 1 and config.shard_by == "coloring")
+        use_contexts = shard_contexts is not None or (
+            config.num_arrays > 1 and config.shard_by == "coloring"
         )
         if use_contexts:
             accumulator, events, cache_stats, shards, notes = self._run_contexts(
-                graph,
-                edge_arrays=edge_arrays,
-                shard_contexts=shard_contexts,
-                context_pool=context_pool,
+                graph, edge_arrays=edge_arrays, shard_contexts=shard_contexts
             )
             row_region = max((s.row_region_slices for s in shards), default=0)
             column_capacity = min(
@@ -516,7 +483,6 @@ class TCIMAccelerator:
         graph: Graph,
         edge_arrays: tuple[np.ndarray, np.ndarray] | None = None,
         shard_contexts=None,
-        context_pool=None,
     ) -> tuple[int, EventCounts, CacheStatistics, list, dict]:
         """Communication-free coloring dataflow over self-contained shards."""
         from repro.core.sharding import (
@@ -526,29 +492,23 @@ class TCIMAccelerator:
         )
 
         config = self.config
-        if context_pool is not None:
-            outcome = context_pool.run(use_plan=bool(config.use_plan))
-            if shard_contexts is None:
-                shard_contexts = context_pool._contexts
-        else:
-            if shard_contexts is None:
-                shard_contexts = build_shard_contexts(
-                    graph,
-                    config.orientation,
-                    config.num_arrays,
-                    slice_bits=config.slice_bits,
-                    seed=config.seed,
-                    edge_arrays=edge_arrays,
-                    use_plan=config.use_plan,
-                )
-            outcome = execute_contexts(
-                shard_contexts,
-                config.capacity_slices,
-                policy=config.policy,
+        if shard_contexts is None:
+            shard_contexts = build_shard_contexts(
+                graph,
+                config.orientation,
+                config.num_arrays,
+                slice_bits=config.slice_bits,
                 seed=config.seed,
-                workers=config.workers,
+                edge_arrays=edge_arrays,
                 use_plan=config.use_plan,
             )
+        outcome = execute_contexts(
+            shard_contexts,
+            config.capacity_slices,
+            policy=config.policy,
+            seed=config.seed,
+            use_plan=config.use_plan,
+        )
         first = shard_contexts[0]
         notes = {
             "shard_by": "coloring",
@@ -557,8 +517,6 @@ class TCIMAccelerator:
             "communication_free": True,
             "balance": context_balance(shard_contexts),
         }
-        if context_pool is not None:
-            notes["pool_workers"] = context_pool.workers
         return (
             outcome.accumulator,
             outcome.events,
@@ -633,7 +591,6 @@ class TCIMAccelerator:
             config.capacity_slices,
             policy=config.policy,
             seed=config.seed,
-            workers=config.workers,
             edge_arrays=(sources, destinations),
             join_plan=join_plan,
         )

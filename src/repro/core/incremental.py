@@ -31,13 +31,15 @@ count the destroyed triangles.
 Sharding
 --------
 Each term's edge list is partitioned with
-:func:`repro.core.sharding.plan_shards` across ``config.num_arrays``
+:func:`repro.core.sharding.position_shards` across ``config.num_arrays``
 simulated arrays (same partitioners, same per-array capacity split as a
-full sharded run) and the per-shard :class:`EventCounts` deltas merge
-with :meth:`EventCounts.merge` — incremental updates get the same
-critical-path pricing story as full sharded runs.  With
-``num_arrays=1`` the terms run as single calls into the engine, so the
-results are bit-identical to the single-array vectorized kernel.
+full sharded run), each shard runs through
+:func:`repro.core.sharding.run_shard`, and the per-shard
+:class:`EventCounts` deltas merge with :meth:`EventCounts.merge` —
+incremental updates get the same critical-path pricing story as full
+sharded runs.  With ``num_arrays=1`` each term is one shard over its
+whole edge list, so the results are bit-identical to the single-array
+vectorized kernel.
 
 The differential oracle remains :class:`DynamicTriangleCounter`; the
 randomized op-stream suite in ``tests/test_api.py`` checks this module
@@ -50,15 +52,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.accelerator import (
-    AcceleratorConfig,
-    EventCounts,
-    array_share,
-    split_capacity,
-)
-from repro.core.engine import execute_batched
+from repro.core.accelerator import AcceleratorConfig, EventCounts, array_share
 from repro.core.reuse import CacheStatistics
-from repro.core.sharding import plan_shards
+from repro.core.sharding import position_shards, run_shard
 from repro.core.slicing import SlicedMatrix
 from repro.errors import ArchitectureError, GraphError
 
@@ -470,45 +466,30 @@ def symmetric_delta(
     cache_stats = CacheStatistics()
     for row_sliced, col_sliced, sources, destinations, divisor in terms:
         if config.num_arrays > 1:
-            # Coloring is an edge-ownership partitioner for resident
-            # contexts; the transient inclusion–exclusion terms here are
-            # position-split instead (degree-LPT balances them best).
-            shard_by = (
-                "degree" if config.shard_by == "coloring" else config.shard_by
-            )
-            plan = plan_shards(
-                None, "symmetric", config.num_arrays, shard_by,
-                sources=sources,
-            )
-            shard_positions = plan.assignments
+            shards = [
+                (sources[positions], destinations[positions])
+                for positions in position_shards(
+                    sources, config.num_arrays, config.shard_by
+                )
+                if positions.size
+            ]
         else:
-            shard_positions = (np.arange(sources.size, dtype=np.int64),)
+            shards = [(sources, destinations)]
         accumulator = 0
-        for positions in shard_positions:
-            if positions.size == 0:
-                continue
-            shard_sources = sources[positions]
-            shard_destinations = destinations[positions]
-            _, touched_counts = row_sliced.row_slice_ranges(
-                np.unique(shard_sources)
-            )
-            _, column_capacity = split_capacity(
-                per_array_capacity, touched_counts, "incremental batch"
-            )
-            shard_accumulator, fields, shard_cache = execute_batched(
-                None,
+        for shard_id, (shard_sources, shard_destinations) in enumerate(shards):
+            result, _ = run_shard(
+                shard_id,
                 row_sliced,
-                col_sliced,
+                [(shard_sources, shard_destinations, col_sliced, None)],
+                per_array_capacity,
                 "symmetric",
-                column_capacity,
-                policy=config.policy,
-                seed=config.seed,
-                edges=(shard_sources, shard_destinations),
-                row_writes=int(touched_counts.sum()),
+                config.policy,
+                config.seed,
+                owner="incremental batch",
             )
-            accumulator += shard_accumulator
-            events = events.merge(EventCounts(**fields))
-            cache_stats = cache_stats.merge(shard_cache)
+            accumulator += result.accumulator
+            events = events.merge(result.events)
+            cache_stats = cache_stats.merge(result.cache_stats)
         if accumulator % divisor:
             raise ArchitectureError(
                 f"delta re-join parity violated: term accumulator "

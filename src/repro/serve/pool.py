@@ -81,9 +81,6 @@ class PoolStats:
     hydrations: int = 0
     #: Payload bytes currently paged out to pool eviction snapshots.
     spilled_bytes: int = 0
-    #: Gauge: bytes the pooled sessions currently hold in named
-    #: shared-memory segments (the zero-copy ``backing="shm"`` plane).
-    shared_bytes: int = 0
 
 
 @dataclass
@@ -344,19 +341,6 @@ class SessionPool:
         with self._lock:
             entries = list(self._entries.values())
         return sum(entry.session.resident_bytes() for entry in entries)
-
-    def shared_bytes(self) -> int:
-        """Combined shm-segment bytes of every pooled session.
-
-        Takes no session lock — each session reports its segments
-        through lock-free counters (:attr:`TCIMSession.shared_bytes`),
-        0 unless it runs ``backing="shm"`` — so a ``stats`` poll never
-        waits behind a running query.  Refreshes the
-        :attr:`PoolStats.shared_bytes` gauge as a side effect.
-        """
-        total = sum(entry.session.shared_bytes for entry in self.entries())
-        self.stats.shared_bytes = total
-        return total
 
     def _over_budget_locked(self) -> bool:
         if len(self._entries) > self.max_sessions:

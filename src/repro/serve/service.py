@@ -608,9 +608,6 @@ class Service:
             "snapshots_written": self._pool.stats.snapshots_written,
             "hydrations": self._pool.stats.hydrations,
             "spilled_bytes": self._pool.stats.spilled_bytes,
-            # Zero-copy execution plane: bytes pooled sessions hold in
-            # named shared-memory segments (backing="shm").
-            "shared_bytes": self._pool.shared_bytes(),
         }
 
     def journal(self, source, config=None, **overrides) -> list:

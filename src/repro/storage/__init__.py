@@ -6,10 +6,7 @@ The package sits *beneath* the session and serving layers:
   through which slice payloads and compiled join-plan arrays are
   obtained.  A ``memmap`` store spills any array at or above its
   ``spill_threshold_bytes`` to a writable ``np.memmap`` under a spill
-  directory, so resident structures can exceed the heap budget.  An
-  ``shm`` store allocates inside named shared-memory segments so pool
-  workers can attach resident structures zero-copy
-  (:func:`attach_segment`).
+  directory, so resident structures can exceed the heap budget.
 * :mod:`repro.storage.snapshot` — a versioned on-disk snapshot format
   (JSON manifest + content-hashed raw array segments) used by
   :meth:`repro.api.TCIMSession.snapshot`, ``open_session(snapshot=...)``
@@ -22,7 +19,6 @@ this package, never the other way around.
 from repro.storage.backing import (
     DEFAULT_SPILL_THRESHOLD_BYTES,
     BackingStore,
-    attach_segment,
 )
 from repro.storage.snapshot import (
     SNAPSHOT_FORMAT,
@@ -37,7 +33,6 @@ from repro.storage.snapshot import (
 __all__ = [
     "BackingStore",
     "DEFAULT_SPILL_THRESHOLD_BYTES",
-    "attach_segment",
     "Snapshot",
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",

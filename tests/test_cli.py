@@ -191,8 +191,7 @@ class TestCommands:
 
 
 class TestShardedFlags:
-    """--num-arrays/--shard-by/--workers are shared by count and
-    simulate."""
+    """--num-arrays/--shard-by are shared by count and simulate."""
 
     def test_count_sharded_matches_single_array(self, capsys):
         spec = "dataset:roadnet-pa@0.005"
@@ -420,6 +419,17 @@ class TestConfigFileAndSet:
         config.write_text('{"engine": "legacy"}', encoding="utf-8")
         assert main(["count", str(path), "--config", str(config)]) == 1
         assert "unknown AcceleratorConfig keys ['engine']" in capsys.readouterr().err
+        # So do the retired worker-pool and backing knobs.
+        assert main(["count", str(path), "--set", "workers=2"]) == 1
+        assert "unknown AcceleratorConfig keys ['workers']" in capsys.readouterr().err
+        config.write_text('{"backing": "shm"}', encoding="utf-8")
+        assert main(["count", str(path), "--config", str(config)]) == 1
+        assert "unknown AcceleratorConfig keys ['backing']" in capsys.readouterr().err
+        for flag, value in (("--workers", "2"), ("--backing", "shm")):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["count", str(path), flag, value])
+            assert exit_info.value.code != 0
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys, tmp_path, paper_graph):
         path = tmp_path / "g.txt"

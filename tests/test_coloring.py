@@ -10,7 +10,7 @@ design rests on:
   orientations, so the merged count is bit-identical to unsharded;
 * **self-containment** — no context references a session's (or any
   other shard's) slice structures, which is what makes the shards
-  communication-free and ship-once for process pools;
+  communication-free;
 * **incremental maintenance** — routing a randomized insert/delete
   stream through ``ShardContext.apply_delta`` leaves every lane's
   structures *and compiled join plan* array-equal to a from-scratch
@@ -28,7 +28,6 @@ import pytest
 from repro.api import TCIMSession
 from repro.core.accelerator import AcceleratorConfig, EventCounts, TCIMAccelerator
 from repro.core.sharding import (
-    ContextPool,
     assign_colors,
     build_shard_contexts,
     color_triples,
@@ -158,7 +157,7 @@ class TestExactCover:
 
 
 class TestSelfContainment:
-    """Shard workers must reference no shared slice structures."""
+    """Shard contexts must reference no shared slice structures."""
 
     def test_contexts_share_nothing_with_session_or_each_other(self):
         graph = generators.powerlaw_cluster(200, 5, 0.5, seed=4)
@@ -197,30 +196,6 @@ class TestSelfContainment:
                 for arr in (lane.sources, lane.destinations)
             ]
             assert len({id(a) for a in arrays}) == len(arrays)
-
-    def test_process_pool_matches_serial(self):
-        graph = generators.barabasi_albert(300, 6, seed=2)
-        capacity = AcceleratorConfig().capacity_slices
-        contexts = build_shard_contexts(graph, "upper", 16)
-        serial = execute_contexts(contexts, capacity, "lru", 0)
-        pooled = execute_contexts(contexts, capacity, "lru", 0, workers=2)
-        assert pooled.accumulator == serial.accumulator
-        assert dataclasses.asdict(pooled.events) == dataclasses.asdict(
-            serial.events
-        )
-        for a, b in zip(serial.shards, pooled.shards):
-            assert (a.shard_id, a.accumulator) == (b.shard_id, b.accumulator)
-
-    def test_context_pool_repeat_runs(self):
-        graph = generators.powerlaw_cluster(200, 4, 0.6, seed=8)
-        capacity = AcceleratorConfig().capacity_slices
-        contexts = build_shard_contexts(graph, "upper", 4)
-        baseline = execute_contexts(contexts, capacity, "lru", 0)
-        with ContextPool(contexts, capacity, "lru", 0, workers=2) as pool:
-            first = pool.run()
-            second = pool.run(use_plan=False)
-        assert first.accumulator == baseline.accumulator
-        assert second.accumulator == baseline.accumulator
 
 
 class TestIncrementalColoring:

@@ -185,34 +185,6 @@ class TestMeasuredShardPricing:
         with pytest.raises(ArchitectureError, match="pair counts"):
             base.evaluate_context_build([10], [1, 2])
 
-    def test_pool_plane_pricing(self, base):
-        timing = base.timing
-        report = base.evaluate_pool_plane(420, 4, sweeps=3)
-        attach = 105 * timing.segment_attach_latency_s
-        dispatch = 3 * 4 * timing.dispatch_message_latency_s
-        assert report.latency_s == pytest.approx(attach + dispatch)
-        assert report.latency_breakdown_s["segment_attach"] == pytest.approx(
-            attach
-        )
-        assert report.latency_breakdown_s["sweep_dispatch"] == pytest.approx(
-            dispatch
-        )
-        # Workers attach disjoint chunks concurrently: the attach term
-        # shrinks with the fleet while dispatch grows, and no term
-        # depends on graph size — that is the whole point of the plane.
-        wide = base.evaluate_pool_plane(420, 8, sweeps=3)
-        assert (
-            wide.latency_breakdown_s["segment_attach"]
-            < report.latency_breakdown_s["segment_attach"]
-        )
-        assert report.energy_breakdown_j["dynamic"] == 0.0
-        with pytest.raises(ArchitectureError, match="num_segments"):
-            base.evaluate_pool_plane(-1, 2)
-        with pytest.raises(ArchitectureError, match="num_workers"):
-            base.evaluate_pool_plane(10, 0)
-        with pytest.raises(ArchitectureError, match="sweeps"):
-            base.evaluate_pool_plane(10, 2, sweeps=-1)
-
     def test_validation(self, base):
         with pytest.raises(ArchitectureError, match="at least one"):
             base.evaluate_shards([])

@@ -191,17 +191,13 @@ class TestService:
 
     def test_stats_takes_no_session_lock(self):
         # The stats op runs on the event loop; it must answer while a
-        # long query or apply holds a session's lock, and report the
-        # same shared bytes it reports once that session is idle.
+        # long query or apply holds a session's lock, and report exactly
+        # what it reports once that session is idle.
         graph = generators.erdos_renyi(300, 1800, seed=3)
 
         async def main():
             async with open_service(
-                max_sessions=2,
-                num_arrays=4,
-                shard_by="coloring",
-                workers=2,
-                backing="shm",
+                max_sessions=2, num_arrays=4, shard_by="coloring"
             ) as service:
                 await service.count(graph)
                 await service.count(generators.erdos_renyi(40, 80, seed=4))
@@ -210,12 +206,8 @@ class TestService:
                     for entry in service.pool.entries()
                     if entry.session.num_vertices == 300
                 ]
-                idle = service.stats()["shared_bytes"]
-                assert idle > 0
-                assert idle == sum(
-                    entry.session.resident_bytes_detail()["shared"]
-                    for entry in service.pool.entries()
-                )
+                assert session.shard_residency()
+                idle = service.stats()
                 held, release = threading.Event(), threading.Event()
 
                 def hold() -> None:
@@ -234,8 +226,8 @@ class TestService:
                     release.set()
                     holder.join()
                 assert elapsed < 0.5
-                assert busy["shared_bytes"] == idle
-                assert service.stats()["shared_bytes"] == idle
+                assert busy == idle
+                assert service.stats() == idle
 
         run(main())
 

@@ -8,9 +8,7 @@ paper's Fig. 4 bank organisation):
 * for any ``num_arrays`` and any partitioner the merged triangle count
   is exact, and the additive event counters conserve the single-array
   totals (``edges_processed``, ``and_operations``,
-  ``dense_pair_operations``, ``index_lookups``, ``bitcount_operations``);
-* serial and :class:`ProcessPoolExecutor` execution produce identical
-  results shard by shard.
+  ``dense_pair_operations``, ``index_lookups``, ``bitcount_operations``).
 """
 
 from __future__ import annotations
@@ -186,23 +184,6 @@ class TestShardedExactness:
                 )
 
 
-class TestWorkers:
-    def test_process_pool_matches_serial(self):
-        graph = GRAPHS["ba"]()
-        serial = run(graph, num_arrays=4, shard_by="degree", workers=0)
-        pooled = run(graph, num_arrays=4, shard_by="degree", workers=2)
-        assert pooled.triangles == serial.triangles
-        assert dataclasses.asdict(pooled.events) == dataclasses.asdict(
-            serial.events
-        )
-        assert [dataclasses.asdict(s.events) for s in pooled.shards] == [
-            dataclasses.asdict(s.events) for s in serial.shards
-        ]
-        assert [dataclasses.asdict(s.cache_stats) for s in pooled.shards] == [
-            dataclasses.asdict(s.cache_stats) for s in serial.shards
-        ]
-
-
 class TestShardPlans:
     def test_edges_partitioner_is_contiguous(self):
         graph = GRAPHS["ba"]()
@@ -253,8 +234,15 @@ class TestValidation:
             TCIMAccelerator(AcceleratorConfig(shard_by="hash"))
 
     def test_bad_workers(self):
-        with pytest.raises(ArchitectureError, match="workers"):
-            TCIMAccelerator(AcceleratorConfig(workers=-1))
+        # Shards run in-process: the retired worker-pool and backing
+        # knobs are unknown keys, never silently ignored.
+        with pytest.raises(TypeError, match="workers"):
+            AcceleratorConfig(workers=2)
+        for key, value in (("workers", "2"), ("backing", "shm")):
+            with pytest.raises(
+                ArchitectureError, match=f"unknown AcceleratorConfig keys \\['{key}'\\]"
+            ):
+                AcceleratorConfig.from_mapping({key: value})
 
     def test_plan_validation(self):
         graph = GRAPHS["ba"]()

@@ -484,6 +484,30 @@ class TestSessionSnapshots:
         assert restored.count() == count
         assert "engine" not in restored.config.to_mapping()
 
+    def test_snapshot_with_retired_pool_keys_reopens(self, tmp_path, monkeypatch):
+        # Snapshots written while the config had the worker-pool and
+        # backing knobs carry both keys; neither shaped the arrays, so
+        # reopening drops them and runs on the hydrated structures.
+        session = open_session(_graph(seed=19))
+        count = session.count()
+        target = session.snapshot(tmp_path / "snap")
+        manifest = json.loads((target / "manifest.json").read_text())
+        manifest["meta"]["config"].update(workers=2, backing="shm")
+        (target / "manifest.json").write_text(json.dumps(manifest))
+        builds = []
+        monkeypatch.setattr(
+            SlicedMatrix, "from_graph", lambda *a, **k: builds.append("slices")
+        )
+        monkeypatch.setattr(
+            "repro.core.plan.build_join_plan", lambda *a, **k: builds.append("plan")
+        )
+        restored = open_session(snapshot=target)
+        assert restored.count() == count
+        assert restored.simulate().triangles == count
+        assert builds == []
+        mapping = restored.config.to_mapping()
+        assert "workers" not in mapping and "backing" not in mapping
+
     def test_snapshot_segment_dropped(self, tmp_path):
         session = open_session(_graph(seed=17, n=40, m=80))
         session.count()
