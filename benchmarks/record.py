@@ -143,13 +143,15 @@ def measure_workloads(num_vertices: int, attach: int) -> dict:
 
     graph = generators.barabasi_albert(num_vertices, attach, seed=0)
     session = open_session(graph)
-    session.support()  # warm: slices, symmetric plan, caches
+    total_support = sum(session.support().values())  # warm: slices, plan
     model = default_pim_model()
-    per_edge, events, _ = session._supports_run()
+    # The witness pass ANDs exactly the count plan's pairs, so the count
+    # run's events price every workload that reads the triangle list.
+    events = session.run().events
 
     def timed_workload(work):
         def rerun():
-            # Re-run the engine path against the resident symmetric plan
+            # Re-run the witness pass against the resident count plan
             # rather than returning the memoised result.
             session._workload_cache.clear()
             return work()
@@ -191,7 +193,7 @@ def measure_workloads(num_vertices: int, attach: int) -> dict:
         )
     payload = {
         "graph": {"num_vertices": graph.num_vertices, "num_edges": graph.num_edges},
-        "total_support": int(per_edge.sum()),
+        "total_support": int(total_support),
         "workloads": rows,
     }
     session.close()
@@ -389,8 +391,8 @@ def measure_serving(num_graphs: int, reads_per_graph: int) -> dict:
         ) as service:
             for graph in graphs:
                 await service.count(graph)
-                # Same warm state as the unfused run: symmetric slices
-                # resident before the timed probes.
+                # Same warm state as the unfused run before the timed
+                # probes.
                 await service.support(graph)
             probe_s = await probe_load(service)
             report = service.report()
@@ -432,7 +434,7 @@ def measure_storage(num_vertices: int, attach: int) -> dict:
     """Out-of-core rows: snapshot write, warm hydrate vs cold residency.
 
     Mirrors ``smoke_oocore.py``'s warm-vs-cold comparison (residency
-    establishment only: slice structures + both compiled plans, no
+    establishment only: slice structures + the compiled count plan, no
     engine queries) and adds the snapshot footprint and the memmap
     session's spilled share, plus the architecture model's pricing of
     the same trade (``evaluate_hydrate`` vs ``evaluate_cold_open``).
@@ -449,8 +451,6 @@ def measure_storage(num_vertices: int, attach: int) -> dict:
             session._prepare()
             session._ensure_join_plan()
             session._sym()
-            session._ensure_sym_edges()
-            session._ensure_sym_plan()
 
     with tempfile.TemporaryDirectory(prefix="record-storage-") as tmp:
         tmp_path = Path(tmp)
@@ -513,7 +513,7 @@ def main(argv: list[str]) -> int:
         plan_patch_graph=patch["graph"],
     )
     payload = {
-        "schema": 8,
+        "schema": 9,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": platform.python_version(),
         "quick": quick,

@@ -222,9 +222,11 @@ async def measure_mode(fuse_window_ms) -> tuple[float, object]:
     best = float("inf")
     report = None
     async with open_service(max_sessions=NUM_GRAPHS, **kwargs) as service:
-        for graph in graphs():  # residency + symmetric plans outside timing
+        # Residency outside timing: the count plan and the symmetric
+        # structure the probes join against.
+        for graph in graphs():
             await service.count(graph)
-            await service.support(graph)
+            await service.common_neighbors(graph, 0, 1)
         for repeat in range(REPEATS):
             best = min(best, await drive_probes(service, probe_work(seed=77 + repeat)))
         report = service.report()

@@ -11,7 +11,7 @@ the 1 MiB spill threshold used here):
 * **warm paging** — hydrating a session from its snapshot
   (``open_session(snapshot=...)``) is at least ``MIN_HYDRATE_SPEEDUP``
   (5x) faster than re-establishing the same residency cold (re-slice
-  row/column/symmetric structures + recompile both join plans);
+  row/column/symmetric structures + recompile the count plan);
 * **memory** — with a 1 MiB spill threshold the memmap session actually
   sheds heap: its anonymous-RSS growth (measured in a subprocess, so
   this process's allocator noise cannot contaminate it) stays under the
@@ -69,13 +69,11 @@ print(json.dumps({"anon_delta_kb": after - before, "detail": detail}))
 
 
 def build_residency(session) -> None:
-    """Force every structure and plan resident, no engine query."""
+    """Force every structure and the plan resident, no engine query."""
     with session._lock:
         session._prepare()
         session._ensure_join_plan()
         session._sym()
-        session._ensure_sym_edges()
-        session._ensure_sym_plan()
 
 
 def measure_child(kind: str, store_dir: str) -> dict:
@@ -148,7 +146,7 @@ def main(argv: list[str]) -> int:
             start = time.perf_counter()
             warm = open_session(snapshot=snap_dir)
             warm_s = min(warm_s, time.perf_counter() - start)
-            assert warm._join_plan is not None and warm._sym_plan is not None
+            assert warm._join_plan is not None
             warm_count = warm.count()
             warm.close()
         speedup = cold_s / warm_s if warm_s else float("inf")

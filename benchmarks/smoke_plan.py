@@ -15,10 +15,11 @@ plan-free engine versus the planned fast path
   the incrementally patched plan is array-equal to a plan compiled from
   scratch on freshly sliced structures, and the session's full run still
   matches a from-scratch accelerator run field by field;
-* on the 8k-vertex Holme–Kim graph of the ``analytics`` benchmark, with
-  both of a session's plans resident, one 8-edge insert batch and its
-  delete batch leave the count plan and the symmetric plan array-equal
-  (dtypes included) to a rebuild, and ``patch_join_plan`` of the
+* on the 8k-vertex Holme–Kim graph of the ``analytics`` benchmark, one
+  8-edge insert batch and its delete batch leave the count plan of an
+  ``orientation="upper"`` session and of an ``orientation="symmetric"``
+  session (both with their workloads' triangle lists read) array-equal
+  (dtypes included) to a rebuild, and ``patch_join_plan`` of a
   symmetric plan runs at least ``MIN_PATCH_SPEEDUP`` (5x) faster than
   ``build_join_plan`` on the same post-batch structures (summed over
   the insert and the delete).
@@ -87,15 +88,12 @@ def plans_identical(a, b) -> bool:
     )
 
 
-def rebuilt_plans(graph):
-    """Count and symmetric plans compiled from scratch for ``graph``."""
-    row = SlicedMatrix.from_graph(graph, "upper")
-    col = SlicedMatrix.from_graph(graph, "lower")
-    sym = SlicedMatrix.from_graph(graph, "symmetric")
-    return (
-        build_join_plan(row, col, *oriented_edges(graph, "upper")),
-        build_join_plan(sym, sym, *oriented_edges(graph, "symmetric")),
-    )
+def rebuilt_plan(graph, orientation: str):
+    """The count plan of ``graph`` under ``orientation``, compiled from scratch."""
+    col_orientation = "lower" if orientation == "upper" else "symmetric"
+    row = SlicedMatrix.from_graph(graph, orientation)
+    col = SlicedMatrix.from_graph(graph, col_orientation)
+    return build_join_plan(row, col, *oriented_edges(graph, orientation))
 
 
 def measure_plan_patch(
@@ -103,10 +101,11 @@ def measure_plan_patch(
 ) -> dict:
     """Plan patch vs rebuild for one batch and its undo, exactness checked.
 
-    A session with both plans resident applies ``PATCH_BATCH`` absent
-    edges, then deletes them; after each its count and symmetric plans
-    must equal a rebuild.  Timing runs on the symmetric plan outside the
-    session, so each side can be repeated on identical inputs: best of
+    An ``upper`` and a ``symmetric`` session, each with its count plan
+    and triangle list resident, apply ``PATCH_BATCH`` absent edges, then
+    delete them; after each their count plans must equal a rebuild.
+    Timing runs on a symmetric plan outside the sessions, so each side
+    can be repeated on identical inputs: best of
     ``repeats`` for ``patch_join_plan`` and for ``build_join_plan`` on the
     same post-batch structures, summed over the insert and the delete.
     """
@@ -121,15 +120,18 @@ def measure_plan_patch(
             batch.add((u, v))
     delta = np.array(sorted(batch), dtype=np.int64)
     exact = True
-    session = open_session(graph)
-    session.count()
-    session.support()
+    sessions = [
+        open_session(graph, orientation=orientation)
+        for orientation in ("upper", "symmetric")
+    ]
+    for session in sessions:
+        session.support()
     for code in ("+", "-"):
-        session.apply([(code, u, v) for u, v in batch])
-        count_plan, sym_plan = rebuilt_plans(session.graph)
-        exact &= plans_identical(session.join_plan, count_plan)
-        exact &= plans_identical(session._sym_plan, sym_plan)
-    exact &= not any(session.fallback_counts.values())
+        for session in sessions:
+            session.apply([(code, u, v) for u, v in batch])
+            rebuilt = rebuilt_plan(session.graph, session.config.orientation)
+            exact &= plans_identical(session.join_plan, rebuilt)
+            exact &= not any(session.fallback_counts.values())
 
     sym = SlicedMatrix.from_graph(graph, "symmetric")
     sources, destinations = oriented_edges(graph, "symmetric")

@@ -8,16 +8,18 @@ gather→AND→popcount kernel path of :mod:`repro.core.kernels`) and gates:
   ``common_neighbors()`` are value-identical to the pure-Python oracles
   (:mod:`repro.analysis`), across plan on/off and a 4-array sharded
   configuration;
-* **plan reuse** — a repeat ``support()`` against the resident symmetric
-  join plan is at least ``MIN_SPEEDUP`` (5x) faster than the pure-Python
+* **plan reuse** — a repeat ``support()`` (the triangle-witness pass
+  over the resident count plan, the support tallies and the result
+  dict) is at least ``MIN_SPEEDUP`` (5x) faster than the pure-Python
   ``edge_support`` oracle;
 * **cold truss** — ``truss()`` with every memoised workload result
-  dropped (support sweep, triangle-witness enumeration, frontier peel
-  and the result dict) is at least ``MIN_TRUSS_SPEEDUP`` (5x) faster
-  than the pure-Python ``truss_decomposition`` oracle;
+  dropped (triangle-witness pass, support tallies, frontier peel and
+  the result dict) is at least ``MIN_TRUSS_SPEEDUP`` (5x) faster than
+  the pure-Python ``truss_decomposition`` oracle;
 * **incremental coherence** — after a randomized 120-op insert/delete
   stream, the patched resident state answers every workload identically
-  to a fresh session on the mutated graph and to the oracles.
+  to a fresh session on the mutated graph and to the oracles, and no
+  ``fallback_counts`` entry fired.
 
 Exit code 0 on success, 1 on any violation.  Usage::
 
@@ -107,11 +109,11 @@ def main(argv: list[str]) -> int:
 
     # --- plan reuse: resident repeat support() vs the oracle -------------
     session = open_session(graph)
-    session.support()  # warm: slices, symmetric plan, caches
+    session.support()  # warm: slices, count plan, caches
 
     def resident_support():
-        # Drop only the memoised result: the engine path re-runs against
-        # the resident symmetric join plan, which is the quantity gated.
+        # Drop only the memoised results: the witness pass re-runs
+        # against the resident count plan, which is the quantity gated.
         session._workload_cache.clear()
         return session.support()
 
@@ -130,9 +132,9 @@ def main(argv: list[str]) -> int:
 
     # --- cold truss: witness enumeration + frontier peel vs the oracle ---
     def cold_truss():
-        # Drop every memoised workload result, supports included: the
-        # timed call runs the support sweep, the witness enumeration, the
-        # peel and the dict against the resident symmetric join plan.
+        # Drop every memoised workload result, the triangle list
+        # included: the timed call runs the witness pass against the
+        # resident count plan, the support tallies, the peel and the dict.
         session._workload_cache.clear()
         return session.truss()
 
@@ -177,8 +179,9 @@ def main(argv: list[str]) -> int:
             stream_problems.append("patched support != fresh-session rebuild")
         if session.truss() != fresh.truss():
             stream_problems.append("patched truss != fresh-session rebuild")
-    if session._sym_plan is None:
-        stream_problems.append("symmetric plan was dropped instead of patched")
+    fired = {name: n for name, n in session.fallback_counts.items() if n}
+    if fired:
+        stream_problems.append(f"fallbacks fired instead of patching: {fired}")
     for problem in stream_problems:
         print(f"FAIL [after {STREAM_OPS}-op stream]: {problem}", file=sys.stderr)
     failures += len(stream_problems)

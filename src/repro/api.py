@@ -56,14 +56,13 @@ from repro.core.accelerator import (
     EventCounts,
     TCIMAccelerator,
     TCIMRunResult,
-    array_share,
     split_capacity,
 )
 from repro.core.engine import oriented_edges
 from repro.core.reuse import CacheStatistics
-from repro.core.sharding import plan_shards, position_shards, run_shard
+from repro.core.sharding import plan_shards
 from repro.core.slicing import SlicedMatrix, SliceStatistics, slice_statistics
-from repro.errors import GraphError, ReproError, StorageError
+from repro.errors import ArchitectureError, GraphError, ReproError, StorageError
 from repro.graph.graph import Graph
 from repro.storage import snapshot as storage_snapshot
 from repro.storage.backing import BackingStore
@@ -93,7 +92,6 @@ _RETIRED_CONFIG_KEYS = ("engine", "workers", "backing")
 #: for a lazy rebuild instead of failing the request.
 _FALLBACKS = (
     "flush_patch_error",
-    "sym_plan_patch_error",
     "context_patch_error",
     "backlog_drop",
 )
@@ -255,13 +253,14 @@ class UpdateReport:
 
 @dataclass
 class ClusteringReport:
-    """Clustering metrics derived from one per-vertex tally workload.
+    """Clustering metrics derived from the session's triangle list.
 
-    Every field comes from the engine's per-edge supports reduced onto
-    vertices — one gather → AND → popcount pass over the resident
-    symmetric structures serves the local coefficients, the global
-    transitivity, and the triangle total at once.  Value-identical to
-    the pure-Python oracles in :mod:`repro.analysis.metrics`.
+    The per-vertex triangle counts are the list's corners tallied onto
+    vertices and the total is its length, so the one witness pass that
+    serves :meth:`TCIMSession.support` also serves the local
+    coefficients, the global transitivity, and the triangle total.
+    Value-identical to the pure-Python oracles in
+    :mod:`repro.analysis.metrics`.
     """
 
     #: Local clustering coefficient per vertex (0.0 where degree < 2).
@@ -365,19 +364,9 @@ class TCIMSession:
         # plan — every context lane compiles its own — so skip building
         # it; config.use_plan still gates the per-lane plans.
         self._use_plan = bool(self.config.use_plan) and not self._use_contexts
-        # The symmetric-orientation twin of the resident plan: workload
-        # queries (support/truss/clustering/common-neighbors) all join
-        # the symmetric structure against itself, so they share one
-        # compiled valid-pair index.  The symmetric structure mutates
-        # eagerly per committed batch (see _insert_batch/_delete_batch),
-        # so this plan is patched eagerly too — gated by config.use_plan
-        # like the count plan.
-        self._sym_edge_arrays: tuple[np.ndarray, np.ndarray] | None = None
-        self._sym_plan = None
-        self._use_workload_plan = bool(self.config.use_plan)
-        #: Cached workload results (per-edge supports, support map,
-        #: clustering, common-neighbor candidate lists), invalidated on
-        #: every mutation.
+        #: Cached workload results (the triangle list, forward edges,
+        #: support and truss maps, clustering, common-neighbor candidate
+        #: lists), invalidated on every mutation.
         self._workload_cache: dict = {}
         # Committed delta batches not yet folded into the oriented
         # structures/plan.  Applies only queue here (O(1)); the next
@@ -483,7 +472,7 @@ class TCIMSession:
 
         Sums the numpy payloads of every cached :class:`SlicedMatrix`
         (row, column, and incrementally maintained symmetric structures),
-        the oriented edge arrays, the compiled join plans, and the graph's
+        the oriented edge arrays, the compiled join plan, and the graph's
         edge list.  This is the figure :class:`repro.serve.SessionPool`
         budgets its eviction against; a freshly opened session reports
         only its graph's edge storage.
@@ -494,17 +483,18 @@ class TCIMSession:
         """:meth:`resident_bytes` decomposed the way paging decisions need.
 
         Keys (all bytes): ``slices`` (the resident slice structures),
-        ``plan`` / ``sym_plan`` (the compiled join plans), ``edges``
-        (the oriented edge arrays), ``graph`` (the graph's edge list; 0
-        after a mutation until something reads ``graph`` — the symmetric
-        structure in ``slices`` is then the only edge set), ``shards``
-        (the self-contained coloring
-        shard contexts — per-shard structures, edge lanes and lane
-        plans; 0 unless ``shard_by="coloring"`` contexts are resident),
-        ``spilled`` (how much of the above is disk-backed rather than
-        on heap — 0 for a ram store), and ``total``
-        (== :meth:`resident_bytes`).  Surfaced per session by the
-        serving tier's ``stats`` protocol op.
+        ``plan`` (the compiled count plan), ``sym_plan`` (always 0: the
+        workloads read the count plan; the key stays for readers of
+        earlier releases), ``edges`` (the oriented edge arrays),
+        ``graph`` (the graph's edge list; 0 after a mutation until
+        something reads ``graph`` — the symmetric structure in
+        ``slices`` is then the only edge set), ``shards`` (the
+        self-contained coloring shard contexts — per-shard structures,
+        edge lanes and lane plans; 0 unless ``shard_by="coloring"``
+        contexts are resident), ``spilled`` (how much of the above is
+        disk-backed rather than on heap — 0 for a ram store), and
+        ``total`` (== :meth:`resident_bytes`).  Surfaced per session by
+        the serving tier's ``stats`` protocol op.
         """
         with self._lock:
             slices = sum(
@@ -512,14 +502,8 @@ class TCIMSession:
                 for sliced in (self._row_sliced, self._col_sliced, self._sym_sliced)
                 if sliced is not None
             )
-            edges = sum(
-                array.nbytes
-                for arrays in (self._edge_arrays, self._sym_edge_arrays)
-                if arrays is not None
-                for array in arrays
-            )
+            edges = sum(array.nbytes for array in self._edge_arrays or ())
             plan = self._join_plan.nbytes if self._join_plan is not None else 0
-            sym_plan = self._sym_plan.nbytes if self._sym_plan is not None else 0
             graph = self._graph.edge_array().nbytes if self._graph is not None else 0
             shards = sum(
                 context.nbytes for context in (self._shard_contexts or ())
@@ -527,12 +511,12 @@ class TCIMSession:
             return {
                 "slices": slices,
                 "plan": plan,
-                "sym_plan": sym_plan,
+                "sym_plan": 0,
                 "edges": edges,
                 "graph": graph,
                 "shards": shards,
                 "spilled": self._store.spilled_bytes,
-                "total": slices + plan + sym_plan + edges + graph + shards,
+                "total": slices + plan + edges + graph + shards,
             }
 
     @property
@@ -541,8 +525,6 @@ class TCIMSession:
 
         ``flush_patch_error`` — a deferred patch of the oriented
         structures or the count plan raised, so they were dropped;
-        ``sym_plan_patch_error`` — the eager symmetric-plan patch raised,
-        so the symmetric plan and edge list were dropped;
         ``context_patch_error`` — routing a batch into the coloring
         shards raised, so the contexts were dropped; ``backlog_drop`` —
         the pending churn passed ~¼ of the graph, so the structural
@@ -590,17 +572,13 @@ class TCIMSession:
             return self._join_plan
 
     def plan_resident_bytes(self) -> int:
-        """Footprint of the compiled join plans (0 when none is resident).
+        """Footprint of the compiled join plan (0 when none is resident).
 
-        Counts both the count-orientation plan and its symmetric twin
-        serving the workload queries.
+        The count plan is the session's only resident plan: counts,
+        simulations and the workloads' triangle list all read it.
         """
         with self._lock:
-            return sum(
-                plan.nbytes
-                for plan in (self._join_plan, self._sym_plan)
-                if plan is not None
-            )
+            return self._join_plan.nbytes if self._join_plan is not None else 0
 
     # ------------------------------------------------------------------
     # Snapshots (repro.storage)
@@ -611,13 +589,15 @@ class TCIMSession:
         Writes the versioned manifest + content-hashed segment format of
         :mod:`repro.storage.snapshot`: the current edge list, every
         resident slice structure (row / column / symmetric), the
-        oriented edge arrays, both compiled join plans, the generation
-        counter, and the incrementally maintained triangle total — so
+        compiled count plan, the generation counter, and the
+        incrementally maintained triangle total — so
         ``open_session(snapshot=path)`` hydrates warm, without
-        re-slicing or re-compiling.  ``ensure=True`` (the default) warms
-        the structures and plans first; ``ensure=False`` (the pool's
-        eviction write-back path) serialises only what is already
-        resident, never forcing plan builds at eviction time.
+        re-slicing or re-compiling.  The oriented edge arrays are not
+        written: hydration derives them from the graph.  ``ensure=True``
+        (the default) warms the structures and the plan first;
+        ``ensure=False`` (the pool's eviction write-back path) serialises
+        only what is already resident, never forcing a plan build at
+        eviction time.
 
         Returns the snapshot directory path.
         """
@@ -627,8 +607,6 @@ class TCIMSession:
                 self._prepare()
                 self._ensure_join_plan()
                 self._sym()
-                self._ensure_sym_edges()
-                self._ensure_sym_plan()
             meta, arrays = self._snapshot_state()
             return storage_snapshot.write_snapshot(path, meta, arrays)
 
@@ -636,9 +614,9 @@ class TCIMSession:
         """The ``(meta, arrays)`` pair a snapshot persists.
 
         Callers hold ``self._lock`` with patches flushed.  Only resident
-        pieces are included; the manifest's ``structures`` /
-        ``edge_lists`` / ``plans`` tables record what is present so
-        hydration restores exactly the warmth that was serialised.
+        pieces are included; the manifest's ``structures`` / ``plans``
+        tables record what is present so hydration restores exactly the
+        warmth that was serialised.
         """
         arrays: dict[str, np.ndarray] = {"graph.edges": self.graph.edge_array()}
         # The symmetric CSR rides along so hydration reassembles the
@@ -664,31 +642,20 @@ class TCIMSession:
             arrays[f"{name}.indptr"] = sliced.indptr
             arrays[f"{name}.slice_ids"] = sliced.slice_ids
             arrays[f"{name}.data"] = sliced.data
-        edge_lists = []
-        for name, pair in (
-            ("edges", self._edge_arrays),
-            ("sym_edges", self._sym_edge_arrays),
-        ):
-            if pair is None:
-                continue
-            edge_lists.append(name)
-            arrays[f"{name}.sources"] = pair[0]
-            arrays[f"{name}.destinations"] = pair[1]
         plans: dict[str, dict] = {}
-        for name, plan in (("plan", self._join_plan), ("sym_plan", self._sym_plan)):
-            if plan is None:
-                continue
-            plans[name] = {
+        plan = self._join_plan
+        if plan is not None:
+            plans["plan"] = {
                 "num_edges": plan.num_edges,
                 "row_version": plan.row_version,
                 "col_version": plan.col_version,
                 "row_valid_slices": plan.row_valid_slices,
                 "col_valid_slices": plan.col_valid_slices,
             }
-            arrays[f"{name}.row_positions"] = plan.row_positions
-            arrays[f"{name}.col_positions"] = plan.col_positions
-            arrays[f"{name}.trace_keys"] = plan.trace_keys
-            arrays[f"{name}.pair_counts"] = plan.pair_counts
+            arrays["plan.row_positions"] = plan.row_positions
+            arrays["plan.col_positions"] = plan.col_positions
+            arrays["plan.trace_keys"] = plan.trace_keys
+            arrays["plan.pair_counts"] = plan.pair_counts
         # Coloring shard contexts are fully determined by (graph,
         # orientation, num_arrays, seed), so snapshots record their
         # summary for accounting and rebuild them deterministically on
@@ -714,7 +681,6 @@ class TCIMSession:
             "num_vertices": self._num_vertices,
             "num_edges": self.num_edges,
             "structures": structures,
-            "edge_lists": edge_lists,
             "plans": plans,
             "shard_contexts": shard_contexts,
         }
@@ -725,11 +691,15 @@ class TCIMSession:
 
         The session is freshly constructed and unshared, so no lock is
         needed.  The generation counter and the maintained triangle
-        total always carry over; the compressed structures, oriented
-        edge arrays and compiled plans carry over only when the
-        effective config agrees with the snapshot on the fields they
-        were built under (slice width, orientation) — on a mismatch they
-        are left to rebuild lazily under the new config.
+        total always carry over; the compressed structures and the
+        compiled count plan carry over only when the effective config
+        agrees with the snapshot on the fields they were built under
+        (slice width, orientation) — on a mismatch they are left to
+        rebuild lazily under the new config.  The oriented edge arrays
+        are derived from the graph here, eagerly, so a first ``apply``
+        patches the hydrated structures instead of dropping them.
+        Snapshots of earlier releases also carry ``edges.*``,
+        ``sym_edges.*`` and ``sym_plan.*`` segments; they are ignored.
         """
         self._generation = int(meta.get("generation", 0))
         triangles = meta.get("triangles")
@@ -767,43 +737,33 @@ class TCIMSession:
             sliced.structure_version = int(info["structure_version"])
             return sliced
 
-        def load_edges(name: str) -> tuple[np.ndarray, np.ndarray] | None:
-            if name not in meta.get("edge_lists", []):
-                return None
-            return (take(f"{name}.sources"), take(f"{name}.destinations"))
-
-        def load_plan(name: str, row_sliced, col_sliced, enabled: bool):
-            info = meta.get("plans", {}).get(name)
-            if info is None or not enabled:
-                return None
-            if row_sliced is None or col_sliced is None:
-                return None
-            plan = joinplan.JoinPlan(
-                row_positions=adopt(take(f"{name}.row_positions")),
-                col_positions=adopt(take(f"{name}.col_positions")),
-                trace_keys=adopt(take(f"{name}.trace_keys")),
-                pair_counts=take(f"{name}.pair_counts"),
-                num_edges=int(info["num_edges"]),
-                row_version=int(info["row_version"]),
-                col_version=int(info["col_version"]),
-                row_valid_slices=int(info["row_valid_slices"]),
-                col_valid_slices=int(info["col_valid_slices"]),
-            )
-            # Defensive: a hand-assembled snapshot could pair a plan with
-            # structures it was not compiled for — rebuild, never serve.
-            return plan if plan.matches(row_sliced, col_sliced) else None
-
         self._row_sliced = load_structure("row")
         self._col_sliced = load_structure("col")
         self._sym_sliced = load_structure("sym")
-        self._edge_arrays = load_edges("edges")
-        self._sym_edge_arrays = load_edges("sym_edges")
-        self._join_plan = load_plan(
-            "plan", self._row_sliced, self._col_sliced, self._use_plan
+        self._edge_arrays = oriented_edges(self.graph, self.config.orientation)
+        info = meta.get("plans", {}).get("plan")
+        if (
+            info is None
+            or not self._use_plan
+            or self._row_sliced is None
+            or self._col_sliced is None
+        ):
+            return
+        plan = joinplan.JoinPlan(
+            row_positions=adopt(take("plan.row_positions")),
+            col_positions=adopt(take("plan.col_positions")),
+            trace_keys=adopt(take("plan.trace_keys")),
+            pair_counts=take("plan.pair_counts"),
+            num_edges=int(info["num_edges"]),
+            row_version=int(info["row_version"]),
+            col_version=int(info["col_version"]),
+            row_valid_slices=int(info["row_valid_slices"]),
+            col_valid_slices=int(info["col_valid_slices"]),
         )
-        self._sym_plan = load_plan(
-            "sym_plan", self._sym_sliced, self._sym_sliced, self._use_workload_plan
-        )
+        # Defensive: a hand-assembled snapshot could pair a plan with
+        # structures it was not compiled for — rebuild, never serve.
+        if plan.matches(self._row_sliced, self._col_sliced):
+            self._join_plan = plan
 
     # ------------------------------------------------------------------
     # Queries
@@ -882,19 +842,16 @@ class TCIMSession:
         """Triangle support of every undirected edge.
 
         ``support[(u, v)] = |N(u) ∩ N(v)|`` for each edge ``u < v`` — the
-        quantity k-truss peeling consumes.  Computed by one per-edge
-        :class:`~repro.core.kernels.EdgeSupportKernel` pass over the
-        resident symmetric structures (sharded across
-        ``config.num_arrays``, reusing the resident symmetric join plan),
-        value-identical to :func:`repro.analysis.truss.edge_support`.
-        Cached until the graph changes.
+        quantity k-truss peeling consumes.  One ``np.bincount`` over the
+        edge ids of the generation's triangle list (see
+        :meth:`_triangle_list`), value-identical to
+        :func:`repro.analysis.truss.edge_support`.  Cached until the
+        graph changes.
         """
         with self._lock:
             cached = self._workload_cache.get("support_map")
             if cached is None:
-                per_edge, _, _ = self._supports_run()
-                positions, _, _ = self._forward_edges()
-                cached = dict(zip(self._forward_keys(), per_edge[positions].tolist()))
+                cached = dict(zip(self._forward_keys(), self._supports().tolist()))
                 self._workload_cache["support_map"] = cached
             # Hand out a copy: a caller editing its map must not edit the cache.
             return dict(cached)
@@ -905,12 +862,11 @@ class TCIMSession:
         ``truss()`` returns the full ``{(u, v): trussness}`` mapping;
         ``truss(k)`` returns the k-truss subgraph (the edges of trussness
         ``>= k``) as a :class:`Graph`.  Both read one per-edge trussness
-        array, computed once per generation on the resident symmetric
-        structures: :func:`repro.core.kernels.triangle_witnesses` ANDs the
-        forward edges' slice pairs through the resident symmetric join
-        plan and names every triangle by its three edge ids, and
-        :func:`repro.analysis.truss.peel_trussness` peels from the
-        :meth:`support` sweep's per-edge supports.  Value-identical to
+        array, computed once per generation:
+        :func:`repro.analysis.truss.peel_trussness` peels the
+        generation's triangle list (see :meth:`_triangle_list`) from the
+        supports :meth:`support` reads off the same list.
+        Value-identical to
         :func:`repro.analysis.truss.truss_decomposition` /
         :func:`~repro.analysis.truss.k_truss`.
         """
@@ -919,7 +875,7 @@ class TCIMSession:
                 raise GraphError(f"k must be >= 2, got {k}")
             trussness = self._trussness()
             if k is not None:
-                _, sources, destinations = self._forward_edges()
+                sources, destinations = self._forward_edges()
                 keep = trussness >= k
                 return Graph(
                     self._num_vertices,
@@ -932,27 +888,34 @@ class TCIMSession:
             return dict(cached)
 
     def clustering(self) -> ClusteringReport:
-        """Clustering metrics from one per-vertex tally workload.
+        """Clustering metrics from the generation's triangle list.
 
         Local coefficients, per-vertex triangle counts, their average,
-        the global transitivity, and the triangle total — all reduced
-        from the same per-edge supports :meth:`support` computes, and
-        value-identical to the :mod:`repro.analysis.metrics` oracles.
+        the global transitivity, and the triangle total.  The per-vertex
+        counts are one ``np.bincount`` over the corners of the triangles
+        :meth:`support` also reads (see :meth:`_triangle_list`), and the
+        total is the list's length.  Value-identical to the
+        :mod:`repro.analysis.metrics` oracles.
         """
         from repro.analysis import metrics
 
         with self._lock:
             cached = self._workload_cache.get("clustering")
             if cached is None:
-                per_edge, _, _ = self._supports_run()
-                sources, _ = self._ensure_sym_edges()
-                tallies = kernels.vertex_tallies_from_supports(
-                    sources, per_edge, self._num_vertices
+                listed = self._triangle_list()
+                sources, destinations = self._forward_edges()
+                corners = np.concatenate(
+                    [
+                        sources[listed[:, 0]],
+                        destinations[listed[:, 0]],
+                        destinations[listed[:, 1]],
+                    ]
                 )
+                tallies = np.bincount(corners, minlength=self._num_vertices)
                 graph = self.graph
                 local = metrics.local_clustering(graph, triangles=tallies)
                 wedges = metrics.wedge_count(graph)
-                triangles = int(per_edge.sum()) // 6
+                triangles = len(listed)
                 cached = ClusteringReport(
                     local=local,
                     triangles_per_vertex=tallies,
@@ -974,10 +937,10 @@ class TCIMSession:
         * ``common_neighbors(u, k=10)`` → the top-``k`` of those, best
           score first (ties broken by ascending vertex).
 
-        Scores run through the same
-        :class:`~repro.core.kernels.EdgeSupportKernel` as :meth:`support`
-        — the candidate pairs are just an ad-hoc edge list joined against
-        the resident symmetric structures.
+        Scores run through
+        :class:`~repro.core.kernels.EdgeSupportKernel`: the candidate
+        pairs are an ad-hoc edge list joined against the resident
+        symmetric structure.
         """
         with self._lock:
             self._check_query_vertex(u)
@@ -1215,9 +1178,7 @@ class TCIMSession:
             self._num_vertices, sym, delta_edges, self.config
         )
         try:
-            sym_delta = incremental.set_bits(
-                sym, *_both_directions(delta_edges), store=self._store
-            )
+            incremental.set_bits(sym, *_both_directions(delta_edges), store=self._store)
         except Exception:
             # The fresh edges were absent from the base, so their bits
             # were all zero: clearing both directions restores the
@@ -1228,7 +1189,7 @@ class TCIMSession:
             raise
         self._num_edges += len(delta_edges)
         self._triangles += outcome.triangles
-        self._commit_mutation(delta_edges, insert=True, sym_delta=sym_delta)
+        self._commit_mutation(delta_edges, insert=True)
         return outcome, len(delta_edges)
 
     def _delete_batch(self, canonical: np.ndarray):
@@ -1242,9 +1203,7 @@ class TCIMSession:
         # edges would re-create on the post-deletion graph.  The join can
         # raise (capacity), so roll the removal back on failure to keep
         # the session consistent.
-        sym_delta = incremental.clear_bits(
-            sym, *_both_directions(delta_edges), store=self._store
-        )
+        incremental.clear_bits(sym, *_both_directions(delta_edges), store=self._store)
         try:
             outcome = incremental.symmetric_delta(
                 self._num_vertices, sym, delta_edges, self.config
@@ -1254,7 +1213,7 @@ class TCIMSession:
             raise
         self._num_edges -= len(delta_edges)
         self._triangles -= outcome.triangles
-        self._commit_mutation(delta_edges, insert=False, sym_delta=sym_delta)
+        self._commit_mutation(delta_edges, insert=False)
         return outcome, len(delta_edges)
 
     def _sym(self) -> SlicedMatrix:
@@ -1339,92 +1298,62 @@ class TCIMSession:
             )
         return self._join_plan
 
-    def _ensure_sym_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """The symmetric oriented edge list, maintained across updates.
-
-        Callers hold ``self._lock``.  Built lazily from the graph, then
-        advanced per committed batch by :meth:`_patch_sym_plan` (CSR
-        order — rows ascending, neighbors ascending — matching what the
-        symmetric slice structure was built from).
-        """
-        if self._sym_edge_arrays is None:
-            self._sym_edge_arrays = oriented_edges(self.graph, "symmetric")
-        return self._sym_edge_arrays
-
-    def _ensure_sym_plan(self):
-        """Compile (once) the symmetric join plan all workloads share.
-
-        Callers hold ``self._lock``.  The defensive ``matches`` check
-        covers rolled-back update batches: those bump the symmetric
-        structure's version (mutate + restore) without a commit, so a
-        resident plan can be version-stale while still describing the
-        same graph — rebuild rather than serve it.
-        """
-        if not self._use_workload_plan:
-            return None
-        sym = self._sym()
-        if self._sym_plan is not None and not self._sym_plan.matches(sym, sym):
-            self._sym_plan = None
-        if self._sym_plan is None:
-            self._sym_plan = joinplan.build_join_plan(
-                sym, sym, *self._ensure_sym_edges(),
-                chunk_edges=self._plan_chunk_edges, store=self._store,
-            )
-        return self._sym_plan
-
-    def _supports_run(self) -> tuple[np.ndarray, EventCounts, CacheStatistics]:
-        """Per-directed-edge supports over the full symmetric edge list.
+    def _triangle_list(self) -> np.ndarray:
+        """Every triangle once, as ``(t, 3)`` forward-edge ids.
 
         Callers hold ``self._lock``.  One
-        :class:`~repro.core.kernels.EdgeSupportKernel` pass (sharded
-        when ``config.num_arrays > 1``) through the resident symmetric
-        plan; cached until the graph changes.  ``value[i]`` is the
-        support of directed edge ``i`` of :meth:`_ensure_sym_edges`.
+        :func:`~repro.core.kernels.triangle_witnesses` pass over the
+        count run's inputs — the oriented structures, edge arrays and
+        the resident count plan (a throwaway plan when none is resident:
+        ``use_plan=False`` or coloring shards) — allocated through the
+        session's store and cached until the graph changes.  Supports,
+        clustering and truss all read this one list.  Its length must
+        equal :meth:`count` (after an apply, the total the delta joins
+        maintain); a mismatch raises :class:`ArchitectureError` instead
+        of serving either number.
         """
-        cached = self._workload_cache.get("supports")
-        if cached is not None:
-            return cached
-        sym = self._sym()
-        sources, destinations = self._ensure_sym_edges()
-        if sources.size == 0:
-            run = (np.zeros(0, dtype=np.int64), EventCounts(), CacheStatistics())
-        elif self.config.num_arrays > 1:
-            run = self._sharded_supports(sym, sources, destinations)
-        else:
-            _, column_capacity = split_capacity(
-                self.config.capacity_slices, sym.row_valid_counts()
+        cached = self._workload_cache.get("triangles")
+        if cached is None:
+            expected = self.count()
+            self._prepare()
+            cached = kernels.triangle_witnesses(
+                self._row_sliced,
+                self._col_sliced,
+                *self._edge_arrays,
+                plan=self._ensure_join_plan(),
+                chunk_edges=self._plan_chunk_edges,
+                store=self._store,
             )
-            result = kernels.execute_workload(
-                kernels.EdgeSupportKernel(),
-                None,
-                sym,
-                sym,
-                "symmetric",
-                column_capacity,
-                self.config.policy,
-                self.config.seed,
-                edges=(sources, destinations),
-                row_writes=sym.num_valid_slices,
-                plan=self._ensure_sym_plan(),
-            )
-            run = (result.value, EventCounts(**result.events), result.cache_stats)
-        self._workload_cache["supports"] = run
-        return run
+            if len(cached) != expected:
+                raise ArchitectureError(
+                    f"the witness pass lists {len(cached)} triangles but the "
+                    f"session counts {expected}; the resident state is "
+                    f"inconsistent"
+                )
+            self._workload_cache["triangles"] = cached
+        return cached
 
-    def _forward_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(positions, sources, destinations)`` of the forward edges.
+    def _supports(self) -> np.ndarray:
+        """Triangle support of each forward edge (callers hold the lock)."""
+        return np.bincount(
+            self._triangle_list().reshape(-1),
+            minlength=self._forward_edges()[0].size,
+        )
 
-        Callers hold ``self._lock``.  The forward edges ``u < v`` of
-        :meth:`_ensure_sym_edges`, in CSR order, and their positions in
-        it: forward edge ``i`` is edge id ``i`` of the truss arrays and
-        of the ``support()`` / ``truss()`` maps.  Cached until the graph
-        changes.
+    def _forward_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(sources, destinations)`` of the forward edges ``u < v``.
+
+        Callers hold ``self._lock``.  The forward edges of the oriented
+        edge arrays, in CSR order: forward edge ``i`` is edge id ``i``
+        of the triangle list and of the ``support()`` / ``truss()``
+        maps.  Cached until the graph changes.
         """
         cached = self._workload_cache.get("forward")
         if cached is None:
-            sources, destinations = self._ensure_sym_edges()
-            positions = np.flatnonzero(sources < destinations)
-            cached = (positions, sources[positions], destinations[positions])
+            self._prepare()
+            sources, destinations = self._edge_arrays
+            forward = sources < destinations
+            cached = (sources[forward], destinations[forward])
             self._workload_cache["forward"] = cached
         return cached
 
@@ -1432,7 +1361,7 @@ class TCIMSession:
         """The ``(u, v)`` key of every forward edge (callers hold the lock)."""
         cached = self._workload_cache.get("forward_keys")
         if cached is None:
-            _, sources, destinations = self._forward_edges()
+            sources, destinations = self._forward_edges()
             cached = list(zip(sources.tolist(), destinations.tolist()))
             self._workload_cache["forward_keys"] = cached
         return cached
@@ -1440,72 +1369,16 @@ class TCIMSession:
     def _trussness(self) -> np.ndarray:
         """Trussness of every forward edge (callers hold the lock).
 
-        Enumerates the triangles once through the resident symmetric
-        plan restricted to the forward edges (a throwaway plan when
-        ``use_plan`` is off), then peels them as arrays from the
-        per-edge supports of :meth:`_supports_run`.  Cached until the
-        graph changes.
+        Peels the triangle list as arrays from the supports read off it.
+        Cached until the graph changes.
         """
         from repro.analysis.truss import peel_trussness
 
         cached = self._workload_cache.get("trussness")
         if cached is None:
-            per_edge, _, _ = self._supports_run()
-            positions, sources, destinations = self._forward_edges()
-            sym_plan = self._ensure_sym_plan()
-            triangles = kernels.triangle_witnesses(
-                self._sym(),
-                sources,
-                destinations,
-                plan=sym_plan.subset(positions) if sym_plan is not None else None,
-                chunk_edges=self._plan_chunk_edges,
-                store=self._store,
-            )
-            cached = peel_trussness(per_edge[positions], triangles)
+            cached = peel_trussness(self._supports(), self._triangle_list())
             self._workload_cache["trussness"] = cached
         return cached
-
-    def _sharded_supports(
-        self, sym: SlicedMatrix, sources: np.ndarray, destinations: np.ndarray
-    ) -> tuple[np.ndarray, EventCounts, CacheStatistics]:
-        """One support pass split across ``config.num_arrays`` arrays.
-
-        Each position shard (:func:`repro.core.sharding.position_shards`)
-        is one :func:`~repro.core.sharding.run_shard` lane running the
-        per-edge kernel over its :meth:`~repro.core.plan.JoinPlan.subset`
-        of the resident symmetric plan.
-        """
-        config = self.config
-        per_array_capacity = array_share(config.capacity_slices, config.num_arrays)
-        sym_plan = self._ensure_sym_plan()
-        per_edge = np.zeros(sources.size, dtype=np.int64)
-        events = EventCounts()
-        cache_stats = CacheStatistics()
-        shards = position_shards(sources, config.num_arrays, config.shard_by)
-        for shard_id, positions in enumerate(shards):
-            if positions.size == 0:
-                continue
-            result, (value,) = run_shard(
-                shard_id,
-                sym,
-                [
-                    (
-                        sources[positions],
-                        destinations[positions],
-                        sym,
-                        sym_plan.subset(positions) if sym_plan is not None else None,
-                    )
-                ],
-                per_array_capacity,
-                "symmetric",
-                config.policy,
-                config.seed,
-                kernel=kernels.EdgeSupportKernel(),
-            )
-            per_edge[positions] = value
-            events = events.merge(result.events)
-            cache_stats = cache_stats.merge(result.cache_stats)
-        return per_edge, events, cache_stats
 
     def _pair_scores(
         self, sources: np.ndarray, destinations: np.ndarray
@@ -1572,7 +1445,9 @@ class TCIMSession:
     # ------------------------------------------------------------------
     # Cross-session fusion hooks (repro.serve's fusion scheduler)
     # ------------------------------------------------------------------
-    # Each ``fusion_*_state`` snapshot is taken under the session lock
+    # Counts and common-neighbor probes fuse; support, truss and
+    # clustering read the session's triangle list per request.  Each
+    # ``fusion_*_state`` snapshot is taken under the session lock
     # and returns ``(status, payload, generation)``:
     #
     # * ``("cached", value, gen)`` — the answer is already resident;
@@ -1634,59 +1509,6 @@ class TCIMSession:
             if self._triangles is None:
                 self._triangles = triangles
             return self._triangles
-
-    def fusion_supports_state(self):
-        """Snapshot for a fused per-edge supports sweep."""
-        with self._lock:
-            if "supports" in self._workload_cache:
-                return ("cached", None, self._generation)
-            if self.config.num_arrays != 1 or not self._use_workload_plan:
-                return ("unfusible", None, self._generation)
-            sym = self._sym()
-            sources, destinations = self._ensure_sym_edges()
-            if sources.size == 0:
-                return ("unfusible", None, self._generation)
-            plan = self._ensure_sym_plan()
-            if plan is None:
-                return ("unfusible", None, self._generation)
-            _, column_capacity = split_capacity(
-                self.config.capacity_slices, sym.row_valid_counts()
-            )
-            segment = kernels.FusedSegment(
-                kernel=kernels.EdgeSupportKernel(),
-                plan=plan,
-                row_data=sym.data,
-                col_data=sym.data,
-                slices_per_row=sym.slices_per_row,
-                row_writes=sym.num_valid_slices,
-                column_capacity=column_capacity,
-                policy=self.config.policy,
-                seed=self.config.seed,
-                sources=sources,
-                destinations=destinations,
-            )
-            return ("segment", segment, self._generation)
-
-    def fusion_commit_supports(
-        self, generation: int, per_edge: np.ndarray, events: dict, cache_stats
-    ) -> bool:
-        """Install a fused supports sweep as the resident supports cache.
-
-        The committed triple is exactly what :meth:`_supports_run` would
-        have produced (the fused executor reproduces the planned run
-        field by field), so ``support()``/``truss()``/``clustering()``
-        all serve from it.  Returns ``False`` when fenced by a mutation.
-        """
-        with self._lock:
-            if generation != self._generation:
-                return False
-            if "supports" not in self._workload_cache:
-                self._workload_cache["supports"] = (
-                    per_edge,
-                    EventCounts(**events),
-                    cache_stats,
-                )
-            return True
 
     def fusion_pairs_state(self, sources: np.ndarray, destinations: np.ndarray):
         """Snapshot for a fused ad-hoc pair-scores sweep.
@@ -1789,9 +1611,7 @@ class TCIMSession:
             self._slice_stats = self._run.slice_stats
         return self._run
 
-    def _commit_mutation(
-        self, delta_edges: np.ndarray, insert: bool, sym_delta=None
-    ) -> None:
+    def _commit_mutation(self, delta_edges: np.ndarray, insert: bool) -> None:
         """Record one committed delta batch against the resident caches.
 
         Callers hold ``self._lock`` and run this only after a batch has
@@ -1804,12 +1624,6 @@ class TCIMSession:
         engine query needs them.  Deferring keeps pure update streams at
         pure delta-join cost while read-after-write pays one patch pass
         instead of a re-slice and plan recompile.
-
-        ``sym_delta`` is the :class:`~repro.core.incremental.StructureDelta`
-        the committed batch left on the symmetric structure.  Unlike the
-        oriented residents, the symmetric structure already mutated
-        eagerly — so a resident symmetric plan must be patched *now*
-        (against this exact delta) or dropped; it cannot be queued.
         """
         self._generation += 1
         # The symmetric structure now holds the only current edge set.
@@ -1819,7 +1633,6 @@ class TCIMSession:
         self._report = None
         self._baseline_cache.clear()
         self._workload_cache.clear()
-        self._patch_sym_plan(delta_edges, insert, sym_delta)
         # Shard-plan positions index the old oriented edge list.
         self._plan = None
         if (
@@ -1836,51 +1649,6 @@ class TCIMSession:
         if self._pending_edges > max(1024, self.num_edges // 4):
             self._fallbacks["backlog_drop"] += 1
             self._drop_structural_caches()
-
-    def _patch_sym_plan(
-        self, delta_edges: np.ndarray, insert: bool, sym_delta
-    ) -> None:
-        """Advance the resident symmetric plan past one committed batch.
-
-        Callers hold ``self._lock``.  The symmetric structure serves as
-        both join sides, so one structure delta covers row and column.
-        Any failure drops the plan and edge arrays (rebuildable from the
-        graph) rather than leaving them stale.
-        """
-        if self._sym_plan is None and self._sym_edge_arrays is None:
-            return
-        if sym_delta is None or self._sym_edge_arrays is None:
-            self._drop_sym_plan()
-            return
-        try:
-            sym = self._sym()
-            sources, destinations, edge_delta = joinplan.merge_oriented_edges(
-                *self._sym_edge_arrays,
-                delta_edges,
-                "symmetric",
-                self._num_vertices,
-                insert,
-            )
-            if self._sym_plan is not None:
-                self._sym_plan = joinplan.patch_join_plan(
-                    self._sym_plan,
-                    sym,
-                    sym,
-                    sources,
-                    destinations,
-                    edge_delta,
-                    sym_delta,
-                    sym_delta,
-                    store=self._store,
-                )
-            self._sym_edge_arrays = (sources, destinations)
-        except Exception:
-            self._fallbacks["sym_plan_patch_error"] += 1
-            self._drop_sym_plan()
-
-    def _drop_sym_plan(self) -> None:
-        self._sym_plan = None
-        self._sym_edge_arrays = None
 
     def _flush_patches(self) -> None:
         """Fold every pending committed batch into the resident caches.
@@ -1984,7 +1752,6 @@ class TCIMSession:
         """
         self._generation += 1
         self._drop_structural_caches()
-        self._drop_sym_plan()
         self._plan = None
         self._slice_stats = None
         self._run = None
@@ -2016,9 +1783,9 @@ def open_session(
     ``open_session(g, num_arrays=4)`` just works.
 
     ``snapshot`` (exclusive with ``source``) opens a directory written
-    by :meth:`TCIMSession.snapshot`: the graph, slice structures,
-    oriented edge arrays, both compiled join plans and the generation
-    counter hydrate from disk — no re-slicing, no plan recompile.  The
+    by :meth:`TCIMSession.snapshot`: the graph, slice structures, the
+    compiled count plan and the generation counter hydrate from disk —
+    no re-slicing, no plan recompile.  The
     snapshot's own config is the base; ``config``/``overrides`` layer on
     top (structural state is kept only while slice width and orientation
     stay unchanged).  Corrupt or truncated snapshots raise

@@ -833,9 +833,10 @@ def build_parser() -> argparse.ArgumentParser:
         "truss",
         help="k-truss decomposition",
         description=(
-            "Truss decomposition seeded from engine-computed edge "
-            "supports (one per-edge workload pass over the resident "
-            "session; the accelerator flags configure it)."
+            "Truss decomposition peeled from the session's triangle "
+            "list: one witness pass over the count plan names every "
+            "triangle once, and edge supports are tallies over it (the "
+            "accelerator flags configure the session)."
         ),
     )
     truss.add_argument("graph")
@@ -849,8 +850,9 @@ def build_parser() -> argparse.ArgumentParser:
         "cluster",
         help="clustering coefficients and transitivity",
         description=(
-            "Clustering metrics from the session's per-vertex triangle "
-            "tally workload (same engine pass as truss supports)."
+            "Clustering metrics from the session's triangle list: "
+            "per-vertex triangle counts are tallies over it (the same "
+            "witness pass as truss)."
         ),
     )
     cluster.add_argument("graph")

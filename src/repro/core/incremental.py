@@ -477,7 +477,7 @@ def symmetric_delta(
             shards = [(sources, destinations)]
         accumulator = 0
         for shard_id, (shard_sources, shard_destinations) in enumerate(shards):
-            result, _ = run_shard(
+            result = run_shard(
                 shard_id,
                 row_sliced,
                 [(shard_sources, shard_destinations, col_sliced, None)],

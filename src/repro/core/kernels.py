@@ -8,18 +8,20 @@ positions; only the reduction differs:
 
 * **triangle counting** sums every pair popcount into one scalar
   accumulator (the paper's pipelined bit counter);
-* **edge support** (k-truss seeding, common-neighbour scores) reduces
-  the pair popcounts *per oriented edge* — over the symmetric
-  orientation each directed edge's popcount is ``|N(u) ∩ N(v)|``;
-* **per-vertex tallies** (clustering coefficients) further reduce the
-  per-edge supports onto their source vertices;
-* **triangle witnesses** (k-truss peeling) keep the ANDed bits
-  themselves: :func:`triangle_witnesses` reads each common neighbour
-  off the conjunction of a forward edge's slice pairs and names every
+* **edge support** (common-neighbour scores) reduces the pair
+  popcounts *per oriented edge* — over the symmetric orientation each
+  directed edge's popcount is ``|N(u) ∩ N(v)|``;
+* **per-vertex tallies** further reduce the per-edge supports onto
+  their source vertices;
+* **triangle witnesses** (supports, clustering, k-truss peeling) keep
+  the ANDed bits themselves: :func:`triangle_witnesses` reads each
+  common neighbour off the count plan's conjunctions and names every
   triangle once by its three edge ids.
 
-:func:`execute_workload` is the one executor behind all of them: the
-generalisation of the batched triangle dataflow
+:func:`execute_workload` is the one executor behind the popcount
+kernels (the witness pass shares its chunked gather → AND,
+:func:`repro.core.engine.conjunctions`): the generalisation of the
+batched triangle dataflow
 (:func:`repro.core.engine.execute_batched` now delegates here) that can
 additionally materialise per-edge popcount sums.  It shares
 :func:`repro.core.engine.join_batches` and the resident
@@ -68,7 +70,8 @@ FUSED_STACK_MAX_ROWS_PER_PAIR = 2
 
 
 def triangle_witnesses(
-    sliced: SlicedMatrix,
+    row_sliced: SlicedMatrix,
+    col_sliced: SlicedMatrix,
     sources: np.ndarray,
     destinations: np.ndarray,
     plan=None,
@@ -78,31 +81,34 @@ def triangle_witnesses(
 ) -> np.ndarray:
     """Every triangle exactly once, as the ids of its three edges.
 
-    ``sliced`` is a symmetric slice structure and ``(sources,
-    destinations)`` its forward edges ``u < v`` in CSR order (ascending
-    ``(u, v)``); edge id ``i`` is position ``i`` of that list.  ``plan``
-    is the join plan of exactly this edge list against ``(sliced,
-    sliced)`` — a session passes ``JoinPlan.subset`` of its resident
-    symmetric plan — and ``None`` compiles a throwaway one
-    (``chunk_edges`` / ``store`` as for
+    Takes a count run's inputs: the row and column structures and the
+    oriented edge list (CSR order) they join — ``upper`` × ``lower``
+    over the forward edges, or ``symmetric`` × ``symmetric`` over both
+    directions.  ``plan`` is the join plan of exactly that list (a
+    session passes its resident count plan), and ``None`` compiles a
+    throwaway one (``chunk_edges`` / ``store`` as for
     :func:`repro.core.plan.build_join_plan`).
 
-    Each matched slice pair of edge ``(u, v)`` is ANDed in the chunked
-    gather of :func:`repro.core.engine.conjunctions`; a set bit of
-    slice ``k`` at position ``t`` is a common neighbour ``w = k·|S| + t``.
-    Keeping only ``w > v`` names each triangle once, at its lowest edge,
-    and pairs whose slice lies wholly at or below column ``v`` are
-    dropped before the gather.  Returns a ``(t, 3)`` int64 array of edge
-    ids ``(e_uv, e_uw, e_vw)`` in ascending ``(u, v, w)`` order, so each
-    edge id occurs as often as its triangle support.
+    Each matched slice pair of edge ``(src, dst)`` is ANDed in the
+    chunked gather of :func:`repro.core.engine.conjunctions`; a set bit
+    of slice ``k`` at position ``t`` is a common neighbour
+    ``w = k·|S| + t``.  Keeping only ``src < w < dst`` names each
+    triangle ``u < w < v`` once, at its edge ``(u, v)``: under ``upper``
+    the structures hold no other bits, under ``symmetric`` it keeps one
+    copy of six.  Pairs whose slice lies wholly outside ``(src, dst)``
+    are dropped before the gather.  Returns a ``(t, 3)`` int64 array of
+    edge ids ``(e_uv, e_uw, e_wv)``, ordered by ``e_uv`` then ``w`` and
+    allocated through ``store``.  Edge id ``i`` is the ``i``-th forward
+    edge ``u < v`` of the list, so each id occurs as often as its edge's
+    triangle support.
     """
-    from repro.core.plan import build_join_plan
+    from repro.core.plan import _alloc, build_join_plan
 
     sources = np.asarray(sources, dtype=np.int64)
     destinations = np.asarray(destinations, dtype=np.int64)
     if plan is None:
         plan = build_join_plan(
-            sliced, sliced, sources, destinations,
+            row_sliced, col_sliced, sources, destinations,
             chunk_edges=chunk_edges, store=store,
         )
     if plan.num_edges != sources.size:
@@ -110,23 +116,27 @@ def triangle_witnesses(
             f"join plan covers {plan.num_edges} edges but the witness pass "
             f"supplies {sources.size}; compile a plan for this edge list"
         )
-    stale = plan.staleness(sliced, sliced)
+    stale = plan.staleness(row_sliced, col_sliced)
     if stale:
         raise ArchitectureError(f"stale join plan: {stale}; rebuild or patch it")
-    bits = sliced.slice_bits
+    bits = row_sliced.slice_bits
     pair_edges = np.repeat(np.arange(sources.size, dtype=np.int64), plan.pair_counts)
-    pair_slices = sliced.slice_ids[plan.row_positions]
-    useful = np.flatnonzero(pair_slices >= (destinations[pair_edges] + 1) // bits)
-    pair_edges = pair_edges[useful]
-    pair_slices = pair_slices[useful]
+    pair_slices = row_sliced.slice_ids[plan.row_positions]
+    low, high = sources[pair_edges], destinations[pair_edges]
+    useful = (
+        (low < high)
+        & (pair_slices >= (low + 1) // bits)
+        & (pair_slices <= (high - 1) // bits)
+    )
+    row_positions, col_positions = plan.row_positions, plan.col_positions
+    if not useful.all():  # never under ``upper``: every pair reaches (src, dst)
+        pair_edges, pair_slices = pair_edges[useful], pair_slices[useful]
+        row_positions, col_positions = row_positions[useful], col_positions[useful]
     width = bits // 8
     edge_parts: list[np.ndarray] = []
     witness_parts: list[np.ndarray] = []
     for start, anded, _ in engine.conjunctions(
-        sliced.data,
-        sliced.data,
-        plan.row_positions[useful],
-        plan.col_positions[useful],
+        row_sliced.data, col_sliced.data, row_positions, col_positions
     ):
         flat = anded.view(np.uint8).reshape(-1)
         hot = np.flatnonzero(flat)
@@ -137,28 +147,30 @@ def triangle_witnesses(
         pair = start + byte // width
         witness = pair_slices[pair] * bits + (byte % width) * 8 + bit
         edges = pair_edges[pair]
-        keep = witness > destinations[edges]
+        keep = (witness > sources[edges]) & (witness < destinations[edges])
         edge_parts.append(edges[keep])
         witness_parts.append(witness[keep])
-    if not edge_parts:
-        return np.empty((0, 3), dtype=np.int64)
+    triangles = _alloc(store, (sum(part.size for part in edge_parts), 3), np.int64)
+    if not triangles.size:
+        return triangles
     uv = np.concatenate(edge_parts)
     w = np.concatenate(witness_parts)
-    scale = np.int64(max(sliced.num_rows, 1))
-    keys = sources * scale + destinations
-    triangles = np.empty((uv.size, 3), dtype=np.int64)
-    triangles[:, 0] = uv
-    for column, low in ((1, sources[uv]), (2, destinations[uv])):
-        wanted = low * scale + w
-        found = np.searchsorted(keys, wanted)
-        if found.size and (
-            found.max() >= keys.size or bool((keys[found] != wanted).any())
-        ):
+    forward = sources < destinations
+    # Every listed (u, v) is forward, so its id is its rank among them.
+    triangles[:, 0] = (np.cumsum(forward) - 1)[uv]
+    scale = np.int64(max(row_sliced.num_rows, 1))
+    keys = sources[forward] * scale + destinations[forward]
+    for column, (left, right) in ((1, (sources[uv], w)), (2, (w, destinations[uv]))):
+        wanted = left * scale + right
+        # Sorted needles search ~3x faster than scattered ones.
+        order = np.argsort(wanted)
+        found = np.searchsorted(keys, wanted[order])
+        if found.max() >= keys.size or bool((keys[found] != wanted[order]).any()):
             raise ArchitectureError(
-                "a witness bit names a missing edge: the slice structure and "
-                "the forward edge list disagree"
+                "a witness bit names a missing edge: the slice structures "
+                "and the edge list disagree"
             )
-        triangles[:, column] = found
+        triangles[order, column] = found
     return triangles
 
 

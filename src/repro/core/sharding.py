@@ -299,9 +299,8 @@ def run_shard(
     policy,
     seed: int,
     *,
-    kernel: kernels.BitwiseKernel | None = None,
     owner: str | None = None,
-) -> tuple[ShardResult, list]:
+) -> ShardResult:
     """Execute one shard on its private simulated array.
 
     A shard is one or more *lanes* over one row structure.  Each lane is
@@ -317,12 +316,10 @@ def run_shard(
     lanes touch, and the rest of ``per_array_capacity`` caches column
     slices (:func:`~repro.core.accelerator.split_capacity`, whose
     capacity error names ``owner``, by default ``"shard <id>"``).  Each
-    lane then runs ``kernel`` (default
-    :class:`~repro.core.kernels.CountKernel`) through
+    lane then runs a :class:`~repro.core.kernels.CountKernel` through
     :func:`~repro.core.kernels.execute_workload`, paying row-slice
     WRITEs for its own rows and running its own cache trace, and the
-    lane results merge into one :class:`ShardResult`.  Returns that
-    result and each lane's kernel value, in lane order.
+    lane results merge into the returned :class:`ShardResult`.
     """
     lane_sources = [lane[0] for lane in lanes]
     touched = np.unique(
@@ -332,8 +329,6 @@ def run_shard(
     row_region, column_capacity = split_capacity(
         per_array_capacity, touched_counts, owner or f"shard {shard_id}"
     )
-    if kernel is None:
-        kernel = kernels.CountKernel()
     outcomes = []
     for sources, destinations, col_sliced, join_plan in lanes:
         lane_counts = (
@@ -343,7 +338,7 @@ def run_shard(
         )
         outcomes.append(
             kernels.execute_workload(
-                kernel,
+                kernels.CountKernel(),
                 None,
                 row_sliced,
                 col_sliced,
@@ -356,7 +351,7 @@ def run_shard(
                 plan=join_plan,
             )
         )
-    result = ShardResult(
+    return ShardResult(
         shard_id=shard_id,
         edges=sum(int(lane_edges.size) for lane_edges in lane_sources),
         rows=int(touched.size),
@@ -370,7 +365,6 @@ def run_shard(
         row_region_slices=row_region,
         column_cache_slices=column_capacity,
     )
-    return result, [outcome.value for outcome in outcomes]
 
 
 def _merge_shard_results(shard_results: list[ShardResult]) -> ShardedOutcome:
@@ -457,7 +451,7 @@ def execute_sharded(
                 orientation,
                 policy,
                 seed,
-            )[0]
+            )
             for shard_id, positions in enumerate(plan.assignments)
         ]
     )
@@ -931,7 +925,7 @@ def execute_contexts(
                 context.orientation,
                 policy,
                 seed,
-            )[0]
+            )
             for context in contexts
         ]
     )

@@ -25,10 +25,13 @@ Two serving-scale facilities are layered on top (both off by default,
 so a plain ``Service()`` behaves exactly as before):
 
 * **cross-session query fusion** (``fuse_window_ms``): instead of one
-  executor job per read, compatible reads that arrive within the window
-  are grouped — across *different* sessions — and executed as **one**
-  gather→AND→popcount sweep over the concatenated per-session join
-  plans (:func:`repro.core.kernels.execute_fused`).  Probe-style reads
+  executor job per read, compatible count and common-neighbor reads
+  that arrive within the window are grouped — across *different*
+  sessions — and executed as **one** gather→AND→popcount sweep over the
+  concatenated per-session join plans
+  (:func:`repro.core.kernels.execute_fused`).  Support, truss and
+  cluster reads run per request: each session answers them from its
+  one triangle list per generation.  Probe-style reads
   (``common_neighbors``/``common_neighbors_many``) additionally merge
   per session, so a window's worth of probes against one graph compiles
   a single batched join instead of one per request.  Every fused commit
@@ -94,7 +97,7 @@ class _FusionRequest:
 
     entry: SessionEntry
     kind: str
-    #: Fusion class: ``"count"`` | ``"supports"`` | ``"pairs"``.
+    #: Fusion class: ``"count"`` | ``"pairs"``.
     klass: str
     #: Op-specific payload — for ``"pairs"``: ``("pair", u, v)``,
     #: ``("cand", u, k)`` or ``("many", pairs)``.
@@ -121,8 +124,8 @@ class SessionServeStats:
     #: Modelled critical path of this session's accumulated engine work.
     latency_s: float = 0.0
     #: ``TCIMSession.resident_bytes_detail()`` breakdown — slices, plan,
-    #: sym_plan, edges, graph, shards (self-contained coloring shard
-    #: contexts), spilled (disk-backed share) and total.  Empty for
+    #: sym_plan (always 0), edges, graph, shards (self-contained coloring
+    #: shard contexts), spilled (disk-backed share) and total.  Empty for
     #: evicted entries (their residency is gone).
     resident_detail: dict = field(default_factory=dict)
     #: ``TCIMSession.shard_residency()`` — one entry per resident
@@ -383,19 +386,14 @@ class Service:
         )
 
     async def support(self, source, config=None, **overrides) -> dict:
-        """Per-edge triangle supports via the session's workload kernel.
+        """Per-edge triangle supports from the session's triangle list.
 
         Returns a JSON-able mapping with the support histogram and
         totals (the full per-edge map lives in the session; clients
         wanting individual edges use ``common_neighbors``).
         """
         return await self._read(
-            source,
-            config,
-            overrides,
-            "support",
-            self._support_work,
-            fusion=("supports", None),
+            source, config, overrides, "support", self._support_work
         )
 
     async def truss(self, source, k=None, config=None, **overrides) -> dict:
@@ -407,23 +405,13 @@ class Service:
         """
         kind = "truss" if k is None else f"truss:{int(k)}"
         return await self._read(
-            source,
-            config,
-            overrides,
-            kind,
-            partial(self._truss_work, k=k),
-            fusion=("supports", None),
+            source, config, overrides, kind, partial(self._truss_work, k=k)
         )
 
     async def cluster(self, source, config=None, **overrides) -> dict:
-        """Clustering metrics from the session's per-vertex tally workload."""
+        """Clustering metrics from the session's triangle list."""
         return await self._read(
-            source,
-            config,
-            overrides,
-            "cluster",
-            self._cluster_work,
-            fusion=("supports", None),
+            source, config, overrides, "cluster", self._cluster_work
         )
 
     async def common_neighbors(
@@ -891,10 +879,6 @@ class Service:
                     self._snapshot_count(
                         entry, members, segments, finishers, outcomes
                     )
-                elif klass == "supports":
-                    self._snapshot_supports(
-                        entry, members, segments, finishers, outcomes
-                    )
                 else:
                     self._snapshot_pairs(
                         entry, members, segments, finishers, outcomes
@@ -961,28 +945,6 @@ class Service:
                     if outcome is not None
                     else self._run_fallback(request, entry)
                 )
-
-        segments.append(payload)
-        finishers.append(finish)
-
-    def _snapshot_supports(self, entry, members, segments, finishers, outcomes):
-        session = entry.session
-        state, payload, generation = session.fusion_supports_state()
-        if state != "segment":
-            for index, request in members:
-                outcomes[index] = self._run_fallback(request, entry)
-            return
-
-        def finish(result):
-            committed = session.fusion_commit_supports(
-                generation, result.value, result.events, result.cache_stats
-            )
-            if not committed:
-                self._note_fence()
-            # Either way the per-request work now completes cheaply (from
-            # the committed cache) or correctly (post-mutation recompute).
-            for index, request in members:
-                outcomes[index] = self._run_fallback(request, entry)
 
         segments.append(payload)
         finishers.append(finish)

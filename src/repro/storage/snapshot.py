@@ -19,8 +19,9 @@ Crash consistency and integrity:
   and atomically renamed into place **last**.  A crash mid-write leaves
   either the previous complete snapshot or stray segments — never a
   manifest pointing at missing data.
-* Every segment is content-hashed (SHA-256, streamed in 1 MiB chunks so
-  hashing never materialises the array twice) and verified on read.
+* Every segment is content-hashed (SHA-256) and verified on read.  The
+  hash reads the bytes a write or load already holds in memory, so no
+  segment file is read twice.
   Any mismatch — truncated file, flipped bytes, hand-edited manifest —
   raises :class:`repro.errors.StorageError` instead of producing wrong
   counts.
@@ -54,7 +55,6 @@ SNAPSHOT_FORMAT = "tcim-session-snapshot"
 SNAPSHOT_VERSION = 1
 
 _MANIFEST = "manifest.json"
-_HASH_CHUNK = 1 << 20
 
 
 @dataclass
@@ -72,21 +72,18 @@ class Snapshot:
         return sum(array.nbytes for array in self.arrays.values())
 
 
-def _hash_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        while chunk := handle.read(_HASH_CHUNK):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _digest(array: np.ndarray) -> str:
+    """SHA-256 of a C-contiguous array's raw bytes (its segment file)."""
+    return hashlib.sha256(array).hexdigest()
 
 
 def _write_segment(directory: Path, array: np.ndarray) -> dict:
     """Write one array as a content-addressed raw segment."""
     contiguous = np.ascontiguousarray(array)
+    sha = _digest(contiguous)
     tmp = directory / f".seg-{os.getpid()}-{id(contiguous):x}.tmp"
     try:
         contiguous.tofile(tmp)
-        sha = _hash_file(tmp)
         final = directory / f"seg-{sha[:16]}.bin"
         if final.exists():
             tmp.unlink()  # identical content already stored
@@ -197,30 +194,35 @@ def _load_segment(directory: Path, name: str, record: dict, *, verify: bool, sto
             f"snapshot segment {segment} is truncated: expected {expected} bytes, "
             f"found {actual}"
         )
-    if verify and _hash_file(segment) != record["sha256"]:
+    try:
+        if (
+            store is not None
+            and store.kind == "memmap"
+            and expected > 0
+            and store._spills(expected)
+        ):
+            # Hydrate straight into the store's backing without a second
+            # heap-resident copy of the payload.
+            array = store.empty(shape, dtype)
+            with open(segment, "rb") as handle:
+                array[...] = np.fromfile(handle, dtype=dtype).reshape(shape)
+        else:
+            array = np.fromfile(segment, dtype=dtype).reshape(shape)
+    except (OSError, ValueError) as error:
+        raise StorageError(f"cannot load snapshot segment {segment}: {error}") from None
+    if verify and _digest(array) != record["sha256"]:
         raise StorageError(
             f"snapshot segment {segment} failed its content hash check "
             f"(corrupted on disk?)"
         )
-    if store is not None and store.kind == "memmap" and expected > 0 and store._spills(expected):
-        # Hydrate straight into the store's backing without a second
-        # heap-resident copy of the payload.
-        array = store.empty(shape, dtype)
-        with open(segment, "rb") as handle:
-            array[...] = np.fromfile(handle, dtype=dtype).reshape(shape)
-        return array
-    try:
-        array = np.fromfile(segment, dtype=dtype).reshape(shape)
-    except (OSError, ValueError) as error:
-        raise StorageError(f"cannot load snapshot segment {segment}: {error}") from None
     return array
 
 
 def read_snapshot(path: str | os.PathLike, *, verify: bool = True, store=None) -> Snapshot:
     """Load a snapshot directory written by :func:`write_snapshot`.
 
-    ``verify=True`` (the default) re-hashes every segment; disable only
-    for trusted same-process round-trips.  When ``store`` is a
+    ``verify=True`` (the default) hashes every segment as it loads;
+    disable only for trusted same-process round-trips.  When ``store`` is a
     ``memmap`` :class:`~repro.storage.backing.BackingStore`, segments
     above its spill threshold hydrate directly into spill-backed arrays.
     """

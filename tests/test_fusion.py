@@ -32,6 +32,7 @@ from repro.api import open_session
 from repro.arch.perf import default_pim_model
 from repro.core import kernels
 from repro.core.accelerator import AcceleratorConfig, TCIMAccelerator
+from repro.core.engine import oriented_edges
 from repro.core.plan import fuse_plans
 from repro.errors import ArchitectureError, GraphError, OverloadedError, ReproError
 from repro.graph import generators
@@ -57,7 +58,10 @@ def count_segment(session):
 
 
 def supports_segment(session):
-    state, segment, generation = session.fusion_supports_state()
+    """Per-edge supports as a fused pair sweep over every directed edge."""
+    state, segment, generation = session.fusion_pairs_state(
+        *oriented_edges(session.graph, "symmetric")
+    )
     assert state == "segment"
     return segment, generation
 
@@ -159,10 +163,14 @@ class TestExecuteFused:
             segments = [supports_segment(s)[0] for s in sessions]
             lone = [kernels.execute_fused([seg])[0] for seg in segments]
             fused = kernels.execute_fused(segments, force_stacked=force_stacked)
-            for alone, together in zip(lone, fused):
+            for session, seg, alone, together in zip(sessions, segments, lone, fused):
                 np.testing.assert_array_equal(together.value, alone.value)
                 assert together.accumulator == alone.accumulator
                 assert together.events == alone.events
+                forward = seg.sources < seg.destinations
+                assert together.value[forward].tolist() == list(
+                    session.support().values()
+                )
         finally:
             for session in sessions:
                 session.close()
@@ -249,19 +257,6 @@ class TestSessionFusionHooks:
             fresh = open_session(session.graph)
             assert session.count() == fresh.count()
             fresh.close()
-        finally:
-            session.close()
-
-    def test_apply_fences_supports_commit(self, two_graphs):
-        session = open_session(two_graphs[0])
-        try:
-            segment, generation = supports_segment(session)
-            result = kernels.execute_fused([segment])[0]
-            session.apply([("+", 1, 148)])
-            assert not session.fusion_commit_supports(
-                generation, result.value, dict(result.events), result.cache_stats
-            )
-            assert "supports" not in session._workload_cache
         finally:
             session.close()
 

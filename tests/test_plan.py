@@ -459,7 +459,7 @@ class TestPatchedPlanEqualsRebuild:
         graph = generators.powerlaw_cluster(300, 4, 0.5, seed=14)
         session = open_session(graph)
         session.count()
-        session.support()  # both plans resident: the count and the symmetric
+        session.support()  # the count plan resident, with a triangle list
         rng = np.random.default_rng(19)
         n = graph.num_vertices
         for _ in range(6):
@@ -475,7 +475,7 @@ class TestPatchedPlanEqualsRebuild:
         assert dict(session.fallback_counts) == dict.fromkeys(
             session.fallback_counts, 0
         )
-        assert len(session.fallback_counts) == 4
+        assert len(session.fallback_counts) == 3
         with pytest.raises(TypeError):
             session.fallback_counts["backlog_drop"] = 1
 
@@ -633,14 +633,14 @@ class TestPlanPrimitives:
         session.support()
         v = next(v for v in range(119, 0, -1) if not session.has_edge(0, v))
         session.apply([("+", 0, v)])
-        plan = session._sym_plan
+        plan = session.join_plan  # folds the batch in: a patched plan
         assert plan._bounds is not None  # a patched plan carries its bounds
         arrays = (
             plan.row_positions, plan.col_positions, plan.trace_keys,
             plan.pair_counts, plan.bounds,
         )
         assert plan.nbytes == sum(array.nbytes for array in arrays)
-        assert session.resident_bytes_detail()["sym_plan"] == plan.nbytes
+        assert session.resident_bytes_detail()["plan"] == plan.nbytes
 
     def test_cache_statistics_memo_returns_fresh_copies(self):
         graph = generators.barabasi_albert(200, 4, seed=5)

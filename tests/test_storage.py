@@ -27,6 +27,7 @@ from repro.api import open_session
 from repro.arch.perf import default_pim_model
 from repro.core.accelerator import AcceleratorConfig
 from repro.core.dynamic import DynamicTriangleCounter
+from repro.core.engine import oriented_edges
 from repro.core.plan import build_join_plan
 from repro.core.slicing import SlicedMatrix
 from repro.errors import ArchitectureError, GraphFormatError, ReproError, StorageError
@@ -383,10 +384,12 @@ class TestSessionSnapshots:
         restored = open_session(snapshot=target)
         # Warm: residency is present before any query.
         assert restored._row_sliced is not None
+        assert restored._sym_sliced is not None
+        assert restored._edge_arrays is not None
         assert restored._join_plan is not None
-        assert restored._sym_plan is not None
         assert restored.count() == baseline_count
         assert restored.support() == baseline_support
+        assert restored.truss() == session.truss()
         assert restored.generation == 0
 
     @pytest.mark.parametrize("prefix", [0, 37, 120])
@@ -507,6 +510,78 @@ class TestSessionSnapshots:
         assert builds == []
         mapping = restored.config.to_mapping()
         assert "workers" not in mapping and "backing" not in mapping
+
+    def test_snapshot_writes_one_plan_and_no_edge_lists(self, tmp_path):
+        session = open_session(_graph(seed=20))
+        session.support()
+        target = session.snapshot(tmp_path / "snap")
+        manifest = json.loads((target / "manifest.json").read_text())
+        groups = {name.split(".")[0] for name in manifest["arrays"]}
+        assert groups == {"graph", "row", "col", "sym", "plan"}
+        assert list(manifest["meta"]["plans"]) == ["plan"]
+
+    def test_first_apply_after_open_patches_the_hydrated_structures(self, tmp_path):
+        # The snapshot carries no edge arrays; hydration derives them, so
+        # an apply before any read queues against the hydrated structures
+        # instead of dropping them.
+        graph = _graph(seed=21)
+        ops = _random_ops(graph, 30, seed=22)
+        session = open_session(graph)
+        session.count()
+        restored = open_session(snapshot=session.snapshot(tmp_path / "snap"))
+        restored.apply(ops)
+        assert restored._row_sliced is not None and restored._pending_patches
+        session.apply(ops)
+        assert restored.count() == session.count()
+        assert restored.support() == session.support()
+        assert restored.truss() == session.truss()
+        assert not any(restored.fallback_counts.values())
+
+    def test_earlier_format_snapshot_opens_warm(self, tmp_path, monkeypatch):
+        # Snapshots of earlier releases also carry the oriented edge
+        # arrays, the symmetric edge list and the symmetric join plan.
+        # They open warm on the structures and count plan they share
+        # with today's format and answer exactly the same.
+        graph = _graph(seed=23)
+        session = open_session(graph)
+        session.count()
+        session.apply(_random_ops(graph, 40, seed=24))
+        expected = (session.count(), session.support(), session.truss())
+        snap = storage_snapshot.read_snapshot(session.snapshot(tmp_path / "new"))
+        meta, arrays = snap.meta, dict(snap.arrays)
+        current = session.graph
+        symmetric = oriented_edges(current, "symmetric")
+        for name, (sources, destinations) in (
+            ("edges", oriented_edges(current, "upper")),
+            ("sym_edges", symmetric),
+        ):
+            arrays[f"{name}.sources"] = sources
+            arrays[f"{name}.destinations"] = destinations
+        sym = SlicedMatrix.from_graph(current, "symmetric")
+        sym_plan = build_join_plan(sym, sym, *symmetric)
+        meta["edge_lists"] = ["edges", "sym_edges"]
+        meta["plans"]["sym_plan"] = {
+            "num_edges": sym_plan.num_edges,
+            "row_version": sym_plan.row_version,
+            "col_version": sym_plan.col_version,
+            "row_valid_slices": sym_plan.row_valid_slices,
+            "col_valid_slices": sym_plan.col_valid_slices,
+        }
+        for name in ("row_positions", "col_positions", "trace_keys", "pair_counts"):
+            arrays[f"sym_plan.{name}"] = getattr(sym_plan, name)
+        target = storage_snapshot.write_snapshot(tmp_path / "earlier", meta, arrays)
+        builds = []
+        monkeypatch.setattr(
+            SlicedMatrix, "from_graph", lambda *a, **k: builds.append("slices")
+        )
+        monkeypatch.setattr(
+            "repro.core.plan.build_join_plan", lambda *a, **k: builds.append("plan")
+        )
+        restored = open_session(snapshot=target)
+        assert restored._join_plan is not None
+        assert (restored.count(), restored.support(), restored.truss()) == expected
+        assert restored.generation == session.generation
+        assert builds == []
 
     def test_snapshot_segment_dropped(self, tmp_path):
         session = open_session(_graph(seed=17, n=40, m=80))

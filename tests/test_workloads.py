@@ -2,13 +2,15 @@
 
 Every workload — :meth:`TCIMSession.support`, :meth:`truss`,
 :meth:`clustering`, :meth:`common_neighbors` — must be value-identical
-to its pure-Python oracle across engines configurations
-(``num_arrays ∈ {1, 4}``, plan on/off), on fresh sessions and after a
-randomized mutation stream (i.e. through the incrementally patched
-symmetric join plan).  The truss battery also covers every slice width
-(byte-packed and word payloads), memmap backing with a tiny spill
-threshold, edge cases from complete graphs to an emptied graph, and the
-triangle-witness pass on its own.
+to its pure-Python oracle across the session configurations whose count
+plans the witness pass reads (``num_arrays ∈ {1, 4}`` × plan on/off ×
+``upper``/``symmetric``, 4-array coloring shards, and memmap backing
+with a tiny spill threshold), on fresh sessions and after a randomized
+mutation stream (i.e. through the incrementally patched count plan).
+The truss battery also covers every slice width (byte-packed and word
+payloads), edge cases from complete graphs to an emptied graph, and the
+triangle-witness pass on its own; the one-list tests count witness
+passes per generation and check the list against the maintained count.
 """
 
 from __future__ import annotations
@@ -33,14 +35,47 @@ from repro.errors import ArchitectureError, GraphError
 from repro.graph import generators
 from repro.graph.graph import Graph
 
+#: Stands in for the memmap config's ``storage_dir``; the ``configured``
+#: fixture swaps in the test's ``tmp_path``.
+TMP_STORE = "<tmp_path>"
+
 CONFIGS = [
     {"num_arrays": 1, "use_plan": True},
     {"num_arrays": 1, "use_plan": False},
     {"num_arrays": 4, "use_plan": True},
     {"num_arrays": 4, "use_plan": False},
+    {"num_arrays": 1, "use_plan": True, "orientation": "symmetric"},
+    {"num_arrays": 1, "use_plan": False, "orientation": "symmetric"},
+    {"num_arrays": 4, "use_plan": True, "orientation": "symmetric"},
+    {"num_arrays": 4, "use_plan": False, "orientation": "symmetric"},
+    {"num_arrays": 4, "shard_by": "coloring"},
+    {"storage_dir": TMP_STORE, "spill_threshold_bytes": 64},
 ]
 
-CONFIG_IDS = ["arrays1-plan", "arrays1-noplan", "arrays4-plan", "arrays4-noplan"]
+CONFIG_IDS = [
+    "arrays1-plan",
+    "arrays1-noplan",
+    "arrays4-plan",
+    "arrays4-noplan",
+    "symmetric-arrays1-plan",
+    "symmetric-arrays1-noplan",
+    "symmetric-arrays4-plan",
+    "symmetric-arrays4-noplan",
+    "coloring-arrays4",
+    "memmap",
+]
+
+
+@pytest.fixture
+def configured(tmp_path):
+    """``open_session`` under one ``CONFIGS`` entry."""
+
+    def open_configured(graph, config) -> TCIMSession:
+        if config.get("storage_dir") == TMP_STORE:
+            config = {**config, "storage_dir": tmp_path}
+        return open_session(graph, **config)
+
+    return open_configured
 
 
 def brute_common_neighbors(graph: Graph, u: int, v: int) -> int:
@@ -63,9 +98,9 @@ def assert_workloads_match_oracles(session: TCIMSession, graph: Graph) -> None:
 
 class TestSupport:
     @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
-    def test_matches_oracle(self, random_graphs, config):
+    def test_matches_oracle(self, random_graphs, config, configured):
         for graph in random_graphs:
-            with open_session(graph, **config) as session:
+            with configured(graph, config) as session:
                 assert session.support() == edge_support(graph)
 
     def test_returns_fresh_copies(self, paper_graph):
@@ -106,21 +141,35 @@ NESTED_CLIQUES = Graph(
 
 
 def witness_oracle(graph: Graph) -> set[tuple[int, int, int]]:
-    """Every triangle ``u < v < w`` of ``graph``, by brute force."""
+    """Every triangle ``u < w < v`` of ``graph`` as ``(u, w, v)``, by
+    brute force."""
     return {
-        (u, v, w)
+        (u, w, v)
         for u, v in graph.edge_array().tolist()
-        for w in graph.neighbors(v).tolist()
-        if w > v and graph.has_edge(u, w)
+        for w in graph.neighbors(u).tolist()
+        if u < w < v and graph.has_edge(w, v)
     }
+
+
+def count_structures(graph: Graph, orientation: str, slice_bits: int = 64):
+    """A count run's inputs: row and column structures and oriented edges."""
+    col_orientation = "lower" if orientation == "upper" else "symmetric"
+    return (
+        SlicedMatrix.from_graph(graph, orientation, slice_bits=slice_bits),
+        SlicedMatrix.from_graph(graph, col_orientation, slice_bits=slice_bits),
+        *oriented_edges(graph, orientation),
+    )
 
 
 class TestTruss:
     @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
-    def test_decomposition_matches_oracle(self, random_graphs, config):
+    def test_decomposition_matches_oracle(self, random_graphs, config, configured):
         for graph in random_graphs:
-            with open_session(graph, **config) as session:
+            with configured(graph, config) as session:
                 assert session.truss() == truss_decomposition(graph)
+                for k in (3, 4):
+                    expected = k_truss(graph, k).edge_array()
+                    assert np.array_equal(session.truss(k).edge_array(), expected)
 
     def test_k_truss_matches_oracle(self, random_graphs):
         for graph in random_graphs[:2]:
@@ -187,6 +236,9 @@ class TestTruss:
             ) as session:
                 assert session.truss() == truss_decomposition(graph)
                 assert session._store.spilled_bytes > 0
+                # The triangle list spills with the structures it reads.
+                listed = session._workload_cache["triangles"]
+                assert isinstance(listed, np.memmap) or not listed.size
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_complete_graph(self, n):
@@ -230,51 +282,51 @@ class TestTruss:
 
     @pytest.mark.parametrize("slice_bits", SLICE_BITS)
     def test_witness_pass(self, random_graphs, slice_bits):
-        """Each triangle once as ``u < v < w``; the total is the triangle
+        """Over either count orientation, each triangle once as
+        ``u < w < v`` at its edge ``(u, v)``; the total is the triangle
         count and each edge lies in as many triangles as its support."""
         for graph in random_graphs + [NESTED_CLIQUES]:
-            sym = SlicedMatrix.from_graph(graph, "symmetric", slice_bits=slice_bits)
-            sources, destinations = oriented_edges(graph, "symmetric")
-            forward = np.flatnonzero(sources < destinations)
-            resident = build_join_plan(sym, sym, sources, destinations)
             edges = graph.edge_array()
             support = edge_support(graph)
             with open_session(graph) as session:
                 count = session.count()
-            for plan in (resident.subset(forward), None):
-                triangles = kernels.triangle_witnesses(
-                    sym, sources[forward], destinations[forward], plan=plan
+            for orientation in ("upper", "symmetric"):
+                row, col, sources, destinations = count_structures(
+                    graph, orientation, slice_bits
                 )
-                u, v = edges[triangles[:, 0]].T
-                assert np.array_equal(edges[triangles[:, 1], 0], u)
-                assert np.array_equal(edges[triangles[:, 2], 0], v)
-                w = edges[triangles[:, 1], 1]
-                assert np.array_equal(edges[triangles[:, 2], 1], w)
-                assert bool(((u < v) & (v < w)).all())
-                named = set(zip(u.tolist(), v.tolist(), w.tolist()))
-                assert len(named) == len(triangles)
-                assert named == witness_oracle(graph)
-                assert len(triangles) == count
-                counts = np.bincount(triangles.reshape(-1), minlength=len(edges))
-                assert counts.tolist() == [support[tuple(e)] for e in edges.tolist()]
+                resident = build_join_plan(row, col, sources, destinations)
+                for plan in (resident, None):
+                    triangles = kernels.triangle_witnesses(
+                        row, col, sources, destinations, plan=plan
+                    )
+                    u, v = edges[triangles[:, 0]].T
+                    assert np.array_equal(edges[triangles[:, 1], 0], u)
+                    w = edges[triangles[:, 1], 1]
+                    assert np.array_equal(edges[triangles[:, 2], 0], w)
+                    assert np.array_equal(edges[triangles[:, 2], 1], v)
+                    assert bool(((u < w) & (w < v)).all())
+                    named = set(zip(u.tolist(), w.tolist(), v.tolist()))
+                    assert len(named) == len(triangles)
+                    assert named == witness_oracle(graph)
+                    assert len(triangles) == count
+                    counts = np.bincount(triangles.reshape(-1), minlength=len(edges))
+                    assert counts.tolist() == [
+                        support[tuple(e)] for e in edges.tolist()
+                    ]
 
     def test_witness_pass_rejects_foreign_plan(self, random_graphs):
         graph = random_graphs[0]
-        sym = SlicedMatrix.from_graph(graph, "symmetric")
-        sources, destinations = oriented_edges(graph, "symmetric")
-        plan = build_join_plan(sym, sym, sources, destinations)
-        forward = sources < destinations
+        row, col, sources, destinations = count_structures(graph, "upper")
+        plan = build_join_plan(row, col, sources[:-1], destinations[:-1])
         with pytest.raises(ArchitectureError, match="compile a plan"):
-            kernels.triangle_witnesses(
-                sym, sources[forward], destinations[forward], plan=plan
-            )
+            kernels.triangle_witnesses(row, col, sources, destinations, plan=plan)
 
 
 class TestClustering:
     @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
-    def test_matches_oracles(self, random_graphs, config):
+    def test_matches_oracles(self, random_graphs, config, configured):
         for graph in random_graphs:
-            with open_session(graph, **config) as session:
+            with configured(graph, config) as session:
                 report = session.clustering()
                 np.testing.assert_allclose(
                     report.local, metrics.local_clustering(graph)
@@ -313,10 +365,10 @@ class TestClustering:
 
 class TestCommonNeighbors:
     @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
-    def test_pair_scores_match_brute_force(self, random_graphs, config):
+    def test_pair_scores_match_brute_force(self, random_graphs, config, configured):
         graph = random_graphs[0]
         rng = np.random.default_rng(7)
-        with open_session(graph, **config) as session:
+        with configured(graph, config) as session:
             for _ in range(25):
                 u, v = rng.integers(0, graph.num_vertices, size=2).tolist()
                 assert session.common_neighbors(u, v) == brute_common_neighbors(
@@ -391,11 +443,11 @@ class TestWorkloadsAfterMutations:
     fresh session on the mutated graph — and to the oracles."""
 
     @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
-    def test_patched_plan_matches_rebuild(self, config):
+    def test_patched_plan_matches_rebuild(self, config, configured):
         graph = generators.erdos_renyi(60, 250, seed=3)
         rng = np.random.default_rng(11)
-        with open_session(graph, **config) as session:
-            # Warm every workload so the resident symmetric plan exists
+        with configured(graph, config) as session:
+            # Warm every workload so the resident count plan exists
             # before the stream starts — patches must keep it coherent.
             assert_workloads_match_oracles(session, session.graph)
             for round_id in range(6):
@@ -409,14 +461,11 @@ class TestWorkloadsAfterMutations:
                 session.apply(ops)
                 mutated = session.graph
                 assert_workloads_match_oracles(session, mutated)
-                with open_session(mutated, **config) as fresh:
+                with configured(mutated, config) as fresh:
                     assert session.support() == fresh.support()
                     assert session.truss() == fresh.truss()
-            if config["use_plan"]:
-                # The stream patched the resident symmetric plan rather
-                # than dropping it.
-                session.support()
-                assert session._sym_plan is not None
+            # The stream patched the resident state rather than dropping it.
+            assert not any(session.fallback_counts.values())
 
     @pytest.mark.parametrize("use_plan", [True, False], ids=["plan", "noplan"])
     @settings(max_examples=25, deadline=None)
@@ -439,29 +488,63 @@ class TestWorkloadsAfterMutations:
 
 
 class TestWorkloadPlanResidency:
-    def test_sym_plan_built_once_and_reused(self, k5):
-        with open_session(k5) as session:
+    """One triangle list per generation, read from the count plan."""
+
+    def test_one_witness_pass_per_generation(self, random_graphs, monkeypatch):
+        calls = []
+        original = kernels.triangle_witnesses
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "triangle_witnesses", counted)
+        graph = random_graphs[4]
+        with open_session(graph) as session:
             session.support()
-            plan = session._sym_plan
-            assert plan is not None
-            session._workload_cache.clear()
-            session.support()
-            assert session._sym_plan is plan
+            session.clustering()
+            session.truss()
+            session.truss(3)
+            assert len(calls) == 1
+            session.apply([("-", *graph.edge_array()[0].tolist())])
+            assert len(calls) == 1  # an apply alone reads nothing
+            assert_workloads_match_oracles(session, session.graph)
+            assert len(calls) == 2
+            session.close()
+            assert len(calls) == 2
+            assert session.support() == edge_support(session.graph)
+            assert len(calls) == 3
 
     def test_no_plan_config_keeps_plan_off(self, k5):
         with open_session(k5, use_plan=False) as session:
             session.support()
-            assert session._sym_plan is None
+            session.truss()
+            assert session._join_plan is None
+            assert session.plan_resident_bytes() == 0
 
-    def test_resident_bytes_counts_sym_plan(self, k5):
+    def test_plan_resident_bytes_is_the_count_plan(self, k5):
         with open_session(k5) as session:
-            before = session.plan_resident_bytes()
+            assert session.plan_resident_bytes() == 0
             session.support()
-            assert session.plan_resident_bytes() > before
+            plan = session.join_plan
+            assert session.plan_resident_bytes() == plan.nbytes > 0
+            detail = session.resident_bytes_detail()
+            assert detail["plan"] == plan.nbytes
+            assert detail["sym_plan"] == 0
 
     def test_close_drops_workload_state(self, k5):
         session = open_session(k5)
         session.support()
         session.close()
-        assert session._sym_plan is None
         assert session._workload_cache == {}
+
+    @pytest.mark.parametrize("read", ["support", "clustering", "truss"])
+    def test_witness_list_checked_against_the_count(self, random_graphs, read):
+        """A maintained count the witness pass disagrees with raises
+        rather than serving either number."""
+        graph = random_graphs[4]
+        with open_session(graph) as session:
+            session.apply([("-", *graph.edge_array()[0].tolist())])
+            session._triangles += 1  # a wrong maintained count
+            with pytest.raises(ArchitectureError, match="witness pass lists"):
+                getattr(session, read)()
