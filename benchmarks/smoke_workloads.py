@@ -10,15 +10,18 @@ gather→AND→popcount kernel path of :mod:`repro.core.kernels`) and gates:
   configuration;
 * **plan reuse** — a repeat ``support()`` (the triangle-witness pass
   over the resident count plan, the support tallies and the result
-  dict) is at least ``MIN_SPEEDUP`` (5x) faster than the pure-Python
+  map) is at least ``MIN_SPEEDUP`` (5x) faster than the pure-Python
   ``edge_support`` oracle;
 * **cold truss** — ``truss()`` with every memoised workload result
   dropped (triangle-witness pass, support tallies, frontier peel and
-  the result dict) is at least ``MIN_TRUSS_SPEEDUP`` (5x) faster than
+  the result map) is at least ``MIN_TRUSS_SPEEDUP`` (5x) faster than
   the pure-Python ``truss_decomposition`` oracle;
 * **incremental coherence** — after a randomized 120-op insert/delete
-  stream, the patched resident state answers every workload identically
-  to a fresh session on the mutated graph and to the oracles, and no
+  stream, the read round (``simulate()``, ``support()``,
+  ``clustering()``, ``truss()``) rebuilds no ``Graph`` (a call count,
+  taken before the oracle reads ``session.graph``), the patched
+  resident state answers every workload identically to a fresh
+  session on the mutated graph and to the oracles, and no
   ``fallback_counts`` entry fired.
 
 Exit code 0 on success, 1 on any violation.  Usage::
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +41,9 @@ import numpy as np
 from repro.analysis import metrics
 from repro.analysis.truss import edge_support, truss_decomposition
 from repro.api import open_session
+from repro.core.slicing import SlicedMatrix
 from repro.graph import generators
+from repro.graph.graph import Graph
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -47,6 +53,32 @@ MIN_SPEEDUP = 5.0
 MIN_TRUSS_SPEEDUP = 5.0
 REPEATS = 3
 STREAM_OPS = 120
+
+
+@contextmanager
+def counting_graph_builds():
+    """Record every ``Graph.from_parts`` and ``SlicedMatrix.nonzeros``
+    call in the block: the two halves of rebuilding ``session.graph``
+    from the slice bits."""
+    calls: list[str] = []
+    from_parts = Graph.__dict__["from_parts"]
+    nonzeros = SlicedMatrix.nonzeros
+
+    def counted_from_parts(cls, *args, **kwargs):
+        calls.append("Graph.from_parts")
+        return from_parts.__func__(cls, *args, **kwargs)
+
+    def counted_nonzeros(self):
+        calls.append("SlicedMatrix.nonzeros")
+        return nonzeros(self)
+
+    Graph.from_parts = classmethod(counted_from_parts)
+    SlicedMatrix.nonzeros = counted_nonzeros
+    try:
+        yield calls
+    finally:
+        Graph.from_parts = from_parts
+        SlicedMatrix.nonzeros = nonzeros
 
 
 def best_of(repeats, work):
@@ -134,7 +166,7 @@ def main(argv: list[str]) -> int:
     def cold_truss():
         # Drop every memoised workload result, the triangle list
         # included: the timed call runs the witness pass against the
-        # resident count plan, the support tallies, the peel and the dict.
+        # resident count plan, the support tallies, the peel and the map.
         session._workload_cache.clear()
         return session.truss()
 
@@ -172,8 +204,17 @@ def main(argv: list[str]) -> int:
             present.add((min(u, v), max(u, v)))
             ops.append(("+", u, v))
     session.apply(ops)
+    # Count before anything reads session.graph: the oracle below does.
+    with counting_graph_builds() as builds:
+        session.simulate()
+        session.support()
+        session.clustering()
+        session.truss()
+    stream_problems = []
+    if builds:
+        stream_problems.append(f"post-apply reads rebuilt the graph: {builds}")
     mutated = session.graph
-    stream_problems = workloads_exact(session, mutated)
+    stream_problems += workloads_exact(session, mutated)
     with open_session(mutated) as fresh:
         if session.support() != fresh.support():
             stream_problems.append("patched support != fresh-session rebuild")
@@ -187,7 +228,8 @@ def main(argv: list[str]) -> int:
     failures += len(stream_problems)
     if not stream_problems:
         print(
-            f"after {STREAM_OPS}-op stream: patched workloads == rebuild == oracles"
+            f"after {STREAM_OPS}-op stream: no Graph rebuilt; "
+            "patched workloads == rebuild == oracles"
         )
     session.close()
 

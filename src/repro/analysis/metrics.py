@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import GraphError
 from repro.graph.graph import Graph
 
 __all__ = [
@@ -42,17 +43,34 @@ def triangles_per_vertex(graph: Graph) -> np.ndarray:
     return counts
 
 
-def local_clustering(graph: Graph, triangles: np.ndarray | None = None) -> np.ndarray:
+def _degrees(graph: Graph | None, degrees: np.ndarray | None) -> np.ndarray:
+    """``degrees`` when passed, else ``graph.degrees()``."""
+    if degrees is not None:
+        return np.asarray(degrees)
+    if graph is None:
+        raise GraphError("pass a graph or its vertex degrees")
+    return graph.degrees()
+
+
+def local_clustering(
+    graph: Graph | None = None,
+    triangles: np.ndarray | None = None,
+    *,
+    degrees: np.ndarray | None = None,
+) -> np.ndarray:
     """Watts-Strogatz local clustering coefficient per vertex.
 
     ``C_v = triangles(v) / C(deg(v), 2)``; vertices of degree < 2 get 0.
     ``triangles`` optionally passes precomputed per-vertex triangle
     counts (e.g. a :class:`~repro.core.kernels.VertexTallyKernel` run) to
-    skip the :func:`triangles_per_vertex` recomputation.
+    skip the :func:`triangles_per_vertex` recomputation, and ``degrees``
+    the vertex degrees; with both passed, ``graph`` may be ``None``.
     """
-    degrees = graph.degrees().astype(np.float64)
+    degrees = _degrees(graph, degrees).astype(np.float64)
     possible = degrees * (degrees - 1) / 2.0
     if triangles is None:
+        if graph is None:
+            raise GraphError("pass a graph or its per-vertex triangle counts")
         triangles = triangles_per_vertex(graph)
     triangles = np.asarray(triangles).astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -70,22 +88,36 @@ def average_clustering(graph: Graph, triangles: np.ndarray | None = None) -> flo
     return float(local_clustering(graph, triangles=triangles).mean())
 
 
-def wedge_count(graph: Graph) -> int:
-    """Number of paths of length two (``sum_v C(deg(v), 2)``)."""
-    degrees = graph.degrees().astype(np.int64)
+def wedge_count(
+    graph: Graph | None = None, *, degrees: np.ndarray | None = None
+) -> int:
+    """Number of paths of length two (``sum_v C(deg(v), 2)``).
+
+    ``degrees`` optionally passes the vertex degrees (then ``graph`` may
+    be ``None``).
+    """
+    degrees = _degrees(graph, degrees).astype(np.int64)
     return int((degrees * (degrees - 1) // 2).sum())
 
 
-def transitivity(graph: Graph, num_triangles: int | None = None) -> float:
+def transitivity(
+    graph: Graph | None = None,
+    num_triangles: int | None = None,
+    *,
+    degrees: np.ndarray | None = None,
+) -> float:
     """Global transitivity ratio ``3 * triangles / wedges``.
 
     ``num_triangles`` may be supplied (e.g. from the TCIM accelerator) to
-    avoid recounting.
+    avoid recounting, and ``degrees`` as for :func:`wedge_count`; with
+    both passed, ``graph`` may be ``None``.
     """
-    wedges = wedge_count(graph)
+    wedges = wedge_count(graph, degrees=degrees)
     if wedges == 0:
         return 0.0
     if num_triangles is None:
+        if graph is None:
+            raise GraphError("pass a graph or its triangle count")
         num_triangles = int(triangles_per_vertex(graph).sum()) // 3
     return 3.0 * num_triangles / wedges
 

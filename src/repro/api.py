@@ -63,6 +63,7 @@ from repro.core.reuse import CacheStatistics
 from repro.core.sharding import plan_shards
 from repro.core.slicing import SlicedMatrix, SliceStatistics, slice_statistics
 from repro.errors import ArchitectureError, GraphError, ReproError, StorageError
+from repro.graph.edgemap import EdgeMap
 from repro.graph.graph import Graph
 from repro.storage import snapshot as storage_snapshot
 from repro.storage.backing import BackingStore
@@ -260,7 +261,8 @@ class ClusteringReport:
     serves :meth:`TCIMSession.support` also serves the local
     coefficients, the global transitivity, and the triangle total.
     Value-identical to the pure-Python oracles in
-    :mod:`repro.analysis.metrics`.
+    :mod:`repro.analysis.metrics`.  The session hands out one report per
+    generation, so both arrays are non-writeable.
     """
 
     #: Local clustering coefficient per vertex (0.0 where degree < 2).
@@ -366,7 +368,9 @@ class TCIMSession:
         self._use_plan = bool(self.config.use_plan) and not self._use_contexts
         #: Cached workload results (the triangle list, forward edges,
         #: support and truss maps, clustering, common-neighbor candidate
-        #: lists), invalidated on every mutation.
+        #: lists), invalidated on every mutation.  The maps and the
+        #: clustering report are handed out as they are, so every array
+        #: they hold is non-writeable.
         self._workload_cache: dict = {}
         # Committed delta batches not yet folded into the oriented
         # structures/plan.  Applies only queue here (O(1)); the next
@@ -472,8 +476,9 @@ class TCIMSession:
 
         Sums the numpy payloads of every cached :class:`SlicedMatrix`
         (row, column, and incrementally maintained symmetric structures),
-        the oriented edge arrays, the compiled join plan, and the graph's
-        edge list.  This is the figure :class:`repro.serve.SessionPool`
+        the oriented edge arrays, the compiled join plan, the graph's
+        edge list, and the cached workload arrays.  This is the figure
+        :class:`repro.serve.SessionPool`
         budgets its eviction against; a freshly opened session reports
         only its graph's edge storage.
         """
@@ -491,10 +496,13 @@ class TCIMSession:
         ``slices`` is then the only edge set), ``shards`` (the
         self-contained coloring shard contexts — per-shard structures,
         edge lanes and lane plans; 0 unless ``shard_by="coloring"``
-        contexts are resident), ``spilled`` (how much of the above is
-        disk-backed rather than on heap — 0 for a ram store), and
-        ``total`` (== :meth:`resident_bytes`).  Surfaced per session by
-        the serving tier's ``stats`` protocol op.
+        contexts are resident), ``workloads`` (the current generation's
+        triangle list, forward edges, supports, trussness and clustering
+        arrays; 0 until a workload reads them and again after the next
+        mutation), ``spilled`` (how much of the above is disk-backed
+        rather than on heap — 0 for a ram store), and ``total``
+        (== :meth:`resident_bytes`).  Surfaced per session by the
+        serving tier's ``stats`` protocol op.
         """
         with self._lock:
             slices = sum(
@@ -508,6 +516,7 @@ class TCIMSession:
             shards = sum(
                 context.nbytes for context in (self._shard_contexts or ())
             )
+            workloads = sum(array.nbytes for array in self._workload_arrays())
             return {
                 "slices": slices,
                 "plan": plan,
@@ -515,8 +524,9 @@ class TCIMSession:
                 "edges": edges,
                 "graph": graph,
                 "shards": shards,
+                "workloads": workloads,
                 "spilled": self._store.spilled_bytes,
-                "total": slices + plan + edges + graph + shards,
+                "total": slices + plan + edges + graph + shards + workloads,
             }
 
     @property
@@ -820,7 +830,7 @@ class TCIMSession:
             if self._slice_stats is None:
                 self._prepare()
                 self._slice_stats = slice_statistics(
-                    self.graph,
+                    None,
                     slice_bits=self.config.slice_bits,
                     orientation=self.config.orientation,
                     row_sliced=self._row_sliced,
@@ -838,28 +848,30 @@ class TCIMSession:
     # ------------------------------------------------------------------
     # Bulk-bitwise workloads (the shared kernel path)
     # ------------------------------------------------------------------
-    def support(self) -> dict[tuple[int, int], int]:
+    def support(self) -> EdgeMap:
         """Triangle support of every undirected edge.
 
         ``support[(u, v)] = |N(u) ∩ N(v)|`` for each edge ``u < v`` — the
         quantity k-truss peeling consumes.  One ``np.bincount`` over the
         edge ids of the generation's triangle list (see
         :meth:`_triangle_list`), value-identical to
-        :func:`repro.analysis.truss.edge_support`.  Cached until the
-        graph changes.
+        :func:`repro.analysis.truss.edge_support`.
+
+        Returns a read-only :class:`~repro.graph.edgemap.EdgeMap` over
+        the forward edges (``.sources``, ``.destinations``, and the
+        supports as ``.per_edge``), one per generation: every call until
+        the graph changes returns the same map, and a later ``apply()``
+        leaves an earlier map as it was.  ``dict(m)`` is a mutable copy.
         """
         with self._lock:
-            cached = self._workload_cache.get("support_map")
-            if cached is None:
-                cached = dict(zip(self._forward_keys(), self._supports().tolist()))
-                self._workload_cache["support_map"] = cached
-            # Hand out a copy: a caller editing its map must not edit the cache.
-            return dict(cached)
+            return self._support_map()
 
     def truss(self, k: int | None = None):
         """Truss decomposition from witness enumeration plus a frontier peel.
 
-        ``truss()`` returns the full ``{(u, v): trussness}`` mapping;
+        ``truss()`` returns the trussness of every edge as a read-only
+        :class:`~repro.graph.edgemap.EdgeMap` (``{(u, v): trussness}``,
+        the same per-generation snapshot rules as :meth:`support`);
         ``truss(k)`` returns the k-truss subgraph (the edges of trussness
         ``>= k``) as a :class:`Graph`.  Both read one per-edge trussness
         array, computed once per generation:
@@ -870,22 +882,28 @@ class TCIMSession:
         :func:`repro.analysis.truss.truss_decomposition` /
         :func:`~repro.analysis.truss.k_truss`.
         """
+        from repro.analysis.truss import peel_trussness
+
         with self._lock:
             if k is not None and k < 2:
                 raise GraphError(f"k must be >= 2, got {k}")
-            trussness = self._trussness()
-            if k is not None:
-                sources, destinations = self._forward_edges()
-                keep = trussness >= k
-                return Graph(
-                    self._num_vertices,
-                    np.stack([sources[keep], destinations[keep]], axis=1),
-                )
-            cached = self._workload_cache.get("truss_map")
+            cached = self._workload_cache.get("truss")
             if cached is None:
-                cached = dict(zip(self._forward_keys(), trussness.tolist()))
-                self._workload_cache["truss_map"] = cached
-            return dict(cached)
+                support = self._support_map()
+                cached = EdgeMap(
+                    support.sources,
+                    support.destinations,
+                    peel_trussness(support.per_edge, self._triangle_list()),
+                    self._num_vertices,
+                )
+                self._workload_cache["truss"] = cached
+            if k is None:
+                return cached
+            keep = cached.per_edge >= k
+            return Graph(
+                self._num_vertices,
+                np.stack([cached.sources[keep], cached.destinations[keep]], axis=1),
+            )
 
     def clustering(self) -> ClusteringReport:
         """Clustering metrics from the generation's triangle list.
@@ -893,9 +911,11 @@ class TCIMSession:
         Local coefficients, per-vertex triangle counts, their average,
         the global transitivity, and the triangle total.  The per-vertex
         counts are one ``np.bincount`` over the corners of the triangles
-        :meth:`support` also reads (see :meth:`_triangle_list`), and the
-        total is the list's length.  Value-identical to the
-        :mod:`repro.analysis.metrics` oracles.
+        :meth:`support` also reads (see :meth:`_triangle_list`), the
+        degrees one over the forward edges, and the total is the list's
+        length.  Value-identical to the :mod:`repro.analysis.metrics`
+        oracles.  One report per generation, handed out as is: its
+        arrays are non-writeable.
         """
         from repro.analysis import metrics
 
@@ -912,16 +932,22 @@ class TCIMSession:
                     ]
                 )
                 tallies = np.bincount(corners, minlength=self._num_vertices)
-                graph = self.graph
-                local = metrics.local_clustering(graph, triangles=tallies)
-                wedges = metrics.wedge_count(graph)
+                degrees = np.bincount(
+                    np.concatenate([sources, destinations]),
+                    minlength=self._num_vertices,
+                )
+                local = metrics.local_clustering(triangles=tallies, degrees=degrees)
                 triangles = len(listed)
+                for array in (local, tallies):
+                    array.flags.writeable = False
                 cached = ClusteringReport(
                     local=local,
                     triangles_per_vertex=tallies,
                     average=float(local.mean()) if local.size else 0.0,
-                    transitivity=metrics.transitivity(graph, triangles),
-                    wedges=wedges,
+                    transitivity=metrics.transitivity(
+                        num_triangles=triangles, degrees=degrees
+                    ),
+                    wedges=metrics.wedge_count(degrees=degrees),
                     triangles=triangles,
                 )
                 self._workload_cache["clustering"] = cached
@@ -1229,7 +1255,10 @@ class TCIMSession:
         """Build (once) the resident structures full runs consume.
 
         Pending committed update batches are folded in first, so every
-        structure handed to the engine reflects the current graph.
+        structure handed to the engine reflects the current graph.  Only
+        a structure missing after a cache drop reads :attr:`graph`; the
+        shard plan and the coloring contexts derive from the resident
+        edge arrays.
         """
         self._flush_patches()
         orientation = self.config.orientation
@@ -1255,12 +1284,13 @@ class TCIMSession:
                 )
 
                 self._shard_contexts = build_shard_contexts(
-                    self.graph,
+                    None,
                     orientation,
                     self.config.num_arrays,
                     slice_bits=self.config.slice_bits,
                     seed=self.config.seed,
                     edge_arrays=self._edge_arrays,
+                    num_vertices=self._num_vertices,
                     use_plan=bool(self.config.use_plan),
                 )
                 self._shard_colors = assign_colors(
@@ -1270,7 +1300,7 @@ class TCIMSession:
                 )
         elif self.config.num_arrays > 1 and self._plan is None:
             self._plan = plan_shards(
-                self.graph,
+                None,
                 orientation,
                 self.config.num_arrays,
                 self.config.shard_by,
@@ -1333,12 +1363,17 @@ class TCIMSession:
             self._workload_cache["triangles"] = cached
         return cached
 
-    def _supports(self) -> np.ndarray:
-        """Triangle support of each forward edge (callers hold the lock)."""
-        return np.bincount(
-            self._triangle_list().reshape(-1),
-            minlength=self._forward_edges()[0].size,
-        )
+    def _support_map(self) -> EdgeMap:
+        """The generation's :meth:`support` map (callers hold the lock)."""
+        cached = self._workload_cache.get("support")
+        if cached is None:
+            sources, destinations = self._forward_edges()
+            supports = np.bincount(
+                self._triangle_list().reshape(-1), minlength=sources.size
+            )
+            cached = EdgeMap(sources, destinations, supports, self._num_vertices)
+            self._workload_cache["support"] = cached
+        return cached
 
     def _forward_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """``(sources, destinations)`` of the forward edges ``u < v``.
@@ -1346,7 +1381,8 @@ class TCIMSession:
         Callers hold ``self._lock``.  The forward edges of the oriented
         edge arrays, in CSR order: forward edge ``i`` is edge id ``i``
         of the triangle list and of the ``support()`` / ``truss()``
-        maps.  Cached until the graph changes.
+        maps.  Cached until the graph changes and never written: the
+        maps hand both arrays out.
         """
         cached = self._workload_cache.get("forward")
         if cached is None:
@@ -1357,28 +1393,22 @@ class TCIMSession:
             self._workload_cache["forward"] = cached
         return cached
 
-    def _forward_keys(self) -> list[tuple[int, int]]:
-        """The ``(u, v)`` key of every forward edge (callers hold the lock)."""
-        cached = self._workload_cache.get("forward_keys")
-        if cached is None:
-            sources, destinations = self._forward_edges()
-            cached = list(zip(sources.tolist(), destinations.tolist()))
-            self._workload_cache["forward_keys"] = cached
-        return cached
+    def _workload_arrays(self) -> list[np.ndarray]:
+        """The arrays the workload cache holds (callers hold the lock).
 
-    def _trussness(self) -> np.ndarray:
-        """Trussness of every forward edge (callers hold the lock).
-
-        Peels the triangle list as arrays from the supports read off it.
-        Cached until the graph changes.
+        The maps share the forward edges, so each array counts once.
         """
-        from repro.analysis.truss import peel_trussness
-
-        cached = self._workload_cache.get("trussness")
-        if cached is None:
-            cached = peel_trussness(self._supports(), self._triangle_list())
-            self._workload_cache["trussness"] = cached
-        return cached
+        cache = self._workload_cache
+        arrays = list(cache.get("forward", ()))
+        if "triangles" in cache:
+            arrays.append(cache["triangles"])
+        for name in ("support", "truss"):
+            if name in cache:
+                arrays.append(cache[name].per_edge)
+        if "clustering" in cache:
+            report = cache["clustering"]
+            arrays += [report.local, report.triangles_per_vertex]
+        return arrays
 
     def _pair_scores(
         self, sources: np.ndarray, destinations: np.ndarray
@@ -1599,7 +1629,8 @@ class TCIMSession:
         if self._run is None:
             self._prepare()
             self._run = self._accelerator.run(
-                self.graph,
+                None,
+                num_vertices=self._num_vertices,
                 row_sliced=self._row_sliced,
                 col_sliced=self._col_sliced,
                 edge_arrays=self._edge_arrays,

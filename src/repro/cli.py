@@ -278,10 +278,8 @@ def _cmd_slice_stats(args: argparse.Namespace) -> int:
 def _cmd_truss(args: argparse.Namespace) -> int:
     session = open_session(args.graph, _accelerator_config(args))
     trussness = session.truss()
-    histogram: dict[int, int] = {}
-    for value in trussness.values():
-        histogram[value] = histogram.get(value, 0) + 1
-    maximum = max(trussness.values(), default=0)
+    histogram = trussness.histogram()
+    maximum = max(histogram, default=0)
     k_truss_edges = (
         session.truss(args.k).num_edges if args.k is not None else None
     )
@@ -289,7 +287,7 @@ def _cmd_truss(args: argparse.Namespace) -> int:
         payload = {
             "num_edges": len(trussness),
             "max_trussness": maximum,
-            "histogram": {str(k): histogram[k] for k in sorted(histogram)},
+            "histogram": {str(k): n for k, n in histogram.items()},
         }
         if args.k is not None:
             payload["k"] = args.k
@@ -297,8 +295,8 @@ def _cmd_truss(args: argparse.Namespace) -> int:
         _emit_json(payload)
         return 0
     table = Table(["k", "edges with trussness k"], title="Truss decomposition")
-    for k in sorted(histogram):
-        table.add_row([k, format_count(histogram[k])])
+    for k, n in histogram.items():
+        table.add_row([k, format_count(n)])
     print(table.render())
     print(f"maximum trussness: {maximum}")
     if args.k is not None:

@@ -366,8 +366,9 @@ class TCIMAccelerator:
 
     def run(
         self,
-        graph: Graph,
+        graph: Graph | None,
         *,
+        num_vertices: int | None = None,
         row_sliced: SlicedMatrix | None = None,
         col_sliced: SlicedMatrix | None = None,
         edge_arrays: tuple[np.ndarray, np.ndarray] | None = None,
@@ -383,14 +384,24 @@ class TCIMAccelerator:
         queries the way the Fig. 4 controller keeps the compressed graph
         in the array) skip the rebuild; omitted pieces are built here as
         before.  Passed structures must match the config's ``slice_bits``
-        and the graph's vertex count.
+        and the vertex count, and ``edge_arrays`` must be the oriented
+        edge list in the reference order (rows ascending, successors
+        ascending).
+
+        ``graph=None`` runs from resident pieces alone: pass
+        ``num_vertices``, both slice structures and ``edge_arrays``
+        (anything less raises :class:`ArchitectureError`).  The run then
+        reads no :class:`Graph`: after an update a session's slice
+        structures are its only edge set, and it never reassembles a
+        graph from their bits just to run.
 
         ``join_plan`` additionally passes a compiled
         :class:`repro.core.plan.JoinPlan` for the oriented edge list
         against exactly these slice structures: the engine then skips
         candidate expansion and the merge-join per query (sharded runs
         slice per-array sub-plans out of it); results are bit-identical
-        with or without it.
+        with or without it.  A plan compiled for a different edge count
+        raises.
 
         ``shard_contexts`` passes resident self-contained coloring
         shards (:func:`repro.core.sharding.build_shard_contexts`); with
@@ -400,6 +411,8 @@ class TCIMAccelerator:
         (colors, shard count, partitioner balance, the
         communication-free flag) in :attr:`TCIMRunResult.notes`.
         """
+        from repro.core.engine import oriented_edges
+
         config = self.config
         orientation = config.orientation
         if orientation not in ("upper", "symmetric"):
@@ -407,24 +420,44 @@ class TCIMAccelerator:
                 f"orientation must be 'upper' or 'symmetric', got {orientation!r}"
             )
         col_orientation = "lower" if orientation == "upper" else "symmetric"
-        if row_sliced is None:
-            row_sliced = SlicedMatrix.from_graph(
-                graph, orientation, slice_bits=config.slice_bits
-            )
-        if col_sliced is None:
-            col_sliced = SlicedMatrix.from_graph(
-                graph, col_orientation, slice_bits=config.slice_bits
-            )
+        if graph is None:
+            if (
+                num_vertices is None
+                or row_sliced is None
+                or col_sliced is None
+                or edge_arrays is None
+            ):
+                raise ArchitectureError(
+                    "a run without a graph needs num_vertices, row_sliced, "
+                    "col_sliced and edge_arrays"
+                )
+        else:
+            if num_vertices is not None and num_vertices != graph.num_vertices:
+                raise ArchitectureError(
+                    f"num_vertices={num_vertices} but the graph has "
+                    f"{graph.num_vertices} vertices"
+                )
+            num_vertices = graph.num_vertices
+            if row_sliced is None:
+                row_sliced = SlicedMatrix.from_graph(
+                    graph, orientation, slice_bits=config.slice_bits
+                )
+            if col_sliced is None:
+                col_sliced = SlicedMatrix.from_graph(
+                    graph, col_orientation, slice_bits=config.slice_bits
+                )
+            if edge_arrays is None:
+                edge_arrays = oriented_edges(graph, orientation)
         for name, sliced in (("row_sliced", row_sliced), ("col_sliced", col_sliced)):
             if sliced.slice_bits != config.slice_bits:
                 raise ArchitectureError(
                     f"{name} uses {sliced.slice_bits}-bit slices but the "
                     f"config asks for {config.slice_bits}"
                 )
-            if sliced.num_rows != graph.num_vertices:
+            if sliced.num_rows != num_vertices:
                 raise ArchitectureError(
                     f"{name} covers {sliced.num_rows} rows but the graph has "
-                    f"{graph.num_vertices} vertices"
+                    f"{num_vertices} vertices"
                 )
         shards: list = []
         notes: dict = {}
@@ -433,7 +466,7 @@ class TCIMAccelerator:
         )
         if use_contexts:
             accumulator, events, cache_stats, shards, notes = self._run_contexts(
-                graph, edge_arrays=edge_arrays, shard_contexts=shard_contexts
+                num_vertices, edge_arrays, shard_contexts=shard_contexts
             )
             row_region = max((s.row_region_slices for s in shards), default=0)
             column_capacity = min(
@@ -442,8 +475,7 @@ class TCIMAccelerator:
             )
         elif config.num_arrays > 1:
             accumulator, events, cache_stats, shards = self._run_sharded(
-                graph, row_sliced, col_sliced,
-                edge_arrays=edge_arrays, plan=plan, join_plan=join_plan,
+                row_sliced, col_sliced, edge_arrays, plan=plan, join_plan=join_plan
             )
             row_region = max((s.row_region_slices for s in shards), default=0)
             column_capacity = min(
@@ -455,12 +487,12 @@ class TCIMAccelerator:
                 config.capacity_slices, row_sliced.row_valid_counts()
             )
             accumulator, events, cache_stats = self._run_vectorized(
-                graph, row_sliced, col_sliced, column_capacity,
+                row_sliced, col_sliced, edge_arrays, column_capacity,
                 join_plan=join_plan,
             )
         triangles = accumulator if orientation == "upper" else accumulator // 6
         stats = slice_statistics(
-            graph,
+            None,
             slice_bits=config.slice_bits,
             orientation=orientation,
             row_sliced=row_sliced,
@@ -480,8 +512,8 @@ class TCIMAccelerator:
 
     def _run_contexts(
         self,
-        graph: Graph,
-        edge_arrays: tuple[np.ndarray, np.ndarray] | None = None,
+        num_vertices: int,
+        edge_arrays: tuple[np.ndarray, np.ndarray],
         shard_contexts=None,
     ) -> tuple[int, EventCounts, CacheStatistics, list, dict]:
         """Communication-free coloring dataflow over self-contained shards."""
@@ -494,12 +526,13 @@ class TCIMAccelerator:
         config = self.config
         if shard_contexts is None:
             shard_contexts = build_shard_contexts(
-                graph,
+                None,
                 config.orientation,
                 config.num_arrays,
                 slice_bits=config.slice_bits,
                 seed=config.seed,
                 edge_arrays=edge_arrays,
+                num_vertices=num_vertices,
                 use_plan=config.use_plan,
             )
         outcome = execute_contexts(
@@ -527,55 +560,53 @@ class TCIMAccelerator:
 
     def _run_vectorized(
         self,
-        graph: Graph,
         row_sliced: SlicedMatrix,
         col_sliced: SlicedMatrix,
+        edge_arrays: tuple[np.ndarray, np.ndarray],
         column_capacity: int,
         join_plan=None,
     ) -> tuple[int, EventCounts, CacheStatistics]:
-        """Batched numpy dataflow (see :mod:`repro.core.engine`)."""
+        """Batched numpy dataflow (see :mod:`repro.core.engine`).
+
+        The whole oriented edge list is one shard whose rows all load
+        once: rows without successors hold no valid slices, so the
+        row-slice WRITEs are the row structure's valid-slice count.
+        """
         from repro.core.engine import execute_batched
 
         accumulator, fields, cache_stats = execute_batched(
-            graph,
+            None,
             row_sliced,
             col_sliced,
             self.config.orientation,
             column_capacity,
             policy=self.config.policy,
             seed=self.config.seed,
+            edges=edge_arrays,
+            row_writes=row_sliced.num_valid_slices,
             plan=join_plan,
         )
         return accumulator, EventCounts(**fields), cache_stats
 
     def _run_sharded(
         self,
-        graph: Graph,
         row_sliced: SlicedMatrix,
         col_sliced: SlicedMatrix,
-        edge_arrays: tuple[np.ndarray, np.ndarray] | None = None,
+        edge_arrays: tuple[np.ndarray, np.ndarray],
         plan=None,
         join_plan=None,
     ) -> tuple[int, EventCounts, CacheStatistics, list]:
         """Multi-array dataflow (see :mod:`repro.core.sharding`)."""
-        from repro.core.engine import oriented_edges
         from repro.core.sharding import execute_sharded, plan_shards
 
         config = self.config
-        # Materialise the oriented edge list once; the planner and the
-        # orchestrator both consume it.  A caller holding both (the
-        # session) passes them in and nothing is rebuilt.
-        if edge_arrays is None:
-            sources, destinations = oriented_edges(graph, config.orientation)
-        else:
-            sources, destinations = edge_arrays
         if plan is None:
             plan = plan_shards(
-                graph,
+                None,
                 config.orientation,
                 config.num_arrays,
                 config.shard_by,
-                sources=sources,
+                sources=edge_arrays[0],
             )
         elif plan.num_arrays != config.num_arrays:
             raise ArchitectureError(
@@ -583,7 +614,7 @@ class TCIMAccelerator:
                 f"for {config.num_arrays}; rebuild the plan with plan_shards"
             )
         outcome = execute_sharded(
-            graph,
+            None,
             row_sliced,
             col_sliced,
             config.orientation,
@@ -591,7 +622,7 @@ class TCIMAccelerator:
             config.capacity_slices,
             policy=config.policy,
             seed=config.seed,
-            edge_arrays=(sources, destinations),
+            edge_arrays=edge_arrays,
             join_plan=join_plan,
         )
         return (

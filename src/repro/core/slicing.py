@@ -468,7 +468,7 @@ class SliceStatistics:
 
 
 def slice_statistics(
-    graph: Graph,
+    graph: Graph | None,
     slice_bits: int = 64,
     orientation: str = "upper",
     row_sliced: SlicedMatrix | None = None,
@@ -479,8 +479,13 @@ def slice_statistics(
     Slices both the rows of the oriented adjacency matrix and its columns
     (i.e. the transpose's rows), mirroring what the TCIM controller stores.
     Callers that already hold the sliced matrices (the accelerator builds
-    them anyway) can pass them to skip the rebuild.
+    them anyway) can pass them to skip the rebuild; with both passed,
+    ``graph`` is never read and may be ``None``.
     """
+    if graph is None and (row_sliced is None or col_sliced is None):
+        raise SlicingError(
+            "slice_statistics needs a graph unless both structures are passed"
+        )
     if row_sliced is None:
         row_sliced = SlicedMatrix.from_graph(graph, orientation, slice_bits=slice_bits)
     if col_sliced is None:

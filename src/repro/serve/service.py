@@ -1091,29 +1091,23 @@ class Service:
     def _support_work(self, entry: SessionEntry) -> dict:
         self._warm(entry)
         support = entry.session.support()
-        histogram: dict[str, int] = {}
-        for value in support.values():
-            key = str(value)
-            histogram[key] = histogram.get(key, 0) + 1
+        histogram = support.histogram()
         return {
             "num_edges": len(support),
-            "total_support": sum(support.values()),
-            "max_support": max(support.values(), default=0),
-            "histogram": histogram,
+            "total_support": sum(value * n for value, n in histogram.items()),
+            "max_support": max(histogram, default=0),
+            "histogram": {str(value): n for value, n in histogram.items()},
         }
 
     def _truss_work(self, entry: SessionEntry, k) -> dict:
         self._warm(entry)
         session = entry.session
         trussness = session.truss()
-        histogram: dict[str, int] = {}
-        for value in trussness.values():
-            key = str(value)
-            histogram[key] = histogram.get(key, 0) + 1
+        histogram = trussness.histogram()
         payload = {
             "num_edges": len(trussness),
-            "max_trussness": max(trussness.values(), default=0),
-            "histogram": histogram,
+            "max_trussness": max(histogram, default=0),
+            "histogram": {str(value): n for value, n in histogram.items()},
         }
         if k is not None:
             payload["k"] = int(k)

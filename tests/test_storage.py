@@ -276,12 +276,14 @@ class TestMemmapSessions:
         session.count()
         session.support()
         detail = session.resident_bytes_detail()
-        for key in ("slices", "plan", "sym_plan", "edges", "graph", "spilled", "total"):
+        parts = (
+            "slices", "plan", "sym_plan", "edges", "graph", "shards", "workloads"
+        )
+        for key in (*parts, "spilled", "total"):
             assert key in detail
             assert detail[key] >= 0
-        assert detail["total"] == sum(
-            detail[k] for k in ("slices", "plan", "sym_plan", "edges", "graph")
-        )
+        assert detail["workloads"] > 0  # support() cached its arrays
+        assert detail["total"] == sum(detail[k] for k in parts)
         assert session.resident_bytes() == detail["total"]
 
 

@@ -11,11 +11,17 @@ The truss battery also covers every slice width (byte-packed and word
 payloads), edge cases from complete graphs to an emptied graph, and the
 triangle-witness pass on its own; the one-list tests count witness
 passes per generation and check the list against the maintained count.
+The map tests hold the read-only :class:`~repro.graph.edgemap.EdgeMap`
+that ``support()`` / ``truss()`` return to the rules of the dict it
+replaced, and the read-path tests count ``Graph`` rebuilds (there must
+be none) across every configuration.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -28,6 +34,7 @@ from repro.analysis import truss as truss_module
 from repro.analysis.truss import edge_support, k_truss, truss_decomposition
 from repro.api import ClusteringReport, TCIMSession, open_session
 from repro.core import kernels
+from repro.core.accelerator import AcceleratorConfig, TCIMAccelerator
 from repro.core.engine import oriented_edges
 from repro.core.plan import build_join_plan
 from repro.core.slicing import SlicedMatrix
@@ -103,10 +110,21 @@ class TestSupport:
             with configured(graph, config) as session:
                 assert session.support() == edge_support(graph)
 
-    def test_returns_fresh_copies(self, paper_graph):
+    def test_read_only_snapshot(self, paper_graph):
         with open_session(paper_graph) as session:
             first = session.support()
-            first[(0, 1)] = -99  # callers peel their maps in place
+            with pytest.raises(TypeError):
+                first[(0, 1)] = -99
+            with pytest.raises(TypeError):
+                del first[(0, 1)]
+            for array in (first.sources, first.destinations, first.per_edge):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = -99
+            copy = dict(first)
+            copy[(0, 1)] = -99  # callers peel their copies in place
+            del copy[(0, 2)]
+            assert session.support() is first
             assert session.support() == edge_support(paper_graph)
 
     def test_empty_graph(self, empty_graph):
@@ -119,11 +137,15 @@ class TestSupport:
 
     def test_cached_until_mutation(self, k5):
         with open_session(k5) as session:
-            session.support()
-            assert "support_map" in session._workload_cache
+            first = session.support()
+            assert session.support() is first
             session.apply([("-", 0, 1)])
             assert session._workload_cache == {}
-            assert session.support() == edge_support(session.graph)
+            second = session.support()
+            assert second is not first
+            assert second == edge_support(session.graph)
+            # The earlier map stays its own generation's snapshot.
+            assert first == edge_support(k5)
 
 
 #: Slice widths of the witness pass: 8 and 24 bits are byte-packed
@@ -362,6 +384,21 @@ class TestClustering:
         with open_session(k5) as session:
             assert session.clustering() is session.clustering()
 
+    def test_cached_report_is_read_only(self, random_graphs):
+        graph = random_graphs[4]
+        with open_session(graph) as session:
+            report = session.clustering()
+            tallies = report.triangles_per_vertex.copy()
+            local = report.local.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                report.triangles_per_vertex[0] = 12345
+            with pytest.raises(ValueError, match="read-only"):
+                report.local[0] = -1.0
+            again = session.clustering()
+            assert np.array_equal(again.triangles_per_vertex, tallies)
+            assert np.array_equal(again.local, local)
+            assert np.array_equal(tallies, metrics.triangles_per_vertex(graph))
+
 
 class TestCommonNeighbors:
     @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
@@ -538,6 +575,30 @@ class TestWorkloadPlanResidency:
         session.close()
         assert session._workload_cache == {}
 
+    def test_resident_bytes_cover_workloads(self, tmp_path):
+        """The workload arrays count toward ``total``, so the spilled
+        triangle list can never make ``spilled`` exceed it."""
+        graph = generators.powerlaw_cluster(400, 4, 0.6, seed=3)
+        with open_session(
+            graph, storage_dir=tmp_path, spill_threshold_bytes=1
+        ) as session:
+            session.simulate()
+            assert session.resident_bytes_detail()["workloads"] == 0
+            for read in ("support", "truss", "clustering"):
+                getattr(session, read)()
+                detail = session.resident_bytes_detail()
+                assert detail["workloads"] > 0
+                assert detail["spilled"] <= detail["total"]
+                assert detail["total"] == session.resident_bytes() == sum(
+                    value
+                    for key, value in detail.items()
+                    if key not in ("spilled", "total")
+                )
+            session.apply([("-", *graph.edge_array()[0].tolist())])
+            detail = session.resident_bytes_detail()
+            assert detail["workloads"] == 0
+            assert detail["spilled"] <= detail["total"]
+
     @pytest.mark.parametrize("read", ["support", "clustering", "truss"])
     def test_witness_list_checked_against_the_count(self, random_graphs, read):
         """A maintained count the witness pass disagrees with raises
@@ -548,3 +609,222 @@ class TestWorkloadPlanResidency:
             session._triangles += 1  # a wrong maintained count
             with pytest.raises(ArchitectureError, match="witness pass lists"):
                 getattr(session, read)()
+
+
+def _equal_numbers(value: int):
+    """Stand-ins that equal ``value`` the way dict keys compare."""
+    return [np.int64(value), np.int32(value), np.uint16(value), float(value)]
+
+
+class TestEdgeMap:
+    """``support()`` / ``truss()`` maps follow the rules of the
+    ``{(u, v): value}`` dicts they replaced (forward keys only, CSR
+    order, Python ints), and stay their generation's snapshot."""
+
+    @pytest.mark.parametrize(
+        "read, oracle",
+        [("support", edge_support), ("truss", truss_decomposition)],
+        ids=["support", "truss"],
+    )
+    def test_follows_dict_rules(self, read, oracle, empty_graph):
+        graph = NESTED_CLIQUES
+        want = oracle(graph)
+        csr_keys = [tuple(edge) for edge in graph.edge_array().tolist()]
+        with open_session(graph) as session:
+            got = getattr(session, read)()
+            assert isinstance(got, Mapping)
+            assert len(got) == len(want) == graph.num_edges
+            # Iteration order is CSR order, as the parent's dict was built.
+            assert list(got) == list(got.keys()) == csr_keys
+            assert list(got.values()) == [want[key] for key in csr_keys]
+            assert list(got.items()) == [(key, want[key]) for key in csr_keys]
+            assert all(type(value) is int for value in got.values())
+            assert (0, 1) in got.keys() and (1, 0) not in got.keys()
+            assert want[(0, 1)] in got.values() and -7 not in got.values()
+            assert ((0, 1), want[(0, 1)]) in got.items()
+            assert ((0, 1), -7) not in got.items()
+            probes = [
+                *csr_keys[:3],  # present
+                (0, 11),  # absent: both endpoints exist
+                (1, 0),  # reversed present edge
+                (5, 5),  # self-loop
+                (-1, 3),  # out of range
+                (3, graph.num_vertices),
+                (0, 10**30),
+                *[(u, 1) for u in _equal_numbers(0)],  # numpy / equal numbers
+                *[(5, v) for v in _equal_numbers(6)],
+                (True, 2),
+                (0, 1.5),  # non-integral
+                (0, float("nan")),
+                ("0", "1"),  # non-pair keys
+                "x",
+                5,
+                None,
+                (0, 1, 2),
+                (0,),
+                frozenset({0, 1}),
+            ]
+            for key in probes:
+                assert (key in got) == (key in want), key
+                assert got.get(key) == want.get(key), key
+                assert got.get(key, "absent") == want.get(key, "absent"), key
+                if key in want:
+                    assert got[key] == want[key]
+                    assert type(got[key]) is int
+                else:
+                    with pytest.raises(KeyError):
+                        got[key]
+            for key in ([0, 1], (0, [1])):  # unhashable, as in a dict
+                for probe in (
+                    lambda m: key in m,
+                    lambda m: m[key],
+                    lambda m: m.get(key),
+                ):
+                    with pytest.raises(TypeError):
+                        probe(want)
+                    with pytest.raises(TypeError):
+                        probe(got)
+            # == and != in both directions, against dicts and other maps.
+            assert got == want and want == got
+            assert not (got != want) and not (want != got)
+            changed = dict(want)
+            changed[csr_keys[0]] += 1
+            shorter = dict(want)
+            del shorter[csr_keys[-1]]
+            for other in (changed, shorter, {}):
+                assert got != other and other != got
+                assert not (got == other) and not (other == got)
+            assert got != list(want.items())
+            with open_session(graph, use_plan=False) as fresh:
+                assert got == getattr(fresh, read)()
+            assert got != (session.support() if read == "truss" else session.truss())
+            with pytest.raises(TypeError):
+                hash(got)
+            with pytest.raises(TypeError):
+                {got}
+        with open_session(empty_graph) as session:
+            empty = getattr(session, read)()
+            assert empty == {} and {} == empty
+            assert not (empty != {}) and not ({} != empty)
+            assert len(empty) == 0 and list(empty.items()) == []
+            assert (0, 1) not in empty and empty.get((0, 1)) is None
+
+    @pytest.mark.parametrize(
+        "read, oracle",
+        [("support", edge_support), ("truss", truss_decomposition)],
+        ids=["support", "truss"],
+    )
+    def test_kept_map_survives_apply_and_close(self, read, oracle):
+        graph = NESTED_CLIQUES
+        with open_session(graph) as session:
+            kept = getattr(session, read)()
+            session.apply([("-", 0, 1), ("+", 0, 11)])
+            assert getattr(session, read)() == oracle(session.graph)
+            session.close()
+            assert getattr(session, read)() == oracle(session.graph)
+            assert kept == oracle(graph)
+            assert dict(kept) == oracle(graph)
+
+
+def _count_graph_builds(monkeypatch) -> list[str]:
+    """Record every ``Graph.from_parts`` and ``SlicedMatrix.nonzeros``
+    call: the two halves of rebuilding ``session.graph`` from bits."""
+    calls: list[str] = []
+    from_parts = Graph.from_parts.__func__
+    nonzeros = SlicedMatrix.nonzeros
+
+    def counted_from_parts(cls, *args, **kwargs):
+        calls.append("Graph.from_parts")
+        return from_parts(cls, *args, **kwargs)
+
+    def counted_nonzeros(self):
+        calls.append("SlicedMatrix.nonzeros")
+        return nonzeros(self)
+
+    monkeypatch.setattr(Graph, "from_parts", classmethod(counted_from_parts))
+    monkeypatch.setattr(SlicedMatrix, "nonzeros", counted_nonzeros)
+    return calls
+
+
+class TestNoGraphOnReadPath:
+    """After an apply, no read of an analytics generation rebuilds a
+    ``Graph``: the reads run on the resident structures and edge arrays."""
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    def test_reads_build_no_graph(self, config, configured, tmp_path, monkeypatch):
+        graph = generators.powerlaw_cluster(90, 3, 0.6, seed=4)
+        with configured(graph, config) as warm:
+            target = warm.snapshot(tmp_path / "snapshot")
+        session = open_session(snapshot=target)
+        present = graph.edge_array()[:3].tolist()
+        absent = [
+            (u, v)
+            for u in range(graph.num_vertices)
+            for v in range(u + 1, graph.num_vertices)
+            if not graph.has_edge(u, v)
+        ][:3]
+        calls = _count_graph_builds(monkeypatch)
+        with session:
+            session.apply(
+                [("-", *edge) for edge in present] + [("+", *edge) for edge in absent]
+            )
+            report = session.simulate()
+            session.run()
+            session.count()
+            session.support()
+            session.clustering()
+            session.truss()
+            session.slice_stats()
+            session.common_neighbors_many([(0, 1), (2, 3)])
+            assert calls == []
+            expected = TCIMAccelerator(session.config).run(session.graph)
+            assert report.triangles == expected.triangles
+            assert dataclasses.asdict(report.events) == dataclasses.asdict(
+                expected.events
+            )
+            assert dataclasses.asdict(report.cache_stats) == dataclasses.asdict(
+                expected.cache_stats
+            )
+            assert_workloads_match_oracles(session, session.graph)
+
+    def test_graph_free_run_needs_resident_pieces(self, random_graphs):
+        graph = random_graphs[4]
+        row, col, sources, destinations = count_structures(graph, "upper")
+        accelerator = TCIMAccelerator()
+        n = graph.num_vertices
+        resident = dict(
+            row_sliced=row, col_sliced=col, edge_arrays=(sources, destinations)
+        )
+        for partial in (
+            {},
+            {"num_vertices": n},
+            {"num_vertices": n, "row_sliced": row, "col_sliced": col},
+            resident,
+        ):
+            with pytest.raises(ArchitectureError, match="without a graph"):
+                accelerator.run(None, **partial)
+        with pytest.raises(ArchitectureError, match="rows"):
+            accelerator.run(None, num_vertices=n + 1, **resident)
+        with pytest.raises(ArchitectureError, match="vertices"):
+            accelerator.run(graph, num_vertices=n + 1)
+        alone = accelerator.run(None, num_vertices=n, **resident)
+        full = accelerator.run(graph)
+        assert alone.triangles == full.triangles
+        assert alone.events == full.events
+        assert alone.cache_stats == full.cache_stats
+
+    @pytest.mark.parametrize("num_arrays", [1, 4])
+    def test_foreign_plan_still_rejected(self, random_graphs, num_arrays):
+        graph = random_graphs[4]
+        row, col, sources, destinations = count_structures(graph, "upper")
+        plan = build_join_plan(row, col, sources[:-1], destinations[:-1])
+        accelerator = TCIMAccelerator(AcceleratorConfig(num_arrays=num_arrays))
+        with pytest.raises(ArchitectureError, match="compile a plan"):
+            accelerator.run(
+                None,
+                num_vertices=graph.num_vertices,
+                row_sliced=row,
+                col_sliced=col,
+                edge_arrays=(sources, destinations),
+                join_plan=plan,
+            )
