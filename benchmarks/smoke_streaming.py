@@ -13,8 +13,15 @@ path (:mod:`repro.core.incremental`).  Asserts:
 * each session runs the whole stream as at most ``MAX_SEGMENTS`` (2)
   engine batches — its net deletions, then its net insertions — a count
   gate that, unlike wall time, cannot pass on a fast machine by luck;
+* neither session's ``apply()`` builds a whole-structure key array
+  (zero :meth:`SlicedMatrix.global_keys` calls): its delta joins key
+  only the rows they touch — another count gate;
 * incremental throughput is at least ``MIN_SPEEDUP`` (5x) over per-op
   full recounts (the number is recorded in ``benchmarks/results/``).
+
+It also records, without gating, the median one-edge ``apply()`` at
+4k / 32k and 100k / 800k edges and their ratio: how far an apply's cost
+still grows with the graph.
 
 Exit code 0 on success, 1 on any violation.  Usage::
 
@@ -23,7 +30,9 @@ Exit code 0 on success, 1 on any violation.  Usage::
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -32,6 +41,7 @@ import numpy as np
 
 from repro.api import open_session
 from repro.core.accelerator import AcceleratorConfig, TCIMAccelerator
+from repro.core.slicing import SlicedMatrix
 from repro.graph import generators
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -45,6 +55,9 @@ MIN_SPEEDUP = 5.0
 MAX_SEGMENTS = 2
 #: Full recounts actually timed to estimate the per-op recount cost.
 RECOUNT_SAMPLES = 3
+#: BA vertex counts whose one-edge apply medians are recorded, not gated.
+ONE_EDGE_SIZES = (4_000, 100_000)
+ONE_EDGE_SAMPLES = 101
 
 
 def make_stream(graph, num_ops: int, seed: int = 7):
@@ -63,7 +76,8 @@ def make_stream(graph, num_ops: int, seed: int = 7):
             present.discard(edge)
             ops.append(("-", *edge))
         else:
-            u, v = int(rng.integers(NUM_VERTICES)), int(rng.integers(NUM_VERTICES))
+            n = graph.num_vertices
+            u, v = int(rng.integers(n)), int(rng.integers(n))
             key = (min(u, v), max(u, v))
             if u == v or key in present:
                 continue
@@ -71,6 +85,36 @@ def make_stream(graph, num_ops: int, seed: int = 7):
             pool.append(key)
             ops.append(("+", u, v))
     return ops
+
+
+@contextlib.contextmanager
+def counting_key_builds():
+    """Count :meth:`SlicedMatrix.global_keys` calls inside the block."""
+    calls: list[int] = []
+    real = SlicedMatrix.global_keys
+
+    def counted(self):
+        calls.append(1)
+        return real(self)
+
+    SlicedMatrix.global_keys = counted
+    try:
+        yield calls
+    finally:
+        SlicedMatrix.global_keys = real
+
+
+def one_edge_apply_ms(num_vertices: int) -> float:
+    """Median wall time of a one-edge ``apply()`` on a resident BA graph."""
+    graph = generators.barabasi_albert(num_vertices, ATTACH, seed=42)
+    session = open_session(graph)
+    session.count()
+    times = []
+    for op in make_stream(graph, ONE_EDGE_SAMPLES, seed=11):
+        start = time.perf_counter()
+        session.apply([op])
+        times.append(time.perf_counter() - start)
+    return 1e3 * statistics.median(times)
 
 
 def _check_segments(label: str, segments: int) -> int:
@@ -99,9 +143,10 @@ def main(argv: list[str]) -> int:
     # --- sharded session: the headline configuration -------------------
     session = open_session(graph, num_arrays=NUM_ARRAYS, shard_by=SHARD_BY)
     session.count()  # bootstrap the base count outside the timed region
-    start = time.perf_counter()
-    update = session.apply(ops)
-    incremental_s = time.perf_counter() - start
+    with counting_key_builds() as key_builds:
+        start = time.perf_counter()
+        update = session.apply(ops)
+        incremental_s = time.perf_counter() - start
     print(
         f"incremental: {num_ops:,} ops in {incremental_s:.3f}s "
         f"({update.segments} engine batches, {update.inserted} inserts, "
@@ -136,7 +181,21 @@ def main(argv: list[str]) -> int:
     # --- num_arrays=1: bit-identical to the single-array engine --------
     single = open_session(graph)
     single.count()
-    failures += _check_segments("num_arrays=1 session", single.apply(ops).segments)
+    with counting_key_builds() as single_key_builds:
+        single_update = single.apply(ops)
+    failures += _check_segments("num_arrays=1 session", single_update.segments)
+    key_builds += single_key_builds
+    lines.append(
+        f"whole-structure key builds during both sessions' apply(): "
+        f"{len(key_builds)} (gate == 0)"
+    )
+    if key_builds:
+        print(
+            f"apply() built {len(key_builds)} whole-structure key arrays; "
+            "its delta joins must key only the rows they touch",
+            file=sys.stderr,
+        )
+        failures += 1
     reference = TCIMAccelerator(AcceleratorConfig()).run(final_graph)
     single_run = single.run()
     if single.count() != reference.triangles or dataclasses.asdict(
@@ -169,6 +228,15 @@ def main(argv: list[str]) -> int:
             file=sys.stderr,
         )
         failures += 1
+
+    # --- one-edge apply cost vs graph size (recorded, not gated) -------
+    small, large = (one_edge_apply_ms(size) for size in ONE_EDGE_SIZES)
+    line = (
+        f"one-edge apply median: {small:.2f} ms at 4k/32k, {large:.2f} ms at "
+        f"100k/800k, ratio {large / small:.1f}x (recorded, not gated)"
+    )
+    print(line)
+    lines.append(line)
 
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "smoke_streaming.txt").write_text(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.plan import _expand_runs
+from repro.core.slicing import expand_runs
 from repro.errors import GraphError
 from repro.graph.graph import Graph
 
@@ -137,7 +137,7 @@ def peel_trussness(supports: np.ndarray, triangles: np.ndarray) -> np.ndarray:
         while frontier.size:
             trussness[frontier] = k
             edge_live[frontier] = False
-            hit = incident[_expand_runs(starts[frontier], counts[frontier])]
+            hit = incident[expand_runs(starts[frontier], counts[frontier])]
             hit = _distinct(hit[triangle_live[hit]], triangle_scratch)
             triangle_live[hit] = False
             survivors = triangles[hit].reshape(-1)

@@ -487,7 +487,8 @@ class TCIMSession:
     def resident_bytes_detail(self) -> dict:
         """:meth:`resident_bytes` decomposed the way paging decisions need.
 
-        Keys (all bytes): ``slices`` (the resident slice structures),
+        Keys (all bytes): ``slices`` (the resident slice structures,
+        the spare rows their buffers keep for in-place inserts included),
         ``plan`` (the compiled count plan), ``sym_plan`` (always 0: the
         workloads read the count plan; the key stays for readers of
         earlier releases), ``edges`` (the oriented edge arrays),
@@ -506,7 +507,7 @@ class TCIMSession:
         """
         with self._lock:
             slices = sum(
-                sliced.data.nbytes + sliced.slice_ids.nbytes + sliced.indptr.nbytes
+                sum(buffer.nbytes for buffer in sliced.buffers) + sliced.indptr.nbytes
                 for sliced in (self._row_sliced, self._col_sliced, self._sym_sliced)
                 if sliced is not None
             )
@@ -1208,10 +1209,9 @@ class TCIMSession:
         except Exception:
             # The fresh edges were absent from the base, so their bits
             # were all zero: clearing both directions restores the
-            # structure exactly even if set_bits died half-way.
-            incremental.clear_bits(
-                sym, *_both_directions(delta_edges), store=self._store
-            )
+            # structure exactly even if set_bits died half-way (e.g. its
+            # store could not grow the room), and a clear never allocates.
+            incremental.clear_bits(sym, *_both_directions(delta_edges))
             raise
         self._num_edges += len(delta_edges)
         self._triangles += outcome.triangles
@@ -1226,10 +1226,11 @@ class TCIMSession:
         if not delta_edges.size:
             return incremental.DeltaOutcome(triangles=0), 0
         # Remove first: the destroyed triangles are the ones the delta
-        # edges would re-create on the post-deletion graph.  The join can
-        # raise (capacity), so roll the removal back on failure to keep
-        # the session consistent.
-        incremental.clear_bits(sym, *_both_directions(delta_edges), store=self._store)
+        # edges would re-create on the post-deletion graph.  The removal
+        # never allocates; the join can raise (capacity), so roll the
+        # removal back on failure — the re-insert fits in the room the
+        # removal freed — to keep the session consistent.
+        incremental.clear_bits(sym, *_both_directions(delta_edges))
         try:
             outcome = incremental.symmetric_delta(
                 self._num_vertices, sym, delta_edges, self.config
@@ -1461,14 +1462,16 @@ class TCIMSession:
         return cached
 
     def _enumerate_candidates(self, u: int) -> np.ndarray:
-        """Two-hop candidate vertices of ``u`` (callers hold the lock)."""
-        graph = self.graph
-        neighbors = graph.neighbors(u)
+        """Two-hop candidate vertices of ``u`` (callers hold the lock).
+
+        Decodes only the symmetric structure's rows of ``u`` and of its
+        neighbours, so no apply makes this rebuild the graph.
+        """
+        sym = self._sym()
+        neighbors = sym.row_columns(np.array([u], dtype=np.int64))
         if not neighbors.size:
             return np.empty(0, dtype=np.int64)
-        two_hop = np.unique(
-            np.concatenate([graph.neighbors(int(w)) for w in neighbors.tolist()])
-        )
+        two_hop = np.unique(sym.row_columns(neighbors))
         keep = (two_hop != u) & ~np.isin(two_hop, neighbors)
         return two_hop[keep].astype(np.int64, copy=False)
 
@@ -1487,10 +1490,13 @@ class TCIMSession:
     # * ``("unfusible", None, gen)`` — this session's configuration
     #   cannot ride the fused path (sharded, plan-free); serve per-request.
     #
-    # The sweep itself runs *without* the lock: concurrent mutations may
-    # tear the payload bits mid-gather, but every ``fusion_commit_*``
-    # re-checks the generation under the lock and refuses a stale
-    # commit, so torn results are discarded, never served or cached.
+    # The sweep itself runs *without* the lock: a concurrent apply may
+    # flip payload bits or shift whole slices inside the very buffers
+    # the segment's arrays view (splices move slices in place), so the
+    # gathered bytes may be torn or belong to other slices.  Every
+    # ``fusion_commit_*`` re-checks the generation under the lock and
+    # refuses a stale commit, so such results are discarded, never
+    # served or cached.
     def fusion_count_state(self):
         """Snapshot for a fused triangle-count sweep."""
         with self._lock:
@@ -1703,21 +1709,15 @@ class TCIMSession:
         try:
             orientation = self.config.orientation
             for delta_edges, insert in pending:
-                mutate = incremental.set_bits if insert else incremental.clear_bits
-                row_delta = mutate(
-                    self._row_sliced,
-                    *joinplan.oriented_structure_bits(
-                        delta_edges, orientation, "row"
-                    ),
-                    store=self._store,
-                )
-                col_delta = mutate(
-                    self._col_sliced,
-                    *joinplan.oriented_structure_bits(
-                        delta_edges, orientation, "col"
-                    ),
-                    store=self._store,
-                )
+                deltas = []
+                for sliced, side in ((self._row_sliced, "row"), (self._col_sliced, "col")):
+                    bits = joinplan.oriented_structure_bits(delta_edges, orientation, side)
+                    deltas.append(
+                        incremental.set_bits(sliced, *bits, store=self._store)
+                        if insert
+                        else incremental.clear_bits(sliced, *bits)
+                    )
+                row_delta, col_delta = deltas
                 sources, destinations, edge_delta = joinplan.merge_oriented_edges(
                     *self._edge_arrays,
                     delta_edges,

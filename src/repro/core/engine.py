@@ -9,11 +9,13 @@ This module executes the *same* dataflow in bulk:
 
 1. the oriented edge list is processed in row-batches sized by candidate
    slice-pair count, not one edge at a time;
-2. valid slice pairs are merge-joined for a whole batch with a single
-   :func:`np.searchsorted` over one side's globally sorted
-   ``row * slices_per_row + slice_id`` keys
-   (:meth:`SlicedMatrix.global_keys`); the engine probes whichever side
-   (row structure or column structure) fans out fewer candidate slices;
+2. valid slice pairs are merge-joined for a whole batch against one
+   side's sorted ``row * slices_per_row + slice_id`` keys — a dense
+   position table over every valid slice when the batch's candidates
+   amortise it, else a single :func:`np.searchsorted` over the keys of
+   only the rows the edge list references; the engine probes whichever
+   side (row structure or column structure) fans out fewer candidate
+   slices;
 3. all matched payloads of the batch are gathered and ANDed at once
    through 64-bit word views of the slice payloads
    (:func:`repro.graph.bitops.word_view`), accumulating triangles with
@@ -52,7 +54,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.reuse import CacheStatistics, simulate_key_trace
-from repro.core.slicing import SlicedMatrix
+from repro.core.slicing import SlicedMatrix, expand_runs
 from repro.errors import ArchitectureError
 from repro.graph import bitops
 from repro.graph.graph import Graph
@@ -242,13 +244,22 @@ def join_batches(
 ):
     """Merge-join the valid slice pairs of an oriented edge list, batched.
 
-    Yields ``(row_positions, col_positions, edge_ids)`` per batch:
-    positions of each matched pair in ``row_sliced.data`` /
+    Yields ``(row_positions, col_positions, edge_ids, trace_keys)`` per
+    batch: positions of each matched pair in ``row_sliced.data`` /
     ``col_sliced.data``, in the reference iteration order (edges in input
-    order, slice ids ascending within an edge).  ``edge_ids`` (the index
-    into ``sources`` of each match's edge) is only materialised when
-    ``with_edge_ids`` — the plan compiler needs it, the executor does
-    not.
+    order, slice ids ascending within an edge), and each match's
+    column-structure key ``destination * slices_per_row + slice_id`` —
+    the column cache's access trace, which every caller consumes.
+    ``edge_ids`` (the index into ``sources`` of each match's edge) is
+    only materialised when ``with_edge_ids`` — the plan compiler needs
+    it, the executor does not.
+
+    The build side is keyed one of two ways.  When the candidates reach
+    ``key_space // 16`` (full runs and plan compiles), a dense position
+    table over every valid slice; otherwise the sorted keys of only the
+    build rows the edge list references, so a small join (a delta join,
+    a pair probe, a plan patch's re-join) never builds a whole-structure
+    key array.
 
     This is the shared join of the batched executor and the
     :mod:`repro.core.plan` compiler; keeping it in one place is what
@@ -262,9 +273,9 @@ def join_batches(
     row_starts, row_counts = row_sliced.row_slice_ranges(sources)
     col_starts, col_counts = col_sliced.row_slice_ranges(destinations)
     # A valid pair needs both sides valid, so either side can be probed
-    # against the other's sorted global keys; probe the one that expands
-    # into fewer candidates.  The matched slice ids — and with them the
-    # cache trace order — are identical either way.
+    # against the other's sorted keys; probe the one that expands into
+    # fewer candidates.  The matched slice ids — and with them the cache
+    # trace order — are identical either way.
     probe_rows = int(row_counts.sum()) <= int(col_counts.sum())
     if probe_rows:
         probe_starts, probe_counts = row_starts, row_counts
@@ -274,21 +285,22 @@ def join_batches(
         probe_starts, probe_counts = col_starts, col_counts
         probe_ids, probe_owner = col_sliced.slice_ids, sources
         build = row_sliced
-    # Global keys fit int32 whenever the slice-position space does; the
-    # narrower dtype halves the memory the batch binary searches touch.
-    key_space = build.num_rows * slices_per_row
+    # Keys fit int32 whenever the slice-position space does; the narrower
+    # dtype halves the memory the batch binary searches touch.
+    key_space = max(row_sliced.num_rows, col_sliced.num_rows) * slices_per_row
     key_dtype = np.int32 if key_space <= np.iinfo(np.int32).max else np.int64
     spr_key = key_dtype(slices_per_row)
-    build_keys = build.global_keys().astype(key_dtype, copy=False)
-    position_table = None
+    position_table = build_keys = build_positions = None
     # The dense table costs one O(key_space) fill up front; only pay it
-    # when the probe volume amortises it (full runs always do, the tiny
-    # delta re-joins of the incremental path almost never do — they fall
-    # back to binary search over the build side's sorted keys).
+    # when the probe volume amortises it.
     total_candidates = int(probe_counts.sum())
-    if 0 < key_space <= DENSE_LOOKUP_MAX_KEYS and total_candidates >= key_space // 16:
-        position_table = np.full(key_space, -1, dtype=np.int32)
+    dense_space = build.num_rows * slices_per_row
+    if 0 < dense_space <= DENSE_LOOKUP_MAX_KEYS and total_candidates >= dense_space // 16:
+        build_keys = build.global_keys().astype(key_dtype, copy=False)
+        position_table = np.full(dense_space, -1, dtype=np.int32)
         position_table[build_keys] = np.arange(build_keys.size, dtype=np.int32)
+    else:
+        build_keys, build_positions = _referenced_keys(build, probe_owner, key_dtype)
     bounds = np.zeros(num_edges + 1, dtype=np.int64)
     np.cumsum(probe_counts, out=bounds[1:])
     start = 0
@@ -314,27 +326,54 @@ def join_batches(
         )
         targets = owners * spr_key + slice_ids
         if position_table is not None:
-            build_positions = position_table[targets]
-            matched = build_positions >= 0
+            found = position_table[targets]
+            matched = found >= 0
         elif build_keys.size:
-            build_positions = np.searchsorted(build_keys, targets)
-            build_positions = np.minimum(build_positions, build_keys.size - 1)
-            matched = build_keys[build_positions] == targets
+            found = np.searchsorted(build_keys, targets)
+            np.minimum(found, build_keys.size - 1, out=found)
+            matched = build_keys[found] == targets
         else:
             matched = np.zeros(total, dtype=bool)
         if matched.any():
             probe_hit = probe_positions[matched]
-            build_hit = build_positions[matched]
-            edge_ids = None
-            if with_edge_ids:
-                edge_ids = np.repeat(
+            key_hit = found[matched]
+            build_hit = key_hit if build_positions is None else build_positions[key_hit]
+            match_edges = None
+            if with_edge_ids or not probe_rows:
+                match_edges = np.repeat(
                     np.arange(start, stop, dtype=np.int64), counts
                 )[matched]
+            # Gathers over the matches only, never a pass over the candidates.
             if probe_rows:
-                yield probe_hit, build_hit, edge_ids
+                trace_keys = build_keys[key_hit]  # the build side is the column
             else:
-                yield build_hit, probe_hit, edge_ids
+                trace_keys = destinations[match_edges] * slices_per_row + probe_ids[probe_hit]
+            edge_ids = match_edges if with_edge_ids else None
+            if probe_rows:
+                yield probe_hit, build_hit, edge_ids, trace_keys
+            else:
+                yield build_hit, probe_hit, edge_ids, trace_keys
         start = stop
+
+
+def _referenced_keys(
+    build: SlicedMatrix, rows: np.ndarray, key_dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted keys of the valid slices of the build rows ``rows`` names,
+    and the build position of each key."""
+    # A sort for a few rows, one pass over a row mask for many.
+    if rows.size * 8 < build.num_rows:
+        rows = np.unique(rows)
+    else:
+        referenced = np.zeros(build.num_rows, dtype=bool)
+        referenced[rows] = True
+        rows = np.flatnonzero(referenced)
+    starts, counts = build.row_slice_ranges(rows)
+    positions = expand_runs(starts, counts)
+    keys = np.repeat(rows.astype(key_dtype), counts) * key_dtype(
+        build.slices_per_row
+    ) + build.slice_ids[positions].astype(key_dtype, copy=False)
+    return keys, positions
 
 
 def execute_batched(

@@ -142,9 +142,10 @@ def delta_sliced(
 class StructureDelta:
     """Structural change report of one :func:`set_bits`/:func:`clear_bits`.
 
-    Describes exactly how the valid-slice arrays moved, in the
-    coordinates a position-holding artifact (the keys cache, a resident
-    :class:`~repro.core.plan.JoinPlan`) needs to renumber itself:
+    Describes exactly how the valid-slice arrays moved, in the compact
+    coordinates (positions among the live slices, spare rows never
+    counted) a position-holding artifact — a resident
+    :class:`~repro.core.plan.JoinPlan` — needs to renumber itself:
 
     ``inserted_before``
         Sorted insertion points in *pre-insert* coordinates — the
@@ -190,16 +191,20 @@ def set_bits(
 ) -> StructureDelta:
     """Set many bits at once, inserting new valid slices as needed.
 
-    One splice per array covers every structural change of the batch,
-    so a k-bit update costs ``O(N_VS + k log N_VS)`` instead of the
-    ``O(k * N_VS)`` a per-bit loop would pay.  Keeps the CSR-of-slices
-    invariants (ascending slice ids per row, no invalid slices stored),
-    so a mutated matrix is indistinguishable from one rebuilt from
-    scratch — the property the equivalence tests rely on.
+    One splice covers every structural change of the batch: the stored
+    slices shift right in place inside the structure's spare rows
+    (:meth:`SlicedMatrix.insert_slices`), so a k-bit update moves
+    ``O(N_VS)`` bytes once instead of the ``O(k * N_VS)`` a per-bit loop
+    would pay, and allocates nothing while the room lasts.  Keeps the
+    CSR-of-slices invariants (ascending slice ids per row, no invalid
+    slices stored), so a mutated matrix is indistinguishable from one
+    rebuilt from scratch — the property the equivalence tests rely on.
 
     ``store`` (a :class:`repro.storage.backing.BackingStore`) allocates
-    the spliced arrays, so a spilled structure stays spilled; ``None``
-    allocates on the heap.
+    larger buffers when the room runs out, so a spilled structure stays
+    spilled; ``None`` allocates on the heap.  If that allocation fails,
+    the bits of already-valid slices are set and no slice is inserted:
+    clearing the batch's bits restores the structure.
 
     Returns a :class:`StructureDelta` naming the inserted slices (empty
     for a payload-only update), and bumps
@@ -218,7 +223,7 @@ def set_bits(
     if not missing.any():
         return StructureDelta.unchanged()
     # New slices: group the missing bits by global slice key, build each
-    # payload, and splice them all in with one allocation per array.
+    # payload, and splice them all in at once.
     spr = np.int64(sliced.slices_per_row)
     keys = rows[missing] * spr + cols[missing] // sliced.slice_bits
     order = np.argsort(keys, kind="stable")
@@ -236,15 +241,8 @@ def set_bits(
     # A missing bit's located position is exactly where its new slice
     # belongs, so no second search over the structure is needed.
     insert_at = positions[missing][order][head]
-    # Both splices allocate before either array is swapped in, so a
-    # failed allocation leaves the structure as it was.
-    slice_ids = _insert_rows(sliced.slice_ids, insert_at, unique_keys % spr, store)
-    data = _insert_rows(sliced.data, insert_at, payloads, store)
-    sliced.slice_ids, sliced.data = slice_ids, data
-    owner_rows = (unique_keys // spr).astype(np.int64)
-    owner_counts = np.bincount(owner_rows, minlength=sliced.num_rows)
-    sliced.indptr[1:] += np.cumsum(owner_counts)
-    sliced.mark_structure_changed()
+    owner_rows = unique_keys // spr
+    sliced.insert_slices(insert_at, owner_rows, unique_keys % spr, payloads, store)
     empty = np.empty(0, dtype=np.int64)
     return StructureDelta(
         inserted_before=insert_at.astype(np.int64),
@@ -254,14 +252,14 @@ def set_bits(
     )
 
 
-def clear_bits(
-    sliced: SlicedMatrix, rows: np.ndarray, cols: np.ndarray, store=None
-) -> StructureDelta:
+def clear_bits(sliced: SlicedMatrix, rows: np.ndarray, cols: np.ndarray) -> StructureDelta:
     """Clear many bits at once, dropping slices that become empty.
 
-    ``store`` allocates the spliced arrays, as for :func:`set_bits`.
-    Returns a :class:`StructureDelta` naming the dropped slices (empty
-    when every touched slice kept at least one bit), and bumps
+    The kept slices shift left in place
+    (:meth:`SlicedMatrix.remove_slices`); a clear never allocates, so it
+    cannot fail half-way, and the rows it frees are room for the next
+    inserts.  Returns a :class:`StructureDelta` naming the dropped slices
+    (empty when every touched slice kept at least one bit), and bumps
     :attr:`SlicedMatrix.structure_version` iff slices were dropped.
     """
     rows, cols, positions, exists, bytes_, masks = _locate_bits(sliced, rows, cols)
@@ -277,13 +275,7 @@ def clear_bits(
     if emptied.size == 0:
         return StructureDelta.unchanged()
     owners = np.searchsorted(sliced.indptr, emptied, side="right") - 1
-    slice_ids = _delete_rows(sliced.slice_ids, emptied, store)
-    data = _delete_rows(sliced.data, emptied, store)
-    sliced.slice_ids, sliced.data = slice_ids, data
-    sliced.indptr[1:] -= np.cumsum(
-        np.bincount(owners, minlength=sliced.num_rows)
-    )
-    sliced.mark_structure_changed()
+    sliced.remove_slices(emptied, owners)
     empty = np.empty(0, dtype=np.int64)
     return StructureDelta(
         inserted_before=empty,
@@ -315,51 +307,6 @@ def test_bits(sliced: SlicedMatrix, rows, cols) -> np.ndarray:
         sliced.data[positions[exists], bytes_[exists]] & masks[exists]
     ) != 0
     return present
-
-
-def _row_view(array: np.ndarray) -> np.ndarray:
-    """1-D view with one item per row, so row moves copy whole rows."""
-    if array.ndim == 1:
-        return array
-    return array.view(np.dtype((np.void, array.strides[0]))).reshape(array.shape[0])
-
-
-def _alloc(store, shape, dtype) -> np.ndarray:
-    return np.empty(shape, dtype=dtype) if store is None else store.empty(shape, dtype)
-
-
-def _insert_rows(array: np.ndarray, before: np.ndarray, rows, store) -> np.ndarray:
-    """``np.insert(array, before, rows, axis=0)`` in one ``store`` allocation.
-
-    ``before`` is sorted; the copy runs over 1-D row views, which is
-    an order of magnitude cheaper than a 2-D insert along axis 0.
-    """
-    total = array.shape[0] + before.size
-    out = _alloc(store, (total, *array.shape[1:]), array.dtype)
-    landed = before + np.arange(before.size)
-    old = np.ones(total, dtype=bool)
-    old[landed] = False
-    view = _row_view(out)
-    view[old] = _row_view(array)
-    view[landed] = _row_view(np.ascontiguousarray(rows, dtype=array.dtype))
-    return out
-
-
-def _delete_rows(array: np.ndarray, removed: np.ndarray, store) -> np.ndarray:
-    """``np.delete(array, removed, axis=0)`` in one ``store`` allocation.
-
-    ``removed`` is sorted and unique; the kept runs between its rows move
-    as contiguous block copies, with no temporary of the whole array.
-    """
-    out = _alloc(store, (array.shape[0] - removed.size, *array.shape[1:]), array.dtype)
-    starts = np.concatenate(([0], removed + 1)).tolist()
-    stops = np.concatenate((removed, [array.shape[0]])).tolist()
-    at = 0
-    for start, stop in zip(starts, stops):
-        if stop > start:
-            out[at : at + stop - start] = array[start:stop]
-            at += stop - start
-    return out
 
 
 def _locate_bits(sliced: SlicedMatrix, rows, cols):

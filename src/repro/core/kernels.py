@@ -342,15 +342,12 @@ def execute_workload(
             row_writes = int(touched_counts.sum())
     num_edges = int(sources.size)
     events = engine._base_events(num_edges, row_sliced.slices_per_row, row_writes)
-    # The cache key of a column-slice access is exactly that slice's global
-    # key in the column structure, whichever side was probed.
-    col_global = col_sliced.global_keys()
     accumulator = 0
     matches = 0
     per_edge = np.zeros(num_edges, dtype=np.int64) if kernel.per_edge else None
     trace_parts: list[np.ndarray] = []
     workspace = engine._Workspace()
-    for row_hit, col_hit, edge_ids in engine.join_batches(
+    for row_hit, col_hit, edge_ids, trace_keys in engine.join_batches(
         row_sliced, col_sliced, sources, destinations, batch_candidates,
         with_edge_ids=kernel.per_edge,
     ):
@@ -368,7 +365,7 @@ def execute_workload(
             accumulator += engine.pair_popcount(
                 row_sliced.data, col_sliced.data, row_hit, col_hit, workspace
             )
-        trace_parts.append(col_global[col_hit])
+        trace_parts.append(trace_keys)
         matches += int(row_hit.size)
     events["and_operations"] = matches
     events["bitcount_operations"] = matches

@@ -5,7 +5,7 @@ only *valid slice pairs* ever reach the computational array — and for a
 resident graph, which pairs those are is a pure function of the slice
 *structure*, not of the payload bits.  Yet every query through
 :func:`repro.core.engine.execute_batched` re-derives them: candidate
-expansion, the merge-join against the sorted global keys, and the
+expansion, the merge-join against the sorted slice keys, and the
 column-key cache trace are recomputed per call, which dominates repeat
 queries on an unchanged graph (the serving tier's bread and butter).
 
@@ -53,7 +53,7 @@ import numpy as np
 from repro.core import engine
 from repro.core.incremental import StructureDelta
 from repro.core.reuse import CacheStatistics, ReplacementPolicy, simulate_key_trace
-from repro.core.slicing import SlicedMatrix
+from repro.core.slicing import SlicedMatrix, _alloc, expand_runs
 from repro.errors import ArchitectureError
 
 __all__ = [
@@ -72,33 +72,11 @@ def _position_dtype(size: int) -> np.dtype:
     return np.dtype(np.int32 if size <= np.iinfo(np.int32).max else np.int64)
 
 
-def _alloc(store, shape, dtype) -> np.ndarray:
-    """Uninitialised array through a backing store (heap when ``store=None``)."""
-    if store is None:
-        return np.empty(shape, dtype=dtype)
-    return store.empty(shape, dtype)
-
-
 def _adopt(store, array: np.ndarray) -> np.ndarray:
     """Move an array into the store's backing (identity when ``store=None``)."""
     if store is None:
         return array
     return store.adopt(array)
-
-
-def _expand_runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Flat indices of the runs ``[starts[i], starts[i] + counts[i])``.
-
-    The engine's batch-expansion trick: one ``arange`` plus a repeat of
-    the per-run delta enumerates every run element at once.
-    """
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.zeros(counts.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    delta = starts.astype(np.int64, copy=False) - offsets
-    return np.arange(total, dtype=np.int64) + np.repeat(delta, counts)
 
 
 def _plan_dtypes(row_sliced: SlicedMatrix, col_sliced: SlicedMatrix) -> tuple:
@@ -116,28 +94,32 @@ def _join(
     sources: np.ndarray,
     destinations: np.ndarray,
     batch_candidates: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(row_positions, col_positions, pair_counts)`` of an edge list.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(row_positions, col_positions, trace_keys, pair_counts)`` of an
+    edge list.
 
-    The matched pairs of :func:`repro.core.engine.join_batches`,
-    concatenated in join order, and the pairs per edge.
+    The matched pairs of :func:`repro.core.engine.join_batches` and their
+    column trace keys, concatenated in join order, and the pairs per edge.
     """
     row_parts: list[np.ndarray] = []
     col_parts: list[np.ndarray] = []
     edge_parts: list[np.ndarray] = []
-    for row_hit, col_hit, edge_ids in engine.join_batches(
+    trace_parts: list[np.ndarray] = []
+    for row_hit, col_hit, edge_ids, trace_keys in engine.join_batches(
         row_sliced, col_sliced, sources, destinations,
         batch_candidates, with_edge_ids=True,
     ):
         row_parts.append(row_hit)
         col_parts.append(col_hit)
         edge_parts.append(edge_ids)
+        trace_parts.append(trace_keys)
     if not row_parts:
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.zeros(sources.size, dtype=np.int64)
+        return empty, empty, empty, np.zeros(sources.size, dtype=np.int64)
     return (
         np.concatenate(row_parts),
         np.concatenate(col_parts),
+        np.concatenate(trace_parts),
         np.bincount(np.concatenate(edge_parts), minlength=sources.size),
     )
 
@@ -267,7 +249,7 @@ class JoinPlan:
         """
         positions = np.asarray(positions, dtype=np.int64)
         counts = self.pair_counts[positions]
-        take = _expand_runs(self.bounds[positions], counts)
+        take = expand_runs(self.bounds[positions], counts)
         return JoinPlan(
             row_positions=self.row_positions[take],
             col_positions=self.col_positions[take],
@@ -321,11 +303,10 @@ def build_join_plan(
                 row_sliced, col_sliced, sources, destinations,
                 batch_candidates, int(chunk_edges), store,
             )
-    row_positions, col_positions, pair_counts = _join(
+    row_positions, col_positions, trace_keys, pair_counts = _join(
         row_sliced, col_sliced, sources, destinations, batch_candidates
     )
     row_dtype, col_dtype, trace_dtype = _plan_dtypes(row_sliced, col_sliced)
-    trace_keys = col_sliced.global_keys()[col_positions]
     return JoinPlan(
         row_positions=_adopt(store, row_positions.astype(row_dtype, copy=False)),
         col_positions=_adopt(store, col_positions.astype(col_dtype, copy=False)),
@@ -358,12 +339,11 @@ def _build_join_plan_chunked(
     """
     num_edges = int(sources.size)
     row_dtype, col_dtype, trace_dtype = _plan_dtypes(row_sliced, col_sliced)
-    col_keys = col_sliced.global_keys()
     pair_counts = np.zeros(num_edges, dtype=np.int64)
     windows: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for start in range(0, num_edges, chunk_edges):
         stop = min(start + chunk_edges, num_edges)
-        rows, cols, pair_counts[start:stop] = _join(
+        rows, cols, traces, pair_counts[start:stop] = _join(
             row_sliced, col_sliced, sources[start:stop], destinations[start:stop],
             batch_candidates,
         )
@@ -373,7 +353,7 @@ def _build_join_plan_chunked(
             (
                 _adopt(store, rows.astype(row_dtype, copy=False)),
                 _adopt(store, cols.astype(col_dtype, copy=False)),
-                _adopt(store, col_keys[cols].astype(trace_dtype, copy=False)),
+                _adopt(store, traces.astype(trace_dtype, copy=False)),
             )
         )
     total = int(pair_counts.sum())
@@ -715,7 +695,7 @@ def patch_join_plan(
     )
     row_lo = np.searchsorted(sources, changed_rows)
     row_hi = np.searchsorted(sources, changed_rows, side="right")
-    cut[_expand_runs(row_lo, row_hi - row_lo)] = True
+    cut[expand_runs(row_lo, row_hi - row_lo)] = True
     inserted = inserted_at + np.arange(inserted_at.size)
     cut[inserted] = True
     cut_idx = np.flatnonzero(cut)
@@ -738,7 +718,7 @@ def patch_join_plan(
         row_delta.inserted_rows, run_sources
     ) - np.searchsorted(row_delta.removed_rows, run_sources)
     # --- per-edge counts and bounds, the cut's from its re-join ---------
-    redo_row, redo_col, redo_counts = _join(
+    redo_row, redo_col, redo_trace, redo_counts = _join(
         row_sliced, col_sliced, sources[cut_idx], destinations[cut_idx],
         batch_candidates,
     )
@@ -789,10 +769,10 @@ def patch_join_plan(
         trace_keys[dst:end] = old_trace[src:stop]
     # --- the cut's pairs land in their own slots ------------------------
     if redo_row.size:
-        targets = _expand_runs(bounds[cut_idx], redo_counts)
+        targets = expand_runs(bounds[cut_idx], redo_counts)
         row_positions[targets] = redo_row
         col_positions[targets] = redo_col
-        trace_keys[targets] = col_sliced.global_keys()[redo_col]
+        trace_keys[targets] = redo_trace
     patched = JoinPlan(
         row_positions=row_positions,
         col_positions=col_positions,

@@ -14,7 +14,11 @@ The compressed format stores, per valid slice, a 4-byte index plus
 exactly the paper's memory-requirement formula.
 
 :class:`SlicedMatrix` is a CSR-like container of valid slices, built fully
-vectorised so million-edge graphs compress in well under a second.
+vectorised so million-edge graphs compress in well under a second.  Its
+valid-slice arrays are leading views of buffers that may hold spare
+rows, so the streaming splices (:meth:`SlicedMatrix.insert_slices`,
+:meth:`SlicedMatrix.remove_slices`) shift slices in place instead of
+copying both arrays into new allocations.
 """
 
 from __future__ import annotations
@@ -32,12 +36,19 @@ __all__ = [
     "SliceStatistics",
     "slice_statistics",
     "valid_pair_positions",
+    "expand_runs",
     "INDEX_BYTES",
+    "SPARE_ROOM_DIVISOR",
 ]
 
 #: Bytes used to store each valid-slice index in the compressed format
 #: ("we use an integer (four Bytes) to store each valid slice index").
 INDEX_BYTES = 4
+
+#: An insert that outgrows a structure's buffers reallocates them with
+#: ``n + k + max(k, n // SPARE_ROOM_DIVISOR)`` rows (``n`` slices stored,
+#: ``k`` inserted), so the following inserts shift in place.
+SPARE_ROOM_DIVISOR = 16
 
 _ORIENTATIONS = ("symmetric", "upper", "lower")
 
@@ -57,6 +68,11 @@ class SlicedMatrix:
     data:
         ``(N_VS, slice_bits // 8)`` uint8 — packed payload, little-endian
         bit order (bit ``t`` of slice ``k`` is column ``k * |S| + t``).
+
+    ``slice_ids`` and ``data`` are the leading ``N_VS`` rows of
+    :attr:`buffers`, which may hold spare rows for later inserts.  A
+    splice moves bytes inside those buffers, so an array taken from a
+    structure before a splice may change under its holder.
     """
 
     __slots__ = (
@@ -67,7 +83,8 @@ class SlicedMatrix:
         "slice_ids",
         "data",
         "structure_version",
-        "_keys_cache",
+        "_ids_buffer",
+        "_data_buffer",
     )
 
     def __init__(
@@ -100,16 +117,19 @@ class SlicedMatrix:
         self.indptr = indptr
         self.slice_ids = slice_ids
         self.data = data
+        # A built or hydrated structure has no spare rows; the first
+        # insert that needs room allocates it.
+        self._ids_buffer = slice_ids
+        self._data_buffer = data
         #: Monotone counter of *structural* changes: bumped whenever the
         #: set of valid slices changes (a slice inserted or dropped), so
         #: positions into :attr:`slice_ids`/:attr:`data` from before the
         #: bump are invalid.  Payload-only mutation (setting/clearing
         #: bits inside an existing slice) does not bump it — positions
-        #: and :meth:`global_keys` stay valid.  Derived artifacts (the
-        #: keys cache here, :class:`repro.core.plan.JoinPlan` outside)
-        #: key their coherence on this counter.
+        #: stay valid.  Derived artifacts (a
+        #: :class:`repro.core.plan.JoinPlan`) key their coherence on
+        #: this counter.
         self.structure_version = 0
-        self._keys_cache: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -229,17 +249,109 @@ class SlicedMatrix:
         )
 
     def mark_structure_changed(self) -> None:
-        """Record a structural mutation: bump the version, drop caches.
+        """Record a structural mutation: bump the version.
 
-        The one place every mutator (see :mod:`repro.core.incremental`)
-        must call after inserting or deleting valid slices.  Centralising
-        the invalidation here is what keeps :meth:`global_keys` and any
-        resident :class:`~repro.core.plan.JoinPlan` coherent — the
-        regression suite in ``tests/test_plan.py`` mutates structures
-        every way the incremental path can and asserts both stay exact.
+        The one place every mutator (:meth:`insert_slices`,
+        :meth:`remove_slices`) calls after inserting or deleting valid
+        slices.  Centralising it here is what keeps any resident
+        :class:`~repro.core.plan.JoinPlan` coherent — the regression
+        suite in ``tests/test_plan.py`` mutates structures every way the
+        incremental path can and asserts plans stay exact.
         """
         self.structure_version += 1
-        self._keys_cache = None
+
+    # ------------------------------------------------------------------
+    # Splices (the streaming path of repro.core.incremental)
+    # ------------------------------------------------------------------
+    @property
+    def buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The arrays behind :attr:`slice_ids` and :attr:`data`, spare
+        rows included — what the structure keeps resident."""
+        return self._ids_buffer, self._data_buffer
+
+    def insert_slices(
+        self,
+        before: np.ndarray,
+        rows: np.ndarray,
+        slice_ids: np.ndarray,
+        payloads: np.ndarray,
+        store=None,
+    ) -> None:
+        """Splice new valid slices in, shifting the stored ones in place.
+
+        ``before`` holds sorted insertion points in pre-insert
+        coordinates (the ``obj`` of :func:`np.insert`; repeats land
+        several slices at one point), aligned with each new slice's
+        owning ``rows``, ``slice_ids`` and ``payloads``.  The stored runs
+        between insertion points move right, back to front, inside the
+        buffers when their spare rows suffice.  Otherwise both larger
+        buffers are allocated through ``store`` (a
+        :class:`repro.storage.backing.BackingStore`, so a spilled
+        structure stays spilled; ``None`` allocates on the heap) before
+        any byte moves, so a failed allocation leaves the structure as
+        it was.
+        """
+        added = int(before.size)
+        if not added:
+            return
+        size = self.num_valid_slices
+        ids_buffer, data_buffer = self._ids_buffer, self._data_buffer
+        grow = ids_buffer.shape[0] < size + added
+        if grow:
+            capacity = size + added + max(added, size // SPARE_ROOM_DIVISOR)
+            new_ids = _alloc(store, capacity, ids_buffer.dtype)
+            new_data = _alloc(store, (capacity, data_buffer.shape[1]), data_buffer.dtype)
+        else:
+            new_ids, new_data = ids_buffer, data_buffer
+        # Run j, the stored rows [before[j-1], before[j]), moves right by
+        # j; back to front, an in-place move never overwrites a run that
+        # has yet to move.
+        bounds = [0, *before.tolist(), size]
+        moves = [
+            (_word_rows(source), _word_rows(target))
+            for source, target in ((ids_buffer, new_ids), (data_buffer, new_data))
+        ]
+        for shift in range(added, -1 if grow else 0, -1):
+            lo, hi = bounds[shift], bounds[shift + 1]
+            if hi > lo:
+                for (source, width), (target, _) in moves:
+                    target[(lo + shift) * width: (hi + shift) * width] = (
+                        source[lo * width: hi * width]
+                    )
+        landed = before + np.arange(added)
+        new_ids[landed] = slice_ids
+        new_data[landed] = payloads
+        self._ids_buffer, self._data_buffer = new_ids, new_data
+        self.slice_ids = new_ids[: size + added]
+        self.data = new_data[: size + added]
+        self.indptr[1:] += np.cumsum(np.bincount(rows, minlength=self.num_rows))
+        self.mark_structure_changed()
+
+    def remove_slices(self, positions: np.ndarray, rows: np.ndarray) -> None:
+        """Drop the valid slices at sorted, unique ``positions``.
+
+        ``rows`` are their owning rows.  The kept runs between removed
+        slices shift left in place, front to back; nothing is allocated,
+        and the freed rows stay in the buffers as room for later inserts.
+        """
+        removed = int(positions.size)
+        if not removed:
+            return
+        size = self.num_valid_slices
+        starts = (positions + 1).tolist()
+        stops = [*positions[1:].tolist(), size]
+        moves = [_word_rows(self._ids_buffer), _word_rows(self._data_buffer)]
+        # Run j, the kept rows after the j-th removed slice, moves left by j.
+        for shift, (lo, hi) in enumerate(zip(starts, stops), start=1):
+            if hi > lo:
+                for words, width in moves:
+                    words[(lo - shift) * width: (hi - shift) * width] = (
+                        words[lo * width: hi * width]
+                    )
+        self.slice_ids = self._ids_buffer[: size - removed]
+        self.data = self._data_buffer[: size - removed]
+        self.indptr[1:] -= np.cumsum(np.bincount(rows, minlength=self.num_rows))
+        self.mark_structure_changed()
 
     # ------------------------------------------------------------------
     # Size / statistics (Table III & IV quantities)
@@ -315,36 +427,40 @@ class SlicedMatrix:
         bit are unpacked, so the cost follows the non-zero count rather
         than ``N_VS x |S|``.
         """
+        slot, cols = self._decode(self.slice_ids, self.data)
+        return self.owner_rows()[slot], cols
+
+    def row_columns(self, rows: np.ndarray) -> np.ndarray:
+        """Columns of the set bits of ``rows``, row by row, ascending
+        within each row — a neighbour list read off only those rows."""
+        starts, counts = self.row_slice_ranges(rows)
+        positions = expand_runs(starts, counts)
+        return self._decode(self.slice_ids[positions], self.data[positions])[1]
+
+    def _decode(
+        self, slice_ids: np.ndarray, data: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(slot, col)`` of every set bit of the given valid slices,
+        ``slot`` indexing the passed arrays."""
         width = self.slice_bits // 8
-        flat = self.data.reshape(-1)
+        flat = data.reshape(-1)
         hot = np.flatnonzero(flat)
         which, bit = np.nonzero(
             np.unpackbits(flat[hot][:, None], axis=1, bitorder="little")
         )
         byte = hot[which]
         slot = byte // width
-        rows = self.owner_rows()[slot]
-        cols = self.slice_ids[slot] * self.slice_bits + (byte % width) * 8 + bit
-        return rows, cols
+        return slot, slice_ids[slot] * self.slice_bits + (byte % width) * 8 + bit
 
     def global_keys(self) -> np.ndarray:
         """``row * slices_per_row + slice_id`` for every valid slice.
 
         Because valid slices are stored row-major with ascending slice ids
-        within each row, the returned array is strictly ascending — so a
-        single :func:`np.searchsorted` can merge-join the valid slices of
-        thousands of (row, column) pairs at once.
-
-        The array is cached (treat it as read-only): the engine re-joins
-        against the same structure once per batch and per term, and the
-        incremental mutators (:mod:`repro.core.incremental`) invalidate
-        the cache on structural change.
+        within each row, the returned array is strictly ascending.  Only
+        the engine's dense position table reads the whole array; smaller
+        joins key just the rows they touch.
         """
-        if self._keys_cache is None:
-            self._keys_cache = (
-                self.owner_rows() * np.int64(self.slices_per_row) + self.slice_ids
-            )
-        return self._keys_cache
+        return self.owner_rows() * np.int64(self.slices_per_row) + self.slice_ids
 
     def row_slice_ranges(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(starts, counts)`` of the valid-slice runs of many rows at once."""
@@ -522,6 +638,40 @@ def valid_pair_positions(
     matched = col_ids[row_positions] == row_ids
     where = np.flatnonzero(matched)
     return where.astype(np.int64), row_positions[matched].astype(np.int64)
+
+
+def expand_runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat indices of the runs ``[starts[i], starts[i] + counts[i])``.
+
+    One ``arange`` plus a repeat of the per-run delta enumerates every
+    run element at once.
+    """
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    offsets = np.zeros(counts.size, dtype=np.int64)
+    np.cumsum(counts[:-1], out=offsets[1:])
+    delta = starts.astype(np.int64, copy=False) - offsets
+    return np.arange(total, dtype=np.int64) + np.repeat(delta, counts)
+
+
+def _alloc(store, shape, dtype) -> np.ndarray:
+    """Uninitialised array through a backing store (heap when ``store=None``)."""
+    return np.empty(shape, dtype=dtype) if store is None else store.empty(shape, dtype)
+
+
+def _word_rows(buffer: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(words, width)``: a flat view of ``buffer`` in the widest
+    unsigned word that divides its rows, and the words per row.
+
+    NumPy's overlapping rightward copies are several times slower on
+    byte items than on 64-bit words, so splices shift through this view.
+    """
+    row_bytes = buffer.itemsize * (buffer.shape[1] if buffer.ndim == 2 else 1)
+    word = next(size for size in (8, 4, 2, 1) if row_bytes % size == 0)
+    # copy=False: a copy would silently swallow the shift, so refuse one.
+    flat = buffer.reshape(-1, copy=False)
+    return flat.view(np.dtype(f"u{word}")), row_bytes // word
 
 
 def _slices_per_row(num_cols: int, slice_bits: int) -> int:

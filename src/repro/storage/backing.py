@@ -27,10 +27,11 @@ live :attr:`BackingStore.spilled_bytes` counter tracks exactly the
 backing bytes the session still references.
 
 Structural mutations (the slice splices of :mod:`repro.core.incremental`)
-allocate their output through the owning session's store, so a spilled
-structure stays spilled; the superseded file is reclaimed when the old
-array is collected.  In-place payload mutation persists directly into
-the mapped file.
+shift slices in place inside a structure's buffers; an insertion that
+outgrows their spare rows allocates the larger buffers through the
+owning session's store, so a spilled structure stays spilled, and the
+superseded file is reclaimed when the old buffer is collected.  In-place
+payload mutation and shifts persist directly into the mapped file.
 """
 
 from __future__ import annotations

@@ -787,6 +787,43 @@ class TestNoGraphOnReadPath:
             )
             assert_workloads_match_oracles(session, session.graph)
 
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    def test_candidates_build_no_graph(self, config, configured, monkeypatch):
+        import networkx as nx
+
+        graph = generators.powerlaw_cluster(90, 3, 0.6, seed=4)
+        present = graph.edge_array()[:4].tolist()
+        absent = [
+            (u, v)
+            for u in range(graph.num_vertices)
+            for v in range(u + 1, graph.num_vertices)
+            if not graph.has_edge(u, v)
+        ][::97][:4]
+        with configured(graph, config) as session:
+            session.count()
+            calls = _count_graph_builds(monkeypatch)
+            session.apply(
+                [("-", *edge) for edge in present] + [("+", *edge) for edge in absent]
+            )
+            vertices = sorted({int(x) for edge in present + absent for x in edge})
+            answers = {u: session.common_neighbors(u) for u in vertices}
+            top = session.common_neighbors(vertices[0], k=3)
+            assert calls == []
+        reference = nx.Graph()
+        reference.add_nodes_from(range(graph.num_vertices))
+        reference.add_edges_from(graph.edge_array().tolist())
+        reference.remove_edges_from(present)
+        reference.add_edges_from(absent)
+        for u, got in answers.items():
+            neighbors = set(reference[u])
+            two_hop = {x for w in neighbors for x in reference[w]} - neighbors - {u}
+            expected = [
+                (x, len(neighbors & set(reference[x]))) for x in sorted(two_hop)
+            ]
+            assert got == expected
+        ranked = sorted(answers[vertices[0]], key=lambda item: (-item[1], item[0]))
+        assert top == ranked[:3]
+
     def test_graph_free_run_needs_resident_pieces(self, random_graphs):
         graph = random_graphs[4]
         row, col, sources, destinations = count_structures(graph, "upper")
