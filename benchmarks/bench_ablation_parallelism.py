@@ -5,10 +5,10 @@ Fig. 4 organises the chip as 128 sub-arrays.  Two ways to price that:
 * **analytic** — Amdahl-scale a single-array run's event totals across
   ``compute_units`` (the original A5 curve): array work divides
   uniformly, the controller's per-edge work stays serial;
-* **measured** — actually execute the run sharded across ``num_arrays``
-  simulated arrays (:mod:`repro.core.sharding`) and take the slowest
-  shard as the critical path, each shard paying for its *own* edges,
-  cache misses and row loads.
+* **measured** — price the run sharded across ``num_arrays`` simulated
+  arrays from its count plan (:mod:`repro.core.sharding`) and take the
+  slowest shard as the critical path, each shard paying for its *own*
+  edges, cache misses and row loads.
 
 The gap between the curves is what uniform scaling hides: partition
 imbalance (the degree-balanced partitioner narrows it) and the fact that
@@ -18,8 +18,8 @@ model pins serial.
 The partitioner sweep compares the three partition strategies at every
 width — ``contiguous`` (equal edge ranges), ``degree-LPT``
 (longest-processing-time over row work), and ``coloring``
-(self-contained :class:`~repro.core.sharding.ShardContext` shards, one
-per color triple) — on the architecture model's critical-path latency
+(communication-free shards, one per color triple) — on the architecture
+model's critical-path latency
 (where coloring drops the per-shard merge read-back entirely).
 """
 

@@ -203,11 +203,12 @@ def measure_workloads(num_vertices: int, attach: int) -> dict:
 def measure_parallelism(num_vertices: int, attach: int) -> dict:
     """Host time of multi-array sweeps next to their modelled latency.
 
-    Shards run one after another in-process, so each row times, for one
-    fleet width, the resident re-sweep a ``simulate()`` runs (structures,
-    join plan, shard plan or coloring contexts all built once
+    Multi-array runs are priced from the count plan in-process, so each
+    row times, for one fleet width, the resident re-sweep a
+    ``simulate()`` runs (structures, join plan and shard plan built once
     beforehand) under degree-LPT and under coloring, next to the
     single-array resident sweep, which gives the same count.  The
+    coloring shard count and balance come from the run's notes.  The
     ``modelled_*`` columns are the architecture model's critical path of
     the same runs (``measured_shard_report``): the modelled latency
     falls with width while the host time does not, because the arrays
@@ -217,11 +218,7 @@ def measure_parallelism(num_vertices: int, attach: int) -> dict:
 
     from repro.arch.perf import default_pim_model
     from repro.arch.pipeline import measured_shard_report
-    from repro.core.sharding import (
-        build_shard_contexts,
-        context_balance,
-        plan_shards,
-    )
+    from repro.core.sharding import plan_shards
 
     graph = generators.barabasi_albert(num_vertices, attach, seed=0)
     cpu_count = os.cpu_count()
@@ -254,16 +251,8 @@ def measure_parallelism(num_vertices: int, attach: int) -> dict:
         coloring = TCIMAccelerator(
             AcceleratorConfig(num_arrays=num_arrays, shard_by="coloring")
         )
-        contexts = (
-            build_shard_contexts(graph, "upper", num_arrays, edge_arrays=edge_arrays)
-            if num_arrays > 1
-            else None
-        )
         coloring_s, coloring_run = best_of(
-            5,
-            lambda: coloring.run(
-                graph, **resident, join_plan=join_plan, shard_contexts=contexts
-            ),
+            5, lambda: coloring.run(graph, **resident, join_plan=join_plan)
         )
         assert degree_run.triangles == coloring_run.triangles == baseline.triangles
 
@@ -276,8 +265,8 @@ def measure_parallelism(num_vertices: int, attach: int) -> dict:
             {
                 "arrays": num_arrays,
                 "cpu_count": cpu_count,
-                "coloring_shards": len(contexts) if contexts else 1,
-                "coloring_balance": context_balance(contexts) if contexts else 1.0,
+                "coloring_shards": coloring_run.notes.get("num_shards", 1),
+                "coloring_balance": coloring_run.notes.get("balance", 1.0),
                 "single_array_sweep_s": single_s,
                 "degree_lpt_sweep_s": degree_s,
                 "coloring_sweep_s": coloring_s,
@@ -513,7 +502,7 @@ def main(argv: list[str]) -> int:
         plan_patch_graph=patch["graph"],
     )
     payload = {
-        "schema": 9,
+        "schema": 10,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": platform.python_version(),
         "quick": quick,

@@ -8,7 +8,8 @@ plan-free engine versus the planned fast path
 
 * triangles, every :class:`EventCounts` field, and the cache statistics
   are bit-identical between the planned and plan-free paths (and across
-  a 4-array sharded run served from per-shard sub-plans);
+  a 4-array sharded run priced from the resident plan and from a
+  transient one);
 * the planned repeat query is at least ``MIN_SPEEDUP`` (3x) faster than
   the plan-free one;
 * after a randomized 120-op insert/delete stream through the session,
@@ -216,7 +217,7 @@ def main(argv: list[str]) -> int:
         print("FAIL: plan reuse below the speedup threshold", file=sys.stderr)
         failures += 1
 
-    # --- sharded: per-shard sub-plans stay exact ------------------------
+    # --- sharded: pricing from the resident plan stays exact ------------
     sharded_config = AcceleratorConfig(num_arrays=4, shard_by="degree")
     sharded_accel = TCIMAccelerator(sharded_config)
     sharded_plain = sharded_accel.run(graph, **resident)
@@ -225,7 +226,7 @@ def main(argv: list[str]) -> int:
         print("FAIL: sharded planned run diverges", file=sys.stderr)
         failures += 1
     else:
-        print("sharded (4 arrays, degree): bit-identical via sub-plans")
+        print("sharded (4 arrays, degree): bit-identical from the resident plan")
 
     # --- incremental patching stays equal to a rebuild ------------------
     rng = np.random.default_rng(7)

@@ -10,9 +10,9 @@ workloads through :class:`~repro.core.dynamic.DynamicTriangleCounter`
 resident controller directly:
 
 * the graph is loaded **once** — the oriented edge list, both
-  :class:`SlicedMatrix` structures, the slice statistics, the shard
-  plan, and the compiled valid-pair :class:`~repro.core.plan.JoinPlan`
-  are cached and reused across queries (repeat queries skip the
+  :class:`SlicedMatrix` structures, the slice statistics and the
+  compiled valid-pair :class:`~repro.core.plan.JoinPlan` are cached and
+  reused across queries (repeat queries skip the
   merge-join entirely; disable with ``use_plan=False`` / ``--no-plan``);
 * :meth:`TCIMSession.count` / :meth:`TCIMSession.simulate` /
   :meth:`TCIMSession.slice_stats` / :meth:`TCIMSession.baseline` serve
@@ -60,7 +60,6 @@ from repro.core.accelerator import (
 )
 from repro.core.engine import oriented_edges
 from repro.core.reuse import CacheStatistics
-from repro.core.sharding import plan_shards
 from repro.core.slicing import SlicedMatrix, SliceStatistics, slice_statistics
 from repro.errors import ArchitectureError, GraphError, ReproError, StorageError
 from repro.graph.edgemap import EdgeMap
@@ -93,7 +92,6 @@ _RETIRED_CONFIG_KEYS = ("engine", "workers", "backing")
 #: for a lazy rebuild instead of failing the request.
 _FALLBACKS = (
     "flush_patch_error",
-    "context_patch_error",
     "backlog_drop",
 )
 
@@ -344,28 +342,14 @@ class TCIMSession:
         self._row_sliced: SlicedMatrix | None = None
         self._col_sliced: SlicedMatrix | None = None
         self._edge_arrays: tuple[np.ndarray, np.ndarray] | None = None
-        self._plan = None
-        # Self-contained coloring shards (shard_by="coloring"): each
-        # holds its own structures, edge lanes and compiled lane plans
-        # (repro.core.sharding.ShardContext).  Built lazily by _prepare,
-        # patched in place per committed batch — apply routes each delta
-        # to the owning contexts only — and dropped with the other
-        # structural caches on any patching failure (rebuildable).
-        self._shard_contexts: list | None = None
-        self._shard_colors: np.ndarray | None = None
-        self._use_contexts = (
-            self.config.num_arrays > 1 and self.config.shard_by == "coloring"
-        )
         self._sym_sliced: SlicedMatrix | None = None
         # The compiled valid-pair index (repro.core.plan.JoinPlan):
         # built once per generation, incrementally patched by apply, and
         # handed to every vectorized engine run so repeat queries skip
-        # the merge-join.  Gated by config.use_plan (CLI --no-plan).
+        # the merge-join; multi-array runs price every array from it.
+        # Gated by config.use_plan (CLI --no-plan).
         self._join_plan = None
-        # Coloring sessions never consume the global count-orientation
-        # plan — every context lane compiles its own — so skip building
-        # it; config.use_plan still gates the per-lane plans.
-        self._use_plan = bool(self.config.use_plan) and not self._use_contexts
+        self._use_plan = bool(self.config.use_plan)
         #: Cached workload results (the triangle list, forward edges,
         #: support and truss maps, clustering, common-neighbor candidate
         #: lists), invalidated on every mutation.  The maps and the
@@ -494,15 +478,12 @@ class TCIMSession:
         earlier releases), ``edges`` (the oriented edge arrays),
         ``graph`` (the graph's edge list; 0 after a mutation until
         something reads ``graph`` — the symmetric structure in
-        ``slices`` is then the only edge set), ``shards`` (the
-        self-contained coloring shard contexts — per-shard structures,
-        edge lanes and lane plans; 0 unless ``shard_by="coloring"``
-        contexts are resident), ``workloads`` (the current generation's
-        triangle list, forward edges, supports, trussness and clustering
-        arrays; 0 until a workload reads them and again after the next
-        mutation), ``spilled`` (how much of the above is disk-backed
-        rather than on heap — 0 for a ram store), and ``total``
-        (== :meth:`resident_bytes`).  Surfaced per session by the
+        ``slices`` is then the only edge set), ``workloads`` (the current
+        generation's triangle list, forward edges, supports, trussness
+        and clustering arrays; 0 until a workload reads them and again
+        after the next mutation), ``spilled`` (how much of the above is
+        disk-backed rather than on heap — 0 for a ram store), and
+        ``total`` (== :meth:`resident_bytes`).  Surfaced per session by the
         serving tier's ``stats`` protocol op.
         """
         with self._lock:
@@ -514,9 +495,6 @@ class TCIMSession:
             edges = sum(array.nbytes for array in self._edge_arrays or ())
             plan = self._join_plan.nbytes if self._join_plan is not None else 0
             graph = self._graph.edge_array().nbytes if self._graph is not None else 0
-            shards = sum(
-                context.nbytes for context in (self._shard_contexts or ())
-            )
             workloads = sum(array.nbytes for array in self._workload_arrays())
             return {
                 "slices": slices,
@@ -524,10 +502,9 @@ class TCIMSession:
                 "sym_plan": 0,
                 "edges": edges,
                 "graph": graph,
-                "shards": shards,
                 "workloads": workloads,
                 "spilled": self._store.spilled_bytes,
-                "total": slices + plan + edges + graph + shards + workloads,
+                "total": slices + plan + edges + graph + workloads,
             }
 
     @property
@@ -536,35 +513,11 @@ class TCIMSession:
 
         ``flush_patch_error`` — a deferred patch of the oriented
         structures or the count plan raised, so they were dropped;
-        ``context_patch_error`` — routing a batch into the coloring
-        shards raised, so the contexts were dropped; ``backlog_drop`` —
-        the pending churn passed ~¼ of the graph, so the structural
-        caches were dropped instead of spliced.  Every dropped cache is
+        ``backlog_drop`` — the pending churn passed ~¼ of the graph, so
+        the structural caches were dropped instead of spliced.  Every dropped cache is
         rebuilt by the next query that needs it.  Takes no lock.
         """
         return MappingProxyType(self._fallbacks)
-
-    def shard_residency(self) -> list[dict]:
-        """Per-shard residency of the resident coloring contexts.
-
-        One mapping per :class:`~repro.core.sharding.ShardContext` —
-        shard id, owned color triple, owned oriented edges, and resident
-        bytes (structures + lanes + compiled lane plans).  Empty unless
-        ``shard_by="coloring"`` contexts are resident; surfaced per
-        session by the serving tier's ``stats`` protocol op.
-        """
-        with self._lock:
-            if not self._shard_contexts:
-                return []
-            return [
-                {
-                    "shard_id": context.shard_id,
-                    "triple": list(context.triple),
-                    "edges": context.num_edges,
-                    "resident_bytes": context.nbytes,
-                }
-                for context in self._shard_contexts
-            ]
 
     @property
     def join_plan(self):
@@ -667,24 +620,6 @@ class TCIMSession:
             arrays["plan.col_positions"] = plan.col_positions
             arrays["plan.trace_keys"] = plan.trace_keys
             arrays["plan.pair_counts"] = plan.pair_counts
-        # Coloring shard contexts are fully determined by (graph,
-        # orientation, num_arrays, seed), so snapshots record their
-        # summary for accounting and rebuild them deterministically on
-        # the first post-hydration query instead of persisting C× the
-        # edge volume.
-        shard_contexts = None
-        if self._shard_contexts:
-            shard_contexts = {
-                "colors": self._shard_contexts[0].colors,
-                "seed": self._shard_contexts[0].color_seed,
-                "num_shards": len(self._shard_contexts),
-                "resident_bytes": sum(
-                    context.nbytes for context in self._shard_contexts
-                ),
-                "edges_per_shard": [
-                    context.num_edges for context in self._shard_contexts
-                ],
-            }
         meta = {
             "config": self.config.to_mapping(),
             "generation": self._generation,
@@ -693,7 +628,6 @@ class TCIMSession:
             "num_edges": self.num_edges,
             "structures": structures,
             "plans": plans,
-            "shard_contexts": shard_contexts,
         }
         return meta, arrays
 
@@ -710,7 +644,8 @@ class TCIMSession:
         are derived from the graph here, eagerly, so a first ``apply``
         patches the hydrated structures instead of dropping them.
         Snapshots of earlier releases also carry ``edges.*``,
-        ``sym_edges.*`` and ``sym_plan.*`` segments; they are ignored.
+        ``sym_edges.*`` and ``sym_plan.*`` segments and a summary of the
+        retired coloring contexts in the manifest; they are ignored.
         """
         self._generation = int(meta.get("generation", 0))
         triangles = meta.get("triangles")
@@ -1257,9 +1192,7 @@ class TCIMSession:
 
         Pending committed update batches are folded in first, so every
         structure handed to the engine reflects the current graph.  Only
-        a structure missing after a cache drop reads :attr:`graph`; the
-        shard plan and the coloring contexts derive from the resident
-        edge arrays.
+        a structure missing after a cache drop reads :attr:`graph`.
         """
         self._flush_patches()
         orientation = self.config.orientation
@@ -1276,37 +1209,6 @@ class TCIMSession:
             )
         if self._edge_arrays is None:
             self._edge_arrays = oriented_edges(self.graph, orientation)
-        if self._use_contexts:
-            if self._shard_contexts is None:
-                from repro.core.sharding import (
-                    assign_colors,
-                    build_shard_contexts,
-                    min_colors,
-                )
-
-                self._shard_contexts = build_shard_contexts(
-                    None,
-                    orientation,
-                    self.config.num_arrays,
-                    slice_bits=self.config.slice_bits,
-                    seed=self.config.seed,
-                    edge_arrays=self._edge_arrays,
-                    num_vertices=self._num_vertices,
-                    use_plan=bool(self.config.use_plan),
-                )
-                self._shard_colors = assign_colors(
-                    self._num_vertices,
-                    min_colors(self.config.num_arrays),
-                    self.config.seed,
-                )
-        elif self.config.num_arrays > 1 and self._plan is None:
-            self._plan = plan_shards(
-                None,
-                orientation,
-                self.config.num_arrays,
-                self.config.shard_by,
-                sources=self._edge_arrays[0],
-            )
 
     def _ensure_join_plan(self):
         """Compile (once per generation) the resident join plan.
@@ -1336,7 +1238,7 @@ class TCIMSession:
         :func:`~repro.core.kernels.triangle_witnesses` pass over the
         count run's inputs — the oriented structures, edge arrays and
         the resident count plan (a throwaway plan when none is resident:
-        ``use_plan=False`` or coloring shards) — allocated through the
+        ``use_plan=False``) — allocated through the
         session's store and cached until the graph changes.  Supports,
         clustering and truss all read this one list.  Its length must
         equal :meth:`count` (after an apply, the total the delta joins
@@ -1634,15 +1536,22 @@ class TCIMSession:
     def _full_run(self) -> TCIMRunResult:
         if self._run is None:
             self._prepare()
+            join_plan = self._ensure_join_plan()
+            if join_plan is None and self.config.num_arrays > 1:
+                # Multi-array runs are priced from a count plan; without a
+                # resident one, compile a transient one like the witness
+                # pass does.
+                join_plan = joinplan.build_join_plan(
+                    self._row_sliced, self._col_sliced, *self._edge_arrays,
+                    chunk_edges=self._plan_chunk_edges, store=self._store,
+                )
             self._run = self._accelerator.run(
                 None,
                 num_vertices=self._num_vertices,
                 row_sliced=self._row_sliced,
                 col_sliced=self._col_sliced,
                 edge_arrays=self._edge_arrays,
-                plan=self._plan,
-                join_plan=self._ensure_join_plan(),
-                shard_contexts=self._shard_contexts,
+                join_plan=join_plan,
             )
             self._triangles = self._run.triangles
             self._slice_stats = self._run.slice_stats
@@ -1670,8 +1579,6 @@ class TCIMSession:
         self._report = None
         self._baseline_cache.clear()
         self._workload_cache.clear()
-        # Shard-plan positions index the old oriented edge list.
-        self._plan = None
         if (
             self._row_sliced is None
             or self._col_sliced is None
@@ -1699,7 +1606,6 @@ class TCIMSession:
             return
         pending, self._pending_patches = self._pending_patches, []
         self._pending_edges = 0
-        self._patch_contexts(pending)
         if (
             self._row_sliced is None
             or self._col_sliced is None
@@ -1742,34 +1648,11 @@ class TCIMSession:
             self._fallbacks["flush_patch_error"] += 1
             self._drop_structural_caches()
 
-    def _patch_contexts(self, pending: list[tuple[np.ndarray, bool]]) -> None:
-        """Route pending batches into the resident coloring shards.
-
-        Callers hold ``self._lock``.  Each batch touches only the
-        contexts that own one of its edges (at most ``C`` per edge);
-        their row structures, per-lane column structures, lane edge
-        lists and compiled lane plans are all patched in place.  Any
-        failure drops the contexts (rebuilt from the graph by the next
-        ``_prepare``), mirroring the global-structure fallback.
-        """
-        if self._shard_contexts is None:
-            return
-        try:
-            for delta_edges, insert in pending:
-                for context in self._shard_contexts:
-                    context.apply_delta(delta_edges, self._shard_colors, insert)
-        except Exception:
-            self._fallbacks["context_patch_error"] += 1
-            self._shard_contexts = None
-            self._shard_colors = None
-
     def _drop_structural_caches(self) -> None:
         self._row_sliced = None
         self._col_sliced = None
         self._edge_arrays = None
         self._join_plan = None
-        self._shard_contexts = None
-        self._shard_colors = None
         self._pending_patches.clear()
         self._pending_edges = 0
 
@@ -1783,7 +1666,6 @@ class TCIMSession:
         """
         self._generation += 1
         self._drop_structural_caches()
-        self._plan = None
         self._slice_stats = None
         self._run = None
         self._report = None

@@ -94,8 +94,8 @@ class PimTimingParams:
     #: shards execute over *shared* slice structures (the position
     #: partitioners): a controller read-back + accumulate per shard,
     #: same magnitude as a kernel dispatch.  Communication-free coloring
-    #: shards (:class:`repro.core.sharding.ShardContext`) skip this term
-    #: entirely — each context's accumulator is final where it lives.
+    #: shards skip this term entirely — each color triple's accumulator
+    #: is final where it lives.
     #: See EXPERIMENTS.md §9.
     shard_merge_latency_s: float = 2e-6
     #: Sequential throughput of bulk-loading snapshot segments from the
@@ -478,8 +478,8 @@ class PimPerformanceModel:
         one ``shard_merge_latency_s`` read-back per shard on top of the
         critical path (the ``merge`` breakdown term) — the controller
         must collect every partial accumulator.  Pass
-        ``communication_free=True`` for self-contained coloring shards
-        (:class:`repro.core.sharding.ShardContext`): their results are
+        ``communication_free=True`` for coloring shards, whose arrays
+        hold every slice their color triple needs: their results are
         final where they live, so no merge is priced (multi-shard runs
         still pay a single collection, folded into the one-launch cost
         already priced per query elsewhere).
@@ -507,69 +507,6 @@ class PimPerformanceModel:
             label="shard",
             leakage_groups=1,
             merge_units=merge_units,
-        )
-
-    def evaluate_context_build(
-        self,
-        shard_edges: Sequence[int],
-        shard_pairs: Sequence[int] | None = None,
-    ) -> PerfReport:
-        """Price the one-time construction of self-contained shards.
-
-        Coloring replicates each edge into ``C`` contexts and every
-        context slices its own structures and compiles its own lane
-        plans (:func:`repro.core.sharding.build_shard_contexts`) — the
-        up-front bill that buys communication-free queries.  Contexts
-        build concurrently on their own arrays, so latency is the
-        *slowest* context's build: its owned edges through the per-edge
-        controller machinery plus (when lane plans are compiled,
-        ``shard_pairs``) its valid pairs through the plan store.  Energy
-        sums every context's work; leakage/host accrue over the build
-        critical path.  Compare against
-        :meth:`evaluate_plan_compile` + re-slicing to see when the
-        replication pays back (EXPERIMENTS.md §9).
-        """
-        if not shard_edges:
-            raise ArchitectureError(
-                "evaluate_context_build needs at least one shard"
-            )
-        if shard_pairs is None:
-            shard_pairs = [0] * len(shard_edges)
-        if len(shard_pairs) != len(shard_edges):
-            raise ArchitectureError(
-                f"{len(shard_edges)} shards but {len(shard_pairs)} pair counts"
-            )
-        timing, energy = self.timing, self.energy
-        per_shard = [
-            edges * timing.per_edge_overhead_s
-            + pairs * timing.plan_record_latency_s
-            for edges, pairs in zip(shard_edges, shard_pairs)
-        ]
-        latency = max(per_shard)
-        slice_time = sum(shard_edges) * timing.per_edge_overhead_s
-        plan_time = sum(shard_pairs) * timing.plan_record_latency_s
-        dynamic = (
-            sum(shard_edges) * energy.per_edge_energy_j
-            + sum(shard_pairs) * energy.plan_record_energy_j
-        )
-        leakage = energy.leakage_power_w * latency
-        host = energy.host_power_w * latency
-        mean = sum(per_shard) / len(per_shard)
-        return PerfReport(
-            latency_s=latency,
-            array_energy_j=dynamic + leakage,
-            system_energy_j=dynamic + leakage + host,
-            latency_breakdown_s={
-                "critical_path": latency,
-                "imbalance": latency / mean if mean else 1.0,
-                "slice_build": slice_time,
-                "plan_compile": plan_time,
-            },
-            energy_breakdown_j={
-                "dynamic": dynamic,
-                "leakage": leakage,
-                "host": host,
-            },
         )
 
     def evaluate_fleet(

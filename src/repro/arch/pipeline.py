@@ -192,8 +192,8 @@ def measured_shard_report(
     Pricing follows the run's own provenance: position-partitioned runs
     pay the per-shard ``merge`` read-back, while runs whose
     ``result.notes`` carry the ``communication_free`` flag — coloring
-    runs over self-contained :class:`~repro.core.sharding.ShardContext`
-    shards — skip it, exactly the communication the refactor removed.
+    runs, whose color-triple shards need no other shard's slices — skip
+    it.
     """
     model = base_model or default_pim_model()
     if result.shards:

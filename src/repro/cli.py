@@ -401,17 +401,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     result = report.result
     table = Table(["metric", "value"], title="TCIM simulation")
     plan_bytes = session.plan_resident_bytes()
-    if result.notes.get("shard_by") == "coloring" and config.use_plan:
-        # Coloring shards compile per-lane plans inside their contexts;
-        # the session never holds a global count plan.
-        shard_bytes = sum(
-            entry["resident_bytes"] for entry in session.shard_residency()
-        )
-        table.add_row(["join plan", f"per-lane ({format_bytes(shard_bytes)} shards)"])
-    else:
-        table.add_row(
-            ["join plan", format_bytes(plan_bytes) if plan_bytes else "disabled"]
-        )
+    table.add_row(
+        ["join plan", format_bytes(plan_bytes) if plan_bytes else "disabled"]
+    )
     if config.num_arrays > 1:
         table.add_row(["arrays", f"{config.num_arrays} (shard_by={config.shard_by})"])
     table.add_row(["triangles", format_count(result.triangles)])

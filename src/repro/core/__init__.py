@@ -32,19 +32,14 @@ from repro.core.plan import JoinPlan, build_join_plan, patch_join_plan
 from repro.core.sharding import (
     PARTITIONERS,
     POSITION_PARTITIONERS,
-    ShardContext,
-    ShardLane,
     ShardPlan,
     ShardResult,
     assign_colors,
-    build_shard_contexts,
     color_triples,
-    context_balance,
-    execute_contexts,
-    execute_sharded,
     min_colors,
     num_color_shards,
     plan_shards,
+    price_partition,
 )
 from repro.core.slicing import SlicedMatrix, SliceStatistics, slice_statistics
 from repro.core.trace import AccessTrace, compare_policies, extract_column_trace
@@ -60,19 +55,14 @@ __all__ = [
     "symmetric_delta",
     "PARTITIONERS",
     "POSITION_PARTITIONERS",
-    "ShardContext",
-    "ShardLane",
     "ShardPlan",
     "ShardResult",
     "assign_colors",
-    "build_shard_contexts",
     "color_triples",
-    "context_balance",
-    "execute_contexts",
-    "execute_sharded",
     "min_colors",
     "num_color_shards",
     "plan_shards",
+    "price_partition",
     "AccessTrace",
     "compare_policies",
     "extract_column_trace",

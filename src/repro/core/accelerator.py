@@ -92,9 +92,9 @@ class AcceleratorConfig:
     ``array_bytes`` with its own row region and column-slice cache.
     ``shard_by`` picks the partitioner: ``"edges"``, ``"rows"`` or
     ``"degree"`` split positions of the shared edge list, ``"coloring"``
-    builds self-contained color-triple shards.  Shards run one after
-    another in the calling process.  ``num_arrays=1`` is bit-identical
-    to the unsharded run.
+    gives each color triple its own communication-free shard.  Every
+    partition is priced from the count plan's pairs in the calling
+    process.  ``num_arrays=1`` is bit-identical to the unsharded run.
 
     ``use_plan`` lets a resident caller (:class:`repro.api.TCIMSession`)
     compile the valid-pair join once per graph generation
@@ -374,7 +374,6 @@ class TCIMAccelerator:
         edge_arrays: tuple[np.ndarray, np.ndarray] | None = None,
         plan=None,
         join_plan=None,
-        shard_contexts=None,
     ) -> TCIMRunResult:
         """Execute Algorithm 1 on ``graph`` and collect all statistics.
 
@@ -398,18 +397,18 @@ class TCIMAccelerator:
         ``join_plan`` additionally passes a compiled
         :class:`repro.core.plan.JoinPlan` for the oriented edge list
         against exactly these slice structures: the engine then skips
-        candidate expansion and the merge-join per query (sharded runs
-        slice per-array sub-plans out of it); results are bit-identical
-        with or without it.  A plan compiled for a different edge count
-        raises.
+        candidate expansion and the merge-join per query; results are
+        bit-identical with or without it.  A plan compiled for a
+        different edge count raises.
 
-        ``shard_contexts`` passes resident self-contained coloring
-        shards (:func:`repro.core.sharding.build_shard_contexts`); with
-        ``shard_by="coloring"`` and no contexts they are built here.
-        The context path ignores ``plan``/``join_plan`` — each lane
-        owns its own compiled plan — and records the coloring metadata
-        (colors, shard count, partitioner balance, the
-        communication-free flag) in :attr:`TCIMRunResult.notes`.
+        ``num_arrays > 1`` prices every partitioner from the count plan
+        (:func:`repro.core.sharding.price_partition`, compiling a
+        transient plan when ``join_plan`` is ``None``); ``plan`` passes
+        a :class:`~repro.core.sharding.ShardPlan` for the position
+        partitioners, rejected unless it matches the config.  Coloring
+        runs record their metadata (colors, shard count, partitioner
+        balance, the communication-free flag) in
+        :attr:`TCIMRunResult.notes`.
         """
         from repro.core.engine import oriented_edges
 
@@ -461,27 +460,30 @@ class TCIMAccelerator:
                 )
         shards: list = []
         notes: dict = {}
-        use_contexts = shard_contexts is not None or (
-            config.num_arrays > 1 and config.shard_by == "coloring"
-        )
-        if use_contexts:
-            accumulator, events, cache_stats, shards, notes = self._run_contexts(
-                num_vertices, edge_arrays, shard_contexts=shard_contexts
+        if config.num_arrays > 1:
+            from repro.core.sharding import min_colors, price_partition
+
+            outcome = price_partition(
+                config, row_sliced, col_sliced, edge_arrays, join_plan, plan
             )
-            row_region = max((s.row_region_slices for s in shards), default=0)
-            column_capacity = min(
-                (s.column_cache_slices for s in shards),
-                default=config.capacity_slices,
+            accumulator, events, cache_stats = (
+                outcome.accumulator, outcome.events, outcome.cache_stats
             )
-        elif config.num_arrays > 1:
-            accumulator, events, cache_stats, shards = self._run_sharded(
-                row_sliced, col_sliced, edge_arrays, plan=plan, join_plan=join_plan
-            )
-            row_region = max((s.row_region_slices for s in shards), default=0)
-            column_capacity = min(
-                (s.column_cache_slices for s in shards),
-                default=config.capacity_slices,
-            )
+            shards = outcome.shards
+            row_region = max(s.row_region_slices for s in shards)
+            column_capacity = min(s.column_cache_slices for s in shards)
+            if config.shard_by == "coloring":
+                loads = [shard.edges for shard in shards]
+                mean = sum(loads) / len(loads)
+                notes = {
+                    "shard_by": "coloring",
+                    "colors": min_colors(config.num_arrays),
+                    "num_shards": len(shards),
+                    "communication_free": True,
+                    # Max over mean shard edges: the latency multiplier
+                    # the slowest shard imposes (1.0 = perfect).
+                    "balance": max(loads) / mean if mean else 1.0,
+                }
         else:
             row_region, column_capacity = split_capacity(
                 config.capacity_slices, row_sliced.row_valid_counts()
@@ -508,54 +510,6 @@ class TCIMAccelerator:
             column_cache_slices=column_capacity,
             shards=shards,
             notes=notes,
-        )
-
-    def _run_contexts(
-        self,
-        num_vertices: int,
-        edge_arrays: tuple[np.ndarray, np.ndarray],
-        shard_contexts=None,
-    ) -> tuple[int, EventCounts, CacheStatistics, list, dict]:
-        """Communication-free coloring dataflow over self-contained shards."""
-        from repro.core.sharding import (
-            build_shard_contexts,
-            context_balance,
-            execute_contexts,
-        )
-
-        config = self.config
-        if shard_contexts is None:
-            shard_contexts = build_shard_contexts(
-                None,
-                config.orientation,
-                config.num_arrays,
-                slice_bits=config.slice_bits,
-                seed=config.seed,
-                edge_arrays=edge_arrays,
-                num_vertices=num_vertices,
-                use_plan=config.use_plan,
-            )
-        outcome = execute_contexts(
-            shard_contexts,
-            config.capacity_slices,
-            policy=config.policy,
-            seed=config.seed,
-            use_plan=config.use_plan,
-        )
-        first = shard_contexts[0]
-        notes = {
-            "shard_by": "coloring",
-            "colors": first.colors,
-            "num_shards": len(shard_contexts),
-            "communication_free": True,
-            "balance": context_balance(shard_contexts),
-        }
-        return (
-            outcome.accumulator,
-            outcome.events,
-            outcome.cache_stats,
-            outcome.shards,
-            notes,
         )
 
     def _run_vectorized(
@@ -587,47 +541,3 @@ class TCIMAccelerator:
             plan=join_plan,
         )
         return accumulator, EventCounts(**fields), cache_stats
-
-    def _run_sharded(
-        self,
-        row_sliced: SlicedMatrix,
-        col_sliced: SlicedMatrix,
-        edge_arrays: tuple[np.ndarray, np.ndarray],
-        plan=None,
-        join_plan=None,
-    ) -> tuple[int, EventCounts, CacheStatistics, list]:
-        """Multi-array dataflow (see :mod:`repro.core.sharding`)."""
-        from repro.core.sharding import execute_sharded, plan_shards
-
-        config = self.config
-        if plan is None:
-            plan = plan_shards(
-                None,
-                config.orientation,
-                config.num_arrays,
-                config.shard_by,
-                sources=edge_arrays[0],
-            )
-        elif plan.num_arrays != config.num_arrays:
-            raise ArchitectureError(
-                f"plan covers {plan.num_arrays} arrays but the config asks "
-                f"for {config.num_arrays}; rebuild the plan with plan_shards"
-            )
-        outcome = execute_sharded(
-            None,
-            row_sliced,
-            col_sliced,
-            config.orientation,
-            plan,
-            config.capacity_slices,
-            policy=config.policy,
-            seed=config.seed,
-            edge_arrays=edge_arrays,
-            join_plan=join_plan,
-        )
-        return (
-            outcome.accumulator,
-            outcome.events,
-            outcome.cache_stats,
-            outcome.shards,
-        )

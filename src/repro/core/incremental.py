@@ -427,7 +427,9 @@ def symmetric_delta(
             result = run_shard(
                 shard_id,
                 row_sliced,
-                [(shard_sources, shard_destinations, col_sliced, None)],
+                col_sliced,
+                shard_sources,
+                shard_destinations,
                 per_array_capacity,
                 "symmetric",
                 config.policy,

@@ -18,8 +18,8 @@ A :class:`JoinPlan` materialises that derivation once:
 * ``trace_keys`` — the column-slice cache trace the pairs induce, whose
   hit/miss/exchange classification is memoised per cache configuration;
 * ``pair_counts`` — pairs per oriented edge, so any edge subset (a
-  shard of the Fig. 4 bank organisation) can slice its own sub-plan out
-  with :meth:`JoinPlan.subset`.
+  shard of the Fig. 4 bank organisation) finds its own pairs as the runs
+  of its positions (:func:`repro.core.sharding.price_partition`).
 
 With a plan, a query is gather → AND → popcount and nothing else; the
 engine's ``plan=`` fast path is bit-identical to the plan-free one.
@@ -238,29 +238,6 @@ class JoinPlan:
             )
             self._stats_memo[key] = stats
         return dataclasses.replace(stats)
-
-    def subset(self, positions: np.ndarray) -> "JoinPlan":
-        """The sub-plan of an edge subset (one shard's share of the plan).
-
-        ``positions`` are ascending indices into the compiled edge list —
-        exactly one entry of a :class:`~repro.core.sharding.ShardPlan`'s
-        ``assignments`` — so the sub-plan's pair order matches what a
-        plan-free run over that edge subset would produce.
-        """
-        positions = np.asarray(positions, dtype=np.int64)
-        counts = self.pair_counts[positions]
-        take = expand_runs(self.bounds[positions], counts)
-        return JoinPlan(
-            row_positions=self.row_positions[take],
-            col_positions=self.col_positions[take],
-            trace_keys=self.trace_keys[take],
-            pair_counts=counts,
-            num_edges=int(positions.size),
-            row_version=self.row_version,
-            col_version=self.col_version,
-            row_valid_slices=self.row_valid_slices,
-            col_valid_slices=self.col_valid_slices,
-        )
 
 
 def build_join_plan(
@@ -659,8 +636,8 @@ def patch_join_plan(
     the column structure, trace keys verbatim (a surviving slice keeps
     its global key).  Runs also break wherever the sources cross a
     changed row, since the row shift changes there even when the list
-    holds no edge of that row (a coloring lane shares its row structure
-    with edges it does not own).
+    holds no edge of that row (an edge list may share its row structure
+    with edges it does not hold).
 
     Returns ``plan`` itself when nothing moved, else a **new** plan (the
     input is never mutated), array-equal to ``build_join_plan`` on the

@@ -1,36 +1,40 @@
-"""Sharded multi-array execution (paper Fig. 4 bank organisation).
+"""Multi-array pricing (paper Fig. 4 bank organisation).
 
 The TCIM chip is not one monolithic array: Fig. 4 organises it as banks of
 mats of sub-arrays — 128 sub-arrays in the paper's configuration — each
 with its own row buffer and local bit counter.  The analytic layer
 (:mod:`repro.arch.pipeline`) has always *priced* that parallelism by
 Amdahl-scaling a single-array run; this module produces the per-array
-events the model prices instead:
+events the model prices instead.
 
-1. a pluggable **partitioner** splits the oriented edge list across
-   ``num_arrays`` simulated arrays;
-2. :func:`run_shard` — the one per-shard function every multi-array pass
-   goes through — runs each shard on its private simulated array: a row
+Every :class:`~repro.core.accelerator.EventCounts` and
+:class:`~repro.core.reuse.CacheStatistics` field of an array depends only
+on which slices exist, which slice pairs it matches and the order of its
+column-key trace — never on the payload bits.  The count plan
+(:class:`~repro.core.plan.JoinPlan`) already holds every matched pair of
+the whole edge list in that order, so :func:`price_partition` prices a
+partition instead of executing it:
+
+1. a **partitioner** splits the work across ``num_arrays`` simulated
+   arrays, each a list of *lanes* — a selection of plan pairs in plan
+   order, plus an edge count, a row-write count and an accumulator;
+2. one gather → AND → popcount pass over the plan fills every lane's
+   accumulator;
+3. each array's :class:`ShardResult` follows from its lanes: a row
    region sized to the rows it touches, a column-slice cache covering the
-   rest of its share of the array capacity, and one
-   :func:`repro.core.kernels.execute_workload` pass per lane;
-3. per-shard results are merged: the triangle accumulator and the
-   additive :class:`~repro.core.accelerator.EventCounts` sum exactly,
-   cache statistics merge element-wise, and the per-shard breakdown is
-   kept so the architecture model can price the *measured* critical path
-   (slowest shard) instead of a uniform analytic scaling.
-
-Shards run one after another in the calling process.  The arrays are a
-modelled organisation: the host only has to produce each array's
-events, and none of the multi-process planes measured on the host beat
-the single-array resident sweep (EXPERIMENTS.md §10).
+   rest of its share of the array capacity, and one cache simulation of
+   each lane's trace keys; the per-array results merge into a
+   :class:`ShardedOutcome` (accumulators and events sum exactly, cache
+   statistics merge element-wise) and the breakdown is kept so the
+   architecture model can price the *measured* critical path (slowest
+   array) instead of a uniform analytic scaling.
 
 Partitioning strategy matters as much as unit count — real-PIM follow-up
 work (Asquini et al.) shows per-bank load balance dominates multi-array
 triangle-counting performance — so four partitioners are provided.  The
-first three split *positions* of one shared oriented edge list (a
-:class:`ShardPlan`): every shard reads the same global slice structures
-and the per-shard results are merged afterwards.
+first three split *positions* of the shared oriented edge list (a
+:class:`ShardPlan`), and a shard is one lane: the plan runs of its
+positions.
 
 * ``"edges"`` — contiguous edge ranges, the cheapest split (a row's edges
   may straddle a boundary, costing duplicate row-slice loads);
@@ -40,63 +44,59 @@ and the per-shard results are merged afterwards.
   by successor count, balancing expected AND work across arrays.
 
 The fourth, ``"coloring"`` (PIM-TC; Asquini et al., "Accelerating
-Triangle Counting with Real Processing-in-Memory Systems"), instead
-makes each shard *self-contained*: ``C`` vertex colors induce
-``Binom(C+2, 3)`` shards, one per color triple ``{x <= y <= z}``, and
-each shard owns its own oriented edge arrays, its own locally built
-:class:`SlicedMatrix` structures and its own compiled
-:class:`~repro.core.plan.JoinPlan` — a :class:`ShardContext`.  Every
-triangle's vertex-color multiset names exactly one shard, so the
-per-shard counts sum to the exact total with **zero cross-shard slice
-traffic**.  See :func:`build_shard_contexts` for the construction and
-the lane decomposition that keeps monochromatic triples exact.
+Triangle Counting with Real Processing-in-Memory Systems"), models
+arrays that cannot communicate: ``C`` vertex colors induce
+``Binom(C+2, 3)`` shards, one per color triple ``{x <= y <= z}``, each
+holding only the edges whose color pair the triple contains, so every
+triangle is counted in exactly one shard with zero cross-shard slice
+traffic.  Its lanes are priced from the same count plan; see
+:func:`_coloring_shards` for which plan pairs a lane holds.
 
-Invariants (asserted by ``tests/test_sharding.py`` and
-``tests/test_coloring.py``): ``num_arrays=1`` reproduces the
+Invariants (asserted by ``tests/test_sharding.py``,
+``tests/test_coloring.py`` and the golden fixture of
+``tests/test_run_golden.py``): ``num_arrays=1`` reproduces the
 single-array vectorized engine bit for bit; for any ``num_arrays`` the
 merged triangle count is exact; position partitioners conserve the
 additive event counters (``edges_processed``, ``and_operations``,
 ``dense_pair_operations``, ...) against their single-array totals,
-while coloring replicates each edge into ``C`` contexts (the PIM-TC
-trade: ``C×`` the edge volume buys zero communication) and conserves
-the merged counters against the field-wise sum of its shards.
+while coloring replicates each edge into ``C`` shards (the PIM-TC trade:
+``C×`` the edge volume buys zero communication) and conserves the merged
+counters against the field-wise sum of its shards.
+
+:func:`run_shard` still *executes* one array: the delta join of
+:mod:`repro.core.incremental` runs its inclusion–exclusion terms through
+it, over edge lists no count plan covers.
 """
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial
 
 import numpy as np
 
-from repro.core import kernels
+from repro.core import engine, kernels
 from repro.core.accelerator import EventCounts, array_share, split_capacity
-from repro.core.engine import DEFAULT_BATCH_CANDIDATES, oriented_edges
-from repro.core.reuse import CacheStatistics
-from repro.core.slicing import SlicedMatrix
+from repro.core.reuse import CacheStatistics, simulate_key_trace
+from repro.core.slicing import SlicedMatrix, expand_runs
 from repro.errors import ArchitectureError
+from repro.graph import bitops
 from repro.graph.graph import Graph
 
 __all__ = [
     "PARTITIONERS",
     "POSITION_PARTITIONERS",
-    "ShardContext",
-    "ShardLane",
     "ShardPlan",
     "ShardResult",
     "ShardedOutcome",
     "assign_colors",
-    "build_shard_contexts",
     "color_triples",
-    "context_balance",
-    "execute_contexts",
-    "execute_sharded",
     "min_colors",
     "num_color_shards",
     "plan_shards",
     "position_shards",
+    "price_partition",
     "run_shard",
 ]
 
@@ -105,8 +105,8 @@ __all__ = [
 POSITION_PARTITIONERS = ("edges", "rows", "degree")
 
 #: Recognised values of ``AcceleratorConfig.shard_by``: the position
-#: partitioners plus ``"coloring"``, which builds self-contained
-#: :class:`ShardContext` shards instead of a :class:`ShardPlan`.
+#: partitioners plus ``"coloring"``, whose shards follow from the vertex
+#: colors rather than a :class:`ShardPlan`.
 PARTITIONERS = POSITION_PARTITIONERS + ("coloring",)
 
 
@@ -120,9 +120,9 @@ class ShardPlan:
     stays deterministic.  Shards may be empty (more arrays than edges).
 
     ``orientation`` records which oriented edge list the positions index
-    into; :func:`execute_sharded` rejects a plan built for a different
-    orientation or a different edge count (the position spaces differ, so
-    reusing one silently selects the wrong edges).
+    into; :func:`price_partition` rejects a plan built for a different
+    orientation, partitioner, array count or edge count (the position
+    spaces differ, so reusing one silently prices the wrong partition).
 
     ``eq=False``: ndarray fields make the generated ``__eq__`` ambiguous,
     so plans compare (and hash) by identity.
@@ -142,8 +142,8 @@ class ShardPlan:
             raise ArchitectureError(
                 f"a ShardPlan splits positions of a shared edge list, so "
                 f"shard_by must be one of {POSITION_PARTITIONERS}, got "
-                f"{self.shard_by!r} (coloring builds ShardContexts instead "
-                "— see build_shard_contexts)"
+                f"{self.shard_by!r} (coloring shards follow from the vertex "
+                "colors — see price_partition)"
             )
         if len(self.assignments) != self.num_arrays:
             raise ArchitectureError(
@@ -251,8 +251,8 @@ def plan_shards(
         raise ArchitectureError(f"num_arrays must be >= 1, got {num_arrays}")
     if shard_by == "coloring":
         raise ArchitectureError(
-            "the coloring partitioner builds self-contained ShardContexts, "
-            "not position assignments; use build_shard_contexts"
+            "the coloring partitioner assigns vertex colors, not edge "
+            "positions; price it with price_partition"
         )
     if shard_by not in POSITION_PARTITIONERS:
         raise ArchitectureError(
@@ -263,7 +263,7 @@ def plan_shards(
             raise ArchitectureError(
                 "plan_shards needs a graph when sources is not provided"
             )
-        sources, _ = oriented_edges(graph, orientation)
+        sources, _ = engine.oriented_edges(graph, orientation)
     assignments = _PARTITIONER_FUNCS[shard_by](sources, num_arrays)
     return ShardPlan(
         num_arrays=num_arrays,
@@ -278,10 +278,9 @@ def position_shards(
 ) -> tuple[np.ndarray, ...]:
     """Position shards of a transient symmetric edge list.
 
-    Workload sweeps and the delta join's inclusion–exclusion terms run
-    over the shared symmetric structure, so they always split positions:
-    ``"coloring"``, which owns edges only for the resident count
-    contexts, falls back to degree-LPT, which balances them best.
+    The delta join's inclusion–exclusion terms run over the shared
+    symmetric structure, so they always split positions: ``"coloring"``
+    falls back to degree-LPT, which balances them best.
     """
     if shard_by == "coloring":
         shard_by = "degree"
@@ -293,7 +292,9 @@ def position_shards(
 def run_shard(
     shard_id: int,
     row_sliced: SlicedMatrix,
-    lanes: Sequence[tuple],
+    col_sliced: SlicedMatrix,
+    sources: np.ndarray,
+    destinations: np.ndarray,
     per_array_capacity: int,
     orientation: str,
     policy,
@@ -301,67 +302,218 @@ def run_shard(
     *,
     owner: str | None = None,
 ) -> ShardResult:
-    """Execute one shard on its private simulated array.
+    """Execute one shard's edge list on its private simulated array.
 
-    A shard is one or more *lanes* over one row structure.  Each lane is
-    a ``(sources, destinations, col_sliced, join_plan)`` tuple: an edge
-    list in the reference iteration order (rows ascending, successors
-    ascending), the column structure it joins against, and optionally
-    its compiled :class:`~repro.core.plan.JoinPlan` (``None`` re-derives
-    the merge-join, bit-identically).  A position shard is one lane over
-    the shared structures; a coloring context has one lane per witness
-    color.
-
-    The row region holds the largest valid-slice count of any row the
-    lanes touch, and the rest of ``per_array_capacity`` caches column
-    slices (:func:`~repro.core.accelerator.split_capacity`, whose
-    capacity error names ``owner``, by default ``"shard <id>"``).  Each
-    lane then runs a :class:`~repro.core.kernels.CountKernel` through
-    :func:`~repro.core.kernels.execute_workload`, paying row-slice
-    WRITEs for its own rows and running its own cache trace, and the
-    lane results merge into the returned :class:`ShardResult`.
+    ``(sources, destinations)`` is an edge list in the reference
+    iteration order (rows ascending, successors ascending).  The row
+    region holds the largest valid-slice count of any row it touches,
+    and the rest of ``per_array_capacity`` caches column slices
+    (:func:`~repro.core.accelerator.split_capacity`, whose capacity error
+    names ``owner``, by default ``"shard <id>"``).  One
+    :class:`~repro.core.kernels.CountKernel` pass of
+    :func:`~repro.core.kernels.execute_workload` then pays row-slice
+    WRITEs for the touched rows and runs the shard's own cache trace.
     """
-    lane_sources = [lane[0] for lane in lanes]
-    touched = np.unique(
-        lane_sources[0] if len(lanes) == 1 else np.concatenate(lane_sources)
-    )
+    touched = np.unique(sources)
     _, touched_counts = row_sliced.row_slice_ranges(touched)
     row_region, column_capacity = split_capacity(
         per_array_capacity, touched_counts, owner or f"shard {shard_id}"
     )
-    outcomes = []
-    for sources, destinations, col_sliced, join_plan in lanes:
-        lane_counts = (
-            touched_counts
-            if len(lanes) == 1
-            else row_sliced.row_slice_ranges(np.unique(sources))[1]
-        )
-        outcomes.append(
-            kernels.execute_workload(
-                kernels.CountKernel(),
-                None,
-                row_sliced,
-                col_sliced,
-                orientation,
-                column_capacity,
-                policy,
-                seed,
-                edges=(sources, destinations),
-                row_writes=int(lane_counts.sum()),
-                plan=join_plan,
-            )
-        )
+    outcome = kernels.execute_workload(
+        kernels.CountKernel(),
+        None,
+        row_sliced,
+        col_sliced,
+        orientation,
+        column_capacity,
+        policy,
+        seed,
+        edges=(sources, destinations),
+        row_writes=int(touched_counts.sum()),
+    )
     return ShardResult(
         shard_id=shard_id,
-        edges=sum(int(lane_edges.size) for lane_edges in lane_sources),
+        edges=int(sources.size),
         rows=int(touched.size),
-        accumulator=sum(outcome.accumulator for outcome in outcomes),
-        events=reduce(
-            operator.add, [EventCounts(**outcome.events) for outcome in outcomes]
-        ),
-        cache_stats=reduce(
-            CacheStatistics.merge, [outcome.cache_stats for outcome in outcomes]
-        ),
+        accumulator=outcome.accumulator,
+        events=EventCounts(**outcome.events),
+        cache_stats=outcome.cache_stats,
+        row_region_slices=row_region,
+        column_cache_slices=column_capacity,
+    )
+
+
+# ----------------------------------------------------------------------
+# Pricing from the count plan
+# ----------------------------------------------------------------------
+@dataclass(eq=False)
+class _Lane:
+    """One run of an array: its edge count, row writes and accumulator,
+    and ``select``, which returns its plan pairs (indices, plan order).
+    Selecting on demand keeps one lane's pairs alive at a time, so memory
+    does not grow as pairs × lanes."""
+
+    select: Callable[[], np.ndarray]
+    edges: int
+    row_writes: int
+    accumulator: int
+
+
+@dataclass(eq=False)
+class _Shard:
+    """One array's lanes, the rows it touches, and the valid slices it
+    loads per touched row (a row may repeat: only the largest sizes the
+    row region)."""
+
+    rows: int
+    row_loads: np.ndarray
+    lanes: list[_Lane]
+
+
+def price_partition(
+    config,
+    row_sliced: SlicedMatrix,
+    col_sliced: SlicedMatrix,
+    edge_arrays: tuple[np.ndarray, np.ndarray],
+    join_plan=None,
+    shard_plan: ShardPlan | None = None,
+) -> ShardedOutcome:
+    """Price ``config``'s partition of a full run across its arrays.
+
+    ``edge_arrays`` is the oriented edge list in the reference order and
+    ``join_plan`` its compiled :class:`~repro.core.plan.JoinPlan` against
+    these structures; ``None`` compiles a transient one.  The position
+    partitioners split ``shard_plan`` (planned here when ``None``), which
+    must match the config's orientation, partitioner and array count and
+    the edge list's length; ``"coloring"`` takes no shard plan.
+
+    Each array's :class:`ShardResult` is a filter of the plan's pairs:
+    one per color triple of ``C = min_colors(num_arrays)`` colors for
+    coloring, else one per ``shard_plan`` entry.  Capacity follows
+    :func:`~repro.core.accelerator.array_share` and
+    :func:`~repro.core.accelerator.split_capacity` per shard (errors name
+    ``"shard <id>"``), and ``and_operations`` / ``bitcount_operations``
+    count each lane's pairs.  The results equal, field by field,
+    executing every lane through
+    :func:`~repro.core.kernels.execute_workload` on the slices its array
+    holds.
+    """
+    from repro.core.plan import build_join_plan
+
+    sources = np.asarray(edge_arrays[0], dtype=np.int64)
+    destinations = np.asarray(edge_arrays[1], dtype=np.int64)
+    if config.shard_by == "coloring":
+        if shard_plan is not None:
+            raise ArchitectureError(
+                f"plan partitions by {shard_plan.shard_by!r} but the config "
+                "shards by 'coloring', which takes no shard plan"
+            )
+        num_shards = num_color_shards(min_colors(config.num_arrays))
+    else:
+        shard_plan = _checked_shard_plan(config, sources, shard_plan)
+        num_shards = shard_plan.num_arrays
+    per_array_capacity = array_share(config.capacity_slices, num_shards)
+    if join_plan is None:
+        join_plan = build_join_plan(row_sliced, col_sliced, sources, destinations)
+    elif join_plan.num_edges != int(sources.size):
+        raise ArchitectureError(
+            f"join plan covers {join_plan.num_edges} edges but the oriented "
+            f"edge list has {sources.size}; compile a plan for this edge list"
+        )
+    stale = join_plan.staleness(row_sliced, col_sliced)
+    if stale:
+        raise ArchitectureError(f"stale join plan: {stale}; rebuild or patch it")
+    if config.shard_by == "coloring":
+        shards = _coloring_shards(
+            config, row_sliced, col_sliced, sources, destinations, join_plan
+        )
+    else:
+        shards = _position_shards(
+            row_sliced, col_sliced, sources, join_plan, shard_plan
+        )
+    return _merge_shard_results(
+        [
+            _shard_result(
+                shard_id, shard, per_array_capacity, join_plan.trace_keys,
+                row_sliced.slices_per_row, config.policy, config.seed,
+            )
+            for shard_id, shard in enumerate(shards)
+        ]
+    )
+
+
+def _checked_shard_plan(config, sources: np.ndarray, shard_plan) -> ShardPlan:
+    """``shard_plan``, or the config's own plan when ``None``; a plan for
+    another orientation, partitioner, array count or edge list raises."""
+    if shard_plan is None:
+        return plan_shards(
+            None, config.orientation, config.num_arrays, config.shard_by,
+            sources=sources,
+        )
+    if shard_plan.num_arrays != config.num_arrays:
+        raise ArchitectureError(
+            f"plan covers {shard_plan.num_arrays} arrays but the config asks "
+            f"for {config.num_arrays}; rebuild the plan with plan_shards"
+        )
+    if shard_plan.shard_by != config.shard_by:
+        raise ArchitectureError(
+            f"plan partitions by {shard_plan.shard_by!r} but the config "
+            f"shards by {config.shard_by!r}; rebuild the plan with plan_shards"
+        )
+    if shard_plan.orientation != config.orientation:
+        raise ArchitectureError(
+            f"plan was built for orientation {shard_plan.orientation!r} but the "
+            f"run uses {config.orientation!r}; shard positions index different "
+            "edge lists — rebuild the plan with plan_shards"
+        )
+    if shard_plan.num_edges != int(sources.size):
+        raise ArchitectureError(
+            f"plan covers {shard_plan.num_edges} edges but the oriented edge "
+            f"list has {sources.size}; the plan was built for a different "
+            "graph — rebuild it with plan_shards"
+        )
+    return shard_plan
+
+
+def _shard_result(
+    shard_id: int,
+    shard: _Shard,
+    per_array_capacity: int,
+    trace_keys: np.ndarray,
+    slices_per_row: int,
+    policy,
+    seed: int,
+) -> ShardResult:
+    """One array's :class:`ShardResult`: its capacity split, then its
+    lanes' events and cache runs (one private trace per lane, as one
+    execution per lane would run)."""
+    row_region, column_capacity = split_capacity(
+        per_array_capacity, shard.row_loads, f"shard {shard_id}"
+    )
+    events = EventCounts()
+    cache_stats = CacheStatistics()
+    for lane in shard.lanes:
+        pairs = lane.select()
+        stats = simulate_key_trace(
+            trace_keys[pairs], column_capacity, policy=policy, seed=seed
+        )
+        fields = engine._base_events(lane.edges, slices_per_row, lane.row_writes)
+        pairs = int(pairs.size)
+        events = events + EventCounts(
+            **fields,
+            and_operations=pairs,
+            bitcount_operations=pairs,
+            col_slice_writes=stats.writes,
+            col_slice_hits=stats.hits,
+        )
+        cache_stats = cache_stats.merge(stats)
+    return ShardResult(
+        shard_id=shard_id,
+        edges=sum(lane.edges for lane in shard.lanes),
+        rows=shard.rows,
+        accumulator=sum(lane.accumulator for lane in shard.lanes),
+        events=events,
+        cache_stats=cache_stats,
         row_region_slices=row_region,
         column_cache_slices=column_capacity,
     )
@@ -382,83 +534,45 @@ def _merge_shard_results(shard_results: list[ShardResult]) -> ShardedOutcome:
     )
 
 
-def execute_sharded(
-    graph: Graph | None,
-    row_sliced: SlicedMatrix,
-    col_sliced: SlicedMatrix,
-    orientation: str,
-    plan: ShardPlan,
-    capacity_slices: int,
-    policy,
-    seed: int,
-    edge_arrays: tuple[np.ndarray, np.ndarray] | None = None,
-    join_plan=None,
-) -> ShardedOutcome:
-    """Run the shards of ``plan`` on their simulated arrays and merge.
+def _run_heads(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array (a hash-free ``np.unique``)."""
+    head = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=head[1:])
+    return values[head]
 
-    ``capacity_slices`` is the *total* computational-array capacity; each
-    of the ``plan.num_arrays`` arrays owns an equal share, mirroring the
-    fixed 16 MB budget the paper splits across its 128 sub-arrays.  Each
-    shard is one :func:`run_shard` lane over the shared structures.
-    ``edge_arrays`` optionally passes the already-materialised
-    ``(sources, destinations)`` pair (then ``graph`` may be ``None``).
 
-    ``join_plan`` optionally passes the full edge list's compiled
-    :class:`repro.core.plan.JoinPlan`; each shard then receives its
-    :meth:`~repro.core.plan.JoinPlan.subset` and skips the per-query
-    merge-join.  The plan must cover exactly the edges of ``plan`` (same
-    oriented edge list) — a count mismatch raises rather than silently
-    mis-joining.
-    """
-    if plan.orientation != orientation:
-        raise ArchitectureError(
-            f"plan was built for orientation {plan.orientation!r} but the "
-            f"run uses {orientation!r}; shard positions index different "
-            "edge lists — rebuild the plan with plan_shards"
-        )
-    per_array_capacity = array_share(capacity_slices, plan.num_arrays)
-    if edge_arrays is None:
-        sources, destinations = oriented_edges(graph, orientation)
-    else:
-        sources, destinations = edge_arrays
-    if plan.num_edges != int(sources.size):
-        raise ArchitectureError(
-            f"plan covers {plan.num_edges} edges but the oriented edge list "
-            f"has {sources.size}; the plan was built for a different graph "
-            "— rebuild it with plan_shards"
-        )
-    if join_plan is not None and join_plan.num_edges != int(sources.size):
-        raise ArchitectureError(
-            f"join plan covers {join_plan.num_edges} edges but the oriented "
-            f"edge list has {sources.size}; compile a plan for this edge list"
-        )
-    return _merge_shard_results(
-        [
-            run_shard(
-                shard_id,
-                row_sliced,
-                [
-                    (
-                        sources[positions],
-                        destinations[positions],
-                        col_sliced,
-                        join_plan.subset(positions)
-                        if join_plan is not None
-                        else None,
-                    )
-                ],
-                per_array_capacity,
-                orientation,
-                policy,
-                seed,
-            )
-            for shard_id, positions in enumerate(plan.assignments)
-        ]
+def _position_shards(
+    row_sliced, col_sliced, sources, join_plan, shard_plan
+) -> list[_Shard]:
+    """One lane per shard: the plan runs of its positions, which load the
+    shared row structure's rows they touch."""
+    pops = engine.pair_popcounts(
+        row_sliced.data, col_sliced.data,
+        join_plan.row_positions, join_plan.col_positions,
     )
+    prefix = np.zeros(pops.size + 1, dtype=np.int64)
+    np.cumsum(pops, out=prefix[1:])
+    bounds = join_plan.bounds
+    per_edge = prefix[bounds[1:]] - prefix[bounds[:-1]]
+    shards = []
+    for positions in shard_plan.assignments:
+        # Ascending positions of a sorted edge list: sorted sources.
+        touched = _run_heads(sources[positions])
+        _, row_loads = row_sliced.row_slice_ranges(touched)
+        lane = _Lane(
+            select=partial(
+                expand_runs, bounds[positions], join_plan.pair_counts[positions]
+            ),
+            edges=int(positions.size),
+            row_writes=int(row_loads.sum()),
+            accumulator=int(per_edge[positions].sum()),
+        )
+        shards.append(_Shard(int(touched.size), row_loads, [lane]))
+    return shards
 
 
 # ----------------------------------------------------------------------
-# Vertex-coloring partitioner: self-contained shard contexts
+# Vertex-coloring partitioner
 # ----------------------------------------------------------------------
 #
 # PIM-TC's insight for hardware with expensive inter-core communication:
@@ -475,7 +589,7 @@ def execute_sharded(
 # Counting *exactly* the triangles of the shard's multiset needs one
 # refinement: the edges induced by a triple T also close triangles whose
 # multiset is a strict sub-multiset pattern of T (e.g. an {a,a,a}
-# triangle lies inside every {a,a,x} shard's edge set).  Each context
+# triangle lies inside every {a,a,x} shard's edge set).  Each shard
 # therefore splits its work into **lanes**, one per distinct witness
 # color r in T: the lane's pivot edges are those whose color pair equals
 # the multiset T ∖ {r}, joined against a column structure holding only
@@ -530,8 +644,7 @@ def assign_colors(
     Hash-based rather than ``vertex % colors`` so that structured vertex
     orderings (BFS, degree sort, file order) cannot correlate with the
     color classes and skew the shard sizes; the same ``(num_vertices,
-    colors, seed)`` always produces the same coloring, which is what
-    lets a session rebuild identical contexts from a snapshot.
+    colors, seed)`` always produces the same coloring.
     """
     if num_vertices < 0:
         raise ArchitectureError(f"num_vertices must be >= 0, got {num_vertices}")
@@ -561,371 +674,196 @@ def _triple_lanes(triple: tuple[int, int, int]) -> list[tuple[int, tuple[int, in
     return lanes
 
 
-@dataclass(eq=False)
-class ShardLane:
-    """One witness-color lane of a :class:`ShardContext`.
+def _color_palettes(colors: np.ndarray, num_colors: int, sliced: SlicedMatrix):
+    """``(C, slices_per_row, slice_bytes)`` payload masks: entry ``[r, s]``
+    sets the bits of slice ``s`` whose column vertex has color ``r``."""
+    bits = sliced.slice_bits
+    grid = np.full(sliced.slices_per_row * bits, -1, dtype=np.int64)
+    grid[: colors.size] = colors
+    member = grid.reshape(1, -1, bits) == np.arange(num_colors).reshape(-1, 1, 1)
+    return np.packbits(member, axis=2, bitorder="little")
 
-    ``sources``/``destinations`` are the lane's pivot edges — the
-    context's oriented edges whose color pair equals ``pair`` — in the
-    global lexicographic order.  ``col_sliced`` is the lane's private
-    column structure: the predecessor bits of *all* context edges whose
-    source vertex has ``witness_color``, so the AND against the shared
-    row structure keeps exactly the witnesses of that color.
-    ``join_plan`` is the lane's own compiled valid-pair index
-    (:func:`repro.core.plan.build_join_plan` over these structures),
-    patched in place on incremental ``apply``.
+
+def _slice_colors(
+    sliced: SlicedMatrix, palettes: np.ndarray, bits: np.ndarray
+) -> np.ndarray:
+    """Per valid slice, the bitmask (``bits[r]`` for color ``r``) of the
+    colors its vertices carry — one AND of the payload words with each
+    palette."""
+    data = sliced.data
+    wide = bitops.word_view(data)
+    if wide is not None:
+        data, palettes = wide, palettes.view(wide.dtype)
+    total = data.shape[0]
+    present = np.zeros(total, dtype=bits.dtype)
+    chunk = max(1, engine.CONJUNCTION_CHUNK_LANES // max(data.shape[1], 1))
+    for start in range(0, total, chunk):
+        stop = min(start + chunk, total)
+        block = data[start:stop]
+        ids = sliced.slice_ids[start:stop]
+        for bit, palette in zip(bits, palettes):
+            masked = np.take(palette, ids, axis=0)
+            np.bitwise_and(masked, block, out=masked)
+            present[start:stop] |= masked.any(axis=1) * bit
+    return present
+
+
+def _color_popcounts(
+    row_sliced, col_sliced, row_positions, col_positions, pair_bounds, palettes
+) -> np.ndarray:
+    """``(classes, C)`` int64: per edge color class and color ``r``, the
+    sum of ``popcount(row & col & P_r[s])`` over the class's plan pairs.
+
+    The pairs come grouped by class, class ``k`` at
+    ``pair_bounds[k]:pair_bounds[k + 1]``.  One chunked pass of
+    :func:`engine.conjunctions` with one AND and popcount per color, so
+    memory stays O(pairs), not O(pairs × C).
     """
-
-    witness_color: int
-    pair: tuple[int, int]
-    sources: np.ndarray
-    destinations: np.ndarray
-    col_sliced: SlicedMatrix
-    join_plan: object | None = None
-
-    @property
-    def num_edges(self) -> int:
-        return int(self.sources.size)
-
-    @property
-    def nbytes(self) -> int:
-        plan_bytes = self.join_plan.nbytes if self.join_plan is not None else 0
-        return (
-            self.sources.nbytes
-            + self.destinations.nbytes
-            + self.col_sliced.compressed_bytes
-            + plan_bytes
+    totals = np.zeros((pair_bounds.size - 1, palettes.shape[0]), dtype=np.int64)
+    pair_slices = row_sliced.slice_ids[row_positions]
+    words = scratch = None
+    for start, anded, counts in engine.conjunctions(
+        row_sliced.data, col_sliced.data, row_positions, col_positions
+    ):
+        if words is None:
+            words, scratch = palettes.view(anded.dtype), np.empty_like(anded)
+        stop = start + anded.shape[0]
+        masked = scratch[: anded.shape[0]]
+        slices = pair_slices[start:stop]
+        # The non-empty classes this chunk spans, and where each begins.
+        spanned = np.arange(
+            np.searchsorted(pair_bounds, start, side="right") - 1,
+            np.searchsorted(pair_bounds, stop - 1, side="right"),
         )
+        spanned = spanned[pair_bounds[spanned + 1] > pair_bounds[spanned]]
+        begins = np.maximum(pair_bounds[spanned], start) - start
+        for color, palette in enumerate(words):
+            np.take(palette, slices, axis=0, out=masked)
+            np.bitwise_and(masked, anded, out=masked)
+            np.bitwise_count(masked, out=counts)
+            totals[spanned, color] += np.add.reduceat(
+                counts, begins, axis=0, dtype=np.int64
+            ).sum(axis=1)
+    return totals
 
 
-@dataclass(eq=False)
-class ShardContext:
-    """A fully self-contained shard: structures, edges and plans owned.
+def _coloring_shards(
+    config, row_sliced, col_sliced, sources, destinations, join_plan
+) -> list[_Shard]:
+    """The color-triple shards of a run, priced from the count plan.
 
-    Unlike the :class:`ShardPlan` path — position subsets over *shared*
-    slice structures, merged globally afterwards — a context carries
-    everything one simulated array needs to count its color triple's
-    triangles: the shard's own oriented edge arrays (one lane per
-    witness color), its own row :class:`SlicedMatrix` built from exactly
-    its edges, each lane's own color-masked column structure, and each
-    lane's own compiled :class:`~repro.core.plan.JoinPlan`.  Contexts
-    reference **no** global structure, which is what makes them
-    communication-free.
-
-    ``triple`` is the color multiset this shard owns; every triangle
-    whose vertex colors form that multiset is counted here and nowhere
-    else.  Exactness is orientation-generic: under ``"upper"`` each
-    triangle contributes once (at its (min, max) pivot edge), under
-    ``"symmetric"`` six times — all six in this one shard, so the
-    merged accumulator keeps its usual ``// 6``.
+    For a pivot ``(u, v)`` of lane ``(T, r)``, ``T = {c(u), c(v), r}``: a
+    shard's row structure holds the bits of row ``u`` whose vertex colors
+    lie in ``T ∖ {c(u)} = {c(v), r}``, and the lane's column structure
+    the bits of column ``v`` of color ``r``.  So the lane holds a plan
+    pair of ``(u, v)`` exactly when the row slice holds a vertex of color
+    ``c(v)`` or ``r`` and the column slice one of color ``r``, and the
+    pair adds ``popcount(row & col & P_r[s])`` to the count, ``P_r[s]``
+    marking the color-``r`` vertices of slice ``s`` (outside the lane's
+    pairs that AND is empty, so its class's pairs can all be summed).  A
+    shard loads the slices of each touched row ``u`` that hold a color
+    of ``T ∖ {c(u)}``; that sizes its row region and each lane's row
+    writes.  Shards come in :func:`color_triples` order, lanes in
+    witness order.
     """
-
-    shard_id: int
-    triple: tuple[int, int, int]
-    orientation: str
-    num_vertices: int
-    slice_bits: int
-    colors: int
-    color_seed: int
-    row_sliced: SlicedMatrix
-    lanes: list[ShardLane] = field(default_factory=list)
-
-    @property
-    def num_edges(self) -> int:
-        """Oriented edges this context owns (every lane's pivot edges)."""
-        return sum(lane.num_edges for lane in self.lanes)
-
-    @property
-    def nbytes(self) -> int:
-        """Resident footprint: structures, edge arrays and lane plans."""
-        return self.row_sliced.compressed_bytes + sum(
-            lane.nbytes for lane in self.lanes
-        )
-
-    def owned_mask(
-        self, delta_edges: np.ndarray, vertex_colors: np.ndarray
-    ) -> np.ndarray:
-        """Which canonical delta edges this shard owns (pair ⊆ triple)."""
-        lo = vertex_colors[delta_edges[:, 0]]
-        hi = vertex_colors[delta_edges[:, 1]]
-        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-        x, y, z = self.triple
-        return (
-            ((lo == x) & (hi == y))
-            | ((lo == x) & (hi == z))
-            | ((lo == y) & (hi == z))
-        )
-
-    def apply_delta(
-        self,
-        delta_edges: np.ndarray,
-        vertex_colors: np.ndarray,
-        insert: bool,
-        batch_candidates: int | None = None,
-    ) -> bool:
-        """Route one canonical delta batch into this shard, in place.
-
-        Mutates only what the batch touches: the shard row structure
-        gets every owned oriented bit (one :class:`StructureDelta`
-        shared by all lane-plan patches), each lane's column structure
-        gets the owned bits whose *source* vertex carries the lane's
-        witness color, each lane whose pivot pair matches an owned edge
-        splices its edge list, and every lane plan is patched
-        (:func:`repro.core.plan.patch_join_plan`; a lane where nothing
-        moved keeps its plan object).  Returns ``False``
-        without touching anything when the shard owns no edge of the
-        batch — the routing property that makes sharded ``apply``
-        O(owning shards), not O(all shards).
-        """
-        from repro.core.incremental import StructureDelta, clear_bits, set_bits
-        from repro.core.plan import (
-            merge_oriented_edges,
-            oriented_structure_bits,
-            patch_join_plan,
-        )
-
-        owned = self.owned_mask(delta_edges, vertex_colors)
-        if not bool(owned.any()):
-            return False
-        owned_edges = delta_edges[owned]
-        mutate = set_bits if insert else clear_bits
-        row_bits = oriented_structure_bits(owned_edges, self.orientation, "row")
-        row_delta = mutate(self.row_sliced, *row_bits)
-        # Oriented (source, destination) directions of the owned batch —
-        # the coordinates both the lane column masks and the lane edge
-        # splices are expressed in.
-        u, v = owned_edges[:, 0], owned_edges[:, 1]
-        if self.orientation == "upper":
-            delta_src, delta_dst = u, v
-        else:
-            delta_src = np.concatenate([u, v])
-            delta_dst = np.concatenate([v, u])
-        src_colors = vertex_colors[delta_src]
-        pair_lo = np.minimum(vertex_colors[u], vertex_colors[v])
-        pair_hi = np.maximum(vertex_colors[u], vertex_colors[v])
-        candidates = batch_candidates or DEFAULT_BATCH_CANDIDATES
-        for lane in self.lanes:
-            # Column bits route by *source-vertex* color (the witness
-            # side of the AND); edge-list membership routes by the
-            # edge's color *pair* (the pivot side).  These are different
-            # selections on purpose.
-            mask = src_colors == lane.witness_color
-            if bool(mask.any()):
-                col_delta = mutate(
-                    lane.col_sliced, delta_dst[mask], delta_src[mask]
-                )
-            else:
-                col_delta = StructureDelta.unchanged()
-            lane_owned = (pair_lo == lane.pair[0]) & (pair_hi == lane.pair[1])
-            if bool(lane_owned.any()):
-                lane.sources, lane.destinations, edge_delta = merge_oriented_edges(
-                    lane.sources,
-                    lane.destinations,
-                    owned_edges[lane_owned],
-                    self.orientation,
-                    self.num_vertices,
-                    insert,
-                )
-            else:
-                edge_delta = StructureDelta.unchanged()
-            if lane.join_plan is not None:
-                lane.join_plan = patch_join_plan(
-                    lane.join_plan,
-                    self.row_sliced,
-                    lane.col_sliced,
-                    lane.sources,
-                    lane.destinations,
-                    edge_delta,
-                    row_delta,
-                    col_delta,
-                    candidates,
-                )
-        return True
-
-
-def build_shard_contexts(
-    graph: Graph | None,
-    orientation: str,
-    num_arrays: int,
-    *,
-    slice_bits: int = 64,
-    seed: int = 0,
-    edge_arrays: tuple[np.ndarray, np.ndarray] | None = None,
-    num_vertices: int | None = None,
-    use_plan: bool = True,
-    batch_candidates: int | None = None,
-) -> list[ShardContext]:
-    """Build the self-contained coloring shards of a graph.
-
-    ``num_arrays`` is quantised up to the next triple count:
-    ``C = min_colors(num_arrays)`` colors give ``Binom(C+2, 3)``
-    contexts (the effective array count).  ``edge_arrays`` optionally
-    passes the already-materialised oriented ``(sources, destinations)``
-    (then ``graph`` may be ``None`` if ``num_vertices`` is given).
-    ``use_plan=False`` skips the per-lane plan compiles — queries then
-    re-derive the merge-join, bit-identically.
-
-    Construction cost is the PIM-TC replication bill: each oriented
-    edge is copied into ``C`` contexts and every context slices its own
-    structures.  That one-time cost is what
-    :meth:`repro.arch.perf.PimPerformanceModel.evaluate_context_build`
-    prices; at query time the contexts are communication-free.
-    """
-    from repro.core.plan import build_join_plan
-
-    if orientation not in ("upper", "symmetric"):
+    num_colors = min_colors(config.num_arrays)
+    if num_colors > 64:
         raise ArchitectureError(
-            f"orientation must be 'upper' or 'symmetric', got {orientation!r}"
+            f"coloring prices at most 64 colors ({num_color_shards(64)} "
+            f"arrays); {config.num_arrays} arrays need {num_colors}"
         )
-    if edge_arrays is None:
-        if graph is None:
-            raise ArchitectureError(
-                "build_shard_contexts needs a graph when edge_arrays "
-                "is not provided"
-            )
-        sources, destinations = oriented_edges(graph, orientation)
-    else:
-        sources, destinations = edge_arrays
-        sources = np.asarray(sources, dtype=np.int64)
-        destinations = np.asarray(destinations, dtype=np.int64)
-    if num_vertices is None:
-        if graph is None:
-            raise ArchitectureError(
-                "build_shard_contexts needs num_vertices when graph is None"
-            )
-        num_vertices = graph.num_vertices
-    colors = min_colors(num_arrays)
-    vertex_colors = assign_colors(num_vertices, colors, seed)
-    src_colors = vertex_colors[sources] if sources.size else np.empty(0, np.int64)
-    dst_colors = (
-        vertex_colors[destinations] if destinations.size else np.empty(0, np.int64)
+    num_classes = num_colors * num_colors
+    colors = assign_colors(row_sliced.num_rows, num_colors, config.seed)
+    # An edge's color class is its color pair (lo, hi) as lo * C + hi,
+    # in the narrowest dtype, which makes the stable sort a radix sort.
+    src_colors, dst_colors = colors[sources], colors[destinations]
+    edge_class = (
+        np.minimum(src_colors, dst_colors) * num_colors
+        + np.maximum(src_colors, dst_colors)
+    ).astype(np.min_scalar_type(num_classes))
+    class_order = np.argsort(edge_class, kind="stable")
+    class_bounds = np.searchsorted(edge_class[class_order], np.arange(num_classes + 1))
+    mask_dtype = np.min_scalar_type((1 << num_colors) - 1)
+    bits = np.left_shift(
+        np.ones(num_colors, dtype=mask_dtype), np.arange(num_colors, dtype=mask_dtype)
     )
-    pair_lo = np.minimum(src_colors, dst_colors)
-    pair_hi = np.maximum(src_colors, dst_colors)
-    # Group edge positions by color pair once: C(C+1)/2 small buckets,
-    # each ascending, so every lane keeps the global lexicographic edge
-    # order (what merge_oriented_edges and the cache traces rely on).
-    pair_positions: dict[tuple[int, int], np.ndarray] = {}
-    for x in range(colors):
-        for y in range(x, colors):
-            pair_positions[(x, y)] = np.flatnonzero(
-                (pair_lo == x) & (pair_hi == y)
+    # The plan pairs grouped by class, plan order within each class.
+    counts_by_class = join_plan.pair_counts[class_order]
+    pair_order = expand_runs(join_plan.bounds[class_order], counts_by_class)
+    pair_starts = np.zeros(counts_by_class.size + 1, dtype=np.int64)
+    np.cumsum(counts_by_class, out=pair_starts[1:])
+    pair_bounds = pair_starts[class_bounds]
+    pair_rows = join_plan.row_positions[pair_order]
+    pair_cols = join_plan.col_positions[pair_order]
+    palettes = _color_palettes(colors, num_colors, row_sliced)
+    totals = _color_popcounts(
+        row_sliced, col_sliced, pair_rows, pair_cols, pair_bounds, palettes
+    )
+    # Each pair's slice color masks and its destination's color bit.
+    row_masks = _slice_colors(row_sliced, palettes, bits)
+    pair_row_masks = row_masks[pair_rows]
+    pair_col_masks = _slice_colors(col_sliced, palettes, bits)[pair_cols]
+    pair_dst_bits = bits[np.repeat(dst_colors[class_order], counts_by_class)]
+    def lane_pairs(start: int, stop: int, witness_bit) -> np.ndarray:
+        """Class pairs whose row slice holds color c(v) or r and whose
+        column slice holds color r."""
+        keep = ((pair_col_masks[start:stop] & witness_bit) != 0) & (
+            (pair_row_masks[start:stop] & (pair_dst_bits[start:stop] | witness_bit))
+            != 0
+        )
+        return pair_order[start:stop][keep]
+
+    loads: dict[int, np.ndarray] = {}
+
+    def color_loads(wanted) -> np.ndarray:
+        """Per row: valid slices holding a vertex of a ``wanted`` color."""
+        key = int(wanted)
+        if key not in loads:
+            # Summing bools into int32 is ~3x faster than into int64.
+            dtype = np.int32 if row_masks.size < 2**31 else np.int64
+            prefix = np.zeros(row_masks.size + 1, dtype=dtype)
+            np.cumsum((row_masks & wanted) != 0, out=prefix[1:], dtype=dtype)
+            indptr = row_sliced.indptr
+            loads[key] = prefix[indptr[1:]] - prefix[indptr[:-1]]
+        return loads[key]
+
+    # Each class's source rows, split by their color (the positions of a
+    # class ascend, so its sources are sorted).
+    class_rows = {}
+    for lo in range(num_colors):
+        for hi in range(lo, num_colors):
+            k = lo * num_colors + hi
+            heads = _run_heads(
+                sources[class_order[class_bounds[k]: class_bounds[k + 1]]]
             )
-    contexts: list[ShardContext] = []
-    for shard_id, triple in enumerate(color_triples(colors)):
-        lane_specs = _triple_lanes(triple)
-        own_positions = np.sort(
-            np.concatenate([pair_positions[pair] for _, pair in lane_specs])
-        )
-        own_src = sources[own_positions]
-        own_dst = destinations[own_positions]
-        # Lexicographic (source, destination) order is non-decreasing in
-        # the slice key, so from_nonzeros skips its argsort here.
-        row_sliced = SlicedMatrix.from_nonzeros(
-            own_src, own_dst, num_vertices, num_vertices, slice_bits=slice_bits
-        )
-        own_src_colors = (
-            vertex_colors[own_src] if own_src.size else np.empty(0, np.int64)
-        )
-        lanes: list[ShardLane] = []
-        for witness, pair in lane_specs:
-            positions = pair_positions[pair]
-            lane_src = sources[positions]
-            lane_dst = destinations[positions]
-            mask = own_src_colors == witness
-            col_sliced = SlicedMatrix.from_nonzeros(
-                own_dst[mask],
-                own_src[mask],
-                num_vertices,
-                num_vertices,
-                slice_bits=slice_bits,
-            )
-            join_plan = None
-            if use_plan:
-                join_plan = build_join_plan(
-                    row_sliced,
-                    col_sliced,
-                    lane_src,
-                    lane_dst,
-                    batch_candidates or DEFAULT_BATCH_CANDIDATES,
-                )
+            own = colors[heads] == lo
+            class_rows[k] = ((lo, heads[own]), (hi, heads[~own]))
+    shards = []
+    for triple in color_triples(num_colors):
+        touched = np.zeros(colors.size, dtype=bool)
+        shard_loads = []
+        lanes = []
+        for witness, (lo, hi) in _triple_lanes(triple):
+            k = lo * num_colors + hi
+            # A row of color c loads its slices of a color in T minus c.
+            lane_loads = []
+            for color, rows in class_rows[k]:
+                rest = list(triple)
+                rest.remove(color)
+                lane_loads.append(color_loads(np.bitwise_or.reduce(bits[rest]))[rows])
+                touched[rows] = True
+            shard_loads += lane_loads
             lanes.append(
-                ShardLane(
-                    witness_color=witness,
-                    pair=pair,
-                    sources=lane_src,
-                    destinations=lane_dst,
-                    col_sliced=col_sliced,
-                    join_plan=join_plan,
+                _Lane(
+                    select=partial(
+                        lane_pairs, pair_bounds[k], pair_bounds[k + 1], bits[witness]
+                    ),
+                    edges=int(class_bounds[k + 1] - class_bounds[k]),
+                    row_writes=int(sum(part.sum() for part in lane_loads)),
+                    accumulator=int(totals[k, witness]),
                 )
             )
-        contexts.append(
-            ShardContext(
-                shard_id=shard_id,
-                triple=triple,
-                orientation=orientation,
-                num_vertices=num_vertices,
-                slice_bits=slice_bits,
-                colors=colors,
-                color_seed=seed,
-                row_sliced=row_sliced,
-                lanes=lanes,
-            )
+        shards.append(
+            _Shard(int(np.count_nonzero(touched)), np.concatenate(shard_loads), lanes)
         )
-    return contexts
-
-
-def context_balance(contexts: list[ShardContext]) -> float:
-    """Partitioner balance: max shard edges over mean shard edges.
-
-    1.0 is perfect balance; the ratio is the latency multiplier the
-    slowest shard imposes on an otherwise even fleet.  Empty fleets (or
-    all-empty shards) report 1.0.
-    """
-    if not contexts:
-        return 1.0
-    loads = [ctx.num_edges for ctx in contexts]
-    mean = sum(loads) / len(loads)
-    return max(loads) / mean if mean else 1.0
-
-
-def execute_contexts(
-    contexts: list[ShardContext],
-    capacity_slices: int,
-    policy,
-    seed: int,
-    use_plan: bool = True,
-) -> ShardedOutcome:
-    """Run self-contained contexts on their simulated arrays and merge.
-
-    The communication-free counterpart of :func:`execute_sharded`: each
-    context is one :func:`run_shard` call over its own row structure
-    and lanes — no shared slice structures, no join-plan subsetting, no
-    global edge list.  ``use_plan=False`` ignores the lanes' compiled
-    plans and re-derives the merge-join, bit-identically.
-    """
-    if not contexts:
-        raise ArchitectureError("execute_contexts needs at least one context")
-    per_array_capacity = array_share(capacity_slices, len(contexts))
-    return _merge_shard_results(
-        [
-            run_shard(
-                context.shard_id,
-                context.row_sliced,
-                [
-                    (
-                        lane.sources,
-                        lane.destinations,
-                        lane.col_sliced,
-                        lane.join_plan if use_plan else None,
-                    )
-                    for lane in context.lanes
-                ],
-                per_array_capacity,
-                context.orientation,
-                policy,
-                seed,
-            )
-            for context in contexts
-        ]
-    )
+    return shards

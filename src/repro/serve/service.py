@@ -124,15 +124,10 @@ class SessionServeStats:
     #: Modelled critical path of this session's accumulated engine work.
     latency_s: float = 0.0
     #: ``TCIMSession.resident_bytes_detail()`` breakdown — slices, plan,
-    #: sym_plan (always 0), edges, graph, shards (self-contained coloring
-    #: shard contexts), spilled (disk-backed share) and total.  Empty for
-    #: evicted entries (their residency is gone).
+    #: sym_plan (always 0), edges, graph, workloads, spilled (disk-backed
+    #: share) and total.  Empty for evicted entries (their residency is
+    #: gone).
     resident_detail: dict = field(default_factory=dict)
-    #: ``TCIMSession.shard_residency()`` — one entry per resident
-    #: coloring :class:`~repro.core.sharding.ShardContext` (shard id,
-    #: owned color triple, owned edges, resident bytes).  Empty unless
-    #: the session shards by coloring.
-    shards: list = field(default_factory=list)
 
     def to_mapping(self) -> dict:
         return {
@@ -145,7 +140,6 @@ class SessionServeStats:
             "plan_bytes": self.plan_bytes,
             "latency_s": self.latency_s,
             "resident_detail": dict(self.resident_detail),
-            "shards": [dict(shard) for shard in self.shards],
         }
 
 
@@ -1190,7 +1184,6 @@ class Service:
                 resident_detail=(
                     entry.session.resident_bytes_detail() if resident else {}
                 ),
-                shards=entry.session.shard_residency() if resident else [],
             )
 
 

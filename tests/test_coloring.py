@@ -1,20 +1,22 @@
-"""Properties of the coloring partitioner (self-contained shard contexts).
+"""Properties of the coloring partitioner (communication-free color shards).
 
 The coloring construction assigns every vertex one of ``C`` seeded hash
 colors; shard ``{x <= y <= z}`` owns exactly the triangles whose vertex
-color multiset is that triple.  The tests here pin the three claims the
-design rests on:
+color multiset is that triple.  Multi-array runs price those shards from
+the count plan (:func:`repro.core.sharding.price_partition`).  The tests
+here pin:
 
 * **exact cover** — on randomized graphs every triangle is counted by
   exactly one shard (duplicate-free across color triples), for both
   orientations, so the merged count is bit-identical to unsharded;
-* **self-containment** — no context references a session's (or any
-  other shard's) slice structures, which is what makes the shards
-  communication-free;
-* **incremental maintenance** — routing a randomized insert/delete
-  stream through ``ShardContext.apply_delta`` leaves every lane's
-  structures *and compiled join plan* array-equal to a from-scratch
-  rebuild, and the merged event counters stay conserved.
+* **pricing equals execution** — every priced :class:`ShardResult`
+  field equals what executing each shard on structures holding only its
+  own slices produces (``coloring_reference.execute_coloring``),
+  capacity errors included;
+* **sessions** — a coloring session's ``simulate()`` after a randomized
+  op stream equals a fresh session's on the final graph, and a snapshot
+  of an earlier release that still records the retired per-shard
+  contexts opens and answers.
 """
 
 from __future__ import annotations
@@ -25,19 +27,22 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.api import TCIMSession
+from coloring_reference import execute_coloring
+from repro import open_session
 from repro.core.accelerator import AcceleratorConfig, EventCounts, TCIMAccelerator
+from repro.core.engine import oriented_edges
 from repro.core.sharding import (
     assign_colors,
-    build_shard_contexts,
     color_triples,
-    context_balance,
-    execute_contexts,
     min_colors,
     num_color_shards,
+    price_partition,
 )
+from repro.core.slicing import SlicedMatrix
+from repro.errors import ArchitectureError
 from repro.graph import generators
 from repro.graph.graph import Graph
+from repro.storage import snapshot as storage_snapshot
 
 
 def _triangles_by_triple(graph: Graph, colors: np.ndarray) -> dict:
@@ -59,6 +64,26 @@ def _triangles_by_triple(graph: Graph, colors: np.ndarray) -> dict:
                 triple = tuple(sorted((int(colors[u]), int(colors[v]), int(colors[w]))))
                 buckets[triple] = buckets.get(triple, 0) + 1
     return buckets
+
+
+def _coloring_run(graph: Graph, **config):
+    return TCIMAccelerator(AcceleratorConfig(shard_by="coloring", **config)).run(graph)
+
+
+def _simulation_fields(report) -> dict:
+    """Every priced field of a ``simulate()`` report."""
+    result = report.result
+    return {
+        "triangles": result.triangles,
+        "events": dataclasses.asdict(result.events),
+        "cache_stats": dataclasses.asdict(result.cache_stats),
+        "row_region_slices": result.row_region_slices,
+        "column_cache_slices": result.column_cache_slices,
+        "notes": dict(result.notes),
+        "shards": [dataclasses.asdict(shard) for shard in result.shards],
+        "latency_s": report.perf.latency_s,
+        "system_energy_j": report.perf.system_energy_j,
+    }
 
 
 class TestColorAssignment:
@@ -104,48 +129,55 @@ class TestExactCover:
             m = int(rng.integers(n, 6 * n))
             graph = Graph(n, rng.integers(0, n, size=(m, 2)))
             num_arrays = int(rng.choice([4, 16, 32]))
-            seed = trial
-            contexts = build_shard_contexts(
-                graph, orientation, num_arrays, seed=seed
+            result = _coloring_run(
+                graph, orientation=orientation, num_arrays=num_arrays, seed=trial
             )
-            colors = assign_colors(n, min_colors(num_arrays), seed)
-            outcome = execute_contexts(
-                contexts, AcceleratorConfig().capacity_slices, "lru", seed
-            )
+            colors = assign_colors(n, min_colors(num_arrays), trial)
             oracle = _triangles_by_triple(graph, colors)
             # Per-shard counts match the oracle bucket for that triple —
             # the shard counted its triangles and nobody else's.
-            for context, shard in zip(contexts, outcome.shards):
+            triples = color_triples(min_colors(num_arrays))
+            for triple, shard in zip(triples, result.shards, strict=True):
                 assert shard.accumulator == multiplicity * oracle.get(
-                    context.triple, 0
-                ), (trial, context.triple)
-            assert outcome.accumulator == multiplicity * sum(oracle.values())
+                    triple, 0
+                ), (trial, triple)
+            assert result.triangles == sum(oracle.values())
 
     def test_every_shard_triple_is_unique(self):
         graph = generators.barabasi_albert(200, 5, seed=3)
-        contexts = build_shard_contexts(graph, "upper", 16)
-        triples = [context.triple for context in contexts]
-        assert len(set(triples)) == len(triples) == 20
-        # Each oriented edge belongs to the shards whose triple contains
-        # its color pair: exactly C of them (one per witness color), but
-        # as a *pivot* (lane) edge in exactly one lane overall per shard.
-        assert context_balance(contexts) >= 1.0
+        result = _coloring_run(graph, num_arrays=16)
+        assert result.notes["colors"] == 4
+        assert result.notes["num_shards"] == len(result.shards) == 20
+        assert [shard.shard_id for shard in result.shards] == list(range(20))
+        # Each oriented edge is a pivot in exactly one lane of each of
+        # the C shards whose triple contains its color pair.
+        assert sum(shard.edges for shard in result.shards) == 4 * graph.num_edges
+        loads = [shard.edges for shard in result.shards]
+        assert result.notes["balance"] == max(loads) / (sum(loads) / len(loads))
+        assert result.notes["balance"] >= 1.0
 
     def test_one_color_degenerates_to_unsharded(self):
         graph = generators.powerlaw_cluster(150, 4, 0.5, seed=5)
         baseline = TCIMAccelerator().run(graph)
-        contexts = build_shard_contexts(graph, "upper", 1)
-        assert len(contexts) == 1
-        outcome = execute_contexts(
-            contexts, AcceleratorConfig().capacity_slices, "lru", 0
+        config = AcceleratorConfig(num_arrays=1, shard_by="coloring")
+        edge_arrays = oriented_edges(graph, "upper")
+        outcome = price_partition(
+            config,
+            SlicedMatrix.from_graph(graph, "upper"),
+            SlicedMatrix.from_graph(graph, "lower"),
+            edge_arrays,
         )
+        (shard,) = outcome.shards
         assert outcome.accumulator == baseline.triangles
+        assert dataclasses.asdict(shard.events) == dataclasses.asdict(baseline.events)
+        assert dataclasses.asdict(shard.cache_stats) == dataclasses.asdict(
+            baseline.cache_stats
+        )
+        assert shard.row_region_slices == baseline.row_region_slices
 
     def test_events_conserved_across_shards(self):
         graph = generators.barabasi_albert(250, 6, seed=9)
-        result = TCIMAccelerator(
-            AcceleratorConfig(num_arrays=16, shard_by="coloring")
-        ).run(graph)
+        result = _coloring_run(graph, num_arrays=16)
         baseline = TCIMAccelerator().run(graph)
         assert result.triangles == baseline.triangles
         merged = EventCounts()
@@ -156,84 +188,65 @@ class TestExactCover:
         assert result.notes["num_shards"] == 20
 
 
-class TestSelfContainment:
-    """Shard contexts must reference no shared slice structures."""
+class TestPricingMatchesExecution:
+    """Priced shards equal executed ones, field by field."""
 
-    def test_contexts_share_nothing_with_session_or_each_other(self):
-        graph = generators.powerlaw_cluster(200, 5, 0.5, seed=4)
-        config = AcceleratorConfig(num_arrays=16, shard_by="coloring")
-        with TCIMSession(graph, config) as session:
-            session.count()
-            contexts = session._shard_contexts
-            assert contexts is not None and len(contexts) == 20
-            global_structures = {
-                id(structure)
-                for structure in (
-                    session._row_sliced,
-                    session._col_sliced,
-                    session._sym_sliced,
-                )
-                if structure is not None
-            }
-            assert global_structures  # the session did build globals
-            context_structures = []
-            for context in contexts:
-                context_structures.append(context.row_sliced)
-                for lane in context.lanes:
-                    context_structures.append(lane.col_sliced)
-            # No context structure *is* a session structure...
-            assert not global_structures & {
-                id(structure) for structure in context_structures
-            }
-            # ...and no two contexts share a structure or an edge array.
-            assert len({id(s) for s in context_structures}) == len(
-                context_structures
+    def test_randomized_configs(self):
+        rng = np.random.default_rng(29)
+        evicted = errors = 0
+        for trial in range(40):
+            n = int(rng.integers(10, 220))
+            m = int(rng.integers(n, 8 * n))
+            graph = Graph(n, rng.integers(0, n, size=(m, 2)))
+            slice_bits = int(rng.choice([8, 16, 64, 128]))
+            num_arrays = int(rng.choice([2, 4, 16, 32]))
+            shards = num_color_shards(min_colors(num_arrays))
+            # Per-array shares from 2 slices (capacity errors) through
+            # evicting caches to the default 16 MB array.
+            per_array = int(rng.choice([2, 4, 8, 24, 64, 0]))
+            config = AcceleratorConfig(
+                slice_bits=slice_bits,
+                array_bytes=(
+                    per_array * shards * slice_bits // 8
+                    if per_array
+                    else AcceleratorConfig().array_bytes
+                ),
+                policy=str(rng.choice(["lru", "fifo", "random"])),
+                orientation=str(rng.choice(["upper", "symmetric"])),
+                seed=trial,
+                num_arrays=num_arrays,
+                shard_by="coloring",
+                use_plan=bool(trial % 2),
             )
-            arrays = [
-                arr
-                for context in contexts
-                for lane in context.lanes
-                for arr in (lane.sources, lane.destinations)
-            ]
-            assert len({id(a) for a in arrays}) == len(arrays)
+            try:
+                expected = execute_coloring(graph, config)
+            except ArchitectureError as error:
+                with pytest.raises(ArchitectureError) as raised:
+                    TCIMAccelerator(config).run(graph)
+                assert str(raised.value) == str(error), trial
+                errors += 1
+                continue
+            result = TCIMAccelerator(config).run(graph)
+            assert [dataclasses.asdict(s) for s in result.shards] == [
+                dataclasses.asdict(s) for s in expected
+            ], trial
+            evicted += result.cache_stats.exchanges > 0
+        assert evicted and errors
+
+    def test_wide_color_masks(self):
+        # 17 colors need 32-bit slice masks; one machine word per mask
+        # caps pricing at 64 colors (45,760 shards).
+        graph = generators.barabasi_albert(100, 3, seed=1)
+        result = _coloring_run(graph, num_arrays=num_color_shards(17))
+        assert result.notes["colors"] == 17
+        assert result.triangles == TCIMAccelerator().run(graph).triangles
+        with pytest.raises(ArchitectureError, match="at most 64 colors"):
+            _coloring_run(graph, num_arrays=num_color_shards(64) + 1)
 
 
 class TestIncrementalColoring:
-    """Randomized op streams: patched lane plans == from-scratch rebuild."""
-
-    def _plan_arrays(self, plan):
-        return (
-            plan.row_positions,
-            plan.col_positions,
-            plan.trace_keys,
-            plan.pair_counts,
-        )
-
-    def _assert_contexts_equal(self, patched, rebuilt):
-        assert len(patched) == len(rebuilt)
-        for a, b in zip(patched, rebuilt):
-            assert a.triple == b.triple
-            np.testing.assert_array_equal(
-                a.row_sliced.to_dense(), b.row_sliced.to_dense()
-            )
-            assert len(a.lanes) == len(b.lanes)
-            for lane_a, lane_b in zip(a.lanes, b.lanes):
-                assert lane_a.witness_color == lane_b.witness_color
-                assert lane_a.pair == lane_b.pair
-                np.testing.assert_array_equal(lane_a.sources, lane_b.sources)
-                np.testing.assert_array_equal(
-                    lane_a.destinations, lane_b.destinations
-                )
-                np.testing.assert_array_equal(
-                    lane_a.col_sliced.to_dense(), lane_b.col_sliced.to_dense()
-                )
-                assert (lane_a.join_plan is None) == (lane_b.join_plan is None)
-                if lane_a.join_plan is not None:
-                    for arr_a, arr_b in zip(
-                        self._plan_arrays(lane_a.join_plan),
-                        self._plan_arrays(lane_b.join_plan),
-                    ):
-                        np.testing.assert_array_equal(arr_a, arr_b)
+    """After randomized op streams a coloring session prices like a
+    fresh session on the final graph."""
 
     @pytest.mark.parametrize("use_plan", [True, False])
     def test_session_stream_matches_plain_session(self, use_plan):
@@ -244,15 +257,11 @@ class TestIncrementalColoring:
             for u, v in rng.integers(0, n, size=(4 * n, 2))
             if u != v
         }
-        graph = Graph(n, np.array(sorted(edges), dtype=np.int64))
-        config = AcceleratorConfig(
-            num_arrays=16, shard_by="coloring", use_plan=use_plan
-        )
-        session = TCIMSession(graph, config)
-        plain = TCIMSession(Graph(n, np.array(sorted(edges), dtype=np.int64)))
+        config = {"num_arrays": 16, "shard_by": "coloring", "use_plan": use_plan}
+        session = open_session(Graph(n, np.array(sorted(edges))), **config)
+        plain = open_session(Graph(n, np.array(sorted(edges))))
         assert session.count() == plain.count()
-        contexts_before = session._shard_contexts
-        assert contexts_before is not None
+        session.simulate()
 
         for step in range(120):
             u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
@@ -271,46 +280,40 @@ class TestIncrementalColoring:
             plain.apply([op])
             if step % 20 == 19:
                 assert session.count() == plain.count()
+                fresh = open_session(Graph(n, np.array(sorted(edges))), **config)
+                assert _simulation_fields(session.simulate()) == _simulation_fields(
+                    fresh.simulate()
+                ), step
 
         assert session.count() == plain.count()
-        # Patching is deferred: mutations queue, and the next structural
-        # read folds them in.  The join_plan property is such a read (it
-        # is None for coloring sessions — lanes own the plans instead).
-        assert session.join_plan is None
-        # The stream was routed into the resident contexts in place, not
-        # served by rebuilding them.
-        assert session._shard_contexts is contexts_before
-        assert not session._pending_patches
-
-        rebuilt = build_shard_contexts(
-            Graph(n, np.array(sorted(edges), dtype=np.int64)),
-            config.orientation,
-            config.num_arrays,
-            slice_bits=config.slice_bits,
-            seed=config.seed,
-            use_plan=use_plan,
-        )
-        self._assert_contexts_equal(session._shard_contexts, rebuilt)
+        # The stream patched the session's own count plan in place.
+        assert (session.join_plan is not None) == use_plan
+        assert not any(session.fallback_counts.values())
         session.close()
         plain.close()
 
-    def test_delta_routed_to_owning_shards_only(self):
-        graph = generators.barabasi_albert(120, 4, seed=6)
-        n = graph.num_vertices
-        contexts = build_shard_contexts(graph, "upper", 16, seed=0)
-        colors = assign_colors(n, min_colors(16), 0)
-        u, v = (int(x) for x in graph.edge_array()[0])
-        delta = np.array([[min(u, v), max(u, v)]], dtype=np.int64)
-        owners = [
-            context
-            for context in contexts
-            if bool(context.owned_mask(delta, colors).any())
-        ]
-        # A single edge's color pair {a, b} is a sub-multiset of exactly
-        # C triples (one per completing witness color).
-        assert len(owners) == min_colors(16)
-        touched = [
-            context.apply_delta(delta, colors, insert=False)
-            for context in contexts
-        ]
-        assert sum(touched) == len(owners)
+
+class TestSnapshots:
+    def test_snapshot_with_retired_context_summary_opens(self, tmp_path):
+        # Coloring snapshots of earlier releases carry no count plan and
+        # a ``shard_contexts`` summary of the retired per-shard contexts.
+        graph = generators.barabasi_albert(200, 5, seed=12)
+        config = {"num_arrays": 4, "shard_by": "coloring"}
+        with open_session(graph, **config) as session:
+            expected = _simulation_fields(session.simulate())
+            snap = storage_snapshot.read_snapshot(session.snapshot(tmp_path / "new"))
+        meta, arrays = snap.meta, dict(snap.arrays)
+        meta["plans"] = {}
+        for name in [name for name in arrays if name.startswith("plan.")]:
+            del arrays[name]
+        meta["shard_contexts"] = {
+            "colors": 2,
+            "seed": 0,
+            "num_shards": 4,
+            "resident_bytes": 123456,
+            "edges_per_shard": [shard["edges"] for shard in expected["shards"]],
+        }
+        target = storage_snapshot.write_snapshot(tmp_path / "earlier", meta, arrays)
+        restored = open_session(snapshot=target)
+        assert restored.count() == expected["triangles"]
+        assert _simulation_fields(restored.simulate()) == expected

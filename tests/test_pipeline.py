@@ -168,23 +168,6 @@ class TestMeasuredShardPricing:
             single.energy_breakdown_j["leakage"]
         )
 
-    def test_context_build_pricing(self, base):
-        report = base.evaluate_context_build([1000, 3000], [500, 1500])
-        timing = base.timing
-        expected = (
-            3000 * timing.per_edge_overhead_s
-            + 1500 * timing.plan_record_latency_s
-        )
-        assert report.latency_s == pytest.approx(expected)
-        assert report.latency_breakdown_s["slice_build"] == pytest.approx(
-            4000 * timing.per_edge_overhead_s
-        )
-        assert report.latency_breakdown_s["imbalance"] > 1.0
-        with pytest.raises(ArchitectureError, match="at least one"):
-            base.evaluate_context_build([])
-        with pytest.raises(ArchitectureError, match="pair counts"):
-            base.evaluate_context_build([10], [1, 2])
-
     def test_validation(self, base):
         with pytest.raises(ArchitectureError, match="at least one"):
             base.evaluate_shards([])

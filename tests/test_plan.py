@@ -475,7 +475,7 @@ class TestPatchedPlanEqualsRebuild:
         assert dict(session.fallback_counts) == dict.fromkeys(
             session.fallback_counts, 0
         )
-        assert len(session.fallback_counts) == 3
+        assert len(session.fallback_counts) == 2
         with pytest.raises(TypeError):
             session.fallback_counts["backlog_drop"] = 1
 
@@ -608,25 +608,6 @@ class TestBlockSplicePatch:
 
 
 class TestPlanPrimitives:
-    def test_subset_matches_planless_shard(self):
-        graph = generators.barabasi_albert(300, 5, seed=5)
-        row, col = structures(graph)
-        sources, destinations = oriented_edges(graph, "upper")
-        plan = build_join_plan(row, col, sources, destinations)
-        positions = np.arange(sources.size)[1::3]
-        sub = plan.subset(positions)
-        shard_edges = (sources[positions], destinations[positions])
-        plain = execute_batched(
-            None, row, col, "upper", 4096, policy="lru", seed=0, edges=shard_edges
-        )
-        planned = execute_batched(
-            None, row, col, "upper", 4096, policy="lru", seed=0,
-            edges=shard_edges, plan=sub,
-        )
-        assert plain[0] == planned[0]
-        assert plain[1] == planned[1]
-        assert dataclasses.asdict(plain[2]) == dataclasses.asdict(planned[2])
-
     def test_nbytes_counts_every_array_after_a_patch(self):
         graph = generators.barabasi_albert(120, 4, seed=2)
         session = open_session(graph)

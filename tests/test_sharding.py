@@ -8,7 +8,9 @@ paper's Fig. 4 bank organisation):
 * for any ``num_arrays`` and any partitioner the merged triangle count
   is exact, and the additive event counters conserve the single-array
   totals (``edges_processed``, ``and_operations``,
-  ``dense_pair_operations``, ``index_lookups``, ``bitcount_operations``).
+  ``dense_pair_operations``, ``index_lookups``, ``bitcount_operations``);
+* each priced position shard equals executing its edges through
+  :func:`~repro.core.sharding.run_shard`, field by field.
 """
 
 from __future__ import annotations
@@ -18,14 +20,21 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.accelerator import AcceleratorConfig, EventCounts, TCIMAccelerator
+from repro.core.accelerator import (
+    AcceleratorConfig,
+    EventCounts,
+    TCIMAccelerator,
+    array_share,
+)
+from repro.core.engine import oriented_edges
 from repro.core.reuse import CacheStatistics
 from repro.core.sharding import (
     PARTITIONERS,
     POSITION_PARTITIONERS,
     ShardPlan,
-    execute_sharded,
     plan_shards,
+    price_partition,
+    run_shard,
 )
 from repro.core.slicing import SlicedMatrix
 from repro.errors import ArchitectureError
@@ -80,22 +89,19 @@ class TestSingleArrayIdentity:
 
     @pytest.mark.parametrize("shard_by", POSITION_PARTITIONERS)
     def test_orchestrator_with_one_shard(self, shard_by):
-        """The orchestrator itself, not just the accelerator shortcut."""
+        """The pricer itself, not just the accelerator shortcut."""
         graph = GRAPHS["ba"]()
-        config = AcceleratorConfig()
+        config = AcceleratorConfig(shard_by=shard_by)
         baseline = run(graph)
         row_sliced = SlicedMatrix.from_graph(graph, "upper")
         col_sliced = SlicedMatrix.from_graph(graph, "lower")
         plan = plan_shards(graph, "upper", 1, shard_by)
-        outcome = execute_sharded(
-            graph,
+        outcome = price_partition(
+            config,
             row_sliced,
             col_sliced,
-            "upper",
-            plan,
-            config.capacity_slices,
-            policy=config.policy,
-            seed=config.seed,
+            oriented_edges(graph, "upper"),
+            shard_plan=plan,
         )
         assert outcome.accumulator == baseline.triangles
         assert dataclasses.asdict(outcome.events) == dataclasses.asdict(
@@ -259,15 +265,12 @@ class TestValidation:
         col_sliced = SlicedMatrix.from_graph(graph, "symmetric")
         plan = plan_shards(graph, "upper", 2, "edges")
         with pytest.raises(ArchitectureError, match="orientation"):
-            execute_sharded(
-                graph,
+            price_partition(
+                AcceleratorConfig(orientation="symmetric", num_arrays=2),
                 row_sliced,
                 col_sliced,
-                "symmetric",
-                plan,
-                AcceleratorConfig().capacity_slices,
-                policy="lru",
-                seed=0,
+                oriented_edges(graph, "symmetric"),
+                shard_plan=plan,
             )
 
     def test_plan_graph_mismatch_rejected(self):
@@ -277,16 +280,34 @@ class TestValidation:
         row_sliced = SlicedMatrix.from_graph(big, "upper")
         col_sliced = SlicedMatrix.from_graph(big, "lower")
         with pytest.raises(ArchitectureError, match="different graph"):
-            execute_sharded(
-                big,
+            price_partition(
+                AcceleratorConfig(num_arrays=4),
                 row_sliced,
                 col_sliced,
-                "upper",
-                plan,
-                AcceleratorConfig().capacity_slices,
-                policy="lru",
-                seed=0,
+                oriented_edges(big, "upper"),
+                shard_plan=plan,
             )
+
+    def test_plan_partitioner_mismatch_rejected(self):
+        # A "rows" plan on a degree config would silently price the
+        # row round-robin partition (491 / 413 / 467 / 393 edges per
+        # shard here, where degree-LPT gives 441 each).
+        graph = generators.barabasi_albert(300, 6, seed=1)
+        plan = plan_shards(graph, "upper", 4, "rows")
+        assert plan.edges_per_shard() == [491, 413, 467, 393]
+        accelerator = TCIMAccelerator(AcceleratorConfig(num_arrays=4, shard_by="degree"))
+        assert [s.edges for s in accelerator.run(graph).shards] == [441] * 4
+        with pytest.raises(ArchitectureError, match="partitions by 'rows'"):
+            accelerator.run(graph, plan=plan)
+        coloring = TCIMAccelerator(
+            AcceleratorConfig(num_arrays=4, shard_by="coloring")
+        )
+        with pytest.raises(ArchitectureError, match="takes no shard plan"):
+            coloring.run(graph, plan=plan)
+        with pytest.raises(ArchitectureError, match="arrays"):
+            TCIMAccelerator(
+                AcceleratorConfig(num_arrays=2, shard_by="rows")
+            ).run(graph, plan=plan)
 
     def test_plan_identity_semantics(self):
         """ndarray fields force identity equality — no crash either way."""
@@ -306,3 +327,46 @@ class TestValidation:
         with pytest.raises(TypeError):
             EventCounts().merge(object())
         assert EventCounts().__add__(3) is NotImplemented
+
+
+class TestPricingMatchesExecution:
+    """A priced position shard equals executing its edges, field by field."""
+
+    def test_randomized_configs(self):
+        rng = np.random.default_rng(31)
+        evicted = 0
+        for trial in range(24):
+            n = int(rng.integers(2, 200))
+            graph = Graph(n, rng.integers(0, n, size=(int(rng.integers(0, 8 * n)), 2)))
+            slice_bits = int(rng.choice([8, 64, 128]))
+            num_arrays = int(rng.choice([2, 4, 16]))
+            config = AcceleratorConfig(
+                slice_bits=slice_bits,
+                array_bytes=int(rng.choice([64, 256, 2**20])) * num_arrays * slice_bits // 8,
+                policy=str(rng.choice(["lru", "fifo", "random"])),
+                orientation=str(rng.choice(["upper", "symmetric"])),
+                seed=trial,
+                num_arrays=num_arrays,
+                shard_by=POSITION_PARTITIONERS[trial % 3],
+            )
+            col_orientation = "lower" if config.orientation == "upper" else "symmetric"
+            row = SlicedMatrix.from_graph(graph, config.orientation, slice_bits=slice_bits)
+            col = SlicedMatrix.from_graph(graph, col_orientation, slice_bits=slice_bits)
+            sources, destinations = oriented_edges(graph, config.orientation)
+            plan = plan_shards(
+                None, config.orientation, num_arrays, config.shard_by, sources=sources
+            )
+            per_array = array_share(config.capacity_slices, num_arrays)
+            expected = [
+                run_shard(
+                    shard_id, row, col, sources[positions], destinations[positions],
+                    per_array, config.orientation, config.policy, config.seed,
+                )
+                for shard_id, positions in enumerate(plan.assignments)
+            ]
+            outcome = price_partition(config, row, col, (sources, destinations))
+            assert [dataclasses.asdict(s) for s in outcome.shards] == [
+                dataclasses.asdict(s) for s in expected
+            ], trial
+            evicted += outcome.cache_stats.exchanges > 0
+        assert evicted

@@ -277,7 +277,7 @@ class TestMemmapSessions:
         session.support()
         detail = session.resident_bytes_detail()
         parts = (
-            "slices", "plan", "sym_plan", "edges", "graph", "shards", "workloads"
+            "slices", "plan", "sym_plan", "edges", "graph", "workloads"
         )
         for key in (*parts, "spilled", "total"):
             assert key in detail
