@@ -423,8 +423,9 @@ def measure_storage(num_vertices: int, attach: int) -> dict:
     """Out-of-core rows: snapshot write, warm hydrate vs cold residency.
 
     Mirrors ``smoke_oocore.py``'s warm-vs-cold comparison (residency
-    establishment only: slice structures + the compiled count plan, no
-    engine queries) and adds the snapshot footprint and the memmap
+    establishment only: the symmetric slice structure, its windows and
+    the compiled count plan, no engine queries) and adds the snapshot
+    footprint and the memmap
     session's spilled share, plus the architecture model's pricing of
     the same trade (``evaluate_hydrate`` vs ``evaluate_cold_open``).
     """
@@ -439,7 +440,6 @@ def measure_storage(num_vertices: int, attach: int) -> dict:
         with session._lock:
             session._prepare()
             session._ensure_join_plan()
-            session._sym()
 
     with tempfile.TemporaryDirectory(prefix="record-storage-") as tmp:
         tmp_path = Path(tmp)

@@ -1,8 +1,8 @@
 """CI smoke: the out-of-core storage tier is exact, warm, and actually spills.
 
 Three gates over the acceptance-scale graph (20k-vertex / ~160k-edge
-Barabási–Albert, whose resident structures total ~40 MB — well over 4x
-the 1 MiB spill threshold used here):
+Barabási–Albert, whose symmetric slice structure and count plan total
+~8.4 MB — well over 4x the 1 MiB spill threshold used here):
 
 * **exactness** — a session whose slice payloads and compiled plans live
   in disk-backed memmaps answers ``count``/``support``/
@@ -10,8 +10,9 @@ the 1 MiB spill threshold used here):
   join plan on and off and across a 4-array sharded config;
 * **warm paging** — hydrating a session from its snapshot
   (``open_session(snapshot=...)``) is at least ``MIN_HYDRATE_SPEEDUP``
-  (5x) faster than re-establishing the same residency cold (re-slice
-  row/column/symmetric structures + recompile the count plan);
+  (5x) faster than re-establishing the same residency cold (slice the
+  symmetric structure, derive its row and column windows, and compile
+  the count plan);
 * **memory** — with a 1 MiB spill threshold the memmap session actually
   sheds heap: its anonymous-RSS growth (measured in a subprocess, so
   this process's allocator noise cannot contaminate it) stays under the
@@ -34,6 +35,7 @@ from pathlib import Path
 
 from repro.api import open_session
 from repro.graph import generators
+from repro.storage.snapshot import snapshot_nbytes
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -69,11 +71,11 @@ print(json.dumps({"anon_delta_kb": after - before, "detail": detail}))
 
 
 def build_residency(session) -> None:
-    """Force every structure and the plan resident, no engine query."""
+    """Force the structure, its windows and the plan resident, no engine
+    query."""
     with session._lock:
         session._prepare()
         session._ensure_join_plan()
-        session._sym()
 
 
 def measure_child(kind: str, store_dir: str) -> dict:
@@ -133,6 +135,7 @@ def main(argv: list[str]) -> int:
         # --- gate 2: warm hydrate vs cold re-slice + recompile ---------
         snap_dir = tmp_path / "snap"
         ram.snapshot(snap_dir)  # also a page-cache warm-up for the reads
+        snapshot_mb = snapshot_nbytes(snap_dir) / 1e6
         cold_s = float("inf")
         for _ in range(REPEATS):
             cold = open_session(graph)
@@ -153,7 +156,8 @@ def main(argv: list[str]) -> int:
         print(
             f"cold residency: {cold_s * 1e3:8.1f} ms   "
             f"warm hydrate: {warm_s * 1e3:8.1f} ms   "
-            f"speedup {speedup:.1f}x (threshold {min_speedup:.1f}x)"
+            f"speedup {speedup:.1f}x (threshold {min_speedup:.1f}x), "
+            f"snapshot {snapshot_mb:.2f} MB"
         )
         if warm_count != expected["count"]:
             print("FAIL: hydrated session count diverges", file=sys.stderr)
@@ -194,7 +198,8 @@ def main(argv: list[str]) -> int:
         (
             f"oocore smoke: BA n={graph.num_vertices:,} m={graph.num_edges:,}\n"
             f"cold residency {cold_s * 1e3:.1f} ms vs warm hydrate "
-            f"{warm_s * 1e3:.1f} ms -> {speedup:.1f}x (threshold {min_speedup}x)\n"
+            f"{warm_s * 1e3:.1f} ms -> {speedup:.1f}x (threshold {min_speedup}x); "
+            f"snapshot {snapshot_mb:.2f} MB\n"
             f"anon RSS growth ram {ram_anon / 1e6:.1f} MB vs memmap "
             f"{mm_anon / 1e6:.1f} MB; spilled {spilled / 1e6:.1f} MB "
             f"(threshold {SPILL_THRESHOLD} B)\n"

@@ -44,7 +44,7 @@ from repro.core import incremental
 from repro.core.accelerator import AcceleratorConfig, TCIMAccelerator
 from repro.core.engine import oriented_edges
 from repro.core.plan import build_join_plan, merge_oriented_edges, patch_join_plan
-from repro.core.slicing import SlicedMatrix
+from repro.core.slicing import SlicedMatrix, oriented_structures
 from repro.graph import generators
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -84,16 +84,17 @@ def plans_identical(a, b) -> bool:
         getattr(a, name).dtype == getattr(b, name).dtype
         and np.array_equal(getattr(a, name), getattr(b, name))
         for name in (
-            "row_positions", "col_positions", "trace_keys", "pair_counts", "bounds"
+            "row_positions", "col_positions", "trace_keys", "pair_counts", "bounds",
+            "diagonal_pairs", "diagonal_masks",
         )
     )
 
 
 def rebuilt_plan(graph, orientation: str):
-    """The count plan of ``graph`` under ``orientation``, compiled from scratch."""
-    col_orientation = "lower" if orientation == "upper" else "symmetric"
-    row = SlicedMatrix.from_graph(graph, orientation)
-    col = SlicedMatrix.from_graph(graph, col_orientation)
+    """The count plan of ``graph`` under ``orientation``, compiled from
+    scratch over a fresh symmetric structure's row and column sides (the
+    structures a session's plan indexes)."""
+    row, col = oriented_structures(SlicedMatrix.from_graph(graph, "symmetric"), orientation)
     return build_join_plan(row, col, *oriented_edges(graph, orientation))
 
 
@@ -248,15 +249,16 @@ def main(argv: list[str]) -> int:
     session.apply(ops)
     patched = session.join_plan
     final = session.graph
-    fresh_row = SlicedMatrix.from_graph(final, "upper")
-    fresh_col = SlicedMatrix.from_graph(final, "lower")
-    rebuilt = build_join_plan(fresh_row, fresh_col, *oriented_edges(final, "upper"))
+    rebuilt = rebuilt_plan(final, "upper")
     plan_equal = patched.num_edges == rebuilt.num_edges and all(
         np.array_equal(
             np.asarray(getattr(patched, name), dtype=np.int64),
             np.asarray(getattr(rebuilt, name), dtype=np.int64),
         )
-        for name in ("row_positions", "col_positions", "trace_keys", "pair_counts")
+        for name in (
+            "row_positions", "col_positions", "trace_keys", "pair_counts",
+            "diagonal_pairs", "diagonal_masks",
+        )
     )
     if not plan_equal:
         print("FAIL: patched plan != from-scratch rebuild", file=sys.stderr)

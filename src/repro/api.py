@@ -9,11 +9,12 @@ workloads through :class:`~repro.core.dynamic.DynamicTriangleCounter`
 (pure-Python set intersections).  :class:`TCIMSession` models the
 resident controller directly:
 
-* the graph is loaded **once** — the oriented edge list, both
-  :class:`SlicedMatrix` structures, the slice statistics and the
-  compiled valid-pair :class:`~repro.core.plan.JoinPlan` are cached and
-  reused across queries (repeat queries skip the
-  merge-join entirely; disable with ``use_plan=False`` / ``--no-plan``);
+* the graph is loaded **once** — the oriented edge list, one symmetric
+  :class:`SlicedMatrix` (whose :class:`~repro.core.slicing.SliceWindow`
+  sides serve as the row and column structures), the slice statistics
+  and the compiled valid-pair :class:`~repro.core.plan.JoinPlan` are
+  cached and reused across queries (repeat queries skip the merge-join
+  entirely; disable with ``use_plan=False`` / ``--no-plan``);
 * :meth:`TCIMSession.count` / :meth:`TCIMSession.simulate` /
   :meth:`TCIMSession.slice_stats` / :meth:`TCIMSession.baseline` serve
   repeated queries without re-slicing;
@@ -60,7 +61,13 @@ from repro.core.accelerator import (
 )
 from repro.core.engine import oriented_edges
 from repro.core.reuse import CacheStatistics
-from repro.core.slicing import SlicedMatrix, SliceStatistics, slice_statistics
+from repro.core.slicing import (
+    SlicedMatrix,
+    SliceStatistics,
+    SliceWindow,
+    oriented_structures,
+    slice_statistics,
+)
 from repro.errors import ArchitectureError, GraphError, ReproError, StorageError
 from repro.graph.edgemap import EdgeMap
 from repro.graph.graph import Graph
@@ -338,11 +345,14 @@ class TCIMSession:
         self._plan_chunk_edges = (
             _PLAN_CHUNK_EDGES if self._store.kind == "memmap" else None
         )
-        # Resident compressed state, built lazily and reused across queries.
-        self._row_sliced: SlicedMatrix | None = None
-        self._col_sliced: SlicedMatrix | None = None
-        self._edge_arrays: tuple[np.ndarray, np.ndarray] | None = None
+        # Resident compressed state, built lazily and reused across
+        # queries: the symmetric slice structure, spliced by every apply,
+        # is the only one; the count run's row and column structures are
+        # its upper and lower windows (the structure itself twice under
+        # the symmetric orientation).
         self._sym_sliced: SlicedMatrix | None = None
+        self._oriented: tuple | None = None
+        self._edge_arrays: tuple[np.ndarray, np.ndarray] | None = None
         # The compiled valid-pair index (repro.core.plan.JoinPlan):
         # built once per generation, incrementally patched by apply, and
         # handed to every vectorized engine run so repeat queries skip
@@ -356,12 +366,13 @@ class TCIMSession:
         #: clustering report are handed out as they are, so every array
         #: they hold is non-writeable.
         self._workload_cache: dict = {}
-        # Committed delta batches not yet folded into the oriented
-        # structures/plan.  Applies only queue here (O(1)); the next
-        # engine query flushes the queue as one patch pass — so pure
-        # update streams never pay splice costs, and read-after-write
-        # pays one patch instead of a re-slice + plan recompile.
-        self._pending_patches: list[tuple[np.ndarray, bool]] = []
+        # Committed delta batches not yet folded into the windows, the
+        # edge arrays and the plan: ``(delta_edges, insert, sym_delta)``,
+        # the last what the symmetric splice reported.  Applies only
+        # queue here (O(1)); the next engine query flushes the queue as
+        # one patch — so pure update streams never pay patch costs, and
+        # read-after-write pays one patch instead of a plan recompile.
+        self._pending_patches: list[tuple] = []
         self._pending_edges = 0
         self._fallbacks = dict.fromkeys(_FALLBACKS, 0)
         # Cached query results, invalidated by updates.
@@ -383,11 +394,11 @@ class TCIMSession:
     def close(self) -> None:
         """Drop every cached structure (the session stays usable)."""
         with self._lock:
-            # The symmetric structure may be the only copy of the edge
-            # set; keep the graph it describes before dropping it.
-            self.graph
             self._invalidate()
-            self._sym_sliced = None
+            # Keep one edge set: the graph when one is held, else the
+            # symmetric structure (after an apply or a snapshot open).
+            if self._graph is not None:
+                self._sym_sliced = None
 
     # ------------------------------------------------------------------
     # State
@@ -458,44 +469,49 @@ class TCIMSession:
     def resident_bytes(self) -> int:
         """Estimated footprint of the resident compressed structures.
 
-        Sums the numpy payloads of every cached :class:`SlicedMatrix`
-        (row, column, and incrementally maintained symmetric structures),
-        the oriented edge arrays, the compiled join plan, the graph's
-        edge list, and the cached workload arrays.  This is the figure
-        :class:`repro.serve.SessionPool`
-        budgets its eviction against; a freshly opened session reports
-        only its graph's edge storage.
+        Sums every array the session holds, each once: the symmetric
+        :class:`SlicedMatrix` and its windows, the oriented edge arrays,
+        the compiled join plan, the graph (edge list and CSR), and the
+        cached workload arrays.  This is the figure
+        :class:`repro.serve.SessionPool` budgets its eviction against; a
+        freshly opened session reports only its graph.
         """
         return self.resident_bytes_detail()["total"]
 
     def resident_bytes_detail(self) -> dict:
         """:meth:`resident_bytes` decomposed the way paging decisions need.
 
-        Keys (all bytes): ``slices`` (the resident slice structures,
-        the spare rows their buffers keep for in-place inserts included),
-        ``plan`` (the compiled count plan), ``sym_plan`` (always 0: the
-        workloads read the count plan; the key stays for readers of
-        earlier releases), ``edges`` (the oriented edge arrays),
-        ``graph`` (the graph's edge list; 0 after a mutation until
-        something reads ``graph`` — the symmetric structure in
-        ``slices`` is then the only edge set), ``workloads`` (the current
-        generation's triangle list, forward edges, supports, trussness
-        and clustering arrays; 0 until a workload reads them and again
-        after the next mutation), ``spilled`` (how much of the above is
-        disk-backed rather than on heap — 0 for a ram store), and
-        ``total`` (== :meth:`resident_bytes`).  Surfaced per session by the
-        serving tier's ``stats`` protocol op.
+        Keys (all bytes), each array counted once, under the first key
+        that holds it: ``graph`` (the graph's edge list and CSR; 0 after
+        a mutation until something reads ``graph`` — the symmetric
+        structure in ``slices`` is then the only edge set), ``slices``
+        (the symmetric slice structure, the spare rows its buffers keep
+        for in-place inserts included, and its windows' offsets),
+        ``plan`` (the compiled count plan with its diagonal list),
+        ``sym_plan`` (always 0: the workloads read the count plan; the
+        key stays for readers of earlier releases), ``edges`` (the
+        oriented edge arrays the graph does not already hold — a fresh
+        session's are views of its edge list or CSR), ``workloads`` (the
+        current generation's triangle list, forward edges, supports,
+        trussness and clustering arrays; 0 until a workload reads them
+        and again after the next mutation), ``spilled`` (how much of the
+        above is disk-backed rather than on heap — 0 for a ram store),
+        and ``total`` (== :meth:`resident_bytes`).  Surfaced per session
+        by the serving tier's ``stats`` protocol op.
         """
         with self._lock:
-            slices = sum(
-                sum(buffer.nbytes for buffer in sliced.buffers) + sliced.indptr.nbytes
-                for sliced in (self._row_sliced, self._col_sliced, self._sym_sliced)
-                if sliced is not None
+            graph, sym = self._graph, self._sym_sliced
+            graph, slices, edges, workloads = _held_bytes(
+                (graph.edge_array(), *graph.csr) if graph is not None else (),
+                (*sym.buffers, sym.indptr) if sym is not None else (),
+                self._edge_arrays or (),
+                self._workload_arrays(),
             )
-            edges = sum(array.nbytes for array in self._edge_arrays or ())
+            slices += sum(
+                side.offsets.nbytes for side in self._oriented or ()
+                if isinstance(side, SliceWindow)
+            )
             plan = self._join_plan.nbytes if self._join_plan is not None else 0
-            graph = self._graph.edge_array().nbytes if self._graph is not None else 0
-            workloads = sum(array.nbytes for array in self._workload_arrays())
             return {
                 "slices": slices,
                 "plan": plan,
@@ -551,14 +567,14 @@ class TCIMSession:
         """Persist the session's resident state as an on-disk snapshot.
 
         Writes the versioned manifest + content-hashed segment format of
-        :mod:`repro.storage.snapshot`: the current edge list, every
-        resident slice structure (row / column / symmetric), the
-        compiled count plan, the generation counter, and the
-        incrementally maintained triangle total — so
-        ``open_session(snapshot=path)`` hydrates warm, without
-        re-slicing or re-compiling.  The oriented edge arrays are not
-        written: hydration derives them from the graph.  ``ensure=True``
-        (the default) warms the structures and the plan first;
+        :mod:`repro.storage.snapshot`: the symmetric slice structure
+        with its windows' offsets, the compiled count plan with its
+        diagonal list, the oriented edge arrays (the session's edge
+        list), the generation counter, and the incrementally maintained
+        triangle total — so ``open_session(snapshot=path)`` hydrates
+        warm, without a :class:`Graph`, re-slicing or re-compiling.  Slice ids and edge
+        endpoints are written as int32 where they fit.  ``ensure=True``
+        (the default) warms the structure and the plan first;
         ``ensure=False`` (the pool's eviction write-back path) serialises
         only what is already resident, never forcing a plan build at
         eviction time.
@@ -570,56 +586,48 @@ class TCIMSession:
             if ensure:
                 self._prepare()
                 self._ensure_join_plan()
-                self._sym()
             meta, arrays = self._snapshot_state()
             return storage_snapshot.write_snapshot(path, meta, arrays)
 
     def _snapshot_state(self) -> tuple[dict, dict]:
         """The ``(meta, arrays)`` pair a snapshot persists.
 
-        Callers hold ``self._lock`` with patches flushed.  Only resident
-        pieces are included; the manifest's ``structures`` / ``plans``
-        tables record what is present so hydration restores exactly the
-        warmth that was serialised.
+        Callers hold ``self._lock`` with patches flushed.  The edge list
+        is always included (the oriented edge arrays, derived when not
+        resident); the symmetric structure and the plan only when
+        resident, and the manifest's ``structures`` / ``plans`` tables
+        record what is present so hydration restores exactly the warmth
+        that was serialised.
         """
-        arrays: dict[str, np.ndarray] = {"graph.edges": self.graph.edge_array()}
-        # The symmetric CSR rides along so hydration reassembles the
-        # Graph via Graph.from_parts — skipping the canonicalise +
-        # lexsort passes, which would otherwise dominate warm opens.
-        indptr, indices = self.graph.csr
-        arrays["graph.indptr"] = indptr
-        arrays["graph.indices"] = indices
+        sources, destinations = self._edge_arrays or self._oriented_edge_arrays()
+        arrays: dict[str, np.ndarray] = {
+            "oriented.sources": _narrow(sources, self._num_vertices),
+            "oriented.destinations": _narrow(destinations, self._num_vertices),
+        }
         structures: dict[str, dict] = {}
-        for name, sliced in (
-            ("row", self._row_sliced),
-            ("col", self._col_sliced),
-            ("sym", self._sym_sliced),
-        ):
-            if sliced is None:
-                continue
-            structures[name] = {
-                "num_rows": sliced.num_rows,
-                "num_cols": sliced.num_cols,
-                "slice_bits": sliced.slice_bits,
-                "structure_version": sliced.structure_version,
+        sym = self._sym_sliced
+        if sym is not None:
+            structures["sym"] = {
+                "num_rows": sym.num_rows,
+                "num_cols": sym.num_cols,
+                "slice_bits": sym.slice_bits,
+                "structure_version": sym.structure_version,
             }
-            arrays[f"{name}.indptr"] = sliced.indptr
-            arrays[f"{name}.slice_ids"] = sliced.slice_ids
-            arrays[f"{name}.data"] = sliced.data
+            arrays["sym.indptr"] = sym.indptr
+            arrays["sym.slice_ids"] = _narrow(sym.slice_ids, sym.slices_per_row)
+            arrays["sym.data"] = sym.data
+            for side in self._oriented or ():
+                if isinstance(side, SliceWindow):
+                    arrays[f"sym.{side.side}"] = side.offsets
         plans: dict[str, dict] = {}
         plan = self._join_plan
         if plan is not None:
             plans["plan"] = {
                 "num_edges": plan.num_edges,
-                "row_version": plan.row_version,
-                "col_version": plan.col_version,
-                "row_valid_slices": plan.row_valid_slices,
-                "col_valid_slices": plan.col_valid_slices,
+                "stamp": [list(entry) for entry in plan.stamp],
             }
-            arrays["plan.row_positions"] = plan.row_positions
-            arrays["plan.col_positions"] = plan.col_positions
-            arrays["plan.trace_keys"] = plan.trace_keys
-            arrays["plan.pair_counts"] = plan.pair_counts
+            for name in _PLAN_ARRAYS:
+                arrays[f"plan.{name}"] = getattr(plan, name)
         meta = {
             "config": self.config.to_mapping(),
             "generation": self._generation,
@@ -632,32 +640,31 @@ class TCIMSession:
         return meta, arrays
 
     def _hydrate(self, meta: dict, arrays: dict) -> None:
-        """Adopt a snapshot's structural state (``open_session(snapshot=)``).
+        """Adopt a snapshot's state (``open_session(snapshot=)``).
 
         The session is freshly constructed and unshared, so no lock is
         needed.  The generation counter and the maintained triangle
-        total always carry over; the compressed structures and the
-        compiled count plan carry over only when the effective config
-        agrees with the snapshot on the fields they were built under
-        (slice width, orientation) — on a mismatch they are left to
-        rebuild lazily under the new config.  The oriented edge arrays
-        are derived from the graph here, eagerly, so a first ``apply``
-        patches the hydrated structures instead of dropping them.
-        Snapshots of earlier releases also carry ``edges.*``,
-        ``sym_edges.*`` and ``sym_plan.*`` segments and a summary of the
-        retired coloring contexts in the manifest; they are ignored.
+        total always carry over.  The edge list comes from the
+        ``oriented.*`` segments (or, in snapshots of earlier releases,
+        ``graph.edges``).  The symmetric structure and the compiled count
+        plan carry over only when the effective config agrees with the
+        snapshot on the fields they were built under (slice width,
+        orientation); on a mismatch the session keeps only a graph built
+        from the edge list and rebuilds the rest lazily.  Snapshots of
+        earlier releases also carry ``graph.*``, ``row.*``, ``col.*``,
+        ``edges.*``, ``sym_edges.*`` and ``sym_plan.*`` segments, a plan
+        over the retired row and column structures and a summary of the
+        retired coloring contexts; they were verified and are ignored.
         """
         self._generation = int(meta.get("generation", 0))
         triangles = meta.get("triangles")
         self._triangles = int(triangles) if triangles is not None else None
         saved = meta.get("config", {})
-        if (
-            saved.get("slice_bits") != self.config.slice_bits
-            or saved.get("orientation") != self.config.orientation
-        ):
-            return
-        adopt = self._store.adopt
-        structures = meta.get("structures", {})
+        orientation = saved.get("orientation")
+        same_layout = (
+            saved.get("slice_bits") == self.config.slice_bits
+            and orientation == self.config.orientation
+        )
 
         def take(name: str) -> np.ndarray:
             try:
@@ -668,47 +675,60 @@ class TCIMSession:
                     f"table has no such entry"
                 ) from None
 
-        def load_structure(name: str) -> SlicedMatrix | None:
-            info = structures.get(name)
-            if info is None:
-                return None
-            sliced = SlicedMatrix(
-                int(info["num_rows"]),
-                int(info["num_cols"]),
-                int(info["slice_bits"]),
-                take(f"{name}.indptr"),
-                adopt(take(f"{name}.slice_ids")),
-                adopt(take(f"{name}.data")),
+        info = meta.get("structures", {}).get("sym") if same_layout else None
+        if "oriented.sources" in arrays:
+            edge_arrays = tuple(
+                take(f"oriented.{name}").astype(np.int64)
+                for name in ("sources", "destinations")
             )
-            sliced.structure_version = int(info["structure_version"])
-            return sliced
-
-        self._row_sliced = load_structure("row")
-        self._col_sliced = load_structure("col")
-        self._sym_sliced = load_structure("sym")
-        self._edge_arrays = oriented_edges(self.graph, self.config.orientation)
+            if info is None:
+                sources, destinations = edge_arrays
+                forward = sources < destinations
+                self._graph = Graph(
+                    self._num_vertices,
+                    np.stack([sources[forward], destinations[forward]], axis=1),
+                )
+                self._num_edges = self._graph.num_edges
+                return
+            # The symmetric structure is the edge set; ``graph`` rebuilds
+            # from it on demand, as after an apply.
+            self._graph = None
+            self._num_edges = int(meta.get("num_edges", 0))
+            self._edge_arrays = edge_arrays
+        elif same_layout:
+            # An earlier release's layout: the graph came with the snapshot.
+            self._edge_arrays = oriented_edges(self.graph, orientation)
+        if info is None:
+            return
+        adopt = self._store.adopt
+        sym = SlicedMatrix(
+            int(info["num_rows"]),
+            int(info["num_cols"]),
+            int(info["slice_bits"]),
+            take("sym.indptr"),
+            adopt(take("sym.slice_ids").astype(np.int64)),
+            adopt(take("sym.data")),
+        )
+        sym.structure_version = int(info["structure_version"])
+        self._sym_sliced = sym
+        if "sym.upper" in arrays and orientation == "upper":
+            self._oriented = tuple(
+                SliceWindow(sym, side, take(f"sym.{side}"))
+                for side in ("upper", "lower")
+            )
+        else:
+            self._oriented = oriented_structures(sym, orientation)
         info = meta.get("plans", {}).get("plan")
-        if (
-            info is None
-            or not self._use_plan
-            or self._row_sliced is None
-            or self._col_sliced is None
-        ):
+        if info is None or "stamp" not in info or not self._use_plan:
             return
         plan = joinplan.JoinPlan(
-            row_positions=adopt(take("plan.row_positions")),
-            col_positions=adopt(take("plan.col_positions")),
-            trace_keys=adopt(take("plan.trace_keys")),
-            pair_counts=take("plan.pair_counts"),
+            **{name: adopt(take(f"plan.{name}")) for name in _PLAN_ARRAYS},
             num_edges=int(info["num_edges"]),
-            row_version=int(info["row_version"]),
-            col_version=int(info["col_version"]),
-            row_valid_slices=int(info["row_valid_slices"]),
-            col_valid_slices=int(info["col_valid_slices"]),
+            stamp=tuple(tuple(int(v) for v in entry) for entry in info["stamp"]),
         )
         # Defensive: a hand-assembled snapshot could pair a plan with
         # structures it was not compiled for — rebuild, never serve.
-        if plan.matches(self._row_sliced, self._col_sliced):
+        if plan.matches(*self._oriented) and plan.num_edges == self._edge_arrays[0].size:
             self._join_plan = plan
 
     # ------------------------------------------------------------------
@@ -765,12 +785,13 @@ class TCIMSession:
         with self._lock:
             if self._slice_stats is None:
                 self._prepare()
+                row_sliced, col_sliced = self._oriented
                 self._slice_stats = slice_statistics(
                     None,
                     slice_bits=self.config.slice_bits,
                     orientation=self.config.orientation,
-                    row_sliced=self._row_sliced,
-                    col_sliced=self._col_sliced,
+                    row_sliced=row_sliced,
+                    col_sliced=col_sliced,
                 )
             return self._slice_stats
 
@@ -1139,18 +1160,23 @@ class TCIMSession:
         outcome = incremental.symmetric_delta(
             self._num_vertices, sym, delta_edges, self.config
         )
+        version = sym.structure_version
         try:
-            incremental.set_bits(sym, *_both_directions(delta_edges), store=self._store)
+            splice = incremental.set_bits(
+                sym, *_both_directions(delta_edges), store=self._store
+            )
         except Exception:
             # The fresh edges were absent from the base, so their bits
             # were all zero: clearing both directions restores the
             # structure exactly even if set_bits died half-way (e.g. its
             # store could not grow the room), and a clear never allocates.
             incremental.clear_bits(sym, *_both_directions(delta_edges))
+            # Every slice is back at its position: the plan stays current.
+            sym.structure_version = version
             raise
         self._num_edges += len(delta_edges)
         self._triangles += outcome.triangles
-        self._commit_mutation(delta_edges, insert=True)
+        self._commit_mutation(delta_edges, True, splice)
         return outcome, len(delta_edges)
 
     def _delete_batch(self, canonical: np.ndarray):
@@ -1165,17 +1191,20 @@ class TCIMSession:
         # never allocates; the join can raise (capacity), so roll the
         # removal back on failure — the re-insert fits in the room the
         # removal freed — to keep the session consistent.
-        incremental.clear_bits(sym, *_both_directions(delta_edges))
+        version = sym.structure_version
+        splice = incremental.clear_bits(sym, *_both_directions(delta_edges))
         try:
             outcome = incremental.symmetric_delta(
                 self._num_vertices, sym, delta_edges, self.config
             )
         except Exception:
             incremental.set_bits(sym, *_both_directions(delta_edges), store=self._store)
+            # Every slice is back at its position: the plan stays current.
+            sym.structure_version = version
             raise
         self._num_edges -= len(delta_edges)
         self._triangles -= outcome.triangles
-        self._commit_mutation(delta_edges, insert=False)
+        self._commit_mutation(delta_edges, False, splice)
         return outcome, len(delta_edges)
 
     def _sym(self) -> SlicedMatrix:
@@ -1188,27 +1217,32 @@ class TCIMSession:
         return self._sym_sliced
 
     def _prepare(self) -> None:
-        """Build (once) the resident structures full runs consume.
+        """Build (once) the resident state full runs consume: the
+        symmetric structure, its row and column windows, and the
+        oriented edge arrays.
 
         Pending committed update batches are folded in first, so every
-        structure handed to the engine reflects the current graph.  Only
-        a structure missing after a cache drop reads :attr:`graph`.
+        structure handed to the engine reflects the current graph.  After
+        a cache drop the windows and the edge arrays re-derive from the
+        symmetric structure, without a :class:`Graph`.
         """
         self._flush_patches()
-        orientation = self.config.orientation
-        if self._row_sliced is None:
-            self._row_sliced = SlicedMatrix.from_graph(
-                self.graph, orientation, slice_bits=self.config.slice_bits,
-                store=self._store,
-            )
-        if self._col_sliced is None:
-            col_orientation = "lower" if orientation == "upper" else "symmetric"
-            self._col_sliced = SlicedMatrix.from_graph(
-                self.graph, col_orientation, slice_bits=self.config.slice_bits,
-                store=self._store,
-            )
+        if self._oriented is None:
+            self._oriented = oriented_structures(self._sym(), self.config.orientation)
         if self._edge_arrays is None:
-            self._edge_arrays = oriented_edges(self.graph, orientation)
+            self._edge_arrays = self._oriented_edge_arrays()
+
+    def _oriented_edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The oriented edge list, from the graph when one is held (its
+        views), else read off the symmetric structure's bits."""
+        orientation = self.config.orientation
+        if self._graph is not None:
+            return oriented_edges(self._graph, orientation)
+        rows, cols = self._sym().nonzeros()
+        if orientation == "upper":
+            forward = rows < cols
+            return rows[forward], cols[forward]
+        return rows, cols
 
     def _ensure_join_plan(self):
         """Compile (once per generation) the resident join plan.
@@ -1221,22 +1255,26 @@ class TCIMSession:
         if not self._use_plan:
             return None
         if self._join_plan is not None and not self._join_plan.matches(
-            self._row_sliced, self._col_sliced
+            *self._oriented
         ):
             self._join_plan = None
         if self._join_plan is None:
-            self._join_plan = joinplan.build_join_plan(
-                self._row_sliced, self._col_sliced, *self._edge_arrays,
-                chunk_edges=self._plan_chunk_edges, store=self._store,
-            )
+            self._join_plan = self._compile_plan()
         return self._join_plan
+
+    def _compile_plan(self):
+        """A count plan for the current windows and edge arrays."""
+        return joinplan.build_join_plan(
+            *self._oriented, *self._edge_arrays,
+            chunk_edges=self._plan_chunk_edges, store=self._store,
+        )
 
     def _triangle_list(self) -> np.ndarray:
         """Every triangle once, as ``(t, 3)`` forward-edge ids.
 
         Callers hold ``self._lock``.  One
         :func:`~repro.core.kernels.triangle_witnesses` pass over the
-        count run's inputs — the oriented structures, edge arrays and
+        count run's inputs — the row and column windows, edge arrays and
         the resident count plan (a throwaway plan when none is resident:
         ``use_plan=False``) — allocated through the
         session's store and cached until the graph changes.  Supports,
@@ -1250,8 +1288,7 @@ class TCIMSession:
             expected = self.count()
             self._prepare()
             cached = kernels.triangle_witnesses(
-                self._row_sliced,
-                self._col_sliced,
+                *self._oriented,
                 *self._edge_arrays,
                 plan=self._ensure_join_plan(),
                 chunk_edges=self._plan_chunk_edges,
@@ -1410,15 +1447,14 @@ class TCIMSession:
             plan = self._ensure_join_plan()
             if plan is None:
                 return ("unfusible", None, self._generation)
-            row_sliced, col_sliced = self._row_sliced, self._col_sliced
+            row_sliced = self._oriented[0]
             _, column_capacity = split_capacity(
                 self.config.capacity_slices, row_sliced.row_valid_counts()
             )
             segment = kernels.FusedSegment(
                 kernel=kernels.CountKernel(),
                 plan=plan,
-                row_data=row_sliced.data,
-                col_data=col_sliced.data,
+                data=row_sliced.data,
                 slices_per_row=row_sliced.slices_per_row,
                 row_writes=row_sliced.num_valid_slices,
                 column_capacity=column_capacity,
@@ -1469,8 +1505,7 @@ class TCIMSession:
             segment = kernels.FusedSegment(
                 kernel=kernels.EdgeSupportKernel(),
                 plan=plan,
-                row_data=sym.data,
-                col_data=sym.data,
+                data=sym.data,
                 slices_per_row=sym.slices_per_row,
                 row_writes=int(touched_counts.sum()),
                 column_capacity=column_capacity,
@@ -1537,19 +1572,20 @@ class TCIMSession:
         if self._run is None:
             self._prepare()
             join_plan = self._ensure_join_plan()
-            if join_plan is None and self.config.num_arrays > 1:
-                # Multi-array runs are priced from a count plan; without a
-                # resident one, compile a transient one like the witness
+            if join_plan is None and (
+                self.config.num_arrays > 1 or self.config.orientation == "upper"
+            ):
+                # Multi-array runs are priced from a count plan, and the
+                # windows' diagonal slices are masked by one; without a
+                # resident plan, compile a transient one like the witness
                 # pass does.
-                join_plan = joinplan.build_join_plan(
-                    self._row_sliced, self._col_sliced, *self._edge_arrays,
-                    chunk_edges=self._plan_chunk_edges, store=self._store,
-                )
+                join_plan = self._compile_plan()
+            row_sliced, col_sliced = self._oriented
             self._run = self._accelerator.run(
                 None,
                 num_vertices=self._num_vertices,
-                row_sliced=self._row_sliced,
-                col_sliced=self._col_sliced,
+                row_sliced=row_sliced,
+                col_sliced=col_sliced,
                 edge_arrays=self._edge_arrays,
                 join_plan=join_plan,
             )
@@ -1557,19 +1593,22 @@ class TCIMSession:
             self._slice_stats = self._run.slice_stats
         return self._run
 
-    def _commit_mutation(self, delta_edges: np.ndarray, insert: bool) -> None:
+    def _commit_mutation(
+        self, delta_edges: np.ndarray, insert: bool, splice
+    ) -> None:
         """Record one committed delta batch against the resident caches.
 
         Callers hold ``self._lock`` and run this only after a batch has
         fully committed (never on a rolled-back failure), so a bumped
         generation always marks a consistent new state.  Query-result
         caches are dropped (they priced the old graph); the *structural*
-        residents — both oriented slice structures, the oriented edge
-        arrays, and the compiled join plan — are kept, with the batch
-        queued for :meth:`_flush_patches` to splice in when the next
-        engine query needs them.  Deferring keeps pure update streams at
-        pure delta-join cost while read-after-write pays one patch pass
-        instead of a re-slice and plan recompile.
+        residents — the windows, the oriented edge arrays, and the
+        compiled join plan — are kept, with the batch and ``splice``
+        (the :class:`~repro.core.incremental.StructureDelta` of the
+        symmetric structure) queued for :meth:`_flush_patches` to fold
+        in when the next engine query needs them.  Deferring keeps pure
+        update streams at pure delta-join cost while read-after-write
+        pays one patch instead of a plan recompile.
         """
         self._generation += 1
         # The symmetric structure now holds the only current edge set.
@@ -1579,17 +1618,13 @@ class TCIMSession:
         self._report = None
         self._baseline_cache.clear()
         self._workload_cache.clear()
-        if (
-            self._row_sliced is None
-            or self._col_sliced is None
-            or self._edge_arrays is None
-        ):
+        if self._oriented is None or self._edge_arrays is None:
             self._drop_structural_caches()
             return
-        self._pending_patches.append((delta_edges, insert))
+        self._pending_patches.append((delta_edges, insert, splice))
         self._pending_edges += int(delta_edges.shape[0])
         # A deep backlog (a churn comparable to the graph itself) is
-        # cheaper to re-slice than to splice batch by batch.
+        # cheaper to re-derive than to patch batch by batch.
         if self._pending_edges > max(1024, self.num_edges // 4):
             self._fallbacks["backlog_drop"] += 1
             self._drop_structural_caches()
@@ -1597,60 +1632,76 @@ class TCIMSession:
     def _flush_patches(self) -> None:
         """Fold every pending committed batch into the resident caches.
 
+        The symmetric structure was spliced at apply time, so the pending
+        batches are folded in at once: the edge arrays merge batch by
+        batch, the windows of the batches' endpoint rows re-derive, and
+        one :func:`~repro.core.plan.patch_join_plan` carries the plan's
+        kept pairs through the composed splices and re-joins the union
+        of the batches' cut edges against the current windows.
+
         Callers hold ``self._lock``.  Any patching failure falls back to
-        dropping the caches (they are rebuildable from the graph), never
-        to an inconsistent session — patching is an optimisation, not a
-        source of truth.
+        dropping the caches (they are rebuildable from the symmetric
+        structure), never to an inconsistent session — patching is an
+        optimisation, not a source of truth.
         """
         if not self._pending_patches:
             return
         pending, self._pending_patches = self._pending_patches, []
         self._pending_edges = 0
-        if (
-            self._row_sliced is None
-            or self._col_sliced is None
-            or self._edge_arrays is None
-        ):
+        if self._oriented is None or self._edge_arrays is None:
             return
         try:
             orientation = self.config.orientation
-            for delta_edges, insert in pending:
-                deltas = []
-                for sliced, side in ((self._row_sliced, "row"), (self._col_sliced, "col")):
-                    bits = joinplan.oriented_structure_bits(delta_edges, orientation, side)
-                    deltas.append(
-                        incremental.set_bits(sliced, *bits, store=self._store)
-                        if insert
-                        else incremental.clear_bits(sliced, *bits)
-                    )
-                row_delta, col_delta = deltas
-                sources, destinations, edge_delta = joinplan.merge_oriented_edges(
-                    *self._edge_arrays,
-                    delta_edges,
-                    orientation,
-                    self._num_vertices,
-                    insert,
+            sources, destinations = self._edge_arrays
+            splices = []
+            for delta_edges, insert, _ in pending:
+                sources, destinations, splice = joinplan.merge_oriented_edges(
+                    sources, destinations, delta_edges, orientation,
+                    self._num_vertices, insert,
                 )
-                if self._join_plan is not None:
-                    self._join_plan = joinplan.patch_join_plan(
-                        self._join_plan,
-                        self._row_sliced,
-                        self._col_sliced,
-                        sources,
-                        destinations,
-                        edge_delta,
-                        row_delta,
-                        col_delta,
-                        store=self._store,
-                    )
-                self._edge_arrays = (sources, destinations)
+                splices.append(splice)
+            delta_edges = np.concatenate([batch[0] for batch in pending])
+            # Rows whose symmetric slice set changed.
+            changed = np.concatenate(
+                [rows for *_, splice in pending
+                 for rows in (splice.inserted_rows, splice.removed_rows)]
+            )
+            if orientation == "upper":
+                SliceWindow.refresh(self._oriented, np.unique(delta_edges))
+                # Only a delta edge's source row can gain or lose upper
+                # slices, and its destination row lower ones: when that
+                # row's slice set changed, or when the edge lies in its
+                # diagonal slice, which may enter or leave the window on
+                # a payload-only update.
+                u, v = delta_edges[:, 0], delta_edges[:, 1]
+                diagonal = u // self.config.slice_bits == v // self.config.slice_bits
+                moved = tuple(
+                    ends[diagonal | np.isin(ends, changed)] for ends in (u, v)
+                )
+            else:
+                moved = (changed, changed)
+            if self._join_plan is not None:
+                sym_splice = incremental.compose_deltas(
+                    self._join_plan.payload_rows, [batch[2] for batch in pending]
+                )
+                self._join_plan = joinplan.patch_join_plan(
+                    self._join_plan,
+                    *self._oriented,
+                    sources,
+                    destinations,
+                    incremental.compose_deltas(self._edge_arrays[0].size, splices),
+                    sym_splice,
+                    sym_splice,
+                    moved=moved,
+                    store=self._store,
+                )
+            self._edge_arrays = (sources, destinations)
         except Exception:
             self._fallbacks["flush_patch_error"] += 1
             self._drop_structural_caches()
 
     def _drop_structural_caches(self) -> None:
-        self._row_sliced = None
-        self._col_sliced = None
+        self._oriented = None
         self._edge_arrays = None
         self._join_plan = None
         self._pending_patches.clear()
@@ -1660,8 +1711,8 @@ class TCIMSession:
         """Drop every cache derived from the current graph (see ``close``).
 
         The incrementally maintained pieces — the triangle count and the
-        symmetric slice structure — survive; everything rebuilt from the
-        graph is dropped and lazily re-created on the next query.
+        symmetric slice structure — survive; everything derived from
+        them is dropped and lazily re-created on the next query.
         Callers hold ``self._lock``.
         """
         self._generation += 1
@@ -1677,6 +1728,42 @@ def _both_directions(delta_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, cols)`` covering both directions of canonical edges."""
     u, v = delta_edges[:, 0], delta_edges[:, 1]
     return np.concatenate([u, v]), np.concatenate([v, u])
+
+
+#: The count plan's arrays, as snapshot segments ``plan.<name>``.
+_PLAN_ARRAYS = (
+    "row_positions",
+    "col_positions",
+    "trace_keys",
+    "pair_counts",
+    "diagonal_pairs",
+    "diagonal_masks",
+)
+
+
+def _narrow(array: np.ndarray, bound: int) -> np.ndarray:
+    """``array`` as int32 when its values stay below ``bound`` (a vertex
+    count or slices per row), for the snapshot's smaller segments."""
+    if bound <= np.iinfo(np.int32).max:
+        return array.astype(np.int32, copy=False)
+    return array
+
+
+def _held_bytes(*groups) -> list[int]:
+    """Bytes of each group of arrays, counting every array's memory
+    once — a view as the array that owns it — under the first group
+    that holds it."""
+    seen: set[int] = set()
+    totals = []
+    for arrays in groups:
+        totals.append(0)
+        for array in arrays:
+            while isinstance(array.base, np.ndarray):
+                array = array.base
+            if id(array) not in seen:
+                seen.add(id(array))
+                totals[-1] += array.nbytes
+    return totals
 
 
 def open_session(
@@ -1739,28 +1826,35 @@ def _open_snapshot_session(
     store = BackingStore.from_config(effective)
     snap = storage_snapshot.read_snapshot(path, store=store)
     try:
-        edges = snap.arrays["graph.edges"]
         num_vertices = int(snap.meta["num_vertices"])
+        if "oriented.sources" in snap.arrays:
+            # The edge list hydrates in _hydrate; the session starts from
+            # the bare vertex set.
+            graph = Graph(num_vertices)
+        else:
+            graph = _snapshot_graph(num_vertices, snap.arrays)
     except (KeyError, TypeError, ValueError) as error:
         raise StorageError(
             f"snapshot {path} is missing its graph ({error!r})"
         ) from None
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    indptr = snap.arrays.get("graph.indptr")
-    indices = snap.arrays.get("graph.indices")
-    if indptr is not None and indices is not None:
-        try:
-            graph = Graph.from_parts(num_vertices, edges, indptr, indices)
-        except GraphError as error:
-            raise StorageError(
-                f"snapshot {path} carries inconsistent graph CSR parts: {error}"
-            ) from None
-    else:
-        # Older or hand-built snapshots without the CSR: rebuild it.
-        graph = Graph(num_vertices, edges)
+    except GraphError as error:
+        raise StorageError(
+            f"snapshot {path} carries inconsistent graph CSR parts: {error}"
+        ) from None
     session = TCIMSession(graph, effective, model=model)
     # The constructor made a fresh (empty) store from the same config;
     # swap in the one the segments already hydrated into.
     session._store = store
     session._hydrate(snap.meta, snap.arrays)
     return session
+
+
+def _snapshot_graph(num_vertices: int, arrays: dict) -> Graph:
+    """The :class:`Graph` an earlier release's snapshot carried."""
+    edges = np.asarray(arrays["graph.edges"], dtype=np.int64).reshape(-1, 2)
+    indptr = arrays.get("graph.indptr")
+    indices = arrays.get("graph.indices")
+    if indptr is not None and indices is not None:
+        return Graph.from_parts(num_vertices, edges, indptr, indices)
+    # Hand-built snapshots without the CSR: rebuild it.
+    return Graph(num_vertices, edges)

@@ -23,7 +23,12 @@ import numpy as np
 from repro.errors import ArchitectureError
 from repro.graph.graph import Graph
 from repro.core.reuse import CacheStatistics, ReplacementPolicy
-from repro.core.slicing import SlicedMatrix, SliceStatistics, slice_statistics
+from repro.core.slicing import (
+    SlicedMatrix,
+    SliceStatistics,
+    oriented_structures,
+    slice_statistics,
+)
 
 __all__ = [
     "AcceleratorConfig",
@@ -369,8 +374,8 @@ class TCIMAccelerator:
         graph: Graph | None,
         *,
         num_vertices: int | None = None,
-        row_sliced: SlicedMatrix | None = None,
-        col_sliced: SlicedMatrix | None = None,
+        row_sliced=None,
+        col_sliced=None,
         edge_arrays: tuple[np.ndarray, np.ndarray] | None = None,
         plan=None,
         join_plan=None,
@@ -381,11 +386,15 @@ class TCIMAccelerator:
         structures, the oriented edge list, or the shard plan (notably
         :class:`repro.api.TCIMSession`, which keeps them resident across
         queries the way the Fig. 4 controller keeps the compressed graph
-        in the array) skip the rebuild; omitted pieces are built here as
-        before.  Passed structures must match the config's ``slice_bits``
-        and the vertex count, and ``edge_arrays`` must be the oriented
-        edge list in the reference order (rows ascending, successors
-        ascending).
+        in the array) skip the rebuild; omitted structures are read from
+        one symmetric structure built here
+        (:func:`~repro.core.slicing.oriented_structures`: its upper and
+        lower windows, or the structure itself under ``"symmetric"``).
+        Passed structures (:class:`SlicedMatrix` or
+        :class:`~repro.core.slicing.SliceWindow`) must match the config's
+        ``slice_bits`` and the vertex count, and ``edge_arrays`` must be
+        the oriented edge list in the reference order (rows ascending,
+        successors ascending).
 
         ``graph=None`` runs from resident pieces alone: pass
         ``num_vertices``, both slice structures and ``edge_arrays``
@@ -418,7 +427,6 @@ class TCIMAccelerator:
             raise ArchitectureError(
                 f"orientation must be 'upper' or 'symmetric', got {orientation!r}"
             )
-        col_orientation = "lower" if orientation == "upper" else "symmetric"
         if graph is None:
             if (
                 num_vertices is None
@@ -437,14 +445,15 @@ class TCIMAccelerator:
                     f"{graph.num_vertices} vertices"
                 )
             num_vertices = graph.num_vertices
-            if row_sliced is None:
-                row_sliced = SlicedMatrix.from_graph(
-                    graph, orientation, slice_bits=config.slice_bits
+            if row_sliced is None or col_sliced is None:
+                built = oriented_structures(
+                    SlicedMatrix.from_graph(
+                        graph, "symmetric", slice_bits=config.slice_bits
+                    ),
+                    orientation,
                 )
-            if col_sliced is None:
-                col_sliced = SlicedMatrix.from_graph(
-                    graph, col_orientation, slice_bits=config.slice_bits
-                )
+                row_sliced = built[0] if row_sliced is None else row_sliced
+                col_sliced = built[1] if col_sliced is None else col_sliced
             if edge_arrays is None:
                 edge_arrays = oriented_edges(graph, orientation)
         for name, sliced in (("row_sliced", row_sliced), ("col_sliced", col_sliced)):
@@ -514,8 +523,8 @@ class TCIMAccelerator:
 
     def _run_vectorized(
         self,
-        row_sliced: SlicedMatrix,
-        col_sliced: SlicedMatrix,
+        row_sliced,
+        col_sliced,
         edge_arrays: tuple[np.ndarray, np.ndarray],
         column_capacity: int,
         join_plan=None,
@@ -525,6 +534,8 @@ class TCIMAccelerator:
         The whole oriented edge list is one shard whose rows all load
         once: rows without successors hold no valid slices, so the
         row-slice WRITEs are the row structure's valid-slice count.
+        Windows without ``join_plan`` run on a transient plan
+        (:func:`~repro.core.kernels.execute_workload`).
         """
         from repro.core.engine import execute_batched
 

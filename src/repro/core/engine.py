@@ -145,12 +145,16 @@ def conjunctions(
     row_positions: np.ndarray,
     col_positions: np.ndarray,
     workspace: _Workspace | None = None,
+    diagonal: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Chunked gather → AND over matched slice-pair positions.
 
     Yields ``(start, anded, counts)`` per chunk: ``anded[i]`` is
     ``row_data[r] & col_data[c]`` for pair ``start + i``, and ``counts``
-    is a same-shape uint8 scratch block for its popcounts.  Payloads are
+    is a same-shape uint8 scratch block for its popcounts.  ``diagonal``
+    is a plan's ``(pairs, masks)`` (:attr:`repro.core.plan.JoinPlan.diagonal`):
+    each listed pair's AND is further ANDed with its mask — the one place
+    a window's diagonal slice is cut to its side.  Payloads are
     processed as 64-bit words (:func:`repro.graph.bitops.word_view`)
     whenever the slice width is a multiple of 64 bits — 8x fewer lanes
     than per-byte work — and per-byte otherwise; ``anded.view(np.uint8)``
@@ -168,6 +172,9 @@ def conjunctions(
     lanes = row_data.shape[1]
     if lanes == 0:
         return
+    if diagonal is not None:
+        diagonal_pairs, masks = diagonal
+        masks = np.ascontiguousarray(masks).view(row_data.dtype)
     if workspace is None:
         workspace = _Workspace()
     chunk_rows = max(1, CONJUNCTION_CHUNK_LANES // lanes)
@@ -182,6 +189,12 @@ def conjunctions(
         np.take(row_data, row_positions[start:stop], axis=0, out=a)
         np.take(col_data, col_positions[start:stop], axis=0, out=b)
         np.bitwise_and(a, b, out=a)
+        if diagonal is not None:
+            lo, hi = np.searchsorted(diagonal_pairs, (start, stop))
+            if hi > lo:
+                # Flat lane indices: a 2-D row scatter is ~2x slower.
+                hit = (diagonal_pairs[lo:hi] - start)[:, None] * lanes + np.arange(lanes)
+                a.reshape(-1)[hit.reshape(-1)] &= masks[lo:hi].reshape(-1)
         yield start, a, counts[:n]
 
 
@@ -191,17 +204,18 @@ def pair_popcount(
     row_positions: np.ndarray,
     col_positions: np.ndarray,
     workspace: _Workspace | None = None,
+    diagonal: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> int:
     """Gather → AND → popcount over matched slice-pair positions.
 
     The computational-array step of the dataflow for an arbitrary list
     of matched pairs: ``sum(popcount(row_data[r] & col_data[c]))`` over
     ``zip(row_positions, col_positions)``, one chunk of
-    :func:`conjunctions` at a time.
+    :func:`conjunctions` at a time (``diagonal`` as there).
     """
     accumulator = 0
     for _, anded, counts in conjunctions(
-        row_data, col_data, row_positions, col_positions, workspace
+        row_data, col_data, row_positions, col_positions, workspace, diagonal
     ):
         np.bitwise_count(anded, out=counts)
         accumulator += int(counts.sum())
@@ -214,6 +228,7 @@ def pair_popcounts(
     row_positions: np.ndarray,
     col_positions: np.ndarray,
     workspace: _Workspace | None = None,
+    diagonal: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Per-pair gather → AND → popcount: one int64 count per matched pair.
 
@@ -227,7 +242,7 @@ def pair_popcounts(
     """
     result = np.zeros(int(row_positions.size), dtype=np.int64)
     for start, anded, counts in conjunctions(
-        row_data, col_data, row_positions, col_positions, workspace
+        row_data, col_data, row_positions, col_positions, workspace, diagonal
     ):
         np.bitwise_count(anded, out=counts)
         counts.sum(axis=1, dtype=np.int64, out=result[start: start + counts.shape[0]])
@@ -290,15 +305,15 @@ def join_batches(
     key_space = max(row_sliced.num_rows, col_sliced.num_rows) * slices_per_row
     key_dtype = np.int32 if key_space <= np.iinfo(np.int32).max else np.int64
     spr_key = key_dtype(slices_per_row)
-    position_table = build_keys = build_positions = None
+    position_table = None
     # The dense table costs one O(key_space) fill up front; only pay it
     # when the probe volume amortises it.
     total_candidates = int(probe_counts.sum())
     dense_space = build.num_rows * slices_per_row
     if 0 < dense_space <= DENSE_LOOKUP_MAX_KEYS and total_candidates >= dense_space // 16:
-        build_keys = build.global_keys().astype(key_dtype, copy=False)
+        build_keys, build_positions = _referenced_keys(build, None, key_dtype)
         position_table = np.full(dense_space, -1, dtype=np.int32)
-        position_table[build_keys] = np.arange(build_keys.size, dtype=np.int32)
+        position_table[build_keys] = build_positions
     else:
         build_keys, build_positions = _referenced_keys(build, probe_owner, key_dtype)
     bounds = np.zeros(num_edges + 1, dtype=np.int64)
@@ -337,7 +352,7 @@ def join_batches(
         if matched.any():
             probe_hit = probe_positions[matched]
             key_hit = found[matched]
-            build_hit = key_hit if build_positions is None else build_positions[key_hit]
+            build_hit = key_hit if position_table is not None else build_positions[key_hit]
             match_edges = None
             if with_edge_ids or not probe_rows:
                 match_edges = np.repeat(
@@ -345,7 +360,7 @@ def join_batches(
                 )[matched]
             # Gathers over the matches only, never a pass over the candidates.
             if probe_rows:
-                trace_keys = build_keys[key_hit]  # the build side is the column
+                trace_keys = targets[matched]  # the build side is the column
             else:
                 trace_keys = destinations[match_edges] * slices_per_row + probe_ids[probe_hit]
             edge_ids = match_edges if with_edge_ids else None
@@ -356,13 +371,16 @@ def join_batches(
         start = stop
 
 
-def _referenced_keys(
-    build: SlicedMatrix, rows: np.ndarray, key_dtype
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted keys of the valid slices of the build rows ``rows`` names,
-    and the build position of each key."""
+def _referenced_keys(build, rows, key_dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted keys of the valid slices of the build rows ``rows`` names
+    (every row when ``None``), and the payload position of each key."""
+    if rows is None:
+        if isinstance(build, SlicedMatrix):
+            keys = build.global_keys().astype(key_dtype, copy=False)
+            return keys, np.arange(keys.size, dtype=np.int32)
+        rows = np.arange(build.num_rows, dtype=np.int64)
     # A sort for a few rows, one pass over a row mask for many.
-    if rows.size * 8 < build.num_rows:
+    elif rows.size * 8 < build.num_rows:
         rows = np.unique(rows)
     else:
         referenced = np.zeros(build.num_rows, dtype=bool)

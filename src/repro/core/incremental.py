@@ -62,6 +62,7 @@ __all__ = [
     "DeltaOutcome",
     "StructureDelta",
     "canonical_delta_edges",
+    "compose_deltas",
     "delta_sliced",
     "set_bit",
     "set_bits",
@@ -163,8 +164,10 @@ class StructureDelta:
         i.e. whose join pairs must be recomputed.
 
     One call only ever inserts (``set_bits``) or removes
-    (``clear_bits``), never both.  :attr:`changed` is ``False`` for a
-    payload-only mutation, whose positions all stay valid.
+    (``clear_bits``), never both; :func:`compose_deltas` folds a sequence
+    into one delta that removes, then inserts.  :attr:`changed` is
+    ``False`` for a payload-only mutation, whose positions all stay
+    valid.
 
     :func:`repro.core.plan.merge_oriented_edges` reports the splice of
     an oriented edge list the same way: positions are edge indices and
@@ -184,6 +187,46 @@ class StructureDelta:
     def unchanged(cls) -> "StructureDelta":
         empty = np.empty(0, dtype=np.int64)
         return cls(empty, empty, empty, empty)
+
+
+def compose_deltas(size: int, deltas) -> StructureDelta:
+    """One :class:`StructureDelta` equal to applying ``deltas`` in order
+    to ``size`` positions.
+
+    The result removes first (``removed_at`` in the original
+    coordinates) and then inserts (``inserted_before`` in the
+    coordinates left after the removals), which is how
+    :func:`repro.core.plan.patch_join_plan` reads a delta that holds
+    both.  A position inserted by one delta and removed by a later one
+    appears in neither list.
+    """
+    deltas = list(deltas)
+    if len(deltas) == 1:
+        return deltas[0]
+    origin = np.arange(size, dtype=np.int64)
+    owners = np.full(size, -1, dtype=np.int64)
+    removed: list[np.ndarray] = []
+    removed_rows: list[np.ndarray] = []
+    for delta in deltas:
+        if delta.inserted_before.size:
+            origin = np.insert(origin, delta.inserted_before, -1)
+            owners = np.insert(owners, delta.inserted_before, delta.inserted_rows)
+        if delta.removed_at.size:
+            gone = origin[delta.removed_at]
+            kept = gone >= 0
+            removed.append(gone[kept])
+            removed_rows.append(delta.removed_rows[kept])
+            origin = np.delete(origin, delta.removed_at)
+            owners = np.delete(owners, delta.removed_at)
+    fresh = np.flatnonzero(origin < 0)
+    removed_at = np.concatenate([np.empty(0, dtype=np.int64), *removed])
+    order = np.argsort(removed_at, kind="stable")
+    return StructureDelta(
+        inserted_before=fresh - np.arange(fresh.size),
+        inserted_rows=owners[fresh],
+        removed_at=removed_at[order],
+        removed_rows=np.concatenate([np.empty(0, dtype=np.int64), *removed_rows])[order],
+    )
 
 
 def set_bits(
@@ -332,24 +375,7 @@ def _locate_bits(sliced: SlicedMatrix, rows, cols):
         raise GraphError(
             f"bit out of range for a ({sliced.num_rows}, {sliced.num_cols}) matrix"
         )
-    slice_of = cols // sliced.slice_bits
-    # One lockstep binary search of every bit's slice id inside its own
-    # row's sorted segment: O(k log(slices per row)), with no O(N_VS)
-    # global key array to rebuild after each structural change.
-    slice_ids = sliced.slice_ids
-    lo = sliced.indptr[rows]
-    end = sliced.indptr[rows + 1]
-    hi = end.copy()
-    last = max(slice_ids.size - 1, 0)
-    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
-        mid = (lo + hi) >> 1
-        searching = lo < hi
-        right = searching & (slice_ids[np.minimum(mid, last)] < slice_of)
-        lo = np.where(right, mid + 1, lo)
-        hi = np.where(searching & ~right, mid, hi)
-    positions = lo
-    exists = lo < end
-    exists[exists] = slice_ids[lo[exists]] == slice_of[exists]
+    positions, exists = sliced.find_slices(rows, cols // sliced.slice_bits)
     within = cols % sliced.slice_bits
     bytes_ = within // 8
     masks = (np.uint8(1) << (within % 8).astype(np.uint8)).astype(np.uint8)

@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.core import engine
 from repro.core.reuse import CacheStatistics, simulate_key_trace
-from repro.core.slicing import SlicedMatrix
+from repro.core.slicing import SliceWindow
 from repro.errors import ArchitectureError
 from repro.graph.graph import Graph
 
@@ -70,8 +70,8 @@ FUSED_STACK_MAX_ROWS_PER_PAIR = 2
 
 
 def triangle_witnesses(
-    row_sliced: SlicedMatrix,
-    col_sliced: SlicedMatrix,
+    row_sliced,
+    col_sliced,
     sources: np.ndarray,
     destinations: np.ndarray,
     plan=None,
@@ -83,7 +83,8 @@ def triangle_witnesses(
 
     Takes a count run's inputs: the row and column structures and the
     oriented edge list (CSR order) they join — ``upper`` × ``lower``
-    over the forward edges, or ``symmetric`` × ``symmetric`` over both
+    (structures or :class:`~repro.core.slicing.SliceWindow` sides) over
+    the forward edges, or ``symmetric`` × ``symmetric`` over both
     directions.  ``plan`` is the join plan of exactly that list (a
     session passes its resident count plan), and ``None`` compiles a
     throwaway one (``chunk_edges`` / ``store`` as for
@@ -94,13 +95,13 @@ def triangle_witnesses(
     of slice ``k`` at position ``t`` is a common neighbour
     ``w = k·|S| + t``.  Keeping only ``src < w < dst`` names each
     triangle ``u < w < v`` once, at its edge ``(u, v)``: under ``upper``
-    the structures hold no other bits, under ``symmetric`` it keeps one
-    copy of six.  Pairs whose slice lies wholly outside ``(src, dst)``
-    are dropped before the gather.  Returns a ``(t, 3)`` int64 array of
-    edge ids ``(e_uv, e_uw, e_wv)``, ordered by ``e_uv`` then ``w`` and
-    allocated through ``store``.  Edge id ``i`` is the ``i``-th forward
-    edge ``u < v`` of the list, so each id occurs as often as its edge's
-    triangle support.
+    it drops the other side's bits of a window's diagonal slice, under
+    ``symmetric`` it keeps one copy of six.  Pairs whose slice lies
+    wholly outside ``(src, dst)`` are dropped before the gather.
+    Returns a ``(t, 3)`` int64 array of edge ids ``(e_uv, e_uw, e_wv)``,
+    ordered by ``e_uv`` then ``w`` and allocated through ``store``.  Edge
+    id ``i`` is the ``i``-th forward edge ``u < v`` of the list, so each
+    id occurs as often as its edge's triangle support.
     """
     from repro.core.plan import _alloc, build_join_plan
 
@@ -277,8 +278,8 @@ class WorkloadResult:
 def execute_workload(
     kernel: BitwiseKernel,
     graph: Graph | None,
-    row_sliced: SlicedMatrix,
-    col_sliced: SlicedMatrix,
+    row_sliced,
+    col_sliced,
     orientation: str,
     column_capacity: int,
     policy,
@@ -298,7 +299,9 @@ def execute_workload(
     run over the plan's ``pair_counts`` runs — so the one compiled
     valid-pair index serves every workload.  All paths (planned or not,
     whole-list or one shard's ``edges``) produce identical values, events
-    and cache statistics.
+    and cache statistics.  Over :class:`~repro.core.slicing.SliceWindow`
+    sides a run without ``plan`` compiles a transient one, so their
+    diagonal slices are masked on the one planned path.
     """
     if orientation not in ("upper", "symmetric"):
         raise ArchitectureError(
@@ -340,6 +343,16 @@ def execute_workload(
             # A shard loads only the rows it owns edges for, once each.
             _, touched_counts = row_sliced.row_slice_ranges(np.unique(sources))
             row_writes = int(touched_counts.sum())
+    if isinstance(row_sliced, SliceWindow) or isinstance(col_sliced, SliceWindow):
+        from repro.core.plan import build_join_plan
+
+        plan = build_join_plan(
+            row_sliced, col_sliced, sources, destinations, batch_candidates
+        )
+        return _execute_planned(
+            kernel, row_sliced, col_sliced, column_capacity, policy, seed,
+            plan, edges=(sources, destinations), row_writes=row_writes,
+        )
     num_edges = int(sources.size)
     events = engine._base_events(num_edges, row_sliced.slices_per_row, row_writes)
     accumulator = 0
@@ -387,8 +400,8 @@ def execute_workload(
 
 def _execute_planned(
     kernel: BitwiseKernel,
-    row_sliced: SlicedMatrix,
-    col_sliced: SlicedMatrix,
+    row_sliced,
+    col_sliced,
     column_capacity: int,
     policy,
     seed: int,
@@ -420,7 +433,8 @@ def _execute_planned(
     per_edge = None
     if kernel.per_edge:
         pops = engine.pair_popcounts(
-            row_sliced.data, col_sliced.data, plan.row_positions, plan.col_positions
+            row_sliced.data, col_sliced.data, plan.row_positions, plan.col_positions,
+            diagonal=plan.diagonal,
         )
         # Reduce each edge's pair run via prefix sums: exact for runs of
         # any length, including the zero-pair edges np.add.reduceat
@@ -432,7 +446,8 @@ def _execute_planned(
         accumulator = int(prefix[-1])
     else:
         accumulator = engine.pair_popcount(
-            row_sliced.data, col_sliced.data, plan.row_positions, plan.col_positions
+            row_sliced.data, col_sliced.data, plan.row_positions, plan.col_positions,
+            diagonal=plan.diagonal,
         )
     matches = plan.num_pairs
     events["and_operations"] = matches
@@ -456,15 +471,15 @@ class FusedSegment:
     """One session's share of a fused sweep.
 
     Pairs a resident (or ad-hoc) :class:`repro.core.plan.JoinPlan` with
-    the payload arrays it was compiled against plus the event/cache
-    parameters its lone run would have used, so the fused executor can
-    reproduce that run's ``WorkloadResult`` field by field.
+    the one payload array both its row and column positions index (the
+    session's symmetric structure) plus the event/cache parameters its
+    lone run would have used, so the fused executor can reproduce that
+    run's ``WorkloadResult`` field by field.
     """
 
     kernel: BitwiseKernel
     plan: object
-    row_data: np.ndarray
-    col_data: np.ndarray
+    data: np.ndarray
     slices_per_row: int
     row_writes: int
     column_capacity: int
@@ -487,7 +502,7 @@ def execute_fused(
     segment alone through :func:`execute_workload` with its plan.
 
     When the fused gather volume amortises the copy, the payloads are
-    physically stacked (``np.concatenate`` of the uint8 payload views —
+    physically stacked (``np.concatenate`` of the uint8 payloads —
     lane widths must match, which the scheduler's grouping guarantees)
     and the offset-baked fused positions drive one
     :func:`repro.core.engine.pair_popcounts` call.  For sparse probe
@@ -500,47 +515,44 @@ def execute_fused(
     segments = list(segments)
     if not segments:
         return []
-    width = segments[0].row_data.shape[1]
+    width = segments[0].data.shape[1]
     for seg in segments:
-        if seg.row_data.shape[1] != width or seg.col_data.shape[1] != width:
+        if seg.data.shape[1] != width:
             raise ArchitectureError(
                 "fused segments must share one slice width; group by "
                 "lane-compatible configurations before fusing"
             )
-        if seg.plan.row_valid_slices != seg.row_data.shape[0] or (
-            seg.plan.col_valid_slices != seg.col_data.shape[0]
-        ):
+        if seg.plan.payload_rows != seg.data.shape[0]:
             raise ArchitectureError(
-                "fused segment plan does not match its payload arrays; "
+                "fused segment plan does not match its payload array; "
                 "snapshot plan and payload under one lock"
             )
     fused = fuse_plans([seg.plan for seg in segments])
     total_pairs = fused.num_pairs
-    stack_rows = sum(s.row_data.shape[0] + s.col_data.shape[0] for s in segments)
+    stack_rows = sum(s.data.shape[0] for s in segments)
     if force_stacked is None:
         stacked = stack_rows <= FUSED_STACK_MAX_ROWS_PER_PAIR * total_pairs
     else:
         stacked = bool(force_stacked)
     if stacked and len(segments) > 1:
-        row_stack = np.concatenate([s.row_data for s in segments])
-        col_stack = np.concatenate([s.col_data for s in segments])
+        stack = np.concatenate([s.data for s in segments])
         pops = engine.pair_popcounts(
-            row_stack, col_stack, fused.row_positions, fused.col_positions
+            stack, stack, fused.row_positions, fused.col_positions,
+            diagonal=fused.diagonal,
         )
     elif stacked:
         seg = segments[0]
         pops = engine.pair_popcounts(
-            seg.row_data, seg.col_data,
-            seg.plan.row_positions, seg.plan.col_positions,
+            seg.data, seg.data, seg.plan.row_positions, seg.plan.col_positions,
+            diagonal=seg.plan.diagonal,
         )
     else:
         workspace = engine._Workspace()
         pops = np.empty(total_pairs, dtype=np.int64)
         for i, seg in enumerate(segments):
             pops[fused.segment_slice(i)] = engine.pair_popcounts(
-                seg.row_data, seg.col_data,
-                seg.plan.row_positions, seg.plan.col_positions,
-                workspace,
+                seg.data, seg.data, seg.plan.row_positions, seg.plan.col_positions,
+                workspace, seg.plan.diagonal,
             )
     prefix = np.zeros(total_pairs + 1, dtype=np.int64)
     np.cumsum(pops, out=prefix[1:])

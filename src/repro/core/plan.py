@@ -12,9 +12,14 @@ queries on an unchanged graph (the serving tier's bread and butter).
 A :class:`JoinPlan` materialises that derivation once:
 
 * ``row_positions`` / ``col_positions`` — the matched pair positions
-  into the row/column :class:`~repro.core.slicing.SlicedMatrix` payload
-  arrays, in the exact reference iteration order (int32 wherever the
-  position space allows);
+  into the row/column structures' payload arrays, in the exact reference
+  iteration order (int32 wherever the position space allows).  A
+  session's structures are the two :class:`~repro.core.slicing.SliceWindow`
+  sides of one symmetric structure, so both index its one payload;
+* ``diagonal_pairs`` / ``diagonal_masks`` — the pairs on a window's
+  diagonal slice, whose payload also holds the other side's bits, and
+  the masks that keep only the bits strictly between the edge's
+  endpoints (every sweep ANDs them in: :func:`repro.core.engine.conjunctions`);
 * ``trace_keys`` — the column-slice cache trace the pairs induce, whose
   hit/miss/exchange classification is memoised per cache configuration;
 * ``pair_counts`` — pairs per oriented edge, so any edge subset (a
@@ -25,14 +30,17 @@ With a plan, a query is gather → AND → popcount and nothing else; the
 engine's ``plan=`` fast path is bit-identical to the plan-free one.
 
 Plans stay *coherent* with their structures through
-:attr:`SlicedMatrix.structure_version`: the in-place slice maintenance
+:attr:`SlicedMatrix.structure_version` (see :attr:`JoinPlan.stamp`): the
+in-place slice maintenance
 of :mod:`repro.core.incremental` reports every structural change as a
 :class:`~repro.core.incremental.StructureDelta`, and
 :func:`patch_join_plan` splices a batch into a new plan instead of
 recompiling the whole thing.  Its cost is a re-join of the *cut* edges
 only — the delta edges and the edges whose source row or destination
 column changed its valid-slice set — plus one copy pass over the
-surviving pairs, block by block between cuts, with no per-pair search.
+surviving pairs, block by block between cuts, with no per-pair search;
+several committed batches fold in with one patch, through one composed
+delta (:func:`repro.core.incremental.compose_deltas`).
 ``tests/test_plan.py`` asserts a patched plan is array-equal to a
 from-scratch rebuild after every operation of randomized insert/delete
 streams.
@@ -53,7 +61,7 @@ import numpy as np
 from repro.core import engine
 from repro.core.incremental import StructureDelta
 from repro.core.reuse import CacheStatistics, ReplacementPolicy, simulate_key_trace
-from repro.core.slicing import SlicedMatrix, _alloc, expand_runs
+from repro.core.slicing import SliceWindow, _alloc, bit_range_masks, expand_runs
 from repro.errors import ArchitectureError
 
 __all__ = [
@@ -63,7 +71,6 @@ __all__ = [
     "fuse_plans",
     "patch_join_plan",
     "merge_oriented_edges",
-    "oriented_structure_bits",
 ]
 
 
@@ -79,48 +86,89 @@ def _adopt(store, array: np.ndarray) -> np.ndarray:
     return store.adopt(array)
 
 
-def _plan_dtypes(row_sliced: SlicedMatrix, col_sliced: SlicedMatrix) -> tuple:
-    """``(row, col, trace)`` dtypes of a plan over these structures."""
+def _owner(structure):
+    """The :class:`SlicedMatrix` whose payload a structure's positions index."""
+    return structure.sym if isinstance(structure, SliceWindow) else structure
+
+
+def _stamp(row_sliced, col_sliced) -> tuple:
+    """``(structure_version, payload rows)`` of each distinct structure
+    the row and column sides index, row side first."""
+    owners = [_owner(row_sliced)]
+    if _owner(col_sliced) is not owners[0]:
+        owners.append(_owner(col_sliced))
+    return tuple((o.structure_version, o.num_valid_slices) for o in owners)
+
+
+def _plan_dtypes(row_sliced, col_sliced) -> tuple:
+    """``(row, col, trace)`` dtypes of a plan over these structures;
+    pair counts take the row positions' dtype."""
     return (
-        _position_dtype(max(row_sliced.num_valid_slices, 1) - 1),
-        _position_dtype(max(col_sliced.num_valid_slices, 1) - 1),
+        _position_dtype(max(row_sliced.data.shape[0], 1) - 1),
+        _position_dtype(max(col_sliced.data.shape[0], 1) - 1),
         _position_dtype(col_sliced.num_rows * col_sliced.slices_per_row),
     )
 
 
+def _diagonal(row_sliced, col_sliced, sources, destinations, edges, traces):
+    """``(pairs, masks)``: the pairs on a window's diagonal slice and the
+    masks of the bits each may AND — those on every window's side, so
+    strictly between the edge's endpoints for an upper × lower join."""
+    bits = row_sliced.slice_bits
+    windows = [
+        (structure, ends)
+        for structure, ends in ((row_sliced, sources), (col_sliced, destinations))
+        if isinstance(structure, SliceWindow)
+    ]
+    slices = traces % traces.dtype.type(row_sliced.slices_per_row)
+    flags = np.zeros(edges.size, dtype=bool)
+    for _, ends in windows:
+        flags |= slices == ends[edges] // bits
+    pairs = np.flatnonzero(flags)
+    base = slices[pairs].astype(np.int64) * bits
+    lo, hi = base, base + bits
+    for structure, ends in windows:
+        owner = ends[edges[pairs]]
+        on = base == owner // bits * bits
+        if structure.side == "upper":
+            lo = np.where(on, np.maximum(lo, owner + 1), lo)
+        else:
+            hi = np.where(on, np.minimum(hi, owner), hi)
+    return pairs, bit_range_masks(lo - base, hi - base, bits)
+
+
 def _join(
-    row_sliced: SlicedMatrix,
-    col_sliced: SlicedMatrix,
+    row_sliced,
+    col_sliced,
     sources: np.ndarray,
     destinations: np.ndarray,
     batch_candidates: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(row_positions, col_positions, trace_keys, pair_counts)`` of an
-    edge list.
+) -> tuple:
+    """``(row_positions, col_positions, trace_keys, pair_counts,
+    diagonal_pairs, diagonal_masks)`` of an edge list.
 
     The matched pairs of :func:`repro.core.engine.join_batches` and their
-    column trace keys, concatenated in join order, and the pairs per edge.
+    column trace keys, concatenated in join order, the pairs per edge,
+    and the pairs a window's diagonal slice makes masked.
     """
-    row_parts: list[np.ndarray] = []
-    col_parts: list[np.ndarray] = []
-    edge_parts: list[np.ndarray] = []
-    trace_parts: list[np.ndarray] = []
-    for row_hit, col_hit, edge_ids, trace_keys in engine.join_batches(
-        row_sliced, col_sliced, sources, destinations,
-        batch_candidates, with_edge_ids=True,
-    ):
-        row_parts.append(row_hit)
-        col_parts.append(col_hit)
-        edge_parts.append(edge_ids)
-        trace_parts.append(trace_keys)
-    if not row_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty, np.zeros(sources.size, dtype=np.int64)
+    batches = list(
+        engine.join_batches(
+            row_sliced, col_sliced, sources, destinations,
+            batch_candidates, with_edge_ids=True,
+        )
+    )
+    rows, cols, edges, traces = (
+        np.concatenate([batch[i] for batch in batches])
+        if batches
+        else np.empty(0, dtype=np.int64)
+        for i in range(4)
+    )
     return (
-        np.concatenate(row_parts),
-        np.concatenate(col_parts),
-        np.concatenate(trace_parts),
-        np.bincount(np.concatenate(edge_parts), minlength=sources.size),
+        rows,
+        cols,
+        traces,
+        np.bincount(edges, minlength=sources.size),
+        *_diagonal(row_sliced, col_sliced, sources, destinations, edges, traces),
     )
 
 
@@ -129,12 +177,11 @@ class JoinPlan:
     """The compiled valid-pair index of one oriented edge list.
 
     Built by :func:`build_join_plan` against a specific pair of slice
-    structures; validity is keyed on their
-    :attr:`~repro.core.slicing.SlicedMatrix.structure_version` (payload
-    mutation inside existing slices leaves a plan valid — the positions
-    and the trace depend only on which slices exist).  Plans are
-    immutable in practice: :func:`patch_join_plan` returns a *new* plan,
-    so a reader holding a reference never observes a half-patched state.
+    structures; validity is keyed on :attr:`stamp` (payload mutation
+    inside existing slices leaves a plan valid — the positions and the
+    trace depend only on which slices exist).  Plans are immutable in
+    practice: :func:`patch_join_plan` returns a *new* plan, so a reader
+    holding a reference never observes a half-patched state.
     """
 
     #: Matched pair position into the row structure's payload array.
@@ -147,14 +194,17 @@ class JoinPlan:
     pair_counts: np.ndarray
     #: Edges the plan covers.
     num_edges: int
-    #: ``structure_version`` of the row structure at compile/patch time.
-    row_version: int
-    #: ``structure_version`` of the column structure at compile/patch time.
-    col_version: int
-    #: Valid-slice counts at compile time (second staleness guard: two
-    #: *different* structures can share a version counter value).
-    row_valid_slices: int
-    col_valid_slices: int
+    #: ``(structure_version, payload rows)`` of each distinct structure
+    #: the positions index at compile/patch time — one entry for the two
+    #: windows of one symmetric structure.  The payload rows are a second
+    #: staleness guard: two *different* structures can share a version.
+    stamp: tuple
+    #: Ascending indices of the pairs on a :class:`SliceWindow`'s
+    #: diagonal slice (empty between plain structures).
+    diagonal_pairs: np.ndarray
+    #: ``(len(diagonal_pairs), |S| / 8)`` uint8 masks ANDed into those
+    #: pairs' conjunctions: the bits on both windows' sides.
+    diagonal_masks: np.ndarray
     _bounds: np.ndarray | None = field(default=None, repr=False)
     #: ``(capacity, policy, seed) -> CacheStatistics`` — the trace is part
     #: of the plan, so its classification per cache configuration is too.
@@ -169,6 +219,19 @@ class JoinPlan:
         return int(self.row_positions.size)
 
     @property
+    def payload_rows(self) -> int:
+        """Rows of the payload the row positions index."""
+        return self.stamp[0][1]
+
+    @property
+    def diagonal(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(diagonal_pairs, diagonal_masks)`` for
+        :func:`repro.core.engine.conjunctions`, ``None`` when empty."""
+        if not self.diagonal_pairs.size:
+            return None
+        return self.diagonal_pairs, self.diagonal_masks
+
+    @property
     def nbytes(self) -> int:
         """Resident footprint of the plan arrays (pool-budget quantity),
         the per-edge :attr:`bounds` included once materialised."""
@@ -177,6 +240,8 @@ class JoinPlan:
             + self.col_positions.nbytes
             + self.trace_keys.nbytes
             + self.pair_counts.nbytes
+            + self.diagonal_pairs.nbytes
+            + self.diagonal_masks.nbytes
             + (self._bounds.nbytes if self._bounds is not None else 0)
         )
 
@@ -189,33 +254,17 @@ class JoinPlan:
             self._bounds = bounds
         return self._bounds
 
-    def staleness(
-        self, row_sliced: SlicedMatrix, col_sliced: SlicedMatrix
-    ) -> str | None:
+    def staleness(self, row_sliced, col_sliced) -> str | None:
         """Why this plan cannot serve these structures (``None`` = current)."""
-        if (
-            self.row_version != row_sliced.structure_version
-            or self.row_valid_slices != row_sliced.num_valid_slices
-        ):
+        now = _stamp(row_sliced, col_sliced)
+        if now != self.stamp:
             return (
-                f"row structure moved to version "
-                f"{row_sliced.structure_version} "
-                f"({row_sliced.num_valid_slices} slices), plan was compiled "
-                f"at version {self.row_version} ({self.row_valid_slices})"
-            )
-        if (
-            self.col_version != col_sliced.structure_version
-            or self.col_valid_slices != col_sliced.num_valid_slices
-        ):
-            return (
-                f"column structure moved to version "
-                f"{col_sliced.structure_version} "
-                f"({col_sliced.num_valid_slices} slices), plan was compiled "
-                f"at version {self.col_version} ({self.col_valid_slices})"
+                f"the structures moved to (version, slices) {now}, the plan "
+                f"was compiled at {self.stamp}"
             )
         return None
 
-    def matches(self, row_sliced: SlicedMatrix, col_sliced: SlicedMatrix) -> bool:
+    def matches(self, row_sliced, col_sliced) -> bool:
         """Whether the plan is current for these structures."""
         return self.staleness(row_sliced, col_sliced) is None
 
@@ -241,8 +290,8 @@ class JoinPlan:
 
 
 def build_join_plan(
-    row_sliced: SlicedMatrix,
-    col_sliced: SlicedMatrix,
+    row_sliced,
+    col_sliced,
     sources: np.ndarray,
     destinations: np.ndarray,
     batch_candidates: int = engine.DEFAULT_BATCH_CANDIDATES,
@@ -255,7 +304,10 @@ def build_join_plan(
     Runs the engine's own merge-join (:func:`repro.core.engine.join_batches`)
     and records, instead of executing, every matched pair.  Sharing the
     join keeps the compiled plan structurally identical to what the
-    plan-free executor would derive per query.
+    plan-free executor would derive per query.  The row and column
+    structures are :class:`~repro.core.slicing.SlicedMatrix` or
+    :class:`~repro.core.slicing.SliceWindow` objects; the pairs on a
+    window's diagonal slice are recorded with their masks.
 
     ``chunk_edges`` streams the compile through bounded edge windows:
     each window's matched pairs are materialised, pushed into ``store``
@@ -270,93 +322,66 @@ def build_join_plan(
     sources = np.asarray(sources, dtype=np.int64)
     destinations = np.asarray(destinations, dtype=np.int64)
     num_edges = int(sources.size)
-    if chunk_edges is not None:
-        if chunk_edges <= 0:
-            raise ArchitectureError(
-                f"chunk_edges must be a positive edge-window size, got {chunk_edges}"
-            )
-        if num_edges > chunk_edges:
-            return _build_join_plan_chunked(
-                row_sliced, col_sliced, sources, destinations,
-                batch_candidates, int(chunk_edges), store,
-            )
-    row_positions, col_positions, trace_keys, pair_counts = _join(
-        row_sliced, col_sliced, sources, destinations, batch_candidates
-    )
+    if chunk_edges is not None and chunk_edges <= 0:
+        raise ArchitectureError(
+            f"chunk_edges must be a positive edge-window size, got {chunk_edges}"
+        )
+    step = chunk_edges if chunk_edges is not None else max(num_edges, 1)
     row_dtype, col_dtype, trace_dtype = _plan_dtypes(row_sliced, col_sliced)
-    return JoinPlan(
-        row_positions=_adopt(store, row_positions.astype(row_dtype, copy=False)),
-        col_positions=_adopt(store, col_positions.astype(col_dtype, copy=False)),
-        trace_keys=_adopt(store, trace_keys.astype(trace_dtype, copy=False)),
-        pair_counts=pair_counts,
-        num_edges=num_edges,
-        row_version=row_sliced.structure_version,
-        col_version=col_sliced.structure_version,
-        row_valid_slices=row_sliced.num_valid_slices,
-        col_valid_slices=col_sliced.num_valid_slices,
-    )
-
-
-def _build_join_plan_chunked(
-    row_sliced: SlicedMatrix,
-    col_sliced: SlicedMatrix,
-    sources: np.ndarray,
-    destinations: np.ndarray,
-    batch_candidates: int,
-    chunk_edges: int,
-    store,
-) -> JoinPlan:
-    """The bounded-window compile loop behind ``build_join_plan(chunk_edges=)``.
-
-    One window at a time: join, record the window's pairs, adopt them
-    into the store (disk when large), release the heap copy.  After the
-    sweep the per-window records are copied — window by window — into
-    the final store-allocated arrays, so neither pass ever holds more
-    than one window of pair records on the heap.
-    """
-    num_edges = int(sources.size)
-    row_dtype, col_dtype, trace_dtype = _plan_dtypes(row_sliced, col_sliced)
-    pair_counts = np.zeros(num_edges, dtype=np.int64)
-    windows: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for start in range(0, num_edges, chunk_edges):
-        stop = min(start + chunk_edges, num_edges)
-        rows, cols, traces, pair_counts[start:stop] = _join(
+    pair_counts = np.zeros(num_edges, dtype=row_dtype)
+    windows: list[tuple] = []
+    for start in range(0, num_edges, step):
+        stop = min(start + step, num_edges)
+        rows, cols, traces, pair_counts[start:stop], diagonal, masks = _join(
             row_sliced, col_sliced, sources[start:stop], destinations[start:stop],
             batch_candidates,
         )
-        if not rows.size:
-            continue
+        # Adopt as we go so a chunked compile holds one window on heap.
         windows.append(
             (
                 _adopt(store, rows.astype(row_dtype, copy=False)),
                 _adopt(store, cols.astype(col_dtype, copy=False)),
                 _adopt(store, traces.astype(trace_dtype, copy=False)),
+                diagonal,
+                masks,
             )
         )
-    total = int(pair_counts.sum())
-    row_positions = _alloc(store, total, row_dtype)
-    col_positions = _alloc(store, total, col_dtype)
-    trace_keys = _alloc(store, total, trace_dtype)
-    offset = 0
-    while windows:
-        # Pop as we copy so each window's (possibly spilled) staging
-        # arrays are reclaimed before the next one lands.
-        rows, cols, traces = windows.pop(0)
-        size = rows.size
-        row_positions[offset: offset + size] = rows
-        col_positions[offset: offset + size] = cols
-        trace_keys[offset: offset + size] = traces
-        offset += size
+    if len(windows) == 1:
+        rows, cols, traces, diagonal, masks = windows.pop()
+        diagonal_pairs = diagonal.astype(row_dtype)
+    else:
+        total = int(pair_counts.sum(dtype=np.int64))
+        rows = _alloc(store, total, row_dtype)
+        cols = _alloc(store, total, col_dtype)
+        traces = _alloc(store, total, trace_dtype)
+        diagonal_parts, mask_parts = [], []
+        offset = 0
+        while windows:
+            # Pop as we copy so each window's (possibly spilled) staging
+            # arrays are reclaimed before the next one lands.
+            part_rows, part_cols, part_traces, diagonal, masks = windows.pop(0)
+            size = part_rows.size
+            rows[offset: offset + size] = part_rows
+            cols[offset: offset + size] = part_cols
+            traces[offset: offset + size] = part_traces
+            diagonal_parts.append((diagonal + offset).astype(row_dtype))
+            mask_parts.append(masks)
+            offset += size
+        diagonal_pairs = np.concatenate(
+            [np.empty(0, dtype=row_dtype), *diagonal_parts]
+        )
+        masks = np.concatenate(
+            [np.zeros((0, row_sliced.slice_bits // 8), dtype=np.uint8), *mask_parts]
+        )
     return JoinPlan(
-        row_positions=row_positions,
-        col_positions=col_positions,
-        trace_keys=trace_keys,
+        row_positions=rows,
+        col_positions=cols,
+        trace_keys=traces,
         pair_counts=pair_counts,
         num_edges=num_edges,
-        row_version=row_sliced.structure_version,
-        col_version=col_sliced.structure_version,
-        row_valid_slices=row_sliced.num_valid_slices,
-        col_valid_slices=col_sliced.num_valid_slices,
+        stamp=_stamp(row_sliced, col_sliced),
+        diagonal_pairs=diagonal_pairs,
+        diagonal_masks=masks,
     )
 
 
@@ -373,23 +398,27 @@ class FusedPlan:
     sweep: each member plan's gather positions shifted by its segment's
     payload-row offset (so they address a virtually *stacked* payload —
     segment 0's rows first, then segment 1's, ...), plus the pair-space
-    bounds needed to split the fused reductions back per segment.
+    bounds needed to split the fused reductions back per segment.  Every
+    member's row and column positions index one payload (the two windows
+    of one symmetric structure, or one structure joined with itself).
 
     Fusion is pure concatenation: the pair order inside each segment is
     exactly the member plan's order, so every per-segment reduction is
     bit-identical to running that plan alone.
     """
 
-    #: Fused gather positions into the stacked row payload (offset-baked).
+    #: Fused row gather positions into the stacked payload (offset-baked).
     row_positions: np.ndarray
-    #: Fused gather positions into the stacked column payload.
+    #: Fused column gather positions into the stacked payload.
     col_positions: np.ndarray
     #: Exclusive prefix bounds of each segment's pair run (size ``n+1``).
     segment_bounds: np.ndarray
-    #: Payload-row offset of each segment in the stacked row payload.
-    row_offsets: np.ndarray
-    #: Payload-row offset of each segment in the stacked column payload.
-    col_offsets: np.ndarray
+    #: Payload-row offset of each segment in the stacked payload.
+    offsets: np.ndarray
+    #: The member plans' diagonal pairs, in fused pair indices.
+    diagonal_pairs: np.ndarray
+    #: Their masks.
+    diagonal_masks: np.ndarray
     #: The member plans, in segment order.
     plans: tuple
 
@@ -403,13 +432,21 @@ class FusedPlan:
         return int(self.row_positions.size)
 
     @property
+    def diagonal(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """As :attr:`JoinPlan.diagonal`, over the fused pair space."""
+        if not self.diagonal_pairs.size:
+            return None
+        return self.diagonal_pairs, self.diagonal_masks
+
+    @property
     def nbytes(self) -> int:
         return (
             self.row_positions.nbytes
             + self.col_positions.nbytes
             + self.segment_bounds.nbytes
-            + self.row_offsets.nbytes
-            + self.col_offsets.nbytes
+            + self.offsets.nbytes
+            + self.diagonal_pairs.nbytes
+            + self.diagonal_masks.nbytes
         )
 
     def segment_slice(self, index: int) -> slice:
@@ -438,23 +475,27 @@ class FusedPlan:
 def fuse_plans(plans, store=None) -> FusedPlan:
     """Concatenate compiled plans into one fused pair space.
 
-    Each member's positions are shifted by the cumulative valid-slice
-    counts of the preceding members — the offsets a physical
-    ``np.concatenate`` of the payload arrays induces — so one sweep over
-    the stacked payloads executes every member plan at once.  Callers
-    group only lane-compatible plans (same slice width); this function
-    is pure index arithmetic and does not see the payloads.  A ``store``
-    routes the fused gather arrays through a backing store (disk-backed
-    when large); per-sweep fused plans are usually left on heap.
+    Each member's positions are shifted by the payload rows of the
+    preceding members — the offsets a physical ``np.concatenate`` of the
+    payload arrays induces — so one sweep over the stacked payload
+    executes every member plan at once.  Callers group only
+    lane-compatible plans (same slice width) whose row and column
+    positions index one payload; this function is pure index arithmetic
+    and does not see the payloads.  A ``store`` routes the fused gather
+    arrays through a backing store (disk-backed when large); per-sweep
+    fused plans are usually left on heap.
     """
     plans = tuple(plans)
     if not plans:
         raise ArchitectureError("fuse_plans needs at least one plan")
+    if any(len(plan.stamp) != 1 for plan in plans):
+        raise ArchitectureError(
+            "fuse_plans needs plans whose row and column positions index "
+            "one payload"
+        )
     num = len(plans)
-    row_offsets = np.zeros(num, dtype=np.int64)
-    col_offsets = np.zeros(num, dtype=np.int64)
-    np.cumsum([p.row_valid_slices for p in plans[:-1]], out=row_offsets[1:])
-    np.cumsum([p.col_valid_slices for p in plans[:-1]], out=col_offsets[1:])
+    offsets = np.zeros(num, dtype=np.int64)
+    np.cumsum([p.payload_rows for p in plans[:-1]], out=offsets[1:])
     segment_bounds = np.zeros(num + 1, dtype=np.int64)
     np.cumsum([p.num_pairs for p in plans], out=segment_bounds[1:])
     total = int(segment_bounds[-1])
@@ -462,20 +503,22 @@ def fuse_plans(plans, store=None) -> FusedPlan:
     col_positions = _alloc(store, total, np.int64)
     for i, plan in enumerate(plans):
         lo, hi = int(segment_bounds[i]), int(segment_bounds[i + 1])
-        np.add(
-            plan.row_positions, row_offsets[i], out=row_positions[lo:hi],
-            casting="unsafe",
-        )
-        np.add(
-            plan.col_positions, col_offsets[i], out=col_positions[lo:hi],
-            casting="unsafe",
-        )
+        for positions, fused in (
+            (plan.row_positions, row_positions), (plan.col_positions, col_positions)
+        ):
+            np.add(positions, offsets[i], out=fused[lo:hi], casting="unsafe")
     return FusedPlan(
         row_positions=row_positions,
         col_positions=col_positions,
         segment_bounds=segment_bounds,
-        row_offsets=row_offsets,
-        col_offsets=col_offsets,
+        offsets=offsets,
+        diagonal_pairs=np.concatenate(
+            [
+                plan.diagonal_pairs.astype(np.int64) + segment_bounds[i]
+                for i, plan in enumerate(plans)
+            ]
+        ),
+        diagonal_masks=np.concatenate([plan.diagonal_masks for plan in plans]),
         plans=plans,
     )
 
@@ -483,30 +526,6 @@ def fuse_plans(plans, store=None) -> FusedPlan:
 # ----------------------------------------------------------------------
 # Incremental maintenance
 # ----------------------------------------------------------------------
-def oriented_structure_bits(
-    delta_edges: np.ndarray, orientation: str, structure: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (rows, cols) bit coordinates a delta batch touches in one
-    oriented structure.
-
-    ``structure`` is ``"row"`` (the successor structure) or ``"col"``
-    (the predecessor structure, i.e. the transpose's rows).  For the
-    ``"upper"`` orientation an edge ``u < v`` is bit ``(u, v)`` of the
-    row structure and bit ``(v, u)`` of the column structure; for
-    ``"symmetric"`` both structures hold both directions.
-    """
-    if structure not in ("row", "col"):
-        raise ArchitectureError(f"structure must be 'row' or 'col', got {structure!r}")
-    u, v = delta_edges[:, 0], delta_edges[:, 1]
-    if orientation == "upper":
-        return (u, v) if structure == "row" else (v, u)
-    if orientation == "symmetric":
-        return np.concatenate([u, v]), np.concatenate([v, u])
-    raise ArchitectureError(
-        f"orientation must be 'upper' or 'symmetric', got {orientation!r}"
-    )
-
-
 def merge_oriented_edges(
     sources: np.ndarray,
     destinations: np.ndarray,
@@ -575,36 +594,46 @@ def merge_oriented_edges(
     )
 
 
-def _size_before(sliced: SlicedMatrix, delta: StructureDelta) -> int:
+def _mask_rows(masks: np.ndarray) -> np.ndarray:
+    """``(k, |S| / 8)`` uint8 masks as ``k`` opaque rows."""
+    masks = np.ascontiguousarray(masks)
+    return masks.view(np.dtype((np.void, masks.shape[1]))).reshape(-1)
+
+
+def _size_before(sliced, delta: StructureDelta) -> int:
     """Valid-slice count of ``sliced`` before it moved by ``delta``."""
     return (
         sliced.num_valid_slices - delta.inserted_before.size + delta.removed_at.size
     )
 
 
-def _position_map(sliced: SlicedMatrix, delta: StructureDelta, dtype) -> np.ndarray:
+def _position_map(old_size: int, delta: StructureDelta, dtype) -> np.ndarray:
     """Old → new slice position table of a structure that moved by ``delta``.
 
+    ``delta`` removes, then inserts (:func:`~repro.core.incremental.compose_deltas`).
     A removed position's entry is meaningless: no surviving pair holds
-    it.  The shift is a step function — +1 past every insertion point,
-    -1 past every removed slice — so the table is one ``arange`` plus
-    one ``repeat`` of the step heights.
+    it.  Each shift is a step function — -1 past every removed slice,
+    +1 past every insertion point — so the table is one ``arange`` plus
+    one ``repeat`` of the step heights per kind.
     """
-    old_size = _size_before(sliced, delta)
-    if delta.inserted_before.size:
-        steps, sign = delta.inserted_before, 1
-    else:
-        steps, sign = delta.removed_at + 1, -1
-    heights = np.arange(0, sign * (steps.size + 1), sign, dtype=dtype)
-    table = np.repeat(heights, np.diff(steps, prepend=0, append=old_size))
-    table += np.arange(old_size, dtype=dtype)
+    table = np.arange(old_size, dtype=dtype)
+    removed = delta.removed_at
+    if removed.size:
+        heights = np.arange(removed.size + 1, dtype=dtype)
+        table -= np.repeat(heights, np.diff(removed + 1, prepend=0, append=old_size))
+    inserted = delta.inserted_before
+    mid_size = old_size - removed.size
+    if inserted.size and mid_size:
+        heights = np.arange(inserted.size + 1, dtype=dtype)
+        steps = np.repeat(heights, np.diff(inserted, prepend=0, append=mid_size))
+        table += np.take(steps, table, mode="clip")
     return table
 
 
 def patch_join_plan(
     plan: JoinPlan,
-    row_sliced: SlicedMatrix,
-    col_sliced: SlicedMatrix,
+    row_sliced,
+    col_sliced,
     sources: np.ndarray,
     destinations: np.ndarray,
     edge_delta: StructureDelta,
@@ -612,154 +641,186 @@ def patch_join_plan(
     col_delta: StructureDelta,
     batch_candidates: int = engine.DEFAULT_BATCH_CANDIDATES,
     *,
+    moved: tuple[np.ndarray, np.ndarray] | None = None,
     store=None,
 ) -> JoinPlan:
-    """Splice one committed update batch into a compiled plan.
+    """Splice committed update batches into a compiled plan.
 
     ``plan`` was compiled for the edge list and structures *before* the
-    batch; ``(sources, destinations)`` and ``row_sliced``/``col_sliced``
-    are the state *after* it.  Three
+    batches; ``(sources, destinations)`` and ``row_sliced``/``col_sliced``
+    are the state *after* them.  Three
     :class:`~repro.core.incremental.StructureDelta` reports say what
     moved: ``edge_delta`` the edge list (the splice
     :func:`merge_oriented_edges` returns; ``StructureDelta.unchanged()``
     when the list kept its edges) and ``row_delta``/``col_delta`` the
-    slice arrays (what :func:`repro.core.incremental.set_bits` /
-    ``clear_bits`` return).
+    payloads the row and column positions index (what
+    :func:`repro.core.incremental.set_bits` / ``clear_bits`` return; one
+    delta for both sides of one symmetric structure).  Each may remove,
+    then insert: several batches fold into one delta through
+    :func:`~repro.core.incremental.compose_deltas`.
+
+    ``moved`` names the ``(source rows, destination rows)`` whose
+    valid-slice sets changed, which default to the rows of
+    ``row_delta``/``col_delta``.  Windows of one symmetric structure pass
+    their own: a window can gain or lose its diagonal slice on a
+    payload-only update, which moves no position.
 
     Cost: a re-join of the *cut* edges plus one copy pass, with no
-    per-pair search.  The cut is the delta edges, the contiguous edge
-    ranges of the source rows whose valid-slice set changed, and the
-    edges into changed destination rows (one boolean gather); only they
-    go through :func:`repro.core.engine.join_batches`.  Every kept run
-    between cuts is block-copied: row positions plus one constant shift
-    per run, column positions through one old → new position table of
-    the column structure, trace keys verbatim (a surviving slice keeps
-    its global key).  Runs also break wherever the sources cross a
-    changed row, since the row shift changes there even when the list
-    holds no edge of that row (an edge list may share its row structure
-    with edges it does not hold).
+    per-pair search.  The cut is the inserted edges, the contiguous edge
+    ranges of the moved source rows, and the edges into moved
+    destination rows (one boolean gather); only they go through
+    :func:`repro.core.engine.join_batches`.  Every kept run between cuts
+    is block-copied: row positions plus one constant shift per run,
+    column positions through one old → new position table, trace keys
+    and diagonal masks verbatim (a surviving slice keeps its global
+    key).  Runs also break wherever the sources cross a row whose slices
+    moved, since the row shift changes there.
 
     Returns ``plan`` itself when nothing moved, else a **new** plan (the
     input is never mutated), array-equal to ``build_join_plan`` on the
     new edge list against the new structures.
     """
-    if not (edge_delta.changed or row_delta.changed or col_delta.changed):
+    if moved is None:
+        moved = tuple(
+            np.concatenate((delta.inserted_rows, delta.removed_rows))
+            for delta in (row_delta, col_delta)
+        )
+    cut_rows, cut_cols = (np.asarray(rows, dtype=np.int64) for rows in moved)
+    if not (
+        edge_delta.changed
+        or row_delta.changed
+        or col_delta.changed
+        or cut_rows.size
+        or cut_cols.size
+    ):
         return plan
     num_edges = int(sources.size)
-    inserted_at = edge_delta.inserted_before
+    inserted_before = edge_delta.inserted_before
     removed_at = edge_delta.removed_at
     # Alignment: the plan must describe exactly the pre-batch edge list
     # and structures, so every position it holds indexes them.
-    before = (
-        num_edges - inserted_at.size + removed_at.size,
-        _size_before(row_sliced, row_delta),
-        _size_before(col_sliced, col_delta),
+    shared = _owner(col_sliced) is _owner(row_sliced)
+    sides = ((row_sliced, row_delta),) if shared else (
+        (row_sliced, row_delta), (col_sliced, col_delta)
     )
-    if before != (plan.num_edges, plan.row_valid_slices, plan.col_valid_slices):
+    before = (
+        num_edges - inserted_before.size + removed_at.size,
+        tuple(_size_before(_owner(s), d) for s, d in sides),
+    )
+    if before != (plan.num_edges, tuple(size for _, size in plan.stamp)):
         raise ArchitectureError(
             f"plan patch lost alignment: the plan covers {plan.num_edges} "
-            f"edges over {plan.row_valid_slices}/{plan.col_valid_slices} "
-            f"row/col slices, the batch started from {before[0]} edges over "
-            f"{before[1]}/{before[2]}; this is a bug — rebuild the plan"
+            f"edges over (version, slices) {plan.stamp}, the batch started "
+            f"from {before[0]} edges over {before[1]} slices; this is a bug "
+            "— rebuild the plan"
         )
     # --- the cut, in new edge-list coordinates -------------------------
     changed_cols = np.zeros(col_sliced.num_rows, dtype=bool)
-    changed_cols[col_delta.inserted_rows] = True
-    changed_cols[col_delta.removed_rows] = True
+    changed_cols[cut_cols] = True
     cut = changed_cols[destinations]
-    changed_rows = np.unique(
-        np.concatenate((row_delta.inserted_rows, row_delta.removed_rows))
-    )
-    row_lo = np.searchsorted(sources, changed_rows)
-    row_hi = np.searchsorted(sources, changed_rows, side="right")
+    cut_rows = np.unique(cut_rows)
+    row_lo = np.searchsorted(sources, cut_rows)
+    row_hi = np.searchsorted(sources, cut_rows, side="right")
     cut[expand_runs(row_lo, row_hi - row_lo)] = True
-    inserted = inserted_at + np.arange(inserted_at.size)
+    inserted = inserted_before + np.arange(inserted_before.size)
     cut[inserted] = True
     cut_idx = np.flatnonzero(cut)
     # --- kept runs: uncut stretches, also broken at deletion gaps and
-    # at changed rows (where the row shift steps) ------------------------
-    gaps = removed_at - np.arange(removed_at.size)
+    # where the sources cross a row whose slices moved (the row shift
+    # steps there even when the list holds no edge of that row) ---------
+    gaps_mid = removed_at - np.arange(removed_at.size)
+    gaps = gaps_mid + np.searchsorted(inserted_before, gaps_mid, side="right")
+    shifted = np.searchsorted(
+        sources, np.concatenate((row_delta.inserted_rows, row_delta.removed_rows))
+    )
     breaks = np.unique(
-        np.concatenate(([0, num_edges], cut_idx, cut_idx + 1, gaps, row_lo))
+        np.concatenate(([0, num_edges], cut_idx, cut_idx + 1, gaps, shifted))
     )
     run_lo, run_hi = breaks[:-1], breaks[1:]
     kept = ~cut[run_lo]
     run_lo, run_hi = run_lo[kept], run_hi[kept]
-    old_lo = (
-        run_lo
-        - np.searchsorted(inserted, run_lo)
-        + np.searchsorted(gaps, run_lo, side="right")
-    )
-    run_sources = sources[run_lo]
-    row_shift = np.searchsorted(
-        row_delta.inserted_rows, run_sources
-    ) - np.searchsorted(row_delta.removed_rows, run_sources)
+    mid_lo = run_lo - np.searchsorted(inserted, run_lo)
+    old_lo = mid_lo + np.searchsorted(gaps_mid, mid_lo, side="right")
     # --- per-edge counts and bounds, the cut's from its re-join ---------
-    redo_row, redo_col, redo_trace, redo_counts = _join(
+    redo_row, redo_col, redo_trace, redo_counts, redo_diagonal, redo_masks = _join(
         row_sliced, col_sliced, sources[cut_idx], destinations[cut_idx],
         batch_candidates,
     )
-    if inserted_at.size:
-        pair_counts = np.insert(plan.pair_counts, inserted_at, 0)
-    elif removed_at.size:
-        pair_counts = np.delete(plan.pair_counts, removed_at)
-    else:
-        pair_counts = plan.pair_counts.copy()
+    row_dtype, col_dtype, trace_dtype = _plan_dtypes(row_sliced, col_sliced)
+    pair_counts = plan.pair_counts.astype(row_dtype)
+    if removed_at.size:
+        pair_counts = np.delete(pair_counts, removed_at)
+    if inserted_before.size:
+        pair_counts = np.insert(pair_counts, inserted_before, 0)
     pair_counts[cut_idx] = redo_counts
     bounds = np.zeros(num_edges + 1, dtype=np.int64)
     np.cumsum(pair_counts, out=bounds[1:])
     total = int(bounds[-1])
-    row_dtype, col_dtype, trace_dtype = _plan_dtypes(row_sliced, col_sliced)
     row_positions = _alloc(store, total, row_dtype)
     col_positions = _alloc(store, total, col_dtype)
     trace_keys = _alloc(store, total, trace_dtype)
     # --- one copy pass over the kept runs -------------------------------
-    col_map = (
-        _position_map(col_sliced, col_delta, col_dtype)
-        if col_delta.changed
+    row_map = (
+        _position_map(plan.stamp[0][1], row_delta, row_dtype)
+        if row_delta.changed
         else None
     )
+    if shared:
+        col_map = row_map
+    else:
+        col_map = (
+            _position_map(plan.stamp[1][1], col_delta, col_dtype)
+            if col_delta.changed
+            else None
+        )
     old_bounds = plan.bounds
-    old_rows, old_cols, old_trace = (
-        plan.row_positions, plan.col_positions, plan.trace_keys
-    )
-    for src, stop, dst, shift in zip(
-        old_bounds[old_lo].tolist(),
-        old_bounds[old_lo + (run_hi - run_lo)].tolist(),
-        bounds[run_lo].tolist(),
-        row_shift.tolist(),
-    ):
+    src_lo = old_bounds[old_lo]
+    src_hi = old_bounds[old_lo + (run_hi - run_lo)]
+    dst_lo = bounds[run_lo]
+    old_rows, old_cols = plan.row_positions, plan.col_positions
+    for src, stop, dst in zip(src_lo.tolist(), src_hi.tolist(), dst_lo.tolist()):
         if stop == src:
             continue
         end = dst + stop - src
-        if shift:
-            np.add(old_rows[src:stop], shift, out=row_positions[dst:end])
-        else:
-            row_positions[dst:end] = old_rows[src:stop]
+        # A run's row positions all shift alike: one table lookup.
+        shift = 0 if row_map is None else int(row_map[old_rows[src]]) - int(old_rows[src])
+        np.add(old_rows[src:stop], shift, out=row_positions[dst:end], casting="unsafe")
         if col_map is None:
             col_positions[dst:end] = old_cols[src:stop]
         else:
             # Unbuffered: the alignment check bounds every old position.
-            np.take(
-                col_map, old_cols[src:stop], out=col_positions[dst:end], mode="clip"
-            )
-        trace_keys[dst:end] = old_trace[src:stop]
+            np.take(col_map, old_cols[src:stop], out=col_positions[dst:end], mode="clip")
+        trace_keys[dst:end] = plan.trace_keys[src:stop]
     # --- the cut's pairs land in their own slots ------------------------
+    targets = expand_runs(bounds[cut_idx], redo_counts)
     if redo_row.size:
-        targets = expand_runs(bounds[cut_idx], redo_counts)
         row_positions[targets] = redo_row
         col_positions[targets] = redo_col
         trace_keys[targets] = redo_trace
+    # --- diagonal pairs: the kept runs' shifted, the cut's merged in ----
+    old_diagonal = plan.diagonal_pairs
+    take_lo = np.searchsorted(old_diagonal, src_lo)
+    take_hi = np.searchsorted(old_diagonal, src_hi)
+    take = expand_runs(take_lo, take_hi - take_lo)
+    kept_diagonal = old_diagonal[take].astype(np.int64) + np.repeat(
+        dst_lo - src_lo, take_hi - take_lo
+    )
+    fresh = targets[redo_diagonal]
+    where = np.searchsorted(kept_diagonal, fresh)
+    # Whole-row moves of the masks: a 2-D uint8 gather or insert is slow.
+    width = (plan.diagonal_masks.shape[1],)
+    masks = np.insert(
+        _mask_rows(plan.diagonal_masks)[take], where, _mask_rows(redo_masks)
+    )
     patched = JoinPlan(
         row_positions=row_positions,
         col_positions=col_positions,
         trace_keys=trace_keys,
         pair_counts=pair_counts,
         num_edges=num_edges,
-        row_version=row_sliced.structure_version,
-        col_version=col_sliced.structure_version,
-        row_valid_slices=row_sliced.num_valid_slices,
-        col_valid_slices=col_sliced.num_valid_slices,
+        stamp=_stamp(row_sliced, col_sliced),
+        diagonal_pairs=np.insert(kept_diagonal, where, fresh).astype(row_dtype),
+        diagonal_masks=masks.view(np.uint8).reshape(-1, *width),
     )
     patched._bounds = bounds
     return patched

@@ -79,7 +79,7 @@ import numpy as np
 from repro.core import engine, kernels
 from repro.core.accelerator import EventCounts, array_share, split_capacity
 from repro.core.reuse import CacheStatistics, simulate_key_trace
-from repro.core.slicing import SlicedMatrix, expand_runs
+from repro.core.slicing import SlicedMatrix, SliceWindow, expand_runs
 from repro.errors import ArchitectureError
 from repro.graph import bitops
 from repro.graph.graph import Graph
@@ -372,8 +372,8 @@ class _Shard:
 
 def price_partition(
     config,
-    row_sliced: SlicedMatrix,
-    col_sliced: SlicedMatrix,
+    row_sliced,
+    col_sliced,
     edge_arrays: tuple[np.ndarray, np.ndarray],
     join_plan=None,
     shard_plan: ShardPlan | None = None,
@@ -549,6 +549,7 @@ def _position_shards(
     pops = engine.pair_popcounts(
         row_sliced.data, col_sliced.data,
         join_plan.row_positions, join_plan.col_positions,
+        diagonal=join_plan.diagonal,
     )
     prefix = np.zeros(pops.size + 1, dtype=np.int64)
     np.cumsum(pops, out=prefix[1:])
@@ -684,13 +685,12 @@ def _color_palettes(colors: np.ndarray, num_colors: int, sliced: SlicedMatrix):
     return np.packbits(member, axis=2, bitorder="little")
 
 
-def _slice_colors(
-    sliced: SlicedMatrix, palettes: np.ndarray, bits: np.ndarray
+def _payload_colors(
+    data: np.ndarray, slice_ids: np.ndarray, palettes: np.ndarray, bits: np.ndarray
 ) -> np.ndarray:
-    """Per valid slice, the bitmask (``bits[r]`` for color ``r``) of the
+    """Per payload row, the bitmask (``bits[r]`` for color ``r``) of the
     colors its vertices carry — one AND of the payload words with each
     palette."""
-    data = sliced.data
     wide = bitops.word_view(data)
     if wide is not None:
         data, palettes = wide, palettes.view(wide.dtype)
@@ -700,7 +700,7 @@ def _slice_colors(
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
         block = data[start:stop]
-        ids = sliced.slice_ids[start:stop]
+        ids = slice_ids[start:stop]
         for bit, palette in zip(bits, palettes):
             masked = np.take(palette, ids, axis=0)
             np.bitwise_and(masked, block, out=masked)
@@ -708,14 +708,31 @@ def _slice_colors(
     return present
 
 
+def _slice_colors(sliced, palettes: np.ndarray, bits: np.ndarray, present=None):
+    """:func:`_payload_colors` of a structure's payload (``present`` when
+    already computed); a :class:`SliceWindow`'s diagonal slices count
+    only the colors on the window's side."""
+    if present is None:
+        present = _payload_colors(sliced.data, sliced.slice_ids, palettes, bits)
+    if isinstance(sliced, SliceWindow):
+        present = present.copy()
+        positions, rows = sliced.diagonal_positions()
+        ids = sliced.slice_ids[positions]
+        side = sliced.data[positions] & sliced.side_masks(rows, ids)
+        present[positions] = _payload_colors(side, ids, palettes, bits)
+    return present
+
+
 def _color_popcounts(
-    row_sliced, col_sliced, row_positions, col_positions, pair_bounds, palettes
+    row_sliced, col_sliced, row_positions, col_positions, pair_bounds, palettes,
+    diagonal,
 ) -> np.ndarray:
     """``(classes, C)`` int64: per edge color class and color ``r``, the
     sum of ``popcount(row & col & P_r[s])`` over the class's plan pairs.
 
     The pairs come grouped by class, class ``k`` at
-    ``pair_bounds[k]:pair_bounds[k + 1]``.  One chunked pass of
+    ``pair_bounds[k]:pair_bounds[k + 1]``, with ``diagonal`` their masks
+    (:func:`engine.conjunctions`).  One chunked pass of
     :func:`engine.conjunctions` with one AND and popcount per color, so
     memory stays O(pairs), not O(pairs × C).
     """
@@ -723,7 +740,8 @@ def _color_popcounts(
     pair_slices = row_sliced.slice_ids[row_positions]
     words = scratch = None
     for start, anded, counts in engine.conjunctions(
-        row_sliced.data, col_sliced.data, row_positions, col_positions
+        row_sliced.data, col_sliced.data, row_positions, col_positions,
+        diagonal=diagonal,
     ):
         if words is None:
             words, scratch = palettes.view(anded.dtype), np.empty_like(anded)
@@ -745,6 +763,18 @@ def _color_popcounts(
                 counts, begins, axis=0, dtype=np.int64
             ).sum(axis=1)
     return totals
+
+
+def _reordered_diagonal(join_plan, pair_order: np.ndarray):
+    """The plan's diagonal ``(pairs, masks)`` in the pair order
+    ``pair_order`` (a selection of plan pairs), ``None`` when empty."""
+    if join_plan.diagonal is None:
+        return None
+    flags = np.zeros(join_plan.num_pairs, dtype=bool)
+    flags[join_plan.diagonal_pairs] = True
+    pairs = np.flatnonzero(flags[pair_order])
+    which = np.searchsorted(join_plan.diagonal_pairs, pair_order[pairs])
+    return pairs, np.take(join_plan.diagonal_masks, which, axis=0)
 
 
 def _coloring_shards(
@@ -797,12 +827,15 @@ def _coloring_shards(
     pair_cols = join_plan.col_positions[pair_order]
     palettes = _color_palettes(colors, num_colors, row_sliced)
     totals = _color_popcounts(
-        row_sliced, col_sliced, pair_rows, pair_cols, pair_bounds, palettes
+        row_sliced, col_sliced, pair_rows, pair_cols, pair_bounds, palettes,
+        _reordered_diagonal(join_plan, pair_order),
     )
     # Each pair's slice color masks and its destination's color bit.
-    row_masks = _slice_colors(row_sliced, palettes, bits)
+    payload = _payload_colors(row_sliced.data, row_sliced.slice_ids, palettes, bits)
+    row_masks = _slice_colors(row_sliced, palettes, bits, payload)
     pair_row_masks = row_masks[pair_rows]
-    pair_col_masks = _slice_colors(col_sliced, palettes, bits)[pair_cols]
+    shared = payload if col_sliced.data is row_sliced.data else None
+    pair_col_masks = _slice_colors(col_sliced, palettes, bits, shared)[pair_cols]
     pair_dst_bits = bits[np.repeat(dst_colors[class_order], counts_by_class)]
     def lane_pairs(start: int, stop: int, witness_bit) -> np.ndarray:
         """Class pairs whose row slice holds color c(v) or r and whose
@@ -814,6 +847,9 @@ def _coloring_shards(
         return pair_order[start:stop][keep]
 
     loads: dict[int, np.ndarray] = {}
+    window_starts, window_counts = row_sliced.row_slice_ranges(
+        np.arange(row_sliced.num_rows, dtype=np.int64)
+    )
 
     def color_loads(wanted) -> np.ndarray:
         """Per row: valid slices holding a vertex of a ``wanted`` color."""
@@ -823,8 +859,7 @@ def _coloring_shards(
             dtype = np.int32 if row_masks.size < 2**31 else np.int64
             prefix = np.zeros(row_masks.size + 1, dtype=dtype)
             np.cumsum((row_masks & wanted) != 0, out=prefix[1:], dtype=dtype)
-            indptr = row_sliced.indptr
-            loads[key] = prefix[indptr[1:]] - prefix[indptr[:-1]]
+            loads[key] = prefix[window_starts + window_counts] - prefix[window_starts]
         return loads[key]
 
     # Each class's source rows, split by their color (the positions of a

@@ -19,6 +19,12 @@ valid-slice arrays are leading views of buffers that may hold spare
 rows, so the streaming splices (:meth:`SlicedMatrix.insert_slices`,
 :meth:`SlicedMatrix.remove_slices`) shift slices in place instead of
 copying both arrays into new allocations.
+
+The row slices and column slices of the upper-triangular matrix (paper
+Fig. 4) are both read out of one symmetric structure:
+:class:`SliceWindow` exposes each row's upper (successor) or lower
+(predecessor) slices as a window of that row's symmetric slices, so a
+resident graph is held once.
 """
 
 from __future__ import annotations
@@ -33,10 +39,13 @@ from repro.graph.graph import Graph
 
 __all__ = [
     "SlicedMatrix",
+    "SliceWindow",
     "SliceStatistics",
     "slice_statistics",
     "valid_pair_positions",
     "expand_runs",
+    "bit_range_masks",
+    "oriented_structures",
     "INDEX_BYTES",
     "SPARE_ROOM_DIVISOR",
 ]
@@ -471,6 +480,31 @@ class SlicedMatrix:
         counts = self.indptr[rows + 1] - starts
         return starts, counts
 
+    def find_slices(
+        self, rows: np.ndarray, slice_ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(positions, exists)`` of slice ``slice_ids[i]`` of row ``rows[i]``.
+
+        ``positions[i]`` is the slice's position when ``exists[i]``, else
+        where it would be inserted.  One lockstep binary search of every
+        id inside its own row's sorted run: ``O(k log(slices per row))``,
+        with no ``O(N_VS)`` key array.
+        """
+        ids = self.slice_ids
+        lo = self.indptr[rows]
+        end = self.indptr[rows + 1]
+        hi = end.copy()
+        last = max(ids.size - 1, 0)
+        for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+            mid = (lo + hi) >> 1
+            searching = lo < hi
+            right = searching & (ids[np.minimum(mid, last)] < slice_ids)
+            lo = np.where(right, mid + 1, lo)
+            hi = np.where(searching & ~right, mid, hi)
+        exists = lo < end
+        exists[exists] = ids[lo[exists]] == slice_ids[exists]
+        return lo, exists
+
     def row_valid_count(self, row: int) -> int:
         """Number of valid slices in ``row``."""
         if not 0 <= row < self.num_rows:
@@ -499,6 +533,156 @@ class SlicedMatrix:
             f"SlicedMatrix(shape=({self.num_rows}, {self.num_cols}), "
             f"slice_bits={self.slice_bits}, num_valid_slices={self.num_valid_slices})"
         )
+
+
+class SliceWindow:
+    """The upper or lower triangle of a symmetric :class:`SlicedMatrix`,
+    read in place through one window per row.
+
+    Row ``u``'s *diagonal slice* ``u // |S|`` is the only slice of the row
+    that can hold bits on both sides of ``u``.  The ``"upper"`` window of
+    row ``u`` is the suffix of its symmetric slices from the diagonal
+    slice on, the ``"lower"`` window the prefix up to it, and the
+    diagonal slice belongs to a window only if it holds a bit on that
+    side of ``u``.  The windows hold exactly the slices of
+    ``SlicedMatrix.from_graph(graph, "upper" | "lower")``, at positions of
+    :attr:`sym`'s payload, whose diagonal slices still carry the other
+    side's bits: a join masks them
+    (:attr:`repro.core.plan.JoinPlan.diagonal_pairs`).
+
+    ``offsets`` counts, per row, the slices before an upper window or in
+    a lower one, relative to ``sym.indptr``, so a splice moves only the
+    windows of the rows it touches (:meth:`refresh`).  The window reads
+    the rest of a structure's surface through to :attr:`sym`, except the
+    valid slices: ``num_valid_slices`` and the Table III/IV byte counts
+    count the window's (the payload length is ``data.shape[0]``).
+    """
+
+    __slots__ = ("sym", "side", "offsets")
+
+    _SHARED = frozenset(
+        ("num_rows", "num_cols", "slice_bits", "slices_per_row", "total_slices",
+         "structure_version", "slice_ids", "data")
+    )
+
+    def __init__(self, sym: SlicedMatrix, side: str, offsets: np.ndarray) -> None:
+        self.sym, self.side, self.offsets = sym, side, offsets
+
+    def __getattr__(self, name: str):
+        if name in SliceWindow._SHARED:
+            return getattr(self.sym, name)
+        raise AttributeError(name)
+
+    @classmethod
+    def pair(cls, sym: SlicedMatrix) -> tuple["SliceWindow", "SliceWindow"]:
+        """The ``(upper, lower)`` windows of every row of ``sym``."""
+        before, inside = _diagonal_split(sym, np.arange(sym.num_rows))
+        dtype = np.int32 if sym.slices_per_row <= np.iinfo(np.int32).max else np.int64
+        return tuple(
+            cls(sym, side, (before + extra).astype(dtype))
+            for side, extra in zip(("upper", "lower"), inside)
+        )
+
+    @staticmethod
+    def refresh(windows, rows: np.ndarray) -> bool:
+        """Re-derive the ``(upper, lower)`` windows of ``rows`` after
+        :attr:`sym` changed; returns whether any window moved.
+
+        A window can gain or lose its diagonal slice on a payload-only
+        update, which does not bump ``sym.structure_version``; a move
+        bumps it, so a plan over the old windows reads as stale.
+        """
+        before, inside = _diagonal_split(windows[0].sym, rows)
+        moved = False
+        for window, extra in zip(windows, inside):
+            moved |= bool((window.offsets[rows] != before + extra).any())
+            window.offsets[rows] = before + extra
+        if moved:
+            windows[0].sym.mark_structure_changed()
+        return moved
+
+    def row_slice_ranges(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, counts)`` of many rows' windows, as :attr:`sym` positions."""
+        starts, counts = self.sym.row_slice_ranges(rows)
+        offsets = self.offsets[rows]
+        if self.side == "upper":
+            return starts + offsets, counts - offsets
+        return starts, offsets.astype(np.int64)
+
+    def row_valid_counts(self) -> np.ndarray:
+        """Window size of every row."""
+        if self.side == "upper":
+            return np.diff(self.sym.indptr) - self.offsets
+        return self.offsets.astype(np.int64)
+
+    @property
+    def num_valid_slices(self) -> int:
+        inside = int(self.offsets.sum(dtype=np.int64))
+        return self.sym.num_valid_slices - inside if self.side == "upper" else inside
+
+    @property
+    def data_bytes(self) -> int:
+        return self.num_valid_slices * (self.slice_bits // 8)
+
+    @property
+    def compressed_bytes(self) -> int:
+        return self.num_valid_slices * (self.slice_bits // 8 + INDEX_BYTES)
+
+    def diagonal_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(positions, rows)`` of the diagonal slices the windows hold."""
+        rows = np.arange(self.num_rows)
+        starts, counts = self.row_slice_ranges(rows)
+        edge = (starts if self.side == "upper" else starts + counts - 1)[counts > 0]
+        rows = rows[counts > 0]
+        held = self.slice_ids[edge] == rows // self.slice_bits
+        return edge[held], rows[held]
+
+    def side_masks(self, rows: np.ndarray, slice_ids: np.ndarray) -> np.ndarray:
+        """Payload masks of the bits of slice ``slice_ids[i]`` on the
+        window's side of row ``rows[i]``."""
+        bits = self.slice_bits
+        own = rows - slice_ids * bits
+        if self.side == "upper":
+            return bit_range_masks(own + 1, np.full_like(own, bits), bits)
+        return bit_range_masks(np.zeros_like(own), own, bits)
+
+
+def oriented_structures(sym: SlicedMatrix, orientation: str) -> tuple:
+    """The ``(row, col)`` structures a count run over ``sym`` joins:
+    its upper and lower :class:`SliceWindow`, or ``sym`` twice."""
+    if orientation not in ("upper", "symmetric"):
+        raise SlicingError(
+            f"orientation must be 'upper' or 'symmetric', got {orientation!r}"
+        )
+    return SliceWindow.pair(sym) if orientation == "upper" else (sym, sym)
+
+
+def bit_range_masks(lo: np.ndarray, hi: np.ndarray, slice_bits: int) -> np.ndarray:
+    """``(k, slice_bits // 8)`` uint8 payloads with bits ``[lo[i], hi[i])``
+    of a slice set (bounds clipped to the slice)."""
+    starts = np.arange(0, slice_bits, 8)
+    low = np.clip(np.clip(lo, 0, slice_bits)[:, None] - starts, 0, 8)
+    high = np.clip(np.clip(hi, 0, slice_bits)[:, None] - starts, 0, 8)
+    return (((1 << high) - 1) & ~((1 << low) - 1)).astype(np.uint8)
+
+
+def _diagonal_split(sym: SlicedMatrix, rows: np.ndarray):
+    """Per row: the slices before its diagonal slice, and the 0/1 the
+    ``(upper, lower)`` offsets add for it — before an upper window that
+    it holds no bit above the row for, in a lower one if it holds one
+    below."""
+    bits = sym.slice_bits
+    positions, exists = sym.find_slices(rows, rows // bits)
+    inside = np.zeros((2, rows.size), dtype=np.int64)
+    held = np.flatnonzero(exists)
+    payloads = sym.data[positions[held]]
+    own = rows[held] % bits
+    full = np.full_like(own, bits)
+    for side, (lo, hi) in enumerate(((own + 1, full), (0 * own, own))):
+        inside[side, held] = (payloads & bit_range_masks(lo, hi, bits)).any(axis=1)
+    # An upper window starts after a diagonal slice with no bit above.
+    inside[0, held] = 1 - inside[0, held]
+    return positions - sym.indptr[rows], inside
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,24 @@
-"""Golden record of priced multi-array runs.
+"""Golden record of priced runs and slice statistics.
 
-Every field a multi-array run reports — the merged ``events`` and
-``cache_stats``, the row region and column cache, the coloring
-``notes``, each :class:`~repro.core.sharding.ShardResult` field, and the
-latency and energy :func:`~repro.arch.pipeline.measured_shard_report`
-prices from them — must stay bit-identical however the shards are
+Every field a run reports — the merged ``events`` and ``cache_stats``,
+the row region and column cache, the coloring ``notes``, each
+:class:`~repro.core.sharding.ShardResult` field, the Table III/IV
+``slice_stats``, and the latency and energy
+:func:`~repro.arch.pipeline.measured_shard_report` prices from them —
+must stay bit-identical however the slices, plans and shards are
 produced.  This module records them for standalone
 :meth:`~repro.core.accelerator.TCIMAccelerator.run` configurations on a
-Barabási–Albert and a Holme–Kim graph (both orientations, every
-partitioner, 4 / 16 arrays plus 32 for coloring, plan on and off,
-evicting arrays under every replacement policy, a non-64-bit slice width
-and a capacity error recorded with its message), and for sessions that
-call ``simulate()`` after every call of the seeded ``apply()`` streams of
-``apply_golden.py`` on the multi-array ``test_workloads.CONFIGS``
-entries.  ``test_run_golden.py`` replays them and compares field by
-field against the checked-in fixture.
+Barabási–Albert and a Holme–Kim graph: multi-array runs (both
+orientations, every partitioner, 4 / 16 arrays plus 32 for coloring,
+plan on and off, evicting arrays under every replacement policy, a
+non-64-bit slice width and a capacity error recorded with its message)
+and single-array runs (both orientations, plan on and off, 8-, 64- and
+128-bit slices, evicting arrays under every replacement policy).  It
+also records sessions that call ``slice_stats()`` and ``simulate()``
+after every call of the seeded ``apply()`` streams of
+``apply_golden.py``, on every ``test_workloads.CONFIGS`` entry.
+``test_run_golden.py`` replays them and compares field by field against
+the checked-in fixture.
 
 Regenerate the fixture (only when a priced quantity is *meant* to
 change) with::
@@ -27,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 from repro import open_session
@@ -40,7 +45,7 @@ from repro.errors import ArchitectureError
 from repro.graph import generators
 
 from apply_golden import golden_graph, op_stream
-from test_workloads import CONFIG_IDS, CONFIGS
+from test_workloads import CONFIG_IDS, CONFIGS, TMP_STORE
 
 FIXTURE = Path(__file__).with_name("data") / "run_golden.json"
 
@@ -100,19 +105,42 @@ def _standalone_configs() -> dict[str, dict]:
             "num_arrays": 16,
             "array_bytes": 512,
         }
+    # One array, the path every single-array simulate() prices.
+    for orientation in ("upper", "symmetric"):
+        for slice_bits in (8, 64, 128):
+            for use_plan in (True, False):
+                key = (
+                    f"{orientation}-single-bits{slice_bits}-"
+                    f"{'plan' if use_plan else 'noplan'}"
+                )
+                configs[key] = {
+                    "orientation": orientation,
+                    "slice_bits": slice_bits,
+                    "use_plan": use_plan,
+                }
+        # 512 bytes hold 64 slices: every row region fits, the column
+        # cache evicts.
+        for policy in ("lru", "fifo", "random"):
+            for use_plan in (True, False):
+                key = (
+                    f"{orientation}-single-evict-{policy}-"
+                    f"{'plan' if use_plan else 'noplan'}"
+                )
+                configs[key] = {
+                    "orientation": orientation,
+                    "array_bytes": 512,
+                    "policy": policy,
+                    "use_plan": use_plan,
+                }
     return configs
 
 
 STANDALONE = _standalone_configs()
 
-#: The multi-array ``test_workloads.CONFIGS`` entries, plus coloring
-#: with the plan off and over the symmetric orientation.
+#: Every ``test_workloads.CONFIGS`` entry, plus coloring with the plan
+#: off and over the symmetric orientation.
 SESSION_CONFIGS = {
-    **{
-        config_id: config
-        for config_id, config in zip(CONFIG_IDS, CONFIGS)
-        if config.get("num_arrays", 1) > 1
-    },
+    **dict(zip(CONFIG_IDS, CONFIGS)),
     "coloring-arrays16-noplan-symmetric": {
         "num_arrays": 16,
         "shard_by": "coloring",
@@ -134,6 +162,7 @@ def run_record(result) -> dict:
         "notes": dict(result.notes),
         # Each ShardResult as its field values, nested dataclasses too.
         "shards": [list(dataclasses.astuple(shard)) for shard in result.shards],
+        "slice_stats": dataclasses.asdict(result.slice_stats),
         "latency_s": perf.latency_s,
         "array_energy_j": perf.array_energy_j,
         "system_energy_j": perf.system_energy_j,
@@ -167,14 +196,23 @@ def record_standalone(graph_name: str, config: dict) -> dict:
     return run_record(result)
 
 
+def session_record(session) -> dict:
+    """``slice_stats()`` read before ``simulate()``, then the priced run."""
+    stats = dataclasses.asdict(session.slice_stats())
+    return {**run_record(session.simulate().result), "session_slice_stats": stats}
+
+
 def record_session(config: dict) -> list[dict]:
-    """``simulate()`` before and after every call of the seeded stream."""
+    """Records before and after every call of the seeded stream."""
     graph = golden_graph()
-    with open_session(graph, **config) as session:
-        records = [run_record(session.simulate().result)]
-        for ops, record in op_stream(graph):
-            session.apply(ops, record=record)
-            records.append(run_record(session.simulate().result))
+    with tempfile.TemporaryDirectory() as storage_dir:
+        if config.get("storage_dir") == TMP_STORE:
+            config = {**config, "storage_dir": storage_dir}
+        with open_session(graph, **config) as session:
+            records = [session_record(session)]
+            for ops, record in op_stream(graph):
+                session.apply(ops, record=record)
+                records.append(session_record(session))
     return records
 
 

@@ -95,12 +95,14 @@ class TestFusePlans:
             # — the offsets a physical np.concatenate induces.
             np.testing.assert_array_equal(
                 fused.row_positions[hi:],
-                second.plan.row_positions + first.plan.row_valid_slices,
+                second.plan.row_positions + first.plan.payload_rows,
             )
             np.testing.assert_array_equal(
                 fused.col_positions[hi:],
-                second.plan.col_positions + first.plan.col_valid_slices,
+                second.plan.col_positions + first.plan.payload_rows,
             )
+            # Both sides index the one symmetric payload.
+            assert first.plan.payload_rows == first.data.shape[0]
         finally:
             for session in sessions:
                 session.close()
@@ -221,7 +223,7 @@ class TestExecuteFused:
         session = open_session(two_graphs[0])
         try:
             segment = count_segment(session)[0]
-            segment.row_data = segment.row_data[:-1]
+            segment.data = segment.data[:-1]
             with pytest.raises(ArchitectureError, match="does not match"):
                 kernels.execute_fused([segment])
         finally:

@@ -237,6 +237,28 @@ class TestApplyReadsOnlyWhatItTouches:
 
 
 class TestResidentBytesCountsRoom:
+    @pytest.mark.parametrize("orientation", ["upper", "symmetric"])
+    def test_each_held_array_counts_once(self, orientation):
+        # A fresh session's oriented edge arrays are views of its graph:
+        # they count under ``graph``, which holds the edge list and the
+        # CSR, and not again under ``edges``.
+        graph = generators.barabasi_albert(600, 5, seed=3)
+        session = open_session(graph, orientation=orientation)
+        session.run()
+        detail = session.resident_bytes_detail()
+        indptr, indices = graph.csr
+        held = graph.edge_array().nbytes + indptr.nbytes + indices.nbytes
+        assert detail["graph"] == held
+        sources, destinations = session._edge_arrays
+        own = sum(
+            array.nbytes for array in (sources, destinations)
+            if not any(np.shares_memory(array, part) for part in (graph.edge_array(), indices))
+        )
+        assert detail["edges"] == own
+        assert detail["total"] == sum(
+            value for key, value in detail.items() if key not in ("spilled", "total")
+        )
+
     @pytest.mark.parametrize("backing", ["ram", "memmap"])
     def test_spare_rows_are_resident(self, backing, tmp_path):
         graph = generators.barabasi_albert(600, 5, seed=3)
@@ -249,17 +271,18 @@ class TestResidentBytesCountsRoom:
         session.simulate()
         pairs = _absent_pairs(graph, 40, np.random.default_rng(1))
         session.apply([("+", u, v) for u, v in pairs])
-        session.simulate()  # folds the batch into the oriented structures
+        session.simulate()  # folds the batch into the windows and the plan
         detail = session.resident_bytes_detail()
-        structures = [session._row_sliced, session._col_sliced, session._sym_sliced]
+        structures = [session._sym_sliced]
         live = sum(
             s.data.nbytes + s.slice_ids.nbytes + s.indptr.nbytes for s in structures
         )
         held = sum(
             sum(b.nbytes for b in s.buffers) + s.indptr.nbytes for s in structures
         )
+        windows = sum(window.offsets.nbytes for window in session._oriented)
         assert held > live
-        assert detail["slices"] == held
+        assert detail["slices"] == held + windows
         assert detail["total"] == sum(
             value for key, value in detail.items() if key not in ("spilled", "total")
         )

@@ -25,7 +25,7 @@ from repro.core import incremental
 from repro.core.dynamic import DynamicTriangleCounter
 from repro.core.engine import oriented_edges
 from repro.core.plan import build_join_plan
-from repro.core.slicing import SlicedMatrix
+from repro.core.slicing import SlicedMatrix, expand_runs, oriented_structures
 from repro.graph import generators
 
 BASE = generators.powerlaw_cluster(24, 3, 0.6, seed=5)
@@ -47,12 +47,10 @@ def _assert_same_structure(left: SlicedMatrix, right: SlicedMatrix) -> None:
 def _assert_spilled(session) -> None:
     """Every resident slice array at or above the threshold is on disk."""
     threshold = session._store.spill_threshold_bytes
-    for sliced in (session._sym_sliced, session._row_sliced, session._col_sliced):
-        if sliced is None:
-            continue
-        for array in (sliced.data, sliced.slice_ids):
-            if array.nbytes >= threshold:
-                assert isinstance(array, np.memmap)
+    sliced = session._sym_sliced
+    for array in (sliced.data, sliced.slice_ids):
+        if array.nbytes >= threshold:
+            assert isinstance(array, np.memmap)
 
 
 @pytest.mark.parametrize("backing", ["ram", "memmap"])
@@ -89,15 +87,23 @@ def test_net_effect_matches_oracle_and_record_twin(backing, calls):
         _assert_same_structure(
             session._sym(), SlicedMatrix.from_graph(expected, "symmetric")
         )
-        # Reading the plan folds the deferred row/column patches in.
+        # Reading the plan folds the deferred window and plan patches in.
         plan = session.join_plan
-        row = SlicedMatrix.from_graph(expected, "upper")
-        col = SlicedMatrix.from_graph(expected, "lower")
-        _assert_same_structure(session._row_sliced, row)
-        _assert_same_structure(session._col_sliced, col)
-        reference = build_join_plan(row, col, *oriented_edges(expected, "upper"))
+        for window, kind in zip(session._oriented, ("upper", "lower")):
+            fresh = SlicedMatrix.from_graph(expected, kind)
+            starts, counts = window.row_slice_ranges(np.arange(fresh.num_rows))
+            assert np.array_equal(counts, fresh.row_valid_counts())
+            ids = window.slice_ids[expand_runs(starts, counts)]
+            assert np.array_equal(ids, fresh.slice_ids)
+        reference = build_join_plan(
+            *oriented_structures(SlicedMatrix.from_graph(expected, "symmetric"), "upper"),
+            *oriented_edges(expected, "upper"),
+        )
         assert plan.num_edges == reference.num_edges
-        for name in ("row_positions", "col_positions", "trace_keys", "pair_counts"):
+        for name in (
+            "row_positions", "col_positions", "trace_keys", "pair_counts",
+            "diagonal_pairs", "diagonal_masks",
+        ):
             assert np.array_equal(
                 np.asarray(getattr(plan, name), dtype=np.int64),
                 np.asarray(getattr(reference, name), dtype=np.int64),

@@ -38,10 +38,9 @@ from repro.core.plan import (
     JoinPlan,
     build_join_plan,
     merge_oriented_edges,
-    oriented_structure_bits,
     patch_join_plan,
 )
-from repro.core.slicing import SlicedMatrix
+from repro.core.slicing import SlicedMatrix, SliceWindow, expand_runs, oriented_structures
 from repro.errors import ArchitectureError
 from repro.graph import generators
 from repro.graph.graph import Graph
@@ -86,9 +85,22 @@ def assert_identical(plain, planned):
     )
 
 
+def structure_bits(delta_edges, orientation, structure):
+    """The (rows, cols) bits a delta batch touches in one standalone
+    oriented structure: ``"row"`` (successors) or ``"col"`` (the
+    transpose's rows)."""
+    u, v = delta_edges[:, 0], delta_edges[:, 1]
+    if orientation == "upper":
+        return (u, v) if structure == "row" else (v, u)
+    return np.concatenate([u, v]), np.concatenate([v, u])
+
+
 def assert_plans_equal(left: JoinPlan, right: JoinPlan):
     assert left.num_edges == right.num_edges
-    for name in ("row_positions", "col_positions", "trace_keys", "pair_counts"):
+    for name in (
+        "row_positions", "col_positions", "trace_keys", "pair_counts",
+        "diagonal_pairs", "diagonal_masks",
+    ):
         a = np.asarray(getattr(left, name), dtype=np.int64)
         b = np.asarray(getattr(right, name), dtype=np.int64)
         assert np.array_equal(a, b), name
@@ -98,7 +110,8 @@ def assert_plans_identical(patched: JoinPlan, rebuilt: JoinPlan):
     """Field by field, dtypes included (``assert_plans_equal`` widens)."""
     assert patched.num_edges == rebuilt.num_edges
     for name in (
-        "row_positions", "col_positions", "trace_keys", "pair_counts", "bounds"
+        "row_positions", "col_positions", "trace_keys", "pair_counts", "bounds",
+        "diagonal_pairs", "diagonal_masks",
     ):
         left, right = getattr(patched, name), getattr(rebuilt, name)
         assert left.dtype == right.dtype, name
@@ -109,6 +122,22 @@ def assert_structures_equal(mutated: SlicedMatrix, fresh: SlicedMatrix):
     assert np.array_equal(mutated.indptr, fresh.indptr)
     assert np.array_equal(mutated.slice_ids, fresh.slice_ids)
     assert np.array_equal(mutated.data, fresh.data)
+
+
+def assert_window_holds(window, fresh: SlicedMatrix):
+    """A window holds exactly the slices of a standalone oriented
+    structure: the same ids per row, the same bits on its side."""
+    rows = np.arange(fresh.num_rows)
+    starts, counts = window.row_slice_ranges(rows)
+    assert np.array_equal(counts, fresh.row_valid_counts())
+    positions = expand_runs(starts, counts)
+    ids = window.slice_ids[positions]
+    assert np.array_equal(ids, fresh.slice_ids)
+    if isinstance(window, SliceWindow):
+        masks = window.side_masks(np.repeat(rows, counts), ids)
+        assert np.array_equal(window.data[positions] & masks, fresh.data)
+    else:
+        assert np.array_equal(window.data[positions], fresh.data)
 
 
 class TestPlannedExecutionDifferential:
@@ -318,9 +347,9 @@ class TestStructureVersionAudit:
 class TestPatchedPlanEqualsRebuild:
     def _reference(self, session, orientation):
         graph = session.graph
-        col_orientation = "lower" if orientation == "upper" else "symmetric"
-        row = SlicedMatrix.from_graph(graph, orientation)
-        col = SlicedMatrix.from_graph(graph, col_orientation)
+        row, col = oriented_structures(
+            SlicedMatrix.from_graph(graph, "symmetric"), orientation
+        )
         return row, col, build_join_plan(
             row, col, *oriented_edges(graph, orientation)
         )
@@ -351,11 +380,14 @@ class TestPatchedPlanEqualsRebuild:
             # join_plan flushes the pending patch; it must equal a plan
             # compiled from scratch on freshly sliced structures.
             patched = session.join_plan
-            row, col, reference = self._reference(session, orientation)
+            _, _, reference = self._reference(session, orientation)
             assert_plans_equal(patched, reference)
-            assert_structures_equal(session._row_sliced, row)
-            assert_structures_equal(session._col_sliced, col)
-            assert patched.matches(session._row_sliced, session._col_sliced)
+            col_orientation = "lower" if orientation == "upper" else "symmetric"
+            for window, kind in zip(session._oriented, (orientation, col_orientation)):
+                assert_window_holds(
+                    window, SlicedMatrix.from_graph(session.graph, kind)
+                )
+            assert patched.matches(*session._oriented)
 
     def test_coalesced_batches_then_one_flush(self):
         graph = generators.barabasi_albert(250, 4, seed=6)
@@ -379,6 +411,43 @@ class TestPatchedPlanEqualsRebuild:
         assert dataclasses.asdict(resident.events) == dataclasses.asdict(
             scratch.events
         )
+
+    @pytest.mark.parametrize("insert_first", [False, True])
+    def test_payload_only_window_move(self, insert_first):
+        # Row 5's diagonal slice (slice 0 of 64 bits) keeps the bit of
+        # vertex 1 below it, so deleting (5, 9) is payload-only in the
+        # symmetric structure, yet row 5's upper window loses slice 0 —
+        # and with it edge (5, 70)'s pair on that slice.
+        edges = [(1, 5), (5, 9), (5, 70), (9, 70), (9, 20)]
+        graph = Graph(100, edges if not insert_first else edges[:1] + edges[2:])
+        session = open_session(graph)
+        session.count()
+        version = session._sym().structure_version
+        op = ("-" if not insert_first else "+", 5, 9)
+        session.apply([op])
+        assert session._sym().structure_version == version  # payload-only
+        patched = session.join_plan
+        assert_plans_equal(patched, self._reference(session, "upper")[2])
+        assert patched.matches(*session._oriented)
+        fresh = TCIMAccelerator(AcceleratorConfig()).run(session.graph)
+        assert_identical(fresh, session.run())
+        assert session.count() == fresh.triangles == (1 if insert_first else 0)
+
+    def test_rolled_back_delete_keeps_the_plan_current(self):
+        # Hub at the last vertex: the symmetric hub row overflows the
+        # array in the delete's delta join, which rolls the removal back.
+        n = 8194
+        graph = Graph(n, [(i, n - 1) for i in range(n - 1)] + [(0, 1)])
+        session = open_session(graph, array_bytes=800)
+        session.count()
+        plan = session.join_plan
+        with pytest.raises(ArchitectureError, match="row region"):
+            session.apply([("-", 0, n - 1)])
+        assert session.join_plan is plan
+        assert plan.matches(*session._oriented)
+        assert session.run().triangles == 1
+        assert session.join_plan is plan
+        assert dict(session.fallback_counts) == dict.fromkeys(session.fallback_counts, 0)
 
     def test_insert_then_delete_roundtrip_restores_plan(self):
         graph = generators.barabasi_albert(200, 4, seed=8)
@@ -446,7 +515,7 @@ class TestPatchedPlanEqualsRebuild:
         assert len(ops) > 1024
         session.apply(ops)
         # Structural caches were dropped rather than spliced...
-        assert session._row_sliced is None or not session._pending_patches
+        assert session._oriented is None or not session._pending_patches
         assert session.fallback_counts["backlog_drop"] == 1
         # ...and the next query rebuilds an exact plan.
         scratch = TCIMAccelerator(AcceleratorConfig()).run(session.graph)
@@ -553,9 +622,9 @@ class TestBlockSplicePatch:
         plan = build_join_plan(row, col, sources, destinations)
         mutate = incremental.set_bits if insert else incremental.clear_bits
         delta = np.array(batch, dtype=np.int64)
-        row_delta = mutate(row, *oriented_structure_bits(delta, orientation, "row"))
+        row_delta = mutate(row, *structure_bits(delta, orientation, "row"))
         col_delta = row_delta if shared else mutate(
-            col, *oriented_structure_bits(delta, orientation, "col")
+            col, *structure_bits(delta, orientation, "col")
         )
         plan_batch = np.array(owned(batch), dtype=np.int64).reshape(-1, 2)
         if plan_batch.size:
@@ -607,7 +676,55 @@ class TestBlockSplicePatch:
             )
 
 
+@st.composite
+def splice_sequences(draw):
+    """A small symmetric structure and a few insert or delete batches."""
+    n = draw(st.integers(2, 30))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    base = draw(st.sets(st.sampled_from(pairs), max_size=50))
+    batches = draw(
+        st.lists(
+            st.tuples(st.booleans(), st.sets(st.sampled_from(pairs), max_size=8)),
+            min_size=1, max_size=4,
+        )
+    )
+    return n, draw(st.sampled_from([8, 64])), sorted(base), batches
+
+
 class TestPlanPrimitives:
+    @settings(max_examples=60, deadline=None)
+    @given(splice_sequences())
+    def test_composed_splices_map_every_surviving_slice(self, case):
+        n, bits, base, batches = case
+        sym = SlicedMatrix.from_graph(Graph(n, base), "symmetric", slice_bits=bits)
+
+        def slices():
+            keys = sym.global_keys().tolist()
+            return dict(zip(keys, range(len(keys))))
+
+        before, present, deltas = slices(), set(base), []
+        for insert, batch in batches:
+            chosen = sorted(batch - present if insert else batch & present)
+            if not chosen:
+                continue
+            u, v = np.array(chosen).T
+            mutate = incremental.set_bits if insert else incremental.clear_bits
+            deltas.append(mutate(sym, np.concatenate([u, v]), np.concatenate([v, u])))
+            present = present | set(chosen) if insert else present - set(chosen)
+        if not deltas:
+            return
+        after = slices()
+        composed = incremental.compose_deltas(len(before), deltas)
+        assert len(before) - composed.removed_at.size + composed.inserted_before.size == len(after)
+        table = joinplan._position_map(len(before), composed, np.int64)
+        gone = set(composed.removed_at.tolist())
+        for key, old in before.items():
+            if old not in gone:
+                assert table[old] == after[key]
+        fresh = composed.inserted_before + np.arange(composed.inserted_before.size)
+        owners = np.searchsorted(sym.indptr, fresh, side="right") - 1
+        assert np.array_equal(composed.inserted_rows, owners)
+
     def test_nbytes_counts_every_array_after_a_patch(self):
         graph = generators.barabasi_albert(120, 4, seed=2)
         session = open_session(graph)
@@ -618,7 +735,7 @@ class TestPlanPrimitives:
         assert plan._bounds is not None  # a patched plan carries its bounds
         arrays = (
             plan.row_positions, plan.col_positions, plan.trace_keys,
-            plan.pair_counts, plan.bounds,
+            plan.pair_counts, plan.diagonal_pairs, plan.diagonal_masks, plan.bounds,
         )
         assert plan.nbytes == sum(array.nbytes for array in arrays)
         assert session.resident_bytes_detail()["plan"] == plan.nbytes
@@ -645,17 +762,6 @@ class TestPlanPrimitives:
             merge_oriented_edges(
                 sources, destinations, np.array([[0, 5]]), "upper", 6, False
             )
-
-    def test_oriented_structure_bits(self):
-        delta = np.array([[1, 4], [2, 5]])
-        rows, cols = oriented_structure_bits(delta, "upper", "row")
-        assert rows.tolist() == [1, 2] and cols.tolist() == [4, 5]
-        rows, cols = oriented_structure_bits(delta, "upper", "col")
-        assert rows.tolist() == [4, 5] and cols.tolist() == [1, 2]
-        rows, cols = oriented_structure_bits(delta, "symmetric", "row")
-        assert sorted(zip(rows.tolist(), cols.tolist())) == sorted(
-            [(1, 4), (4, 1), (2, 5), (5, 2)]
-        )
 
     def test_empty_edge_list_plan(self):
         row, col = structures(Graph(4, [(0, 1)]))
@@ -705,9 +811,9 @@ class TestConcurrentReadsDuringApply:
                         continue
                     # Under the lock the plan must be exactly current for
                     # the resident structures and internally consistent.
-                    if session._row_sliced is None:
+                    if session._oriented is None:
                         continue
-                    if not plan.matches(session._row_sliced, session._col_sliced):
+                    if not plan.matches(*session._oriented):
                         failures.append("stale plan observed")
                     if int(plan.pair_counts.sum()) != plan.num_pairs:
                         failures.append("inconsistent plan arrays")

@@ -1,0 +1,256 @@
+"""Stateful differential test of :class:`repro.api.TCIMSession`.
+
+A ``hypothesis`` state machine drives one session through ``apply``
+calls (net batches and ``record=True`` streams, several between reads,
+with edges inside one diagonal slice), reads (``count``, ``simulate``,
+``slice_stats``, ``support``) and snapshot round trips, under drawn
+configurations: both orientations, plan on and off, 8- and 64-bit
+slices, a memmap store with a tiny spill threshold, and an array small
+enough that delta joins at a hub raise capacity errors.
+
+Every read is checked against oracles that share no state with the
+session: :class:`~repro.core.dynamic.DynamicTriangleCounter` for the
+count, :func:`~repro.analysis.truss.edge_support` for supports, and a
+fresh session opened on the same edges for ``simulate()``,
+``slice_stats()`` and the resident count plan.  A rolled-back apply must
+leave the session exact without recompiling the plan.
+"""
+
+from __future__ import annotations
+
+import shutil
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
+
+from repro.analysis.truss import edge_support
+from repro.api import open_session
+from repro.core import plan as joinplan
+from repro.core.dynamic import DynamicTriangleCounter
+from repro.errors import ArchitectureError
+from repro.graph.graph import Graph
+
+NUM_VERTICES = 40
+HUB = NUM_VERTICES - 1
+
+#: Stands in for the memmap config's ``storage_dir``.
+TMP_STORE = "<tmp>"
+
+CONFIGS = {
+    "upper-bits8-plan": {"orientation": "upper", "slice_bits": 8},
+    "upper-bits8-noplan": {"orientation": "upper", "slice_bits": 8, "use_plan": False},
+    "upper-bits64-plan": {"orientation": "upper", "slice_bits": 64},
+    "upper-bits64-noplan": {
+        "orientation": "upper", "slice_bits": 64, "use_plan": False,
+    },
+    "symmetric-bits8-plan": {"orientation": "symmetric", "slice_bits": 8},
+    "symmetric-bits64-noplan": {
+        "orientation": "symmetric", "slice_bits": 64, "use_plan": False,
+    },
+    "upper-bits8-memmap": {
+        "orientation": "upper", "slice_bits": 8, "storage_dir": TMP_STORE,
+        "spill_threshold_bytes": 16,
+    },
+    # Five 8-bit slices: the hub's symmetric row fills the whole array,
+    # so a delta join at the hub raises while full upper runs fit.
+    "upper-bits8-capacity": {"orientation": "upper", "slice_bits": 8, "array_bytes": 5},
+}
+
+PAIRS = [(u, v) for u in range(NUM_VERTICES) for v in range(u + 1, NUM_VERTICES)]
+
+ops_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(["+", "-"]),
+        st.integers(0, NUM_VERTICES - 1),
+        st.integers(0, NUM_VERTICES - 1),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _plan_arrays(plan) -> dict:
+    if plan is None:
+        return {}
+    arrays = {
+        name: np.asarray(getattr(plan, name)).tolist()
+        for name in ("row_positions", "col_positions", "trace_keys", "pair_counts")
+    }
+    arrays["num_edges"] = plan.num_edges
+    return arrays
+
+
+class SessionMachine(RuleBasedStateMachine):
+    #: The configuration under test, set per test.
+    CONFIG: dict = {}
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.tmp = tempfile.mkdtemp(prefix="session-state-")
+        self.session = None
+        self.snapshots = 0
+        self.compiles = 0
+        self._original_build = joinplan.build_join_plan
+
+        def counting_build(*args, **kwargs):
+            self.compiles += 1
+            return self._original_build(*args, **kwargs)
+
+        joinplan.build_join_plan = counting_build
+
+    def teardown(self) -> None:
+        joinplan.build_join_plan = self._original_build
+        if self.session is not None:
+            self.session.close()
+        shutil.rmtree(self.tmp, ignore_errors=True)
+
+    def _config(self, config: dict) -> dict:
+        if config.get("storage_dir") == TMP_STORE:
+            return {**config, "storage_dir": f"{self.tmp}/store"}
+        return dict(config)
+
+    @initialize(base=st.sets(st.sampled_from(PAIRS), max_size=70))
+    def open(self, base):
+        self.config = self._config(self.CONFIG)
+        edges = set(base)
+        if self.config.get("array_bytes"):
+            edges |= {(u, HUB) for u in range(0, HUB, 3)}
+        graph = Graph(NUM_VERTICES, sorted(edges))
+        self.oracle = DynamicTriangleCounter(NUM_VERTICES, graph)
+        self.session = open_session(graph, **self.config)
+
+    def _graph(self) -> Graph:
+        return self.oracle.to_graph()
+
+    def _apply(self, ops, record: bool) -> None:
+        self.session.count()  # the apply path's bootstrap run, if any
+        plan_before = self.session._join_plan
+        compiles = self.compiles
+        fallbacks = dict(self.session.fallback_counts)
+        try:
+            self.session.apply(ops, record=record)
+        except ArchitectureError as error:
+            assert "row region" in str(error)
+            self.oracle.apply_ops(error.applied_operations)
+            # The failing batch rolled back: the session is exact, and
+            # its plan is patched, not recompiled.
+            assert self.session.count() == self.oracle.triangles
+            assert self.session.num_edges == self.oracle.num_edges
+            plan = self.session.join_plan
+            if plan_before is not None:
+                assert plan is not None
+            assert self.compiles == compiles
+            assert dict(self.session.fallback_counts) == fallbacks
+            return
+        self.oracle.apply_ops(ops)
+
+    @rule(ops=ops_strategy, record=st.booleans())
+    def apply(self, ops, record):
+        self._apply(ops, record)
+
+    @rule(
+        block=st.integers(0, NUM_VERTICES - 1),
+        offsets=st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=6
+        ),
+        insert=st.booleans(),
+    )
+    def apply_diagonal(self, block, offsets, insert):
+        """Edges whose endpoints share one slice of the session's width."""
+        bits = self.config["slice_bits"]
+        base = (block // bits) * bits
+        span = min(bits, NUM_VERTICES - base)
+        ops = [
+            ("+" if insert else "-", base + a % span, base + b % span)
+            for a, b in offsets
+        ]
+        self._apply(ops, record=False)
+
+    @rule(
+        ends=st.lists(st.integers(0, HUB - 1), min_size=1, max_size=4),
+        insert=st.booleans(),
+    )
+    def apply_at_hub(self, ends, insert):
+        """Edges at the hub, whose delta joins overflow the small array."""
+        self._apply([("+" if insert else "-", u, HUB) for u in ends], record=False)
+
+    @rule()
+    def count(self):
+        assert self.session.count() == self.oracle.triangles
+
+    @rule()
+    def simulate_and_stats(self):
+        fresh = open_session(self._graph(), **self.config)
+        try:
+            want = fresh.simulate().to_mapping()
+        except ArchitectureError as error:
+            try:
+                self.session.simulate()
+            except ArchitectureError as got:
+                assert str(got) == str(error)
+            else:
+                raise AssertionError("the fresh session raised, the session did not")
+        else:
+            got = self.session.simulate().to_mapping()
+            assert got == want
+        assert self.session.slice_stats() == fresh.slice_stats()
+        fresh.close()
+
+    @precondition(lambda self: self.session.config.use_plan)
+    @rule()
+    def plan_equals_rebuild(self):
+        fresh = open_session(self._graph(), **self.config)
+        try:
+            fresh.run()
+        except ArchitectureError:
+            return
+        self.session.run()
+        assert _plan_arrays(self.session.join_plan) == _plan_arrays(fresh.join_plan)
+        fresh.close()
+
+    @rule()
+    def support(self):
+        assert dict(self.session.support()) == edge_support(self._graph())
+
+    @rule()
+    def snapshot_and_reopen(self):
+        self.snapshots += 1
+        path = f"{self.tmp}/snap-{self.snapshots}"
+        self.session.snapshot(path)
+        self.session.close()
+        self.session = open_session(snapshot=path)
+
+    @invariant()
+    def edge_count_and_membership(self):
+        if self.session is None:
+            return
+        assert self.session.num_edges == self.oracle.num_edges
+        for u, v in ((0, 1), (1, HUB), (3, 9)):
+            assert self.session.has_edge(u, v) == self.oracle.has_edge(u, v)
+
+
+@pytest.mark.parametrize("config_id", list(CONFIGS))
+def test_session_matches_oracles(config_id):
+    machine = type(f"SessionMachine[{config_id}]", (SessionMachine,), {
+        "CONFIG": CONFIGS[config_id],
+    })
+    run_state_machine_as_test(
+        machine,
+        settings=settings(
+            max_examples=20,
+            stateful_step_count=15,
+            deadline=None,
+            suppress_health_check=[HealthCheck.too_slow],
+        ),
+    )

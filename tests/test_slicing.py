@@ -8,10 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
+from repro.core import incremental
 from repro.errors import SlicingError
 from repro.core.slicing import (
     INDEX_BYTES,
     SlicedMatrix,
+    SliceWindow,
+    bit_range_masks,
+    expand_runs,
+    oriented_structures,
     slice_statistics,
     valid_pair_positions,
 )
@@ -188,3 +193,72 @@ class TestValidPairPositions:
         row_pos, col_pos = valid_pair_positions(left_ids, right_ids)
         assert set(left_ids[row_pos].tolist()) == (left & right)
         assert np.array_equal(left_ids[row_pos], right_ids[col_pos])
+
+
+def _window_slices(window, rows):
+    """``(slice ids, payloads on the window's side)`` of ``rows``."""
+    starts, counts = window.row_slice_ranges(rows)
+    positions = expand_runs(starts, counts)
+    ids = window.slice_ids[positions]
+    masks = window.side_masks(np.repeat(rows, counts), ids)
+    return counts, ids, window.data[positions] & masks
+
+
+@st.composite
+def _window_cases(draw):
+    n = draw(st.integers(2, 40))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=80))
+    batch = draw(st.sets(st.sampled_from(pairs), max_size=10))
+    return n, draw(st.sampled_from([8, 16, 64])), sorted(edges), sorted(batch)
+
+
+class TestSliceWindows:
+    @settings(max_examples=60, deadline=None)
+    @given(_window_cases())
+    def test_windows_hold_the_oriented_structures(self, case):
+        # Before and after a splice of the symmetric structure (the
+        # batch toggles its edges, diagonal-slice ones included), the
+        # refreshed windows hold exactly the slices of the standalone
+        # upper and lower structures.
+        n, bits, edges, batch = case
+        sym = SlicedMatrix.from_graph(Graph(n, edges), "symmetric", slice_bits=bits)
+        windows = SliceWindow.pair(sym)
+        present = set(edges)
+        for step in range(2):
+            graph = Graph(n, sorted(present))
+            rows = np.arange(n)
+            for window, orientation in zip(windows, ("upper", "lower")):
+                fresh = SlicedMatrix.from_graph(graph, orientation, slice_bits=bits)
+                counts, ids, payloads = _window_slices(window, rows)
+                assert np.array_equal(counts, fresh.row_valid_counts())
+                assert np.array_equal(ids, fresh.slice_ids)
+                assert np.array_equal(payloads, fresh.data)
+                assert window.num_valid_slices == fresh.num_valid_slices
+                assert window.compressed_bytes == fresh.compressed_bytes
+            if step or not batch:
+                break
+            version = sym.structure_version
+            added = [edge for edge in batch if edge not in present]
+            dropped = [edge for edge in batch if edge in present]
+            for chosen, mutate in ((added, incremental.set_bits), (dropped, incremental.clear_bits)):
+                if chosen:
+                    u, v = np.array(chosen).T
+                    mutate(sym, np.concatenate([u, v]), np.concatenate([v, u]))
+            present = (present | set(added)) - set(dropped)
+            endpoints = np.unique(np.array(batch))
+            moved = SliceWindow.refresh(windows, endpoints)
+            # A moved window always reads as a structural change.
+            assert not moved or sym.structure_version > version
+
+    def test_symmetric_orientation_reads_the_structure_itself(self):
+        sym = SlicedMatrix.from_graph(generators.barabasi_albert(60, 3, seed=1), "symmetric")
+        assert oriented_structures(sym, "symmetric") == (sym, sym)
+        with pytest.raises(SlicingError):
+            oriented_structures(sym, "lower")
+
+    def test_bit_range_masks(self):
+        masks = bit_range_masks(np.array([0, 3, 9, -4]), np.array([16, 11, 9, 2]), 16)
+        bits = np.unpackbits(masks, axis=1, bitorder="little").astype(bool)
+        for row, (lo, hi) in enumerate([(0, 16), (3, 11), (9, 9), (0, 2)]):
+            assert np.flatnonzero(bits[row]).tolist() == list(range(lo, hi))

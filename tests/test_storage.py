@@ -71,6 +71,60 @@ def _random_ops(graph: Graph, count: int, seed: int) -> list:
     return ops
 
 
+def _earlier_format_snapshot(session, path):
+    """``session`` written in the layout of earlier releases: the graph
+    (edge list and CSR), the upper row and lower column structures, the
+    symmetric structure, a count plan over the row and column
+    structures, and the older oriented and symmetric edge lists with a
+    symmetric join plan."""
+    graph = session.graph
+    arrays = {"graph.edges": graph.edge_array()}
+    arrays["graph.indptr"], arrays["graph.indices"] = graph.csr
+    structures = {}
+    for name, orientation in (("row", "upper"), ("col", "lower"), ("sym", "symmetric")):
+        sliced = SlicedMatrix.from_graph(graph, orientation)
+        structures[name] = {
+            "num_rows": sliced.num_rows,
+            "num_cols": sliced.num_cols,
+            "slice_bits": sliced.slice_bits,
+            "structure_version": 0,
+        }
+        for field in ("indptr", "slice_ids", "data"):
+            arrays[f"{name}.{field}"] = getattr(sliced, field)
+    row = SlicedMatrix.from_graph(graph, "upper")
+    col = SlicedMatrix.from_graph(graph, "lower")
+    sym = SlicedMatrix.from_graph(graph, "symmetric")
+    plans = {}
+    for name, plan in (
+        ("plan", build_join_plan(row, col, *oriented_edges(graph, "upper"))),
+        ("sym_plan", build_join_plan(sym, sym, *oriented_edges(graph, "symmetric"))),
+    ):
+        plans[name] = {
+            "num_edges": plan.num_edges,
+            "row_version": 0,
+            "col_version": 0,
+            "row_valid_slices": plan.row_positions.size and int(plan.row_positions.max()) + 1,
+            "col_valid_slices": plan.col_positions.size and int(plan.col_positions.max()) + 1,
+        }
+        for field in ("row_positions", "col_positions", "trace_keys", "pair_counts"):
+            arrays[f"{name}.{field}"] = getattr(plan, field)
+    for name, orientation in (("edges", "upper"), ("sym_edges", "symmetric")):
+        arrays[f"{name}.sources"], arrays[f"{name}.destinations"] = oriented_edges(
+            graph, orientation
+        )
+    meta = {
+        "config": session.config.to_mapping(),
+        "generation": session.generation,
+        "triangles": session.count(),
+        "num_vertices": graph.num_vertices,
+        "num_edges": graph.num_edges,
+        "structures": structures,
+        "plans": plans,
+        "edge_lists": ["edges", "sym_edges"],
+    }
+    return storage_snapshot.write_snapshot(path, meta, arrays)
+
+
 # ----------------------------------------------------------------------
 # BackingStore
 # ----------------------------------------------------------------------
@@ -176,7 +230,7 @@ class TestChunkedCompile:
         graph = _graph(seed=3)
         session = open_session(graph)
         session.count()
-        row, col = session._row_sliced, session._col_sliced
+        row, col = session._oriented
         sources, destinations = session._edge_arrays
         reference = build_join_plan(row, col, sources, destinations)
         for chunk_edges in (1, 7, 100, len(sources) - 1, len(sources), 10**6):
@@ -187,6 +241,8 @@ class TestChunkedCompile:
             np.testing.assert_array_equal(plan.col_positions, reference.col_positions)
             np.testing.assert_array_equal(plan.trace_keys, reference.trace_keys)
             np.testing.assert_array_equal(plan.pair_counts, reference.pair_counts)
+            np.testing.assert_array_equal(plan.diagonal_pairs, reference.diagonal_pairs)
+            np.testing.assert_array_equal(plan.diagonal_masks, reference.diagonal_masks)
             assert plan.row_positions.dtype == reference.row_positions.dtype
             assert plan.trace_keys.dtype == reference.trace_keys.dtype
 
@@ -194,7 +250,7 @@ class TestChunkedCompile:
         graph = _graph(seed=4)
         session = open_session(graph)
         session.count()
-        row, col = session._row_sliced, session._col_sliced
+        row, col = session._oriented
         sources, destinations = session._edge_arrays
         store = BackingStore("memmap", tmp_path, spill_threshold_bytes=0)
         plan = build_join_plan(
@@ -208,7 +264,7 @@ class TestChunkedCompile:
         graph = _graph(seed=5, n=30, m=60)
         session = open_session(graph)
         session.count()
-        row, col = session._row_sliced, session._col_sliced
+        row, col = session._oriented
         sources, destinations = session._edge_arrays
         with pytest.raises(ArchitectureError):
             build_join_plan(row, col, sources, destinations, chunk_edges=0)
@@ -251,22 +307,22 @@ class TestMemmapSessions:
 
     def test_splices_keep_structures_spilled(self, tmp_path):
         # A structural splice allocates through the session's store: the
-        # symmetric, row and column payloads stay on disk across an
-        # apply and the patch flush of the next priced run.
+        # symmetric payload and slice ids stay on disk across an apply and
+        # the patch flush of the next priced run.
         graph = generators.barabasi_albert(4000, 6, seed=1)
         session = open_session(
             graph, storage_dir=str(tmp_path), spill_threshold_bytes=64 * 1024
         )
         session.simulate()
         session.common_neighbors(0, 1)  # builds the symmetric structure
-        structures = (session._sym(), session._row_sliced, session._col_sliced)
-        assert all(isinstance(s.data, np.memmap) for s in structures)
+        sym = session._sym()
+        assert isinstance(sym.data, np.memmap) and isinstance(sym.slice_ids, np.memmap)
         spilled = session.resident_bytes_detail()["spilled"]
         absent = [(0, v) for v in range(1, 4000) if not graph.has_edge(0, v)][:2]
         session.apply([("+", *edge) for edge in absent])
         session.simulate()
-        structures = (session._sym(), session._row_sliced, session._col_sliced)
-        assert all(isinstance(s.data, np.memmap) for s in structures)
+        assert session._sym() is sym
+        assert isinstance(sym.data, np.memmap) and isinstance(sym.slice_ids, np.memmap)
         assert session.resident_bytes_detail()["spilled"] >= spilled
 
     def test_resident_bytes_detail_structure(self, tmp_path):
@@ -385,7 +441,7 @@ class TestSessionSnapshots:
         target = session.snapshot(tmp_path / "snap")
         restored = open_session(snapshot=target)
         # Warm: residency is present before any query.
-        assert restored._row_sliced is not None
+        assert restored._oriented is not None
         assert restored._sym_sliced is not None
         assert restored._edge_arrays is not None
         assert restored._join_plan is not None
@@ -416,8 +472,7 @@ class TestSessionSnapshots:
         assert rebuilt.count() == restored.count()
         restored_plan = restored._join_plan
         fresh_plan = build_join_plan(
-            rebuilt._row_sliced,
-            rebuilt._col_sliced,
+            *rebuilt._oriented,
             rebuilt._edge_arrays[0],
             rebuilt._edge_arrays[1],
         )
@@ -514,25 +569,34 @@ class TestSessionSnapshots:
         assert "workers" not in mapping and "backing" not in mapping
 
     def test_snapshot_writes_one_plan_and_no_edge_lists(self, tmp_path):
+        # One structure, one plan and the session's oriented edge arrays:
+        # no graph, row or column segments, and no retired edge lists.
         session = open_session(_graph(seed=20))
         session.support()
         target = session.snapshot(tmp_path / "snap")
         manifest = json.loads((target / "manifest.json").read_text())
         groups = {name.split(".")[0] for name in manifest["arrays"]}
-        assert groups == {"graph", "row", "col", "sym", "plan"}
+        assert groups == {"oriented", "sym", "plan"}
         assert list(manifest["meta"]["plans"]) == ["plan"]
+        assert list(manifest["meta"]["structures"]) == ["sym"]
+        # Slice ids and edge endpoints are narrowed on disk only.
+        for name in ("sym.slice_ids", "oriented.sources", "oriented.destinations"):
+            assert np.dtype(manifest["arrays"][name]["dtype"]) == np.int32
+        restored = open_session(snapshot=target)
+        assert restored._sym_sliced.slice_ids.dtype == np.int64
+        assert restored._edge_arrays[0].dtype == np.int64
 
     def test_first_apply_after_open_patches_the_hydrated_structures(self, tmp_path):
-        # The snapshot carries no edge arrays; hydration derives them, so
-        # an apply before any read queues against the hydrated structures
-        # instead of dropping them.
+        # The snapshot carries the edge arrays, so an apply before any
+        # read queues against the hydrated windows and plan instead of
+        # dropping them.
         graph = _graph(seed=21)
         ops = _random_ops(graph, 30, seed=22)
         session = open_session(graph)
         session.count()
         restored = open_session(snapshot=session.snapshot(tmp_path / "snap"))
         restored.apply(ops)
-        assert restored._row_sliced is not None and restored._pending_patches
+        assert restored._oriented is not None and restored._pending_patches
         session.apply(ops)
         assert restored.count() == session.count()
         assert restored.support() == session.support()
@@ -540,50 +604,49 @@ class TestSessionSnapshots:
         assert not any(restored.fallback_counts.values())
 
     def test_earlier_format_snapshot_opens_warm(self, tmp_path, monkeypatch):
-        # Snapshots of earlier releases also carry the oriented edge
-        # arrays, the symmetric edge list and the symmetric join plan.
-        # They open warm on the structures and count plan they share
-        # with today's format and answer exactly the same.
+        # Snapshots of earlier releases carry the graph, row and column
+        # structures and a count plan over them, next to the symmetric
+        # structure; older ones also the oriented and symmetric edge
+        # lists and a symmetric join plan.  They open warm on the
+        # symmetric structure, without a re-slice, and answer exactly
+        # the same; only the count plan recompiles over the windows.
         graph = _graph(seed=23)
         session = open_session(graph)
         session.count()
         session.apply(_random_ops(graph, 40, seed=24))
-        expected = (session.count(), session.support(), session.truss())
-        snap = storage_snapshot.read_snapshot(session.snapshot(tmp_path / "new"))
-        meta, arrays = snap.meta, dict(snap.arrays)
-        current = session.graph
-        symmetric = oriented_edges(current, "symmetric")
-        for name, (sources, destinations) in (
-            ("edges", oriented_edges(current, "upper")),
-            ("sym_edges", symmetric),
-        ):
-            arrays[f"{name}.sources"] = sources
-            arrays[f"{name}.destinations"] = destinations
-        sym = SlicedMatrix.from_graph(current, "symmetric")
-        sym_plan = build_join_plan(sym, sym, *symmetric)
-        meta["edge_lists"] = ["edges", "sym_edges"]
-        meta["plans"]["sym_plan"] = {
-            "num_edges": sym_plan.num_edges,
-            "row_version": sym_plan.row_version,
-            "col_version": sym_plan.col_version,
-            "row_valid_slices": sym_plan.row_valid_slices,
-            "col_valid_slices": sym_plan.col_valid_slices,
-        }
-        for name in ("row_positions", "col_positions", "trace_keys", "pair_counts"):
-            arrays[f"sym_plan.{name}"] = getattr(sym_plan, name)
-        target = storage_snapshot.write_snapshot(tmp_path / "earlier", meta, arrays)
+        expected = (
+            session.count(), session.support(), session.truss(),
+            session.simulate().to_mapping(),
+        )
+        target = _earlier_format_snapshot(session, tmp_path / "earlier")
         builds = []
         monkeypatch.setattr(
             SlicedMatrix, "from_graph", lambda *a, **k: builds.append("slices")
         )
-        monkeypatch.setattr(
-            "repro.core.plan.build_join_plan", lambda *a, **k: builds.append("plan")
-        )
         restored = open_session(snapshot=target)
-        assert restored._join_plan is not None
-        assert (restored.count(), restored.support(), restored.truss()) == expected
+        assert restored._sym_sliced is not None and restored._join_plan is None
+        got = (
+            restored.count(), restored.support(), restored.truss(),
+            restored.simulate().to_mapping(),
+        )
+        assert got == expected
         assert restored.generation == session.generation
         assert builds == []
+
+    @pytest.mark.parametrize(
+        "change", [{"slice_bits": 8}, {"orientation": "symmetric"}]
+    )
+    def test_reopen_under_another_layout_rebuilds(self, tmp_path, change):
+        graph = _graph(seed=25)
+        session = open_session(graph)
+        session.apply(_random_ops(graph, 30, seed=26))
+        target = session.snapshot(tmp_path / "snap")
+        restored = open_session(snapshot=target, **change)
+        assert restored._sym_sliced is None and restored._join_plan is None
+        fresh = open_session(session.graph, **change)
+        assert restored.count() == fresh.count() == session.count()
+        assert restored.simulate().to_mapping() == fresh.simulate().to_mapping()
+        assert restored.slice_stats() == fresh.slice_stats()
 
     def test_snapshot_segment_dropped(self, tmp_path):
         session = open_session(_graph(seed=17, n=40, m=80))
@@ -591,7 +654,7 @@ class TestSessionSnapshots:
         target = session.snapshot(tmp_path / "snap")
         manifest = json.loads((target / "manifest.json").read_text())
         # Name an array the segment table doesn't carry.
-        del manifest["arrays"]["graph.edges"]
+        del manifest["arrays"]["sym.data"]
         (target / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(StorageError):
             open_session(snapshot=target)
@@ -612,7 +675,7 @@ class TestPoolPaging:
         assert pool.stats.spilled_bytes > 0
         warm = pool.acquire(graph)
         assert pool.stats.hydrations == 1
-        assert warm.session._row_sliced is not None  # no re-slice
+        assert warm.session._oriented is not None  # no re-slice
         assert warm.session._join_plan is not None  # no recompile
         assert warm.session.count() == count
         pool.release(warm)
