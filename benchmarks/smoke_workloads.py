@@ -22,7 +22,15 @@ gather→AND→popcount kernel path of :mod:`repro.core.kernels`) and gates:
   taken before the oracle reads ``session.graph``), the patched
   resident state answers every workload identically to a fresh
   session on the mutated graph and to the oracles, and no
-  ``fallback_counts`` entry fired.
+  ``fallback_counts`` entry fired;
+* **read after write** — over ``ANALYTICS_ROUNDS`` rounds of an
+  ``ANALYTICS_BATCH``-edge ``apply()`` (random inserts, then their
+  deletes) followed by ``support()``, ``clustering()`` and ``truss()``,
+  which patch the triangle list and the trussness instead of recomputing
+  them, the median round is at least ``MIN_PATCH_SPEEDUP`` (3x) faster
+  than the median from-scratch ``triangle_witnesses`` + ``peel_trussness``
+  of the same generations, measured in the same run, and every round's
+  supports and trussness equal those from-scratch passes.
 
 Exit code 0 on success, 1 on any violation.  Usage::
 
@@ -39,8 +47,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis import metrics
-from repro.analysis.truss import edge_support, truss_decomposition
+from repro.analysis.truss import edge_support, peel_trussness, truss_decomposition
 from repro.api import open_session
+from repro.core import kernels
 from repro.core.slicing import SlicedMatrix
 from repro.graph import generators
 from repro.graph.graph import Graph
@@ -53,6 +62,9 @@ MIN_SPEEDUP = 5.0
 MIN_TRUSS_SPEEDUP = 5.0
 REPEATS = 3
 STREAM_OPS = 120
+MIN_PATCH_SPEEDUP = 3.0
+ANALYTICS_ROUNDS = 20
+ANALYTICS_BATCH = 8
 
 
 @contextmanager
@@ -231,6 +243,61 @@ def main(argv: list[str]) -> int:
             f"after {STREAM_OPS}-op stream: no Graph rebuilt; "
             "patched workloads == rebuild == oracles"
         )
+
+    # --- read after write: patched rounds vs from-scratch passes ---------
+    patched_s, scratch_s = [], []
+    pending: list[tuple[int, int]] = []
+    mismatched = 0
+    for _ in range(ANALYTICS_ROUNDS):
+        if pending:
+            ops = [("-", *edge) for edge in pending]
+            pending.clear()
+        else:
+            while len(pending) < ANALYTICS_BATCH:
+                u, v = sorted(rng.integers(NUM_VERTICES, size=2).tolist())
+                if u != v and (u, v) not in present and (u, v) not in pending:
+                    pending.append((u, v))
+            ops = [("+", *edge) for edge in pending]
+        start = time.perf_counter()
+        session.apply(ops)
+        support = session.support()
+        session.clustering()
+        trussness = session.truss()
+        patched_s.append(time.perf_counter() - start)
+        plan = session.join_plan  # flushed outside the clock
+        start = time.perf_counter()
+        listed = kernels.triangle_witnesses(
+            *session._oriented, *session._edge_arrays, plan=plan
+        )
+        supports = np.bincount(listed.reshape(-1), minlength=len(support))
+        peeled = peel_trussness(supports, listed)
+        scratch_s.append(time.perf_counter() - start)
+        mismatched += not (
+            np.array_equal(support.per_edge, supports)
+            and np.array_equal(trussness.per_edge, peeled)
+        )
+    patched_median = float(np.median(patched_s))
+    scratch_median = float(np.median(scratch_s))
+    patch_speedup = scratch_median / patched_median if patched_median else float("inf")
+    print(f"read-after-write round (patched):    {patched_median * 1e3:8.2f} ms")
+    print(f"witness pass + peel (from scratch):  {scratch_median * 1e3:8.2f} ms")
+    print(
+        f"read-after-write speedup: {patch_speedup:6.1f} x "
+        f"(threshold {MIN_PATCH_SPEEDUP:.1f}x, median of {ANALYTICS_ROUNDS} rounds)"
+    )
+    if mismatched:
+        print(
+            f"FAIL: {mismatched} patched round(s) differ from the from-scratch "
+            "witness pass and peel",
+            file=sys.stderr,
+        )
+        failures += 1
+    if patch_speedup < MIN_PATCH_SPEEDUP:
+        print(
+            "FAIL: read-after-write rounds below the speedup threshold",
+            file=sys.stderr,
+        )
+        failures += 1
     session.close()
 
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -243,6 +310,10 @@ def main(argv: list[str]) -> int:
             f"cold truss() {truss_oracle_s * 1e3:.2f} ms oracle vs "
             f"{truss_s * 1e3:.2f} ms resident -> {truss_speedup:.1f}x "
             f"(threshold {MIN_TRUSS_SPEEDUP}x)\n"
+            f"read after write: {ANALYTICS_BATCH}-edge apply + support + "
+            f"clustering + truss {patched_median * 1e3:.2f} ms vs witness pass + "
+            f"peel {scratch_median * 1e3:.2f} ms -> {patch_speedup:.1f}x "
+            f"(threshold {MIN_PATCH_SPEEDUP}x, median of {ANALYTICS_ROUNDS} rounds)\n"
             f"exactness: support/truss/clustering/common_neighbors vs oracles, "
             f"plan on/off + 4-array sharded + after {STREAM_OPS}-op stream: "
             f"{'ok' if failures == 0 else 'FAILED'}\n"

@@ -96,10 +96,13 @@ _RETIRED_CONFIG_KEYS = ("engine", "workers", "backing")
 
 #: The silent fallbacks :attr:`TCIMSession.fallback_counts` counts: each
 #: is a place where an optimisation gives up and drops resident caches
-#: for a lazy rebuild instead of failing the request.
+#: for a lazy rebuild (or, for ``truss_repeel``, recomputes eagerly)
+#: instead of failing the request.
 _FALLBACKS = (
     "flush_patch_error",
     "backlog_drop",
+    "truss_repeel",
+    "workload_patch_error",
 )
 
 
@@ -362,10 +365,15 @@ class TCIMSession:
         self._use_plan = bool(self.config.use_plan)
         #: Cached workload results (the triangle list, forward edges,
         #: support and truss maps, clustering, common-neighbor candidate
-        #: lists), invalidated on every mutation.  The maps and the
-        #: clustering report are handed out as they are, so every array
-        #: they hold is non-writeable.
+        #: lists).  A mutation patches the list, the forward edges and
+        #: the trussness for a reader (see :meth:`apply`) and drops the
+        #: rest.  The maps and the clustering report are handed out as
+        #: they are, so every array they hold is non-writeable.
         self._workload_cache: dict = {}
+        # Whether support / clustering / truss ran since the last apply()
+        # call, and whether the running apply() patches the cache.
+        self._workload_read = False
+        self._patch_workloads = False
         # Committed delta batches not yet folded into the windows, the
         # edge arrays and the plan: ``(delta_edges, insert, sym_delta)``,
         # the last what the symmetric splice reported.  Applies only
@@ -530,7 +538,12 @@ class TCIMSession:
         ``flush_patch_error`` — a deferred patch of the oriented
         structures or the count plan raised, so they were dropped;
         ``backlog_drop`` — the pending churn passed ~¼ of the graph, so
-        the structural caches were dropped instead of spliced.  Every dropped cache is
+        the structural caches were dropped instead of spliced;
+        ``truss_repeel`` — a local trussness update passed its cap
+        (:data:`repro.analysis.truss.LOCAL_UPDATE_CAP`), so the patched
+        triangle list was re-peeled in full;
+        ``workload_patch_error`` — patching the workload cache past a
+        batch raised, so the cache was dropped.  Every dropped cache is
         rebuilt by the next query that needs it.  Takes no lock.
         """
         return MappingProxyType(self._fallbacks)
@@ -811,7 +824,8 @@ class TCIMSession:
         ``support[(u, v)] = |N(u) ∩ N(v)|`` for each edge ``u < v`` — the
         quantity k-truss peeling consumes.  One ``np.bincount`` over the
         edge ids of the generation's triangle list (see
-        :meth:`_triangle_list`), value-identical to
+        :meth:`_triangle_list`; after an :meth:`apply` that followed a
+        read, the list that apply patched), value-identical to
         :func:`repro.analysis.truss.edge_support`.
 
         Returns a read-only :class:`~repro.graph.edgemap.EdgeMap` over
@@ -821,6 +835,7 @@ class TCIMSession:
         leaves an earlier map as it was.  ``dict(m)`` is a mutable copy.
         """
         with self._lock:
+            self._workload_read = True
             return self._support_map()
 
     def truss(self, k: int | None = None):
@@ -834,8 +849,13 @@ class TCIMSession:
         array, computed once per generation:
         :func:`repro.analysis.truss.peel_trussness` peels the
         generation's triangle list (see :meth:`_triangle_list`) from the
-        supports :meth:`support` reads off the same list.
-        Value-identical to
+        supports :meth:`support` reads off the same list.  After an
+        :meth:`apply` that followed a read of the previous generation's
+        trussness, that apply updated it locally and exactly instead
+        (:func:`~repro.analysis.truss.trussness_after_deletes` /
+        :func:`~repro.analysis.truss.trussness_after_inserts`), with the
+        full peel as the fallback past a cap (``truss_repeel`` in
+        :attr:`fallback_counts`).  Value-identical to
         :func:`repro.analysis.truss.truss_decomposition` /
         :func:`~repro.analysis.truss.k_truss`.
         """
@@ -844,6 +864,7 @@ class TCIMSession:
         with self._lock:
             if k is not None and k < 2:
                 raise GraphError(f"k must be >= 2, got {k}")
+            self._workload_read = True
             cached = self._workload_cache.get("truss")
             if cached is None:
                 support = self._support_map()
@@ -868,7 +889,8 @@ class TCIMSession:
         Local coefficients, per-vertex triangle counts, their average,
         the global transitivity, and the triangle total.  The per-vertex
         counts are one ``np.bincount`` over the corners of the triangles
-        :meth:`support` also reads (see :meth:`_triangle_list`), the
+        :meth:`support` also reads (see :meth:`_triangle_list`; after an
+        :meth:`apply` that followed a read, the patched list), the
         degrees one over the forward edges, and the total is the list's
         length.  Value-identical to the :mod:`repro.analysis.metrics`
         oracles.  One report per generation, handed out as is: its
@@ -877,6 +899,7 @@ class TCIMSession:
         from repro.analysis import metrics
 
         with self._lock:
+            self._workload_read = True
             cached = self._workload_cache.get("clustering")
             if cached is None:
                 listed = self._triangle_list()
@@ -1015,6 +1038,18 @@ class TCIMSession:
         the differential-testing mode cross-checked against the
         :class:`DynamicTriangleCounter` oracle in the test-suite.
 
+        **Workload cache**: when :meth:`support`, :meth:`clustering` or
+        :meth:`truss` ran since the previous ``apply()`` call, every
+        batch this call commits patches the cached triangle list, its
+        forward edges and the trussness from the batch's own triangles
+        (the rows holding a deleted edge go; the triangles the inserted
+        edges close, read off the symmetric structure, are appended) and
+        drops the other cached results.  Without such a read — a pure
+        update stream — the cache is dropped, so the patch costs nothing,
+        and the next read runs one witness pass.  The patch is host
+        bookkeeping: :attr:`UpdateReport.events` prices the delta joins
+        only, as before.
+
         **Failure semantics**: if a batch raises (e.g. a capacity
         :class:`~repro.errors.ArchitectureError`), the failing batch is
         rolled back completely — slice structures, edge count, and
@@ -1040,6 +1075,10 @@ class TCIMSession:
                 if code in last.values()
             ]
         with self._lock:
+            # Only a reader's cache is worth patching: a stream with no
+            # read since the previous call drops it, as a lone batch would.
+            self._patch_workloads = self._workload_read
+            self._workload_read = False
             return self._apply_batches(batches, len(parsed), record)
 
     def apply_edges(
@@ -1350,6 +1389,162 @@ class TCIMSession:
             arrays += [report.local, report.triangles_per_vertex]
         return arrays
 
+    def _carry_workloads(self, delta_edges: np.ndarray, insert: bool) -> None:
+        """Patch the workload cache past one committed batch, or drop it.
+
+        Callers hold ``self._lock``.  The triangle list, its forward
+        edges and the trussness are patched while the running
+        :meth:`apply` patches (the list was read since the previous
+        call); everything else is dropped.  A patch that raises drops the
+        whole cache and counts ``workload_patch_error``: the batch has
+        committed either way, and the next read rebuilds the list.
+        """
+        cache = self._workload_cache
+        carried = {
+            key: cache[key] for key in ("forward", "triangles", "truss")
+            if key in cache
+        }
+        cache.clear()
+        if not (self._patch_workloads and "triangles" in carried):
+            return
+        try:
+            cache.update(self._patched_workloads(carried, delta_edges, insert))
+        except Exception:
+            cache.clear()
+            self._fallbacks["workload_patch_error"] += 1
+
+    def _patched_workloads(
+        self, carried: dict, delta_edges: np.ndarray, insert: bool
+    ) -> dict:
+        """The cached workloads of the previous generation, moved past
+        one batch (:meth:`_carry_workloads`).
+
+        One splice table maps every old edge id to its new one.  A delete
+        drops the list rows that hold a deleted edge; an insert appends
+        the triangles its edges close, read off the symmetric structure
+        (:func:`~repro.core.kernels.pair_witnesses`).  Row order may
+        differ from a fresh witness pass: every reader is order-free.
+        The patched list must hold :meth:`count` triangles, or the patch
+        raises.  Trussness is updated locally
+        (:func:`~repro.analysis.truss.trussness_after_deletes` /
+        :func:`~repro.analysis.truss.trussness_after_inserts`), and past
+        their cap re-peeled from the patched list (``truss_repeel``).
+        """
+        from repro.analysis import truss as truss_module
+
+        n = np.int64(self._num_vertices)
+        sources, destinations = carried["forward"]
+        listed = carried["triangles"]
+        count = sources.size
+        delta_keys = delta_edges[:, 0] * n + delta_edges[:, 1]
+        spliced = np.searchsorted(sources * n + destinations, delta_keys)
+        # The splice table: every old id's new one, shifted by the inserts
+        # at or before it, or by the deletes before it.
+        bounds = np.concatenate([[0], spliced if insert else spliced + 1, [count]])
+        shift = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+        table = np.arange(count) + (shift if insert else -shift)
+        if insert:
+            fresh = spliced + np.arange(spliced.size)
+            sources = np.insert(sources, spliced, delta_edges[:, 0])
+            destinations = np.insert(destinations, spliced, delta_edges[:, 1])
+            keys = sources * n + destinations
+            created = self._created_triangles(delta_edges, keys)
+            gone = np.empty(0, dtype=np.int64)
+        else:
+            if not np.array_equal(
+                sources[spliced] * n + destinations[spliced], delta_keys
+            ):
+                raise ArchitectureError("a deleted edge is missing from the list")
+            removed = np.zeros(count, dtype=bool)
+            removed[spliced] = True
+            gone = np.unique(np.flatnonzero(removed[listed.reshape(-1)]) // 3)
+            destroyed = listed[gone]
+            sources = np.delete(sources, spliced)
+            destinations = np.delete(destinations, spliced)
+            keys = sources * n + destinations
+            created = np.empty((0, 3), dtype=np.int64)
+        triangles = self._store.empty(
+            (len(listed) - gone.size + len(created), 3), np.int64
+        )
+        # The surviving rows, remapped block by block between destroyed ones.
+        start = filled = 0
+        for stop in [*gone.tolist(), len(listed)]:
+            np.take(
+                table, listed[start:stop],
+                out=triangles[filled: filled + stop - start],
+            )
+            filled, start = filled + stop - start, stop + 1
+        triangles[filled:] = created
+        if len(triangles) != self._triangles:
+            raise ArchitectureError(
+                f"the patched list holds {len(triangles)} triangles but the "
+                f"session counts {self._triangles}"
+            )
+        patched = {"forward": (sources, destinations), "triangles": triangles}
+        if "truss" not in carried:
+            return patched
+        old = carried["truss"].per_edge
+
+        def triangles_of(edges):
+            return self._edge_triangles(sources, destinations, keys, edges)
+
+        if insert:
+            values = np.insert(old, spliced, 2)
+            closing = fresh[np.isin(fresh, created)]
+            trussness = truss_module.trussness_after_inserts(
+                values, closing, triangles_of
+            ) if closing.size else values
+        else:
+            values = np.delete(old, spliced)
+            seeds = table[destroyed[~removed[destroyed]]]
+            trussness = truss_module.trussness_after_deletes(
+                values, seeds, triangles_of
+            ) if seeds.size else values
+        if trussness is None:
+            self._fallbacks["truss_repeel"] += 1
+            trussness = truss_module.peel_trussness(
+                np.bincount(triangles.reshape(-1), minlength=sources.size),
+                triangles,
+            )
+        patched["truss"] = EdgeMap(sources, destinations, trussness, n)
+        return patched
+
+    def _created_triangles(
+        self, delta_edges: np.ndarray, keys: np.ndarray
+    ) -> np.ndarray:
+        """List rows ``(e_ac, e_ab, e_bc)`` of the triangles ``a < b < c``
+        an insert batch closed, each once (callers hold the lock).
+
+        The common neighbours of the batch's edges, read while the
+        symmetric structure holds them; a triangle with two or three of
+        the batch's edges is found once per edge.
+        """
+        which, witnesses = kernels.pair_witnesses(
+            self._sym(), delta_edges[:, 0], delta_edges[:, 1]
+        )
+        corners = np.stack(
+            [delta_edges[which, 0], delta_edges[which, 1], witnesses], axis=1
+        )
+        a, b, c = np.unique(np.sort(corners, axis=1), axis=0).T
+        n = np.int64(self._num_vertices)
+        return np.stack(
+            [_edge_ids(keys, n, *ends) for ends in ((a, c), (a, b), (b, c))],
+            axis=1,
+        )
+
+    def _edge_triangles(self, sources, destinations, keys, edges):
+        """``(which, f, g)``: every triangle through the forward edges
+        ``edges``, as the index into ``edges`` and the ids of its other
+        two edges (the ``triangles_of`` of the local truss updates)."""
+        u, v = sources[edges], destinations[edges]
+        which, witnesses = kernels.pair_witnesses(self._sym(), u, v)
+        n = np.int64(self._num_vertices)
+        return (
+            which,
+            _edge_ids(keys, n, u[which], witnesses),
+            _edge_ids(keys, n, v[which], witnesses),
+        )
+
     def _pair_scores(
         self, sources: np.ndarray, destinations: np.ndarray
     ) -> np.ndarray:
@@ -1617,7 +1812,7 @@ class TCIMSession:
         self._run = None
         self._report = None
         self._baseline_cache.clear()
-        self._workload_cache.clear()
+        self._carry_workloads(delta_edges, insert)
         if self._oriented is None or self._edge_arrays is None:
             self._drop_structural_caches()
             return
@@ -1728,6 +1923,18 @@ def _both_directions(delta_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, cols)`` covering both directions of canonical edges."""
     u, v = delta_edges[:, 0], delta_edges[:, 1]
     return np.concatenate([u, v]), np.concatenate([v, u])
+
+
+def _edge_ids(keys: np.ndarray, n, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ids of the edges ``{a[i], b[i]}`` among the forward edges whose
+    ascending ``u * n + v`` keys are ``keys``; raises if one is absent."""
+    wanted = np.minimum(a, b) * n + np.maximum(a, b)
+    found = np.searchsorted(keys, wanted)
+    if wanted.size and (
+        int(found.max()) >= keys.size or bool((keys[found] != wanted).any())
+    ):
+        raise ArchitectureError("a witness bit names a missing edge")
+    return found
 
 
 #: The count plan's arrays, as snapshot segments ``plan.<name>``.

@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.core import engine
 from repro.core.reuse import CacheStatistics, simulate_key_trace
-from repro.core.slicing import SliceWindow
+from repro.core.slicing import SliceWindow, expand_runs
 from repro.errors import ArchitectureError
 from repro.graph.graph import Graph
 
@@ -58,6 +58,7 @@ __all__ = [
     "WorkloadResult",
     "execute_fused",
     "execute_workload",
+    "pair_witnesses",
     "triangle_witnesses",
     "vertex_tallies_from_supports",
 ]
@@ -173,6 +174,39 @@ def triangle_witnesses(
             )
         triangles[order, column] = found
     return triangles
+
+
+def pair_witnesses(
+    sym, sources: np.ndarray, destinations: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every common neighbour of a few vertex pairs, as set bits.
+
+    The :meth:`repro.api.TCIMSession.common_neighbors_many` join, keeping
+    the ANDed bits instead of their popcounts: each valid slice of row
+    ``sources[i]`` of the symmetric structure ``sym`` is ANDed with the
+    same slice of row ``destinations[i]``, and every set bit ``w`` is a
+    common neighbour.  Both sides' slices are keyed ``i * slices per row
+    + slice id``, ascending, so one ``searchsorted`` matches them.
+    Returns ``(pairs, witnesses)``: pair index and neighbour, ascending
+    by pair, then by neighbour.  For an edge ``(u, v)`` these are its
+    triangles ``{u, v, w}``.
+    """
+    sides = []
+    for rows in (sources, destinations):
+        starts, counts = sym.row_slice_ranges(rows)
+        positions = expand_runs(starts, counts)
+        pairs = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+        keys = pairs * sym.slices_per_row + sym.slice_ids[positions]
+        sides.append((positions, pairs, keys))
+    (left, pairs, keys), (right, _, right_keys) = sides
+    found = np.searchsorted(right_keys, keys)
+    shared = found < right_keys.size
+    shared[shared] = right_keys[found[shared]] == keys[shared]
+    left, right = left[shared], right[found[shared]]
+    slot, witnesses = sym.decode(
+        sym.slice_ids[left], sym.data[left] & sym.data[right]
+    )
+    return pairs[shared][slot], witnesses
 
 
 def vertex_tallies_from_supports(

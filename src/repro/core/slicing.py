@@ -436,7 +436,7 @@ class SlicedMatrix:
         bit are unpacked, so the cost follows the non-zero count rather
         than ``N_VS x |S|``.
         """
-        slot, cols = self._decode(self.slice_ids, self.data)
+        slot, cols = self.decode(self.slice_ids, self.data)
         return self.owner_rows()[slot], cols
 
     def row_columns(self, rows: np.ndarray) -> np.ndarray:
@@ -444,13 +444,13 @@ class SlicedMatrix:
         within each row — a neighbour list read off only those rows."""
         starts, counts = self.row_slice_ranges(rows)
         positions = expand_runs(starts, counts)
-        return self._decode(self.slice_ids[positions], self.data[positions])[1]
+        return self.decode(self.slice_ids[positions], self.data[positions])[1]
 
-    def _decode(
+    def decode(
         self, slice_ids: np.ndarray, data: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``(slot, col)`` of every set bit of the given valid slices,
-        ``slot`` indexing the passed arrays."""
+        """``(slot, col)`` of every set bit of the given slices of this
+        structure's width, ``slot`` indexing the passed arrays."""
         width = self.slice_bits // 8
         flat = data.reshape(-1)
         hot = np.flatnonzero(flat)
@@ -504,12 +504,6 @@ class SlicedMatrix:
         exists = lo < end
         exists[exists] = ids[lo[exists]] == slice_ids[exists]
         return lo, exists
-
-    def row_valid_count(self, row: int) -> int:
-        """Number of valid slices in ``row``."""
-        if not 0 <= row < self.num_rows:
-            raise SlicingError(f"row {row} out of range [0, {self.num_rows})")
-        return int(self.indptr[row + 1] - self.indptr[row])
 
     def row_valid_counts(self) -> np.ndarray:
         """Valid-slice count for every row."""

@@ -2,18 +2,24 @@
 
 A ``hypothesis`` state machine drives one session through ``apply``
 calls (net batches and ``record=True`` streams, several between reads,
-with edges inside one diagonal slice), reads (``count``, ``simulate``,
-``slice_stats``, ``support``) and snapshot round trips, under drawn
-configurations: both orientations, plan on and off, 8- and 64-bit
-slices, a memmap store with a tiny spill threshold, and an array small
-enough that delta joins at a hub raise capacity errors.
+with edges inside one diagonal slice, and whole-triangle inserts and
+triangle-breaking deletes), reads (``count``, ``simulate``,
+``slice_stats``, ``support``, ``truss``, ``clustering``) and snapshot
+round trips, under drawn configurations: both orientations, plan on and
+off, 8- and 64-bit slices, a memmap store with a tiny spill threshold,
+and an array small enough that delta joins at a hub raise capacity
+errors.
 
 Every read is checked against oracles that share no state with the
 session: :class:`~repro.core.dynamic.DynamicTriangleCounter` for the
-count, :func:`~repro.analysis.truss.edge_support` for supports, and a
+count, :func:`~repro.analysis.truss.edge_support` for supports,
+:func:`~repro.analysis.truss.truss_decomposition` for trussness,
+:mod:`repro.analysis.metrics` for clustering, and a
 fresh session opened on the same edges for ``simulate()``,
 ``slice_stats()`` and the resident count plan.  A rolled-back apply must
-leave the session exact without recompiling the plan.
+leave the session exact without recompiling the plan.  Applies between
+reads patch the triangle list and the trussness, so the patched paths
+run under every configuration's op streams.
 """
 
 from __future__ import annotations
@@ -34,7 +40,8 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro.analysis.truss import edge_support
+from repro.analysis import metrics
+from repro.analysis.truss import edge_support, truss_decomposition
 from repro.api import open_session
 from repro.core import plan as joinplan
 from repro.core.dynamic import DynamicTriangleCounter
@@ -185,6 +192,36 @@ class SessionMachine(RuleBasedStateMachine):
         """Edges at the hub, whose delta joins overflow the small array."""
         self._apply([("+" if insert else "-", u, HUB) for u in ends], record=False)
 
+    @rule(
+        corners=st.lists(
+            st.lists(st.integers(0, NUM_VERTICES - 1), min_size=3, max_size=3),
+            min_size=1,
+            max_size=3,
+        ),
+        insert=st.booleans(),
+    )
+    def apply_triangles(self, corners, insert):
+        """Inserts of whole triangles, or deletes of an edge in a triangle
+        at each first corner: the applies that move trussness, each after
+        a ``truss()`` read, so that the apply patches it."""
+        if insert:
+            ops = [
+                ("+", a, b) for u, v, w in corners if len({u, v, w}) == 3
+                for a, b in ((u, v), (v, w), (u, w))
+            ]
+        else:
+            graph = self._graph()
+            neighbors = [set(graph.neighbors(u).tolist()) for u in range(NUM_VERTICES)]
+            ops = []
+            for u, *_ in corners:
+                ends = [w for w in sorted(neighbors[u]) if neighbors[u] & neighbors[w]]
+                if ends:
+                    ops.append(("-", u, ends[0]))
+        if ops:
+            self.session.truss()
+            self._apply(ops, record=False)
+            assert self.session.truss() == truss_decomposition(self._graph())
+
     @rule()
     def count(self):
         assert self.session.count() == self.oracle.triangles
@@ -222,6 +259,22 @@ class SessionMachine(RuleBasedStateMachine):
     @rule()
     def support(self):
         assert dict(self.session.support()) == edge_support(self._graph())
+
+    @rule()
+    def truss(self):
+        assert self.session.truss() == truss_decomposition(self._graph())
+
+    @rule()
+    def clustering(self):
+        graph = self._graph()
+        report = self.session.clustering()
+        np.testing.assert_allclose(report.local, metrics.local_clustering(graph))
+        assert np.array_equal(
+            report.triangles_per_vertex, metrics.triangles_per_vertex(graph)
+        )
+        assert report.transitivity == pytest.approx(metrics.transitivity(graph))
+        assert report.wedges == metrics.wedge_count(graph)
+        assert report.triangles == self.oracle.triangles
 
     @rule()
     def snapshot_and_reopen(self):

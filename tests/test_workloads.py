@@ -11,10 +11,15 @@ The truss battery also covers every slice width (byte-packed and word
 payloads), edge cases from complete graphs to an emptied graph, and the
 triangle-witness pass on its own; the one-list tests count witness
 passes per generation and check the list against the maintained count.
-The map tests hold the read-only :class:`~repro.graph.edgemap.EdgeMap`
-that ``support()`` / ``truss()`` return to the rules of the dict it
-replaced, and the read-path tests count ``Graph`` rebuilds (there must
-be none) across every configuration.
+The patched-workload tests run randomized apply streams after reads, so
+every apply patches the triangle list and the trussness, and compare
+each patched generation with a from-scratch witness pass, a full peel,
+a fresh session and the oracles; they also check the local truss
+updates alone and both patch fallbacks by injection.  The map tests
+hold the read-only :class:`~repro.graph.edgemap.EdgeMap` that
+``support()`` / ``truss()`` return to the rules of the dict it replaced,
+and the read-path tests count ``Graph`` rebuilds (there must be none)
+across every configuration.
 """
 
 from __future__ import annotations
@@ -140,7 +145,8 @@ class TestSupport:
             first = session.support()
             assert session.support() is first
             session.apply([("-", 0, 1)])
-            assert session._workload_cache == {}
+            # The apply patched the triangle list and dropped the map.
+            assert set(session._workload_cache) == {"forward", "triangles"}
             second = session.support()
             assert second is not first
             assert second == edge_support(session.graph)
@@ -528,29 +534,44 @@ class TestWorkloadPlanResidency:
     """One triangle list per generation, read from the count plan."""
 
     def test_one_witness_pass_per_generation(self, random_graphs, monkeypatch):
+        """An apply after a read patches the list and the trussness (no
+        witness pass, no peel); an apply with no read since the previous
+        one drops them, and the next read runs one witness pass."""
         calls = []
-        original = kernels.triangle_witnesses
+        witnesses, peel = kernels.triangle_witnesses, truss_module.peel_trussness
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counted_witnesses(*args, **kwargs):
+            calls.append("witnesses")
+            return witnesses(*args, **kwargs)
 
-        monkeypatch.setattr(kernels, "triangle_witnesses", counted)
+        def counted_peel(*args, **kwargs):
+            calls.append("peel")
+            return peel(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "triangle_witnesses", counted_witnesses)
+        monkeypatch.setattr(truss_module, "peel_trussness", counted_peel)
         graph = random_graphs[4]
+        edges = graph.edge_array().tolist()
         with open_session(graph) as session:
             session.support()
             session.clustering()
             session.truss()
             session.truss(3)
-            assert len(calls) == 1
-            session.apply([("-", *graph.edge_array()[0].tolist())])
-            assert len(calls) == 1  # an apply alone reads nothing
+            assert calls == ["witnesses", "peel"]
+            session.apply([("-", *edges[0])])
             assert_workloads_match_oracles(session, session.graph)
-            assert len(calls) == 2
+            session.apply([("+", *edges[0])])
+            assert_workloads_match_oracles(session, session.graph)
+            assert calls == ["witnesses", "peel"]  # both applies patched
+            session.apply([("-", *edges[1])])  # read since: patched
+            session.apply([("-", *edges[2])])  # no read since: dropped
+            assert session._workload_cache == {}
+            assert_workloads_match_oracles(session, session.graph)
+            assert calls == ["witnesses", "peel"] * 2
             session.close()
-            assert len(calls) == 2
+            assert session._workload_cache == {}
             assert session.support() == edge_support(session.graph)
-            assert len(calls) == 3
+            assert calls == ["witnesses", "peel", "witnesses", "peel", "witnesses"]
 
     def test_no_plan_config_keeps_plan_off(self, k5):
         with open_session(k5, use_plan=False) as session:
@@ -594,10 +615,14 @@ class TestWorkloadPlanResidency:
                     for key, value in detail.items()
                     if key not in ("spilled", "total")
                 )
-            session.apply([("-", *graph.edge_array()[0].tolist())])
-            detail = session.resident_bytes_detail()
-            assert detail["workloads"] == 0
-            assert detail["spilled"] <= detail["total"]
+            edges = graph.edge_array().tolist()
+            # A reader's apply patches the list, its edges and trussness;
+            # one with no read since drops them.
+            for edge, patched in ((edges[0], True), (edges[1], False)):
+                session.apply([("-", *edge)])
+                detail = session.resident_bytes_detail()
+                assert (detail["workloads"] > 0) == patched
+                assert detail["spilled"] <= detail["total"]
 
     @pytest.mark.parametrize("read", ["support", "clustering", "truss"])
     def test_witness_list_checked_against_the_count(self, random_graphs, read):
@@ -609,6 +634,235 @@ class TestWorkloadPlanResidency:
             session._triangles += 1  # a wrong maintained count
             with pytest.raises(ArchitectureError, match="witness pass lists"):
                 getattr(session, read)()
+
+
+def wedge_pairs(graph: Graph, rng: np.random.Generator, count: int) -> list:
+    """Up to ``count`` absent pairs two hops apart: each closes triangles."""
+    pairs: set[tuple[int, int]] = set()
+    for _ in range(count * 20):
+        u = int(rng.integers(graph.num_vertices))
+        middle = graph.neighbors(u)
+        if not middle.size:
+            continue
+        v = int(rng.choice(graph.neighbors(int(rng.choice(middle)))))
+        if u != v and not graph.has_edge(u, v):
+            pairs.add((min(u, v), max(u, v)))
+        if len(pairs) == count:
+            break
+    return sorted(pairs)
+
+
+def stream_ops(kind: str, session: TCIMSession, rng: np.random.Generator) -> list:
+    """One apply call's ops of the patched-workload streams."""
+    graph = session.graph
+    n = graph.num_vertices
+    present = graph.edge_array().tolist()
+    if kind == "random":
+        return [("+", *rng.integers(0, n, size=2).tolist()) for _ in range(8)]
+    if kind == "wedges":
+        return [("+", u, v) for u, v in wedge_pairs(graph, rng, 6)]
+    if kind == "hubs":  # the highest-support edges
+        supports = session.support()
+        ranked = np.argsort(-supports.per_edge, kind="stable")[:5]
+        return [
+            ("-", int(supports.sources[i]), int(supports.destinations[i]))
+            for i in ranked
+        ]
+    picked = rng.choice(len(present), size=min(3, len(present)), replace=False)
+    deletes = [("-", *present[i]) for i in picked.tolist()]
+    inserts = [("+", u, v) for u, v in wedge_pairs(graph, rng, 3)]
+    if kind == "mixed":  # one delete batch and one insert batch
+        return deletes + inserts
+    return inserts[:2] + deletes + inserts[2:]  # "record": a batch per op
+
+
+class TestPatchedWorkloads:
+    """A reader's apply patches the triangle list, its forward edges and
+    the trussness instead of dropping them: every patched generation
+    equals a from-scratch witness pass, a full peel, a fresh session and
+    the oracles."""
+
+    STREAM = ("random", "wedges", "hubs", "mixed", "record") * 2
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    def test_stream_matches_rebuild(self, config, configured):
+        graph = generators.powerlaw_cluster(60, 4, 0.6, seed=8)
+        rng = np.random.default_rng(21)
+        with configured(graph, config) as session:
+            session.truss()
+            session.clustering()
+            for kind in self.STREAM:
+                session.apply(stream_ops(kind, session, rng), record=kind == "record")
+                cache = session._workload_cache
+                assert {"forward", "triangles", "truss"} <= set(cache), kind
+                mutated = session.graph
+                scratch = kernels.triangle_witnesses(
+                    *count_structures(mutated, "upper")
+                )
+                assert len(cache["triangles"]) == len(scratch)
+                assert set(map(tuple, cache["triangles"].tolist())) == set(
+                    map(tuple, scratch.tolist())
+                )
+                assert_workloads_match_oracles(session, mutated)
+                with configured(mutated, config) as fresh:
+                    assert session.support() == fresh.support()
+                    assert session.truss() == fresh.truss()
+                    assert (
+                        session.clustering().to_mapping()
+                        == fresh.clustering().to_mapping()
+                    )
+            assert not any(session.fallback_counts.values())
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=st.data())
+    def test_local_update_equals_peel(self, case):
+        """The local updates on their own, against ``peel_trussness``."""
+        n = case.draw(st.integers(3, 11))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = sorted(case.draw(st.sets(st.sampled_from(pairs))))
+        insert = case.draw(st.booleans())
+        pool = sorted(set(pairs) - set(edges)) if insert else edges
+        if not pool:
+            return
+        batch = case.draw(
+            st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True)
+        )
+        after = sorted(set(edges) ^ set(batch))
+        before, old = peeled(n, edges)
+        ids = {edge: index for index, edge in enumerate(after)}
+        values = np.array(
+            [old[before[edge]] if edge in before else 0 for edge in after],
+            dtype=np.int64,
+        )
+        triangles_of = brute_triangles_of(n, after, ids)
+        if insert:
+            got = truss_module.trussness_after_inserts(
+                values, [ids[edge] for edge in batch], triangles_of
+            )
+        else:
+            seeds = [
+                ids[edge]
+                for corners in triangles(n, edges)
+                if any(edge in batch for edge in corners)
+                for edge in corners
+                if edge not in batch
+            ]
+            got = truss_module.trussness_after_deletes(values, seeds, triangles_of)
+        assert np.array_equal(got, peeled(n, after)[1])
+
+
+def triangles(n: int, edges: list) -> list:
+    """Every triangle ``a < b < c`` as its edges ``(ac, ab, bc)``."""
+    present = set(edges)
+    return [
+        ((a, c), (a, b), (b, c))
+        for a, c in edges
+        for b in range(a + 1, c)
+        if (a, b) in present and (b, c) in present
+    ]
+
+
+def peeled(n: int, edges: list) -> tuple[dict, np.ndarray]:
+    """Edge ids and ``peel_trussness`` of a small edge list."""
+    ids = {edge: index for index, edge in enumerate(edges)}
+    rows = np.array(
+        [[ids[edge] for edge in corners] for corners in triangles(n, edges)],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    supports = np.bincount(rows.reshape(-1), minlength=len(edges))
+    return ids, truss_module.peel_trussness(supports, rows)
+
+
+def brute_triangles_of(n: int, edges: list, ids: dict):
+    """The ``triangles_of`` of the local updates, by set intersection."""
+    neighbors = {vertex: set() for vertex in range(n)}
+    for u, v in edges:
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+
+    def triangles_of(queried):
+        which, f, g = [], [], []
+        for index, edge in enumerate(np.asarray(queried).tolist()):
+            u, v = edges[edge]
+            for w in sorted(neighbors[u] & neighbors[v]):
+                which.append(index)
+                f.append(ids[(min(u, w), max(u, w))])
+                g.append(ids[(min(v, w), max(v, w))])
+        return tuple(np.array(column, dtype=np.int64) for column in (which, f, g))
+
+    return triangles_of
+
+
+class TestWorkloadPatchFallbacks:
+    """The patch's two fallbacks fire by injection and stay exact."""
+
+    def test_cap_repeels(self, monkeypatch):
+        peels = []
+        peel = truss_module.peel_trussness
+
+        def counted_peel(*args, **kwargs):
+            peels.append(1)
+            return peel(*args, **kwargs)
+
+        monkeypatch.setattr(truss_module, "peel_trussness", counted_peel)
+        # K8 has 28 edges, so the cap is max(0, 28 // 32) = 0 edges.
+        monkeypatch.setattr(truss_module, "LOCAL_UPDATE_CAP", 0)
+        with open_session(generators.complete_graph(8)) as session:
+            session.truss()
+            for op, repeels in ((("-", 0, 1), 1), (("+", 0, 1), 2)):
+                session.apply([op])
+                assert len(peels) == repeels + 1
+                assert session.fallback_counts["truss_repeel"] == repeels
+                assert session.truss() == truss_decomposition(session.graph)
+            assert session.fallback_counts["workload_patch_error"] == 0
+
+    def test_helper_error_drops_the_cache(self, random_graphs, monkeypatch):
+        from repro.core.dynamic import DynamicTriangleCounter
+
+        graph = random_graphs[4]
+        oracle = DynamicTriangleCounter(graph.num_vertices, graph)
+        (u, v), = wedge_pairs(graph, np.random.default_rng(3), 1)
+        with open_session(graph) as session:
+            session.truss()
+
+            def broken(*args, **kwargs):
+                raise RuntimeError("injected")
+
+            monkeypatch.setattr(kernels, "pair_witnesses", broken)
+            update = session.apply([("+", u, v)])
+            oracle.apply_ops([("+", u, v)])
+            assert update.delta_triangles > 0
+            assert update.triangles == session.count() == oracle.triangles
+            assert session.has_edge(u, v)
+            assert session._workload_cache == {}
+            assert session.fallback_counts["workload_patch_error"] == 1
+            monkeypatch.undo()
+            assert_workloads_match_oracles(session, session.graph)
+            assert session.fallback_counts["truss_repeel"] == 0
+
+    def test_apply_without_read_skips_the_patch(self, random_graphs, monkeypatch):
+        calls = []
+        for module, name in (
+            (kernels, "pair_witnesses"),
+            (truss_module, "trussness_after_inserts"),
+            (truss_module, "trussness_after_deletes"),
+        ):
+            def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        graph = random_graphs[4]
+        rng = np.random.default_rng(5)
+        with open_session(graph) as session:
+            session.truss()
+            session.apply(stream_ops("mixed", session, rng))
+            assert {"pair_witnesses", "trussness_after_deletes"} <= set(calls)
+            calls.clear()
+            session.apply(stream_ops("mixed", session, rng))  # no read since
+            assert calls == []
+            assert session._workload_cache == {}
+            assert_workloads_match_oracles(session, session.graph)
 
 
 def _equal_numbers(value: int):
