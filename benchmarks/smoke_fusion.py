@@ -1,4 +1,4 @@
-"""CI smoke gate for cross-session query fusion (``repro.serve``).
+"""CI smoke gate for the serving tier's fusion window (``repro.serve``).
 
 Two gates, both must hold:
 
@@ -12,14 +12,18 @@ Two gates, both must hold:
 2. **throughput** — 16 concurrent clients keeping 8 cache-busting
    ``common_neighbors_many`` probes in flight each, over 8 resident
    sessions, must clear at least ``MIN_SPEEDUP`` (2x) the unfused
-   rate for the same probe set.  The win is the fusion scheduler's
-   amortisation: one merged join + one gather→AND→popcount sweep per
-   window per group instead of one executor dispatch and one join
-   compile per request.
+   rate for the same probe set.  The win is the window's amortisation:
+   one executor job per window, and one ``pair_scores`` call per session
+   in it, instead of one executor dispatch and one kernel pass per
+   request.  Both services stay open side by side and run ``AB_ROUNDS``
+   alternating rounds (the same fresh probe set per round, the order
+   flipped every round); the gate is the median of the per-round
+   unfused / fused wall-time ratios, so one slow phase of a shared host
+   cannot decide it.
 
 Applies in the exactness trace are barriered (all in-flight reads drain
 first) so both services observe identical graph generations per read —
-the concurrent-fencing path is exercised separately in
+a window's atomicity against a concurrent apply is tested in
 ``tests/test_fusion.py``.
 
 Usage::
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -52,7 +57,8 @@ DEPTH = 8
 ROUNDS = 3
 BATCH_PAIRS = 8
 FUSE_WINDOW_MS = 5.0
-REPEATS = 2
+#: Alternating unfused / fused measurement rounds (the gate's sample).
+AB_ROUNDS = 7
 
 _GRAPHS = None
 
@@ -172,7 +178,7 @@ async def exactness_gate() -> tuple[int, list[str]]:
     line = (
         f"exactness: {len(plain_out)} responses bit-identical; "
         f"fused_batches={report.fused_batches} fused_reads={report.fused_reads} "
-        f"max_batch={report.max_fused_batch} fenced={report.fenced}"
+        f"max_batch={report.max_fused_batch}"
     )
     print(line)
     lines.append(line)
@@ -180,7 +186,7 @@ async def exactness_gate() -> tuple[int, list[str]]:
 
 
 # ----------------------------------------------------------------------
-# Gate 2: throughput — fused >= 2x unfused at 16 concurrent clients
+# Gate 2: throughput — median round ratio fused / unfused >= 2x, 16 clients
 # ----------------------------------------------------------------------
 def probe_work(seed: int):
     rng = np.random.default_rng(seed)
@@ -216,43 +222,50 @@ async def drive_probes(service, work) -> float:
     return time.perf_counter() - start
 
 
-async def measure_mode(fuse_window_ms) -> tuple[float, object]:
-    """Best-of-``REPEATS`` wall time for the probe workload in one mode."""
-    kwargs = {} if fuse_window_ms is None else {"fuse_window_ms": fuse_window_ms}
-    best = float("inf")
-    report = None
-    async with open_service(max_sessions=NUM_GRAPHS, **kwargs) as service:
-        # Residency outside timing: the count plan and the symmetric
-        # structure the probes join against.
-        for graph in graphs():
-            await service.count(graph)
-            await service.common_neighbors(graph, 0, 1)
-        for repeat in range(REPEATS):
-            best = min(best, await drive_probes(service, probe_work(seed=77 + repeat)))
-        report = service.report()
-    return best, report
-
-
 async def throughput_gate() -> tuple[int, list[str]]:
     probes = CLIENTS * ROUNDS * DEPTH
-    unfused_s, unfused_report = await measure_mode(None)
-    fused_s, fused_report = await measure_mode(FUSE_WINDOW_MS)
-    speedup = unfused_s / fused_s if fused_s else float("inf")
-    line = (
-        f"throughput: {probes} probes, {CLIENTS} clients x depth {DEPTH} over "
-        f"{NUM_GRAPHS} sessions: unfused {probes / unfused_s:,.0f} q/s, fused "
-        f"{probes / fused_s:,.0f} q/s ({fused_report.fused_batches} sweeps, "
-        f"largest {fused_report.max_fused_batch}): speedup {speedup:.2f}x "
-        f"(threshold {MIN_SPEEDUP}x)"
+    lines = []
+    ratios = []
+    async with open_service(max_sessions=NUM_GRAPHS) as unfused, open_service(
+        max_sessions=NUM_GRAPHS, fuse_window_ms=FUSE_WINDOW_MS
+    ) as fused:
+        # Residency outside timing: the count plan and the symmetric
+        # structure the probes join against.
+        for service in (unfused, fused):
+            for graph in graphs():
+                await service.count(graph)
+                await service.common_neighbors(graph, 0, 1)
+        for round_index in range(AB_ROUNDS):
+            work = probe_work(seed=77 + round_index)
+            order = (unfused, fused) if round_index % 2 == 0 else (fused, unfused)
+            seconds = {}
+            for service in order:
+                seconds[service] = await drive_probes(service, work)
+            ratio = seconds[unfused] / seconds[fused]
+            ratios.append(ratio)
+            lines.append(
+                f"round {round_index}: unfused "
+                f"{probes / seconds[unfused]:,.0f} q/s, fused "
+                f"{probes / seconds[fused]:,.0f} q/s, ratio {ratio:.2f}x"
+            )
+        fused_report = fused.report()
+    speedup = statistics.median(ratios)
+    lines.append(
+        f"throughput: {probes} probes per round, {CLIENTS} clients x depth "
+        f"{DEPTH} over {NUM_GRAPHS} sessions, {AB_ROUNDS} alternating rounds: "
+        f"median ratio {speedup:.2f}x (threshold {MIN_SPEEDUP}x; "
+        f"{fused_report.fused_batches} windows, largest "
+        f"{fused_report.max_fused_batch})"
     )
-    print(line)
+    print("\n".join(lines))
     failures = 0
     if fused_report.max_fused_batch < 2:
-        print("FUSION GATE: no multi-request sweep ever formed", file=sys.stderr)
+        print("FUSION GATE: no multi-request window ever formed", file=sys.stderr)
         failures += 1
     if speedup < MIN_SPEEDUP:
         print(
-            f"THROUGHPUT GATE: {speedup:.2f}x < {MIN_SPEEDUP}x", file=sys.stderr
+            f"THROUGHPUT GATE: median {speedup:.2f}x < {MIN_SPEEDUP}x",
+            file=sys.stderr,
         )
         failures += 1
     if fused_report.pool.peak_resident < NUM_GRAPHS:
@@ -262,7 +275,7 @@ async def throughput_gate() -> tuple[int, list[str]]:
             file=sys.stderr,
         )
         failures += 1
-    return failures, [line]
+    return failures, lines
 
 
 def main(argv: list[str]) -> int:

@@ -62,8 +62,9 @@ def local_clustering(
 
     ``C_v = triangles(v) / C(deg(v), 2)``; vertices of degree < 2 get 0.
     ``triangles`` optionally passes precomputed per-vertex triangle
-    counts (e.g. a :class:`~repro.core.kernels.VertexTallyKernel` run) to
-    skip the :func:`triangles_per_vertex` recomputation, and ``degrees``
+    counts (e.g. the corner tallies of a session's triangle list, as
+    :meth:`repro.api.TCIMSession.clustering` passes them) to skip the
+    :func:`triangles_per_vertex` recomputation, and ``degrees``
     the vertex degrees; with both passed, ``graph`` may be ``None``.
     """
     degrees = _degrees(graph, degrees).astype(np.float64)

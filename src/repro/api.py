@@ -25,8 +25,9 @@ resident controller directly:
   :class:`EventCounts` deltas merged — dynamic workloads get the same
   speedup as full runs.
 
-Engine and baseline dispatch goes through :mod:`repro.registry`, so new
-backends plug in without touching this facade.
+Software baselines (:meth:`TCIMSession.baseline`) and graph-spec
+schemes (:func:`resolve_graph`) are looked up in :mod:`repro.registry`,
+so new ones plug in without touching this facade.
 
 Usage::
 
@@ -974,26 +975,52 @@ class TCIMSession:
 
         ``pairs`` is an iterable of ``(u, v)`` vertex pairs; the return
         value is their scores ``|N(u) ∩ N(v)|`` in input order.  The
-        whole batch joins against the resident symmetric structures in
+        whole batch joins against the resident symmetric structure in
         a single :class:`~repro.core.kernels.EdgeSupportKernel` pass, so
         a link-prediction sweep pays one kernel run instead of one per
-        probe — and the serving tier can fuse many sessions' batches
-        into one sweep.  Value-identical to calling
-        :meth:`common_neighbors` per pair.
+        probe.  Value-identical to calling :meth:`common_neighbors` per
+        pair; :meth:`pair_scores` takes the probes as two arrays.
         """
         with self._lock:
             sources, destinations = self.parse_pairs(pairs)
-            if not sources.size:
-                return []
-            scores = self._pair_scores(sources, destinations)
-            return [int(score) for score in scores]
+            return self._pair_scores(sources, destinations).tolist()
+
+    def pair_scores(self, sources, destinations) -> np.ndarray:
+        """Common-neighbor scores of probe pairs given as two arrays.
+
+        The array form of :meth:`common_neighbors_many`: two equal-length
+        1-D vertex arrays in, the int64 scores ``|N(u) ∩ N(v)|`` out, in
+        one :class:`~repro.core.kernels.EdgeSupportKernel` pass.  Raises
+        :class:`~repro.errors.GraphError` on arrays of other shapes and on
+        an out-of-range vertex (the first one in probe order, as
+        :meth:`parse_pairs` reports it).  The serving tier's fusion window
+        scores all of a session's probes with one call.
+        """
+        try:
+            sources = np.asarray(sources, dtype=np.int64)
+            destinations = np.asarray(destinations, dtype=np.int64)
+        except (TypeError, ValueError) as error:
+            raise GraphError(f"pair_scores takes vertex arrays: {error}") from None
+        if sources.ndim != 1 or sources.shape != destinations.shape:
+            raise GraphError(
+                "pair_scores takes two 1-D vertex arrays of one length, got "
+                f"shapes {sources.shape} and {destinations.shape}"
+            )
+        bad_sources = (sources < 0) | (sources >= self._num_vertices)
+        bad = bad_sources | (destinations < 0) | (destinations >= self._num_vertices)
+        if bad.any():
+            first = int(bad.argmax())
+            ends = sources if bad_sources[first] else destinations
+            self._check_query_vertex(int(ends[first]))
+        with self._lock:
+            return self._pair_scores(sources, destinations)
 
     def parse_pairs(self, pairs) -> tuple[np.ndarray, np.ndarray]:
         """Validate an iterable of ``(u, v)`` probes into int64 arrays.
 
-        The shared front door of :meth:`common_neighbors_many` and the
-        serving tier's fused pair sweeps, so both reject exactly the
-        same malformed input with exactly the same errors.
+        The front door of :meth:`common_neighbors_many` and of the
+        serving tier's fusion window, so both reject exactly the same
+        malformed input with exactly the same errors.
         """
         sources_list: list[int] = []
         destinations_list: list[int] = []
@@ -1554,6 +1581,8 @@ class TCIMSession:
         graph's own edge list, so these queries run plan-free — still
         through the same kernel and structures.
         """
+        if not sources.size:
+            return np.zeros(0, dtype=np.int64)
         sym = self._sym()
         _, touched_counts = sym.row_slice_ranges(np.unique(sources))
         _, column_capacity = split_capacity(
@@ -1608,154 +1637,6 @@ class TCIMSession:
         two_hop = np.unique(sym.row_columns(neighbors))
         keep = (two_hop != u) & ~np.isin(two_hop, neighbors)
         return two_hop[keep].astype(np.int64, copy=False)
-
-    # ------------------------------------------------------------------
-    # Cross-session fusion hooks (repro.serve's fusion scheduler)
-    # ------------------------------------------------------------------
-    # Counts and common-neighbor probes fuse; support, truss and
-    # clustering read the session's triangle list per request.  Each
-    # ``fusion_*_state`` snapshot is taken under the session lock
-    # and returns ``(status, payload, generation)``:
-    #
-    # * ``("cached", value, gen)`` — the answer is already resident;
-    # * ``("segment", payload, gen)`` — a :class:`~repro.core.kernels.FusedSegment`
-    #   (plus workload metadata) ready to join a fused sweep; the plan
-    #   and payload references are a consistent snapshot at ``gen``;
-    # * ``("unfusible", None, gen)`` — this session's configuration
-    #   cannot ride the fused path (sharded, plan-free); serve per-request.
-    #
-    # The sweep itself runs *without* the lock: a concurrent apply may
-    # flip payload bits or shift whole slices inside the very buffers
-    # the segment's arrays view (splices move slices in place), so the
-    # gathered bytes may be torn or belong to other slices.  Every
-    # ``fusion_commit_*`` re-checks the generation under the lock and
-    # refuses a stale commit, so such results are discarded, never
-    # served or cached.
-    def fusion_count_state(self):
-        """Snapshot for a fused triangle-count sweep."""
-        with self._lock:
-            if self._triangles is not None:
-                return ("cached", self._triangles, self._generation)
-            if self.config.num_arrays != 1 or not self._use_plan:
-                return ("unfusible", None, self._generation)
-            self._prepare()
-            plan = self._ensure_join_plan()
-            if plan is None:
-                return ("unfusible", None, self._generation)
-            row_sliced = self._oriented[0]
-            _, column_capacity = split_capacity(
-                self.config.capacity_slices, row_sliced.row_valid_counts()
-            )
-            segment = kernels.FusedSegment(
-                kernel=kernels.CountKernel(),
-                plan=plan,
-                data=row_sliced.data,
-                slices_per_row=row_sliced.slices_per_row,
-                row_writes=row_sliced.num_valid_slices,
-                column_capacity=column_capacity,
-                policy=self.config.policy,
-                seed=self.config.seed,
-            )
-            return ("segment", segment, self._generation)
-
-    def fusion_commit_count(self, generation: int, accumulator: int):
-        """Commit a fused count sweep's accumulator; ``None`` if fenced.
-
-        Derives the triangle count exactly as
-        :meth:`~repro.core.accelerator.TCIMAccelerator.run` does from the
-        same accumulator, installs it as the resident count, and returns
-        it.  A generation mismatch (a mutation landed while the sweep
-        ran) returns ``None`` — the sweep's bits cannot be trusted.
-        """
-        with self._lock:
-            if generation != self._generation:
-                return None
-            triangles = (
-                int(accumulator)
-                if self.config.orientation == "upper"
-                else int(accumulator) // 6
-            )
-            if self._triangles is None:
-                self._triangles = triangles
-            return self._triangles
-
-    def fusion_pairs_state(self, sources: np.ndarray, destinations: np.ndarray):
-        """Snapshot for a fused ad-hoc pair-scores sweep.
-
-        Compiles the batch's throwaway join plan under the lock (one
-        vectorised merge-join for *all* probes of the batch — the
-        batching win per session) and returns its segment; the fused
-        per-edge values are bit-identical to :meth:`_pair_scores` on the
-        same arrays.
-        """
-        with self._lock:
-            sources = np.asarray(sources, dtype=np.int64)
-            destinations = np.asarray(destinations, dtype=np.int64)
-            sym = self._sym()
-            plan = joinplan.build_join_plan(sym, sym, sources, destinations)
-            _, touched_counts = sym.row_slice_ranges(np.unique(sources))
-            _, column_capacity = split_capacity(
-                self.config.capacity_slices, touched_counts
-            )
-            segment = kernels.FusedSegment(
-                kernel=kernels.EdgeSupportKernel(),
-                plan=plan,
-                data=sym.data,
-                slices_per_row=sym.slices_per_row,
-                row_writes=int(touched_counts.sum()),
-                column_capacity=column_capacity,
-                policy=self.config.policy,
-                seed=self.config.seed,
-                sources=sources,
-                destinations=destinations,
-            )
-            return ("segment", segment, self._generation)
-
-    def fusion_candidates_state(self, u: int):
-        """Snapshot for a fused candidate-ranking sweep from vertex ``u``.
-
-        Returns ``("cached", [(vertex, score), ...], gen)`` when the
-        candidate list is resident (including the no-candidates case,
-        which is cached immediately), else ``("pairs", candidates, gen)``
-        — the two-hop candidate vertices whose ``(u, candidate)`` probes
-        the caller folds into a fused pair sweep and commits back via
-        :meth:`fusion_commit_candidates`.
-        """
-        with self._lock:
-            self._check_query_vertex(u)
-            key = ("common_neighbors", u)
-            cached = self._workload_cache.get(key)
-            if cached is not None:
-                return ("cached", list(cached), self._generation)
-            candidates = self._enumerate_candidates(u)
-            if not candidates.size:
-                self._workload_cache[key] = []
-                return ("cached", [], self._generation)
-            return ("pairs", candidates, self._generation)
-
-    def fusion_commit_candidates(
-        self, generation: int, u: int, candidates: np.ndarray, scores: np.ndarray
-    ):
-        """Install fused candidate scores as the resident list for ``u``.
-
-        Returns the resident ``[(vertex, score), ...]`` list (what
-        :meth:`_candidate_scores` would have cached), or ``None`` when
-        fenced by a mutation.
-        """
-        with self._lock:
-            if generation != self._generation:
-                return None
-            key = ("common_neighbors", u)
-            cached = self._workload_cache.get(key)
-            if cached is None:
-                cached = list(
-                    zip(
-                        np.asarray(candidates).tolist(),
-                        np.asarray(scores).tolist(),
-                    )
-                )
-                self._workload_cache[key] = cached
-            return list(cached)
 
     def _check_query_vertex(self, vertex: int) -> None:
         if not 0 <= vertex < self._num_vertices:

@@ -86,8 +86,8 @@ class PimTimingParams:
     #: Host-side cost of dispatching one kernel launch to the array
     #: fleet (command assembly, descriptor write, doorbell — work the
     #: controller performs once per sweep regardless of its size).  The
-    #: serving tier's fusion scheduler exists to amortise this: a fused
-    #: sweep pays it once for its whole request group.  See
+    #: serving tier's fusion window exists to amortise this: a window
+    #: pays it once for all the probes it drains.  See
     #: EXPERIMENTS.md §7 for the calibration.
     kernel_launch_s: float = 2e-6
     #: Collecting one shard's partial result into the global merge when
@@ -530,9 +530,9 @@ class PimPerformanceModel:
 
         ``launches`` (optional) is the number of kernel dispatches the
         serving run actually issued — per-request jobs plus one per
-        *fused* sweep, which is how fusion shows up in the price: a
-        fused group pays ``kernel_launch_s`` once where per-request
-        serving pays it per query.  The dispatch cost is host-side
+        fusion window, which is how fusion shows up in the price: a
+        window pays ``kernel_launch_s`` once where per-request serving
+        pays it per query.  The dispatch cost is host-side
         serial work, so it appears as its own ``launch`` breakdown term
         on top of the (unchanged) array critical path; omitting
         ``launches`` reproduces the pre-fusion figures exactly.

@@ -226,8 +226,8 @@ def measured_fleet_report(
     session — the fleet's measured critical path — with leakage accrued
     per resident array group (see
     :meth:`PimPerformanceModel.evaluate_fleet`).  ``launches`` forwards
-    the serving run's kernel-dispatch count so fused sweeps amortise
-    their per-launch cost over the whole group.
+    the serving run's kernel-dispatch count so fusion windows amortise
+    their per-launch cost over every probe they drain.
     """
     model = base_model or default_pim_model()
     return model.evaluate_fleet(session_events, session_rows, launches=launches)

@@ -672,10 +672,9 @@ def _print_serve_summary(report, as_json: bool) -> int:
     table.add_row(["coalesced reads", format_count(report.coalesced)])
     if report.fused_reads:
         table.add_row(
-            ["fused reads / sweeps",
+            ["fused reads / windows",
              f"{report.fused_reads} / {report.fused_batches} "
-             f"(largest group {report.max_fused_batch}, "
-             f"fenced {report.fenced})"],
+             f"(largest window {report.max_fused_batch})"],
         )
     if report.shed:
         table.add_row(["shed (overloaded)", format_count(report.shed)])
@@ -947,8 +946,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--fuse-window-ms", type=float, default=None,
-        help="fuse compatible reads arriving within this window into one "
-             "cross-session kernel sweep (default: fusion off)",
+        help="batch the common-neighbor probes arriving within this window "
+             "into one job that scores each session's probes in one call "
+             "(default: fusion off)",
     )
     serve.add_argument(
         "--max-queue", type=int, default=None,

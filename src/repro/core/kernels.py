@@ -11,12 +11,11 @@ positions; only the reduction differs:
 * **edge support** (common-neighbour scores) reduces the pair
   popcounts *per oriented edge* — over the symmetric orientation each
   directed edge's popcount is ``|N(u) ∩ N(v)|``;
-* **per-vertex tallies** further reduce the per-edge supports onto
-  their source vertices;
 * **triangle witnesses** (supports, clustering, k-truss peeling) keep
   the ANDed bits themselves: :func:`triangle_witnesses` reads each
   common neighbour off the count plan's conjunctions and names every
-  triangle once by its three edge ids.
+  triangle once by its three edge ids, and :func:`pair_witnesses` does
+  the same for a few vertex pairs.
 
 :func:`execute_workload` is the one executor behind the popcount
 kernels (the witness pass shares its chunked gather → AND,
@@ -34,7 +33,10 @@ and popcounts regardless of how the host reduces them.
 A :class:`BitwiseKernel` is deliberately small: a flag saying whether
 per-edge popcount sums must be materialised, plus a ``finalize`` that
 turns ``(accumulator, per_edge, sources, destinations)`` into the
-workload's value.  The executor owns all the heavy machinery.
+workload's value.  The executor owns all the heavy machinery.  Every
+call runs one workload over one set of structures; the serving tier
+batches a session's probes into one call
+(:meth:`repro.api.TCIMSession.pair_scores`).
 """
 
 from __future__ import annotations
@@ -53,21 +55,11 @@ __all__ = [
     "BitwiseKernel",
     "CountKernel",
     "EdgeSupportKernel",
-    "FusedSegment",
-    "VertexTallyKernel",
     "WorkloadResult",
-    "execute_fused",
     "execute_workload",
     "pair_witnesses",
     "triangle_witnesses",
-    "vertex_tallies_from_supports",
 ]
-
-#: Physically stack the payloads only while the fused gather volume
-#: amortises the copy; below this pairs-per-payload-row ratio the sweep
-#: gathers segment-locally into the shared output instead (identical
-#: results — the stack is an execution detail, not a semantic one).
-FUSED_STACK_MAX_ROWS_PER_PAIR = 2
 
 
 def triangle_witnesses(
@@ -209,23 +201,6 @@ def pair_witnesses(
     return pairs[shared][slot], witnesses
 
 
-def vertex_tallies_from_supports(
-    sources: np.ndarray, supports: np.ndarray, num_vertices: int
-) -> np.ndarray:
-    """Per-vertex triangle counts from per-*directed*-edge supports.
-
-    Over the symmetric orientation, each triangle ``{u, v, w}`` at vertex
-    ``u`` contributes 1 to the support of both directed edges ``(u, v)``
-    and ``(u, w)``, so the per-source sum double-counts triangles:
-    ``t(u) = sum(support(u, ·)) / 2``.  Exact in int64 (the float64
-    bincount weights are whole numbers far below 2**53).
-    """
-    summed = np.bincount(
-        sources, weights=supports.astype(np.float64), minlength=num_vertices
-    )
-    return np.rint(summed).astype(np.int64) // 2
-
-
 class BitwiseKernel:
     """One workload of the gather → AND → popcount family.
 
@@ -272,25 +247,6 @@ class EdgeSupportKernel(BitwiseKernel):
 
     def finalize(self, accumulator, per_edge, sources, destinations):
         return per_edge
-
-
-class VertexTallyKernel(BitwiseKernel):
-    """Per-vertex triangle tallies (clustering-coefficient numerators).
-
-    Requires the full symmetric oriented edge list — the per-source
-    reduction halves the double count each triangle leaves on its
-    corner's two directed edges (see
-    :func:`vertex_tallies_from_supports`).
-    """
-
-    name = "tally"
-    per_edge = True
-
-    def __init__(self, num_vertices: int) -> None:
-        self.num_vertices = int(num_vertices)
-
-    def finalize(self, accumulator, per_edge, sources, destinations):
-        return vertex_tallies_from_supports(sources, per_edge, self.num_vertices)
 
 
 @dataclass
@@ -495,128 +451,3 @@ def _execute_planned(
         events=events,
         cache_stats=cache_stats,
     )
-
-
-# ----------------------------------------------------------------------
-# Cross-session fusion
-# ----------------------------------------------------------------------
-@dataclass
-class FusedSegment:
-    """One session's share of a fused sweep.
-
-    Pairs a resident (or ad-hoc) :class:`repro.core.plan.JoinPlan` with
-    the one payload array both its row and column positions index (the
-    session's symmetric structure) plus the event/cache parameters its
-    lone run would have used, so the fused executor can reproduce that
-    run's ``WorkloadResult`` field by field.
-    """
-
-    kernel: BitwiseKernel
-    plan: object
-    data: np.ndarray
-    slices_per_row: int
-    row_writes: int
-    column_capacity: int
-    policy: object
-    seed: int
-    sources: np.ndarray | None = None
-    destinations: np.ndarray | None = None
-
-
-def execute_fused(
-    segments, force_stacked: bool | None = None
-) -> list[WorkloadResult]:
-    """Execute many sessions' workloads as **one** gather→AND→popcount sweep.
-
-    The fusion scheduler's kernel: concatenates the segments' plans into
-    one fused pair space (:func:`repro.core.plan.fuse_plans`), runs a
-    single popcount pass over it, then splits the reductions back per
-    segment.  Each returned :class:`WorkloadResult` is bit-identical —
-    value, accumulator, events, cache statistics — to running that
-    segment alone through :func:`execute_workload` with its plan.
-
-    When the fused gather volume amortises the copy, the payloads are
-    physically stacked (``np.concatenate`` of the uint8 payloads —
-    lane widths must match, which the scheduler's grouping guarantees)
-    and the offset-baked fused positions drive one
-    :func:`repro.core.engine.pair_popcounts` call.  For sparse probe
-    batches whose pair count is small against the resident payloads, the
-    sweep gathers segment-locally into the shared output instead; both
-    paths produce the same bits (``force_stacked`` pins one for tests).
-    """
-    from repro.core.plan import fuse_plans
-
-    segments = list(segments)
-    if not segments:
-        return []
-    width = segments[0].data.shape[1]
-    for seg in segments:
-        if seg.data.shape[1] != width:
-            raise ArchitectureError(
-                "fused segments must share one slice width; group by "
-                "lane-compatible configurations before fusing"
-            )
-        if seg.plan.payload_rows != seg.data.shape[0]:
-            raise ArchitectureError(
-                "fused segment plan does not match its payload array; "
-                "snapshot plan and payload under one lock"
-            )
-    fused = fuse_plans([seg.plan for seg in segments])
-    total_pairs = fused.num_pairs
-    stack_rows = sum(s.data.shape[0] for s in segments)
-    if force_stacked is None:
-        stacked = stack_rows <= FUSED_STACK_MAX_ROWS_PER_PAIR * total_pairs
-    else:
-        stacked = bool(force_stacked)
-    if stacked and len(segments) > 1:
-        stack = np.concatenate([s.data for s in segments])
-        pops = engine.pair_popcounts(
-            stack, stack, fused.row_positions, fused.col_positions,
-            diagonal=fused.diagonal,
-        )
-    elif stacked:
-        seg = segments[0]
-        pops = engine.pair_popcounts(
-            seg.data, seg.data, seg.plan.row_positions, seg.plan.col_positions,
-            diagonal=seg.plan.diagonal,
-        )
-    else:
-        workspace = engine._Workspace()
-        pops = np.empty(total_pairs, dtype=np.int64)
-        for i, seg in enumerate(segments):
-            pops[fused.segment_slice(i)] = engine.pair_popcounts(
-                seg.data, seg.data, seg.plan.row_positions, seg.plan.col_positions,
-                workspace, seg.plan.diagonal,
-            )
-    prefix = np.zeros(total_pairs + 1, dtype=np.int64)
-    np.cumsum(pops, out=prefix[1:])
-    results: list[WorkloadResult] = []
-    for i, seg in enumerate(segments):
-        lo = int(fused.segment_bounds[i])
-        hi = int(fused.segment_bounds[i + 1])
-        accumulator = int(prefix[hi] - prefix[lo])
-        per_edge = None
-        if seg.kernel.per_edge:
-            bounds = seg.plan.bounds + lo
-            per_edge = prefix[bounds[1:]] - prefix[bounds[:-1]]
-        events = engine._base_events(
-            seg.plan.num_edges, seg.slices_per_row, seg.row_writes
-        )
-        events["and_operations"] = seg.plan.num_pairs
-        events["bitcount_operations"] = seg.plan.num_pairs
-        cache_stats = seg.plan.cache_statistics(
-            seg.column_capacity, seg.policy, seg.seed
-        )
-        events["col_slice_writes"] = cache_stats.writes
-        events["col_slice_hits"] = cache_stats.hits
-        results.append(
-            WorkloadResult(
-                value=seg.kernel.finalize(
-                    accumulator, per_edge, seg.sources, seg.destinations
-                ),
-                accumulator=accumulator,
-                events=events,
-                cache_stats=cache_stats,
-            )
-        )
-    return results

@@ -65,10 +65,8 @@ from repro.core.slicing import SliceWindow, _alloc, bit_range_masks, expand_runs
 from repro.errors import ArchitectureError
 
 __all__ = [
-    "FusedPlan",
     "JoinPlan",
     "build_join_plan",
-    "fuse_plans",
     "patch_join_plan",
     "merge_oriented_edges",
 ]
@@ -382,144 +380,6 @@ def build_join_plan(
         stamp=_stamp(row_sliced, col_sliced),
         diagonal_pairs=diagonal_pairs,
         diagonal_masks=masks,
-    )
-
-
-# ----------------------------------------------------------------------
-# Cross-plan fusion
-# ----------------------------------------------------------------------
-@dataclass(eq=False)
-class FusedPlan:
-    """Several compiled plans concatenated into one fused pair space.
-
-    The serving tier's fusion scheduler groups compatible queries across
-    *different* resident sessions and executes the whole group as one
-    gather → AND → popcount sweep.  A fused plan is the index of that
-    sweep: each member plan's gather positions shifted by its segment's
-    payload-row offset (so they address a virtually *stacked* payload —
-    segment 0's rows first, then segment 1's, ...), plus the pair-space
-    bounds needed to split the fused reductions back per segment.  Every
-    member's row and column positions index one payload (the two windows
-    of one symmetric structure, or one structure joined with itself).
-
-    Fusion is pure concatenation: the pair order inside each segment is
-    exactly the member plan's order, so every per-segment reduction is
-    bit-identical to running that plan alone.
-    """
-
-    #: Fused row gather positions into the stacked payload (offset-baked).
-    row_positions: np.ndarray
-    #: Fused column gather positions into the stacked payload.
-    col_positions: np.ndarray
-    #: Exclusive prefix bounds of each segment's pair run (size ``n+1``).
-    segment_bounds: np.ndarray
-    #: Payload-row offset of each segment in the stacked payload.
-    offsets: np.ndarray
-    #: The member plans' diagonal pairs, in fused pair indices.
-    diagonal_pairs: np.ndarray
-    #: Their masks.
-    diagonal_masks: np.ndarray
-    #: The member plans, in segment order.
-    plans: tuple
-
-    @property
-    def num_segments(self) -> int:
-        return len(self.plans)
-
-    @property
-    def num_pairs(self) -> int:
-        """Total matched pairs (= AND operations of the fused sweep)."""
-        return int(self.row_positions.size)
-
-    @property
-    def diagonal(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """As :attr:`JoinPlan.diagonal`, over the fused pair space."""
-        if not self.diagonal_pairs.size:
-            return None
-        return self.diagonal_pairs, self.diagonal_masks
-
-    @property
-    def nbytes(self) -> int:
-        return (
-            self.row_positions.nbytes
-            + self.col_positions.nbytes
-            + self.segment_bounds.nbytes
-            + self.offsets.nbytes
-            + self.diagonal_pairs.nbytes
-            + self.diagonal_masks.nbytes
-        )
-
-    def segment_slice(self, index: int) -> slice:
-        """The fused pair-space slice owned by segment ``index``."""
-        return slice(
-            int(self.segment_bounds[index]), int(self.segment_bounds[index + 1])
-        )
-
-    def split(self, per_pair: np.ndarray) -> list[np.ndarray]:
-        """Split a fused per-pair array back into per-segment views.
-
-        The inverse of the concatenation: ``split(pops)[i]`` is exactly
-        what a lone sweep of ``plans[i]`` would have produced, so each
-        segment's reduction (scalar accumulator, per-edge runs) proceeds
-        as if it had never been fused.
-        """
-        per_pair = np.asarray(per_pair)
-        if per_pair.shape[0] != self.num_pairs:
-            raise ArchitectureError(
-                f"fused split expects {self.num_pairs} per-pair values, "
-                f"got {per_pair.shape[0]}"
-            )
-        return [per_pair[self.segment_slice(i)] for i in range(self.num_segments)]
-
-
-def fuse_plans(plans, store=None) -> FusedPlan:
-    """Concatenate compiled plans into one fused pair space.
-
-    Each member's positions are shifted by the payload rows of the
-    preceding members — the offsets a physical ``np.concatenate`` of the
-    payload arrays induces — so one sweep over the stacked payload
-    executes every member plan at once.  Callers group only
-    lane-compatible plans (same slice width) whose row and column
-    positions index one payload; this function is pure index arithmetic
-    and does not see the payloads.  A ``store`` routes the fused gather
-    arrays through a backing store (disk-backed when large); per-sweep
-    fused plans are usually left on heap.
-    """
-    plans = tuple(plans)
-    if not plans:
-        raise ArchitectureError("fuse_plans needs at least one plan")
-    if any(len(plan.stamp) != 1 for plan in plans):
-        raise ArchitectureError(
-            "fuse_plans needs plans whose row and column positions index "
-            "one payload"
-        )
-    num = len(plans)
-    offsets = np.zeros(num, dtype=np.int64)
-    np.cumsum([p.payload_rows for p in plans[:-1]], out=offsets[1:])
-    segment_bounds = np.zeros(num + 1, dtype=np.int64)
-    np.cumsum([p.num_pairs for p in plans], out=segment_bounds[1:])
-    total = int(segment_bounds[-1])
-    row_positions = _alloc(store, total, np.int64)
-    col_positions = _alloc(store, total, np.int64)
-    for i, plan in enumerate(plans):
-        lo, hi = int(segment_bounds[i]), int(segment_bounds[i + 1])
-        for positions, fused in (
-            (plan.row_positions, row_positions), (plan.col_positions, col_positions)
-        ):
-            np.add(positions, offsets[i], out=fused[lo:hi], casting="unsafe")
-    return FusedPlan(
-        row_positions=row_positions,
-        col_positions=col_positions,
-        segment_bounds=segment_bounds,
-        offsets=offsets,
-        diagonal_pairs=np.concatenate(
-            [
-                plan.diagonal_pairs.astype(np.int64) + segment_bounds[i]
-                for i, plan in enumerate(plans)
-            ]
-        ),
-        diagonal_masks=np.concatenate([plan.diagonal_masks for plan in plans]),
-        plans=plans,
     )
 
 

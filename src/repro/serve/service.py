@@ -24,21 +24,17 @@
 Two serving-scale facilities are layered on top (both off by default,
 so a plain ``Service()`` behaves exactly as before):
 
-* **cross-session query fusion** (``fuse_window_ms``): instead of one
-  executor job per read, compatible count and common-neighbor reads
-  that arrive within the window are grouped — across *different*
-  sessions — and executed as **one** gather→AND→popcount sweep over the
-  concatenated per-session join plans
-  (:func:`repro.core.kernels.execute_fused`).  Support, truss and
-  cluster reads run per request: each session answers them from its
-  one triangle list per generation.  Probe-style reads
-  (``common_neighbors``/``common_neighbors_many``) additionally merge
-  per session, so a window's worth of probes against one graph compiles
-  a single batched join instead of one per request.  Every fused commit
-  is fenced by the session's mutation generation: a concurrent
-  ``apply`` invalidates the in-flight group for that session and its
-  requests transparently re-run per-request, so fused results are
-  always bit-identical to unfused serving;
+* **the fusion window** (``fuse_window_ms``): instead of one executor
+  job per read, the ``common_neighbors`` / ``common_neighbors_many``
+  probes that arrive within the window — across every session — drain
+  as **one** executor job.  It takes each session's lock once, validates
+  each request with :meth:`~repro.api.TCIMSession.parse_pairs`, scores
+  all of that session's pairs with one
+  :meth:`~repro.api.TCIMSession.pair_scores` call and slices the scores
+  back into the per-request replies; a top-k probe runs its own work
+  inside the same hold.  A session's share of a window is atomic (an
+  ``apply`` lands wholly before or after it), so its replies are exactly
+  those of per-request serving.  Every other read runs per request;
 * **bounded admission** (``max_queue``): at most that many requests may
   be in flight; excess requests are either rejected with
   :class:`~repro.errors.OverloadedError` (``admission="reject"``) or
@@ -77,7 +73,6 @@ from functools import partial
 import numpy as np
 
 from repro.api import RunReport, UpdateReport
-from repro.core import kernels
 from repro.core.accelerator import EventCounts
 from repro.core.slicing import SliceStatistics
 from repro.errors import OverloadedError, ReproError
@@ -93,16 +88,13 @@ __all__ = [
 
 @dataclass
 class _FusionRequest:
-    """One read parked in the fusion window, waiting for its sweep."""
+    """One probe parked in the fusion window."""
 
     entry: SessionEntry
-    kind: str
-    #: Fusion class: ``"count"`` | ``"pairs"``.
-    klass: str
-    #: Op-specific payload — for ``"pairs"``: ``("pair", u, v)``,
-    #: ``("cand", u, k)`` or ``("many", pairs)``.
-    spec: object
-    #: The per-request work fn: the fallback when the sweep is fenced.
+    #: ``("pair", u, v)`` and ``("many", pairs)`` join the session's one
+    #: ``pair_scores`` call; ``("work",)`` runs ``work`` in the window.
+    spec: tuple
+    #: The per-request work fn (what the read runs outside a window).
     work: object
     future: asyncio.Future
 
@@ -168,17 +160,14 @@ class ServiceReport:
     queue_depth: int = 0
     #: Requests rejected with ``OverloadedError`` (admission="reject").
     shed: int = 0
-    #: Fused sweeps executed (each is one kernel launch for its group).
+    #: Fusion windows executed (each is one executor job, one launch).
     fused_batches: int = 0
-    #: Reads routed through the fusion scheduler.
+    #: Reads routed through the fusion window.
     fused_reads: int = 0
-    #: Largest request group a single fused sweep served.
+    #: Most requests a single fusion window served.
     max_fused_batch: int = 0
-    #: Fused commits discarded by a concurrent mutation's generation
-    #: fence (those requests transparently re-ran per-request).
-    fenced: int = 0
-    #: Engine-work dispatches (per-request jobs + applies + fused
-    #: sweeps); what :func:`~repro.arch.perf.evaluate_fleet` amortises
+    #: Engine-work dispatches (per-request jobs + applies + fusion
+    #: windows); what :func:`~repro.arch.perf.evaluate_fleet` amortises
     #: its per-launch cost over.
     kernel_launches: int = 0
 
@@ -204,7 +193,6 @@ class ServiceReport:
             "fused_batches": self.fused_batches,
             "fused_reads": self.fused_reads,
             "max_fused_batch": self.max_fused_batch,
-            "fenced": self.fenced,
             "kernel_launches": self.kernel_launches,
         }
         if self.fleet is not None:
@@ -294,7 +282,7 @@ class Service:
         self._fusion_pending: list[_FusionRequest] = []
         self._fusion_wake: asyncio.Event | None = None
         self._fusion_task: asyncio.Task | None = None
-        self._fusion_groups: set = set()
+        self._fusion_windows: set = set()
         # --- admission control --------------------------------------
         self._max_queue = max_queue
         self._admission = admission
@@ -307,7 +295,6 @@ class Service:
         self._fused_batches = 0
         self._fused_reads = 0
         self._max_fused_batch = 0
-        self._fenced = 0
         self._launches = 0
 
     # ------------------------------------------------------------------
@@ -330,9 +317,9 @@ class Service:
         while self._fusion_task is not None and not self._fusion_task.done():
             self._fusion_wake.set()
             await self._fusion_task
-        if self._fusion_groups:
+        if self._fusion_windows:
             await asyncio.gather(
-                *list(self._fusion_groups), return_exceptions=True
+                *list(self._fusion_windows), return_exceptions=True
             )
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, partial(self._executor.shutdown, wait=True))
@@ -348,14 +335,7 @@ class Service:
     # ------------------------------------------------------------------
     async def count(self, source, config=None, **overrides) -> int:
         """Exact triangle count (incrementally maintained across applies)."""
-        return await self._read(
-            source,
-            config,
-            overrides,
-            "count",
-            self._count_work,
-            fusion=("count", None),
-        )
+        return await self._read(source, config, overrides, "count", self._count_work)
 
     async def simulate(self, source, config=None, **overrides) -> RunReport:
         """Full priced run on the resident structures (cached per generation)."""
@@ -415,17 +395,18 @@ class Service:
 
         Coalescing is keyed per ``(u, v, k)`` triple, so repeated
         identical link-prediction probes against an unchanged session
-        share one kernel run.
+        share one kernel run.  Under a fusion window a pair score joins
+        its session's one scoring call; a top-k probe runs on its own.
         """
         kind = f"common_neighbors:{int(u)}:{v}:{k}"
-        spec = ("pair", u, v) if v is not None else ("cand", u, k)
+        spec = ("pair", u, v) if v is not None else ("work",)
         return await self._read(
             source,
             config,
             overrides,
             kind,
             partial(self._common_neighbors_work, u=u, v=v, k=k),
-            fusion=("pairs", spec),
+            fusion=spec,
         )
 
     async def common_neighbors_many(
@@ -433,10 +414,10 @@ class Service:
     ) -> dict:
         """Batched common-neighbor scores for many ``(u, v)`` probes.
 
-        The whole batch compiles one join and runs one kernel pass
+        The whole batch runs one kernel pass
         (:meth:`~repro.api.TCIMSession.common_neighbors_many`); under a
-        fusion window, batches from different clients — and different
-        *sessions* — additionally merge into a single fused sweep.
+        fusion window, every batch against one session within the window
+        is scored by one :meth:`~repro.api.TCIMSession.pair_scores` call.
         Returns ``{"pairs": n, "scores": [...]}`` with scores in probe
         order.  Coalescing is keyed by a digest of the probe list.
         """
@@ -453,7 +434,7 @@ class Service:
             overrides,
             f"common_neighbors_many:{digest}",
             partial(self._cn_many_work, pairs=pairs),
-            fusion=("pairs", ("many", pairs)),
+            fusion=("many", pairs),
             label="common_neighbors_many",
         )
 
@@ -531,7 +512,6 @@ class Service:
             fused_batches = self._fused_batches
             fused_reads = self._fused_reads
             max_fused_batch = self._max_fused_batch
-            fenced = self._fenced
             launches = self._launches
         return ServiceReport(
             wall_clock_s=wall,
@@ -551,7 +531,6 @@ class Service:
             fused_batches=fused_batches,
             fused_reads=fused_reads,
             max_fused_batch=max_fused_batch,
-            fenced=fenced,
             kernel_launches=launches,
         )
 
@@ -566,7 +545,6 @@ class Service:
             fused_batches = self._fused_batches
             fused_reads = self._fused_reads
             max_fused_batch = self._max_fused_batch
-            fenced = self._fenced
             launches = self._launches
         return {
             "queries": self._queries,
@@ -581,7 +559,6 @@ class Service:
             "fused_batches": fused_batches,
             "fused_reads": fused_reads,
             "max_fused_batch": max_fused_batch,
-            "fenced": fenced,
             "kernel_launches": launches,
             "resident": self._pool.resident,
             # Out-of-core paging traffic (see repro.serve.pool): eviction
@@ -667,6 +644,8 @@ class Service:
     ) -> object:
         # ``kind`` keys read coalescing; ``label`` (default: ``kind``) is
         # the ``by_kind`` counter, so per-probe kinds can share one.
+        # ``fusion`` is a probe's spec for the fusion window (see
+        # ``_FusionRequest``); reads without one never enter it.
         await self._admit()
         try:
             entry = await self._checkout(source, config, overrides)
@@ -691,9 +670,8 @@ class Service:
                     fusion is not None
                     and self._fuse_window_s is not None
                     and not self._closed
-                    and entry.session.config.num_arrays == 1
                 ):
-                    future = self._enqueue_fused(entry, kind, fusion, work)
+                    future = self._enqueue_fused(entry, fusion, work)
                     _publish_inflight(entry, kind, generation, future)
                 else:
                     with self._stats_lock:
@@ -759,15 +737,12 @@ class Service:
         self._admitted -= 1
 
     # ------------------------------------------------------------------
-    # Cross-session query fusion
+    # The fusion window
     # ------------------------------------------------------------------
-    def _enqueue_fused(self, entry, kind, fusion, work) -> asyncio.Future:
-        """Park one read in the fusion window; resolves via its sweep."""
-        klass, spec = fusion
+    def _enqueue_fused(self, entry, spec, work) -> asyncio.Future:
+        """Park one probe in the fusion window; resolves via its window."""
         future = asyncio.get_running_loop().create_future()
-        self._fusion_pending.append(
-            _FusionRequest(entry, kind, klass, spec, work, future)
-        )
+        self._fusion_pending.append(_FusionRequest(entry, spec, work, future))
         with self._stats_lock:
             self._fused_reads += 1
         if self._fusion_task is None or self._fusion_task.done():
@@ -780,17 +755,16 @@ class Service:
         return future
 
     async def _fusion_loop(self) -> None:
-        """Drain the pending queue: wait, window, group, sweep.
+        """Drain the pending queue: wait, window, run.
 
         Requests arriving while the window sleeps join the same drain —
         that is the window.  The window is adaptive: it sleeps in
         quarter-window slices and drains as soon as a slice brings no new
         arrivals, so a burst that lands entirely in the first slice is
         not taxed the full window, while a steady trickle still
-        accumulates up to the configured bound.  Each drained batch is
-        grouped by (fusion class, slice width) and every group becomes
-        one fused sweep on the worker pool; groups run concurrently with
-        the next window.
+        accumulates up to the configured bound.  Each drained window
+        becomes one job on the worker pool (:meth:`_window_work`), which
+        runs concurrently with the next window's collection.
         """
         while True:
             await self._fusion_wake.wait()
@@ -808,233 +782,55 @@ class Service:
                     if arrived == seen:
                         break
                     seen = arrived
-            batch, self._fusion_pending = self._fusion_pending, []
-            groups: dict = {}
-            for request in batch:
-                key = (request.klass, request.entry.session.config.slice_bits)
-                groups.setdefault(key, []).append(request)
-            for group in groups.values():
-                task = asyncio.ensure_future(self._run_fused_group(group))
-                self._fusion_groups.add(task)
-                task.add_done_callback(self._fusion_groups.discard)
+            window, self._fusion_pending = self._fusion_pending, []
+            if window:
+                task = asyncio.ensure_future(self._run_window(window))
+                self._fusion_windows.add(task)
+                task.add_done_callback(self._fusion_windows.discard)
             if self._closed and not self._fusion_pending:
                 return
 
-    async def _run_fused_group(self, group: list) -> None:
+    async def _run_window(self, window: list) -> None:
         with self._stats_lock:
-            self._max_fused_batch = max(self._max_fused_batch, len(group))
+            self._fused_batches += 1
+            self._launches += 1
+            self._max_fused_batch = max(self._max_fused_batch, len(window))
         loop = asyncio.get_running_loop()
         try:
             outcomes = await loop.run_in_executor(
-                self._executor, partial(self._fused_group_work, group)
+                self._executor, partial(self._window_work, window)
             )
         except Exception as error:
-            for request in group:
-                if not request.future.done():
-                    request.future.set_exception(error)
-            return
-        for request, outcome in zip(group, outcomes):
+            outcomes = [(False, error)] * len(window)
+        for request, (ok, value) in zip(window, outcomes):
             if request.future.done():
                 continue
-            ok, value = outcome
             if ok:
                 request.future.set_result(value)
             else:
                 request.future.set_exception(value)
 
-    def _fused_group_work(self, group: list) -> list:
-        """Worker-thread body of one fused sweep.
+    def _window_work(self, window: list) -> list:
+        """Worker-thread body of one fusion window.
 
-        Snapshot each session's state under its lock, concatenate every
-        snapshot into one :func:`~repro.core.kernels.execute_fused`
-        sweep, then commit each segment back under its session's lock.
-        A request whose session can't fuse (sharded, cached, fenced by a
-        concurrent mutation) runs its ordinary per-request work instead
-        — the results are indistinguishable either way.
-
-        Returns ``(ok, value-or-error)`` per request, aligned with
-        ``group``.
+        Serves each session's probes under one hold of its lock (see
+        :func:`_session_window`).  Returns ``(ok, value-or-error)`` per
+        request, aligned with ``window``.
         """
-        outcomes: list = [None] * len(group)
-        segments: list = []
-        finishers: list = []
+        outcomes: list = [None] * len(window)
         by_entry: dict[int, list] = {}
-        order: list[SessionEntry] = []
-        for index, request in enumerate(group):
-            bucket = by_entry.setdefault(id(request.entry), [])
-            if not bucket:
-                order.append(request.entry)
-            bucket.append((index, request))
-        for entry in order:
-            members = by_entry[id(entry)]
-            klass = members[0][1].klass
+        for index, request in enumerate(window):
+            by_entry.setdefault(id(request.entry), []).append(index)
+        for members in by_entry.values():
+            entry = window[members[0]].entry
             try:
-                if klass == "count":
-                    self._snapshot_count(
-                        entry, members, segments, finishers, outcomes
-                    )
-                else:
-                    self._snapshot_pairs(
-                        entry, members, segments, finishers, outcomes
-                    )
+                self._warm(entry)  # pricing parity with per-request reads
+                _session_window(entry, window, members, outcomes)
             except Exception as error:
-                for index, request in members:
+                for index in members:
                     if outcomes[index] is None:
                         outcomes[index] = (False, error)
-        if segments:
-            with self._stats_lock:
-                self._fused_batches += 1
-                self._launches += 1
-            results = kernels.execute_fused(segments)
-            for finisher, result in zip(finishers, results):
-                finisher(result)
         return outcomes
-
-    def _run_fallback(self, request: _FusionRequest, entry) -> tuple:
-        try:
-            return (True, request.work(entry))
-        except Exception as error:
-            return (False, error)
-
-    def _note_fence(self) -> None:
-        with self._stats_lock:
-            self._fenced += 1
-
-    def _merge_fused_events(self, entry, generation, events: dict) -> None:
-        """Price a fused count sweep exactly as :meth:`_warm` would.
-
-        The fused segment reproduces the planned count run field by
-        field, so merging its events once per generation keeps the
-        priced fleet identical to per-request serving.
-        """
-        with entry.stats_lock:
-            entry.known_generation = max(entry.known_generation, generation)
-            if generation not in entry.priced_generations:
-                entry.events = entry.events.merge(EventCounts(**events))
-                entry.priced_generations.add(generation)
-                entry.warmed = True
-
-    def _snapshot_count(self, entry, members, segments, finishers, outcomes):
-        session = entry.session
-        state, payload, generation = session.fusion_count_state()
-        if state != "segment":
-            # Cached (near-free) or unfusible (sharded/plan-free).
-            for index, request in members:
-                outcomes[index] = self._run_fallback(request, entry)
-            return
-
-        def finish(result):
-            committed = session.fusion_commit_count(
-                generation, result.accumulator
-            )
-            if committed is None:
-                self._note_fence()
-                outcome = None
-            else:
-                self._merge_fused_events(entry, generation, result.events)
-                outcome = (True, committed)
-            for index, request in members:
-                outcomes[index] = (
-                    outcome
-                    if outcome is not None
-                    else self._run_fallback(request, entry)
-                )
-
-        segments.append(payload)
-        finishers.append(finish)
-
-    def _snapshot_pairs(self, entry, members, segments, finishers, outcomes):
-        """Merge every probe read against one session into one join.
-
-        All of a window's ``common_neighbors``/``common_neighbors_many``
-        probes for this session concatenate into a single batched join
-        plan — one vectorised merge-join and one kernel segment for the
-        lot, where per-request serving compiles one plan per request.
-        """
-        session = entry.session
-        slices: list = []  # (index, request, lo, hi, meta)
-        sources: list = []
-        dests: list = []
-        with session.lock:
-            total = 0
-            for index, request in members:
-                spec = request.spec
-                try:
-                    if spec[0] == "pair":
-                        us, vs = session.parse_pairs([(spec[1], spec[2])])
-                        meta = ("pair", int(spec[1]), int(spec[2]))
-                    elif spec[0] == "many":
-                        us, vs = session.parse_pairs(spec[1])
-                        meta = ("many",)
-                    else:  # ("cand", u, k): rank u's two-hop candidates
-                        state, payload, _gen = session.fusion_candidates_state(
-                            int(spec[1])
-                        )
-                        if state == "cached":
-                            outcomes[index] = self._run_fallback(
-                                request, entry
-                            )
-                            continue
-                        candidates = payload
-                        us = np.full(
-                            candidates.size, int(spec[1]), dtype=np.int64
-                        )
-                        vs = candidates.astype(np.int64, copy=False)
-                        meta = ("cand", int(spec[1]), candidates)
-                except Exception as error:
-                    outcomes[index] = (False, error)
-                    continue
-                if us.size == 0:  # an empty common_neighbors_many batch
-                    outcomes[index] = (True, {"pairs": 0, "scores": []})
-                    continue
-                slices.append((index, request, total, total + us.size, meta))
-                sources.append(us)
-                dests.append(vs)
-                total += us.size
-            if not total:
-                return
-            _state, segment, generation = session.fusion_pairs_state(
-                np.concatenate(sources), np.concatenate(dests)
-            )
-
-        def finish(result):
-            with session.lock:
-                fresh = session.generation == generation
-            if not fresh:
-                self._note_fence()
-            else:
-                self._warm(entry)  # pricing parity with per-request reads
-            scores = result.value if fresh else None
-            for index, request, lo, hi, meta in slices:
-                if scores is None:
-                    outcomes[index] = self._run_fallback(request, entry)
-                elif meta[0] == "pair":
-                    outcomes[index] = (
-                        True,
-                        {
-                            "u": meta[1],
-                            "v": meta[2],
-                            "score": int(scores[lo]),
-                        },
-                    )
-                elif meta[0] == "many":
-                    outcomes[index] = (
-                        True,
-                        {
-                            "pairs": hi - lo,
-                            "scores": [int(s) for s in scores[lo:hi]],
-                        },
-                    )
-                else:
-                    session.fusion_commit_candidates(
-                        generation, meta[1], meta[2], scores[lo:hi]
-                    )
-                    # Rank + shape from the (now resident) cache via the
-                    # ordinary work fn — identical payload either way.
-                    outcomes[index] = self._run_fallback(request, entry)
-
-        segments.append(segment)
-        finishers.append(finish)
 
     def _warm(self, entry: SessionEntry) -> None:
         """Establish (and price) residency: the Fig. 4 'load the sliced
@@ -1185,6 +981,50 @@ class Service:
                     entry.session.resident_bytes_detail() if resident else {}
                 ),
             )
+
+
+def _session_window(entry: SessionEntry, window, members, outcomes) -> None:
+    """One session's share of a fusion window, atomic under its lock.
+
+    Validates each probe with ``parse_pairs`` (a malformed request fails
+    alone), scores every pair with one ``pair_scores`` call and slices
+    the scores into the replies the per-request work functions return; a
+    ``("work",)`` request runs its own work function inside the hold.
+    """
+    session = entry.session
+    scored: list = []  # (index, lo, hi, spec)
+    sources: list = []
+    destinations: list = []
+    total = 0
+    with session.lock:
+        for index in members:
+            request = window[index]
+            spec = request.spec
+            try:
+                if spec[0] == "work":
+                    outcomes[index] = (True, request.work(entry))
+                    continue
+                us, vs = session.parse_pairs(
+                    [spec[1:]] if spec[0] == "pair" else spec[1]
+                )
+            except Exception as error:
+                outcomes[index] = (False, error)
+                continue
+            scored.append((index, total, total + us.size, spec))
+            sources.append(us)
+            destinations.append(vs)
+            total += us.size
+        if not scored:
+            return
+        scores = session.pair_scores(
+            np.concatenate(sources), np.concatenate(destinations)
+        )
+    for index, lo, hi, spec in scored:
+        if spec[0] == "pair":
+            reply = {"u": int(spec[1]), "v": int(spec[2]), "score": int(scores[lo])}
+        else:
+            reply = {"pairs": hi - lo, "scores": scores[lo:hi].tolist()}
+        outcomes[index] = (True, reply)
 
 
 def _publish_inflight(entry: SessionEntry, kind: str, generation: int, future) -> None:

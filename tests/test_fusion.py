@@ -1,17 +1,14 @@
-"""Tests for cross-session query fusion and admission control.
+"""Tests for the serving tier's fusion window and admission control.
 
 Covers the fusion stack layer by layer:
 
-* **core** — ``fuse_plans`` offset arithmetic and ``split``;
-  ``execute_fused`` bit-identical to lone execution on both the
-  physically-stacked and the segment-local gather paths, and its
-  compatibility errors;
-* **session hooks** — the ``fusion_*_state`` / ``fusion_commit_*``
-  snapshot/commit pairs, including generation fencing by a concurrent
-  ``apply``, plus ``parse_pairs`` / ``common_neighbors_many``;
+* **session calls** — ``parse_pairs``, ``common_neighbors_many`` and
+  ``pair_scores``, the calls a fusion window makes, against brute-force
+  oracles;
 * **service** — fused serving bit-identical to per-request serving on a
-  randomized trace; a mutation landing mid-sweep fences the fused group
-  and the requests transparently re-run;
+  randomized trace; a window is atomic against an ``apply`` from another
+  thread, runs no request twice, and fails a malformed request alone;
+  ``close()`` leaves no worker thread or parked request behind;
 * **admission** — deterministic ``OverloadedError`` under a full queue,
   FIFO completion in blocking mode, and parameter validation;
 * **protocol** — the ``stats`` and ``common_neighbors_many`` ops;
@@ -30,10 +27,7 @@ import pytest
 
 from repro.api import open_session
 from repro.arch.perf import default_pim_model
-from repro.core import kernels
 from repro.core.accelerator import AcceleratorConfig, TCIMAccelerator
-from repro.core.engine import oriented_edges
-from repro.core.plan import fuse_plans
 from repro.errors import ArchitectureError, GraphError, OverloadedError, ReproError
 from repro.graph import generators
 from repro.graph.graph import Graph
@@ -51,21 +45,6 @@ def two_graphs():
     ]
 
 
-def count_segment(session):
-    state, segment, generation = session.fusion_count_state()
-    assert state == "segment"
-    return segment, generation
-
-
-def supports_segment(session):
-    """Per-edge supports as a fused pair sweep over every directed edge."""
-    state, segment, generation = session.fusion_pairs_state(
-        *oriented_edges(session.graph, "symmetric")
-    )
-    assert state == "segment"
-    return segment, generation
-
-
 def neighbor_sets(graph: Graph) -> dict[int, set[int]]:
     adjacency: dict[int, set[int]] = {v: set() for v in range(graph.num_vertices)}
     for u, v in map(tuple, graph.edge_array().tolist()):
@@ -75,222 +54,9 @@ def neighbor_sets(graph: Graph) -> dict[int, set[int]]:
 
 
 # ----------------------------------------------------------------------
-# fuse_plans
-# ----------------------------------------------------------------------
-class TestFusePlans:
-    def test_offsets_address_a_virtual_stack(self, two_graphs):
-        sessions = [open_session(g) for g in two_graphs]
-        try:
-            segments = [count_segment(s)[0] for s in sessions]
-            fused = fuse_plans([seg.plan for seg in segments])
-            assert fused.num_segments == 2
-            assert fused.num_pairs == sum(seg.plan.num_pairs for seg in segments)
-            first, second = segments
-            lo, hi = fused.segment_slice(0).start, fused.segment_slice(0).stop
-            assert lo == 0 and hi == first.plan.num_pairs
-            np.testing.assert_array_equal(
-                fused.row_positions[:hi], first.plan.row_positions
-            )
-            # Segment 1's positions are shifted by segment 0's payload rows
-            # — the offsets a physical np.concatenate induces.
-            np.testing.assert_array_equal(
-                fused.row_positions[hi:],
-                second.plan.row_positions + first.plan.payload_rows,
-            )
-            np.testing.assert_array_equal(
-                fused.col_positions[hi:],
-                second.plan.col_positions + first.plan.payload_rows,
-            )
-            # Both sides index the one symmetric payload.
-            assert first.plan.payload_rows == first.data.shape[0]
-        finally:
-            for session in sessions:
-                session.close()
-
-    def test_split_roundtrips_concatenation(self, two_graphs):
-        sessions = [open_session(g) for g in two_graphs]
-        try:
-            plans = [count_segment(s)[0].plan for s in sessions]
-            fused = fuse_plans(plans)
-            values = np.arange(fused.num_pairs, dtype=np.int64)
-            pieces = fused.split(values)
-            assert [p.size for p in pieces] == [p.num_pairs for p in plans]
-            np.testing.assert_array_equal(np.concatenate(pieces), values)
-        finally:
-            for session in sessions:
-                session.close()
-
-    def test_split_rejects_wrong_length(self, two_graphs):
-        session = open_session(two_graphs[0])
-        try:
-            fused = fuse_plans([count_segment(session)[0].plan])
-            with pytest.raises(ArchitectureError, match="per-pair values"):
-                fused.split(np.zeros(fused.num_pairs + 3, dtype=np.int64))
-        finally:
-            session.close()
-
-    def test_fuse_empty_rejected(self):
-        with pytest.raises(ArchitectureError, match="at least one"):
-            fuse_plans([])
-
-
-# ----------------------------------------------------------------------
-# execute_fused
-# ----------------------------------------------------------------------
-class TestExecuteFused:
-    @pytest.mark.parametrize("force_stacked", [True, False, None])
-    def test_fused_counts_bit_identical_to_lone_runs(
-        self, two_graphs, force_stacked
-    ):
-        sessions = [open_session(g) for g in two_graphs]
-        try:
-            segments = [count_segment(s)[0] for s in sessions]
-            lone = [kernels.execute_fused([seg])[0] for seg in segments]
-            fused = kernels.execute_fused(segments, force_stacked=force_stacked)
-            for session, alone, together in zip(sessions, lone, fused):
-                assert together.value == alone.value == session.count()
-                assert together.accumulator == alone.accumulator
-                assert together.events == alone.events
-                assert together.cache_stats == alone.cache_stats
-        finally:
-            for session in sessions:
-                session.close()
-
-    @pytest.mark.parametrize("force_stacked", [True, False])
-    def test_fused_supports_bit_identical_to_lone_runs(
-        self, two_graphs, force_stacked
-    ):
-        sessions = [open_session(g) for g in two_graphs]
-        try:
-            segments = [supports_segment(s)[0] for s in sessions]
-            lone = [kernels.execute_fused([seg])[0] for seg in segments]
-            fused = kernels.execute_fused(segments, force_stacked=force_stacked)
-            for session, seg, alone, together in zip(sessions, segments, lone, fused):
-                np.testing.assert_array_equal(together.value, alone.value)
-                assert together.accumulator == alone.accumulator
-                assert together.events == alone.events
-                forward = seg.sources < seg.destinations
-                assert together.value[forward].tolist() == list(
-                    session.support().values()
-                )
-        finally:
-            for session in sessions:
-                session.close()
-
-    @pytest.mark.parametrize("force_stacked", [True, False])
-    def test_fused_vertex_tallies_bit_identical(self, two_graphs, force_stacked):
-        sessions = [open_session(g) for g in two_graphs]
-        try:
-            segments = []
-            for session, graph in zip(sessions, two_graphs):
-                segment = supports_segment(session)[0]
-                segment.kernel = kernels.VertexTallyKernel(graph.num_vertices)
-                segments.append(segment)
-            lone = [kernels.execute_fused([seg])[0] for seg in segments]
-            fused = kernels.execute_fused(segments, force_stacked=force_stacked)
-            for seg, alone, together in zip(segments, lone, fused):
-                np.testing.assert_array_equal(together.value, alone.value)
-                np.testing.assert_array_equal(
-                    together.value,
-                    kernels.vertex_tallies_from_supports(
-                        seg.sources,
-                        kernels.execute_fused(
-                            [
-                                kernels.FusedSegment(
-                                    **{**seg.__dict__, "kernel": kernels.EdgeSupportKernel()}
-                                )
-                            ]
-                        )[0].value,
-                        seg.kernel.num_vertices,
-                    ),
-                )
-        finally:
-            for session in sessions:
-                session.close()
-
-    def test_mixed_slice_widths_rejected(self, two_graphs):
-        narrow = open_session(two_graphs[0], AcceleratorConfig(slice_bits=32))
-        wide = open_session(two_graphs[1], AcceleratorConfig(slice_bits=64))
-        try:
-            segments = [count_segment(narrow)[0], count_segment(wide)[0]]
-            with pytest.raises(ArchitectureError, match="slice width"):
-                kernels.execute_fused(segments)
-        finally:
-            narrow.close()
-            wide.close()
-
-    def test_plan_payload_mismatch_rejected(self, two_graphs):
-        session = open_session(two_graphs[0])
-        try:
-            segment = count_segment(session)[0]
-            segment.data = segment.data[:-1]
-            with pytest.raises(ArchitectureError, match="does not match"):
-                kernels.execute_fused([segment])
-        finally:
-            session.close()
-
-    def test_empty_segment_list(self):
-        assert kernels.execute_fused([]) == []
-
-
-# ----------------------------------------------------------------------
-# Session hooks: snapshot / commit / fence
+# Session calls the fusion window makes
 # ----------------------------------------------------------------------
 class TestSessionFusionHooks:
-    def test_count_commit_installs_resident_count(self, two_graphs):
-        session = open_session(two_graphs[0])
-        try:
-            segment, generation = count_segment(session)
-            result = kernels.execute_fused([segment])[0]
-            committed = session.fusion_commit_count(generation, result.accumulator)
-            assert committed == session.count()
-            assert session.fusion_count_state()[0] == "cached"
-        finally:
-            session.close()
-
-    def test_apply_fences_count_commit(self, two_graphs):
-        session = open_session(two_graphs[0])
-        try:
-            segment, generation = count_segment(session)
-            result = kernels.execute_fused([segment])[0]
-            session.apply([("+", 0, 149)])
-            assert session.fusion_commit_count(generation, result.accumulator) is None
-            # The fenced sweep left no stale state behind.
-            fresh = open_session(session.graph)
-            assert session.count() == fresh.count()
-            fresh.close()
-        finally:
-            session.close()
-
-    def test_candidates_state_commit_and_fence(self, two_graphs):
-        graph = two_graphs[0]
-        session = open_session(graph)
-        oracle = open_session(graph)
-        try:
-            state, candidates, generation = session.fusion_candidates_state(0)
-            assert state == "pairs" and candidates.size > 0
-            sources = np.full(candidates.size, 0, dtype=np.int64)
-            scores = np.asarray(
-                oracle.common_neighbors_many(
-                    list(zip(sources.tolist(), candidates.tolist()))
-                ),
-                dtype=np.int64,
-            )
-            committed = session.fusion_commit_candidates(
-                generation, 0, candidates, scores
-            )
-            assert committed == oracle._candidate_scores(0)
-            assert session.fusion_candidates_state(0)[0] == "cached"
-            # A mutation fences a commit from the old generation.
-            session.apply([("+", 2, 147)])
-            assert (
-                session.fusion_commit_candidates(generation, 0, candidates, scores)
-                is None
-            )
-        finally:
-            session.close()
-            oracle.close()
-
     def test_parse_pairs_validates(self, two_graphs):
         session = open_session(two_graphs[0])
         try:
@@ -321,9 +87,43 @@ class TestSessionFusionHooks:
         finally:
             session.close()
 
+    def test_pair_scores_matches_many_and_oracle(self, two_graphs):
+        graph = two_graphs[1]
+        session = open_session(graph)
+        try:
+            adjacency = neighbor_sets(graph)
+            rng = np.random.default_rng(9)
+            sources = rng.integers(0, graph.num_vertices, 31)
+            destinations = rng.integers(0, graph.num_vertices, 31)
+            scores = session.pair_scores(sources, destinations)
+            assert scores.dtype == np.int64
+            pairs = list(zip(sources.tolist(), destinations.tolist()))
+            assert scores.tolist() == session.common_neighbors_many(pairs)
+            assert scores.tolist() == [
+                len(adjacency[u] & adjacency[v]) for u, v in pairs
+            ]
+            assert session.pair_scores([], []).tolist() == []
+        finally:
+            session.close()
+
+    def test_pair_scores_rejects_bad_input(self, two_graphs):
+        session = open_session(two_graphs[0])  # 150 vertices
+        try:
+            # The first out-of-range vertex in probe order is named.
+            with pytest.raises(GraphError, match="vertex 400 out of range"):
+                session.pair_scores([0, 500], [400, 1])
+            with pytest.raises(GraphError, match="vertex -1 out of range"):
+                session.pair_scores([3, -1], [0, 2])
+            with pytest.raises(GraphError, match="shapes"):
+                session.pair_scores([0, 1], [2])
+            with pytest.raises(GraphError, match="shapes"):
+                session.pair_scores([[0, 1]], [[2, 3]])
+        finally:
+            session.close()
+
 
 # ----------------------------------------------------------------------
-# Service: fused serving differential + fencing
+# Service: fused serving differential, atomic windows, clean close
 # ----------------------------------------------------------------------
 class TestServiceFusion:
     def test_fused_serving_bit_identical(self, two_graphs):
@@ -397,46 +197,178 @@ class TestServiceFusion:
 
         run(main())
 
-    def test_apply_mid_sweep_fences_and_rerequests(self, two_graphs, monkeypatch):
-        """A mutation landing between snapshot and commit fences the fused
-        group; its requests transparently re-run and serve the post-apply
-        state."""
+    def test_window_is_atomic_under_concurrent_apply(self, two_graphs):
+        """An apply from another thread while a window holds a session's
+        probes waits for the whole window: every reply is the pre-apply
+        oracle's, later replies the post-apply one's, and no request
+        runs twice."""
         graph = two_graphs[0]
-        mutated = threading.Event()
-        real_execute_fused = kernels.execute_fused
-        holder = {}
+        u, v = 0, 1
+        before = neighbor_sets(graph)
+        ops = [("+", u, w) for w in sorted(before[v] - before[u] - {u})]
+        assert ops  # the apply moves score(u, v) and u's top-k
+        after = {key: set(values) for key, values in before.items()}
+        for _, a, b in ops:
+            after[a].add(b)
+            after[b].add(a)
+        rng = random.Random(3)
+        batches = [
+            [(u, v)] + [(rng.randrange(150), rng.randrange(150)) for _ in range(5)]
+            for _ in range(4)
+        ]
+        oracle = open_session(graph)
+        top_before = oracle.common_neighbors(u, k=3)
+        oracle.apply(ops)
+        top_after = oracle.common_neighbors(u, k=3)
+        oracle.close()
+        assert top_before != top_after
+        calls = {"pairs": [], "work": 0, "applied_inside": []}
+        applied = threading.Event()
+        applier = []
 
-        def mutate_mid_sweep(segments, force_stacked=None):
-            results = real_execute_fused(segments, force_stacked)
-            if not mutated.is_set() and any(
-                isinstance(seg.kernel, kernels.CountKernel) for seg in segments
-            ):
-                mutated.set()
-                # Lands after the snapshot, before the commit: the fused
-                # group must notice the generation moved and re-run.
-                session = next(iter(holder["service"]._pool.entries())).session
-                session.apply([("+", 0, 149)])
-            return results
+        async def main():
+            async with open_service(max_sessions=2, fuse_window_ms=2) as service:
+                await service.count(graph)
+                (entry,) = service.pool.entries()
+                session = entry.session
+                real_scores = session.pair_scores
+                real_work = service._common_neighbors_work
 
-        monkeypatch.setattr(kernels, "execute_fused", mutate_mid_sweep)
+                def apply_from_thread() -> None:
+                    session.apply(ops)
+                    applied.set()
 
-        async def seeded():
-            async with open_service(max_sessions=2, fuse_window_ms=1) as service:
-                holder["service"] = service
-                # The counts are the session's first reads, so the count
-                # sweep actually reaches the fused executor.
-                counts = await asyncio.gather(
-                    service.count(graph), service.count(graph)
+                def scores_then_apply(sources, destinations):
+                    # Called under the session lock: the thread's apply
+                    # blocks on it until the window lets go.
+                    calls["pairs"].append(len(sources))
+                    if len(calls["pairs"]) == 1:
+                        applier.append(threading.Thread(target=apply_from_thread))
+                        applier[0].start()
+                        applied.wait(0.1)
+                    result = real_scores(sources, destinations)
+                    calls["applied_inside"].append(applied.is_set())
+                    return result
+
+                def counted_work(*args, **kwargs):
+                    calls["work"] += 1
+                    return real_work(*args, **kwargs)
+
+                session.pair_scores = scores_then_apply
+                service._common_neighbors_work = counted_work
+                burst = await asyncio.gather(
+                    service.common_neighbors(graph, u, v),
+                    service.common_neighbors(graph, u, k=3),
+                    *(service.common_neighbors_many(graph, b) for b in batches),
                 )
-                return counts, service.report()
+                applier[0].join(5.0)
+                assert applied.is_set() and not applier[0].is_alive()
+                later = await asyncio.gather(
+                    service.common_neighbors(graph, u, v),
+                    service.common_neighbors(graph, u, k=3),
+                    *(service.common_neighbors_many(graph, b) for b in batches),
+                )
+                return burst, later, service.report()
 
-        counts, report = run(seeded())
-        assert mutated.is_set()
-        expected = open_session(graph)
-        expected.apply([("+", 0, 149)])
-        assert counts == [expected.count()] * 2
-        assert report.fenced >= 1
-        expected.close()
+        burst, later, report = run(main())
+
+        def expected(adjacency, top):
+            score = lambda a, b: len(adjacency[a] & adjacency[b])  # noqa: E731
+            return [
+                {"u": u, "v": v, "score": score(u, v)},
+                {"u": u, "candidates": [list(pair) for pair in top], "k": 3},
+                *(
+                    {"pairs": len(b), "scores": [score(a, c) for a, c in b]}
+                    for b in batches
+                ),
+            ]
+
+        assert burst == expected(before, top_before)
+        assert later == expected(after, top_after)
+        # One scoring call per window, each probe scored once; the top-k
+        # probe ran its own work once per window; the apply waited.
+        assert calls["pairs"] == [1 + 6 * len(batches)] * 2
+        assert calls["work"] == 2
+        assert calls["applied_inside"] == [False, True]
+        assert report.fused_batches == 2
+        assert report.max_fused_batch == 2 + len(batches)
+
+    def test_malformed_probe_fails_alone(self, two_graphs):
+        graph = two_graphs[0]
+
+        async def main():
+            async with open_service(max_sessions=2, fuse_window_ms=2) as service:
+                await service.count(graph)
+                replies = await asyncio.gather(
+                    service.common_neighbors_many(graph, [(0, 1), (2, 3)]),
+                    service.common_neighbors_many(graph, [(0, 10_000)]),
+                    service.common_neighbors_many(graph, []),
+                    service.common_neighbors(graph, 0, 1),
+                    service.common_neighbors(graph, 0, k=2),
+                    return_exceptions=True,
+                )
+                return replies, service.report()
+
+        (good, bad, empty, pair, top), report = run(main())
+        oracle = open_session(graph)
+        try:
+            assert good == {
+                "pairs": 2,
+                "scores": oracle.common_neighbors_many([(0, 1), (2, 3)]),
+            }
+            assert pair == {"u": 0, "v": 1, "score": oracle.common_neighbors(0, 1)}
+            assert top == {
+                "u": 0,
+                "candidates": [list(c) for c in oracle.common_neighbors(0, k=2)],
+                "k": 2,
+            }
+        finally:
+            oracle.close()
+        assert isinstance(bad, GraphError) and "out of range" in str(bad)
+        assert empty == {"pairs": 0, "scores": []}
+        assert report.fused_batches == 1 and report.max_fused_batch == 5
+
+    def test_close_leaves_nothing_running(self, two_graphs):
+        """``close()`` during a probe burst answers every request (the
+        fused one's still parked in a long window), then leaves no worker
+        thread, no running fusion task and nothing pending."""
+        graph = two_graphs[0]
+        earlier = set(threading.enumerate())
+
+        def serving_threads():
+            return [
+                thread
+                for thread in threading.enumerate()
+                if thread.name.startswith("tcim-serve") and thread not in earlier
+            ]
+
+        async def main():
+            for window in (None, 200):
+                service = open_service(max_sessions=2, fuse_window_ms=window)
+                await service.count(graph)  # resident: probes check out inline
+                burst = asyncio.gather(
+                    *(
+                        service.common_neighbors_many(graph, [(i, i + 1)])
+                        for i in range(12)
+                    ),
+                    service.common_neighbors(graph, 0, k=2),
+                )
+                await asyncio.sleep(0)  # every probe is dispatched or parked
+                assert serving_threads()
+                await service.close()
+                replies = await burst
+                assert len(replies) == 13
+                assert serving_threads() == []
+                stats = service.stats()
+                assert stats["pending_fusion"] == 0
+                if window is None:
+                    assert service._fusion_task is None
+                else:
+                    assert stats["fused_reads"] == 13
+                    task = service._fusion_task
+                    assert task.done() and not task.cancelled()
+
+        run(main())
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,9 @@
 
 The executor must be one dataflow with pluggable reductions: the
 counting kernel bit-identical to the engine's historical
-``execute_batched`` surface, the per-edge and per-vertex kernels
-value-identical to the pure-Python oracles, and every path — batched,
-planned, sharded edge subsets — producing the same values, events, and
-cache statistics.
+``execute_batched`` surface, the per-edge kernel value-identical to the
+pure-Python oracles, and every path — batched, planned, sharded edge
+subsets — producing the same values, events, and cache statistics.
 """
 
 from __future__ import annotations
@@ -13,16 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.metrics import triangles_per_vertex
 from repro.analysis.truss import edge_support
 from repro.core import engine
-from repro.core.kernels import (
-    CountKernel,
-    EdgeSupportKernel,
-    VertexTallyKernel,
-    execute_workload,
-    vertex_tallies_from_supports,
-)
+from repro.core.kernels import CountKernel, EdgeSupportKernel, execute_workload
 from repro.core.plan import build_join_plan
 from repro.core.slicing import SlicedMatrix
 from repro.errors import ArchitectureError
@@ -146,25 +138,6 @@ class TestEdgeSupportKernel:
             edges=(sources[positions], destinations[positions]),
         )
         assert np.array_equal(subset.value, full.value[positions])
-
-
-class TestVertexTallyKernel:
-    def test_matches_oracle(self, random_graphs):
-        for graph in random_graphs:
-            result = _run(VertexTallyKernel(graph.num_vertices), graph)
-            assert np.array_equal(result.value, triangles_per_vertex(graph))
-
-    def test_tallies_from_supports(self, paper_graph):
-        sources, destinations = engine.oriented_edges(paper_graph, "symmetric")
-        oracle = edge_support(paper_graph)
-        supports = np.array(
-            [oracle[(min(u, v), max(u, v))] for u, v in zip(sources, destinations)],
-            dtype=np.int64,
-        )
-        tallies = vertex_tallies_from_supports(
-            sources, supports, paper_graph.num_vertices
-        )
-        assert np.array_equal(tallies, triangles_per_vertex(paper_graph))
 
 
 class TestValidation:
