@@ -88,9 +88,9 @@ def bench_kernel_engine_speedup(benchmark, enron_graph):
     Guards the engine against perf regressions: if the batched dataflow
     ever drops under 3x the per-edge oracle loop on email-enron, something
     in the fast path broke.  (The strict acceptance gate — best-of-N at
-    20k vertices with an 8x floor — is benchmarks/smoke_engine_speedup.py,
-    wired into CI; this keeps a cheap in-suite signal with a threshold
-    loose enough for noisy runners.)
+    20k vertices with an 8x floor — is the ``engine`` gate in
+    benchmarks/gates.py, wired into CI; this keeps a cheap in-suite
+    signal with a threshold loose enough for noisy runners.)
     """
     import time as _time
 

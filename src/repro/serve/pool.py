@@ -371,6 +371,11 @@ class SessionPool:
             self._writeback[key] = (entry.source, entry.session.graph)
         self._page_out_locked(key, entry)
         entry.session.close()
+        # A retired session is never queried again.  One hydrated from an
+        # eviction snapshot holds no Graph, so close() keeps its symmetric
+        # structure as the only edge set; closing the store unlinks those
+        # spill files (the mappings stay readable).
+        entry.session._store.close()
         self.stats.evictions += 1
         self._retired.append(entry)
         del self._retired[:-MAX_RETIRED]

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import math
 import threading
 import time
 from collections import deque
@@ -75,7 +76,7 @@ import numpy as np
 from repro.api import RunReport, UpdateReport
 from repro.core.accelerator import EventCounts
 from repro.core.slicing import SliceStatistics
-from repro.errors import OverloadedError, ReproError
+from repro.errors import GraphError, OverloadedError, ReproError
 from repro.serve.pool import PoolStats, SessionEntry, SessionPool
 
 __all__ = [
@@ -233,9 +234,12 @@ class Service:
         admission: str = "reject",
         **overrides,
     ) -> None:
-        if fuse_window_ms is not None and fuse_window_ms < 0:
+        if fuse_window_ms is not None and not (
+            math.isfinite(fuse_window_ms) and fuse_window_ms >= 0
+        ):
+            # A NaN or infinite window would park every fused probe forever.
             raise ReproError(
-                f"fuse_window_ms must be >= 0, got {fuse_window_ms}"
+                f"fuse_window_ms must be a finite number >= 0, got {fuse_window_ms}"
             )
         if max_queue is not None and max_queue < 1:
             raise ReproError(f"max_queue must be >= 1, got {max_queue}")
@@ -398,6 +402,13 @@ class Service:
         share one kernel run.  Under a fusion window a pair score joins
         its session's one scoring call; a top-k probe runs on its own.
         """
+        if v is not None and k is not None:
+            # TCIMSession.common_neighbors raises the same; checked before
+            # admission so a pair probe cannot answer and drop ``k``.
+            raise GraphError(
+                "common_neighbors takes either a target vertex v "
+                "or a top-k, not both"
+            )
         kind = f"common_neighbors:{int(u)}:{v}:{k}"
         spec = ("pair", u, v) if v is not None else ("work",)
         return await self._read(

@@ -309,9 +309,9 @@ class TestEngineSpeed:
     def test_vectorized_faster_on_mid_size_graph(self):
         """Coarse guard: the batched engine beats the Python loop clearly.
 
-        The acceptance-scale benchmark (20k vertices, >=20x) lives in
-        benchmarks/smoke_engine_speedup.py; this keeps a cheaper signal in
-        the tier-1 suite.
+        The acceptance-scale benchmark (20k vertices, >=20x) is the
+        ``engine`` gate in benchmarks/gates.py; this keeps a cheaper
+        signal in the tier-1 suite.
         """
         import time
 

@@ -328,6 +328,33 @@ class TestServiceFusion:
         assert empty == {"pairs": 0, "scores": []}
         assert report.fused_batches == 1 and report.max_fused_batch == 5
 
+    def test_pair_probe_with_top_k_is_rejected(self, two_graphs, tmp_path):
+        """``v`` and ``k`` together raise ``GraphError`` as
+        ``TCIMSession.common_neighbors`` does, fused or not, before any
+        checkout, and the protocol op gets an error reply."""
+        from repro.graph.io import write_edge_list
+
+        path = str(tmp_path / "g.txt")
+        write_edge_list(two_graphs[0], path)
+
+        async def main():
+            for window in (None, 2):
+                async with open_service(max_sessions=2, fuse_window_ms=window) as service:
+                    await service.count(path)
+                    hits = service.pool.stats.hits
+                    with pytest.raises(GraphError, match="not both"):
+                        await service.common_neighbors(path, 0, 1, k=2)
+                    assert service.pool.stats.hits == hits
+                    reply = await handle_request(
+                        service,
+                        {"id": 1, "op": "common_neighbors", "graph": path,
+                         "u": 0, "v": 1, "k": 2},
+                    )
+                    assert not reply["ok"] and "not both" in reply["error"]
+                    assert service.stats()["fused_reads"] == 0
+
+        run(main())
+
     def test_close_leaves_nothing_running(self, two_graphs):
         """``close()`` during a probe burst answers every request (the
         fused one's still parked in a long window), then leaves no worker
@@ -462,8 +489,9 @@ class TestAdmission:
             open_service(max_queue=0)
         with pytest.raises(ReproError, match="admission"):
             open_service(admission="drop")
-        with pytest.raises(ReproError, match="fuse_window_ms"):
-            open_service(fuse_window_ms=-1)
+        for window in (-1, float("nan"), float("inf")):
+            with pytest.raises(ReproError, match="fuse_window_ms"):
+                open_service(fuse_window_ms=window)
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ Three invariants anchor everything here:
 
 from __future__ import annotations
 
+import asyncio
 import io
 import json
 import subprocess
@@ -34,6 +35,7 @@ from repro.errors import ArchitectureError, GraphFormatError, ReproError, Storag
 from repro.graph import generators
 from repro.graph.graph import Graph
 from repro.graph.io import iter_edge_chunks, load_graph, read_edge_list
+from repro.serve import open_service
 from repro.serve.pool import SessionPool
 from repro.storage import snapshot as storage_snapshot
 from repro.storage.backing import BackingStore
@@ -712,6 +714,35 @@ class TestPoolPaging:
         assert pool.stats.hydrations == 0
         pool.release(again)
         pool.close()
+
+    def test_re_evicted_sessions_leave_no_spill_files(self, tmp_path):
+        """Alternating two graphs through one slot re-evicts sessions
+        hydrated from eviction snapshots: the spill directory must not
+        grow with evictions, and closing leaves it empty."""
+        graphs = [_graph(seed=30 + i, n=80, m=200) for i in range(2)]
+        spill = tmp_path / "spill"
+        pool = SessionPool(1, storage_dir=str(tmp_path), spill_threshold_bytes=0)
+        files = []
+        for graph in graphs * 3:
+            entry = pool.acquire(graph)
+            entry.session.count()
+            pool.release(entry)
+            files.append(len(list(spill.glob("*"))))
+        assert pool.stats.hydrations == 4
+        assert files[2:] == [files[2]] * 4
+        pool.close()
+        assert not list(spill.glob("*"))
+
+        async def serve():
+            service = open_service(
+                max_sessions=1, storage_dir=str(tmp_path), spill_threshold_bytes=0
+            )
+            for graph in graphs * 2:
+                await service.count(graph)
+            await service.close()
+            assert not list(spill.glob("*"))  # the service is still referenced
+
+        asyncio.run(serve())
 
     def test_lru_pressure_pages_out_and_back(self, tmp_path):
         graphs = [_graph(seed=22 + i, n=80, m=200) for i in range(3)]
