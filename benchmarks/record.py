@@ -8,9 +8,13 @@ the repository root from the same measurements — whether or not the
 gates pass.  CI uploads the JSON file per run, so the sequence of
 artifacts is the measured performance trajectory across changes.
 
-``BENCH_engine.json`` keeps every key path of schema 10 and adds a
+``BENCH_engine.json`` keeps the key paths of schema 10 and adds a
 ``gates`` section: per gate, its checks, its wall time, and what it
-recorded that has no schema-10 key.  The ``modelled`` entries are the
+recorded that has no schema-10 key.  Schema 12 renames the ``fusion``
+gate's probe keys (``serving.unfused_probe_*`` / ``fused_probe_*`` /
+``fusion_speedup`` became ``serial_probe_*`` / ``burst_probe_*`` /
+``batching_speedup``): every probe batches, so the gate compares a burst
+with the same probes served one in flight.  The ``modelled`` entries are the
 architecture model's pricing of the measured quantities; they are never
 mixed with host wall time.
 
@@ -38,7 +42,7 @@ from repro.analysis.reporting import Table
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_engine.json"
 VERDICTS = Path(__file__).resolve().parent / "results" / "gates.txt"
-SCHEMA = 11
+SCHEMA = 12
 
 
 def _merge(into: dict, values: dict) -> None:

@@ -993,7 +993,7 @@ class TCIMSession:
         one :class:`~repro.core.kernels.EdgeSupportKernel` pass.  Raises
         :class:`~repro.errors.GraphError` on arrays of other shapes and on
         an out-of-range vertex (the first one in probe order, as
-        :meth:`parse_pairs` reports it).  The serving tier's fusion window
+        :meth:`parse_pairs` reports it).  The serving tier's probe batch
         scores all of a session's probes with one call.
         """
         try:
@@ -1019,7 +1019,7 @@ class TCIMSession:
         """Validate an iterable of ``(u, v)`` probes into int64 arrays.
 
         The front door of :meth:`common_neighbors_many` and of the
-        serving tier's fusion window, so both reject exactly the same
+        serving tier's probe batch, so both reject exactly the same
         malformed input with exactly the same errors.
         """
         sources_list: list[int] = []

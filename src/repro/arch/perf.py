@@ -86,8 +86,8 @@ class PimTimingParams:
     #: Host-side cost of dispatching one kernel launch to the array
     #: fleet (command assembly, descriptor write, doorbell — work the
     #: controller performs once per sweep regardless of its size).  The
-    #: serving tier's fusion window exists to amortise this: a window
-    #: pays it once for all the probes it drains.  See
+    #: serving tier's probe batching amortises this: a batch pays it
+    #: once for all the probes parked in its event-loop tick.  See
     #: EXPERIMENTS.md §7 for the calibration.
     kernel_launch_s: float = 2e-6
     #: Collecting one shard's partial result into the global merge when
@@ -529,13 +529,13 @@ class PimPerformanceModel:
         The controller/host is shared and accrues once.
 
         ``launches`` (optional) is the number of kernel dispatches the
-        serving run actually issued — per-request jobs plus one per
-        fusion window, which is how fusion shows up in the price: a
-        window pays ``kernel_launch_s`` once where per-request serving
-        pays it per query.  The dispatch cost is host-side
+        serving run actually issued — one per whole-result read job and
+        apply, plus one per probe batch, which is how batching shows up
+        in the price: a batch pays ``kernel_launch_s`` once for every
+        probe parked in its tick.  The dispatch cost is host-side
         serial work, so it appears as its own ``launch`` breakdown term
         on top of the (unchanged) array critical path; omitting
-        ``launches`` reproduces the pre-fusion figures exactly.
+        ``launches`` leaves the term out.
         """
         if not session_events:
             raise ArchitectureError("evaluate_fleet needs at least one session")

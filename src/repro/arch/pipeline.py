@@ -226,7 +226,7 @@ def measured_fleet_report(
     session — the fleet's measured critical path — with leakage accrued
     per resident array group (see
     :meth:`PimPerformanceModel.evaluate_fleet`).  ``launches`` forwards
-    the serving run's kernel-dispatch count so fusion windows amortise
+    the serving run's kernel-dispatch count so probe batches amortise
     their per-launch cost over every probe they drain.
     """
     model = base_model or default_pim_model()

@@ -616,7 +616,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ),
         max_workers=args.pool_workers,
         config=config,
-        fuse_window_ms=args.fuse_window_ms,
         max_queue=args.max_queue,
         admission=args.admission,
     )
@@ -672,9 +671,9 @@ def _print_serve_summary(report, as_json: bool) -> int:
     table.add_row(["coalesced reads", format_count(report.coalesced)])
     if report.fused_reads:
         table.add_row(
-            ["fused reads / windows",
+            ["probes / batches",
              f"{report.fused_reads} / {report.fused_batches} "
-             f"(largest window {report.max_fused_batch})"],
+             f"(largest batch {report.max_fused_batch})"],
         )
     if report.shed:
         table.add_row(["shed (overloaded)", format_count(report.shed)])
@@ -943,12 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--pool-workers", type=int, default=None,
         help="threads for CPU-bound engine work (default: executor default)",
-    )
-    serve.add_argument(
-        "--fuse-window-ms", type=float, default=None,
-        help="batch the common-neighbor probes arriving within this window "
-             "into one job that scores each session's probes in one call "
-             "(default: fusion off)",
     )
     serve.add_argument(
         "--max-queue", type=int, default=None,

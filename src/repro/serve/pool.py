@@ -50,7 +50,7 @@ import hashlib
 import shutil
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from repro.api import TCIMSession, open_session
@@ -59,7 +59,7 @@ from repro.errors import ReproError, StorageError
 from repro.graph.graph import Graph
 from repro.storage.snapshot import snapshot_nbytes
 
-__all__ = ["PoolStats", "SessionEntry", "SessionPool"]
+__all__ = ["PoolStats", "RetiredEntry", "SessionEntry", "SessionPool"]
 
 #: Retired (evicted) entries kept for the service report, oldest dropped.
 MAX_RETIRED = 64
@@ -135,6 +135,21 @@ class SessionEntry:
             self.queries[kind] = self.queries.get(kind, 0) + 1
 
 
+@dataclass(frozen=True)
+class RetiredEntry:
+    """The accounting an evicted entry leaves behind.
+
+    What the service's ``report()`` and ``journal()`` read of a session
+    that is gone — not the session, so eviction frees its residency.
+    """
+
+    key: str
+    queries: dict[str, int]
+    ops_applied: int
+    events: EventCounts
+    journal: list
+
+
 class SessionPool:
     """LRU pool of resident :class:`TCIMSession` objects.
 
@@ -161,13 +176,21 @@ class SessionPool:
             raise ReproError(
                 f"max_resident_bytes must be positive, got {max_resident_bytes}"
             )
+        unknown = sorted(set(overrides) - {f.name for f in fields(AcceleratorConfig)})
+        if unknown:
+            # Python's own error for a stray keyword: caught here rather
+            # than failing every request at its first acquire.
+            raise TypeError(
+                f"unexpected keyword argument(s) {unknown}: config overrides "
+                "must name AcceleratorConfig fields"
+            )
         self.max_sessions = max_sessions
         self.max_resident_bytes = max_resident_bytes
         self._default_config = config
         self._default_overrides = overrides
         self._model = model
         self._entries: OrderedDict[str, SessionEntry] = OrderedDict()
-        self._retired: list[SessionEntry] = []
+        self._retired: list[RetiredEntry] = []
         #: key -> (pinned source, Graph snapshot) of a mutated session
         #: evicted before its updates could be re-derived from the source
         #: (write-back).  Pinning the source object keeps a Graph-keyed
@@ -377,7 +400,16 @@ class SessionPool:
         # spill files (the mappings stay readable).
         entry.session._store.close()
         self.stats.evictions += 1
-        self._retired.append(entry)
+        with entry.stats_lock:
+            self._retired.append(
+                RetiredEntry(
+                    entry.key,
+                    dict(entry.queries),
+                    entry.ops_applied,
+                    entry.events,
+                    list(entry.journal),
+                )
+            )
         del self._retired[:-MAX_RETIRED]
 
     def _page_out_locked(self, key: str, entry: SessionEntry) -> None:
@@ -429,7 +461,7 @@ class SessionPool:
         with self._lock:
             return list(self._entries.values())
 
-    def retired(self) -> list[SessionEntry]:
+    def retired(self) -> list[RetiredEntry]:
         """Evicted entries retained for reporting (bounded, oldest first)."""
         with self._lock:
             return list(self._retired)

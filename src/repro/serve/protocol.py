@@ -83,7 +83,7 @@ async def _dispatch(service: Service, op, request: dict):
         report = await loop.run_in_executor(None, service.report)
         return report.to_mapping()
     if op == "stats":
-        # Live scheduler counters (queue depth, fused batches, shed);
+        # Live scheduler counters (queue depth, probe batches, shed);
         # lock-free, so it answers even while the service is saturated.
         return service.stats()
     if op not in _GRAPH_OPS:

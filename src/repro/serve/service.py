@@ -4,15 +4,25 @@
 :class:`~repro.serve.pool.SessionPool` of resident
 :class:`~repro.api.TCIMSession` objects:
 
-* **reads** (:meth:`Service.count`, :meth:`Service.simulate`,
+* **whole-result reads** (:meth:`Service.count`, :meth:`Service.simulate`,
   :meth:`Service.slice_stats`, :meth:`Service.baseline`, and the
   workload queries :meth:`Service.support`, :meth:`Service.truss`,
-  :meth:`Service.cluster`, :meth:`Service.common_neighbors`) are served
-  from each session's resident caches; identical in-flight reads against
-  the same session *coalesce* onto one executor job (keyed by the
-  session's mutation generation — and, for argument-bearing workloads,
+  :meth:`Service.cluster`) are served from each session's resident
+  caches; identical in-flight reads against the same session *coalesce*
+  onto one executor job (keyed by the session's mutation generation — and
   per op + arguments — so a read never coalesces across an update or
   across different arguments);
+* **probes** (:meth:`Service.common_neighbors`,
+  :meth:`Service.common_neighbors_many`) *batch*: every probe that parks
+  in one event-loop tick, across every session, drains as **one**
+  executor job.  It takes each session's lock once, validates each
+  request with :meth:`~repro.api.TCIMSession.parse_pairs`, scores all of
+  that session's pairs with one
+  :meth:`~repro.api.TCIMSession.pair_scores` call and slices the scores
+  back into the per-request replies; a top-k probe runs its own work
+  inside the same hold.  A session's share of a batch is atomic (an
+  ``apply`` lands wholly before or after it).  A lone probe drains as a
+  batch of one, with no timer;
 * **writes** (:meth:`Service.apply`) serialise per session behind an
   ``asyncio.Lock`` — an apply stream can never interleave with another
   apply on the same graph — while applies on *different* sessions
@@ -21,24 +31,10 @@
   event loop stays responsive and independent sessions' numpy kernels
   overlap.
 
-Two serving-scale facilities are layered on top (both off by default,
-so a plain ``Service()`` behaves exactly as before):
-
-* **the fusion window** (``fuse_window_ms``): instead of one executor
-  job per read, the ``common_neighbors`` / ``common_neighbors_many``
-  probes that arrive within the window — across every session — drain
-  as **one** executor job.  It takes each session's lock once, validates
-  each request with :meth:`~repro.api.TCIMSession.parse_pairs`, scores
-  all of that session's pairs with one
-  :meth:`~repro.api.TCIMSession.pair_scores` call and slices the scores
-  back into the per-request replies; a top-k probe runs its own work
-  inside the same hold.  A session's share of a window is atomic (an
-  ``apply`` lands wholly before or after it), so its replies are exactly
-  those of per-request serving.  Every other read runs per request;
-* **bounded admission** (``max_queue``): at most that many requests may
-  be in flight; excess requests are either rejected with
-  :class:`~repro.errors.OverloadedError` (``admission="reject"``) or
-  parked FIFO until a slot frees (``admission="block"``).
+**Bounded admission** (``max_queue``, off by default): at most that many
+requests may be in flight; excess requests are either rejected with
+:class:`~repro.errors.OverloadedError` (``admission="reject"``) or
+parked FIFO until a slot frees (``admission="block"``).
 
 Every piece of engine work a session performs for the service — the
 residency-establishing first run, post-update re-runs (priced once per
@@ -62,9 +58,6 @@ Usage::
 from __future__ import annotations
 
 import asyncio
-import hashlib
-import math
-import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -88,15 +81,14 @@ __all__ = [
 
 
 @dataclass
-class _FusionRequest:
-    """One probe parked in the fusion window."""
+class _Probe:
+    """One common-neighbour probe parked until the tick's drain."""
 
     entry: SessionEntry
     #: ``("pair", u, v)`` and ``("many", pairs)`` join the session's one
-    #: ``pair_scores`` call; ``("work",)`` runs ``work`` in the window.
+    #: ``pair_scores`` call; ``("work", fn)`` runs ``fn(entry)`` in the
+    #: session's hold.
     spec: tuple
-    #: The per-request work fn (what the read runs outside a window).
-    work: object
     future: asyncio.Future
 
 
@@ -156,19 +148,19 @@ class ServiceReport:
     resident: int = 0
     max_sessions: int = 0
     resident_bytes: int = 0
-    # --- fusion / admission ------------------------------------------
+    # --- probe batching / admission ----------------------------------
     #: Requests currently inside the service (admitted + parked).
     queue_depth: int = 0
     #: Requests rejected with ``OverloadedError`` (admission="reject").
     shed: int = 0
-    #: Fusion windows executed (each is one executor job, one launch).
+    #: Probe batches drained (each is one executor job, one launch).
     fused_batches: int = 0
-    #: Reads routed through the fusion window.
+    #: Probes served through a batch (every common-neighbour request).
     fused_reads: int = 0
-    #: Most requests a single fusion window served.
+    #: Most probes a single batch served.
     max_fused_batch: int = 0
-    #: Engine-work dispatches (per-request jobs + applies + fusion
-    #: windows); what :func:`~repro.arch.perf.evaluate_fleet` amortises
+    #: Engine-work dispatches (whole-result read jobs + applies + probe
+    #: batches); what :func:`~repro.arch.perf.evaluate_fleet` amortises
     #: its per-launch cost over.
     kernel_launches: int = 0
 
@@ -215,8 +207,12 @@ class Service:
     ``record_journal=True`` keeps each session's applied op batches in
     execution order — the hook the differential serving tests replay.
 
-    The service is an async context manager; :meth:`close` drains the
-    worker pool and evicts every resident session.
+    Common-neighbour probes batch per event-loop tick (see the module
+    docstring); every other read runs as its own executor job.
+
+    The service is an async context manager; :meth:`close` answers every
+    parked probe, drains the worker pool and evicts every resident
+    session.
     """
 
     def __init__(
@@ -229,18 +225,10 @@ class Service:
         model=None,
         config=None,
         record_journal: bool = False,
-        fuse_window_ms: float | None = None,
         max_queue: int | None = None,
         admission: str = "reject",
         **overrides,
     ) -> None:
-        if fuse_window_ms is not None and not (
-            math.isfinite(fuse_window_ms) and fuse_window_ms >= 0
-        ):
-            # A NaN or infinite window would park every fused probe forever.
-            raise ReproError(
-                f"fuse_window_ms must be a finite number >= 0, got {fuse_window_ms}"
-            )
         if max_queue is not None and max_queue < 1:
             raise ReproError(f"max_queue must be >= 1, got {max_queue}")
         if admission not in ("reject", "block"):
@@ -278,24 +266,15 @@ class Service:
         self._queries = 0
         self._coalesced = 0
         self._closed = False
-        # --- fusion scheduler ---------------------------------------
-        self._fuse_window_ms = fuse_window_ms
-        self._fuse_window_s = (
-            None if fuse_window_ms is None else fuse_window_ms / 1000.0
-        )
-        self._fusion_pending: list[_FusionRequest] = []
-        self._fusion_wake: asyncio.Event | None = None
-        self._fusion_task: asyncio.Task | None = None
-        self._fusion_windows: set = set()
+        #: Probes parked since the last drain (see :meth:`_park`).
+        self._pending: list[_Probe] = []
         # --- admission control --------------------------------------
         self._max_queue = max_queue
         self._admission = admission
         self._admitted = 0
         self._admission_waiters: deque = deque()
         self._shed = 0
-        # --- counters -----------------------------------------------
-        #: Guards the counters below against fused worker threads.
-        self._stats_lock = threading.Lock()
+        # --- counters (event-loop thread only) -----------------------
         self._fused_batches = 0
         self._fused_reads = 0
         self._max_fused_batch = 0
@@ -315,16 +294,9 @@ class Service:
         if self._closed:
             return
         self._closed = True
-        # Drain the fusion scheduler first: wake it so it flushes any
-        # parked requests (their futures must resolve before the worker
-        # pool they run on shuts down).
-        while self._fusion_task is not None and not self._fusion_task.done():
-            self._fusion_wake.set()
-            await self._fusion_task
-        if self._fusion_windows:
-            await asyncio.gather(
-                *list(self._fusion_windows), return_exceptions=True
-            )
+        # Submit this tick's parked probes while the worker pool still
+        # takes work; the shutdown below waits for their batch.
+        self._drain()
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, partial(self._executor.shutdown, wait=True))
         self._pool.close()
@@ -397,10 +369,8 @@ class Service:
     ) -> dict:
         """Common-neighbor scores from vertex ``u`` (pair score or top-k).
 
-        Coalescing is keyed per ``(u, v, k)`` triple, so repeated
-        identical link-prediction probes against an unchanged session
-        share one kernel run.  Under a fusion window a pair score joins
-        its session's one scoring call; a top-k probe runs on its own.
+        A pair score joins its session's one ``pair_scores`` call in the
+        tick's batch; a top-k probe runs its own work in the same hold.
         """
         if v is not None and k is not None:
             # TCIMSession.common_neighbors raises the same; checked before
@@ -409,15 +379,12 @@ class Service:
                 "common_neighbors takes either a target vertex v "
                 "or a top-k, not both"
             )
-        kind = f"common_neighbors:{int(u)}:{v}:{k}"
-        spec = ("pair", u, v) if v is not None else ("work",)
+        if v is not None:
+            spec = ("pair", u, v)
+        else:
+            spec = ("work", partial(self._common_neighbors_work, u=u, k=k))
         return await self._read(
-            source,
-            config,
-            overrides,
-            kind,
-            partial(self._common_neighbors_work, u=u, v=v, k=k),
-            fusion=spec,
+            source, config, overrides, "common_neighbors", probe=spec
         )
 
     async def common_neighbors_many(
@@ -425,28 +392,17 @@ class Service:
     ) -> dict:
         """Batched common-neighbor scores for many ``(u, v)`` probes.
 
-        The whole batch runs one kernel pass
-        (:meth:`~repro.api.TCIMSession.common_neighbors_many`); under a
-        fusion window, every batch against one session within the window
-        is scored by one :meth:`~repro.api.TCIMSession.pair_scores` call.
+        Every probe list against one session parked in the same tick is
+        scored by one :meth:`~repro.api.TCIMSession.pair_scores` call.
         Returns ``{"pairs": n, "scores": [...]}`` with scores in probe
-        order.  Coalescing is keyed by a digest of the probe list.
+        order.
         """
-        pairs = [
-            tuple(pair) if isinstance(pair, (list, tuple)) else pair
-            for pair in pairs
-        ]
-        digest = hashlib.blake2b(
-            repr(pairs).encode(), digest_size=12
-        ).hexdigest()
         return await self._read(
             source,
             config,
             overrides,
-            f"common_neighbors_many:{digest}",
-            partial(self._cn_many_work, pairs=pairs),
-            fusion=("many", pairs),
-            label="common_neighbors_many",
+            "common_neighbors_many",
+            probe=("many", list(pairs)),
         )
 
     async def apply(
@@ -468,8 +424,7 @@ class Service:
                     entry.write_lock = asyncio.Lock()
                 loop = asyncio.get_running_loop()
                 async with entry.write_lock:
-                    with self._stats_lock:
-                        self._launches += 1
+                    self._launches += 1
                     report = await loop.run_in_executor(
                         self._executor,
                         partial(self._apply_work, entry, ops, record),
@@ -487,11 +442,17 @@ class Service:
     def report(self) -> ServiceReport:
         """Aggregate serving report, priced through the performance model."""
         wall = time.perf_counter() - self._started
-        resident_stats = [
-            self._snapshot(entry, resident=True) for entry in self._pool.entries()
-        ]
+        resident_stats = [self._snapshot(entry) for entry in self._pool.entries()]
         retired_stats = [
-            self._snapshot(entry, resident=False) for entry in self._pool.retired()
+            SessionServeStats(
+                key=retired.key,
+                queries=sum(retired.queries.values()),
+                by_kind=dict(retired.queries),
+                ops_applied=retired.ops_applied,
+                events=retired.events,
+                resident_bytes=0,
+            )
+            for retired in self._pool.retired()
         ]
         stats = resident_stats + retired_stats
         active = [s for s in stats if any(asdict(s.events).values())]
@@ -519,11 +480,6 @@ class Service:
                     base_model=model,
                     launches=self._launches,
                 )
-        with self._stats_lock:
-            fused_batches = self._fused_batches
-            fused_reads = self._fused_reads
-            max_fused_batch = self._max_fused_batch
-            launches = self._launches
         return ServiceReport(
             wall_clock_s=wall,
             queries=self._queries,
@@ -539,10 +495,10 @@ class Service:
             resident_bytes=self._pool.resident_bytes(),
             queue_depth=self._admitted + len(self._admission_waiters),
             shed=self._shed,
-            fused_batches=fused_batches,
-            fused_reads=fused_reads,
-            max_fused_batch=max_fused_batch,
-            kernel_launches=launches,
+            fused_batches=self._fused_batches,
+            fused_reads=self._fused_reads,
+            max_fused_batch=self._max_fused_batch,
+            kernel_launches=self._launches,
         )
 
     def stats(self) -> dict:
@@ -552,11 +508,6 @@ class Service:
         nothing — it is safe to poll from a monitoring loop while the
         service is saturated.
         """
-        with self._stats_lock:
-            fused_batches = self._fused_batches
-            fused_reads = self._fused_reads
-            max_fused_batch = self._max_fused_batch
-            launches = self._launches
         return {
             "queries": self._queries,
             "coalesced": self._coalesced,
@@ -565,12 +516,11 @@ class Service:
             "max_queue": self._max_queue,
             "admission": self._admission,
             "shed": self._shed,
-            "fuse_window_ms": self._fuse_window_ms,
-            "pending_fusion": len(self._fusion_pending),
-            "fused_batches": fused_batches,
-            "fused_reads": fused_reads,
-            "max_fused_batch": max_fused_batch,
-            "kernel_launches": launches,
+            "pending_fusion": len(self._pending),
+            "fused_batches": self._fused_batches,
+            "fused_reads": self._fused_reads,
+            "max_fused_batch": self._max_fused_batch,
+            "kernel_launches": self._launches,
             "resident": self._pool.resident,
             # Out-of-core paging traffic (see repro.serve.pool): eviction
             # snapshots written, warm hydrations served, and the payload
@@ -651,43 +601,31 @@ class Service:
             self._pool.release(entry)
 
     async def _read(
-        self, source, config, overrides, kind: str, work, fusion=None, label=None
+        self, source, config, overrides, kind: str, work=None, probe=None
     ) -> object:
-        # ``kind`` keys read coalescing; ``label`` (default: ``kind``) is
-        # the ``by_kind`` counter, so per-probe kinds can share one.
-        # ``fusion`` is a probe's spec for the fusion window (see
-        # ``_FusionRequest``); reads without one never enter it.
+        # ``kind`` is the ``by_kind`` counter and, for a whole-result
+        # read, its coalescing key.  A probe (``probe`` is its
+        # ``_Probe.spec``) parks for the tick's batch instead.
         await self._admit()
         try:
             entry = await self._checkout(source, config, overrides)
             try:
-                entry.count_query(label or kind)
-                loop = asyncio.get_running_loop()
+                entry.count_query(kind)
                 # The service-maintained generation mirror: reading the
                 # real session.generation here would block the event loop
                 # behind an in-flight apply's session lock.
                 generation = entry.known_generation
                 slot = entry.inflight.get(kind)
-                if (
-                    slot is not None
-                    and slot[0] == generation
-                    and not slot[1].done()
-                ):
+                if probe is not None:
+                    future = self._park(entry, probe)
+                elif slot is not None and slot[0] == generation and not slot[1].done():
                     # Identical read already computing against the same
                     # resident state: join it, don't queue a duplicate.
                     self._coalesced += 1
                     future = slot[1]
-                elif (
-                    fusion is not None
-                    and self._fuse_window_s is not None
-                    and not self._closed
-                ):
-                    future = self._enqueue_fused(entry, fusion, work)
-                    _publish_inflight(entry, kind, generation, future)
                 else:
-                    with self._stats_lock:
-                        self._launches += 1
-                    future = loop.run_in_executor(
+                    self._launches += 1
+                    future = asyncio.get_running_loop().run_in_executor(
                         self._executor, partial(work, entry)
                     )
                     _publish_inflight(entry, kind, generation, future)
@@ -748,81 +686,43 @@ class Service:
         self._admitted -= 1
 
     # ------------------------------------------------------------------
-    # The fusion window
+    # Probe batching
     # ------------------------------------------------------------------
-    def _enqueue_fused(self, entry, spec, work) -> asyncio.Future:
-        """Park one probe in the fusion window; resolves via its window."""
-        future = asyncio.get_running_loop().create_future()
-        self._fusion_pending.append(_FusionRequest(entry, spec, work, future))
-        with self._stats_lock:
-            self._fused_reads += 1
-        if self._fusion_task is None or self._fusion_task.done():
-            if self._fusion_wake is None:
-                self._fusion_wake = asyncio.Event()
-            self._fusion_task = asyncio.get_running_loop().create_task(
-                self._fusion_loop()
-            )
-        self._fusion_wake.set()
+    def _park(self, entry: SessionEntry, spec: tuple) -> asyncio.Future:
+        """Park one probe; the tick's first arrival schedules the drain."""
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        if not self._pending:
+            loop.call_soon(self._drain)
+        self._pending.append(_Probe(entry, spec, future))
+        self._fused_reads += 1
         return future
 
-    async def _fusion_loop(self) -> None:
-        """Drain the pending queue: wait, window, run.
+    def _drain(self) -> None:
+        """Run every parked probe as one executor job (:meth:`_window_work`).
 
-        Requests arriving while the window sleeps join the same drain —
-        that is the window.  The window is adaptive: it sleeps in
-        quarter-window slices and drains as soon as a slice brings no new
-        arrivals, so a burst that lands entirely in the first slice is
-        not taxed the full window, while a steady trickle still
-        accumulates up to the configured bound.  Each drained window
-        becomes one job on the worker pool (:meth:`_window_work`), which
-        runs concurrently with the next window's collection.
+        A drain that finds the worker pool shut down (a cold checkout that
+        finished after :meth:`close` began) fails its probes with
+        :class:`ReproError` instead of leaving them parked.
         """
-        while True:
-            await self._fusion_wake.wait()
-            self._fusion_wake.clear()
-            if self._fuse_window_s:
-                loop = asyncio.get_running_loop()
-                deadline = loop.time() + self._fuse_window_s
-                seen = len(self._fusion_pending)
-                while True:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    await asyncio.sleep(min(remaining, self._fuse_window_s / 4))
-                    arrived = len(self._fusion_pending)
-                    if arrived == seen:
-                        break
-                    seen = arrived
-            window, self._fusion_pending = self._fusion_pending, []
-            if window:
-                task = asyncio.ensure_future(self._run_window(window))
-                self._fusion_windows.add(task)
-                task.add_done_callback(self._fusion_windows.discard)
-            if self._closed and not self._fusion_pending:
-                return
-
-    async def _run_window(self, window: list) -> None:
-        with self._stats_lock:
-            self._fused_batches += 1
-            self._launches += 1
-            self._max_fused_batch = max(self._max_fused_batch, len(window))
+        window, self._pending = self._pending, []
+        if not window:
+            return  # close() already drained this tick
+        self._fused_batches += 1
+        self._launches += 1
+        self._max_fused_batch = max(self._max_fused_batch, len(window))
         loop = asyncio.get_running_loop()
         try:
-            outcomes = await loop.run_in_executor(
+            job = loop.run_in_executor(
                 self._executor, partial(self._window_work, window)
             )
-        except Exception as error:
-            outcomes = [(False, error)] * len(window)
-        for request, (ok, value) in zip(window, outcomes):
-            if request.future.done():
-                continue
-            if ok:
-                request.future.set_result(value)
-            else:
-                request.future.set_exception(value)
+        except RuntimeError:
+            job = loop.create_future()
+            job.set_exception(ReproError("service is closed"))
+        job.add_done_callback(partial(_settle, window))
 
     def _window_work(self, window: list) -> list:
-        """Worker-thread body of one fusion window.
+        """Worker-thread body of one probe batch.
 
         Serves each session's probes under one hold of its lock (see
         :func:`_session_window`).  Returns ``(ok, value-or-error)`` per
@@ -835,7 +735,7 @@ class Service:
         for members in by_entry.values():
             entry = window[members[0]].entry
             try:
-                self._warm(entry)  # pricing parity with per-request reads
+                self._price_run(entry, warm=True)
                 _session_window(entry, window, members, outcomes)
             except Exception as error:
                 for index in members:
@@ -843,24 +743,15 @@ class Service:
                         outcomes[index] = (False, error)
         return outcomes
 
-    def _warm(self, entry: SessionEntry) -> None:
-        """Establish (and price) residency: the Fig. 4 'load the sliced
-        graph into the array' step, exactly once per pool entry."""
-        if entry.warmed:
-            return
-        session = entry.session
-        with session.lock:
-            result = session.run()
-            generation = session.generation
-        with entry.stats_lock:
-            entry.known_generation = max(entry.known_generation, generation)
-            if not entry.warmed:
-                entry.events = entry.events.merge(result.events)
-                entry.priced_generations.add(generation)
-                entry.warmed = True
+    def _price_run(self, entry: SessionEntry, warm: bool = False) -> None:
+        """Merge the current generation's full-run events, at most once.
 
-    def _price_run(self, entry: SessionEntry) -> None:
-        """Merge the current generation's full-run events, at most once."""
+        ``warm=True`` prices only the entry's first run, the one that
+        establishes residency (the Fig. 4 'load the sliced graph into the
+        array' step), and is a no-op once the entry is warmed.
+        """
+        if warm and entry.warmed:
+            return
         session = entry.session
         with session.lock:
             result = session.run()
@@ -870,27 +761,27 @@ class Service:
             if generation not in entry.priced_generations:
                 entry.events = entry.events.merge(result.events)
                 entry.priced_generations.add(generation)
+            entry.warmed = True
 
     def _count_work(self, entry: SessionEntry) -> int:
-        self._warm(entry)
+        self._price_run(entry, warm=True)
         return entry.session.count()
 
     def _simulate_work(self, entry: SessionEntry) -> RunReport:
-        self._warm(entry)
         report = entry.session.simulate()
         self._price_run(entry)
         return report
 
     def _slice_stats_work(self, entry: SessionEntry) -> SliceStatistics:
-        self._warm(entry)
+        self._price_run(entry, warm=True)
         return entry.session.slice_stats()
 
     def _baseline_work(self, entry: SessionEntry, name: str) -> int:
-        self._warm(entry)
+        self._price_run(entry, warm=True)
         return entry.session.baseline(name)
 
     def _support_work(self, entry: SessionEntry) -> dict:
-        self._warm(entry)
+        self._price_run(entry, warm=True)
         support = entry.session.support()
         histogram = support.histogram()
         return {
@@ -901,7 +792,7 @@ class Service:
         }
 
     def _truss_work(self, entry: SessionEntry, k) -> dict:
-        self._warm(entry)
+        self._price_run(entry, warm=True)
         session = entry.session
         trussness = session.truss()
         histogram = trussness.histogram()
@@ -916,19 +807,12 @@ class Service:
         return payload
 
     def _cluster_work(self, entry: SessionEntry) -> dict:
-        self._warm(entry)
+        self._price_run(entry, warm=True)
         return entry.session.clustering().to_mapping()
 
-    def _common_neighbors_work(self, entry: SessionEntry, u, v, k) -> dict:
-        self._warm(entry)
-        session = entry.session
-        if v is not None:
-            return {
-                "u": int(u),
-                "v": int(v),
-                "score": session.common_neighbors(int(u), int(v)),
-            }
-        candidates = session.common_neighbors(
+    def _common_neighbors_work(self, entry: SessionEntry, u, k) -> dict:
+        """A top-k probe, run inside its session's hold of a batch."""
+        candidates = entry.session.common_neighbors(
             int(u), k=None if k is None else int(k)
         )
         payload = {
@@ -939,13 +823,8 @@ class Service:
             payload["k"] = int(k)
         return payload
 
-    def _cn_many_work(self, entry: SessionEntry, pairs) -> dict:
-        self._warm(entry)
-        scores = entry.session.common_neighbors_many(pairs)
-        return {"pairs": len(scores), "scores": [int(s) for s in scores]}
-
     def _apply_work(self, entry: SessionEntry, ops, record: bool) -> UpdateReport:
-        self._warm(entry)
+        self._price_run(entry, warm=True)
         session = entry.session
         try:
             report = session.apply(ops, record=record)
@@ -978,7 +857,7 @@ class Service:
                 entry.journal.append(list(ops))
         return report
 
-    def _snapshot(self, entry: SessionEntry, resident: bool) -> SessionServeStats:
+    def _snapshot(self, entry: SessionEntry) -> SessionServeStats:
         with entry.stats_lock:
             return SessionServeStats(
                 key=entry.key,
@@ -986,21 +865,19 @@ class Service:
                 by_kind=dict(entry.queries),
                 ops_applied=entry.ops_applied,
                 events=entry.events,
-                resident_bytes=entry.session.resident_bytes() if resident else 0,
-                plan_bytes=entry.session.plan_resident_bytes() if resident else 0,
-                resident_detail=(
-                    entry.session.resident_bytes_detail() if resident else {}
-                ),
+                resident_bytes=entry.session.resident_bytes(),
+                plan_bytes=entry.session.plan_resident_bytes(),
+                resident_detail=entry.session.resident_bytes_detail(),
             )
 
 
 def _session_window(entry: SessionEntry, window, members, outcomes) -> None:
-    """One session's share of a fusion window, atomic under its lock.
+    """One session's share of a probe batch, atomic under its lock.
 
     Validates each probe with ``parse_pairs`` (a malformed request fails
     alone), scores every pair with one ``pair_scores`` call and slices
-    the scores into the replies the per-request work functions return; a
-    ``("work",)`` request runs its own work function inside the hold.
+    the scores into the replies; a ``("work", fn)`` request runs
+    ``fn(entry)`` inside the hold.
     """
     session = entry.session
     scored: list = []  # (index, lo, hi, spec)
@@ -1013,7 +890,7 @@ def _session_window(entry: SessionEntry, window, members, outcomes) -> None:
             spec = request.spec
             try:
                 if spec[0] == "work":
-                    outcomes[index] = (True, request.work(entry))
+                    outcomes[index] = (True, spec[1](entry))
                     continue
                 us, vs = session.parse_pairs(
                     [spec[1:]] if spec[0] == "pair" else spec[1]
@@ -1036,6 +913,21 @@ def _session_window(entry: SessionEntry, window, members, outcomes) -> None:
         else:
             reply = {"pairs": hi - lo, "scores": scores[lo:hi].tolist()}
         outcomes[index] = (True, reply)
+
+
+def _settle(window: list, job) -> None:
+    """Resolve a drained batch's parked futures from its job's outcomes."""
+    try:
+        outcomes = job.result()
+    except Exception as error:
+        outcomes = [(False, error)] * len(window)
+    for request, (ok, value) in zip(window, outcomes):
+        if request.future.done():
+            continue  # the caller was cancelled
+        if ok:
+            request.future.set_result(value)
+        else:
+            request.future.set_exception(value)
 
 
 def _publish_inflight(entry: SessionEntry, kind: str, generation: int, future) -> None:
@@ -1064,7 +956,6 @@ def open_service(
     model=None,
     config=None,
     record_journal: bool = False,
-    fuse_window_ms: float | None = None,
     max_queue: int | None = None,
     admission: str = "reject",
     **overrides,
@@ -1084,7 +975,6 @@ def open_service(
         model=model,
         config=config,
         record_journal=record_journal,
-        fuse_window_ms=fuse_window_ms,
         max_queue=max_queue,
         admission=admission,
         **overrides,

@@ -508,6 +508,13 @@ class TestServeCommand:
         assert report["pool"]["misses"] == 1
         assert report["sessions"][0]["ops_applied"] == 1
 
+    def test_serve_has_no_fusion_window_flag(self, capsys):
+        # Probes batch per event-loop tick; the old window knob is gone.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--fuse-window-ms", "5"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --fuse-window-ms" in capsys.readouterr().err
+
     def test_serve_default_config_applies(self, capsys, monkeypatch, tmp_path, paper_graph):
         import io
         import json

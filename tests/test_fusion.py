@@ -1,14 +1,17 @@
-"""Tests for the serving tier's fusion window and admission control.
+"""Tests for the serving tier's probe batching and admission control.
 
-Covers the fusion stack layer by layer:
+Covers the batching stack layer by layer:
 
 * **session calls** — ``parse_pairs``, ``common_neighbors_many`` and
-  ``pair_scores``, the calls a fusion window makes, against brute-force
+  ``pair_scores``, the calls a probe batch makes, against brute-force
   oracles;
-* **service** — fused serving bit-identical to per-request serving on a
-  randomized trace; a window is atomic against an ``apply`` from another
-  thread, runs no request twice, and fails a malformed request alone;
-  ``close()`` leaves no worker thread or parked request behind;
+* **service** — concurrent serving bit-identical to serving one request
+  at a time on a randomized trace; the probes parked in one event-loop
+  tick share one batch, and a lone probe drains alone with no timer; a
+  batch is atomic against an ``apply`` from another thread, runs no
+  request twice, and fails a malformed request alone; ``close()``
+  answers every parked probe and leaves no worker thread behind, and a
+  probe whose cold checkout ends after ``close()`` began gets an error;
 * **admission** — deterministic ``OverloadedError`` under a full queue,
   FIFO completion in blocking mode, and parameter validation;
 * **protocol** — the ``stats`` and ``common_neighbors_many`` ops;
@@ -21,6 +24,7 @@ from __future__ import annotations
 import asyncio
 import random
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -54,7 +58,7 @@ def neighbor_sets(graph: Graph) -> dict[int, set[int]]:
 
 
 # ----------------------------------------------------------------------
-# Session calls the fusion window makes
+# Session calls a probe batch makes
 # ----------------------------------------------------------------------
 class TestSessionFusionHooks:
     def test_parse_pairs_validates(self, two_graphs):
@@ -123,7 +127,7 @@ class TestSessionFusionHooks:
 
 
 # ----------------------------------------------------------------------
-# Service: fused serving differential, atomic windows, clean close
+# Service: batched serving differential, atomic batches, clean close
 # ----------------------------------------------------------------------
 class TestServiceFusion:
     def test_fused_serving_bit_identical(self, two_graphs):
@@ -152,50 +156,121 @@ class TestServiceFusion:
                 ("apply", target, [("+", rng.randrange(n), rng.randrange(n))])
             )
 
-        async def drive(service):
+        async def drive(service, concurrent):
+            # Applies are barriered, so both drives read the same
+            # generations; one at a time, every probe drains alone.
             out, tasks = [], []
             for op in trace:
                 graph = two_graphs[op[1]]
                 if op[0] == "count":
-                    tasks.append(service.count(graph))
+                    call = service.count(graph)
                 elif op[0] == "support":
-                    tasks.append(service.support(graph))
+                    call = service.support(graph)
                 elif op[0] == "truss":
-                    tasks.append(service.truss(graph, k=3))
+                    call = service.truss(graph, k=3)
                 elif op[0] == "cluster":
-                    tasks.append(service.cluster(graph))
+                    call = service.cluster(graph)
                 elif op[0] == "cn_pair":
-                    tasks.append(service.common_neighbors(graph, op[2], op[3]))
+                    call = service.common_neighbors(graph, op[2], op[3])
                 elif op[0] == "cn_top":
-                    tasks.append(service.common_neighbors(graph, op[2], k=op[3]))
+                    call = service.common_neighbors(graph, op[2], k=op[3])
                 elif op[0] == "cn_many":
-                    tasks.append(service.common_neighbors_many(graph, op[2]))
+                    call = service.common_neighbors_many(graph, op[2])
                 else:
                     out.extend(await asyncio.gather(*tasks))
                     tasks = []
                     report = await service.apply(graph, op[2])
                     out.append((report.inserted, report.deleted))
+                    continue
+                if concurrent:
+                    tasks.append(call)
+                else:
+                    out.append(await call)
             out.extend(await asyncio.gather(*tasks))
             return out
 
         async def main():
-            async with open_service(max_sessions=4) as plain:
-                plain_out = await drive(plain)
-                plain_events = {
-                    s.key: s.events for s in plain.report().sessions
-                }
-            async with open_service(max_sessions=4, fuse_window_ms=2) as fused:
-                fused_out = await drive(fused)
-                report = fused.report()
-                fused_events = {s.key: s.events for s in report.sessions}
-            assert fused_out == plain_out
-            assert fused_events == plain_events
-            assert report.fused_batches > 0
-            assert report.fused_reads > 0
+            async with open_service(max_sessions=4) as serial:
+                serial_out = await drive(serial, concurrent=False)
+                serial_report = serial.report()
+                serial_events = {s.key: s.events for s in serial_report.sessions}
+            async with open_service(max_sessions=4) as burst:
+                burst_out = await drive(burst, concurrent=True)
+                report = burst.report()
+                burst_events = {s.key: s.events for s in report.sessions}
+            assert burst_out == serial_out
+            assert burst_events == serial_events
+            assert serial_report.max_fused_batch == 1
+            assert report.fused_reads == serial_report.fused_reads > 0
             assert report.max_fused_batch >= 2
+            assert report.fused_batches < serial_report.fused_batches
             assert report.kernel_launches > 0
 
         run(main())
+
+    def test_probes_parked_in_one_tick_share_one_batch(self, two_graphs):
+        rng = random.Random(4)
+
+        async def main():
+            async with open_service(max_sessions=2) as service:
+                for graph in two_graphs:
+                    await service.count(graph)  # resident: probes check out inline
+                burst = []
+                for index in range(24):
+                    graph = two_graphs[index % 2]
+                    u, v = rng.randrange(150), rng.randrange(150)
+                    if index % 3 == 0:
+                        burst.append(service.common_neighbors(graph, u, v))
+                    elif index % 3 == 1:
+                        burst.append(service.common_neighbors(graph, u, k=3))
+                    else:
+                        burst.append(
+                            service.common_neighbors_many(graph, [(u, v), (v, u)])
+                        )
+                replies = await asyncio.gather(*burst)
+                return replies, service.report()
+
+        replies, report = run(main())
+        assert len(replies) == 24
+        assert report.fused_batches == 1
+        assert report.fused_reads == report.max_fused_batch == 24
+
+    def test_lone_probe_drains_alone_without_a_timer(self, two_graphs):
+        graph = two_graphs[0]
+
+        async def main():
+            async with open_service(max_sessions=2) as service:
+                await service.count(graph)
+                loop = asyncio.get_running_loop()
+                timers = []
+                real_call_at = loop.call_at
+
+                def recording_call_at(*args, **kwargs):
+                    timers.append(args)
+                    return real_call_at(*args, **kwargs)
+
+                loop.call_at = recording_call_at  # call_later goes through it
+                try:
+                    replies = [
+                        await service.common_neighbors(graph, 0, 1),
+                        await service.common_neighbors_many(graph, [(0, 1)]),
+                    ]
+                finally:
+                    del loop.call_at
+                return replies, timers, service.report()
+
+        replies, timers, report = run(main())
+        oracle = open_session(graph)
+        try:
+            score = oracle.common_neighbors(0, 1)
+        finally:
+            oracle.close()
+        assert replies == [
+            {"u": 0, "v": 1, "score": score},
+            {"pairs": 1, "scores": [score]},
+        ]
+        assert timers == []
+        assert report.fused_batches == 2 and report.max_fused_batch == 1
 
     def test_window_is_atomic_under_concurrent_apply(self, two_graphs):
         """An apply from another thread while a window holds a session's
@@ -227,7 +302,7 @@ class TestServiceFusion:
         applier = []
 
         async def main():
-            async with open_service(max_sessions=2, fuse_window_ms=2) as service:
+            async with open_service(max_sessions=2) as service:
                 await service.count(graph)
                 (entry,) = service.pool.entries()
                 session = entry.session
@@ -297,7 +372,7 @@ class TestServiceFusion:
         graph = two_graphs[0]
 
         async def main():
-            async with open_service(max_sessions=2, fuse_window_ms=2) as service:
+            async with open_service(max_sessions=2) as service:
                 await service.count(graph)
                 replies = await asyncio.gather(
                     service.common_neighbors_many(graph, [(0, 1), (2, 3)]),
@@ -330,35 +405,33 @@ class TestServiceFusion:
 
     def test_pair_probe_with_top_k_is_rejected(self, two_graphs, tmp_path):
         """``v`` and ``k`` together raise ``GraphError`` as
-        ``TCIMSession.common_neighbors`` does, fused or not, before any
-        checkout, and the protocol op gets an error reply."""
+        ``TCIMSession.common_neighbors`` does, before any checkout or
+        parking, and the protocol op gets an error reply."""
         from repro.graph.io import write_edge_list
 
         path = str(tmp_path / "g.txt")
         write_edge_list(two_graphs[0], path)
 
         async def main():
-            for window in (None, 2):
-                async with open_service(max_sessions=2, fuse_window_ms=window) as service:
-                    await service.count(path)
-                    hits = service.pool.stats.hits
-                    with pytest.raises(GraphError, match="not both"):
-                        await service.common_neighbors(path, 0, 1, k=2)
-                    assert service.pool.stats.hits == hits
-                    reply = await handle_request(
-                        service,
-                        {"id": 1, "op": "common_neighbors", "graph": path,
-                         "u": 0, "v": 1, "k": 2},
-                    )
-                    assert not reply["ok"] and "not both" in reply["error"]
-                    assert service.stats()["fused_reads"] == 0
+            async with open_service(max_sessions=2) as service:
+                await service.count(path)
+                hits = service.pool.stats.hits
+                with pytest.raises(GraphError, match="not both"):
+                    await service.common_neighbors(path, 0, 1, k=2)
+                assert service.pool.stats.hits == hits
+                reply = await handle_request(
+                    service,
+                    {"id": 1, "op": "common_neighbors", "graph": path,
+                     "u": 0, "v": 1, "k": 2},
+                )
+                assert not reply["ok"] and "not both" in reply["error"]
+                assert service.stats()["fused_reads"] == 0
 
         run(main())
 
     def test_close_leaves_nothing_running(self, two_graphs):
-        """``close()`` during a probe burst answers every request (the
-        fused one's still parked in a long window), then leaves no worker
-        thread, no running fusion task and nothing pending."""
+        """``close()`` during a probe burst answers every parked probe,
+        then leaves no worker thread and nothing pending."""
         graph = two_graphs[0]
         earlier = set(threading.enumerate())
 
@@ -370,30 +443,59 @@ class TestServiceFusion:
             ]
 
         async def main():
-            for window in (None, 200):
-                service = open_service(max_sessions=2, fuse_window_ms=window)
-                await service.count(graph)  # resident: probes check out inline
-                burst = asyncio.gather(
-                    *(
-                        service.common_neighbors_many(graph, [(i, i + 1)])
-                        for i in range(12)
-                    ),
-                    service.common_neighbors(graph, 0, k=2),
-                )
-                await asyncio.sleep(0)  # every probe is dispatched or parked
-                assert serving_threads()
-                await service.close()
-                replies = await burst
-                assert len(replies) == 13
-                assert serving_threads() == []
-                stats = service.stats()
-                assert stats["pending_fusion"] == 0
-                if window is None:
-                    assert service._fusion_task is None
-                else:
-                    assert stats["fused_reads"] == 13
-                    task = service._fusion_task
-                    assert task.done() and not task.cancelled()
+            service = open_service(max_sessions=2)
+            await service.count(graph)  # resident: probes check out inline
+            burst = asyncio.gather(
+                *(
+                    service.common_neighbors_many(graph, [(i, i + 1)])
+                    for i in range(12)
+                ),
+                service.common_neighbors(graph, 0, k=2),
+            )
+            await asyncio.sleep(0)  # every probe is parked, none drained
+            assert service.stats()["pending_fusion"] == 13
+            assert serving_threads()
+            await service.close()
+            replies = await burst
+            assert len(replies) == 13
+            assert serving_threads() == []
+            stats = service.stats()
+            assert stats["pending_fusion"] == 0
+            assert stats["fused_reads"] == stats["max_fused_batch"] == 13
+
+        run(main())
+
+    def test_probe_checked_out_after_close_began_gets_an_error(self, two_graphs):
+        """A probe whose cold checkout finishes after ``close()`` shut the
+        worker pool gets ``ReproError`` from its drain, not a hang."""
+        graph = two_graphs[0]
+
+        async def main():
+            service = open_service(max_sessions=2)
+            checkout = threading.Event()
+            real_acquire = service.pool.acquire
+
+            def held_acquire(*args, **kwargs):
+                checkout.wait(5.0)
+                return real_acquire(*args, **kwargs)
+
+            service.pool.acquire = held_acquire
+            probe = asyncio.ensure_future(service.common_neighbors(graph, 0, 1))
+            await asyncio.sleep(0.01)  # the probe's checkout is in a worker
+            closing = asyncio.ensure_future(service.close())
+            deadline = time.monotonic() + 5.0
+            while True:  # until the worker pool refuses new work
+                try:
+                    service._executor.submit(int)
+                except RuntimeError:
+                    break
+                assert time.monotonic() < deadline, "close() never shut the pool"
+                await asyncio.sleep(0.001)
+            checkout.set()
+            with pytest.raises(ReproError, match="closed"):
+                await asyncio.wait_for(probe, timeout=5.0)
+            await asyncio.wait_for(closing, timeout=5.0)
+            assert service.stats()["pending_fusion"] == 0
 
         run(main())
 
@@ -489,9 +591,9 @@ class TestAdmission:
             open_service(max_queue=0)
         with pytest.raises(ReproError, match="admission"):
             open_service(admission="drop")
-        for window in (-1, float("nan"), float("inf")):
-            with pytest.raises(ReproError, match="fuse_window_ms"):
-                open_service(fuse_window_ms=window)
+        # Probes batch per event-loop tick; there is no window to set.
+        with pytest.raises(TypeError, match="fuse_window_ms"):
+            open_service(fuse_window_ms=5)
 
 
 # ----------------------------------------------------------------------
@@ -500,10 +602,11 @@ class TestAdmission:
 class TestProtocolOps:
     def test_stats_op_reports_scheduler_state(self, two_graphs, tmp_path):
         async def main():
-            async with open_service(max_sessions=2, fuse_window_ms=1) as service:
+            async with open_service(max_sessions=2) as service:
                 response = await handle_request(service, {"id": 1, "op": "stats"})
                 assert response["ok"]
                 result = response["result"]
+                assert "fuse_window_ms" not in result
                 for field in (
                     "queue_depth",
                     "shed",

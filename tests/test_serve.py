@@ -20,9 +20,11 @@ Covers the tentpole guarantees:
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -141,6 +143,8 @@ class TestSessionPool:
             SessionPool(max_resident_bytes=0)
         with pytest.raises(ReproError, match="graph source"):
             SessionPool().key_for(123)
+        with pytest.raises(TypeError, match="bogus"):
+            SessionPool(bogus=1)
 
 
 # ----------------------------------------------------------------------
@@ -741,6 +745,50 @@ class TestSecondReviewRegressions:
         ]
         assert len(session_keys) == 1
 
+    def test_evicted_sessions_are_collected_and_still_reported(self):
+        """A retired pool entry keeps only its accounting: on a one-slot
+        pool alternating two graphs every evicted session is garbage-
+        collected, while ``report()`` and ``journal()`` give what they
+        gave while it was resident."""
+        graphs = [generators.barabasi_albert(2000, 4, seed=seed) for seed in (1, 2)]
+
+        def accounting(stats) -> dict:
+            mapping = stats.to_mapping()
+            for resident_only in ("resident_bytes", "plan_bytes", "resident_detail"):
+                mapping.pop(resident_only)
+            return mapping
+
+        async def main():
+            sessions, resident, retired = [], [], []
+            async with Service(max_sessions=1, record_journal=True) as service:
+                for step in range(6):
+                    graph = graphs[step % 2]
+                    await service.count(graph)
+                    await service.apply(graph, [("+", step, 1999 - step)])
+                    await service.common_neighbors(graph, 0, 1)
+                    (entry,) = service.pool.entries()
+                    sessions.append(weakref.ref(entry.session))
+                    del entry
+                    # Resident entries come first, then the retired ones.
+                    stats = service.report().sessions[0]
+                    assert stats.resident_bytes > 0
+                    resident.append((accounting(stats), service.journal(graph)))
+                await service.count(graphs[0])  # evicts the last one too
+                assert service.pool.stats.evictions == 6
+                gc.collect()
+                assert [ref() for ref in sessions] == [None] * 6
+                report = service.report()
+                for step, stats in enumerate(report.sessions[1:]):
+                    retired.append((accounting(stats), service.journal(graphs[step % 2])))
+            return resident, retired
+
+        resident, retired = run(main())
+        assert [stats for stats, _ in retired] == [stats for stats, _ in resident]
+        # A key's journal spans its retired entries; the last one of each
+        # graph covers every batch applied to it.
+        assert retired[4][1] == resident[4][1] == [[("+", s, 1999 - s)] for s in (0, 2, 4)]
+        assert retired[5][1] == resident[5][1] == [[("+", s, 1999 - s)] for s in (1, 3, 5)]
+
 
 # ----------------------------------------------------------------------
 # Bulk-bitwise workload ops (support / truss / cluster / common_neighbors)
@@ -866,23 +914,27 @@ class TestWorkloadOps:
         assert by_kind["truss"] == 1
         assert by_kind["truss:3"] == 1
         assert by_kind["cluster"] == 1
-        assert by_kind["common_neighbors:0:3:None"] == 1
-        assert by_kind["common_neighbors:0:None:2"] == 1
+        # Pair and top-k probes count under one key, whatever their args.
+        assert by_kind["common_neighbors"] == 2
 
     def test_inflight_slots_and_counters_stay_bounded(self, paper_graph):
-        # A settled read's coalescing slot goes away, and every batched
-        # probe counts under one by_kind key whatever its digest.
+        # A settled read's coalescing slot goes away, and every probe
+        # counts under its op's one by_kind key whatever its arguments.
         probes = [(u, v) for u in range(4) for v in range(4)]
 
         async def main():
             async with open_service(max_sessions=2) as service:
                 for pair in probes:
                     await service.common_neighbors_many(paper_graph, [pair])
+                    await service.common_neighbors(paper_graph, *pair)
+                    await service.common_neighbors(paper_graph, pair[0], k=pair[1] + 1)
                 await asyncio.gather(
                     *(
                         service.common_neighbors_many(paper_graph, [pair, pair[::-1]])
                         for pair in probes
-                    )
+                    ),
+                    *(service.common_neighbors(paper_graph, *pair) for pair in probes),
+                    *(service.common_neighbors(paper_graph, u, k=2) for u, _ in probes),
                 )
                 await service.count(paper_graph)
                 entry = service.pool.entries()[0]
@@ -890,7 +942,11 @@ class TestWorkloadOps:
 
         inflight, by_kind = run(main())
         assert inflight == {}
-        assert by_kind == {"common_neighbors_many": 2 * len(probes), "count": 1}
+        assert by_kind == {
+            "common_neighbors_many": 2 * len(probes),
+            "common_neighbors": 4 * len(probes),
+            "count": 1,
+        }
 
     def test_concurrent_identical_workloads_coalesce(self):
         graph = generators.barabasi_albert(3000, 5, seed=3)
