@@ -50,7 +50,7 @@ from repro.core.dynamic import DynamicTriangleCounter
 from repro.core.engine import oriented_edges
 from repro.core.plan import build_join_plan, merge_oriented_edges, patch_join_plan
 from repro.core.sharding import plan_shards
-from repro.core.slicing import SlicedMatrix, oriented_structures
+from repro.core.slicing import SlicedMatrix, SliceWindow
 from repro.errors import ReproError
 from repro.graph import generators
 from repro.graph.graph import Graph
@@ -233,18 +233,10 @@ CONSERVED_FIELDS = (
     "bitcount_operations",
 )
 
-#: ``(num_arrays, shard_by, use_plan)`` of every priced run.
+#: ``(num_arrays, shard_by)`` of every priced run.
 PARTITION_RUNS = [
-    *(
-        (4, shard_by, use_plan)
-        for shard_by in ("edges", "rows", "degree")
-        for use_plan in (True, False)
-    ),
-    *(
-        (num_arrays, "coloring", use_plan)
-        for num_arrays in (4, 16)
-        for use_plan in (True, False)
-    ),
+    *((4, shard_by) for shard_by in ("edges", "rows", "degree")),
+    *((num_arrays, "coloring") for num_arrays in (4, 16)),
 ]
 
 
@@ -252,8 +244,8 @@ def partitions():
     """Every multi-array partition is exact and conserves its events.
 
     A 20k-vertex BA graph priced across several arrays under every
-    partitioner, with the count plan resident or compiled per run
-    (``use_plan``), against ``num_arrays=1``:
+    partitioner from the session's resident count plan, against
+    ``num_arrays=1``:
 
     * every run's triangle count matches;
     * the position partitioners (``edges`` / ``rows`` / ``degree``)
@@ -268,12 +260,10 @@ def partitions():
     graph = generators.barabasi_albert(20_000, 8, seed=42)
     baseline = TCIMAccelerator(AcceleratorConfig(num_arrays=1)).run(graph)
     checks = []
-    for num_arrays, shard_by, use_plan in PARTITION_RUNS:
-        with open_session(
-            graph, num_arrays=num_arrays, shard_by=shard_by, use_plan=use_plan
-        ) as session:
+    for num_arrays, shard_by in PARTITION_RUNS:
+        with open_session(graph, num_arrays=num_arrays, shard_by=shard_by) as session:
             result = session.run()
-        label = f"{num_arrays} arrays {shard_by} plan {'on' if use_plan else 'off'}"
+        label = f"{num_arrays} arrays {shard_by}"
         checks.append(
             Check(
                 f"{label}: triangles == 1 array",
@@ -537,25 +527,25 @@ def _plans_identical(a, b) -> bool:
     )
 
 
-def _rebuilt_plan(graph, orientation: str):
-    """The count plan of ``graph`` under ``orientation``, compiled from
-    scratch over a fresh symmetric structure's row and column sides (the
-    structures a session's plan indexes)."""
-    row, col = oriented_structures(SlicedMatrix.from_graph(graph, "symmetric"), orientation)
-    return build_join_plan(row, col, *oriented_edges(graph, orientation))
+def _rebuilt_plan(graph):
+    """The count plan of ``graph``, compiled from scratch over a fresh
+    symmetric structure's upper and lower windows (the structures a
+    session's plan indexes)."""
+    windows = SliceWindow.pair(SlicedMatrix.from_graph(graph, "symmetric"))
+    return build_join_plan(*windows, *oriented_edges(graph, "upper"))
 
 
 def _plan_patch() -> dict:
     """Plan patch vs rebuild for one batch and its undo, exactness checked.
 
-    An ``upper`` and a ``symmetric`` session, each with its count plan
-    and triangle list resident, apply ``PATCH_BATCH`` absent edges, then
-    delete them; after each their count plans must equal a rebuild and
-    no fallback may fire.  Timing runs on a symmetric plan outside the
-    sessions, so each side can be repeated on identical inputs: best of
-    ``PLAN_REPEATS`` for ``patch_join_plan`` and for ``build_join_plan``
-    on the same post-batch structures, summed over the insert and the
-    delete.
+    A session with its count plan and triangle list resident applies
+    ``PATCH_BATCH`` absent edges, then deletes them; after each its count
+    plan must equal a rebuild and no fallback may fire.  Timing runs on
+    the same windows count plan outside the session, so each side can
+    be repeated on identical inputs: the session's splice, edge merge
+    and window refresh once, then best of ``PLAN_REPEATS`` for
+    ``patch_join_plan`` and for ``build_join_plan`` on the same
+    post-batch windows, summed over the insert and the delete.
     """
     graph = generators.powerlaw_cluster(
         PATCH_VERTICES, PATCH_ATTACH, PATCH_TRIAD_P, seed=0
@@ -568,51 +558,49 @@ def _plan_patch() -> dict:
             batch.add((u, v))
     delta = np.array(sorted(batch), dtype=np.int64)
     exact = True
-    sessions = [
-        open_session(graph, orientation=orientation)
-        for orientation in ("upper", "symmetric")
-    ]
-    for session in sessions:
-        session.support()
+    session = open_session(graph)
+    session.support()
     for code in ("+", "-"):
-        for session in sessions:
-            session.apply([(code, u, v) for u, v in batch])
-            rebuilt = _rebuilt_plan(session.graph, session.config.orientation)
-            exact &= _plans_identical(session.join_plan, rebuilt)
-            exact &= not any(session.fallback_counts.values())
+        session.apply([(code, u, v) for u, v in batch])
+        exact &= _plans_identical(session.join_plan, _rebuilt_plan(session.graph))
+        exact &= not any(session.fallback_counts.values())
 
     sym = SlicedMatrix.from_graph(graph, "symmetric")
-    sources, destinations = oriented_edges(graph, "symmetric")
-    plan = build_join_plan(sym, sym, sources, destinations)
-    both = (
-        np.concatenate([delta[:, 0], delta[:, 1]]),
-        np.concatenate([delta[:, 1], delta[:, 0]]),
-    )
+    windows = SliceWindow.pair(sym)
+    sources, destinations = oriented_edges(graph, "upper")
+    plan = build_join_plan(*windows, sources, destinations)
+    u, v = delta[:, 0], delta[:, 1]
+    diagonal = u // sym.slice_bits == v // sym.slice_bits
     patch_s = rebuild_s = 0.0
     for insert in (True, False):
         mutate = incremental.set_bits if insert else incremental.clear_bits
-        sym_delta = mutate(sym, *both)
+        sym_delta = mutate(sym, np.concatenate([u, v]), np.concatenate([v, u]))
         sources, destinations, edge_delta = merge_oriented_edges(
-            sources, destinations, delta, "symmetric", PATCH_VERTICES, insert
+            sources, destinations, delta, PATCH_VERTICES, insert
         )
+        # The session's flush: refresh the endpoint rows' windows, and
+        # name the rows whose windows may have moved.
+        SliceWindow.refresh(windows, np.unique(delta))
+        changed = np.concatenate([sym_delta.inserted_rows, sym_delta.removed_rows])
+        moved = tuple(ends[diagonal | np.isin(ends, changed)] for ends in (u, v))
         seconds, patched = best_of(
             PLAN_REPEATS,
             lambda: patch_join_plan(
-                plan, sym, sym, sources, destinations,
-                edge_delta, sym_delta, sym_delta,
+                plan, *windows, sources, destinations, edge_delta, sym_delta,
+                moved=moved,
             ),
         )
         patch_s += seconds
         seconds, rebuilt = best_of(
-            PLAN_REPEATS, lambda: build_join_plan(sym, sym, sources, destinations)
+            PLAN_REPEATS, lambda: build_join_plan(*windows, sources, destinations)
         )
         rebuild_s += seconds
         exact &= _plans_identical(patched, rebuilt)
         plan = patched
     return {
         "graph": _graph_size(graph),
-        "sym_plan_patch_s": patch_s,
-        "sym_plan_rebuild_s": rebuild_s,
+        "plan_patch_s": patch_s,
+        "plan_rebuild_s": rebuild_s,
         "plan_patch_speedup": rebuild_s / patch_s if patch_s else None,
         "exact": bool(exact),
     }
@@ -633,10 +621,10 @@ def plan():
       plan equals a plan compiled from scratch, and the session's run
       equals a from-scratch accelerator run;
     * on the 8k-vertex Holme–Kim graph of the ``analytics`` benchmark,
-      one 8-edge batch and its undo leave the count plans of an
-      ``upper`` and a ``symmetric`` session equal to a rebuild, and
-      patching a symmetric plan is at least ``MIN_PLAN_PATCH_SPEEDUP``
-      faster than rebuilding it.
+      one 8-edge batch and its undo leave a session's count plan equal
+      to a rebuild, and patching the windows count plan a session
+      patches is at least ``MIN_PLAN_PATCH_SPEEDUP`` faster than
+      rebuilding it.
     """
     graph = generators.barabasi_albert(20_000, 8, seed=0)
     start = time.perf_counter()
@@ -668,7 +656,7 @@ def plan():
     session.apply(random_ops(graph, 120, np.random.default_rng(7))[0])
     patched = session.join_plan
     final = session.graph
-    rebuilt = _rebuilt_plan(final, "upper")
+    rebuilt = _rebuilt_plan(final)
     plan_equal = patched.num_edges == rebuilt.num_edges and all(
         np.array_equal(
             np.asarray(getattr(patched, name), dtype=np.int64),
@@ -696,11 +684,9 @@ def plan():
         ),
         Check("after 120 ops: patched plan == rebuild", bool(plan_equal), "==", True),
         Check("after 120 ops: session run == from-scratch", session_exact, "==", True),
+        Check("count-plan patch == rebuild, no fallback", patch["exact"], "==", True),
         Check(
-            "symmetric-plan patch == rebuild, no fallback", patch["exact"], "==", True
-        ),
-        Check(
-            "symmetric-plan patch speedup (x)",
+            "count-plan patch speedup (x)",
             patch["plan_patch_speedup"],
             ">=",
             MIN_PLAN_PATCH_SPEEDUP,
@@ -719,8 +705,8 @@ def plan():
             "plan_reuse_speedup": reuse_speedup,
             "plan_pairs": join_plan.num_pairs,
             "plan_bytes": plan_bytes,
-            "sym_plan_patch_s": patch["sym_plan_patch_s"],
-            "sym_plan_rebuild_s": patch["sym_plan_rebuild_s"],
+            "plan_patch_s": patch["plan_patch_s"],
+            "plan_rebuild_s": patch["plan_rebuild_s"],
             "plan_patch_speedup": patch["plan_patch_speedup"],
             "plan_patch_graph": patch["graph"],
             "modelled": {
@@ -806,9 +792,8 @@ def workloads():
     graph = generators.barabasi_albert(8_000, 8, seed=0)
     checks = []
     for label, config in (
-        ("1 array, plan", {"num_arrays": 1, "use_plan": True}),
-        ("1 array, no plan", {"num_arrays": 1, "use_plan": False}),
-        ("4 arrays, plan", {"num_arrays": 4, "use_plan": True}),
+        ("1 array, plan", {"num_arrays": 1}),
+        ("4 arrays, plan", {"num_arrays": 4}),
     ):
         with open_session(graph, **config) as session:
             problems = _workload_problems(session, graph)
@@ -1250,8 +1235,8 @@ def storage():
 
     * a session whose slice payloads and plans live in disk-backed
       memmaps (1 MiB spill threshold) answers ``count`` / ``support`` /
-      ``common_neighbors`` like the all-RAM session, with the plan on
-      and off and 4-array sharded;
+      ``common_neighbors`` like the all-RAM session, on one array and
+      4-array sharded;
     * hydrating a session from its snapshot is at least
       ``MIN_HYDRATE_SPEEDUP`` faster than establishing the same residency
       cold (slice the symmetric structure, derive its windows, compile
@@ -1271,11 +1256,7 @@ def storage():
             "support": ram.support(),
             "cn": ram.common_neighbors(0, k=8),
         }
-        for extra in (
-            {"use_plan": True},
-            {"use_plan": False},
-            {"num_arrays": 4, "shard_by": "degree"},
-        ):
+        for extra in ({"num_arrays": 1}, {"num_arrays": 4, "shard_by": "degree"}):
             disk = open_session(
                 graph,
                 storage_dir=str(tmp_path / "spill"),
@@ -1594,9 +1575,7 @@ def parallelism():
         degree = TCIMAccelerator(
             AcceleratorConfig(num_arrays=num_arrays, shard_by="degree")
         )
-        shard_plan = plan_shards(
-            graph, "upper", num_arrays, "degree", sources=edge_arrays[0]
-        )
+        shard_plan = plan_shards(graph, num_arrays, "degree", sources=edge_arrays[0])
         degree_s, degree_run = best_of(
             5,
             lambda: degree.run(

@@ -14,7 +14,11 @@ recorded that has no schema-10 key.  Schema 12 renames the ``fusion``
 gate's probe keys (``serving.unfused_probe_*`` / ``fused_probe_*`` /
 ``fusion_speedup`` became ``serial_probe_*`` / ``burst_probe_*`` /
 ``batching_speedup``): every probe batches, so the gate compares a burst
-with the same probes served one in flight.  The ``modelled`` entries are the
+with the same probes served one in flight.  Schema 13 renames the
+``plan`` gate's ``engine.sym_plan_patch_s`` / ``sym_plan_rebuild_s`` to
+``plan_patch_s`` / ``plan_rebuild_s``: the patch it times is now the
+windows count plan a session patches, not a plan joining the symmetric
+structure with itself.  The ``modelled`` entries are the
 architecture model's pricing of the measured quantities; they are never
 mixed with host wall time.
 
@@ -42,7 +46,7 @@ from repro.analysis.reporting import Table
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_engine.json"
 VERDICTS = Path(__file__).resolve().parent / "results" / "gates.txt"
-SCHEMA = 12
+SCHEMA = 13
 
 
 def _merge(into: dict, values: dict) -> None:

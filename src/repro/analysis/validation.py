@@ -28,7 +28,7 @@ from repro.core.accelerator import (
 from repro.core.bitwise import triangle_count_dense, triangle_count_sliced
 from repro.core.reuse import CacheStatistics, SliceCache
 from repro.core.slicing import SlicedMatrix, valid_pair_positions
-from repro.errors import ArchitectureError, ValidationError
+from repro.errors import ValidationError
 from repro.graph.graph import Graph
 
 __all__ = [
@@ -49,18 +49,8 @@ def per_edge_reference(
     field, and the same cache statistics as the batched engine.
     """
     config = config or AcceleratorConfig()
-    orientation = config.orientation
-    if orientation not in ("upper", "symmetric"):
-        raise ArchitectureError(
-            f"orientation must be 'upper' or 'symmetric', got {orientation!r}"
-        )
-    col_orientation = "lower" if orientation == "upper" else "symmetric"
-    row_sliced = SlicedMatrix.from_graph(
-        graph, orientation, slice_bits=config.slice_bits
-    )
-    col_sliced = SlicedMatrix.from_graph(
-        graph, col_orientation, slice_bits=config.slice_bits
-    )
+    row_sliced = SlicedMatrix.from_graph(graph, "upper", slice_bits=config.slice_bits)
+    col_sliced = SlicedMatrix.from_graph(graph, "lower", slice_bits=config.slice_bits)
     _, column_capacity = split_capacity(
         config.capacity_slices, row_sliced.row_valid_counts()
     )
@@ -71,10 +61,7 @@ def per_edge_reference(
     indptr, indices = graph.csr
     for row in range(graph.num_vertices):
         neighbours = indices[indptr[row]: indptr[row + 1]]
-        if orientation == "upper":
-            successors = neighbours[neighbours > row]
-        else:
-            successors = neighbours
+        successors = neighbours[neighbours > row]
         if successors.size == 0:
             continue
         row_ids, row_data = row_sliced.row_slices(row)
@@ -99,8 +86,7 @@ def per_edge_reference(
             events.bitcount_operations += int(row_pos.size)
     events.col_slice_writes = cache.stats.writes
     events.col_slice_hits = cache.stats.hits
-    triangles = accumulator if orientation == "upper" else accumulator // 6
-    return triangles, events, cache.stats
+    return accumulator, events, cache.stats
 
 
 def default_implementations(

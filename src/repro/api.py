@@ -9,12 +9,12 @@ workloads through :class:`~repro.core.dynamic.DynamicTriangleCounter`
 (pure-Python set intersections).  :class:`TCIMSession` models the
 resident controller directly:
 
-* the graph is loaded **once** — the oriented edge list, one symmetric
-  :class:`SlicedMatrix` (whose :class:`~repro.core.slicing.SliceWindow`
-  sides serve as the row and column structures), the slice statistics
-  and the compiled valid-pair :class:`~repro.core.plan.JoinPlan` are
-  cached and reused across queries (repeat queries skip the merge-join
-  entirely; disable with ``use_plan=False`` / ``--no-plan``);
+* the graph is loaded **once** — the upper-triangular edge list, one
+  symmetric :class:`SlicedMatrix` (whose upper and lower
+  :class:`~repro.core.slicing.SliceWindow` sides serve as the row and
+  column structures of Algorithm 1), the slice statistics and the
+  compiled valid-pair :class:`~repro.core.plan.JoinPlan` are cached and
+  reused across queries (repeat queries skip the merge-join entirely);
 * :meth:`TCIMSession.count` / :meth:`TCIMSession.simulate` /
   :meth:`TCIMSession.slice_stats` / :meth:`TCIMSession.baseline` serve
   repeated queries without re-slicing;
@@ -66,7 +66,6 @@ from repro.core.slicing import (
     SlicedMatrix,
     SliceStatistics,
     SliceWindow,
-    oriented_structures,
     slice_statistics,
 )
 from repro.errors import ArchitectureError, GraphError, ReproError, StorageError
@@ -92,8 +91,10 @@ __all__ = [
 _PLAN_CHUNK_EDGES = 65_536
 
 #: Config keys of earlier releases that older snapshots still carry.
-#: None of them shaped the persisted arrays, so they are dropped on open.
-_RETIRED_CONFIG_KEYS = ("engine", "workers", "backing")
+#: They are dropped on open; of them only ``orientation`` shaped the
+#: persisted arrays, and :meth:`TCIMSession._hydrate` reads it from the
+#: manifest before that.
+_RETIRED_CONFIG_KEYS = ("engine", "workers", "backing", "orientation", "use_plan")
 
 #: The silent fallbacks :attr:`TCIMSession.fallback_counts` counts: each
 #: is a place where an optimisation gives up and drops resident caches
@@ -352,8 +353,7 @@ class TCIMSession:
         # Resident compressed state, built lazily and reused across
         # queries: the symmetric slice structure, spliced by every apply,
         # is the only one; the count run's row and column structures are
-        # its upper and lower windows (the structure itself twice under
-        # the symmetric orientation).
+        # its upper and lower windows.
         self._sym_sliced: SlicedMatrix | None = None
         self._oriented: tuple | None = None
         self._edge_arrays: tuple[np.ndarray, np.ndarray] | None = None
@@ -361,15 +361,13 @@ class TCIMSession:
         # built once per generation, incrementally patched by apply, and
         # handed to every vectorized engine run so repeat queries skip
         # the merge-join; multi-array runs price every array from it.
-        # Gated by config.use_plan (CLI --no-plan).
         self._join_plan = None
-        self._use_plan = bool(self.config.use_plan)
         #: Cached workload results (the triangle list, forward edges,
-        #: support and truss maps, clustering, common-neighbor candidate
-        #: lists).  A mutation patches the list, the forward edges and
-        #: the trussness for a reader (see :meth:`apply`) and drops the
-        #: rest.  The maps and the clustering report are handed out as
-        #: they are, so every array they hold is non-writeable.
+        #: support and truss maps, clustering).  A mutation patches the
+        #: list, the forward edges and the trussness for a reader (see
+        #: :meth:`apply`) and drops the rest.  The maps and the
+        #: clustering report are handed out as they are, so every array
+        #: they hold is non-writeable.
         self._workload_cache: dict = {}
         # Whether support / clustering / truss ran since the last apply()
         # call, and whether the running apply() patches the cache.
@@ -502,8 +500,9 @@ class TCIMSession:
         oriented edge arrays the graph does not already hold — a fresh
         session's are views of its edge list or CSR), ``workloads`` (the
         current generation's triangle list, forward edges, supports,
-        trussness and clustering arrays; 0 until a workload reads them
-        and again after the next mutation), ``spilled`` (how much of the
+        trussness and clustering arrays; 0 until a workload reads them,
+        and after a mutation only what an apply that followed a read
+        patched), ``spilled`` (how much of the
         above is disk-backed rather than on heap — 0 for a ram store),
         and ``total`` (== :meth:`resident_bytes`).  Surfaced per session
         by the serving tier's ``stats`` protocol op.
@@ -516,10 +515,7 @@ class TCIMSession:
                 self._edge_arrays or (),
                 self._workload_arrays(),
             )
-            slices += sum(
-                side.offsets.nbytes for side in self._oriented or ()
-                if isinstance(side, SliceWindow)
-            )
+            slices += sum(side.offsets.nbytes for side in self._oriented or ())
             plan = self._join_plan.nbytes if self._join_plan is not None else 0
             return {
                 "slices": slices,
@@ -553,11 +549,10 @@ class TCIMSession:
     def join_plan(self):
         """The resident :class:`~repro.core.plan.JoinPlan` (or ``None``).
 
-        Compiled lazily by the first engine-executing query when
-        ``config.use_plan`` holds, then patched in place of rebuilt as
-        updates commit.  Reading the property folds any pending update
-        batches in first, so the returned plan always reflects the
-        current graph.  Plans are immutable objects — the reference
+        Compiled lazily by the first engine-executing query, then
+        patched in place of rebuilt as updates commit.  Reading the
+        property folds any pending update batches in first, so the
+        returned plan always reflects the current graph.  Plans are immutable objects — the reference
         returned here stays internally consistent even if a later update
         swaps the session to a patched successor.
         """
@@ -631,8 +626,7 @@ class TCIMSession:
             arrays["sym.slice_ids"] = _narrow(sym.slice_ids, sym.slices_per_row)
             arrays["sym.data"] = sym.data
             for side in self._oriented or ():
-                if isinstance(side, SliceWindow):
-                    arrays[f"sym.{side.side}"] = side.offsets
+                arrays[f"sym.{side.side}"] = side.offsets
         plans: dict[str, dict] = {}
         plan = self._join_plan
         if plan is not None:
@@ -661,23 +655,25 @@ class TCIMSession:
         total always carry over.  The edge list comes from the
         ``oriented.*`` segments (or, in snapshots of earlier releases,
         ``graph.edges``).  The symmetric structure and the compiled count
-        plan carry over only when the effective config agrees with the
-        snapshot on the fields they were built under (slice width,
-        orientation); on a mismatch the session keeps only a graph built
-        from the edge list and rebuilds the rest lazily.  Snapshots of
-        earlier releases also carry ``graph.*``, ``row.*``, ``col.*``,
-        ``edges.*``, ``sym_edges.*`` and ``sym_plan.*`` segments, a plan
-        over the retired row and column structures and a summary of the
-        retired coloring contexts; they were verified and are ignored.
+        plan carry over only when they were built for this session's
+        layout: the same slice width, and the upper-triangular edge list
+        (earlier releases could also write a ``"symmetric"`` orientation,
+        whose edge list holds both directions of every edge and whose
+        plan joins the structure with itself).  Otherwise the session
+        keeps only a graph built from the edge list and rebuilds the rest
+        lazily.  Snapshots of earlier releases also carry ``graph.*``,
+        ``row.*``, ``col.*``, ``edges.*``, ``sym_edges.*`` and
+        ``sym_plan.*`` segments, a plan over the retired row and column
+        structures and a summary of the retired coloring contexts; they
+        were verified and are ignored.
         """
         self._generation = int(meta.get("generation", 0))
         triangles = meta.get("triangles")
         self._triangles = int(triangles) if triangles is not None else None
         saved = meta.get("config", {})
-        orientation = saved.get("orientation")
         same_layout = (
             saved.get("slice_bits") == self.config.slice_bits
-            and orientation == self.config.orientation
+            and saved.get("orientation", "upper") == "upper"
         )
 
         def take(name: str) -> np.ndarray:
@@ -711,7 +707,7 @@ class TCIMSession:
             self._edge_arrays = edge_arrays
         elif same_layout:
             # An earlier release's layout: the graph came with the snapshot.
-            self._edge_arrays = oriented_edges(self.graph, orientation)
+            self._edge_arrays = oriented_edges(self.graph, "upper")
         if info is None:
             return
         adopt = self._store.adopt
@@ -725,15 +721,15 @@ class TCIMSession:
         )
         sym.structure_version = int(info["structure_version"])
         self._sym_sliced = sym
-        if "sym.upper" in arrays and orientation == "upper":
+        if "sym.upper" in arrays:
             self._oriented = tuple(
                 SliceWindow(sym, side, take(f"sym.{side}"))
                 for side in ("upper", "lower")
             )
         else:
-            self._oriented = oriented_structures(sym, orientation)
+            self._oriented = SliceWindow.pair(sym)
         info = meta.get("plans", {}).get("plan")
-        if info is None or "stamp" not in info or not self._use_plan:
+        if info is None or "stamp" not in info:
             return
         plan = joinplan.JoinPlan(
             **{name: adopt(take(f"plan.{name}")) for name in _PLAN_ARRAYS},
@@ -803,7 +799,6 @@ class TCIMSession:
                 self._slice_stats = slice_statistics(
                     None,
                     slice_bits=self.config.slice_bits,
-                    orientation=self.config.orientation,
                     row_sliced=row_sliced,
                     col_sliced=col_sliced,
                 )
@@ -889,13 +884,13 @@ class TCIMSession:
 
         Local coefficients, per-vertex triangle counts, their average,
         the global transitivity, and the triangle total.  The per-vertex
-        counts are one ``np.bincount`` over the corners of the triangles
-        :meth:`support` also reads (see :meth:`_triangle_list`; after an
-        :meth:`apply` that followed a read, the patched list), the
-        degrees one over the forward edges, and the total is the list's
-        length.  Value-identical to the :mod:`repro.analysis.metrics`
-        oracles.  One report per generation, handed out as is: its
-        arrays are non-writeable.
+        counts and the degrees are :meth:`_vertex_tallies` (tallied off
+        the triangles :meth:`support` also reads, see
+        :meth:`_triangle_list`, and patched by an :meth:`apply` that
+        followed a read), and the total is the list's length.
+        Value-identical to the :mod:`repro.analysis.metrics` oracles.
+        One report per generation, handed out as is: its arrays are
+        non-writeable.
         """
         from repro.analysis import metrics
 
@@ -903,24 +898,10 @@ class TCIMSession:
             self._workload_read = True
             cached = self._workload_cache.get("clustering")
             if cached is None:
-                listed = self._triangle_list()
-                sources, destinations = self._forward_edges()
-                corners = np.concatenate(
-                    [
-                        sources[listed[:, 0]],
-                        destinations[listed[:, 0]],
-                        destinations[listed[:, 1]],
-                    ]
-                )
-                tallies = np.bincount(corners, minlength=self._num_vertices)
-                degrees = np.bincount(
-                    np.concatenate([sources, destinations]),
-                    minlength=self._num_vertices,
-                )
+                tallies, degrees = self._vertex_tallies()
                 local = metrics.local_clustering(triangles=tallies, degrees=degrees)
-                triangles = len(listed)
-                for array in (local, tallies):
-                    array.flags.writeable = False
+                triangles = len(self._triangle_list())
+                local.flags.writeable = False
                 cached = ClusteringReport(
                     local=local,
                     triangles_per_vertex=tallies,
@@ -962,11 +943,11 @@ class TCIMSession:
                     np.array([u], dtype=np.int64), np.array([v], dtype=np.int64)
                 )
                 return int(scores[0])
+            if k is not None and k < 1:
+                raise GraphError(f"k must be >= 1, got {k}")
             candidates = self._candidate_scores(u)
             if k is None:
-                return list(candidates)
-            if k < 1:
-                raise GraphError(f"k must be >= 1, got {k}")
+                return candidates
             ranked = sorted(candidates, key=lambda item: (-item[1], item[0]))
             return ranked[:k]
 
@@ -1294,21 +1275,18 @@ class TCIMSession:
         """
         self._flush_patches()
         if self._oriented is None:
-            self._oriented = oriented_structures(self._sym(), self.config.orientation)
+            self._oriented = SliceWindow.pair(self._sym())
         if self._edge_arrays is None:
             self._edge_arrays = self._oriented_edge_arrays()
 
     def _oriented_edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The oriented edge list, from the graph when one is held (its
-        views), else read off the symmetric structure's bits."""
-        orientation = self.config.orientation
+        """The upper-triangular edge list, from the graph when one is held
+        (its views), else read off the symmetric structure's bits."""
         if self._graph is not None:
-            return oriented_edges(self._graph, orientation)
+            return oriented_edges(self._graph, "upper")
         rows, cols = self._sym().nonzeros()
-        if orientation == "upper":
-            forward = rows < cols
-            return rows[forward], cols[forward]
-        return rows, cols
+        forward = rows < cols
+        return rows[forward], cols[forward]
 
     def _ensure_join_plan(self):
         """Compile (once per generation) the resident join plan.
@@ -1318,22 +1296,16 @@ class TCIMSession:
         leaves the plan either patched-current or dropped, so a stale
         plan here would be a bug — rebuilt rather than served wrong.
         """
-        if not self._use_plan:
-            return None
         if self._join_plan is not None and not self._join_plan.matches(
             *self._oriented
         ):
             self._join_plan = None
         if self._join_plan is None:
-            self._join_plan = self._compile_plan()
+            self._join_plan = joinplan.build_join_plan(
+                *self._oriented, *self._edge_arrays,
+                chunk_edges=self._plan_chunk_edges, store=self._store,
+            )
         return self._join_plan
-
-    def _compile_plan(self):
-        """A count plan for the current windows and edge arrays."""
-        return joinplan.build_join_plan(
-            *self._oriented, *self._edge_arrays,
-            chunk_edges=self._plan_chunk_edges, store=self._store,
-        )
 
     def _triangle_list(self) -> np.ndarray:
         """Every triangle once, as ``(t, 3)`` forward-edge ids.
@@ -1341,10 +1313,9 @@ class TCIMSession:
         Callers hold ``self._lock``.  One
         :func:`~repro.core.kernels.triangle_witnesses` pass over the
         count run's inputs — the row and column windows, edge arrays and
-        the resident count plan (a throwaway plan when none is resident:
-        ``use_plan=False``) — allocated through the
-        session's store and cached until the graph changes.  Supports,
-        clustering and truss all read this one list.  Its length must
+        the resident count plan — allocated through the session's store
+        and cached until the graph changes.  Supports, clustering and
+        truss all read this one list.  Its length must
         equal :meth:`count` (after an apply, the total the delta joins
         maintain); a mismatch raises :class:`ArchitectureError` instead
         of serving either number.
@@ -1357,7 +1328,6 @@ class TCIMSession:
                 *self._oriented,
                 *self._edge_arrays,
                 plan=self._ensure_join_plan(),
-                chunk_edges=self._plan_chunk_edges,
                 store=self._store,
             )
             if len(cached) != expected:
@@ -1384,30 +1354,52 @@ class TCIMSession:
     def _forward_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """``(sources, destinations)`` of the forward edges ``u < v``.
 
-        Callers hold ``self._lock``.  The forward edges of the oriented
-        edge arrays, in CSR order: forward edge ``i`` is edge id ``i``
-        of the triangle list and of the ``support()`` / ``truss()``
-        maps.  Cached until the graph changes and never written: the
-        maps hand both arrays out.
+        Callers hold ``self._lock``.  A copy of the edge arrays, in CSR
+        order: forward edge ``i`` is edge id ``i`` of the triangle list
+        and of the ``support()`` / ``truss()`` maps.  Cached until the
+        graph changes and never written: the maps hand both arrays out
+        and make them read-only.
         """
         cached = self._workload_cache.get("forward")
         if cached is None:
             self._prepare()
-            sources, destinations = self._edge_arrays
-            forward = sources < destinations
-            cached = (sources[forward], destinations[forward])
+            cached = tuple(ends.copy() for ends in self._edge_arrays)
             self._workload_cache["forward"] = cached
         return cached
+
+    def _vertex_tallies(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(triangles per vertex, degrees)``, both non-writeable.
+
+        Callers hold ``self._lock``.  One ``np.bincount`` over the
+        corners of the generation's triangle list and one over the
+        forward edges, cached until the graph changes; an :meth:`apply`
+        that patches the list patches both from its batches' own
+        triangles and edges instead (:meth:`_patched_workloads`).
+        """
+        cache = self._workload_cache
+        if "tallies" not in cache:
+            sources, destinations = self._forward_edges()
+            n = self._num_vertices
+            tallies = np.bincount(
+                _corners(self._triangle_list(), sources, destinations), minlength=n
+            )
+            degrees = np.bincount(np.concatenate([sources, destinations]), minlength=n)
+            for array in (tallies, degrees):
+                array.flags.writeable = False
+            cache["tallies"], cache["degrees"] = tallies, degrees
+        return cache["tallies"], cache["degrees"]
 
     def _workload_arrays(self) -> list[np.ndarray]:
         """The arrays the workload cache holds (callers hold the lock).
 
-        The maps share the forward edges, so each array counts once.
+        The maps share the forward edges and the clustering report the
+        tallies, so each array counts once.
         """
         cache = self._workload_cache
         arrays = list(cache.get("forward", ()))
-        if "triangles" in cache:
-            arrays.append(cache["triangles"])
+        for name in ("triangles", "tallies", "degrees"):
+            if name in cache:
+                arrays.append(cache[name])
         for name in ("support", "truss"):
             if name in cache:
                 arrays.append(cache[name].per_edge)
@@ -1420,15 +1412,17 @@ class TCIMSession:
         """Patch the workload cache past one committed batch, or drop it.
 
         Callers hold ``self._lock``.  The triangle list, its forward
-        edges and the trussness are patched while the running
-        :meth:`apply` patches (the list was read since the previous
-        call); everything else is dropped.  A patch that raises drops the
-        whole cache and counts ``workload_patch_error``: the batch has
-        committed either way, and the next read rebuilds the list.
+        edges, the per-vertex tallies and degrees, and the trussness are
+        patched while the running :meth:`apply` patches (the list was
+        read since the previous call); everything else is dropped.  A
+        patch that raises drops the whole cache and counts
+        ``workload_patch_error``: the batch has committed either way, and
+        the next read rebuilds the list.
         """
         cache = self._workload_cache
         carried = {
-            key: cache[key] for key in ("forward", "triangles", "truss")
+            key: cache[key]
+            for key in ("forward", "triangles", "tallies", "degrees", "truss")
             if key in cache
         }
         cache.clear()
@@ -1452,7 +1446,9 @@ class TCIMSession:
         (:func:`~repro.core.kernels.pair_witnesses`).  Row order may
         differ from a fresh witness pass: every reader is order-free.
         The patched list must hold :meth:`count` triangles, or the patch
-        raises.  Trussness is updated locally
+        raises.  The per-vertex tallies move by the corners of the
+        destroyed or created triangles and the degrees by the batch's
+        endpoints.  Trussness is updated locally
         (:func:`~repro.analysis.truss.trussness_after_deletes` /
         :func:`~repro.analysis.truss.trussness_after_inserts`), and past
         their cap re-peeled from the patched list (``truss_repeel``).
@@ -1508,6 +1504,18 @@ class TCIMSession:
                 f"session counts {self._triangles}"
             )
         patched = {"forward": (sources, destinations), "triangles": triangles}
+        if "tallies" in carried:
+            sign = 1 if insert else -1
+            tallies, degrees = carried["tallies"].copy(), carried["degrees"].copy()
+            np.add.at(degrees, delta_edges.reshape(-1), sign)
+            corners = (
+                _corners(created, sources, destinations) if insert
+                else _corners(destroyed, *carried["forward"])
+            )
+            np.add.at(tallies, corners, sign)
+            for array in (tallies, degrees):
+                array.flags.writeable = False
+            patched["tallies"], patched["degrees"] = tallies, degrees
         if "truss" not in carried:
             return patched
         old = carried["truss"].per_edge
@@ -1607,22 +1615,15 @@ class TCIMSession:
 
         Callers hold ``self._lock``.  Candidates are vertices reachable
         in exactly two hops that are not ``u`` and not already adjacent
-        to it, ascending; cached per vertex until the graph changes.
+        to it, ascending.  Each call scores them afresh: nothing is
+        cached per probed vertex, so probing every vertex holds no memory
+        outside :meth:`resident_bytes`.
         """
-        key = ("common_neighbors", u)
-        cached = self._workload_cache.get(key)
-        if cached is None:
-            candidates = self._enumerate_candidates(u)
-            if candidates.size:
-                scores = self._pair_scores(
-                    np.full(candidates.size, u, dtype=np.int64),
-                    candidates.astype(np.int64),
-                )
-                cached = list(zip(candidates.tolist(), scores.tolist()))
-            else:
-                cached = []
-            self._workload_cache[key] = cached
-        return cached
+        candidates = self._enumerate_candidates(u)
+        scores = self._pair_scores(
+            np.full(candidates.size, u, dtype=np.int64), candidates
+        )
+        return list(zip(candidates.tolist(), scores.tolist()))
 
     def _enumerate_candidates(self, u: int) -> np.ndarray:
         """Two-hop candidate vertices of ``u`` (callers hold the lock).
@@ -1648,14 +1649,6 @@ class TCIMSession:
         if self._run is None:
             self._prepare()
             join_plan = self._ensure_join_plan()
-            if join_plan is None and (
-                self.config.num_arrays > 1 or self.config.orientation == "upper"
-            ):
-                # Multi-array runs are priced from a count plan, and the
-                # windows' diagonal slices are masked by one; without a
-                # resident plan, compile a transient one like the witness
-                # pass does.
-                join_plan = self._compile_plan()
             row_sliced, col_sliced = self._oriented
             self._run = self._accelerator.run(
                 None,
@@ -1727,13 +1720,11 @@ class TCIMSession:
         if self._oriented is None or self._edge_arrays is None:
             return
         try:
-            orientation = self.config.orientation
             sources, destinations = self._edge_arrays
             splices = []
             for delta_edges, insert, _ in pending:
                 sources, destinations, splice = joinplan.merge_oriented_edges(
-                    sources, destinations, delta_edges, orientation,
-                    self._num_vertices, insert,
+                    sources, destinations, delta_edges, self._num_vertices, insert
                 )
                 splices.append(splice)
             delta_edges = np.concatenate([batch[0] for batch in pending])
@@ -1742,32 +1733,25 @@ class TCIMSession:
                 [rows for *_, splice in pending
                  for rows in (splice.inserted_rows, splice.removed_rows)]
             )
-            if orientation == "upper":
-                SliceWindow.refresh(self._oriented, np.unique(delta_edges))
-                # Only a delta edge's source row can gain or lose upper
-                # slices, and its destination row lower ones: when that
-                # row's slice set changed, or when the edge lies in its
-                # diagonal slice, which may enter or leave the window on
-                # a payload-only update.
-                u, v = delta_edges[:, 0], delta_edges[:, 1]
-                diagonal = u // self.config.slice_bits == v // self.config.slice_bits
-                moved = tuple(
-                    ends[diagonal | np.isin(ends, changed)] for ends in (u, v)
-                )
-            else:
-                moved = (changed, changed)
+            SliceWindow.refresh(self._oriented, np.unique(delta_edges))
+            # Only a delta edge's source row can gain or lose upper
+            # slices, and its destination row lower ones: when that row's
+            # slice set changed, or when the edge lies in its diagonal
+            # slice, which may enter or leave the window on a
+            # payload-only update.
+            u, v = delta_edges[:, 0], delta_edges[:, 1]
+            diagonal = u // self.config.slice_bits == v // self.config.slice_bits
+            moved = tuple(ends[diagonal | np.isin(ends, changed)] for ends in (u, v))
             if self._join_plan is not None:
-                sym_splice = incremental.compose_deltas(
-                    self._join_plan.payload_rows, [batch[2] for batch in pending]
-                )
                 self._join_plan = joinplan.patch_join_plan(
                     self._join_plan,
                     *self._oriented,
                     sources,
                     destinations,
                     incremental.compose_deltas(self._edge_arrays[0].size, splices),
-                    sym_splice,
-                    sym_splice,
+                    incremental.compose_deltas(
+                        self._join_plan.payload_rows, [batch[2] for batch in pending]
+                    ),
                     moved=moved,
                     store=self._store,
                 )
@@ -1804,6 +1788,14 @@ def _both_directions(delta_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, cols)`` covering both directions of canonical edges."""
     u, v = delta_edges[:, 0], delta_edges[:, 1]
     return np.concatenate([u, v]), np.concatenate([v, u])
+
+
+def _corners(listed: np.ndarray, sources: np.ndarray, destinations: np.ndarray):
+    """The three vertices of every triangle row ``(e_uv, e_uw, e_wv)`` of
+    ``listed``, over the forward edges ``(sources, destinations)``."""
+    return np.concatenate(
+        [sources[listed[:, 0]], destinations[listed[:, 0]], destinations[listed[:, 1]]]
+    )
 
 
 def _edge_ids(keys: np.ndarray, n, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -1875,8 +1867,8 @@ def open_session(
     compiled count plan and the generation counter hydrate from disk —
     no re-slicing, no plan recompile.  The
     snapshot's own config is the base; ``config``/``overrides`` layer on
-    top (structural state is kept only while slice width and orientation
-    stay unchanged).  Corrupt or truncated snapshots raise
+    top (structural state is kept only while the slice width stays
+    unchanged).  Corrupt or truncated snapshots raise
     :class:`~repro.errors.StorageError`.
     """
     if snapshot is not None:

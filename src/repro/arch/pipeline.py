@@ -169,10 +169,10 @@ def simulate_parallel(
     accelerator_config = accelerator_config or AcceleratorConfig()
     result = TCIMAccelerator(accelerator_config).run(graph)
     model = ParallelPimModel(base_model or default_pim_model(), parallel_config)
-    # Rows of the *oriented* matrix the controller actually streams (the
-    # same convention the Table V benchmarks use), not all non-isolated
-    # vertices: under "upper" only rows with successors are loaded.
-    sources, _ = oriented_edges(graph, accelerator_config.orientation)
+    # Rows of the upper-triangular matrix the controller actually streams
+    # (the same convention the Table V benchmarks use), not all
+    # non-isolated vertices: only rows with successors are loaded.
+    sources, _ = oriented_edges(graph, "upper")
     rows_processed = int(np.unique(sources).size)
     report = model.evaluate(result.events, rows_processed)
     return result, report

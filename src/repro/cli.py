@@ -21,8 +21,7 @@ the form ``dataset:<key>[@<scale>]``, e.g. ``dataset:roadnet-pa@0.02``.
 ``count``, ``simulate``, ``stream``, and the workload commands
 (``truss``, ``cluster``, ``common-neighbors``) share the accelerator flags
 (:func:`add_accelerator_args`): ``--num-arrays``, ``--shard-by``,
-``--no-plan`` (disable the resident join plan), ``--storage-dir``,
-plus ``--config FILE`` (a TOML or JSON file of
+``--storage-dir``, plus ``--config FILE`` (a TOML or JSON file of
 :class:`AcceleratorConfig` fields), repeatable ``--set key=value``
 overrides, and ``--json`` structured output.  Precedence: ``--set`` >
 explicit flags > ``--config`` file > built-in defaults.
@@ -70,14 +69,6 @@ def add_accelerator_args(parser: argparse.ArgumentParser) -> None:
         choices=list(PARTITIONERS),
         default=None,
         help="edge partitioner for sharded runs",
-    )
-    parser.add_argument(
-        "--no-plan",
-        action="store_true",
-        help=(
-            "disable the resident join plan (re-derive the valid-pair "
-            "merge-join on every query; results are identical)"
-        ),
     )
     parser.add_argument(
         "--storage-dir",
@@ -156,8 +147,6 @@ def _accelerator_config(args: argparse.Namespace, **flag_overrides) -> Accelerat
         value = getattr(args, name, None)
         if value is not None:
             mapping[name] = value
-    if getattr(args, "no_plan", False):
-        mapping["use_plan"] = False
     for name, value in flag_overrides.items():
         if value is not None:
             mapping[name] = value
@@ -400,10 +389,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return 0
     result = report.result
     table = Table(["metric", "value"], title="TCIM simulation")
-    plan_bytes = session.plan_resident_bytes()
-    table.add_row(
-        ["join plan", format_bytes(plan_bytes) if plan_bytes else "disabled"]
-    )
+    table.add_row(["join plan", format_bytes(session.plan_resident_bytes())])
     if config.num_arrays > 1:
         table.add_row(["arrays", f"{config.num_arrays} (shard_by={config.shard_by})"])
     table.add_row(["triangles", format_count(result.triangles)])

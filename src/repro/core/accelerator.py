@@ -26,7 +26,7 @@ from repro.core.reuse import CacheStatistics, ReplacementPolicy
 from repro.core.slicing import (
     SlicedMatrix,
     SliceStatistics,
-    oriented_structures,
+    SliceWindow,
     slice_statistics,
 )
 
@@ -86,9 +86,10 @@ class AcceleratorConfig:
     Defaults mirror the paper's evaluation setup: 64-bit slices and a
     16 MB computational STT-MRAM array with LRU replacement.
 
-    Runs execute the batched numpy dataflow of :mod:`repro.core.engine`;
-    the original per-edge Python loop survives only as the
-    differential-testing oracle
+    Runs execute the batched numpy dataflow of :mod:`repro.core.engine`
+    over the upper-triangular (DAG) orientation of Algorithm 1, which
+    finds each triangle once; the original per-edge Python loop survives
+    only as the differential-testing oracle
     :func:`repro.analysis.validation.per_edge_reference`.
 
     ``num_arrays`` splits the run across that many simulated sub-arrays
@@ -101,12 +102,9 @@ class AcceleratorConfig:
     partition is priced from the count plan's pairs in the calling
     process.  ``num_arrays=1`` is bit-identical to the unsharded run.
 
-    ``use_plan`` lets a resident caller (:class:`repro.api.TCIMSession`)
-    compile the valid-pair join once per graph generation
-    (:mod:`repro.core.plan`) and serve repeat queries from it; disable
-    (CLI ``--no-plan``) to force the per-query merge-join.  Results are
-    bit-identical either way — the flag trades plan memory for repeat-
-    query latency, never exactness.
+    A resident caller (:class:`repro.api.TCIMSession`) compiles the
+    valid-pair join once per graph generation (:mod:`repro.core.plan`)
+    and serves repeat queries from it.
 
     ``storage_dir`` turns on the out-of-core storage tier
     (:mod:`repro.storage`): slice payloads and compiled plan arrays at
@@ -121,11 +119,9 @@ class AcceleratorConfig:
     slice_bits: int = 64
     array_bytes: int = 16 * 2**20
     policy: ReplacementPolicy | str = ReplacementPolicy.LRU
-    orientation: str = "upper"
     seed: int = 0
     num_arrays: int = 1
     shard_by: str = "edges"
-    use_plan: bool = True
     storage_dir: str | None = None
     spill_threshold_bytes: int | None = None
 
@@ -142,8 +138,6 @@ class AcceleratorConfig:
     #: Fields coerced through ``int()`` by :meth:`from_mapping` (config
     #: files and ``--set key=value`` overrides arrive as strings).
     _INT_FIELDS = ("slice_bits", "array_bytes", "seed", "num_arrays")
-    #: Boolean fields, accepting true/false/1/0/yes/no strings.
-    _BOOL_FIELDS = ("use_plan",)
     #: Optional fields: ``None`` (or the strings ""/"none"/"null") stays
     #: ``None``; anything else coerces to the named base type.
     _OPTIONAL_FIELDS = {
@@ -199,17 +193,6 @@ class AcceleratorConfig:
                 raise ArchitectureError(
                     f"config field {name!r} needs an integer, got {value!r}"
                 ) from None
-        if name in cls._BOOL_FIELDS:
-            if isinstance(value, bool):
-                return value
-            text = str(value).strip().lower()
-            if text in ("true", "1", "yes", "on"):
-                return True
-            if text in ("false", "0", "no", "off"):
-                return False
-            raise ArchitectureError(
-                f"config field {name!r} needs a boolean, got {value!r}"
-            )
         if name == "policy":
             return value if isinstance(value, ReplacementPolicy) else str(value)
         return str(value)
@@ -386,15 +369,13 @@ class TCIMAccelerator:
         structures, the oriented edge list, or the shard plan (notably
         :class:`repro.api.TCIMSession`, which keeps them resident across
         queries the way the Fig. 4 controller keeps the compressed graph
-        in the array) skip the rebuild; omitted structures are read from
-        one symmetric structure built here
-        (:func:`~repro.core.slicing.oriented_structures`: its upper and
-        lower windows, or the structure itself under ``"symmetric"``).
-        Passed structures (:class:`SlicedMatrix` or
-        :class:`~repro.core.slicing.SliceWindow`) must match the config's
-        ``slice_bits`` and the vertex count, and ``edge_arrays`` must be
-        the oriented edge list in the reference order (rows ascending,
-        successors ascending).
+        in the array) skip the rebuild; omitted structures are the upper
+        and lower :class:`~repro.core.slicing.SliceWindow` of one
+        symmetric structure built here.  Passed structures
+        (:class:`SlicedMatrix` or :class:`~repro.core.slicing.SliceWindow`)
+        must match the config's ``slice_bits`` and the vertex count, and
+        ``edge_arrays`` must be the upper-triangular edge list in the
+        reference order (rows ascending, successors ascending).
 
         ``graph=None`` runs from resident pieces alone: pass
         ``num_vertices``, both slice structures and ``edge_arrays``
@@ -422,11 +403,6 @@ class TCIMAccelerator:
         from repro.core.engine import oriented_edges
 
         config = self.config
-        orientation = config.orientation
-        if orientation not in ("upper", "symmetric"):
-            raise ArchitectureError(
-                f"orientation must be 'upper' or 'symmetric', got {orientation!r}"
-            )
         if graph is None:
             if (
                 num_vertices is None
@@ -446,16 +422,15 @@ class TCIMAccelerator:
                 )
             num_vertices = graph.num_vertices
             if row_sliced is None or col_sliced is None:
-                built = oriented_structures(
+                built = SliceWindow.pair(
                     SlicedMatrix.from_graph(
                         graph, "symmetric", slice_bits=config.slice_bits
-                    ),
-                    orientation,
+                    )
                 )
                 row_sliced = built[0] if row_sliced is None else row_sliced
                 col_sliced = built[1] if col_sliced is None else col_sliced
             if edge_arrays is None:
-                edge_arrays = oriented_edges(graph, orientation)
+                edge_arrays = oriented_edges(graph, "upper")
         for name, sliced in (("row_sliced", row_sliced), ("col_sliced", col_sliced)):
             if sliced.slice_bits != config.slice_bits:
                 raise ArchitectureError(
@@ -501,16 +476,14 @@ class TCIMAccelerator:
                 row_sliced, col_sliced, edge_arrays, column_capacity,
                 join_plan=join_plan,
             )
-        triangles = accumulator if orientation == "upper" else accumulator // 6
         stats = slice_statistics(
             None,
             slice_bits=config.slice_bits,
-            orientation=orientation,
             row_sliced=row_sliced,
             col_sliced=col_sliced,
         )
         return TCIMRunResult(
-            triangles=triangles,
+            triangles=accumulator,
             events=events,
             cache_stats=cache_stats,
             slice_stats=stats,
@@ -543,7 +516,7 @@ class TCIMAccelerator:
             None,
             row_sliced,
             col_sliced,
-            self.config.orientation,
+            "upper",
             column_capacity,
             policy=self.config.policy,
             seed=self.config.seed,

@@ -31,8 +31,7 @@ rows ascending, successors ascending within a row, slice ids ascending
 within an edge; slice ids of a matched pair ascend regardless of which
 side is probed, so the join direction never changes the trace.  The
 differential test-suite in ``tests/test_engine.py`` asserts all of this
-across generators, orientations, slice widths and capacity-starved
-caches.
+across generators, slice widths and capacity-starved caches.
 
 :func:`execute_batched` also serves as the per-array kernel of the
 sharded multi-array subsystem (:mod:`repro.core.sharding`, modelling the
@@ -410,10 +409,10 @@ def execute_batched(
     """Run the batched dataflow.
 
     Returns ``(accumulator, event_fields, cache_stats)`` where
-    ``accumulator`` is the raw popcount sum (pre orientation division) and
-    ``event_fields`` holds every :class:`EventCounts` field.  Kept free of
-    an ``EventCounts`` import so :mod:`repro.core.accelerator` can import
-    this module without a cycle.
+    ``accumulator`` is the raw popcount sum (six times the triangle count
+    over the symmetric orientation) and ``event_fields`` holds every
+    :class:`EventCounts` field.  Kept free of an ``EventCounts`` import so
+    :mod:`repro.core.accelerator` can import this module without a cycle.
 
     ``edges`` restricts the run to one shard: a ``(sources, destinations)``
     pair holding a subset of the oriented edge list *in the reference

@@ -74,27 +74,22 @@ def triangle_witnesses(
 ) -> np.ndarray:
     """Every triangle exactly once, as the ids of its three edges.
 
-    Takes a count run's inputs: the row and column structures and the
-    oriented edge list (CSR order) they join — ``upper`` × ``lower``
-    (structures or :class:`~repro.core.slicing.SliceWindow` sides) over
-    the forward edges, or ``symmetric`` × ``symmetric`` over both
-    directions.  ``plan`` is the join plan of exactly that list (a
-    session passes its resident count plan), and ``None`` compiles a
-    throwaway one (``chunk_edges`` / ``store`` as for
-    :func:`repro.core.plan.build_join_plan`).
+    Takes a count run's inputs: the upper and lower structures (plain
+    or :class:`~repro.core.slicing.SliceWindow` sides) and the
+    upper-triangular edge list (CSR order) they join.  ``plan`` is the
+    join plan of exactly that list (a session passes its resident count
+    plan), and ``None`` compiles a throwaway one (``chunk_edges`` /
+    ``store`` as for :func:`repro.core.plan.build_join_plan`).
 
-    Each matched slice pair of edge ``(src, dst)`` is ANDed in the
-    chunked gather of :func:`repro.core.engine.conjunctions`; a set bit
-    of slice ``k`` at position ``t`` is a common neighbour
-    ``w = k·|S| + t``.  Keeping only ``src < w < dst`` names each
-    triangle ``u < w < v`` once, at its edge ``(u, v)``: under ``upper``
-    it drops the other side's bits of a window's diagonal slice, under
-    ``symmetric`` it keeps one copy of six.  Pairs whose slice lies
-    wholly outside ``(src, dst)`` are dropped before the gather.
-    Returns a ``(t, 3)`` int64 array of edge ids ``(e_uv, e_uw, e_wv)``,
-    ordered by ``e_uv`` then ``w`` and allocated through ``store``.  Edge
-    id ``i`` is the ``i``-th forward edge ``u < v`` of the list, so each
-    id occurs as often as its edge's triangle support.
+    Each matched slice pair of edge ``(u, v)`` is ANDed in the chunked
+    gather of :func:`repro.core.engine.conjunctions`; a set bit of slice
+    ``k`` at position ``t`` is a common neighbour ``w = k·|S| + t``.
+    Keeping only ``u < w < v`` (which drops the other side's bits of a
+    window's diagonal slice) names each triangle ``u < w < v`` once, at
+    its edge ``(u, v)``.  Returns a ``(t, 3)`` int64 array of edge ids
+    ``(e_uv, e_uw, e_wv)``, ordered by ``e_uv`` then ``w`` and allocated
+    through ``store``.  Edge id ``i`` is the ``i``-th edge of the list,
+    so each id occurs as often as its edge's triangle support.
     """
     from repro.core.plan import _alloc, build_join_plan
 
@@ -116,21 +111,11 @@ def triangle_witnesses(
     bits = row_sliced.slice_bits
     pair_edges = np.repeat(np.arange(sources.size, dtype=np.int64), plan.pair_counts)
     pair_slices = row_sliced.slice_ids[plan.row_positions]
-    low, high = sources[pair_edges], destinations[pair_edges]
-    useful = (
-        (low < high)
-        & (pair_slices >= (low + 1) // bits)
-        & (pair_slices <= (high - 1) // bits)
-    )
-    row_positions, col_positions = plan.row_positions, plan.col_positions
-    if not useful.all():  # never under ``upper``: every pair reaches (src, dst)
-        pair_edges, pair_slices = pair_edges[useful], pair_slices[useful]
-        row_positions, col_positions = row_positions[useful], col_positions[useful]
     width = bits // 8
     edge_parts: list[np.ndarray] = []
     witness_parts: list[np.ndarray] = []
     for start, anded, _ in engine.conjunctions(
-        row_sliced.data, col_sliced.data, row_positions, col_positions
+        row_sliced.data, col_sliced.data, plan.row_positions, plan.col_positions
     ):
         flat = anded.view(np.uint8).reshape(-1)
         hot = np.flatnonzero(flat)
@@ -149,11 +134,9 @@ def triangle_witnesses(
         return triangles
     uv = np.concatenate(edge_parts)
     w = np.concatenate(witness_parts)
-    forward = sources < destinations
-    # Every listed (u, v) is forward, so its id is its rank among them.
-    triangles[:, 0] = (np.cumsum(forward) - 1)[uv]
+    triangles[:, 0] = uv
     scale = np.int64(max(row_sliced.num_rows, 1))
-    keys = sources[forward] * scale + destinations[forward]
+    keys = sources * scale + destinations
     for column, (left, right) in ((1, (sources[uv], w)), (2, (w, destinations[uv]))):
         wanted = left * scale + right
         # Sorted needles search ~3x faster than scattered ones.
@@ -220,9 +203,10 @@ class BitwiseKernel:
 
 
 class CountKernel(BitwiseKernel):
-    """Triangle counting: the raw popcount accumulator (pre orientation
-    division, exactly what :func:`repro.core.engine.execute_batched`
-    returns)."""
+    """Triangle counting: the raw popcount accumulator (exactly what
+    :func:`repro.core.engine.execute_batched` returns — the triangle
+    count over the upper orientation, six times it over the symmetric
+    one)."""
 
     name = "count"
     per_edge = False
@@ -254,9 +238,9 @@ class WorkloadResult:
     """Outcome of one :func:`execute_workload` run.
 
     ``value`` is whatever the kernel's ``finalize`` produced;
-    ``accumulator`` is always the raw popcount sum (pre orientation
-    division), and ``events``/``cache_stats`` match the counting
-    executor field by field.
+    ``accumulator`` is always the raw popcount sum, and
+    ``events``/``cache_stats`` match the counting executor field by
+    field.
     """
 
     value: object

@@ -390,17 +390,17 @@ def merge_oriented_edges(
     sources: np.ndarray,
     destinations: np.ndarray,
     delta_edges: np.ndarray,
-    orientation: str,
     num_vertices: int,
     insert: bool,
 ) -> tuple[np.ndarray, np.ndarray, StructureDelta]:
-    """Splice a canonical delta batch into a sorted oriented edge list.
+    """Splice a canonical delta batch into a sorted upper-triangular
+    edge list.
 
     ``insert=True`` merges the delta edges in (they must be absent);
     ``insert=False`` removes them (they must be present) — the session
     filters no-ops before calling, exactly as for the slice maintenance.
     Preserves the reference iteration order (lexicographic by source, then
-    destination) for both orientations.
+    destination).
 
     Returns ``(sources, destinations, splice)``: the new edge list and a
     :class:`~repro.core.incremental.StructureDelta` over edge positions —
@@ -409,16 +409,7 @@ def merge_oriented_edges(
     ``removed_rows`` the delta edges' sources.  :func:`patch_join_plan`
     takes it as its edge diff.
     """
-    u, v = delta_edges[:, 0], delta_edges[:, 1]
-    if orientation == "upper":
-        delta_src, delta_dst = u, v
-    elif orientation == "symmetric":
-        delta_src = np.concatenate([u, v])
-        delta_dst = np.concatenate([v, u])
-    else:
-        raise ArchitectureError(
-            f"orientation must be 'upper' or 'symmetric', got {orientation!r}"
-        )
+    delta_src, delta_dst = delta_edges[:, 0], delta_edges[:, 1]
     scale = np.int64(max(num_vertices, 1))
     delta_keys = delta_src * scale + delta_dst
     order = np.argsort(delta_keys, kind="stable")
@@ -460,13 +451,6 @@ def _mask_rows(masks: np.ndarray) -> np.ndarray:
     return masks.view(np.dtype((np.void, masks.shape[1]))).reshape(-1)
 
 
-def _size_before(sliced, delta: StructureDelta) -> int:
-    """Valid-slice count of ``sliced`` before it moved by ``delta``."""
-    return (
-        sliced.num_valid_slices - delta.inserted_before.size + delta.removed_at.size
-    )
-
-
 def _position_map(old_size: int, delta: StructureDelta, dtype) -> np.ndarray:
     """Old → new slice position table of a structure that moved by ``delta``.
 
@@ -492,38 +476,35 @@ def _position_map(old_size: int, delta: StructureDelta, dtype) -> np.ndarray:
 
 def patch_join_plan(
     plan: JoinPlan,
-    row_sliced,
-    col_sliced,
+    row_sliced: SliceWindow,
+    col_sliced: SliceWindow,
     sources: np.ndarray,
     destinations: np.ndarray,
     edge_delta: StructureDelta,
-    row_delta: StructureDelta,
-    col_delta: StructureDelta,
+    delta: StructureDelta,
     batch_candidates: int = engine.DEFAULT_BATCH_CANDIDATES,
     *,
-    moved: tuple[np.ndarray, np.ndarray] | None = None,
+    moved: tuple[np.ndarray, np.ndarray],
     store=None,
 ) -> JoinPlan:
-    """Splice committed update batches into a compiled plan.
+    """Splice committed update batches into a compiled count plan.
 
-    ``plan`` was compiled for the edge list and structures *before* the
+    ``plan`` was compiled for the edge list and windows *before* the
     batches; ``(sources, destinations)`` and ``row_sliced``/``col_sliced``
-    are the state *after* them.  Three
+    — the upper and lower :class:`~repro.core.slicing.SliceWindow` of one
+    symmetric structure — are the state *after* them.  Two
     :class:`~repro.core.incremental.StructureDelta` reports say what
     moved: ``edge_delta`` the edge list (the splice
     :func:`merge_oriented_edges` returns; ``StructureDelta.unchanged()``
-    when the list kept its edges) and ``row_delta``/``col_delta`` the
-    payloads the row and column positions index (what
-    :func:`repro.core.incremental.set_bits` / ``clear_bits`` return; one
-    delta for both sides of one symmetric structure).  Each may remove,
-    then insert: several batches fold into one delta through
+    when the list kept its edges) and ``delta`` the symmetric payload both
+    windows index (what :func:`repro.core.incremental.set_bits` /
+    ``clear_bits`` return).  Each may remove, then insert: several batches
+    fold into one delta through
     :func:`~repro.core.incremental.compose_deltas`.
 
     ``moved`` names the ``(source rows, destination rows)`` whose
-    valid-slice sets changed, which default to the rows of
-    ``row_delta``/``col_delta``.  Windows of one symmetric structure pass
-    their own: a window can gain or lose its diagonal slice on a
-    payload-only update, which moves no position.
+    windows changed their slice sets: a window can gain or lose its
+    diagonal slice on a payload-only update, which moves no position.
 
     Cost: a re-join of the *cut* edges plus one copy pass, with no
     per-pair search.  The cut is the inserted edges, the contiguous edge
@@ -538,36 +519,23 @@ def patch_join_plan(
 
     Returns ``plan`` itself when nothing moved, else a **new** plan (the
     input is never mutated), array-equal to ``build_join_plan`` on the
-    new edge list against the new structures.
+    new edge list against the new windows.
     """
-    if moved is None:
-        moved = tuple(
-            np.concatenate((delta.inserted_rows, delta.removed_rows))
-            for delta in (row_delta, col_delta)
-        )
     cut_rows, cut_cols = (np.asarray(rows, dtype=np.int64) for rows in moved)
-    if not (
-        edge_delta.changed
-        or row_delta.changed
-        or col_delta.changed
-        or cut_rows.size
-        or cut_cols.size
-    ):
+    if not (edge_delta.changed or delta.changed or cut_rows.size or cut_cols.size):
         return plan
     num_edges = int(sources.size)
     inserted_before = edge_delta.inserted_before
     removed_at = edge_delta.removed_at
     # Alignment: the plan must describe exactly the pre-batch edge list
-    # and structures, so every position it holds indexes them.
-    shared = _owner(col_sliced) is _owner(row_sliced)
-    sides = ((row_sliced, row_delta),) if shared else (
-        (row_sliced, row_delta), (col_sliced, col_delta)
-    )
+    # and payload, so every position it holds indexes them.
     before = (
         num_edges - inserted_before.size + removed_at.size,
-        tuple(_size_before(_owner(s), d) for s, d in sides),
+        row_sliced.sym.num_valid_slices
+        - delta.inserted_before.size
+        + delta.removed_at.size,
     )
-    if before != (plan.num_edges, tuple(size for _, size in plan.stamp)):
+    if before != (plan.num_edges, plan.payload_rows):
         raise ArchitectureError(
             f"plan patch lost alignment: the plan covers {plan.num_edges} "
             f"edges over (version, slices) {plan.stamp}, the batch started "
@@ -591,7 +559,7 @@ def patch_join_plan(
     gaps_mid = removed_at - np.arange(removed_at.size)
     gaps = gaps_mid + np.searchsorted(inserted_before, gaps_mid, side="right")
     shifted = np.searchsorted(
-        sources, np.concatenate((row_delta.inserted_rows, row_delta.removed_rows))
+        sources, np.concatenate((delta.inserted_rows, delta.removed_rows))
     )
     breaks = np.unique(
         np.concatenate(([0, num_edges], cut_idx, cut_idx + 1, gaps, shifted))
@@ -620,19 +588,10 @@ def patch_join_plan(
     col_positions = _alloc(store, total, col_dtype)
     trace_keys = _alloc(store, total, trace_dtype)
     # --- one copy pass over the kept runs -------------------------------
-    row_map = (
-        _position_map(plan.stamp[0][1], row_delta, row_dtype)
-        if row_delta.changed
-        else None
+    # Both windows index one payload, so one table maps both sides.
+    position_map = (
+        _position_map(plan.payload_rows, delta, row_dtype) if delta.changed else None
     )
-    if shared:
-        col_map = row_map
-    else:
-        col_map = (
-            _position_map(plan.stamp[1][1], col_delta, col_dtype)
-            if col_delta.changed
-            else None
-        )
     old_bounds = plan.bounds
     src_lo = old_bounds[old_lo]
     src_hi = old_bounds[old_lo + (run_hi - run_lo)]
@@ -643,13 +602,19 @@ def patch_join_plan(
             continue
         end = dst + stop - src
         # A run's row positions all shift alike: one table lookup.
-        shift = 0 if row_map is None else int(row_map[old_rows[src]]) - int(old_rows[src])
+        shift = (
+            0 if position_map is None
+            else int(position_map[old_rows[src]]) - int(old_rows[src])
+        )
         np.add(old_rows[src:stop], shift, out=row_positions[dst:end], casting="unsafe")
-        if col_map is None:
+        if position_map is None:
             col_positions[dst:end] = old_cols[src:stop]
         else:
             # Unbuffered: the alignment check bounds every old position.
-            np.take(col_map, old_cols[src:stop], out=col_positions[dst:end], mode="clip")
+            np.take(
+                position_map, old_cols[src:stop], out=col_positions[dst:end],
+                mode="clip",
+            )
         trace_keys[dst:end] = plan.trace_keys[src:stop]
     # --- the cut's pairs land in their own slots ------------------------
     targets = expand_runs(bounds[cut_idx], redo_counts)

@@ -119,10 +119,9 @@ class ShardPlan:
     edges in the reference iteration order and its private cache trace
     stays deterministic.  Shards may be empty (more arrays than edges).
 
-    ``orientation`` records which oriented edge list the positions index
-    into; :func:`price_partition` rejects a plan built for a different
-    orientation, partitioner, array count or edge count (the position
-    spaces differ, so reusing one silently prices the wrong partition).
+    :func:`price_partition` rejects a plan built for a different
+    partitioner, array count or edge count (the position spaces differ,
+    so reusing one silently prices the wrong partition).
 
     ``eq=False``: ndarray fields make the generated ``__eq__`` ambiguous,
     so plans compare (and hash) by identity.
@@ -131,7 +130,6 @@ class ShardPlan:
     num_arrays: int
     shard_by: str
     assignments: tuple[np.ndarray, ...]
-    orientation: str = "upper"
 
     def __post_init__(self) -> None:
         if self.num_arrays < 1:
@@ -234,18 +232,19 @@ _PARTITIONER_FUNCS = {
 
 def plan_shards(
     graph: Graph | None,
-    orientation: str,
     num_arrays: int,
     shard_by: str = "edges",
     sources: np.ndarray | None = None,
 ) -> ShardPlan:
-    """Split the oriented edge list of ``graph`` across ``num_arrays``.
+    """Split the upper-triangular edge list of ``graph`` across
+    ``num_arrays``.
 
-    ``sources`` optionally passes the already-materialised oriented
-    source array (``oriented_edges(graph, orientation)[0]``) so callers
-    that hold it anyway skip a second O(m) expansion — with it given,
-    ``graph`` is never touched and may be ``None`` (the incremental
-    engine plans shards over delta edge lists without a graph snapshot).
+    ``sources`` optionally passes the source array of an edge list
+    (``oriented_edges(graph, "upper")[0]`` when it is the graph's) so
+    callers that hold it anyway skip a second O(m) expansion — with it
+    given, ``graph`` is never touched and may be ``None`` (the
+    incremental engine plans shards over delta edge lists without a
+    graph snapshot).
     """
     if num_arrays < 1:
         raise ArchitectureError(f"num_arrays must be >= 1, got {num_arrays}")
@@ -263,13 +262,12 @@ def plan_shards(
             raise ArchitectureError(
                 "plan_shards needs a graph when sources is not provided"
             )
-        sources, _ = engine.oriented_edges(graph, orientation)
+        sources, _ = engine.oriented_edges(graph, "upper")
     assignments = _PARTITIONER_FUNCS[shard_by](sources, num_arrays)
     return ShardPlan(
         num_arrays=num_arrays,
         shard_by=shard_by,
         assignments=tuple(assignments),
-        orientation=orientation,
     )
 
 
@@ -284,9 +282,7 @@ def position_shards(
     """
     if shard_by == "coloring":
         shard_by = "degree"
-    return plan_shards(
-        None, "symmetric", num_arrays, shard_by, sources=sources
-    ).assignments
+    return plan_shards(None, num_arrays, shard_by, sources=sources).assignments
 
 
 def run_shard(
@@ -384,8 +380,8 @@ def price_partition(
     ``join_plan`` its compiled :class:`~repro.core.plan.JoinPlan` against
     these structures; ``None`` compiles a transient one.  The position
     partitioners split ``shard_plan`` (planned here when ``None``), which
-    must match the config's orientation, partitioner and array count and
-    the edge list's length; ``"coloring"`` takes no shard plan.
+    must match the config's partitioner and array count and the edge
+    list's length; ``"coloring"`` takes no shard plan.
 
     Each array's :class:`ShardResult` is a filter of the plan's pairs:
     one per color triple of ``C = min_colors(num_arrays)`` colors for
@@ -444,11 +440,10 @@ def price_partition(
 
 def _checked_shard_plan(config, sources: np.ndarray, shard_plan) -> ShardPlan:
     """``shard_plan``, or the config's own plan when ``None``; a plan for
-    another orientation, partitioner, array count or edge list raises."""
+    another partitioner, array count or edge list raises."""
     if shard_plan is None:
         return plan_shards(
-            None, config.orientation, config.num_arrays, config.shard_by,
-            sources=sources,
+            None, config.num_arrays, config.shard_by, sources=sources
         )
     if shard_plan.num_arrays != config.num_arrays:
         raise ArchitectureError(
@@ -459,12 +454,6 @@ def _checked_shard_plan(config, sources: np.ndarray, shard_plan) -> ShardPlan:
         raise ArchitectureError(
             f"plan partitions by {shard_plan.shard_by!r} but the config "
             f"shards by {config.shard_by!r}; rebuild the plan with plan_shards"
-        )
-    if shard_plan.orientation != config.orientation:
-        raise ArchitectureError(
-            f"plan was built for orientation {shard_plan.orientation!r} but the "
-            f"run uses {config.orientation!r}; shard positions index different "
-            "edge lists — rebuild the plan with plan_shards"
         )
     if shard_plan.num_edges != int(sources.size):
         raise ArchitectureError(

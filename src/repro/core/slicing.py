@@ -45,7 +45,6 @@ __all__ = [
     "valid_pair_positions",
     "expand_runs",
     "bit_range_masks",
-    "oriented_structures",
     "INDEX_BYTES",
     "SPARE_ROOM_DIVISOR",
 ]
@@ -641,16 +640,6 @@ class SliceWindow:
         return bit_range_masks(np.zeros_like(own), own, bits)
 
 
-def oriented_structures(sym: SlicedMatrix, orientation: str) -> tuple:
-    """The ``(row, col)`` structures a count run over ``sym`` joins:
-    its upper and lower :class:`SliceWindow`, or ``sym`` twice."""
-    if orientation not in ("upper", "symmetric"):
-        raise SlicingError(
-            f"orientation must be 'upper' or 'symmetric', got {orientation!r}"
-        )
-    return SliceWindow.pair(sym) if orientation == "upper" else (sym, sym)
-
-
 def bit_range_masks(lo: np.ndarray, hi: np.ndarray, slice_bits: int) -> np.ndarray:
     """``(k, slice_bits // 8)`` uint8 payloads with bits ``[lo[i], hi[i])``
     of a slice set (bounds clipped to the slice)."""
@@ -764,31 +753,26 @@ class SliceStatistics:
 def slice_statistics(
     graph: Graph | None,
     slice_bits: int = 64,
-    orientation: str = "upper",
     row_sliced: SlicedMatrix | None = None,
     col_sliced: SlicedMatrix | None = None,
 ) -> SliceStatistics:
     """Compute the Table III / IV compression statistics for ``graph``.
 
-    Slices both the rows of the oriented adjacency matrix and its columns
-    (i.e. the transpose's rows), mirroring what the TCIM controller stores.
-    Callers that already hold the sliced matrices (the accelerator builds
-    them anyway) can pass them to skip the rebuild; with both passed,
-    ``graph`` is never read and may be ``None``.
+    Slices both the rows of the upper-triangular adjacency matrix and its
+    columns (i.e. the lower triangle's rows), mirroring what the TCIM
+    controller stores.  Callers that already hold the sliced matrices
+    (the accelerator builds them anyway) can pass them to skip the
+    rebuild; with both passed, ``graph`` is never read and may be
+    ``None``.
     """
     if graph is None and (row_sliced is None or col_sliced is None):
         raise SlicingError(
             "slice_statistics needs a graph unless both structures are passed"
         )
     if row_sliced is None:
-        row_sliced = SlicedMatrix.from_graph(graph, orientation, slice_bits=slice_bits)
+        row_sliced = SlicedMatrix.from_graph(graph, "upper", slice_bits=slice_bits)
     if col_sliced is None:
-        col_orientation = {
-            "upper": "lower", "lower": "upper", "symmetric": "symmetric"
-        }[orientation]
-        col_sliced = SlicedMatrix.from_graph(
-            graph, col_orientation, slice_bits=slice_bits
-        )
+        col_sliced = SlicedMatrix.from_graph(graph, "lower", slice_bits=slice_bits)
     return SliceStatistics(
         slice_bits=slice_bits,
         row_valid_slices=row_sliced.num_valid_slices,

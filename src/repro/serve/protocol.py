@@ -50,6 +50,10 @@ from repro.serve.service import Service
 
 __all__ = ["handle_request", "serve_stream", "serve_stdio", "serve_tcp"]
 
+#: Longest TCP request line, in bytes (asyncio's default stream limit).
+#: A longer line is answered with one error and dropped.
+_TCP_LINE_LIMIT = 2**16
+
 
 async def handle_request(service: Service, request) -> dict:
     """Dispatch one decoded request object; never raises."""
@@ -201,8 +205,10 @@ async def serve_stream(service: Service, read_line, write_line) -> int:
     """Core request loop shared by the stdio and TCP drivers.
 
     ``read_line`` is an awaitable returning the next text line or
-    ``None`` at end of stream; ``write_line`` is an awaitable consuming
-    one response line.  Every request dispatches as its own task;
+    ``None`` at end of stream; it raises :class:`ValueError` for a line
+    it had to drop (too long, or not UTF-8), which is answered with one
+    ``{"id": null, "ok": false}`` error before the next line is read.
+    ``write_line`` is an awaitable consuming one response line.  Every request dispatches as its own task;
     responses are written as they complete.  Ordering: requests naming
     the **same** ``graph`` on this stream execute in submission order
     (so a pipelined count → apply → count reads as written), requests on
@@ -235,7 +241,12 @@ async def serve_stream(service: Service, read_line, write_line) -> int:
         await respond(await handle_request(service, request))
 
     while not hung_up:
-        line = await read_line()
+        try:
+            line = await read_line()
+        except ValueError as error:
+            handled += 1
+            await respond({"id": None, "ok": False, "error": f"bad request line: {error}"})
+            continue
         if line is None:
             break
         text = line.strip()
@@ -324,7 +335,15 @@ async def serve_tcp(service: Service, host: str = "127.0.0.1", port: int = 0):
 
     async def client(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         async def read_line():
-            data = await reader.readline()
+            try:
+                data = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as error:  # the last line
+                data = error.partial
+            except asyncio.LimitOverrunError:
+                await _discard_line(reader)
+                raise ValueError(
+                    f"longer than {_TCP_LINE_LIMIT} bytes; the line was dropped"
+                ) from None
             return data.decode("utf-8") if data else None
 
         async def write_line(text: str):
@@ -344,4 +363,16 @@ async def serve_tcp(service: Service, host: str = "127.0.0.1", port: int = 0):
             # wait_closed() here would raise the same teardown noise.
             writer.close()
 
-    return await asyncio.start_server(client, host, port)
+    return await asyncio.start_server(client, host, port, limit=_TCP_LINE_LIMIT)
+
+
+async def _discard_line(reader: asyncio.StreamReader) -> None:
+    """Drop the stream's bytes through the next newline (or to its end)."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as error:
+            await reader.readexactly(error.consumed)
+        except asyncio.IncompleteReadError:
+            return

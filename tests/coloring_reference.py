@@ -33,7 +33,7 @@ def execute_coloring(graph, config) -> list[ShardResult]:
     """Every shard of ``config``'s coloring partition, executed."""
     n = graph.num_vertices
     bits = config.slice_bits
-    sources, destinations = oriented_edges(graph, config.orientation)
+    sources, destinations = oriented_edges(graph, "upper")
     num_colors = min_colors(config.num_arrays)
     colors = assign_colors(n, num_colors, config.seed)
     lo = np.minimum(colors[sources], colors[destinations])
@@ -62,7 +62,7 @@ def execute_coloring(graph, config) -> list[ShardResult]:
             )
             lane_src = sources[pivots]
             outcome = execute_workload(
-                CountKernel(), None, row, col, config.orientation, column_cache,
+                CountKernel(), None, row, col, "upper", column_cache,
                 config.policy, config.seed,
                 edges=(lane_src, destinations[pivots]),
                 row_writes=int(row.row_slice_ranges(np.unique(lane_src))[1].sum()),

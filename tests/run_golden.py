@@ -8,15 +8,16 @@ the row region and column cache, the coloring ``notes``, each
 must stay bit-identical however the slices, plans and shards are
 produced.  This module records them for standalone
 :meth:`~repro.core.accelerator.TCIMAccelerator.run` configurations on a
-Barabási–Albert and a Holme–Kim graph: multi-array runs (both
-orientations, every partitioner, 4 / 16 arrays plus 32 for coloring,
-plan on and off, evicting arrays under every replacement policy, a
-non-64-bit slice width and a capacity error recorded with its message)
-and single-array runs (both orientations, plan on and off, 8-, 64- and
-128-bit slices, evicting arrays under every replacement policy).  It
-also records sessions that call ``slice_stats()`` and ``simulate()``
-after every call of the seeded ``apply()`` streams of
-``apply_golden.py``, on every ``test_workloads.CONFIGS`` entry.
+Barabási–Albert and a Holme–Kim graph: multi-array runs (every
+partitioner, 4 / 16 arrays plus 32 for coloring, with a count plan
+passed in (``-plan``) or compiled by the run (``-noplan``), evicting
+arrays under every replacement policy, a non-64-bit slice width and a
+capacity error recorded with its message) and single-array runs (the
+same two plan sources, 8-, 64- and 128-bit slices, evicting arrays
+under every replacement policy).  It also records sessions that call
+``slice_stats()`` and ``simulate()`` after every call of the seeded
+``apply()`` streams of ``apply_golden.py``, on every
+``test_workloads.CONFIGS`` entry and a 16-array coloring session.
 ``test_run_golden.py`` replays them and compares field by field against
 the checked-in fixture.
 
@@ -56,35 +57,30 @@ GRAPHS = {
 
 
 def _standalone_configs() -> dict[str, dict]:
+    """Config fields per record id; ``use_plan`` (default true) says
+    whether the record passes a compiled count plan into the run."""
     configs: dict[str, dict] = {}
-    for orientation in ("upper", "symmetric"):
-        for shard_by in ("edges", "rows", "degree", "coloring"):
-            widths = (4, 16, 32) if shard_by == "coloring" else (4, 16)
-            for num_arrays in widths:
-                for use_plan in (True, False):
-                    key = (
-                        f"{orientation}-{shard_by}-{num_arrays}-"
-                        f"{'plan' if use_plan else 'noplan'}"
-                    )
-                    configs[key] = {
-                        "orientation": orientation,
-                        "shard_by": shard_by,
-                        "num_arrays": num_arrays,
-                        "use_plan": use_plan,
-                    }
+    for shard_by in ("edges", "rows", "degree", "coloring"):
+        widths = (4, 16, 32) if shard_by == "coloring" else (4, 16)
+        for num_arrays in widths:
+            for use_plan in (True, False):
+                key = f"upper-{shard_by}-{num_arrays}-{'plan' if use_plan else 'noplan'}"
+                configs[key] = {
+                    "shard_by": shard_by,
+                    "num_arrays": num_arrays,
+                    "use_plan": use_plan,
+                }
     # 4 kB hold 512 slices: 128 per position shard and per coloring
     # shard at four arrays, enough for any row region here, small enough
     # that every shard's column cache evicts.
     for policy in ("lru", "fifo", "random"):
         for shard_by in ("degree", "coloring"):
-            for orientation in ("upper", "symmetric"):
-                configs[f"{orientation}-{shard_by}-4-evict-{policy}"] = {
-                    "orientation": orientation,
-                    "shard_by": shard_by,
-                    "num_arrays": 4,
-                    "array_bytes": 4096,
-                    "policy": policy,
-                }
+            configs[f"upper-{shard_by}-4-evict-{policy}"] = {
+                "shard_by": shard_by,
+                "num_arrays": 4,
+                "array_bytes": 4096,
+                "policy": policy,
+            }
     for shard_by in ("edges", "coloring"):
         configs[f"upper-{shard_by}-16-bits128"] = {
             "shard_by": shard_by,
@@ -106,47 +102,26 @@ def _standalone_configs() -> dict[str, dict]:
             "array_bytes": 512,
         }
     # One array, the path every single-array simulate() prices.
-    for orientation in ("upper", "symmetric"):
-        for slice_bits in (8, 64, 128):
-            for use_plan in (True, False):
-                key = (
-                    f"{orientation}-single-bits{slice_bits}-"
-                    f"{'plan' if use_plan else 'noplan'}"
-                )
-                configs[key] = {
-                    "orientation": orientation,
-                    "slice_bits": slice_bits,
-                    "use_plan": use_plan,
-                }
-        # 512 bytes hold 64 slices: every row region fits, the column
-        # cache evicts.
-        for policy in ("lru", "fifo", "random"):
-            for use_plan in (True, False):
-                key = (
-                    f"{orientation}-single-evict-{policy}-"
-                    f"{'plan' if use_plan else 'noplan'}"
-                )
-                configs[key] = {
-                    "orientation": orientation,
-                    "array_bytes": 512,
-                    "policy": policy,
-                    "use_plan": use_plan,
-                }
+    for slice_bits in (8, 64, 128):
+        for use_plan in (True, False):
+            key = f"upper-single-bits{slice_bits}-{'plan' if use_plan else 'noplan'}"
+            configs[key] = {"slice_bits": slice_bits, "use_plan": use_plan}
+    # 512 bytes hold 64 slices: every row region fits, the column
+    # cache evicts.
+    for policy in ("lru", "fifo", "random"):
+        for use_plan in (True, False):
+            key = f"upper-single-evict-{policy}-{'plan' if use_plan else 'noplan'}"
+            configs[key] = {"array_bytes": 512, "policy": policy, "use_plan": use_plan}
     return configs
 
 
 STANDALONE = _standalone_configs()
 
-#: Every ``test_workloads.CONFIGS`` entry, plus coloring with the plan
-#: off and over the symmetric orientation.
+#: Every ``test_workloads.CONFIGS`` entry, plus a 16-array coloring
+#: session.
 SESSION_CONFIGS = {
     **dict(zip(CONFIG_IDS, CONFIGS)),
-    "coloring-arrays16-noplan-symmetric": {
-        "num_arrays": 16,
-        "shard_by": "coloring",
-        "use_plan": False,
-        "orientation": "symmetric",
-    },
+    "coloring-arrays16": {"num_arrays": 16, "shard_by": "coloring"},
 }
 
 
@@ -170,18 +145,20 @@ def run_record(result) -> dict:
 
 
 def record_standalone(graph_name: str, config: dict) -> dict:
-    """One standalone run; plan-on configs pass a compiled count plan."""
+    """One standalone run; ``-plan`` configs pass a count plan compiled
+    over plain upper and lower structures, ``-noplan`` ones let the run
+    build its windows and a transient plan."""
     graph = GRAPHS[graph_name]()
-    accel_config = AcceleratorConfig(**config)
+    fields = dict(config)
+    use_plan = fields.pop("use_plan", True)
+    accel_config = AcceleratorConfig(**fields)
     accelerator = TCIMAccelerator(accel_config)
     try:
-        if accel_config.use_plan:
-            orientation = accel_config.orientation
-            col_orientation = "lower" if orientation == "upper" else "symmetric"
+        if use_plan:
             bits = accel_config.slice_bits
-            row_sliced = SlicedMatrix.from_graph(graph, orientation, slice_bits=bits)
-            col_sliced = SlicedMatrix.from_graph(graph, col_orientation, slice_bits=bits)
-            edge_arrays = oriented_edges(graph, orientation)
+            row_sliced = SlicedMatrix.from_graph(graph, "upper", slice_bits=bits)
+            col_sliced = SlicedMatrix.from_graph(graph, "lower", slice_bits=bits)
+            edge_arrays = oriented_edges(graph, "upper")
             result = accelerator.run(
                 graph,
                 row_sliced=row_sliced,

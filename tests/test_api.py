@@ -109,10 +109,9 @@ class TestEquivalence:
         assert session_result.row_region_slices == direct.row_region_slices
         assert session_result.column_cache_slices == direct.column_cache_slices
 
-    @pytest.mark.parametrize("orientation", ["upper", "symmetric"])
-    def test_run_matches_per_edge_reference(self, orientation):
+    def test_run_matches_per_edge_reference(self):
         graph = generators.barabasi_albert(300, 5, seed=11)
-        config = AcceleratorConfig(array_bytes=4096, orientation=orientation)
+        config = AcceleratorConfig(array_bytes=4096)
         triangles, events, cache_stats = per_edge_reference(graph, config)
         session_result = open_session(graph, config).run()
         assert session_result.triangles == triangles
@@ -423,6 +422,16 @@ class TestConfigMapping:
         with pytest.raises(ArchitectureError, match="engine"):
             open_session(paper_graph, engine="legacy")
 
+    def test_retired_count_keys_rejected(self, paper_graph):
+        # Every session counts over the upper orientation with its plan
+        # resident: the two knobs that chose otherwise are unknown keys.
+        assert len(dataclasses.fields(AcceleratorConfig)) == 8
+        for key, value in (("orientation", "upper"), ("use_plan", False)):
+            with pytest.raises(ArchitectureError, match=f"unknown .*'{key}'"):
+                open_session(paper_graph, **{key: value})
+            with pytest.raises(ArchitectureError, match=f"unknown .*'{key}'"):
+                AcceleratorConfig.from_mapping({key: str(value)})
+
     def test_bad_int(self):
         with pytest.raises(ArchitectureError, match="integer"):
             AcceleratorConfig.from_mapping({"num_arrays": "many"})
@@ -449,7 +458,7 @@ class TestCachedStructureReuse:
         row = SlicedMatrix.from_graph(graph, "upper")
         col = SlicedMatrix.from_graph(graph, "lower")
         edges = oriented_edges(graph, "upper")
-        plan = plan_shards(graph, "upper", 2, "edges", sources=edges[0])
+        plan = plan_shards(graph, 2, "edges", sources=edges[0])
         cached = accelerator.run(
             graph, row_sliced=row, col_sliced=col, edge_arrays=edges, plan=plan
         )
@@ -469,7 +478,7 @@ class TestCachedStructureReuse:
         from repro.core.sharding import plan_shards
 
         accelerator = TCIMAccelerator(AcceleratorConfig(num_arrays=2))
-        plan = plan_shards(paper_graph, "upper", 3, "edges")
+        plan = plan_shards(paper_graph, 3, "edges")
         with pytest.raises(ArchitectureError, match="plan"):
             accelerator.run(paper_graph, plan=plan)
 

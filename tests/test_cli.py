@@ -166,7 +166,9 @@ class TestCommands:
         path = tmp_path / "g.txt"
         write_edge_list(paper_graph, path)
         baseline = None
-        for flags in ([], ["--num-arrays", "4"], ["--no-plan"]):
+        for flags in (
+            [], ["--num-arrays", "4"], ["--num-arrays", "4", "--shard-by", "coloring"]
+        ):
             assert main(["truss", str(path), "--json", *flags]) == 0
             payload = json_module.loads(capsys.readouterr().out)
             if baseline is None:
@@ -232,36 +234,25 @@ class TestShardedFlags:
         assert "modelled TCIM latency" in output
         assert "Per-shard breakdown" not in output
 
-    def test_no_plan_flag_matches_planned_results(self, capsys):
-        spec = "dataset:roadnet-pa@0.005"
-        assert main(["count", spec]) == 0
-        planned = capsys.readouterr().out
-        assert main(["count", spec, "--no-plan"]) == 0
-        planless = capsys.readouterr().out
-
-        def triangles(text):
-            for line in text.splitlines():
-                if "triangles" in line:
-                    return line
-            return None
-
-        assert triangles(planned) == triangles(planless)
+    def test_no_plan_flag_is_a_usage_error(self, capsys):
+        # Every session keeps its count plan resident: there is no flag.
+        with pytest.raises(SystemExit) as exited:
+            main(["count", "dataset:roadnet-pa@0.005", "--no-plan"])
+        assert exited.value.code == 2
+        assert "--no-plan" in capsys.readouterr().err
 
     def test_simulate_reports_plan_residency(self, capsys):
-        spec = "dataset:roadnet-pa@0.005"
-        assert main(["simulate", spec]) == 0
-        assert "join plan" in capsys.readouterr().out
-        assert main(["simulate", spec, "--no-plan"]) == 0
+        assert main(["simulate", "dataset:roadnet-pa@0.005"]) == 0
         output = capsys.readouterr().out
-        assert "disabled" in output
+        assert "join plan" in output
+        assert "disabled" not in output
 
     def test_set_use_plan_override(self, capsys):
+        # The retired plan switch and count orientation are unknown keys.
         spec = "dataset:roadnet-pa@0.005"
-        assert main(["simulate", spec, "--set", "use_plan=false"]) == 0
-        assert "disabled" in capsys.readouterr().out
-        # --set wins over --no-plan (highest precedence layer).
-        assert main(["simulate", spec, "--no-plan", "--set", "use_plan=true"]) == 0
-        assert "disabled" not in capsys.readouterr().out
+        for override in ("use_plan=false", "orientation=symmetric"):
+            assert main(["simulate", spec, "--set", override]) == 1
+            assert "unknown AcceleratorConfig keys" in capsys.readouterr().err
 
     def test_bad_num_arrays_is_an_error(self, capsys):
         assert main(
@@ -425,6 +416,11 @@ class TestConfigFileAndSet:
         config.write_text('{"backing": "shm"}', encoding="utf-8")
         assert main(["count", str(path), "--config", str(config)]) == 1
         assert "unknown AcceleratorConfig keys ['backing']" in capsys.readouterr().err
+        # And the retired plan switch and count orientation.
+        for key, value in (("use_plan", "false"), ("orientation", '"symmetric"')):
+            config.write_text(f'{{"{key}": {value}}}', encoding="utf-8")
+            assert main(["count", str(path), "--config", str(config)]) == 1
+            assert f"unknown AcceleratorConfig keys ['{key}']" in capsys.readouterr().err
         for flag, value in (("--workers", "2"), ("--backing", "shm")):
             with pytest.raises(SystemExit) as exit_info:
                 main(["count", str(path), flag, value])

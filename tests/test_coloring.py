@@ -7,8 +7,8 @@ the count plan (:func:`repro.core.sharding.price_partition`).  The tests
 here pin:
 
 * **exact cover** — on randomized graphs every triangle is counted by
-  exactly one shard (duplicate-free across color triples), for both
-  orientations, so the merged count is bit-identical to unsharded;
+  exactly one shard (duplicate-free across color triples), so the
+  merged count is bit-identical to unsharded;
 * **pricing equals execution** — every priced :class:`ShardResult`
   field equals what executing each shard on structures holding only its
   own slices produces (``coloring_reference.execute_coloring``),
@@ -120,27 +120,21 @@ class TestColorAssignment:
 class TestExactCover:
     """Every triangle lands in exactly one shard, none twice, none lost."""
 
-    @pytest.mark.parametrize("orientation", ["upper", "symmetric"])
-    def test_randomized_graphs(self, orientation):
+    def test_randomized_graphs(self):
         rng = np.random.default_rng(11)
-        multiplicity = 1 if orientation == "upper" else 6
         for trial in range(8):
             n = int(rng.integers(10, 80))
             m = int(rng.integers(n, 6 * n))
             graph = Graph(n, rng.integers(0, n, size=(m, 2)))
             num_arrays = int(rng.choice([4, 16, 32]))
-            result = _coloring_run(
-                graph, orientation=orientation, num_arrays=num_arrays, seed=trial
-            )
+            result = _coloring_run(graph, num_arrays=num_arrays, seed=trial)
             colors = assign_colors(n, min_colors(num_arrays), trial)
             oracle = _triangles_by_triple(graph, colors)
             # Per-shard counts match the oracle bucket for that triple —
             # the shard counted its triangles and nobody else's.
             triples = color_triples(min_colors(num_arrays))
             for triple, shard in zip(triples, result.shards, strict=True):
-                assert shard.accumulator == multiplicity * oracle.get(
-                    triple, 0
-                ), (trial, triple)
+                assert shard.accumulator == oracle.get(triple, 0), (trial, triple)
             assert result.triangles == sum(oracle.values())
 
     def test_every_shard_triple_is_unique(self):
@@ -212,11 +206,9 @@ class TestPricingMatchesExecution:
                     else AcceleratorConfig().array_bytes
                 ),
                 policy=str(rng.choice(["lru", "fifo", "random"])),
-                orientation=str(rng.choice(["upper", "symmetric"])),
                 seed=trial,
                 num_arrays=num_arrays,
                 shard_by="coloring",
-                use_plan=bool(trial % 2),
             )
             try:
                 expected = execute_coloring(graph, config)
@@ -248,8 +240,7 @@ class TestIncrementalColoring:
     """After randomized op streams a coloring session prices like a
     fresh session on the final graph."""
 
-    @pytest.mark.parametrize("use_plan", [True, False])
-    def test_session_stream_matches_plain_session(self, use_plan):
+    def test_session_stream_matches_plain_session(self):
         rng = np.random.default_rng(17)
         n = 60
         edges = {
@@ -257,7 +248,7 @@ class TestIncrementalColoring:
             for u, v in rng.integers(0, n, size=(4 * n, 2))
             if u != v
         }
-        config = {"num_arrays": 16, "shard_by": "coloring", "use_plan": use_plan}
+        config = {"num_arrays": 16, "shard_by": "coloring"}
         session = open_session(Graph(n, np.array(sorted(edges))), **config)
         plain = open_session(Graph(n, np.array(sorted(edges))))
         assert session.count() == plain.count()
@@ -287,7 +278,7 @@ class TestIncrementalColoring:
 
         assert session.count() == plain.count()
         # The stream patched the session's own count plan in place.
-        assert (session.join_plan is not None) == use_plan
+        assert session.join_plan is not None
         assert not any(session.fallback_counts.values())
         session.close()
         plain.close()

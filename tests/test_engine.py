@@ -3,8 +3,8 @@
 The batched engine (:mod:`repro.core.engine`) must be *bit-identical* to
 :func:`repro.analysis.validation.per_edge_reference` — the same triangle
 count, every :class:`EventCounts` field, and the same cache
-hit/miss/exchange statistics — across graph families, orientations,
-slice widths, replacement policies and capacity-starved caches.  Any
+hit/miss/exchange statistics — across graph families, slice widths,
+replacement policies and capacity-starved caches.  Any
 divergence is a bug in the engine, never an acceptable approximation.
 """
 
@@ -41,9 +41,7 @@ def assert_identical(graph: Graph, **config_kwargs):
     )
     # The row region is the widest row; the rest of the array caches columns.
     config = vectorized.config
-    row_sliced = SlicedMatrix.from_graph(
-        graph, config.orientation, slice_bits=config.slice_bits
-    )
+    row_sliced = SlicedMatrix.from_graph(graph, "upper", slice_bits=config.slice_bits)
     row_region = int(row_sliced.row_valid_counts().max(initial=0))
     assert vectorized.row_region_slices == row_region
     assert vectorized.column_cache_slices == config.capacity_slices - row_region
@@ -69,21 +67,12 @@ class TestDifferentialFamilies:
     def test_default_config(self, family):
         assert_identical(GRAPH_FAMILIES[family]())
 
-    @pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
-    def test_symmetric_orientation(self, family):
-        assert_identical(GRAPH_FAMILIES[family](), orientation="symmetric")
-
 
 class TestDifferentialSliceWidths:
     @pytest.mark.parametrize("slice_bits", [8, 64, 128])
-    @pytest.mark.parametrize("orientation", ["upper", "symmetric"])
-    def test_slice_widths(self, slice_bits, orientation):
+    def test_slice_widths(self, slice_bits):
         for family in ("ba", "road", "triangle-free"):
-            assert_identical(
-                GRAPH_FAMILIES[family](),
-                slice_bits=slice_bits,
-                orientation=orientation,
-            )
+            assert_identical(GRAPH_FAMILIES[family](), slice_bits=slice_bits)
 
 
 class TestDifferentialCachePressure:
@@ -105,13 +94,6 @@ class TestDifferentialCachePressure:
         graph = generators.powerlaw_cluster(150, 5, 0.7, seed=6)
         _, vectorized = run_both(graph, array_bytes=512)
         assert vectorized.cache_stats.exchanges > 0
-
-    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
-    def test_pressure_with_symmetric_orientation(self, policy):
-        graph = generators.erdos_renyi(100, 450, seed=7)
-        assert_identical(
-            graph, array_bytes=1024, policy=policy, orientation="symmetric"
-        )
 
 
 class TestDifferentialJoinPaths:
@@ -147,8 +129,7 @@ class TestDifferentialProperty:
             m = int(rng.integers(0, 4 * n))
             graph = Graph(n, rng.integers(0, n, size=(m, 2)))
             slice_bits = int(rng.choice([8, 16, 64]))
-            orientation = "upper" if trial % 2 else "symmetric"
-            assert_identical(graph, slice_bits=slice_bits, orientation=orientation)
+            assert_identical(graph, slice_bits=slice_bits)
 
 
 class TestEngineEdgeCases:

@@ -237,13 +237,12 @@ class TestApplyReadsOnlyWhatItTouches:
 
 
 class TestResidentBytesCountsRoom:
-    @pytest.mark.parametrize("orientation", ["upper", "symmetric"])
-    def test_each_held_array_counts_once(self, orientation):
+    def test_each_held_array_counts_once(self):
         # A fresh session's oriented edge arrays are views of its graph:
         # they count under ``graph``, which holds the edge list and the
         # CSR, and not again under ``edges``.
         graph = generators.barabasi_albert(600, 5, seed=3)
-        session = open_session(graph, orientation=orientation)
+        session = open_session(graph)
         session.run()
         detail = session.resident_bytes_detail()
         indptr, indices = graph.csr

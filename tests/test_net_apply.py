@@ -25,7 +25,7 @@ from repro.core import incremental
 from repro.core.dynamic import DynamicTriangleCounter
 from repro.core.engine import oriented_edges
 from repro.core.plan import build_join_plan
-from repro.core.slicing import SlicedMatrix, expand_runs, oriented_structures
+from repro.core.slicing import SlicedMatrix, SliceWindow, expand_runs
 from repro.graph import generators
 
 BASE = generators.powerlaw_cluster(24, 3, 0.6, seed=5)
@@ -96,7 +96,7 @@ def test_net_effect_matches_oracle_and_record_twin(backing, calls):
             ids = window.slice_ids[expand_runs(starts, counts)]
             assert np.array_equal(ids, fresh.slice_ids)
         reference = build_join_plan(
-            *oriented_structures(SlicedMatrix.from_graph(expected, "symmetric"), "upper"),
+            *SliceWindow.pair(SlicedMatrix.from_graph(expected, "symmetric")),
             *oriented_edges(expected, "upper"),
         )
         assert plan.num_edges == reference.num_edges

@@ -4,7 +4,7 @@ Three contracts, none negotiable:
 
 * **Exactness** — the planned fast path produces bit-identical triangle
   counts, :class:`EventCounts` and :class:`CacheStatistics` versus the
-  plan-free engine, across graph families, orientations, slice widths,
+  plan-free engine, across graph families, slice widths,
   cache pressure and shard layouts.
 * **Coherence** — a plan (and the keys cache beneath it) can never be
   served against structures it was not compiled for: the in-place slice
@@ -40,7 +40,7 @@ from repro.core.plan import (
     merge_oriented_edges,
     patch_join_plan,
 )
-from repro.core.slicing import SlicedMatrix, SliceWindow, expand_runs, oriented_structures
+from repro.core.slicing import SlicedMatrix, SliceWindow, expand_runs
 from repro.errors import ArchitectureError
 from repro.graph import generators
 from repro.graph.graph import Graph
@@ -58,10 +58,9 @@ GRAPH_FAMILIES = {
 }
 
 
-def structures(graph, orientation="upper", slice_bits=64):
-    col_orientation = "lower" if orientation == "upper" else "symmetric"
-    row = SlicedMatrix.from_graph(graph, orientation, slice_bits=slice_bits)
-    col = SlicedMatrix.from_graph(graph, col_orientation, slice_bits=slice_bits)
+def structures(graph, slice_bits=64):
+    row = SlicedMatrix.from_graph(graph, "upper", slice_bits=slice_bits)
+    col = SlicedMatrix.from_graph(graph, "lower", slice_bits=slice_bits)
     return row, col
 
 
@@ -69,10 +68,8 @@ def run_with_and_without_plan(graph, **config_kwargs):
     config = AcceleratorConfig(**config_kwargs)
     accelerator = TCIMAccelerator(config)
     plain = accelerator.run(graph)
-    row, col = structures(graph, config.orientation, config.slice_bits)
-    plan = build_join_plan(
-        row, col, *oriented_edges(graph, config.orientation)
-    )
+    row, col = structures(graph, config.slice_bits)
+    plan = build_join_plan(row, col, *oriented_edges(graph, "upper"))
     planned = accelerator.run(graph, row_sliced=row, col_sliced=col, join_plan=plan)
     return plain, planned
 
@@ -83,16 +80,6 @@ def assert_identical(plain, planned):
     assert dataclasses.asdict(planned.cache_stats) == dataclasses.asdict(
         plain.cache_stats
     )
-
-
-def structure_bits(delta_edges, orientation, structure):
-    """The (rows, cols) bits a delta batch touches in one standalone
-    oriented structure: ``"row"`` (successors) or ``"col"`` (the
-    transpose's rows)."""
-    u, v = delta_edges[:, 0], delta_edges[:, 1]
-    if orientation == "upper":
-        return (u, v) if structure == "row" else (v, u)
-    return np.concatenate([u, v]), np.concatenate([v, u])
 
 
 def assert_plans_equal(left: JoinPlan, right: JoinPlan):
@@ -147,11 +134,23 @@ class TestPlannedExecutionDifferential:
 
     @pytest.mark.parametrize("family", ["ba", "powerlaw", "road"])
     def test_symmetric_orientation(self, family):
-        assert_identical(
-            *run_with_and_without_plan(
-                GRAPH_FAMILIES[family](), orientation="symmetric"
+        # Engine-level joins of the symmetric structure with itself over
+        # both directions of every edge (the delta join's and the pair
+        # probes' layout): a plan over the two plain sides serves them
+        # bit-identically, and they see each triangle six times.
+        graph = GRAPH_FAMILIES[family]()
+        sym = SlicedMatrix.from_graph(graph, "symmetric")
+        edges = oriented_edges(graph, "symmetric")
+        plan = build_join_plan(sym, sym, *edges)
+        plain, planned = (
+            execute_batched(
+                None, sym, sym, "symmetric", 4096, "lru", 0, edges=edges, plan=p
             )
+            for p in (None, plan)
         )
+        assert plain[0] == planned[0] == 6 * TCIMAccelerator().run(graph).triangles
+        assert plain[1] == planned[1]
+        assert dataclasses.asdict(plain[2]) == dataclasses.asdict(planned[2])
 
     @pytest.mark.parametrize("slice_bits", [8, 64, 128])
     def test_slice_widths(self, slice_bits):
@@ -191,18 +190,21 @@ class TestPlannedExecutionDifferential:
         )
 
     def test_session_level_equivalence(self):
+        # A session runs on its resident plan; a standalone run compiles
+        # a transient one.  Both price the same run.
         graph = generators.barabasi_albert(300, 4, seed=11)
-        with_plan = open_session(graph)
-        without = open_session(graph, use_plan=False)
-        assert with_plan.count() == without.count()
-        a, b = with_plan.run(), without.run()
-        assert dataclasses.asdict(a.events) == dataclasses.asdict(b.events)
-        assert dataclasses.asdict(a.cache_stats) == dataclasses.asdict(b.cache_stats)
-        assert with_plan.join_plan is not None
-        assert without.join_plan is None
-        assert with_plan.plan_resident_bytes() > 0
-        assert without.plan_resident_bytes() == 0
-        assert with_plan.resident_bytes() > without.resident_bytes()
+        session = open_session(graph)
+        resident = session.run()
+        standalone = TCIMAccelerator(AcceleratorConfig()).run(graph)
+        assert resident.triangles == standalone.triangles == session.count()
+        assert dataclasses.asdict(resident.events) == dataclasses.asdict(
+            standalone.events
+        )
+        assert dataclasses.asdict(resident.cache_stats) == dataclasses.asdict(
+            standalone.cache_stats
+        )
+        assert session.join_plan is not None
+        assert session.plan_resident_bytes() == session.join_plan.nbytes > 0
 
     def test_plan_edge_count_mismatch_rejected(self):
         graph = generators.barabasi_albert(200, 4, seed=1)
@@ -221,7 +223,7 @@ class TestPlannedExecutionDifferential:
             execute_batched(
                 graph, row, col, "upper", 4096, policy="lru", seed=0, plan=plan
             )
-        sym_row, sym_col = structures(graph, "symmetric")
+        sym_row = sym_col = SlicedMatrix.from_graph(graph, "symmetric")
         with pytest.raises(ArchitectureError, match="edges"):
             execute_batched(
                 graph, sym_row, sym_col, "symmetric", 4096, policy="lru",
@@ -345,20 +347,15 @@ class TestStructureVersionAudit:
 
 
 class TestPatchedPlanEqualsRebuild:
-    def _reference(self, session, orientation):
+    def _reference(self, session):
         graph = session.graph
-        row, col = oriented_structures(
-            SlicedMatrix.from_graph(graph, "symmetric"), orientation
-        )
-        return row, col, build_join_plan(
-            row, col, *oriented_edges(graph, orientation)
-        )
+        row, col = SliceWindow.pair(SlicedMatrix.from_graph(graph, "symmetric"))
+        return row, col, build_join_plan(row, col, *oriented_edges(graph, "upper"))
 
-    @pytest.mark.parametrize("orientation", ["upper", "symmetric"])
-    def test_randomized_stream_per_op(self, orientation):
+    def test_randomized_stream_per_op(self):
         rng = np.random.default_rng(17)
         graph = generators.powerlaw_cluster(200, 4, 0.5, seed=4)
-        session = open_session(graph, orientation=orientation)
+        session = open_session(graph)
         oracle = DynamicTriangleCounter(graph.num_vertices, graph)
         session.count()
         present = set(map(tuple, graph.edge_array().tolist()))
@@ -380,10 +377,9 @@ class TestPatchedPlanEqualsRebuild:
             # join_plan flushes the pending patch; it must equal a plan
             # compiled from scratch on freshly sliced structures.
             patched = session.join_plan
-            _, _, reference = self._reference(session, orientation)
+            _, _, reference = self._reference(session)
             assert_plans_equal(patched, reference)
-            col_orientation = "lower" if orientation == "upper" else "symmetric"
-            for window, kind in zip(session._oriented, (orientation, col_orientation)):
+            for window, kind in zip(session._oriented, ("upper", "lower")):
                 assert_window_holds(
                     window, SlicedMatrix.from_graph(session.graph, kind)
                 )
@@ -402,7 +398,7 @@ class TestPatchedPlanEqualsRebuild:
         # Net effect: one deletion batch, then one insertion batch.
         assert report.segments == 2
         patched = session.join_plan
-        _, _, reference = self._reference(session, "upper")
+        _, _, reference = self._reference(session)
         assert_plans_equal(patched, reference)
         # And the patched plan serves an exact full run.
         scratch = TCIMAccelerator(AcceleratorConfig()).run(session.graph)
@@ -427,7 +423,7 @@ class TestPatchedPlanEqualsRebuild:
         session.apply([op])
         assert session._sym().structure_version == version  # payload-only
         patched = session.join_plan
-        assert_plans_equal(patched, self._reference(session, "upper")[2])
+        assert_plans_equal(patched, self._reference(session)[2])
         assert patched.matches(*session._oriented)
         fresh = TCIMAccelerator(AcceleratorConfig()).run(session.graph)
         assert_identical(fresh, session.run())
@@ -500,7 +496,7 @@ class TestPatchedPlanEqualsRebuild:
         monkeypatch.undo()
         assert_plans_equal(
             session.join_plan,
-            self._reference(session, "upper")[2],
+            self._reference(session)[2],
         )
 
     def test_deep_backlog_drops_instead_of_splicing(self):
@@ -521,7 +517,7 @@ class TestPatchedPlanEqualsRebuild:
         scratch = TCIMAccelerator(AcceleratorConfig()).run(session.graph)
         assert session.run().triangles == scratch.triangles
         assert_plans_equal(
-            session.join_plan, self._reference(session, "upper")[2]
+            session.join_plan, self._reference(session)[2]
         )
 
     def test_read_after_write_stream_fires_no_fallback(self):
@@ -553,112 +549,92 @@ class TestPatchedPlanEqualsRebuild:
 
 @st.composite
 def splice_cases(draw):
-    """A small graph, one insert or delete batch, and the plan's edge share.
-
-    ``owner`` is ``None`` when the plan covers every oriented edge (the
-    session's plans), else a per-vertex flag: the plan then covers only
-    the edges whose endpoints carry equal flags — a coloring lane, whose
-    row and column structures also move for edges it does not own.
-    """
+    """A small graph and one insert or delete batch."""
     n = draw(st.integers(2, 40))
     slice_bits = draw(st.sampled_from([8, 64]))
-    orientation = draw(st.sampled_from(["upper", "symmetric"]))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     base = draw(st.sets(st.sampled_from(pairs), max_size=60))
     insert = draw(st.booleans())
     pool = sorted(set(pairs) - base) if insert else sorted(base)
     assume(pool)
     batch = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=12))
-    owner = draw(st.none() | st.tuples(*[st.booleans()] * n))
-    return n, slice_bits, orientation, sorted(base), insert, sorted(batch), owner
+    return n, slice_bits, sorted(base), insert, sorted(batch)
+
+
+def _windows_and_plan(n: int, slice_bits: int, edges):
+    """The windows of one symmetric structure, the upper edge list and
+    its count plan — a session's count run inputs."""
+    graph = Graph(n, edges)
+    sym = SlicedMatrix.from_graph(graph, "symmetric", slice_bits=slice_bits)
+    windows = SliceWindow.pair(sym)
+    sources, destinations = oriented_edges(graph, "upper")
+    return sym, windows, sources, destinations, build_join_plan(
+        *windows, sources, destinations
+    )
 
 
 class TestBlockSplicePatch:
-    """``patch_join_plan`` equals ``build_join_plan`` on the new state."""
+    """``patch_join_plan`` over the windows of one symmetric structure
+    equals ``build_join_plan`` on the new state."""
 
     @settings(max_examples=80, deadline=None)
     @given(splice_cases())
     # A vertex gains its first edge (2 and 5 are isolated before).
-    @example((6, 64, "upper", [(0, 1)], True, [(2, 5)], None))
-    @example((6, 8, "symmetric", [(0, 1)], True, [(2, 5)], None))
+    @example((6, 64, [(0, 1)], True, [(2, 5)]))
+    @example((6, 8, [(0, 1)], True, [(2, 5)]))
     # A vertex loses its last edge.
-    @example((6, 64, "upper", [(0, 1), (2, 5)], False, [(2, 5)], None))
-    @example((6, 8, "symmetric", [(0, 1), (2, 5)], False, [(2, 5)], None))
+    @example((6, 64, [(0, 1), (2, 5)], False, [(2, 5)]))
+    @example((6, 8, [(0, 1), (2, 5)], False, [(2, 5)]))
     # Payload-only insert: slice 0 of row 0 and of row 2 already exist.
-    @example((10, 64, "upper", [(0, 1), (0, 3), (1, 2)], True, [(0, 2)], None))
-    @example((10, 64, "symmetric", [(0, 1), (0, 3), (1, 2)], True, [(0, 2)], None))
+    @example((10, 64, [(0, 1), (0, 3), (1, 2)], True, [(0, 2)]))
     # Edges at vertex 0 and vertex n - 1.
-    @example((40, 8, "upper", [(0, 9), (5, 39)], True, [(0, 39), (0, 20)], None))
-    @example((40, 8, "symmetric", [(0, 39), (3, 9), (0, 5)], False, [(0, 39)], None))
+    @example((40, 8, [(0, 9), (5, 39)], True, [(0, 39), (0, 20)]))
+    @example((40, 8, [(0, 39), (3, 9), (0, 5)], False, [(0, 39)]))
     # An empty plan gains edges; a plan loses every edge.
-    @example((12, 8, "upper", [], True, [(1, 7), (3, 11)], None))
-    @example((12, 8, "symmetric", [(1, 7), (3, 11)], False, [(1, 7), (3, 11)], None))
-    # Lane rows move while its edge list does not: the batch edge's flags
-    # differ, so it joins no lane edge, but it adds a slice to row 2 (and
-    # 6), between the lane's sources — the row shift steps mid-run.
-    @example(
-        (10, 8, "upper", [(0, 1), (4, 5), (8, 9)], True, [(2, 9)],
-         (True, True, False, True, True, True, True, True, True, True))
-    )
-    @example(
-        (10, 8, "symmetric", [(0, 1), (4, 5), (8, 9)], True, [(2, 6)],
-         (True, True, False, True, True, True, True, True, True, True))
-    )
+    @example((12, 8, [], True, [(1, 7), (3, 11)]))
+    @example((12, 8, [(1, 7), (3, 11)], False, [(1, 7), (3, 11)]))
     def test_patch_equals_rebuild(self, case):
-        n, slice_bits, orientation, base, insert, batch, owner = case
-
-        def owned(edges):
-            if owner is None:
-                return list(edges)
-            return [(u, v) for u, v in edges if owner[u] == owner[v]]
-
-        graph = Graph(n, base)
-        col_orientation = "lower" if orientation == "upper" else "symmetric"
-        row = SlicedMatrix.from_graph(graph, orientation, slice_bits=slice_bits)
-        # The session's symmetric plan joins one structure against itself.
-        shared = orientation == "symmetric" and owner is None
-        col = row if shared else SlicedMatrix.from_graph(
-            graph, col_orientation, slice_bits=slice_bits
+        n, slice_bits, base, insert, batch = case
+        sym, windows, sources, destinations, plan = _windows_and_plan(
+            n, slice_bits, base
         )
-        sources, destinations = oriented_edges(Graph(n, owned(base)), orientation)
-        plan = build_join_plan(row, col, sources, destinations)
+        delta_edges = np.array(batch, dtype=np.int64)
+        u, v = delta_edges[:, 0], delta_edges[:, 1]
         mutate = incremental.set_bits if insert else incremental.clear_bits
-        delta = np.array(batch, dtype=np.int64)
-        row_delta = mutate(row, *structure_bits(delta, orientation, "row"))
-        col_delta = row_delta if shared else mutate(
-            col, *structure_bits(delta, orientation, "col")
+        delta = mutate(sym, np.concatenate([u, v]), np.concatenate([v, u]))
+        sources, destinations, edge_delta = merge_oriented_edges(
+            sources, destinations, delta_edges, n, insert
         )
-        plan_batch = np.array(owned(batch), dtype=np.int64).reshape(-1, 2)
-        if plan_batch.size:
-            sources, destinations, edge_delta = merge_oriented_edges(
-                sources, destinations, plan_batch, orientation, n, insert
-            )
-        else:
-            edge_delta = StructureDelta.unchanged()
+        # What the session derives after the splice: the endpoint rows'
+        # windows, and the rows whose windows may have moved — a source
+        # or destination row whose slice set changed, or whose edge lies
+        # in its diagonal slice.
+        SliceWindow.refresh(windows, np.unique(delta_edges))
+        changed = np.concatenate([delta.inserted_rows, delta.removed_rows])
+        diagonal = u // slice_bits == v // slice_bits
+        moved = tuple(ends[diagonal | np.isin(ends, changed)] for ends in (u, v))
         patched = patch_join_plan(
-            plan, row, col, sources, destinations,
-            edge_delta, row_delta, col_delta,
+            plan, *windows, sources, destinations, edge_delta, delta, moved=moved
         )
         assert_plans_identical(
-            patched, build_join_plan(row, col, sources, destinations)
+            patched, build_join_plan(*windows, sources, destinations)
         )
-        assert patched.matches(row, col)
-        if not (edge_delta.changed or row_delta.changed or col_delta.changed):
-            assert patched is plan
+        assert patched.matches(*windows)
 
     def test_misaligned_inputs_are_rejected(self):
         graph = generators.barabasi_albert(60, 3, seed=4)
-        row, col = structures(graph, slice_bits=8)
-        sources, destinations = oriented_edges(graph, "upper")
-        plan = build_join_plan(row, col, sources, destinations)
+        sym, windows, sources, destinations, plan = _windows_and_plan(
+            60, 8, graph.edge_array()
+        )
         # A column of row 0 outside its valid slices: a structural insert.
-        covered = set(row.row_slices(0)[0].tolist())
+        covered = set(sym.row_slices(0)[0].tolist())
         v = next(v for v in range(1, 60) if v // 8 not in covered)
         delta = np.array([[0, v]], dtype=np.int64)
         new_src, new_dst, edge_delta = merge_oriented_edges(
-            sources, destinations, delta, "upper", 60, True
+            sources, destinations, delta, 60, True
         )
         unchanged = StructureDelta.unchanged()
+        moved = (delta[:, 0], delta[:, 1])
         # The splice report names two insertions; the list grew by one.
         doubled = StructureDelta(
             np.repeat(edge_delta.inserted_before, 2),
@@ -668,13 +644,13 @@ class TestBlockSplicePatch:
         )
         with pytest.raises(ArchitectureError, match="alignment"):
             patch_join_plan(
-                plan, row, col, new_src, new_dst, doubled, unchanged, unchanged
+                plan, *windows, new_src, new_dst, doubled, unchanged, moved=moved
             )
-        # The row structure moved without a report.
-        assert incremental.set_bits(row, delta[:, 0], delta[:, 1]).changed
+        # The symmetric structure moved without a report.
+        assert incremental.set_bits(sym, np.array([0, v]), np.array([v, 0])).changed
         with pytest.raises(ArchitectureError, match="alignment"):
             patch_join_plan(
-                plan, row, col, new_src, new_dst, edge_delta, unchanged, unchanged
+                plan, *windows, new_src, new_dst, edge_delta, unchanged, moved=moved
             )
 
 
@@ -757,13 +733,9 @@ class TestPlanPrimitives:
         graph = Graph(6, [(0, 1), (1, 2), (3, 4)])
         sources, destinations = oriented_edges(graph, "upper")
         with pytest.raises(ArchitectureError, match="overlaps"):
-            merge_oriented_edges(
-                sources, destinations, np.array([[0, 1]]), "upper", 6, True
-            )
+            merge_oriented_edges(sources, destinations, np.array([[0, 1]]), 6, True)
         with pytest.raises(ArchitectureError, match="missing"):
-            merge_oriented_edges(
-                sources, destinations, np.array([[0, 5]]), "upper", 6, False
-            )
+            merge_oriented_edges(sources, destinations, np.array([[0, 5]]), 6, False)
 
     def test_empty_edge_list_plan(self):
         row, col = structures(Graph(4, [(0, 1)]))

@@ -570,6 +570,52 @@ class TestProtocol:
         response = run(main())
         assert response["ok"] and response["result"]["triangles"] == 2
 
+    @pytest.mark.parametrize("complete", [True, False], ids=["whole", "split"])
+    def test_tcp_oversized_line_is_answered_and_skipped(
+        self, tmp_path, paper_graph, complete
+    ):
+        # A ~120 KB probe line passes the stream's 64 KiB line limit.  It
+        # either arrives whole before the server reads, or its newline
+        # comes only after the limit was hit.
+        from repro.serve import serve_tcp
+
+        spec = self._spec(tmp_path, paper_graph)
+        big = json.dumps(
+            {"id": 7, "op": "common_neighbors_many", "graph": spec,
+             "pairs": [[0, 1]] * 16000}
+        ).encode()
+        assert len(big) > 2**16
+
+        async def main():
+            async with open_service(max_sessions=2) as service:
+                server = await serve_tcp(service, "127.0.0.1", 0)
+                port = server.sockets[0].getsockname()[1]
+                async with server:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", port
+                    )
+                    if complete:
+                        writer.write(big + b"\n")
+                    else:
+                        writer.write(big)
+                        await writer.drain()
+                        await asyncio.sleep(0.05)
+                        writer.write(b"\n")
+                    writer.write(b'{"id": 8, "op": "ping"}\n')
+                    await writer.drain()
+                    replies = [
+                        json.loads(await asyncio.wait_for(reader.readline(), 10))
+                        for _ in range(2)
+                    ]
+                    writer.close()
+                    await writer.wait_closed()
+                    return replies
+
+        rejected, pong = run(main())
+        assert rejected["id"] is None and not rejected["ok"]
+        assert "longer than" in rejected["error"]
+        assert pong["id"] == 8 and pong["ok"]
+
 
 class TestReviewRegressions:
     """Regression coverage for the serving-tier review findings."""

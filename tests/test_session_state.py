@@ -4,19 +4,21 @@ A ``hypothesis`` state machine drives one session through ``apply``
 calls (net batches and ``record=True`` streams, several between reads,
 with edges inside one diagonal slice, and whole-triangle inserts and
 triangle-breaking deletes), reads (``count``, ``simulate``,
-``slice_stats``, ``support``, ``truss``, ``clustering``) and snapshot
-round trips, under drawn configurations: both orientations, plan on and
-off, 8- and 64-bit slices, a memmap store with a tiny spill threshold,
-and an array small enough that delta joins at a hub raise capacity
-errors.
+``slice_stats``, ``support``, ``truss``, ``truss(k)``, ``clustering``,
+``pair_scores``) and snapshot round trips, under drawn configurations:
+8- and 64-bit slices, four coloring-shard arrays, a memmap store with a
+tiny spill threshold, and an array small enough that delta joins at a
+hub raise capacity errors.
 
 Every read is checked against oracles that share no state with the
 session: :class:`~repro.core.dynamic.DynamicTriangleCounter` for the
 count, :func:`~repro.analysis.truss.edge_support` for supports,
-:func:`~repro.analysis.truss.truss_decomposition` for trussness,
-:mod:`repro.analysis.metrics` for clustering, and a
-fresh session opened on the same edges for ``simulate()``,
-``slice_stats()`` and the resident count plan.  A rolled-back apply must
+:func:`~repro.analysis.truss.truss_decomposition` and
+:func:`~repro.analysis.truss.k_truss` for trussness,
+:mod:`repro.analysis.metrics` for clustering, the oracle graph's
+neighbour sets for common-neighbour scores, and a fresh session opened
+on the same edges for ``simulate()``, ``slice_stats()`` and the
+resident count plan.  A rolled-back apply must
 leave the session exact without recompiling the plan.  Applies between
 reads patch the triangle list and the trussness, so the patched paths
 run under every configuration's op streams.
@@ -35,13 +37,12 @@ from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
-    precondition,
     rule,
     run_state_machine_as_test,
 )
 
 from repro.analysis import metrics
-from repro.analysis.truss import edge_support, truss_decomposition
+from repro.analysis.truss import edge_support, k_truss, truss_decomposition
 from repro.api import open_session
 from repro.core import plan as joinplan
 from repro.core.dynamic import DynamicTriangleCounter
@@ -55,23 +56,15 @@ HUB = NUM_VERTICES - 1
 TMP_STORE = "<tmp>"
 
 CONFIGS = {
-    "upper-bits8-plan": {"orientation": "upper", "slice_bits": 8},
-    "upper-bits8-noplan": {"orientation": "upper", "slice_bits": 8, "use_plan": False},
-    "upper-bits64-plan": {"orientation": "upper", "slice_bits": 64},
-    "upper-bits64-noplan": {
-        "orientation": "upper", "slice_bits": 64, "use_plan": False,
-    },
-    "symmetric-bits8-plan": {"orientation": "symmetric", "slice_bits": 8},
-    "symmetric-bits64-noplan": {
-        "orientation": "symmetric", "slice_bits": 64, "use_plan": False,
-    },
+    "upper-bits8-plan": {"slice_bits": 8},
+    "upper-bits64-plan": {"slice_bits": 64},
     "upper-bits8-memmap": {
-        "orientation": "upper", "slice_bits": 8, "storage_dir": TMP_STORE,
-        "spill_threshold_bytes": 16,
+        "slice_bits": 8, "storage_dir": TMP_STORE, "spill_threshold_bytes": 16,
     },
     # Five 8-bit slices: the hub's symmetric row fills the whole array,
     # so a delta join at the hub raises while full upper runs fit.
-    "upper-bits8-capacity": {"orientation": "upper", "slice_bits": 8, "array_bytes": 5},
+    "upper-bits8-capacity": {"slice_bits": 8, "array_bytes": 5},
+    "coloring-arrays4-bits8": {"slice_bits": 8, "num_arrays": 4, "shard_by": "coloring"},
 }
 
 PAIRS = [(u, v) for u in range(NUM_VERTICES) for v in range(u + 1, NUM_VERTICES)]
@@ -244,7 +237,6 @@ class SessionMachine(RuleBasedStateMachine):
         assert self.session.slice_stats() == fresh.slice_stats()
         fresh.close()
 
-    @precondition(lambda self: self.session.config.use_plan)
     @rule()
     def plan_equals_rebuild(self):
         fresh = open_session(self._graph(), **self.config)
@@ -263,6 +255,32 @@ class SessionMachine(RuleBasedStateMachine):
     @rule()
     def truss(self):
         assert self.session.truss() == truss_decomposition(self._graph())
+
+    @rule(k=st.integers(2, 6))
+    def truss_k(self, k):
+        expected = k_truss(self._graph(), k).edge_array()
+        assert np.array_equal(self.session.truss(k).edge_array(), expected)
+
+    @rule(
+        pairs=st.lists(
+            st.tuples(
+                st.integers(0, NUM_VERTICES - 1), st.integers(0, NUM_VERTICES - 1)
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def pair_scores(self, pairs):
+        graph = self._graph()
+        neighbors = [set(graph.neighbors(u).tolist()) for u in range(NUM_VERTICES)]
+        sources, destinations = (np.array(ends) for ends in zip(*pairs))
+        try:
+            scores = self.session.pair_scores(sources, destinations)
+        except ArchitectureError as error:
+            # A probe's rows must fit the array like a delta join's.
+            assert "row region" in str(error) and "array_bytes" in self.config
+            return
+        assert scores.tolist() == [len(neighbors[u] & neighbors[v]) for u, v in pairs]
 
     @rule()
     def clustering(self):

@@ -95,7 +95,7 @@ class TestSingleArrayIdentity:
         baseline = run(graph)
         row_sliced = SlicedMatrix.from_graph(graph, "upper")
         col_sliced = SlicedMatrix.from_graph(graph, "lower")
-        plan = plan_shards(graph, "upper", 1, shard_by)
+        plan = plan_shards(graph, 1, shard_by)
         outcome = price_partition(
             config,
             row_sliced,
@@ -152,17 +152,6 @@ class TestShardedExactness:
             sharded.events.row_slice_writes == baseline.events.row_slice_writes
         )
 
-    def test_symmetric_orientation(self):
-        graph = GRAPHS["ba"]()
-        baseline = run(graph, orientation="symmetric")
-        sharded = run(
-            graph, orientation="symmetric", num_arrays=4, shard_by="degree"
-        )
-        assert sharded.triangles == baseline.triangles
-        assert (
-            sharded.events.and_operations == baseline.events.and_operations
-        )
-
     def test_capacity_pressure(self):
         """Exactness holds when the per-array column caches thrash."""
         graph = GRAPHS["powerlaw"]()
@@ -193,7 +182,7 @@ class TestShardedExactness:
 class TestShardPlans:
     def test_edges_partitioner_is_contiguous(self):
         graph = GRAPHS["ba"]()
-        plan = plan_shards(graph, "upper", 4, "edges")
+        plan = plan_shards(graph, 4, "edges")
         positions = np.concatenate(plan.assignments)
         assert np.array_equal(positions, np.arange(graph.num_edges))
 
@@ -202,7 +191,7 @@ class TestShardPlans:
         from repro.core.engine import oriented_edges
 
         sources, _ = oriented_edges(graph, "upper")
-        plan = plan_shards(graph, "upper", 4, "rows")
+        plan = plan_shards(graph, 4, "rows")
         for shard_id, positions in enumerate(plan.assignments):
             assert np.all(sources[positions] % 4 == shard_id)
 
@@ -210,14 +199,14 @@ class TestShardPlans:
         """LPT should not be worse-balanced than round-robin on a skewed
         power-law graph (measured by the heaviest shard's edge count)."""
         graph = generators.powerlaw_cluster(400, 8, 0.4, seed=9)
-        rows = plan_shards(graph, "upper", 8, "rows")
-        degree = plan_shards(graph, "upper", 8, "degree")
+        rows = plan_shards(graph, 8, "rows")
+        degree = plan_shards(graph, 8, "degree")
         assert max(degree.edges_per_shard()) <= max(rows.edges_per_shard())
 
     def test_plan_covers_every_edge_once(self):
         graph = GRAPHS["powerlaw"]()
         for shard_by in POSITION_PARTITIONERS:
-            plan = plan_shards(graph, "upper", 5, shard_by)
+            plan = plan_shards(graph, 5, shard_by)
             positions = np.sort(np.concatenate(plan.assignments))
             assert np.array_equal(positions, np.arange(graph.num_edges))
             assert plan.num_edges == graph.num_edges
@@ -253,30 +242,16 @@ class TestValidation:
     def test_plan_validation(self):
         graph = GRAPHS["ba"]()
         with pytest.raises(ArchitectureError, match="num_arrays"):
-            plan_shards(graph, "upper", 0, "edges")
+            plan_shards(graph, 0, "edges")
         with pytest.raises(ArchitectureError, match="shard_by"):
-            plan_shards(graph, "upper", 2, "random")
+            plan_shards(graph, 2, "random")
         with pytest.raises(ArchitectureError, match="shards"):
             ShardPlan(2, "edges", (np.arange(3),))
-
-    def test_plan_orientation_mismatch_rejected(self):
-        graph = GRAPHS["ba"]()
-        row_sliced = SlicedMatrix.from_graph(graph, "symmetric")
-        col_sliced = SlicedMatrix.from_graph(graph, "symmetric")
-        plan = plan_shards(graph, "upper", 2, "edges")
-        with pytest.raises(ArchitectureError, match="orientation"):
-            price_partition(
-                AcceleratorConfig(orientation="symmetric", num_arrays=2),
-                row_sliced,
-                col_sliced,
-                oriented_edges(graph, "symmetric"),
-                shard_plan=plan,
-            )
 
     def test_plan_graph_mismatch_rejected(self):
         small = generators.barabasi_albert(50, 3, seed=4)
         big = GRAPHS["ba"]()
-        plan = plan_shards(small, "upper", 4)
+        plan = plan_shards(small, 4)
         row_sliced = SlicedMatrix.from_graph(big, "upper")
         col_sliced = SlicedMatrix.from_graph(big, "lower")
         with pytest.raises(ArchitectureError, match="different graph"):
@@ -293,7 +268,7 @@ class TestValidation:
         # row round-robin partition (491 / 413 / 467 / 393 edges per
         # shard here, where degree-LPT gives 441 each).
         graph = generators.barabasi_albert(300, 6, seed=1)
-        plan = plan_shards(graph, "upper", 4, "rows")
+        plan = plan_shards(graph, 4, "rows")
         assert plan.edges_per_shard() == [491, 413, 467, 393]
         accelerator = TCIMAccelerator(AcceleratorConfig(num_arrays=4, shard_by="degree"))
         assert [s.edges for s in accelerator.run(graph).shards] == [441] * 4
@@ -312,8 +287,8 @@ class TestValidation:
     def test_plan_identity_semantics(self):
         """ndarray fields force identity equality — no crash either way."""
         graph = GRAPHS["ba"]()
-        plan = plan_shards(graph, "upper", 2)
-        other = plan_shards(graph, "upper", 2)
+        plan = plan_shards(graph, 2)
+        other = plan_shards(graph, 2)
         assert plan == plan
         assert plan != other
         assert len({plan, other}) == 2
@@ -344,23 +319,19 @@ class TestPricingMatchesExecution:
                 slice_bits=slice_bits,
                 array_bytes=int(rng.choice([64, 256, 2**20])) * num_arrays * slice_bits // 8,
                 policy=str(rng.choice(["lru", "fifo", "random"])),
-                orientation=str(rng.choice(["upper", "symmetric"])),
                 seed=trial,
                 num_arrays=num_arrays,
                 shard_by=POSITION_PARTITIONERS[trial % 3],
             )
-            col_orientation = "lower" if config.orientation == "upper" else "symmetric"
-            row = SlicedMatrix.from_graph(graph, config.orientation, slice_bits=slice_bits)
-            col = SlicedMatrix.from_graph(graph, col_orientation, slice_bits=slice_bits)
-            sources, destinations = oriented_edges(graph, config.orientation)
-            plan = plan_shards(
-                None, config.orientation, num_arrays, config.shard_by, sources=sources
-            )
+            row = SlicedMatrix.from_graph(graph, "upper", slice_bits=slice_bits)
+            col = SlicedMatrix.from_graph(graph, "lower", slice_bits=slice_bits)
+            sources, destinations = oriented_edges(graph, "upper")
+            plan = plan_shards(None, num_arrays, config.shard_by, sources=sources)
             per_array = array_share(config.capacity_slices, num_arrays)
             expected = [
                 run_shard(
                     shard_id, row, col, sources[positions], destinations[positions],
-                    per_array, config.orientation, config.policy, config.seed,
+                    per_array, "upper", config.policy, config.seed,
                 )
                 for shard_id, positions in enumerate(plan.assignments)
             ]

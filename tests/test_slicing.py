@@ -16,7 +16,6 @@ from repro.core.slicing import (
     SliceWindow,
     bit_range_masks,
     expand_runs,
-    oriented_structures,
     slice_statistics,
     valid_pair_positions,
 )
@@ -250,12 +249,6 @@ class TestSliceWindows:
             moved = SliceWindow.refresh(windows, endpoints)
             # A moved window always reads as a structural change.
             assert not moved or sym.structure_version > version
-
-    def test_symmetric_orientation_reads_the_structure_itself(self):
-        sym = SlicedMatrix.from_graph(generators.barabasi_albert(60, 3, seed=1), "symmetric")
-        assert oriented_structures(sym, "symmetric") == (sym, sym)
-        with pytest.raises(SlicingError):
-            oriented_structures(sym, "lower")
 
     def test_bit_range_masks(self):
         masks = bit_range_masks(np.array([0, 3, 9, -4]), np.array([16, 11, 9, 2]), 16)

@@ -115,7 +115,10 @@ def _earlier_format_snapshot(session, path):
             graph, orientation
         )
     meta = {
-        "config": session.config.to_mapping(),
+        # Earlier configs also named the count orientation and the plan.
+        "config": {
+            **session.config.to_mapping(), "orientation": "upper", "use_plan": True,
+        },
         "generation": session.generation,
         "triangles": session.count(),
         "num_vertices": graph.num_vertices,
@@ -276,14 +279,12 @@ class TestChunkedCompile:
 # Memmap sessions: bit-identity with RAM
 # ----------------------------------------------------------------------
 class TestMemmapSessions:
-    @pytest.mark.parametrize("use_plan", [True, False])
     @pytest.mark.parametrize("num_arrays", [1, 4])
-    def test_bit_identical_queries(self, tmp_path, use_plan, num_arrays):
+    def test_bit_identical_queries(self, tmp_path, num_arrays):
         graph = _graph(seed=6)
-        ram = open_session(graph, use_plan=use_plan, num_arrays=num_arrays)
+        ram = open_session(graph, num_arrays=num_arrays)
         disk = open_session(
             graph,
-            use_plan=use_plan,
             num_arrays=num_arrays,
             storage_dir=str(tmp_path),
             spill_threshold_bytes=0,
@@ -546,6 +547,98 @@ class TestSessionSnapshots:
         assert restored.count() == count
         assert "engine" not in restored.config.to_mapping()
 
+    @pytest.mark.parametrize(
+        "retired", [{"use_plan": False}, {"orientation": "upper"}],
+        ids=["use_plan", "orientation"],
+    )
+    def test_retired_count_keys_hydrate_warm(
+        self, tmp_path, monkeypatch, retired
+    ):
+        # Snapshots written while the config had the plan switch or the
+        # count orientation carry the key; the plan switch never shaped
+        # the arrays, and the upper orientation is the one layout, so
+        # reopening drops the key and runs on the hydrated structures.
+        session = open_session(_graph(seed=20))
+        session.apply(_random_ops(session.graph, 20, seed=21))
+        expected = session.simulate().to_mapping()
+        target = session.snapshot(tmp_path / "snap")
+        manifest = json.loads((target / "manifest.json").read_text())
+        manifest["meta"]["config"].update(retired)
+        (target / "manifest.json").write_text(json.dumps(manifest))
+        builds = []
+        monkeypatch.setattr(
+            SlicedMatrix, "from_graph", lambda *a, **k: builds.append("slices")
+        )
+        monkeypatch.setattr(
+            "repro.core.plan.build_join_plan", lambda *a, **k: builds.append("plan")
+        )
+        restored = open_session(snapshot=target)
+        assert restored._sym_sliced is not None and restored._join_plan is not None
+        assert restored.simulate().to_mapping() == expected
+        assert builds == []
+        assert set(retired).isdisjoint(restored.config.to_mapping())
+
+    def test_symmetric_snapshot_opens_from_its_edge_list(self, tmp_path):
+        # Earlier releases could count over the symmetric orientation:
+        # such a snapshot holds both directions of every edge and a plan
+        # joining the symmetric structure with itself.  It opens from the
+        # edge list alone and then answers like a fresh session.
+        graph = _graph(seed=22)
+        sym = SlicedMatrix.from_graph(graph, "symmetric")
+        sources, destinations = oriented_edges(graph, "symmetric")
+        plan = build_join_plan(sym, sym, sources, destinations)
+        arrays = {
+            "oriented.sources": sources.astype(np.int32),
+            "oriented.destinations": destinations.astype(np.int32),
+            "sym.indptr": sym.indptr,
+            "sym.slice_ids": sym.slice_ids.astype(np.int32),
+            "sym.data": sym.data,
+            **{
+                f"plan.{name}": getattr(plan, name)
+                for name in (
+                    "row_positions", "col_positions", "trace_keys",
+                    "pair_counts", "diagonal_pairs", "diagonal_masks",
+                )
+            },
+        }
+        fresh = open_session(graph)
+        meta = {
+            "config": {
+                **fresh.config.to_mapping(), "orientation": "symmetric",
+                "use_plan": True,
+            },
+            "generation": 3,
+            "triangles": fresh.count(),
+            "num_vertices": graph.num_vertices,
+            "num_edges": graph.num_edges,
+            "structures": {
+                "sym": {
+                    "num_rows": sym.num_rows, "num_cols": sym.num_cols,
+                    "slice_bits": sym.slice_bits, "structure_version": 0,
+                },
+            },
+            "plans": {
+                "plan": {"num_edges": plan.num_edges, "stamp": [[0, sym.num_valid_slices]]},
+            },
+        }
+        written = storage_snapshot.write_snapshot(tmp_path / "written", meta, arrays)
+        # A manifest edited to name the symmetric orientation opens the
+        # same way, whatever its segments hold.
+        edited = fresh.snapshot(tmp_path / "edited")
+        manifest = json.loads((edited / "manifest.json").read_text())
+        manifest["meta"]["config"]["orientation"] = "symmetric"
+        (edited / "manifest.json").write_text(json.dumps(manifest))
+        for target in (written, edited):
+            restored = open_session(snapshot=target)
+            assert restored._sym_sliced is None and restored._join_plan is None
+            assert restored.num_edges == graph.num_edges
+            assert "orientation" not in restored.config.to_mapping()
+            assert restored.count() == fresh.count()
+            assert restored.support() == fresh.support()
+            assert restored.simulate().to_mapping() == fresh.simulate().to_mapping()
+            assert restored.slice_stats() == fresh.slice_stats()
+        assert open_session(snapshot=written).generation == 3
+
     def test_snapshot_with_retired_pool_keys_reopens(self, tmp_path, monkeypatch):
         # Snapshots written while the config had the worker-pool and
         # backing knobs carry both keys; neither shaped the arrays, so
@@ -635,9 +728,7 @@ class TestSessionSnapshots:
         assert restored.generation == session.generation
         assert builds == []
 
-    @pytest.mark.parametrize(
-        "change", [{"slice_bits": 8}, {"orientation": "symmetric"}]
-    )
+    @pytest.mark.parametrize("change", [{"slice_bits": 8}])
     def test_reopen_under_another_layout_rebuilds(self, tmp_path, change):
         graph = _graph(seed=25)
         session = open_session(graph)

@@ -3,9 +3,8 @@
 Every workload — :meth:`TCIMSession.support`, :meth:`truss`,
 :meth:`clustering`, :meth:`common_neighbors` — must be value-identical
 to its pure-Python oracle across the session configurations whose count
-plans the witness pass reads (``num_arrays ∈ {1, 4}`` × plan on/off ×
-``upper``/``symmetric``, 4-array coloring shards, and memmap backing
-with a tiny spill threshold), on fresh sessions and after a randomized
+plans the witness pass reads (``num_arrays ∈ {1, 4}``, 4-array coloring
+shards, and memmap backing with a tiny spill threshold), on fresh sessions and after a randomized
 mutation stream (i.e. through the incrementally patched count plan).
 The truss battery also covers every slice width (byte-packed and word
 payloads), edge cases from complete graphs to an emptied graph, and the
@@ -42,7 +41,7 @@ from repro.core import kernels
 from repro.core.accelerator import AcceleratorConfig, TCIMAccelerator
 from repro.core.engine import oriented_edges
 from repro.core.plan import build_join_plan
-from repro.core.slicing import SlicedMatrix
+from repro.core.slicing import SlicedMatrix, SliceWindow
 from repro.errors import ArchitectureError, GraphError
 from repro.graph import generators
 from repro.graph.graph import Graph
@@ -52,30 +51,15 @@ from repro.graph.graph import Graph
 TMP_STORE = "<tmp_path>"
 
 CONFIGS = [
-    {"num_arrays": 1, "use_plan": True},
-    {"num_arrays": 1, "use_plan": False},
-    {"num_arrays": 4, "use_plan": True},
-    {"num_arrays": 4, "use_plan": False},
-    {"num_arrays": 1, "use_plan": True, "orientation": "symmetric"},
-    {"num_arrays": 1, "use_plan": False, "orientation": "symmetric"},
-    {"num_arrays": 4, "use_plan": True, "orientation": "symmetric"},
-    {"num_arrays": 4, "use_plan": False, "orientation": "symmetric"},
+    {"num_arrays": 1},
+    {"num_arrays": 4},
     {"num_arrays": 4, "shard_by": "coloring"},
     {"storage_dir": TMP_STORE, "spill_threshold_bytes": 64},
 ]
 
-CONFIG_IDS = [
-    "arrays1-plan",
-    "arrays1-noplan",
-    "arrays4-plan",
-    "arrays4-noplan",
-    "symmetric-arrays1-plan",
-    "symmetric-arrays1-noplan",
-    "symmetric-arrays4-plan",
-    "symmetric-arrays4-noplan",
-    "coloring-arrays4",
-    "memmap",
-]
+#: The ``-plan`` suffixes name the golden fixtures' records; every
+#: session keeps its count plan resident.
+CONFIG_IDS = ["arrays1-plan", "arrays4-plan", "coloring-arrays4", "memmap"]
 
 
 @pytest.fixture
@@ -179,13 +163,13 @@ def witness_oracle(graph: Graph) -> set[tuple[int, int, int]]:
     }
 
 
-def count_structures(graph: Graph, orientation: str, slice_bits: int = 64):
-    """A count run's inputs: row and column structures and oriented edges."""
-    col_orientation = "lower" if orientation == "upper" else "symmetric"
+def count_structures(graph: Graph, slice_bits: int = 64):
+    """A count run's inputs: the upper and lower structures and the
+    upper-triangular edges."""
     return (
-        SlicedMatrix.from_graph(graph, orientation, slice_bits=slice_bits),
-        SlicedMatrix.from_graph(graph, col_orientation, slice_bits=slice_bits),
-        *oriented_edges(graph, orientation),
+        SlicedMatrix.from_graph(graph, "upper", slice_bits=slice_bits),
+        SlicedMatrix.from_graph(graph, "lower", slice_bits=slice_bits),
+        *oriented_edges(graph, "upper"),
     )
 
 
@@ -243,16 +227,12 @@ class TestTruss:
             assert max(session.truss().values()) == 3
 
     @pytest.mark.parametrize("slice_bits", SLICE_BITS)
-    @pytest.mark.parametrize("use_plan", [True, False], ids=["plan", "noplan"])
-    def test_slice_widths(self, random_graphs, slice_bits, use_plan):
+    def test_slice_widths(self, random_graphs, slice_bits):
         for graph in random_graphs:
-            with open_session(
-                graph, slice_bits=slice_bits, use_plan=use_plan
-            ) as session:
+            with open_session(graph, slice_bits=slice_bits) as session:
                 assert session.truss() == truss_decomposition(graph)
 
-    @pytest.mark.parametrize("use_plan", [True, False], ids=["plan", "noplan"])
-    def test_memmap_session(self, random_graphs, tmp_path, monkeypatch, use_plan):
+    def test_memmap_session(self, random_graphs, tmp_path, monkeypatch):
         # Tiny plan windows too, so the compile streams in chunks.
         monkeypatch.setattr(api, "_PLAN_CHUNK_EDGES", 64)
         for index, graph in enumerate(random_graphs):
@@ -260,7 +240,6 @@ class TestTruss:
                 graph,
                 storage_dir=tmp_path / str(index),
                 spill_threshold_bytes=64,
-                use_plan=use_plan,
             ) as session:
                 assert session.truss() == truss_decomposition(graph)
                 assert session._store.spilled_bytes > 0
@@ -299,9 +278,8 @@ class TestTruss:
                 assert session.truss() == {}
                 assert session.truss(2).num_edges == 0
 
-    @pytest.mark.parametrize("use_plan", [True, False], ids=["plan", "noplan"])
-    def test_every_edge_deleted(self, k5, use_plan):
-        with open_session(k5, use_plan=use_plan) as session:
+    def test_every_edge_deleted(self, k5):
+        with open_session(k5) as session:
             session.truss()
             session.apply([("-", u, v) for u, v in k5.edge_array().tolist()])
             assert session.num_edges == 0
@@ -310,18 +288,20 @@ class TestTruss:
 
     @pytest.mark.parametrize("slice_bits", SLICE_BITS)
     def test_witness_pass(self, random_graphs, slice_bits):
-        """Over either count orientation, each triangle once as
-        ``u < w < v`` at its edge ``(u, v)``; the total is the triangle
-        count and each edge lies in as many triangles as its support."""
+        """Over plain upper and lower structures and over the windows of
+        one symmetric structure, each triangle once as ``u < w < v`` at
+        its edge ``(u, v)``; the total is the triangle count and each
+        edge lies in as many triangles as its support."""
         for graph in random_graphs + [NESTED_CLIQUES]:
             edges = graph.edge_array()
             support = edge_support(graph)
             with open_session(graph) as session:
                 count = session.count()
-            for orientation in ("upper", "symmetric"):
-                row, col, sources, destinations = count_structures(
-                    graph, orientation, slice_bits
-                )
+            row, col, sources, destinations = count_structures(graph, slice_bits)
+            windows = SliceWindow.pair(
+                SlicedMatrix.from_graph(graph, "symmetric", slice_bits=slice_bits)
+            )
+            for row, col in ((row, col), windows):
                 resident = build_join_plan(row, col, sources, destinations)
                 for plan in (resident, None):
                     triangles = kernels.triangle_witnesses(
@@ -344,7 +324,7 @@ class TestTruss:
 
     def test_witness_pass_rejects_foreign_plan(self, random_graphs):
         graph = random_graphs[0]
-        row, col, sources, destinations = count_structures(graph, "upper")
+        row, col, sources, destinations = count_structures(graph)
         plan = build_join_plan(row, col, sources[:-1], destinations[:-1])
         with pytest.raises(ArchitectureError, match="compile a plan"):
             kernels.triangle_witnesses(row, col, sources, destinations, plan=plan)
@@ -470,6 +450,20 @@ class TestCommonNeighbors:
             assert isolated, "fixture should contain an isolated vertex"
             assert session.common_neighbors(isolated[0]) == []
 
+    def test_probes_hold_nothing_per_vertex(self, random_graphs):
+        # A probe's candidate list is scored per call: probing every
+        # vertex must not grow memory that resident_bytes() never sees.
+        graph = random_graphs[3]
+        with open_session(graph) as session:
+            session.support()
+            cached = set(session._workload_cache)
+            before = session.resident_bytes()
+            for u in range(graph.num_vertices):
+                top = session.common_neighbors(u, k=3)
+                assert top == session.common_neighbors(u, k=3)
+            assert set(session._workload_cache) == cached
+            assert session.resident_bytes() == before
+
 
 #: A triangle-rich base graph for apply-stream properties; ops draw
 #: endpoints from its first 14 vertices, so rounds keep revisiting edges.
@@ -510,14 +504,13 @@ class TestWorkloadsAfterMutations:
             # The stream patched the resident state rather than dropping it.
             assert not any(session.fallback_counts.values())
 
-    @pytest.mark.parametrize("use_plan", [True, False], ids=["plan", "noplan"])
     @settings(max_examples=25, deadline=None)
     @given(calls=STREAM_CALLS)
-    def test_truss_tracks_apply_stream(self, use_plan, calls):
+    def test_truss_tracks_apply_stream(self, calls):
         """Property: after every apply round, ``truss()`` is the oracle's
         decomposition of the mutated graph (the cached trussness never
         outlives its generation)."""
-        with open_session(STREAM_BASE, use_plan=use_plan) as session:
+        with open_session(STREAM_BASE) as session:
             session.truss()
             for ops in calls:
                 session.apply(ops)
@@ -572,13 +565,6 @@ class TestWorkloadPlanResidency:
             assert session._workload_cache == {}
             assert session.support() == edge_support(session.graph)
             assert calls == ["witnesses", "peel", "witnesses", "peel", "witnesses"]
-
-    def test_no_plan_config_keeps_plan_off(self, k5):
-        with open_session(k5, use_plan=False) as session:
-            session.support()
-            session.truss()
-            assert session._join_plan is None
-            assert session.plan_resident_bytes() == 0
 
     def test_plan_resident_bytes_is_the_count_plan(self, k5):
         with open_session(k5) as session:
@@ -694,10 +680,12 @@ class TestPatchedWorkloads:
             for kind in self.STREAM:
                 session.apply(stream_ops(kind, session, rng), record=kind == "record")
                 cache = session._workload_cache
-                assert {"forward", "triangles", "truss"} <= set(cache), kind
+                assert {"forward", "triangles", "tallies", "degrees", "truss"} <= set(
+                    cache
+                ), kind
                 mutated = session.graph
                 scratch = kernels.triangle_witnesses(
-                    *count_structures(mutated, "upper")
+                    *count_structures(mutated)
                 )
                 assert len(cache["triangles"]) == len(scratch)
                 assert set(map(tuple, cache["triangles"].tolist())) == set(
@@ -949,7 +937,7 @@ class TestEdgeMap:
                 assert got != other and other != got
                 assert not (got == other) and not (other == got)
             assert got != list(want.items())
-            with open_session(graph, use_plan=False) as fresh:
+            with open_session(graph) as fresh:
                 assert got == getattr(fresh, read)()
             assert got != (session.support() if read == "truss" else session.truss())
             with pytest.raises(TypeError):
@@ -1080,7 +1068,7 @@ class TestNoGraphOnReadPath:
 
     def test_graph_free_run_needs_resident_pieces(self, random_graphs):
         graph = random_graphs[4]
-        row, col, sources, destinations = count_structures(graph, "upper")
+        row, col, sources, destinations = count_structures(graph)
         accelerator = TCIMAccelerator()
         n = graph.num_vertices
         resident = dict(
@@ -1107,7 +1095,7 @@ class TestNoGraphOnReadPath:
     @pytest.mark.parametrize("num_arrays", [1, 4])
     def test_foreign_plan_still_rejected(self, random_graphs, num_arrays):
         graph = random_graphs[4]
-        row, col, sources, destinations = count_structures(graph, "upper")
+        row, col, sources, destinations = count_structures(graph)
         plan = build_join_plan(row, col, sources[:-1], destinations[:-1])
         accelerator = TCIMAccelerator(AcceleratorConfig(num_arrays=num_arrays))
         with pytest.raises(ArchitectureError, match="compile a plan"):
