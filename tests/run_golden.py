@@ -8,13 +8,14 @@ the row region and column cache, the coloring ``notes``, each
 must stay bit-identical however the slices, plans and shards are
 produced.  This module records them for standalone
 :meth:`~repro.core.accelerator.TCIMAccelerator.run` configurations on a
-Barabási–Albert and a Holme–Kim graph: multi-array runs (every
-partitioner, 4 / 16 arrays plus 32 for coloring, with a count plan
+Barabási–Albert and a Holme–Kim graph: multi-array runs (the
+upper × lower count join and the symmetric structure joined with itself,
+every partitioner, 4 / 16 arrays plus 32 for coloring, with a count plan
 passed in (``-plan``) or compiled by the run (``-noplan``), evicting
 arrays under every replacement policy, a non-64-bit slice width and a
-capacity error recorded with its message) and single-array runs (the
-same two plan sources, 8-, 64- and 128-bit slices, evicting arrays
-under every replacement policy).  It also records sessions that call
+capacity error recorded with its message) and single-array runs (both
+joins, the same two plan sources, 8-, 64- and 128-bit slices, evicting
+arrays under every replacement policy).  It also records sessions that call
 ``slice_stats()`` and ``simulate()`` after every call of the seeded
 ``apply()`` streams of ``apply_golden.py``, on every
 ``test_workloads.CONFIGS`` entry and a 16-array coloring session.
@@ -57,30 +58,40 @@ GRAPHS = {
 
 
 def _standalone_configs() -> dict[str, dict]:
-    """Config fields per record id; ``use_plan`` (default true) says
-    whether the record passes a compiled count plan into the run."""
+    """Config fields per record id, plus two record flags the harness
+    pops before building the config: ``layout`` (``"upper"``, the
+    default, or ``"symmetric"``, see :func:`record_standalone`) and
+    ``use_plan`` (default true: pass a compiled count plan into the
+    run)."""
     configs: dict[str, dict] = {}
-    for shard_by in ("edges", "rows", "degree", "coloring"):
-        widths = (4, 16, 32) if shard_by == "coloring" else (4, 16)
-        for num_arrays in widths:
-            for use_plan in (True, False):
-                key = f"upper-{shard_by}-{num_arrays}-{'plan' if use_plan else 'noplan'}"
-                configs[key] = {
-                    "shard_by": shard_by,
-                    "num_arrays": num_arrays,
-                    "use_plan": use_plan,
-                }
+    for layout in ("upper", "symmetric"):
+        for shard_by in ("edges", "rows", "degree", "coloring"):
+            widths = (4, 16, 32) if shard_by == "coloring" else (4, 16)
+            for num_arrays in widths:
+                for use_plan in (True, False):
+                    key = (
+                        f"{layout}-{shard_by}-{num_arrays}-"
+                        f"{'plan' if use_plan else 'noplan'}"
+                    )
+                    configs[key] = {
+                        "layout": layout,
+                        "shard_by": shard_by,
+                        "num_arrays": num_arrays,
+                        "use_plan": use_plan,
+                    }
     # 4 kB hold 512 slices: 128 per position shard and per coloring
     # shard at four arrays, enough for any row region here, small enough
     # that every shard's column cache evicts.
     for policy in ("lru", "fifo", "random"):
         for shard_by in ("degree", "coloring"):
-            configs[f"upper-{shard_by}-4-evict-{policy}"] = {
-                "shard_by": shard_by,
-                "num_arrays": 4,
-                "array_bytes": 4096,
-                "policy": policy,
-            }
+            for layout in ("upper", "symmetric"):
+                configs[f"{layout}-{shard_by}-4-evict-{policy}"] = {
+                    "layout": layout,
+                    "shard_by": shard_by,
+                    "num_arrays": 4,
+                    "array_bytes": 4096,
+                    "policy": policy,
+                }
     for shard_by in ("edges", "coloring"):
         configs[f"upper-{shard_by}-16-bits128"] = {
             "shard_by": shard_by,
@@ -102,16 +113,32 @@ def _standalone_configs() -> dict[str, dict]:
             "array_bytes": 512,
         }
     # One array, the path every single-array simulate() prices.
-    for slice_bits in (8, 64, 128):
-        for use_plan in (True, False):
-            key = f"upper-single-bits{slice_bits}-{'plan' if use_plan else 'noplan'}"
-            configs[key] = {"slice_bits": slice_bits, "use_plan": use_plan}
-    # 512 bytes hold 64 slices: every row region fits, the column
-    # cache evicts.
-    for policy in ("lru", "fifo", "random"):
-        for use_plan in (True, False):
-            key = f"upper-single-evict-{policy}-{'plan' if use_plan else 'noplan'}"
-            configs[key] = {"array_bytes": 512, "policy": policy, "use_plan": use_plan}
+    for layout in ("upper", "symmetric"):
+        for slice_bits in (8, 64, 128):
+            for use_plan in (True, False):
+                key = (
+                    f"{layout}-single-bits{slice_bits}-"
+                    f"{'plan' if use_plan else 'noplan'}"
+                )
+                configs[key] = {
+                    "layout": layout,
+                    "slice_bits": slice_bits,
+                    "use_plan": use_plan,
+                }
+        # 512 bytes hold 64 slices: every row region fits, the column
+        # cache evicts.
+        for policy in ("lru", "fifo", "random"):
+            for use_plan in (True, False):
+                key = (
+                    f"{layout}-single-evict-{policy}-"
+                    f"{'plan' if use_plan else 'noplan'}"
+                )
+                configs[key] = {
+                    "layout": layout,
+                    "array_bytes": 512,
+                    "policy": policy,
+                    "use_plan": use_plan,
+                }
     return configs
 
 
@@ -145,31 +172,50 @@ def run_record(result) -> dict:
 
 
 def record_standalone(graph_name: str, config: dict) -> dict:
-    """One standalone run; ``-plan`` configs pass a count plan compiled
-    over plain upper and lower structures, ``-noplan`` ones let the run
-    build its windows and a transient plan."""
+    """One standalone run.
+
+    ``upper`` records join the upper and lower structures: ``-plan``
+    ones pass plain upper and lower structures with a count plan
+    compiled over them, ``-noplan`` ones let the run build its windows
+    and a transient plan.  ``symmetric`` records pass the symmetric
+    structure as both sides and the edge list in both directions, with
+    (``-plan``) or without (``-noplan``) a compiled plan; that join finds
+    each triangle six times, so the record divides its count by six.
+    """
     graph = GRAPHS[graph_name]()
     fields = dict(config)
+    layout = fields.pop("layout", "upper")
     use_plan = fields.pop("use_plan", True)
     accel_config = AcceleratorConfig(**fields)
     accelerator = TCIMAccelerator(accel_config)
+    bits = accel_config.slice_bits
     try:
-        if use_plan:
-            bits = accel_config.slice_bits
-            row_sliced = SlicedMatrix.from_graph(graph, "upper", slice_bits=bits)
-            col_sliced = SlicedMatrix.from_graph(graph, "lower", slice_bits=bits)
-            edge_arrays = oriented_edges(graph, "upper")
+        if layout == "upper" and not use_plan:
+            result = accelerator.run(graph)
+        else:
+            if layout == "symmetric":
+                row_sliced = col_sliced = SlicedMatrix.from_graph(
+                    graph, "symmetric", slice_bits=bits
+                )
+            else:
+                row_sliced = SlicedMatrix.from_graph(graph, "upper", slice_bits=bits)
+                col_sliced = SlicedMatrix.from_graph(graph, "lower", slice_bits=bits)
+            edge_arrays = oriented_edges(graph, layout)
             result = accelerator.run(
                 graph,
                 row_sliced=row_sliced,
                 col_sliced=col_sliced,
                 edge_arrays=edge_arrays,
-                join_plan=build_join_plan(row_sliced, col_sliced, *edge_arrays),
+                join_plan=(
+                    build_join_plan(row_sliced, col_sliced, *edge_arrays)
+                    if use_plan
+                    else None
+                ),
             )
-        else:
-            result = accelerator.run(graph)
     except ArchitectureError as error:
         return {"error": str(error)}
+    if layout == "symmetric":
+        result.triangles //= 6
     return run_record(result)
 
 
