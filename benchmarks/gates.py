@@ -45,6 +45,7 @@ from repro.api import open_session
 from repro.arch.perf import default_pim_model
 from repro.arch.pipeline import measured_shard_report
 from repro.core import incremental, kernels
+from repro.core import plan as joinplan
 from repro.core.accelerator import AcceleratorConfig, EventCounts, TCIMAccelerator
 from repro.core.dynamic import DynamicTriangleCounter
 from repro.core.engine import oriented_edges
@@ -381,6 +382,46 @@ def _mixed_stream(graph, num_ops: int, seed: int):
     return ops
 
 
+#: Unread 50-op ``apply()`` calls before the first read whose plan work
+#: the ``streaming`` gate counts: one call patches, more rebuild.
+FIRST_READ_CALLS = (1, 2, 10, 40)
+FIRST_READ_OPS = 50
+
+
+def _first_read(graph, calls: int) -> tuple[dict, dict]:
+    """The first ``simulate()`` after ``calls`` unread 50-op calls.
+
+    Returns the plan compiles and patches it ran, and its time beside
+    the same session's rebuild (``close()``, then ``simulate()``).
+    """
+    session = open_session(graph)
+    session.simulate()
+    ops = _mixed_stream(graph, FIRST_READ_OPS * calls, seed=13)
+    for start in range(0, len(ops), FIRST_READ_OPS):
+        session.apply(ops[start: start + FIRST_READ_OPS])
+    with counting_calls(
+        (joinplan, "patch_join_plan"), (joinplan, "build_join_plan")
+    ) as plan_calls:
+        start = time.perf_counter()
+        session.simulate()
+        first_s = time.perf_counter() - start
+    session.close()
+    start = time.perf_counter()
+    session.simulate()
+    rebuild_s = time.perf_counter() - start
+    session.close()
+    counts = {
+        name: plan_calls.count(f"repro.core.plan.{name}")
+        for name in ("patch_join_plan", "build_join_plan")
+    }
+    timing = {
+        "first_read_ms": 1e3 * first_s,
+        "rebuild_ms": 1e3 * rebuild_s,
+        "ratio": first_s / rebuild_s if rebuild_s else None,
+    }
+    return counts, timing
+
+
 def _one_edge_apply_ms(num_vertices: int) -> float:
     """Median wall time of a one-edge ``apply()`` on a resident BA graph."""
     graph = generators.barabasi_albert(num_vertices, 8, seed=42)
@@ -411,9 +452,16 @@ def streaming():
     * the stream runs at least ``MIN_STREAMING_SPEEDUP`` faster than
       per-op full recounts (one recount timed as the mean of 3).
 
+    On the same graph, a session that ran ``simulate()`` then takes
+    each of :data:`FIRST_READ_CALLS` unread 50-op calls, and its next
+    ``simulate()`` must patch the plan once and compile nothing after
+    one call, and compile once and patch nothing after more (an apply
+    drops the windows and plan no read folded since the previous call).
+
     It also records, without gating, the median one-edge ``apply()`` at
-    4k / 32k and 100k / 800k edges: how far an apply's cost still grows
-    with the graph.
+    4k / 32k and 100k / 800k edges (how far an apply's cost still grows
+    with the graph), and each first read's time beside the same
+    session's rebuild.
     """
     num_ops = 1_000
     sharded_config = AcceleratorConfig(num_arrays=4, shard_by="degree")
@@ -445,6 +493,7 @@ def streaming():
     recount_s = (time.perf_counter() - start) / 3
     speedup = recount_s * num_ops / incremental_s if incremental_s else float("inf")
     one_edge_ms = {str(size): _one_edge_apply_ms(size) for size in ONE_EDGE_SIZES}
+    first_reads = {calls: _first_read(graph, calls) for calls in FIRST_READ_CALLS}
 
     checks = [
         Check(
@@ -484,6 +533,22 @@ def streaming():
             "speedup vs per-op recounts (x)", speedup, ">=", MIN_STREAMING_SPEEDUP
         ),
     ]
+    for calls, (counts, _) in first_reads.items():
+        label = f"first read after {calls} unread 50-op calls"
+        checks += [
+            Check(
+                f"{label}: plan patches",
+                counts["patch_join_plan"],
+                "==",
+                1 if calls == 1 else 0,
+            ),
+            Check(
+                f"{label}: plan compiles",
+                counts["build_join_plan"],
+                "==",
+                0 if calls == 1 else 1,
+            ),
+        ]
     recorded = {
         "streaming": {
             "num_ops": num_ops,
@@ -492,7 +557,14 @@ def streaming():
             "full_recount_s": recount_s,
             "speedup_vs_per_op_recounts": speedup,
         },
-        "gates": {"streaming": {"one_edge_apply_ms": one_edge_ms}},
+        "gates": {
+            "streaming": {
+                "one_edge_apply_ms": one_edge_ms,
+                "first_read": {
+                    str(calls): timing for calls, (_, timing) in first_reads.items()
+                },
+            }
+        },
     }
     return checks, recorded
 

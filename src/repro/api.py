@@ -25,6 +25,12 @@ resident controller directly:
   :class:`EventCounts` deltas merged — dynamic workloads get the same
   speedup as full runs.
 
+Everything else the session holds is derived from the symmetric
+structure and follows one lifecycle rule: an ``apply()`` call keeps the
+windows and count plan, the edge list and the workload cache only if a
+reader used them since the previous ``apply()`` call, patches what it
+keeps, and drops the rest for a lazy rebuild.
+
 Software baselines (:meth:`TCIMSession.baseline`) and graph-spec
 schemes (:func:`resolve_graph`) are looked up in :mod:`repro.registry`,
 so new ones plug in without touching this facade.
@@ -100,12 +106,7 @@ _RETIRED_CONFIG_KEYS = ("engine", "workers", "backing", "orientation", "use_plan
 #: is a place where an optimisation gives up and drops resident caches
 #: for a lazy rebuild (or, for ``truss_repeel``, recomputes eagerly)
 #: instead of failing the request.
-_FALLBACKS = (
-    "flush_patch_error",
-    "backlog_drop",
-    "truss_repeel",
-    "workload_patch_error",
-)
+_FALLBACKS = ("flush_patch_error", "truss_repeel", "workload_patch_error")
 
 
 def resolve_graph(spec) -> Graph:
@@ -356,31 +357,27 @@ class TCIMSession:
         # its upper and lower windows.
         self._sym_sliced: SlicedMatrix | None = None
         self._oriented: tuple | None = None
+        # The one upper-triangular edge list, in CSR order: the plan's
+        # edges, and edge i of the triangle list and of the read-only
+        # support() / truss() maps.
         self._edge_arrays: tuple[np.ndarray, np.ndarray] | None = None
         # The compiled valid-pair index (repro.core.plan.JoinPlan):
         # built once per generation, incrementally patched by apply, and
         # handed to every vectorized engine run so repeat queries skip
         # the merge-join; multi-array runs price every array from it.
         self._join_plan = None
-        #: Cached workload results (the triangle list, forward edges,
-        #: support and truss maps, clustering).  A mutation patches the
-        #: list, the forward edges and the trussness for a reader (see
-        #: :meth:`apply`) and drops the rest.  The maps and the
-        #: clustering report are handed out as they are, so every array
-        #: they hold is non-writeable.
+        #: Cached workload results (the triangle list, support and truss
+        #: maps, tallies, clustering).  A mutation patches the list, the
+        #: tallies and the trussness for a reader (see :meth:`apply`)
+        #: and drops the rest.  The maps and the clustering report are
+        #: handed out as they are, so every array they hold is
+        #: non-writeable.
         self._workload_cache: dict = {}
-        # Whether support / clustering / truss ran since the last apply()
-        # call, and whether the running apply() patches the cache.
+        # Whether support / clustering / truss ran since the last apply().
         self._workload_read = False
-        self._patch_workloads = False
-        # Committed delta batches not yet folded into the windows, the
-        # edge arrays and the plan: ``(delta_edges, insert, sym_delta)``,
-        # the last what the symmetric splice reported.  Applies only
-        # queue here (O(1)); the next engine query flushes the queue as
-        # one patch — so pure update streams never pay patch costs, and
-        # read-after-write pays one patch instead of a plan recompile.
+        # The previous apply() call's batches, not yet folded into the
+        # windows and the plan: ``(delta_edges, edge_splice, sym_splice)``.
         self._pending_patches: list[tuple] = []
-        self._pending_edges = 0
         self._fallbacks = dict.fromkeys(_FALLBACKS, 0)
         # Cached query results, invalidated by updates.
         self._slice_stats: SliceStatistics | None = None
@@ -497,12 +494,13 @@ class TCIMSession:
         ``plan`` (the compiled count plan with its diagonal list),
         ``sym_plan`` (always 0: the workloads read the count plan; the
         key stays for readers of earlier releases), ``edges`` (the
-        oriented edge arrays the graph does not already hold — a fresh
-        session's are views of its edge list or CSR), ``workloads`` (the
-        current generation's triangle list, forward edges, supports,
-        trussness and clustering arrays; 0 until a workload reads them,
-        and after a mutation only what an apply that followed a read
-        patched), ``spilled`` (how much of the
+        session's one edge list, unless the graph already holds it — a
+        fresh session's are views of its edge list or CSR; the
+        ``support()`` / ``truss()`` maps share it), ``workloads`` (the
+        current generation's triangle list, supports, trussness and
+        clustering arrays; 0 until a workload reads them, and after a
+        mutation only what an apply that followed a read patched),
+        ``spilled`` (how much of the
         above is disk-backed rather than on heap — 0 for a ram store),
         and ``total`` (== :meth:`resident_bytes`).  Surfaced per session
         by the serving tier's ``stats`` protocol op.
@@ -532,16 +530,17 @@ class TCIMSession:
     def fallback_counts(self) -> Mapping[str, int]:
         """How often each silent fallback fired (a read-only live view).
 
-        ``flush_patch_error`` — a deferred patch of the oriented
-        structures or the count plan raised, so they were dropped;
-        ``backlog_drop`` — the pending churn passed ~¼ of the graph, so
-        the structural caches were dropped instead of spliced;
-        ``truss_repeel`` — a local trussness update passed its cap
+        ``flush_patch_error`` — splicing a committed batch into the edge
+        list raised, so every derived structure was dropped, or the
+        deferred patch of the windows and the count plan raised, so they
+        were dropped; ``truss_repeel`` — a local trussness update passed its cap
         (:data:`repro.analysis.truss.LOCAL_UPDATE_CAP`), so the patched
         triangle list was re-peeled in full;
         ``workload_patch_error`` — patching the workload cache past a
         batch raised, so the cache was dropped.  Every dropped cache is
-        rebuilt by the next query that needs it.  Takes no lock.
+        rebuilt by the next query that needs it.  (An ``apply()`` that
+        drops what no reader used is the rule, not a fallback, and is
+        not counted.)  Takes no lock.
         """
         return MappingProxyType(self._fallbacks)
 
@@ -550,11 +549,13 @@ class TCIMSession:
         """The resident :class:`~repro.core.plan.JoinPlan` (or ``None``).
 
         Compiled lazily by the first engine-executing query, then
-        patched in place of rebuilt as updates commit.  Reading the
-        property folds any pending update batches in first, so the
-        returned plan always reflects the current graph.  Plans are immutable objects — the reference
-        returned here stays internally consistent even if a later update
-        swaps the session to a patched successor.
+        patched rather than rebuilt across applies that reads separate
+        (an apply after an unread one drops it, see :meth:`apply`).
+        Reading the property folds the pending batches in first, so the
+        returned plan always reflects the current graph.  Plans are
+        immutable objects — the reference returned here stays internally
+        consistent even if a later update swaps the session to a patched
+        successor.
         """
         with self._lock:
             self._flush_patches()
@@ -602,13 +603,13 @@ class TCIMSession:
         """The ``(meta, arrays)`` pair a snapshot persists.
 
         Callers hold ``self._lock`` with patches flushed.  The edge list
-        is always included (the oriented edge arrays, derived when not
-        resident); the symmetric structure and the plan only when
+        is always included (derived when not resident); the symmetric
+        structure and the plan only when
         resident, and the manifest's ``structures`` / ``plans`` tables
         record what is present so hydration restores exactly the warmth
         that was serialised.
         """
-        sources, destinations = self._edge_arrays or self._oriented_edge_arrays()
+        sources, destinations = self._edges()
         arrays: dict[str, np.ndarray] = {
             "oriented.sources": _narrow(sources, self._num_vertices),
             "oriented.destinations": _narrow(destinations, self._num_vertices),
@@ -705,9 +706,6 @@ class TCIMSession:
             self._graph = None
             self._num_edges = int(meta.get("num_edges", 0))
             self._edge_arrays = edge_arrays
-        elif same_layout:
-            # An earlier release's layout: the graph came with the snapshot.
-            self._edge_arrays = oriented_edges(self.graph, "upper")
         if info is None:
             return
         adopt = self._store.adopt
@@ -738,7 +736,7 @@ class TCIMSession:
         )
         # Defensive: a hand-assembled snapshot could pair a plan with
         # structures it was not compiled for — rebuild, never serve.
-        if plan.matches(*self._oriented) and plan.num_edges == self._edge_arrays[0].size:
+        if plan.matches(*self._oriented) and plan.num_edges == self._edges()[0].size:
             self._join_plan = plan
 
     # ------------------------------------------------------------------
@@ -825,8 +823,9 @@ class TCIMSession:
         :func:`repro.analysis.truss.edge_support`.
 
         Returns a read-only :class:`~repro.graph.edgemap.EdgeMap` over
-        the forward edges (``.sources``, ``.destinations``, and the
-        supports as ``.per_edge``), one per generation: every call until
+        the session's edge list (``.sources`` and ``.destinations`` are
+        its arrays, not a copy, and the supports are ``.per_edge``), one
+        per generation: every call until
         the graph changes returns the same map, and a later ``apply()``
         leaves an earlier map as it was.  ``dict(m)`` is a mutable copy.
         """
@@ -1046,17 +1045,15 @@ class TCIMSession:
         the differential-testing mode cross-checked against the
         :class:`DynamicTriangleCounter` oracle in the test-suite.
 
-        **Workload cache**: when :meth:`support`, :meth:`clustering` or
-        :meth:`truss` ran since the previous ``apply()`` call, every
-        batch this call commits patches the cached triangle list, its
-        forward edges and the trussness from the batch's own triangles
-        (the rows holding a deleted edge go; the triangles the inserted
-        edges close, read off the symmetric structure, are appended) and
-        drops the other cached results.  Without such a read — a pure
-        update stream — the cache is dropped, so the patch costs nothing,
-        and the next read runs one witness pass.  The patch is host
+        **Derived state**: a call keeps what a reader used since the
+        previous call and drops the rest for a lazy rebuild from the
+        symmetric structure (:meth:`_drop_unread`), so a pure update
+        stream holds none after its second call.  Each batch splices a
+        kept edge list once, patches a kept workload cache through that
+        splice (the triangle list, tallies and trussness) and queues for
+        one lazy patch of kept windows and plan.  The patches are host
         bookkeeping: :attr:`UpdateReport.events` prices the delta joins
-        only, as before.
+        only.
 
         **Failure semantics**: if a batch raises (e.g. a capacity
         :class:`~repro.errors.ArchitectureError`), the failing batch is
@@ -1083,10 +1080,7 @@ class TCIMSession:
                 if code in last.values()
             ]
         with self._lock:
-            # Only a reader's cache is worth patching: a stream with no
-            # read since the previous call drops it, as a lone batch would.
-            self._patch_workloads = self._workload_read
-            self._workload_read = False
+            self._drop_unread()
             return self._apply_batches(batches, len(parsed), record)
 
     def apply_edges(
@@ -1265,28 +1259,34 @@ class TCIMSession:
 
     def _prepare(self) -> None:
         """Build (once) the resident state full runs consume: the
-        symmetric structure, its row and column windows, and the
-        oriented edge arrays.
+        symmetric structure, its row and column windows, and the edge
+        list.
 
         Pending committed update batches are folded in first, so every
         structure handed to the engine reflects the current graph.  After
-        a cache drop the windows and the edge arrays re-derive from the
+        a cache drop the windows and the edge list re-derive from the
         symmetric structure, without a :class:`Graph`.
         """
         self._flush_patches()
         if self._oriented is None:
             self._oriented = SliceWindow.pair(self._sym())
-        if self._edge_arrays is None:
-            self._edge_arrays = self._oriented_edge_arrays()
+        self._edges()
 
-    def _oriented_edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The upper-triangular edge list, from the graph when one is held
-        (its views), else read off the symmetric structure's bits."""
-        if self._graph is not None:
-            return oriented_edges(self._graph, "upper")
-        rows, cols = self._sym().nonzeros()
-        forward = rows < cols
-        return rows[forward], cols[forward]
+    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The upper-triangular edge list (callers hold the lock).
+
+        Derived once — views of the graph's edge list when one is held,
+        else read off the symmetric structure's bits — and then kept
+        current by every committed batch (:meth:`_commit_mutation`).
+        """
+        if self._edge_arrays is None:
+            if self._graph is not None:
+                self._edge_arrays = oriented_edges(self._graph, "upper")
+            else:
+                rows, cols = self._sym().nonzeros()
+                forward = rows < cols
+                self._edge_arrays = rows[forward], cols[forward]
+        return self._edge_arrays
 
     def _ensure_join_plan(self):
         """Compile (once per generation) the resident join plan.
@@ -1343,46 +1343,28 @@ class TCIMSession:
         """The generation's :meth:`support` map (callers hold the lock)."""
         cached = self._workload_cache.get("support")
         if cached is None:
-            sources, destinations = self._forward_edges()
-            supports = np.bincount(
-                self._triangle_list().reshape(-1), minlength=sources.size
-            )
+            listed = self._triangle_list()
+            sources, destinations = self._edges()
+            supports = np.bincount(listed.reshape(-1), minlength=sources.size)
             cached = EdgeMap(sources, destinations, supports, self._num_vertices)
             self._workload_cache["support"] = cached
-        return cached
-
-    def _forward_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(sources, destinations)`` of the forward edges ``u < v``.
-
-        Callers hold ``self._lock``.  A copy of the edge arrays, in CSR
-        order: forward edge ``i`` is edge id ``i`` of the triangle list
-        and of the ``support()`` / ``truss()`` maps.  Cached until the
-        graph changes and never written: the maps hand both arrays out
-        and make them read-only.
-        """
-        cached = self._workload_cache.get("forward")
-        if cached is None:
-            self._prepare()
-            cached = tuple(ends.copy() for ends in self._edge_arrays)
-            self._workload_cache["forward"] = cached
         return cached
 
     def _vertex_tallies(self) -> tuple[np.ndarray, np.ndarray]:
         """``(triangles per vertex, degrees)``, both non-writeable.
 
         Callers hold ``self._lock``.  One ``np.bincount`` over the
-        corners of the generation's triangle list and one over the
-        forward edges, cached until the graph changes; an :meth:`apply`
-        that patches the list patches both from its batches' own
-        triangles and edges instead (:meth:`_patched_workloads`).
+        corners of the generation's triangle list and one over the edge
+        list, cached until the graph changes; an :meth:`apply` that
+        patches the list patches both from its batches' own triangles
+        and edges instead (:meth:`_patched_workloads`).
         """
         cache = self._workload_cache
         if "tallies" not in cache:
-            sources, destinations = self._forward_edges()
+            listed = self._triangle_list()
+            sources, destinations = self._edges()
             n = self._num_vertices
-            tallies = np.bincount(
-                _corners(self._triangle_list(), sources, destinations), minlength=n
-            )
+            tallies = np.bincount(_corners(listed, sources, destinations), minlength=n)
             degrees = np.bincount(np.concatenate([sources, destinations]), minlength=n)
             for array in (tallies, degrees):
                 array.flags.writeable = False
@@ -1392,14 +1374,13 @@ class TCIMSession:
     def _workload_arrays(self) -> list[np.ndarray]:
         """The arrays the workload cache holds (callers hold the lock).
 
-        The maps share the forward edges and the clustering report the
-        tallies, so each array counts once.
+        The maps' edge arrays are the session's edge list, counted under
+        ``edges``, and the clustering report shares the tallies.
         """
         cache = self._workload_cache
-        arrays = list(cache.get("forward", ()))
-        for name in ("triangles", "tallies", "degrees"):
-            if name in cache:
-                arrays.append(cache[name])
+        arrays = [
+            cache[name] for name in ("triangles", "tallies", "degrees") if name in cache
+        ]
         for name in ("support", "truss"):
             if name in cache:
                 arrays.append(cache[name].per_edge)
@@ -1408,47 +1389,23 @@ class TCIMSession:
             arrays += [report.local, report.triangles_per_vertex]
         return arrays
 
-    def _carry_workloads(self, delta_edges: np.ndarray, insert: bool) -> None:
-        """Patch the workload cache past one committed batch, or drop it.
-
-        Callers hold ``self._lock``.  The triangle list, its forward
-        edges, the per-vertex tallies and degrees, and the trussness are
-        patched while the running :meth:`apply` patches (the list was
-        read since the previous call); everything else is dropped.  A
-        patch that raises drops the whole cache and counts
-        ``workload_patch_error``: the batch has committed either way, and
-        the next read rebuilds the list.
-        """
-        cache = self._workload_cache
-        carried = {
-            key: cache[key]
-            for key in ("forward", "triangles", "tallies", "degrees", "truss")
-            if key in cache
-        }
-        cache.clear()
-        if not (self._patch_workloads and "triangles" in carried):
-            return
-        try:
-            cache.update(self._patched_workloads(carried, delta_edges, insert))
-        except Exception:
-            cache.clear()
-            self._fallbacks["workload_patch_error"] += 1
-
     def _patched_workloads(
-        self, carried: dict, delta_edges: np.ndarray, insert: bool
+        self, delta_edges: np.ndarray, insert: bool, old_edges: tuple, edge_splice
     ) -> dict:
-        """The cached workloads of the previous generation, moved past
-        one batch (:meth:`_carry_workloads`).
+        """The workload cache of the previous generation, moved past one
+        batch: the triangle list, the per-vertex tallies and degrees, and
+        the trussness (callers hold the lock and have spliced the edge
+        list from ``old_edges`` by ``edge_splice``).
 
-        One splice table maps every old edge id to its new one.  A delete
-        drops the list rows that hold a deleted edge; an insert appends
-        the triangles its edges close, read off the symmetric structure
-        (:func:`~repro.core.kernels.pair_witnesses`).  Row order may
-        differ from a fresh witness pass: every reader is order-free.
-        The patched list must hold :meth:`count` triangles, or the patch
-        raises.  The per-vertex tallies move by the corners of the
-        destroyed or created triangles and the degrees by the batch's
-        endpoints.  Trussness is updated locally
+        The edge list's splice maps every old edge id to its new one.  A
+        delete drops the list rows that hold a deleted edge; an insert
+        appends the triangles its edges close, read off the symmetric
+        structure (:func:`~repro.core.kernels.pair_witnesses`).  Row
+        order may differ from a fresh witness pass: every reader is
+        order-free.  The patched list must hold :meth:`count` triangles,
+        or the patch raises.  The per-vertex tallies move by the corners
+        of the destroyed or created triangles and the degrees by the
+        batch's endpoints.  Trussness is updated locally
         (:func:`~repro.analysis.truss.trussness_after_deletes` /
         :func:`~repro.analysis.truss.trussness_after_inserts`), and past
         their cap re-peeled from the patched list (``truss_repeel``).
@@ -1456,35 +1413,23 @@ class TCIMSession:
         from repro.analysis import truss as truss_module
 
         n = np.int64(self._num_vertices)
-        sources, destinations = carried["forward"]
-        listed = carried["triangles"]
-        count = sources.size
-        delta_keys = delta_edges[:, 0] * n + delta_edges[:, 1]
-        spliced = np.searchsorted(sources * n + destinations, delta_keys)
-        # The splice table: every old id's new one, shifted by the inserts
-        # at or before it, or by the deletes before it.
-        bounds = np.concatenate([[0], spliced if insert else spliced + 1, [count]])
-        shift = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
-        table = np.arange(count) + (shift if insert else -shift)
+        sources, destinations = self._edge_arrays
+        keys = sources * n + destinations
+        cache = self._workload_cache
+        listed = cache["triangles"]
+        count = old_edges[0].size
+        table = joinplan._position_map(count, edge_splice, np.int64)
         if insert:
+            spliced = edge_splice.inserted_before
             fresh = spliced + np.arange(spliced.size)
-            sources = np.insert(sources, spliced, delta_edges[:, 0])
-            destinations = np.insert(destinations, spliced, delta_edges[:, 1])
-            keys = sources * n + destinations
             created = self._created_triangles(delta_edges, keys)
             gone = np.empty(0, dtype=np.int64)
         else:
-            if not np.array_equal(
-                sources[spliced] * n + destinations[spliced], delta_keys
-            ):
-                raise ArchitectureError("a deleted edge is missing from the list")
+            spliced = edge_splice.removed_at
             removed = np.zeros(count, dtype=bool)
             removed[spliced] = True
             gone = np.unique(np.flatnonzero(removed[listed.reshape(-1)]) // 3)
             destroyed = listed[gone]
-            sources = np.delete(sources, spliced)
-            destinations = np.delete(destinations, spliced)
-            keys = sources * n + destinations
             created = np.empty((0, 3), dtype=np.int64)
         triangles = self._store.empty(
             (len(listed) - gone.size + len(created), 3), np.int64
@@ -1503,22 +1448,22 @@ class TCIMSession:
                 f"the patched list holds {len(triangles)} triangles but the "
                 f"session counts {self._triangles}"
             )
-        patched = {"forward": (sources, destinations), "triangles": triangles}
-        if "tallies" in carried:
+        patched = {"triangles": triangles}
+        if "tallies" in cache:
             sign = 1 if insert else -1
-            tallies, degrees = carried["tallies"].copy(), carried["degrees"].copy()
+            tallies, degrees = cache["tallies"].copy(), cache["degrees"].copy()
             np.add.at(degrees, delta_edges.reshape(-1), sign)
             corners = (
                 _corners(created, sources, destinations) if insert
-                else _corners(destroyed, *carried["forward"])
+                else _corners(destroyed, *old_edges)
             )
             np.add.at(tallies, corners, sign)
             for array in (tallies, degrees):
                 array.flags.writeable = False
             patched["tallies"], patched["degrees"] = tallies, degrees
-        if "truss" not in carried:
+        if "truss" not in cache:
             return patched
-        old = carried["truss"].per_edge
+        old = cache["truss"].per_edge
 
         def triangles_of(edges):
             return self._edge_triangles(sources, destinations, keys, edges)
@@ -1601,7 +1546,6 @@ class TCIMSession:
             None,
             sym,
             sym,
-            "symmetric",
             column_capacity,
             self.config.policy,
             self.config.seed,
@@ -1665,19 +1609,21 @@ class TCIMSession:
     def _commit_mutation(
         self, delta_edges: np.ndarray, insert: bool, splice
     ) -> None:
-        """Record one committed delta batch against the resident caches.
+        """Record one committed delta batch against the derived state.
 
         Callers hold ``self._lock`` and run this only after a batch has
         fully committed (never on a rolled-back failure), so a bumped
         generation always marks a consistent new state.  Query-result
-        caches are dropped (they priced the old graph); the *structural*
-        residents — the windows, the oriented edge arrays, and the
-        compiled join plan — are kept, with the batch and ``splice``
-        (the :class:`~repro.core.incremental.StructureDelta` of the
-        symmetric structure) queued for :meth:`_flush_patches` to fold
-        in when the next engine query needs them.  Deferring keeps pure
-        update streams at pure delta-join cost while read-after-write
-        pays one patch instead of a plan recompile.
+        caches are dropped (they priced the old graph).  What the
+        running :meth:`apply` kept (:meth:`_drop_unread`) moves past the
+        batch: the edge list is spliced once
+        (:func:`~repro.core.plan.merge_oriented_edges`), the workload
+        cache is patched through that splice, and the windows and the
+        count plan queue the batch, its edge splice and ``splice`` (the
+        :class:`~repro.core.incremental.StructureDelta` of the symmetric
+        structure) for :meth:`_flush_patches` to fold in when the next
+        engine read needs them.  If the edge splice raises, all derived
+        state is dropped and ``flush_patch_error`` counted.
         """
         self._generation += 1
         # The symmetric structure now holds the only current edge set.
@@ -1686,47 +1632,55 @@ class TCIMSession:
         self._run = None
         self._report = None
         self._baseline_cache.clear()
-        self._carry_workloads(delta_edges, insert)
-        if self._oriented is None or self._edge_arrays is None:
-            self._drop_structural_caches()
+        old_edges = self._edge_arrays
+        if old_edges is None:
+            # Nothing derived outlives the edge list (see _drop_unread).
+            self._drop_derived()
             return
-        self._pending_patches.append((delta_edges, insert, splice))
-        self._pending_edges += int(delta_edges.shape[0])
-        # A deep backlog (a churn comparable to the graph itself) is
-        # cheaper to re-derive than to patch batch by batch.
-        if self._pending_edges > max(1024, self.num_edges // 4):
-            self._fallbacks["backlog_drop"] += 1
-            self._drop_structural_caches()
+        try:
+            *edges, edge_splice = joinplan.merge_oriented_edges(
+                *old_edges, delta_edges, self._num_vertices, insert
+            )
+        except Exception:
+            self._fallbacks["flush_patch_error"] += 1
+            self._drop_derived()
+            return
+        self._edge_arrays = tuple(edges)
+        # A reader's triangle list, tallies and trussness are patched; the
+        # other workload results go.  A failed patch drops the whole cache.
+        patched = {}
+        if "triangles" in self._workload_cache:
+            try:
+                patched = self._patched_workloads(
+                    delta_edges, insert, old_edges, edge_splice
+                )
+            except Exception:
+                self._fallbacks["workload_patch_error"] += 1
+        self._workload_cache = patched
+        if self._oriented is not None:
+            self._pending_patches.append((delta_edges, edge_splice, splice))
 
     def _flush_patches(self) -> None:
-        """Fold every pending committed batch into the resident caches.
+        """Fold the batches the previous :meth:`apply` call queued into
+        the windows and the count plan.
 
-        The symmetric structure was spliced at apply time, so the pending
-        batches are folded in at once: the edge arrays merge batch by
-        batch, the windows of the batches' endpoint rows re-derive, and
-        one :func:`~repro.core.plan.patch_join_plan` carries the plan's
-        kept pairs through the composed splices and re-joins the union
-        of the batches' cut edges against the current windows.
+        The symmetric structure and the edge list were spliced at commit
+        time, so the queued batches fold in at once: the windows of the
+        batches' endpoint rows re-derive, and one
+        :func:`~repro.core.plan.patch_join_plan` carries the plan's kept
+        pairs through the composed edge splices (counted from the plan's
+        ``num_edges``) and symmetric splices, and re-joins the union of
+        the batches' cut edges against the current windows.
 
         Callers hold ``self._lock``.  Any patching failure falls back to
-        dropping the caches (they are rebuildable from the symmetric
-        structure), never to an inconsistent session — patching is an
-        optimisation, not a source of truth.
+        dropping the windows and the plan (they are rebuildable from the
+        symmetric structure), never to an inconsistent session —
+        patching is an optimisation, not a source of truth.
         """
         if not self._pending_patches:
             return
         pending, self._pending_patches = self._pending_patches, []
-        self._pending_edges = 0
-        if self._oriented is None or self._edge_arrays is None:
-            return
         try:
-            sources, destinations = self._edge_arrays
-            splices = []
-            for delta_edges, insert, _ in pending:
-                sources, destinations, splice = joinplan.merge_oriented_edges(
-                    sources, destinations, delta_edges, self._num_vertices, insert
-                )
-                splices.append(splice)
             delta_edges = np.concatenate([batch[0] for batch in pending])
             # Rows whose symmetric slice set changed.
             changed = np.concatenate(
@@ -1742,30 +1696,55 @@ class TCIMSession:
             u, v = delta_edges[:, 0], delta_edges[:, 1]
             diagonal = u // self.config.slice_bits == v // self.config.slice_bits
             moved = tuple(ends[diagonal | np.isin(ends, changed)] for ends in (u, v))
-            if self._join_plan is not None:
+            plan = self._join_plan
+            if plan is not None:
                 self._join_plan = joinplan.patch_join_plan(
-                    self._join_plan,
+                    plan,
                     *self._oriented,
-                    sources,
-                    destinations,
-                    incremental.compose_deltas(self._edge_arrays[0].size, splices),
+                    *self._edge_arrays,
                     incremental.compose_deltas(
-                        self._join_plan.payload_rows, [batch[2] for batch in pending]
+                        plan.num_edges, [batch[1] for batch in pending]
+                    ),
+                    incremental.compose_deltas(
+                        plan.payload_rows, [batch[2] for batch in pending]
                     ),
                     moved=moved,
                     store=self._store,
                 )
-            self._edge_arrays = (sources, destinations)
         except Exception:
             self._fallbacks["flush_patch_error"] += 1
-            self._drop_structural_caches()
+            self._drop_structures()
 
-    def _drop_structural_caches(self) -> None:
+    def _drop_unread(self) -> None:
+        """The lifecycle rule of derived state, run as :meth:`apply` starts.
+
+        Callers hold ``self._lock``.  The windows and the count plan stay
+        only if a read folded the batches the previous call queued (or it
+        queued none); the workload cache only if :meth:`support`,
+        :meth:`clustering` or :meth:`truss` ran since that call; the edge
+        list only while either stays.  The rest is dropped for a lazy
+        rebuild from the symmetric structure, so the pending queue never
+        holds more than one call's batches.
+        """
+        if self._pending_patches:
+            self._drop_structures()
+        if not self._workload_read:
+            self._workload_cache.clear()
+        self._workload_read = False
+        if self._oriented is None and not self._workload_cache:
+            self._edge_arrays = None
+
+    def _drop_structures(self) -> None:
+        """Drop the windows and the count plan with their queued batches."""
         self._oriented = None
-        self._edge_arrays = None
         self._join_plan = None
         self._pending_patches.clear()
-        self._pending_edges = 0
+
+    def _drop_derived(self) -> None:
+        """Drop everything derived from the symmetric structure."""
+        self._drop_structures()
+        self._edge_arrays = None
+        self._workload_cache.clear()
 
     def _invalidate(self) -> None:
         """Drop every cache derived from the current graph (see ``close``).
@@ -1776,12 +1755,11 @@ class TCIMSession:
         Callers hold ``self._lock``.
         """
         self._generation += 1
-        self._drop_structural_caches()
+        self._drop_derived()
         self._slice_stats = None
         self._run = None
         self._report = None
         self._baseline_cache.clear()
-        self._workload_cache.clear()
 
 
 def _both_directions(delta_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -516,7 +516,6 @@ class TCIMAccelerator:
             None,
             row_sliced,
             col_sliced,
-            "upper",
             column_capacity,
             policy=self.config.policy,
             seed=self.config.seed,

@@ -397,7 +397,6 @@ def execute_batched(
     graph: Graph | None,
     row_sliced: SlicedMatrix,
     col_sliced: SlicedMatrix,
-    orientation: str,
     column_capacity: int,
     policy,
     seed: int,
@@ -410,7 +409,8 @@ def execute_batched(
 
     Returns ``(accumulator, event_fields, cache_stats)`` where
     ``accumulator`` is the raw popcount sum (six times the triangle count
-    over the symmetric orientation) and ``event_fields`` holds every
+    over a symmetric edge list joined with itself) and ``event_fields``
+    holds every
     :class:`EventCounts` field.  Kept free of an ``EventCounts`` import so
     :mod:`repro.core.accelerator` can import this module without a cycle.
 
@@ -420,7 +420,8 @@ def execute_batched(
     The shard pays row-slice WRITEs only for the rows it actually touches
     and runs its own private column-cache trace — exactly the behaviour of
     one sub-array of the paper's Fig. 4 organisation.  ``edges=None``
-    (the default) processes the whole oriented edge list.  ``row_writes``
+    (the default) processes the graph's whole upper-triangular edge
+    list, the one a count run walks.  ``row_writes``
     optionally passes the shard's precomputed row-slice WRITE count
     (callers like the orchestrator already hold the touched-row slice
     counts); ignored without ``edges``.  With ``edges`` given, ``graph``
@@ -450,7 +451,6 @@ def execute_batched(
         graph,
         row_sliced,
         col_sliced,
-        orientation,
         column_capacity,
         policy,
         seed,

@@ -198,7 +198,9 @@ def compose_deltas(size: int, deltas) -> StructureDelta:
     coordinates left after the removals), which is how
     :func:`repro.core.plan.patch_join_plan` reads a delta that holds
     both.  A position inserted by one delta and removed by a later one
-    appears in neither list.
+    appears in neither list.  A session composes the batches of one
+    ``apply()`` call (its delete and insert batches, or ``record=True``'s
+    per-op batches): the next call drops what no read folded.
     """
     deltas = list(deltas)
     if len(deltas) == 1:
@@ -457,7 +459,6 @@ def symmetric_delta(
                 shard_sources,
                 shard_destinations,
                 per_array_capacity,
-                "symmetric",
                 config.policy,
                 config.seed,
                 owner="incremental batch",

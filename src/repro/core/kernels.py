@@ -254,7 +254,6 @@ def execute_workload(
     graph: Graph | None,
     row_sliced,
     col_sliced,
-    orientation: str,
     column_capacity: int,
     policy,
     seed: int,
@@ -277,27 +276,18 @@ def execute_workload(
     sides a run without ``plan`` compiles a transient one, so their
     diagonal slices are masked on the one planned path.
     """
-    if orientation not in ("upper", "symmetric"):
-        raise ArchitectureError(
-            f"orientation must be 'upper' or 'symmetric', got {orientation!r}"
-        )
     if batch_candidates < 1:
         batch_candidates = 1
     if plan is not None:
         if edges is None and graph is not None:
-            # The oriented edge count is known without materialising the
-            # list; a plan compiled for a different edge list must not be
-            # trusted for its event accounting (mirrors the sharded
+            # The edge count is known without materialising the list; a
+            # plan compiled for a different edge list must not be trusted
+            # for its event accounting (mirrors the sharded
             # orchestrator's check).
-            expected = (
-                graph.num_edges
-                if orientation == "upper"
-                else 2 * graph.num_edges
-            )
-            if plan.num_edges != expected:
+            if plan.num_edges != graph.num_edges:
                 raise ArchitectureError(
                     f"join plan covers {plan.num_edges} edges but the "
-                    f"oriented graph has {expected}; compile a plan for "
+                    f"graph has {graph.num_edges}; compile a plan for "
                     "this edge list"
                 )
         return _execute_planned(
@@ -305,7 +295,7 @@ def execute_workload(
             plan, edges=edges, row_writes=row_writes,
         )
     if edges is None:
-        sources, destinations = engine.oriented_edges(graph, orientation)
+        sources, destinations = engine.oriented_edges(graph, "upper")
         # Rows without successors carry no valid slices, so the per-row sum
         # of the reference loop equals the total valid-slice count.
         row_writes = row_sliced.num_valid_slices

@@ -39,8 +39,8 @@ recompiling the whole thing.  Its cost is a re-join of the *cut* edges
 only — the delta edges and the edges whose source row or destination
 column changed its valid-slice set — plus one copy pass over the
 surviving pairs, block by block between cuts, with no per-pair search;
-several committed batches fold in with one patch, through one composed
-delta (:func:`repro.core.incremental.compose_deltas`).
+the batches of one session ``apply()`` call fold in with one patch,
+through one composed delta (:func:`repro.core.incremental.compose_deltas`).
 ``tests/test_plan.py`` asserts a patched plan is array-equal to a
 from-scratch rebuild after every operation of randomized insert/delete
 streams.
@@ -397,8 +397,10 @@ def merge_oriented_edges(
     edge list.
 
     ``insert=True`` merges the delta edges in (they must be absent);
-    ``insert=False`` removes them (they must be present) — the session
-    filters no-ops before calling, exactly as for the slice maintenance.
+    ``insert=False`` removes them (they must be present), and either
+    raises otherwise — the session filters no-ops before calling, as for
+    the slice maintenance, and splices its one edge list this way as
+    each batch commits.
     Preserves the reference iteration order (lexicographic by source, then
     destination).
 

@@ -292,7 +292,6 @@ def run_shard(
     sources: np.ndarray,
     destinations: np.ndarray,
     per_array_capacity: int,
-    orientation: str,
     policy,
     seed: int,
     *,
@@ -320,7 +319,6 @@ def run_shard(
         None,
         row_sliced,
         col_sliced,
-        orientation,
         column_capacity,
         policy,
         seed,

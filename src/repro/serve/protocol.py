@@ -137,19 +137,37 @@ async def _op_apply(service, graph, config, request):
     ops = request.get("ops")
     if not isinstance(ops, list):
         raise ValueError("op 'apply' needs an 'ops' list of [op, u, v] triples")
+    record = request.get("record", False)
+    if not isinstance(record, bool):
+        raise ValueError(f"op 'apply': 'record' must be a boolean, got {record!r}")
+    # Checked whole before the service sees the call, so a malformed op
+    # is never coerced (1.7 -> 1, "3" -> 3, "+09" -> ("+", "0", "9")).
+    for index, op in enumerate(ops):
+        if not (isinstance(op, list) and len(op) == 3):
+            raise ValueError(
+                f"op 'apply': ops[{index}] must be an [op, u, v] array, got {op!r}"
+            )
+        if not isinstance(op[0], str):
+            raise ValueError(f"op 'apply': ops[{index}] field 'op' must be a string")
+        for name, value in zip(("u", "v"), op[1:]):
+            _check_int(value, f"op 'apply': ops[{index}] field {name!r}")
     report = await service.apply(
-        graph, [tuple(op) for op in ops], config,
-        record=bool(request.get("record", False)),
+        graph, [tuple(op) for op in ops], config, record=record
     )
     return report.to_mapping()
+
+
+def _check_int(value, what: str) -> None:
+    """Reject anything but a JSON integer (``true`` / ``false`` included)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _optional_int(request: dict, op: str, name: str):
     value = request.get(name)
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"op {op!r}: {name!r} must be an integer")
+    _check_int(value, f"op {op!r}: {name!r}")
     return value
 
 

@@ -62,7 +62,7 @@ def execute_coloring(graph, config) -> list[ShardResult]:
             )
             lane_src = sources[pivots]
             outcome = execute_workload(
-                CountKernel(), None, row, col, "upper", column_cache,
+                CountKernel(), None, row, col, column_cache,
                 config.policy, config.seed,
                 edges=(lane_src, destinations[pivots]),
                 row_writes=int(row.row_slice_ranges(np.unique(lane_src))[1].sum()),

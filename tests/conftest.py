@@ -9,6 +9,16 @@ from repro.graph import generators
 from repro.graph.graph import Graph
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--state-machine-budget",
+        type=int,
+        default=1,
+        help="run N times the session state machine's example budget "
+        "(tests/test_session_state.py; CI's long run uses 10)",
+    )
+
+
 @pytest.fixture
 def paper_graph() -> Graph:
     """The 4-vertex, 5-edge, 2-triangle graph of the paper's Fig. 2."""

@@ -110,10 +110,10 @@ class TestDifferentialJoinPaths:
         row_sliced = SlicedMatrix.from_graph(graph, "upper")
         col_sliced = SlicedMatrix.from_graph(graph, "lower")
         reference = engine.execute_batched(
-            graph, row_sliced, col_sliced, "upper", 1 << 16, "lru", 0
+            graph, row_sliced, col_sliced, 1 << 16, "lru", 0
         )
         tiny = engine.execute_batched(
-            graph, row_sliced, col_sliced, "upper", 1 << 16, "lru", 0,
+            graph, row_sliced, col_sliced, 1 << 16, "lru", 0,
             batch_candidates=3,
         )
         assert tiny[0] == reference[0]
@@ -140,7 +140,7 @@ class TestEngineEdgeCases:
         row_sliced = SlicedMatrix.from_graph(graph, "upper")
         col_sliced = SlicedMatrix.from_graph(graph, "lower")
         accumulator, fields, cache_stats = engine.execute_batched(
-            graph, row_sliced, col_sliced, "upper", 16, "lru", 0
+            graph, row_sliced, col_sliced, 16, "lru", 0
         )
         assert accumulator == 0
         assert fields["edges_processed"] == 0
@@ -153,7 +153,7 @@ class TestEngineEdgeCases:
         row_sliced = SlicedMatrix.from_graph(graph, "upper")
         col_sliced = SlicedMatrix.from_graph(graph, "lower")
         accumulator, fields, _ = engine.execute_batched(
-            graph, row_sliced, col_sliced, "upper", 16, "lru", 0
+            graph, row_sliced, col_sliced, 16, "lru", 0
         )
         assert accumulator == 0
         assert fields["dense_pair_operations"] == 0
@@ -171,7 +171,7 @@ class TestEngineEdgeCases:
         row_sliced = SlicedMatrix.from_graph(graph, "upper", slice_bits=8)
         col_sliced = SlicedMatrix.from_graph(graph, "lower", slice_bits=8)
         accumulator, fields, cache_stats = engine.execute_batched(
-            graph, row_sliced, col_sliced, "upper", 16, "lru", 0
+            graph, row_sliced, col_sliced, 16, "lru", 0
         )
         assert accumulator == 0
         assert fields["and_operations"] == 0
@@ -207,14 +207,14 @@ class TestEngineEdgeCases:
         sources, destinations = engine.oriented_edges(graph, "upper")
         half = sources.size // 2
         full = engine.execute_batched(
-            graph, row_sliced, col_sliced, "upper", 1 << 16, "lru", 0
+            graph, row_sliced, col_sliced, 1 << 16, "lru", 0
         )
         first = engine.execute_batched(
-            graph, row_sliced, col_sliced, "upper", 1 << 16, "lru", 0,
+            graph, row_sliced, col_sliced, 1 << 16, "lru", 0,
             edges=(sources[:half], destinations[:half]),
         )
         second = engine.execute_batched(
-            graph, row_sliced, col_sliced, "upper", 1 << 16, "lru", 0,
+            graph, row_sliced, col_sliced, 1 << 16, "lru", 0,
             edges=(sources[half:], destinations[half:]),
         )
         assert first[0] + second[0] == full[0]
@@ -224,17 +224,19 @@ class TestEngineEdgeCases:
         )
         assert first[1]["edges_processed"] == half
 
-    def test_shard_edges_rejects_bad_orientation(self):
-        from repro.errors import ArchitectureError
-
+    def test_graph_run_reads_the_upper_edge_list(self):
+        # Without ``edges`` a run walks the graph's upper-triangular edge
+        # list, the one a count run uses.
         graph = generators.complete_graph(5)
         row_sliced = SlicedMatrix.from_graph(graph, "upper")
         col_sliced = SlicedMatrix.from_graph(graph, "lower")
-        with pytest.raises(ArchitectureError, match="orientation"):
-            engine.execute_batched(
-                graph, row_sliced, col_sliced, "lower", 16, "lru", 0,
-                edges=(np.array([0]), np.array([1])),
-            )
+        whole = engine.execute_batched(graph, row_sliced, col_sliced, 16, "lru", 0)
+        listed = engine.execute_batched(
+            None, row_sliced, col_sliced, 16, "lru", 0,
+            edges=engine.oriented_edges(graph, "upper"),
+        )
+        assert whole == listed
+        assert whole[0] == 10 and whole[1]["edges_processed"] == 10
 
 
 class TestEngineConfig:
@@ -260,7 +262,7 @@ class TestEngineConfig:
         row_sliced = SlicedMatrix.from_graph(graph, "upper")
         col_sliced = SlicedMatrix.from_graph(graph, "lower")
         accumulator, fields, cache_stats = engine.execute_batched(
-            graph, row_sliced, col_sliced, "upper",
+            graph, row_sliced, col_sliced,
             result.column_cache_slices, "lru", 0,
         )
         assert result.triangles == accumulator

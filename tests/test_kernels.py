@@ -35,7 +35,6 @@ def _run(kernel, graph, plan=None, capacity=1 << 16):
         None,
         sym,
         sym,
-        "symmetric",
         capacity,
         "lru",
         0,
@@ -71,10 +70,10 @@ class TestCountKernel:
             row = SlicedMatrix.from_graph(graph, "upper")
             col = SlicedMatrix.from_graph(graph, "lower")
             accumulator, events, cache = engine.execute_batched(
-                graph, row, col, "upper", 1 << 16, "lru", 0
+                graph, row, col, 1 << 16, "lru", 0
             )
             result = execute_workload(
-                CountKernel(), graph, row, col, "upper", 1 << 16, "lru", 0
+                CountKernel(), graph, row, col, 1 << 16, "lru", 0
             )
             assert result.value == result.accumulator == accumulator
             assert result.events == events
@@ -131,7 +130,6 @@ class TestEdgeSupportKernel:
             None,
             sym,
             sym,
-            "symmetric",
             1 << 16,
             "lru",
             0,
@@ -141,20 +139,27 @@ class TestEdgeSupportKernel:
 
 
 class TestValidation:
-    def test_bad_orientation(self, paper_graph):
-        sym, sources, destinations = _sym_setup(paper_graph)
-        with pytest.raises(ArchitectureError, match="orientation"):
-            execute_workload(
-                CountKernel(), None, sym, sym, "lower", 8, "lru", 0,
-                edges=(sources, destinations),
-            )
+    def test_graph_run_reads_the_upper_edge_list(self, paper_graph):
+        # Without ``edges`` a run walks the graph's upper-triangular edge
+        # list: one value per edge, summing to the triangle count.
+        row = SlicedMatrix.from_graph(paper_graph, "upper")
+        col = SlicedMatrix.from_graph(paper_graph, "lower")
+        whole = execute_workload(
+            EdgeSupportKernel(), paper_graph, row, col, 8, "lru", 0
+        )
+        listed = execute_workload(
+            EdgeSupportKernel(), None, row, col, 8, "lru", 0,
+            edges=engine.oriented_edges(paper_graph, "upper"),
+        )
+        assert whole.value.tolist() == listed.value.tolist()
+        assert whole.value.size == paper_graph.num_edges and whole.value.sum() == 2
 
     def test_plan_edge_count_mismatch(self, paper_graph):
         sym, sources, destinations = _sym_setup(paper_graph)
         plan = build_join_plan(sym, sym, sources, destinations)
         with pytest.raises(ArchitectureError, match="compile a plan"):
             execute_workload(
-                EdgeSupportKernel(), None, sym, sym, "symmetric", 8, "lru", 0,
+                EdgeSupportKernel(), None, sym, sym, 8, "lru", 0,
                 edges=(sources[:2], destinations[:2]), plan=plan,
             )
 
@@ -172,6 +177,6 @@ class TestValidation:
         assert delta.changed
         with pytest.raises(ArchitectureError, match="stale join plan"):
             execute_workload(
-                EdgeSupportKernel(), None, sym, sym, "symmetric", 4096,
+                EdgeSupportKernel(), None, sym, sym, 4096,
                 "lru", 0, edges=(sources, destinations), plan=plan,
             )

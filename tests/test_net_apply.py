@@ -81,13 +81,16 @@ def test_net_effect_matches_oracle_and_record_twin(backing, calls):
                 assert twin.has_edge(u, v) == oracle.has_edge(u, v)
             if backing == "memmap":
                 _assert_spilled(session)
+            # A read folds each call's batches into the windows and the
+            # plan, so the next call keeps them and queues its own.
+            session.join_plan
         expected = oracle.to_graph()
         assert np.array_equal(session.graph.edge_array(), expected.edge_array())
         assert np.array_equal(twin.graph.edge_array(), expected.edge_array())
         _assert_same_structure(
             session._sym(), SlicedMatrix.from_graph(expected, "symmetric")
         )
-        # Reading the plan folds the deferred window and plan patches in.
+        # The windows and the plan, patched call by call, equal rebuilds.
         plan = session.join_plan
         for window, kind in zip(session._oriented, ("upper", "lower")):
             fresh = SlicedMatrix.from_graph(expected, kind)

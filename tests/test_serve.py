@@ -500,6 +500,48 @@ class TestProtocol:
 
         run(main())
 
+    @pytest.mark.parametrize(
+        ("fields", "named"),
+        [
+            ({"record": "false"}, "'record'"),
+            ({"record": {"a": 1}}, "'record'"),
+            ({"ops": [["+", 0, 3], ["+", 1.7, 150.2]]}, "ops[1] field 'u'"),
+            ({"ops": [["+", True, 3]]}, "ops[0] field 'u'"),
+            ({"ops": [["+", 0, 3], ["+", "3", "160"]]}, "ops[1] field 'u'"),
+            ({"ops": [["+", 0, 3], ["+", 1, False]]}, "ops[1] field 'v'"),
+            ({"ops": ["+09"]}, "ops[0]"),
+            ({"ops": [[1, 0, 3]]}, "ops[0] field 'op'"),
+            ({"ops": [["+", 0]]}, "ops[0]"),
+        ],
+        ids=[
+            "record-string", "record-object", "float-vertex", "bool-vertex",
+            "string-vertex", "bool-target", "string-op", "numeric-code",
+            "short-op",
+        ],
+    )
+    def test_malformed_apply_is_rejected_whole(
+        self, tmp_path, paper_graph, fields, named
+    ):
+        spec = self._spec(tmp_path, paper_graph)
+
+        async def main():
+            async with open_service(max_sessions=2) as service:
+                await handle_request(service, {"id": 1, "op": "count", "graph": spec})
+                entry = service.pool.entries()[0]
+                generation = entry.session.generation
+                request = {"id": 2, "op": "apply", "graph": spec,
+                           "ops": [["+", 0, 3]], **fields}
+                reply = await handle_request(service, request)
+                assert not reply["ok"] and reply["id"] == 2
+                assert named in reply["error"]
+                assert entry.session.generation == generation
+                count = await handle_request(
+                    service, {"id": 3, "op": "count", "graph": spec}
+                )
+                assert count["result"] == {"triangles": 2}
+
+        run(main())
+
     def test_serve_stream_round_trip(self, tmp_path, paper_graph):
         spec = self._spec(tmp_path, paper_graph)
         requests = [

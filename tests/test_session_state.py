@@ -5,10 +5,11 @@ calls (net batches and ``record=True`` streams, several between reads,
 with edges inside one diagonal slice, and whole-triangle inserts and
 triangle-breaking deletes), reads (``count``, ``simulate``,
 ``slice_stats``, ``support``, ``truss``, ``truss(k)``, ``clustering``,
-``pair_scores``) and snapshot round trips, under drawn configurations:
-8- and 64-bit slices, four coloring-shard arrays, a memmap store with a
-tiny spill threshold, and an array small enough that delta joins at a
-hub raise capacity errors.
+``pair_scores``, top-k ``common_neighbors``) and snapshot round trips,
+under drawn configurations: 8- and 64-bit slices, four coloring-shard
+arrays, four row-partitioned arrays, a memmap store with a tiny spill
+threshold, and an array small enough that delta joins at a hub raise
+capacity errors.
 
 Every read is checked against oracles that share no state with the
 session: :class:`~repro.core.dynamic.DynamicTriangleCounter` for the
@@ -16,12 +17,16 @@ count, :func:`~repro.analysis.truss.edge_support` for supports,
 :func:`~repro.analysis.truss.truss_decomposition` and
 :func:`~repro.analysis.truss.k_truss` for trussness,
 :mod:`repro.analysis.metrics` for clustering, the oracle graph's
-neighbour sets for common-neighbour scores, and a fresh session opened
-on the same edges for ``simulate()``, ``slice_stats()`` and the
-resident count plan.  A rolled-back apply must
-leave the session exact without recompiling the plan.  Applies between
-reads patch the triangle list and the trussness, so the patched paths
-run under every configuration's op streams.
+neighbour sets for common-neighbour scores and two-hop candidates, and
+a fresh session opened on the same edges for ``simulate()``,
+``slice_stats()`` and the resident count plan.  A rolled-back apply
+must leave the session exact without recompiling a plan it kept.
+Applies between reads patch the triangle list and the trussness, so the
+patched paths run under every configuration's op streams.
+
+Tier-1 runs 20 examples of 15 steps per configuration;
+``--state-machine-budget N`` (``tests/conftest.py``) runs N times as
+many examples.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ CONFIGS = {
     # so a delta join at the hub raises while full upper runs fit.
     "upper-bits8-capacity": {"slice_bits": 8, "array_bytes": 5},
     "coloring-arrays4-bits8": {"slice_bits": 8, "num_arrays": 4, "shard_by": "coloring"},
+    "rows-arrays4-bits8": {"slice_bits": 8, "num_arrays": 4, "shard_by": "rows"},
 }
 
 PAIRS = [(u, v) for u in range(NUM_VERTICES) for v in range(u + 1, NUM_VERTICES)]
@@ -135,7 +141,11 @@ class SessionMachine(RuleBasedStateMachine):
 
     def _apply(self, ops, record: bool) -> None:
         self.session.count()  # the apply path's bootstrap run, if any
-        plan_before = self.session._join_plan
+        # The plan the apply keeps: none while no read folded the
+        # previous call's batches, which the apply then drops.
+        plan_before = (
+            None if self.session._pending_patches else self.session._join_plan
+        )
         compiles = self.compiles
         fallbacks = dict(self.session.fallback_counts)
         try:
@@ -144,7 +154,7 @@ class SessionMachine(RuleBasedStateMachine):
             assert "row region" in str(error)
             self.oracle.apply_ops(error.applied_operations)
             # The failing batch rolled back: the session is exact, and
-            # its plan is patched, not recompiled.
+            # a plan it kept is patched, not recompiled.
             assert self.session.count() == self.oracle.triangles
             assert self.session.num_edges == self.oracle.num_edges
             plan = self.session.join_plan
@@ -282,6 +292,19 @@ class SessionMachine(RuleBasedStateMachine):
             return
         assert scores.tolist() == [len(neighbors[u] & neighbors[v]) for u, v in pairs]
 
+    @rule(u=st.integers(0, NUM_VERTICES - 1), k=st.integers(1, 6))
+    def common_neighbors_top_k(self, u, k):
+        graph = self._graph()
+        neighbors = [set(graph.neighbors(w).tolist()) for w in range(NUM_VERTICES)]
+        candidates = set().union(*(neighbors[w] for w in neighbors[u])) - neighbors[u]
+        scores = [(w, len(neighbors[u] & neighbors[w])) for w in candidates - {u}]
+        try:
+            top = self.session.common_neighbors(u, k=k)
+        except ArchitectureError as error:
+            assert "row region" in str(error) and "array_bytes" in self.config
+            return
+        assert top == sorted(scores, key=lambda item: (-item[1], item[0]))[:k]
+
     @rule()
     def clustering(self):
         graph = self._graph()
@@ -312,14 +335,14 @@ class SessionMachine(RuleBasedStateMachine):
 
 
 @pytest.mark.parametrize("config_id", list(CONFIGS))
-def test_session_matches_oracles(config_id):
+def test_session_matches_oracles(config_id, request):
     machine = type(f"SessionMachine[{config_id}]", (SessionMachine,), {
         "CONFIG": CONFIGS[config_id],
     })
     run_state_machine_as_test(
         machine,
         settings=settings(
-            max_examples=20,
+            max_examples=20 * request.config.getoption("--state-machine-budget"),
             stateful_step_count=15,
             deadline=None,
             suppress_health_check=[HealthCheck.too_slow],

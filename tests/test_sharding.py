@@ -331,7 +331,7 @@ class TestPricingMatchesExecution:
             expected = [
                 run_shard(
                     shard_id, row, col, sources[positions], destinations[positions],
-                    per_array, "upper", config.policy, config.seed,
+                    per_array, config.policy, config.seed,
                 )
                 for shard_id, positions in enumerate(plan.assignments)
             ]

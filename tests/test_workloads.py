@@ -130,7 +130,7 @@ class TestSupport:
             assert session.support() is first
             session.apply([("-", 0, 1)])
             # The apply patched the triangle list and dropped the map.
-            assert set(session._workload_cache) == {"forward", "triangles"}
+            assert set(session._workload_cache) == {"triangles"}
             second = session.support()
             assert second is not first
             assert second == edge_support(session.graph)
@@ -663,8 +663,8 @@ def stream_ops(kind: str, session: TCIMSession, rng: np.random.Generator) -> lis
 
 
 class TestPatchedWorkloads:
-    """A reader's apply patches the triangle list, its forward edges and
-    the trussness instead of dropping them: every patched generation
+    """A reader's apply patches the triangle list, its tallies and the
+    trussness instead of dropping them: every patched generation
     equals a from-scratch witness pass, a full peel, a fresh session and
     the oracles."""
 
@@ -680,9 +680,7 @@ class TestPatchedWorkloads:
             for kind in self.STREAM:
                 session.apply(stream_ops(kind, session, rng), record=kind == "record")
                 cache = session._workload_cache
-                assert {"forward", "triangles", "tallies", "degrees", "truss"} <= set(
-                    cache
-                ), kind
+                assert {"triangles", "tallies", "degrees", "truss"} <= set(cache), kind
                 mutated = session.graph
                 scratch = kernels.triangle_witnesses(
                     *count_structures(mutated)
