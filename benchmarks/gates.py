@@ -7,8 +7,8 @@ A gate is a function with no arguments that returns ``(checks, metrics)``:
 * ``metrics`` — what the gate records for ``BENCH_engine.json``, as
   nested dicts merged into the payload.  Quantities with a schema-10 key
   fill that key (``engine``, ``streaming``, ``workloads``, ``serving``,
-  ``storage``, ``parallelism``); quantities with none sit under
-  ``gates.<gate>``.
+  ``storage``, ``parallelism``, and since schema 14 ``code``); quantities
+  with none sit under ``gates.<gate>``.
 
 Thresholds are the module constants below; nothing is read from argv.
 Every speed-up gate compares against a baseline measured in the same
@@ -50,7 +50,6 @@ from repro.core.accelerator import AcceleratorConfig, EventCounts, TCIMAccelerat
 from repro.core.dynamic import DynamicTriangleCounter
 from repro.core.engine import oriented_edges
 from repro.core.plan import build_join_plan, merge_oriented_edges, patch_join_plan
-from repro.core.sharding import plan_shards
 from repro.core.slicing import SlicedMatrix, SliceWindow
 from repro.errors import ReproError
 from repro.graph import generators
@@ -1612,8 +1611,9 @@ def parallelism():
 
     Records only.  Multi-array runs are priced from the count plan
     in-process, so each row times, for one fleet width, the resident
-    re-sweep a ``simulate()`` runs (structures, join plan and shard plan
-    built once beforehand) under degree-LPT and under coloring, next to
+    re-sweep a ``simulate()`` runs (structures and join plan built once
+    beforehand; the partition is computed per run, as a session's
+    ``simulate()`` does) under degree-LPT and under coloring, next to
     the single-array resident sweep, which gives the same count (best of
     5 each).  The coloring shard count and balance come from the run's
     notes.  The ``modelled_*`` columns are the architecture model's
@@ -1647,12 +1647,8 @@ def parallelism():
         degree = TCIMAccelerator(
             AcceleratorConfig(num_arrays=num_arrays, shard_by="degree")
         )
-        shard_plan = plan_shards(graph, num_arrays, "degree", sources=edge_arrays[0])
         degree_s, degree_run = best_of(
-            5,
-            lambda: degree.run(
-                graph, **resident, plan=shard_plan, join_plan=join_plan
-            ),
+            5, lambda: degree.run(graph, **resident, join_plan=join_plan)
         )
         coloring = TCIMAccelerator(
             AcceleratorConfig(num_arrays=num_arrays, shard_by="coloring")
@@ -1688,6 +1684,28 @@ def parallelism():
     return [], recorded
 
 
+# ----------------------------------------------------------------------
+# code
+# ----------------------------------------------------------------------
+def code():
+    """Lines of Python in ``src/`` and ``benchmarks/``, as ``wc -l`` counts.
+
+    Records only: the size of the library and of its gates, tracked like
+    any other metric so that a change which deletes a path shows it.
+    """
+
+    def lines(root: Path) -> int:
+        return sum(path.read_bytes().count(b"\n") for path in root.rglob("*.py"))
+
+    recorded = {
+        "code": {
+            "src_lines": lines(SRC_DIR),
+            "benchmarks_lines": lines(Path(__file__).resolve().parent),
+        }
+    }
+    return [], recorded
+
+
 #: Every gate, in run order.
 GATES = (
     engine,
@@ -1699,4 +1717,5 @@ GATES = (
     storage,
     serving,
     parallelism,
+    code,
 )

@@ -18,9 +18,11 @@ with the same probes served one in flight.  Schema 13 renames the
 ``plan`` gate's ``engine.sym_plan_patch_s`` / ``sym_plan_rebuild_s`` to
 ``plan_patch_s`` / ``plan_rebuild_s``: the patch it times is now the
 windows count plan a session patches, not a plan joining the symmetric
-structure with itself.  The ``modelled`` entries are the
-architecture model's pricing of the measured quantities; they are never
-mixed with host wall time.
+structure with itself.  Schema 14 adds the ``code`` gate's
+``code.src_lines`` and ``code.benchmarks_lines``: the ``wc -l`` totals of
+the ``*.py`` files under ``src/`` and ``benchmarks/``.  The ``modelled``
+entries are the architecture model's pricing of the measured quantities;
+they are never mixed with host wall time.
 
 Usage (no options; to run one gate, call its function in ``gates``)::
 
@@ -46,7 +48,7 @@ from repro.analysis.reporting import Table
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_engine.json"
 VERDICTS = Path(__file__).resolve().parent / "results" / "gates.txt"
-SCHEMA = 13
+SCHEMA = 14
 
 
 def _merge(into: dict, values: dict) -> None:

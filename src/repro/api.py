@@ -924,8 +924,8 @@ class TCIMSession:
         * ``common_neighbors(u, k=10)`` → the top-``k`` of those, best
           score first (ties broken by ascending vertex).
 
-        Scores run through
-        :class:`~repro.core.kernels.EdgeSupportKernel`: the candidate
+        Scores are per-edge popcount sums of
+        :func:`~repro.core.kernels.execute_workload`: the candidate
         pairs are an ad-hoc edge list joined against the resident
         symmetric structure.
         """
@@ -956,7 +956,7 @@ class TCIMSession:
         ``pairs`` is an iterable of ``(u, v)`` vertex pairs; the return
         value is their scores ``|N(u) ∩ N(v)|`` in input order.  The
         whole batch joins against the resident symmetric structure in
-        a single :class:`~repro.core.kernels.EdgeSupportKernel` pass, so
+        a single :func:`~repro.core.kernels.execute_workload` pass, so
         a link-prediction sweep pays one kernel run instead of one per
         probe.  Value-identical to calling :meth:`common_neighbors` per
         pair; :meth:`pair_scores` takes the probes as two arrays.
@@ -970,7 +970,7 @@ class TCIMSession:
 
         The array form of :meth:`common_neighbors_many`: two equal-length
         1-D vertex arrays in, the int64 scores ``|N(u) ∩ N(v)|`` out, in
-        one :class:`~repro.core.kernels.EdgeSupportKernel` pass.  Raises
+        one :func:`~repro.core.kernels.execute_workload` pass.  Raises
         :class:`~repro.errors.GraphError` on arrays of other shapes and on
         an out-of-range vertex (the first one in probe order, as
         :meth:`parse_pairs` reports it).  The serving tier's probe batch
@@ -1542,17 +1542,17 @@ class TCIMSession:
             self.config.capacity_slices, touched_counts
         )
         result = kernels.execute_workload(
-            kernels.EdgeSupportKernel(),
-            None,
             sym,
             sym,
+            sources,
+            destinations,
             column_capacity,
             self.config.policy,
             self.config.seed,
-            edges=(sources, destinations),
             row_writes=int(touched_counts.sum()),
+            per_edge=True,
         )
-        return result.value
+        return result.per_edge
 
     def _candidate_scores(self, u: int) -> list[tuple[int, int]]:
         """Two-hop common-neighbor candidates of ``u`` with scores.

@@ -992,7 +992,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ReproError as error:
+    except (ReproError, OSError) as error:
+        # An OSError names its path: "[Errno 2] No such file ...: 'g.txt'".
         print(f"error: {error}", file=sys.stderr)
         return 1
 

@@ -32,13 +32,12 @@ from repro.core.plan import JoinPlan, build_join_plan, patch_join_plan
 from repro.core.sharding import (
     PARTITIONERS,
     POSITION_PARTITIONERS,
-    ShardPlan,
     ShardResult,
     assign_colors,
     color_triples,
     min_colors,
     num_color_shards,
-    plan_shards,
+    position_shards,
     price_partition,
 )
 from repro.core.slicing import SlicedMatrix, SliceStatistics, slice_statistics
@@ -55,13 +54,12 @@ __all__ = [
     "symmetric_delta",
     "PARTITIONERS",
     "POSITION_PARTITIONERS",
-    "ShardPlan",
     "ShardResult",
     "assign_colors",
     "color_triples",
     "min_colors",
     "num_color_shards",
-    "plan_shards",
+    "position_shards",
     "price_partition",
     "AccessTrace",
     "compare_policies",

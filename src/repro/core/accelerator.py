@@ -360,13 +360,12 @@ class TCIMAccelerator:
         row_sliced=None,
         col_sliced=None,
         edge_arrays: tuple[np.ndarray, np.ndarray] | None = None,
-        plan=None,
         join_plan=None,
     ) -> TCIMRunResult:
         """Execute Algorithm 1 on ``graph`` and collect all statistics.
 
         The keyword arguments let a caller that already holds the sliced
-        structures, the oriented edge list, or the shard plan (notably
+        structures, the oriented edge list, or the join plan (notably
         :class:`repro.api.TCIMSession`, which keeps them resident across
         queries the way the Fig. 4 controller keeps the compressed graph
         in the array) skip the rebuild; omitted structures are the upper
@@ -391,14 +390,11 @@ class TCIMAccelerator:
         bit-identical with or without it.  A plan compiled for a
         different edge count raises.
 
-        ``num_arrays > 1`` prices every partitioner from the count plan
-        (:func:`repro.core.sharding.price_partition`, compiling a
-        transient plan when ``join_plan`` is ``None``); ``plan`` passes
-        a :class:`~repro.core.sharding.ShardPlan` for the position
-        partitioners, rejected unless it matches the config.  Coloring
-        runs record their metadata (colors, shard count, partitioner
-        balance, the communication-free flag) in
-        :attr:`TCIMRunResult.notes`.
+        ``num_arrays > 1`` prices the config's partitioner from the count
+        plan (:func:`repro.core.sharding.price_partition`, compiling a
+        transient plan when ``join_plan`` is ``None``).  Coloring runs
+        record their metadata (colors, shard count, partitioner balance,
+        the communication-free flag) in :attr:`TCIMRunResult.notes`.
         """
         from repro.core.engine import oriented_edges
 
@@ -448,7 +444,7 @@ class TCIMAccelerator:
             from repro.core.sharding import min_colors, price_partition
 
             outcome = price_partition(
-                config, row_sliced, col_sliced, edge_arrays, join_plan, plan
+                config, row_sliced, col_sliced, edge_arrays, join_plan
             )
             accumulator, events, cache_stats = (
                 outcome.accumulator, outcome.events, outcome.cache_stats
@@ -502,25 +498,22 @@ class TCIMAccelerator:
         column_capacity: int,
         join_plan=None,
     ) -> tuple[int, EventCounts, CacheStatistics]:
-        """Batched numpy dataflow (see :mod:`repro.core.engine`).
-
-        The whole oriented edge list is one shard whose rows all load
-        once: rows without successors hold no valid slices, so the
-        row-slice WRITEs are the row structure's valid-slice count.
-        Windows without ``join_plan`` run on a transient plan
-        (:func:`~repro.core.kernels.execute_workload`).
+        """One :func:`~repro.core.kernels.execute_workload` call over the
+        whole oriented edge list, whose rows all load once: rows without
+        successors hold no valid slices, so the row-slice WRITEs are the
+        row structure's valid-slice count.  Windows without ``join_plan``
+        run on a transient plan.
         """
-        from repro.core.engine import execute_batched
+        from repro.core import kernels
 
-        accumulator, fields, cache_stats = execute_batched(
-            None,
+        result = kernels.execute_workload(
             row_sliced,
             col_sliced,
+            *edge_arrays,
             column_capacity,
-            policy=self.config.policy,
-            seed=self.config.seed,
-            edges=edge_arrays,
+            self.config.policy,
+            self.config.seed,
             row_writes=row_sliced.num_valid_slices,
             plan=join_plan,
         )
-        return accumulator, EventCounts(**fields), cache_stats
+        return result.accumulator, result.events, result.cache_stats

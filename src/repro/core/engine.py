@@ -33,17 +33,15 @@ side is probed, so the join direction never changes the trace.  The
 differential test-suite in ``tests/test_engine.py`` asserts all of this
 across generators, slice widths and capacity-starved caches.
 
-:func:`execute_batched` also serves as the per-array kernel of the
-sharded multi-array subsystem (:mod:`repro.core.sharding`, modelling the
-paper's Fig. 4 bank organisation): passing ``edges`` restricts the run to
-one shard's slice of the oriented edge list, with its own private column
-cache trace and a row region sized to the rows that shard touches.
+The executor itself, :func:`repro.core.kernels.execute_workload`, drives
+these steps for one edge list on one simulated array: a count run's
+whole upper-triangular list, a delta-join term, or a probe batch.
 
 Resident join plans (:mod:`repro.core.plan`) capture steps 1–2 once per
-session generation: passing ``plan=`` skips candidate expansion and the
-merge-join entirely and goes straight to gather → AND → popcount over
-the plan's matched position arrays — the repeat-query fast path the
-serving tier leans on.  The planned path is bit-identical too (same
+session generation: a run given a plan skips candidate expansion and
+the merge-join entirely and goes straight to gather → AND → popcount
+over the plan's matched position arrays — the repeat-query fast path
+the serving tier leans on.  The planned path is bit-identical too (same
 accumulator, events, and cache statistics); ``tests/test_plan.py`` holds
 the differential suite.
 """
@@ -52,7 +50,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.reuse import CacheStatistics, simulate_key_trace
 from repro.core.slicing import SlicedMatrix, expand_runs
 from repro.errors import ArchitectureError
 from repro.graph import bitops
@@ -60,7 +57,6 @@ from repro.graph.graph import Graph
 
 __all__ = [
     "conjunctions",
-    "execute_batched",
     "join_batches",
     "pair_popcount",
     "pair_popcounts",
@@ -234,8 +230,8 @@ def pair_popcounts(
     The vector-valued sibling of :func:`pair_popcount`: instead of
     accumulating one scalar over the whole position list, it returns
     ``popcount(row_data[r] & col_data[c])`` for every pair — the quantity
-    the per-edge and per-vertex workload kernels
-    (:mod:`repro.core.kernels`) reduce over edge runs.  Summing the
+    a per-edge run of :func:`repro.core.kernels.execute_workload` and the
+    multi-array pricing reduce over edge runs.  Summing the
     result equals :func:`pair_popcount` exactly; both walk the same
     chunked :func:`conjunctions`.
     """
@@ -391,82 +387,3 @@ def _referenced_keys(build, rows, key_dtype) -> tuple[np.ndarray, np.ndarray]:
         build.slices_per_row
     ) + build.slice_ids[positions].astype(key_dtype, copy=False)
     return keys, positions
-
-
-def execute_batched(
-    graph: Graph | None,
-    row_sliced: SlicedMatrix,
-    col_sliced: SlicedMatrix,
-    column_capacity: int,
-    policy,
-    seed: int,
-    batch_candidates: int = DEFAULT_BATCH_CANDIDATES,
-    edges: tuple[np.ndarray, np.ndarray] | None = None,
-    row_writes: int | None = None,
-    plan=None,
-) -> tuple[int, dict, CacheStatistics]:
-    """Run the batched dataflow.
-
-    Returns ``(accumulator, event_fields, cache_stats)`` where
-    ``accumulator`` is the raw popcount sum (six times the triangle count
-    over a symmetric edge list joined with itself) and ``event_fields``
-    holds every
-    :class:`EventCounts` field.  Kept free of an ``EventCounts`` import so
-    :mod:`repro.core.accelerator` can import this module without a cycle.
-
-    ``edges`` restricts the run to one shard: a ``(sources, destinations)``
-    pair holding a subset of the oriented edge list *in the reference
-    iteration order* (rows ascending, successors ascending within a row).
-    The shard pays row-slice WRITEs only for the rows it actually touches
-    and runs its own private column-cache trace — exactly the behaviour of
-    one sub-array of the paper's Fig. 4 organisation.  ``edges=None``
-    (the default) processes the graph's whole upper-triangular edge
-    list, the one a count run walks.  ``row_writes``
-    optionally passes the shard's precomputed row-slice WRITE count
-    (callers like the orchestrator already hold the touched-row slice
-    counts); ignored without ``edges``.  With ``edges`` given, ``graph``
-    is never consulted and may be ``None`` (the incremental engine joins
-    delta edge lists against standalone slice structures).
-
-    ``plan`` passes a resident :class:`repro.core.plan.JoinPlan` compiled
-    against *these* slice structures (same ``structure_version``) and
-    *this* edge list: candidate expansion and the merge-join are skipped
-    entirely and the matched positions/cache trace come straight off the
-    plan.  The plan must be current — a stale one (the structures mutated
-    since compilation) raises :class:`~repro.errors.ArchitectureError`
-    rather than silently gathering the wrong slices.  Results are
-    bit-identical to the plan-free path, events and cache statistics
-    included.
-
-    Triangle counting is one instance of the gather → AND → popcount
-    family: this function is a :class:`repro.core.kernels.CountKernel`
-    delegation to :func:`repro.core.kernels.execute_workload`, which
-    runs the same dataflow for per-edge-support and per-vertex-tally
-    workloads too.
-    """
-    from repro.core import kernels  # engine → kernels is lazy (cycle)
-
-    result = kernels.execute_workload(
-        kernels.CountKernel(),
-        graph,
-        row_sliced,
-        col_sliced,
-        column_capacity,
-        policy,
-        seed,
-        batch_candidates=batch_candidates,
-        edges=edges,
-        row_writes=row_writes,
-        plan=plan,
-    )
-    return result.accumulator, result.events, result.cache_stats
-
-
-def _base_events(num_edges: int, slices_per_row: int, row_writes: int) -> dict:
-    """The per-edge event fields every execution path shares."""
-    return {
-        "row_slice_writes": row_writes,
-        "edges_processed": num_edges,
-        "index_lookups": num_edges,
-        "dense_pair_operations": num_edges * slices_per_row,
-    }

@@ -3,8 +3,9 @@
 :class:`repro.core.dynamic.DynamicTriangleCounter` maintains the count
 under edge insertions/deletions with pure-Python set intersections —
 exact, but untouched by the ~29x batched engine.  This module routes a
-*batch* of updates through :func:`repro.core.engine.execute_batched`
-itself, as a delta re-join of only the affected rows' slice pairs.
+*batch* of updates through the executor itself
+(:func:`repro.core.kernels.execute_workload`), as a delta re-join of
+only the affected rows' slice pairs.
 
 Mathematical core
 -----------------
@@ -20,7 +21,7 @@ each new triangle uses:
 * **3 delta edges** — ``tr(D^3) / 6``: for each delta edge ``{u, v}``,
   a join of two ``D`` rows (each all-new triangle is seen three times).
 
-Every term is exactly the dataflow :func:`execute_batched` implements —
+Every term is exactly the dataflow :func:`execute_workload` runs —
 ANDing valid slice pairs of a "row" structure against a "column"
 structure over an edge list and popcounting — so each term runs on the
 vectorized engine with its own event accounting, touching only the rows
@@ -33,13 +34,12 @@ Sharding
 Each term's edge list is partitioned with
 :func:`repro.core.sharding.position_shards` across ``config.num_arrays``
 simulated arrays (same partitioners, same per-array capacity split as a
-full sharded run), each shard runs through
-:func:`repro.core.sharding.run_shard`, and the per-shard
-:class:`EventCounts` deltas merge with :meth:`EventCounts.merge` —
-incremental updates get the same critical-path pricing story as full
-sharded runs.  With ``num_arrays=1`` each term is one shard over its
-whole edge list, so the results are bit-identical to the single-array
-vectorized kernel.
+full sharded run; ``"coloring"`` falls back to degree-LPT).  Each shard
+is one :func:`execute_workload` call on its own array: a row region
+sized to the rows it touches, the rest of the array's share as its
+column cache, and its own cache trace.  The per-shard
+:class:`EventCounts` merge with :meth:`EventCounts.merge`.  With
+``num_arrays=1`` each term is one call over its whole edge list.
 
 The differential oracle remains :class:`DynamicTriangleCounter`; the
 randomized op-stream suite in ``tests/test_api.py`` checks this module
@@ -52,9 +52,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.accelerator import AcceleratorConfig, EventCounts, array_share
+from repro.core import kernels
+from repro.core.accelerator import (
+    AcceleratorConfig,
+    EventCounts,
+    array_share,
+    split_capacity,
+)
 from repro.core.reuse import CacheStatistics
-from repro.core.sharding import position_shards, run_shard
+from repro.core.sharding import position_shards
 from repro.core.slicing import SlicedMatrix
 from repro.errors import ArchitectureError, GraphError
 
@@ -96,7 +102,7 @@ def canonical_delta_edges(edges, num_vertices: int) -> np.ndarray:
 
     Returns an ``(k, 2)`` int64 array with ``u < v`` per row, self-loops
     dropped, duplicates merged, sorted lexicographically (the iteration
-    order :func:`execute_batched` expects).  Raises
+    order :func:`execute_workload` expects).  Raises
     :class:`~repro.errors.GraphError` on out-of-range endpoints.
     """
     array = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
@@ -451,17 +457,20 @@ def symmetric_delta(
         else:
             shards = [(sources, destinations)]
         accumulator = 0
-        for shard_id, (shard_sources, shard_destinations) in enumerate(shards):
-            result = run_shard(
-                shard_id,
+        for shard_sources, shard_destinations in shards:
+            _, touched_counts = row_sliced.row_slice_ranges(np.unique(shard_sources))
+            _, column_capacity = split_capacity(
+                per_array_capacity, touched_counts, "incremental batch"
+            )
+            result = kernels.execute_workload(
                 row_sliced,
                 col_sliced,
                 shard_sources,
                 shard_destinations,
-                per_array_capacity,
+                column_capacity,
                 config.policy,
                 config.seed,
-                owner="incremental batch",
+                row_writes=int(touched_counts.sum()),
             )
             accumulator += result.accumulator
             events = events.merge(result.events)

@@ -1,42 +1,30 @@
-"""Generic bulk-bitwise subgraph kernels over the shared join machinery.
+"""The gather → AND → popcount executor and the triangle-witness passes.
 
-TCIM's core primitive is not "triangles" — it is bulk bitwise AND →
-popcount over sliced adjacency rows.  The journal extension of the paper
-generalises the architecture beyond triangle counting, and every kernel
-of that family consumes the *same* joined (row, col) slice-pair
-positions; only the reduction differs:
+TCIM's core primitive is bulk bitwise AND → popcount over sliced
+adjacency rows (Algorithm 1, Fig. 2).  Every workload consumes the same
+joined (row, col) slice-pair positions; only the reduction differs:
 
 * **triangle counting** sums every pair popcount into one scalar
   accumulator (the paper's pipelined bit counter);
-* **edge support** (common-neighbour scores) reduces the pair
-  popcounts *per oriented edge* — over the symmetric orientation each
-  directed edge's popcount is ``|N(u) ∩ N(v)|``;
+* **common-neighbour scores** reduce the pair popcounts *per edge*
+  (``per_edge=True``) — over the symmetric structure joined with itself
+  each directed pair's sum is ``|N(u) ∩ N(v)|``;
 * **triangle witnesses** (supports, clustering, k-truss peeling) keep
   the ANDed bits themselves: :func:`triangle_witnesses` reads each
   common neighbour off the count plan's conjunctions and names every
   triangle once by its three edge ids, and :func:`pair_witnesses` does
   the same for a few vertex pairs.
 
-:func:`execute_workload` is the one executor behind the popcount
-kernels (the witness pass shares its chunked gather → AND,
-:func:`repro.core.engine.conjunctions`): the generalisation of the
-batched triangle dataflow
-(:func:`repro.core.engine.execute_batched` now delegates here) that can
-additionally materialise per-edge popcount sums.  It shares
-:func:`repro.core.engine.join_batches` and the resident
-:class:`repro.core.plan.JoinPlan` fast path, so the compiled valid-pair
-index — and its incremental patching — serves *every* workload, not
-just triangle counts.  Events and cache statistics are identical to the
-counting path field by field: the array executes the same gathers, ANDs
-and popcounts regardless of how the host reduces them.
-
-A :class:`BitwiseKernel` is deliberately small: a flag saying whether
-per-edge popcount sums must be materialised, plus a ``finalize`` that
-turns ``(accumulator, per_edge, sources, destinations)`` into the
-workload's value.  The executor owns all the heavy machinery.  Every
-call runs one workload over one set of structures; the serving tier
-batches a session's probes into one call
-(:meth:`repro.api.TCIMSession.pair_scores`).
+:func:`execute_workload` is the one way to run the popcount dataflow:
+a count run (:meth:`repro.core.accelerator.TCIMAccelerator.run`), each
+delta-join term (:func:`repro.core.incremental.symmetric_delta`) and a
+session's probe batch (:meth:`repro.api.TCIMSession.pair_scores`) call
+it directly.  It shares :func:`repro.core.engine.join_batches` with the
+plan compiler and takes a resident :class:`repro.core.plan.JoinPlan`
+for the repeat-query fast path, so the compiled valid-pair index serves
+every workload.  Events and cache statistics do not depend on the
+reduction: the array executes the same gathers, ANDs and popcounts
+however the host reduces them.
 """
 
 from __future__ import annotations
@@ -46,15 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import engine
+from repro.core.accelerator import EventCounts
 from repro.core.reuse import CacheStatistics, simulate_key_trace
 from repro.core.slicing import SliceWindow, expand_runs
 from repro.errors import ArchitectureError
-from repro.graph.graph import Graph
 
 __all__ = [
-    "BitwiseKernel",
-    "CountKernel",
-    "EdgeSupportKernel",
     "WorkloadResult",
     "execute_workload",
     "pair_witnesses",
@@ -184,158 +169,91 @@ def pair_witnesses(
     return pairs[shared][slot], witnesses
 
 
-class BitwiseKernel:
-    """One workload of the gather → AND → popcount family.
-
-    ``per_edge`` tells :func:`execute_workload` whether per-edge popcount
-    sums must be materialised (the counting fast path keeps a scalar
-    accumulator and never allocates them).  ``finalize`` receives the
-    scalar ``accumulator``, the per-edge int64 array (``None`` unless
-    ``per_edge``), and the oriented edge arrays, and returns the
-    workload's value.
-    """
-
-    name = "bitwise"
-    per_edge = False
-
-    def finalize(self, accumulator, per_edge, sources, destinations):
-        raise NotImplementedError
-
-
-class CountKernel(BitwiseKernel):
-    """Triangle counting: the raw popcount accumulator (exactly what
-    :func:`repro.core.engine.execute_batched` returns — the triangle
-    count over the upper orientation, six times it over the symmetric
-    one)."""
-
-    name = "count"
-    per_edge = False
-
-    def finalize(self, accumulator, per_edge, sources, destinations):
-        return accumulator
-
-
-class EdgeSupportKernel(BitwiseKernel):
-    """Per-oriented-edge popcount sums.
-
-    Over the *symmetric* orientation the value of directed edge
-    ``(u, v)`` is ``|N(u) ∩ N(v)|`` — the triangle support of the
-    undirected edge ``{u, v}``, and the common-neighbour score of the
-    (not necessarily linked) pair.  Over the ``"upper"`` orientation it
-    is the oriented successor intersection, whose sum is the triangle
-    count.
-    """
-
-    name = "support"
-    per_edge = True
-
-    def finalize(self, accumulator, per_edge, sources, destinations):
-        return per_edge
-
-
 @dataclass
 class WorkloadResult:
     """Outcome of one :func:`execute_workload` run.
 
-    ``value`` is whatever the kernel's ``finalize`` produced;
-    ``accumulator`` is always the raw popcount sum, and
-    ``events``/``cache_stats`` match the counting executor field by
-    field.
+    ``accumulator`` is the raw popcount sum, ``per_edge`` the popcount
+    sum of each edge (``None`` unless the run asked for it), and
+    ``events`` / ``cache_stats`` the array's, identical on every path.
     """
 
-    value: object
     accumulator: int
-    events: dict
+    per_edge: np.ndarray | None
+    events: EventCounts
     cache_stats: CacheStatistics
 
 
 def execute_workload(
-    kernel: BitwiseKernel,
-    graph: Graph | None,
     row_sliced,
     col_sliced,
+    sources: np.ndarray,
+    destinations: np.ndarray,
     column_capacity: int,
     policy,
     seed: int,
-    batch_candidates: int = engine.DEFAULT_BATCH_CANDIDATES,
-    edges: tuple[np.ndarray, np.ndarray] | None = None,
+    *,
     row_writes: int | None = None,
     plan=None,
+    per_edge: bool = False,
 ) -> WorkloadResult:
-    """Run one bulk-bitwise workload over the shared dataflow.
+    """Run the dataflow over one edge list on one simulated array.
 
-    The argument surface matches :func:`repro.core.engine.execute_batched`
-    (which is now a thin :class:`CountKernel` delegation to this
-    function) plus the ``kernel``.  ``plan`` passes a resident
-    :class:`repro.core.plan.JoinPlan` compiled against these structures
-    and this edge list: the merge-join is skipped and per-edge reductions
-    run over the plan's ``pair_counts`` runs — so the one compiled
-    valid-pair index serves every workload.  All paths (planned or not,
-    whole-list or one shard's ``edges``) produce identical values, events
-    and cache statistics.  Over :class:`~repro.core.slicing.SliceWindow`
-    sides a run without ``plan`` compiles a transient one, so their
-    diagonal slices are masked on the one planned path.
+    ``(sources, destinations)`` is an oriented edge list in the
+    reference iteration order (rows ascending, successors ascending
+    within a row): a count run's upper-triangular list, a delta-join
+    term, or a batch of probe pairs.  Every valid slice pair of every
+    edge is gathered, ANDed and popcounted, and its column slice goes
+    through a private cache of ``column_capacity`` slices (``policy``
+    and ``seed`` as for :func:`~repro.core.reuse.simulate_key_trace`).
+    ``row_writes`` is the run's row-slice WRITE count; ``None`` loads
+    each row the list touches once.
+
+    ``plan`` passes the :class:`~repro.core.plan.JoinPlan` of exactly
+    this edge list against these structures, and the merge-join is
+    skipped; a stale plan, or one of another edge count, raises
+    :class:`~repro.errors.ArchitectureError`.  Over
+    :class:`~repro.core.slicing.SliceWindow` sides a run without one
+    compiles a transient plan, so a window's diagonal slices are masked
+    on the one planned path.  ``per_edge`` also returns each edge's
+    popcount sum: over the symmetric structure joined with itself, the
+    common-neighbour score ``|N(u) ∩ N(v)|`` of each pair.  Every path
+    gives the same accumulator, sums, events and cache statistics.
     """
-    if batch_candidates < 1:
-        batch_candidates = 1
-    if plan is not None:
-        if edges is None and graph is not None:
-            # The edge count is known without materialising the list; a
-            # plan compiled for a different edge list must not be trusted
-            # for its event accounting (mirrors the sharded
-            # orchestrator's check).
-            if plan.num_edges != graph.num_edges:
-                raise ArchitectureError(
-                    f"join plan covers {plan.num_edges} edges but the "
-                    f"graph has {graph.num_edges}; compile a plan for "
-                    "this edge list"
-                )
-        return _execute_planned(
-            kernel, row_sliced, col_sliced, column_capacity, policy, seed,
-            plan, edges=edges, row_writes=row_writes,
-        )
-    if edges is None:
-        sources, destinations = engine.oriented_edges(graph, "upper")
-        # Rows without successors carry no valid slices, so the per-row sum
-        # of the reference loop equals the total valid-slice count.
-        row_writes = row_sliced.num_valid_slices
-    else:
-        sources, destinations = edges
-        sources = np.asarray(sources, dtype=np.int64)
-        destinations = np.asarray(destinations, dtype=np.int64)
-        if row_writes is None:
-            # A shard loads only the rows it owns edges for, once each.
-            _, touched_counts = row_sliced.row_slice_ranges(np.unique(sources))
-            row_writes = int(touched_counts.sum())
-    if isinstance(row_sliced, SliceWindow) or isinstance(col_sliced, SliceWindow):
+    sources = np.asarray(sources, dtype=np.int64)
+    destinations = np.asarray(destinations, dtype=np.int64)
+    num_edges = int(sources.size)
+    if row_writes is None:
+        _, touched_counts = row_sliced.row_slice_ranges(np.unique(sources))
+        row_writes = int(touched_counts.sum())
+    if plan is None and (
+        isinstance(row_sliced, SliceWindow) or isinstance(col_sliced, SliceWindow)
+    ):
         from repro.core.plan import build_join_plan
 
-        plan = build_join_plan(
-            row_sliced, col_sliced, sources, destinations, batch_candidates
-        )
+        plan = build_join_plan(row_sliced, col_sliced, sources, destinations)
+    if plan is not None:
         return _execute_planned(
-            kernel, row_sliced, col_sliced, column_capacity, policy, seed,
-            plan, edges=(sources, destinations), row_writes=row_writes,
+            row_sliced, col_sliced, num_edges, column_capacity, policy, seed,
+            plan, row_writes, per_edge,
         )
-    num_edges = int(sources.size)
-    events = engine._base_events(num_edges, row_sliced.slices_per_row, row_writes)
     accumulator = 0
     matches = 0
-    per_edge = np.zeros(num_edges, dtype=np.int64) if kernel.per_edge else None
+    sums = np.zeros(num_edges, dtype=np.int64) if per_edge else None
     trace_parts: list[np.ndarray] = []
     workspace = engine._Workspace()
     for row_hit, col_hit, edge_ids, trace_keys in engine.join_batches(
-        row_sliced, col_sliced, sources, destinations, batch_candidates,
-        with_edge_ids=kernel.per_edge,
+        row_sliced, col_sliced, sources, destinations,
+        engine.DEFAULT_BATCH_CANDIDATES, with_edge_ids=per_edge,
     ):
-        if kernel.per_edge:
+        if per_edge:
             pops = engine.pair_popcounts(
                 row_sliced.data, col_sliced.data, row_hit, col_hit, workspace
             )
             accumulator += int(pops.sum())
             # Float64 bincount weights are exact here: every pair count
             # and partial sum is bounded far below 2**53.
-            per_edge += np.bincount(
+            sums += np.bincount(
                 edge_ids, weights=pops.astype(np.float64), minlength=num_edges
             ).astype(np.int64)
         else:
@@ -344,84 +262,82 @@ def execute_workload(
             )
         trace_parts.append(trace_keys)
         matches += int(row_hit.size)
-    events["and_operations"] = matches
-    events["bitcount_operations"] = matches
     trace = (
         np.concatenate(trace_parts) if trace_parts else np.empty(0, dtype=np.int64)
     )
-    cache_stats = simulate_key_trace(
-        trace, column_capacity, policy=policy, seed=seed
+    cache_stats = simulate_key_trace(trace, column_capacity, policy=policy, seed=seed)
+    events = _array_events(
+        num_edges, row_sliced.slices_per_row, row_writes, matches, cache_stats
     )
-    events["col_slice_writes"] = cache_stats.writes
-    events["col_slice_hits"] = cache_stats.hits
-    return WorkloadResult(
-        value=kernel.finalize(accumulator, per_edge, sources, destinations),
-        accumulator=accumulator,
-        events=events,
-        cache_stats=cache_stats,
-    )
+    return WorkloadResult(accumulator, sums, events, cache_stats)
 
 
 def _execute_planned(
-    kernel: BitwiseKernel,
     row_sliced,
     col_sliced,
+    num_edges: int,
     column_capacity: int,
     policy,
     seed: int,
     plan,
-    edges: tuple[np.ndarray, np.ndarray] | None,
-    row_writes: int | None,
+    row_writes: int,
+    per_edge: bool,
 ) -> WorkloadResult:
-    """The resident-plan fast path: gather → AND → popcount, nothing else."""
+    """The planned path: gather → AND → popcount, nothing else."""
     stale = plan.staleness(row_sliced, col_sliced)
     if stale:
         raise ArchitectureError(f"stale join plan: {stale}; rebuild or patch it")
-    sources = destinations = None
-    if edges is None:
-        num_edges = plan.num_edges
-        row_writes = row_sliced.num_valid_slices
-    else:
-        sources = np.asarray(edges[0], dtype=np.int64)
-        destinations = np.asarray(edges[1], dtype=np.int64)
-        num_edges = int(sources.size)
-        if num_edges != plan.num_edges:
-            raise ArchitectureError(
-                f"join plan covers {plan.num_edges} edges but the run "
-                f"supplies {num_edges}; compile a plan for this edge list"
-            )
-        if row_writes is None:
-            _, touched_counts = row_sliced.row_slice_ranges(np.unique(sources))
-            row_writes = int(touched_counts.sum())
-    events = engine._base_events(num_edges, row_sliced.slices_per_row, row_writes)
-    per_edge = None
-    if kernel.per_edge:
-        pops = engine.pair_popcounts(
-            row_sliced.data, col_sliced.data, plan.row_positions, plan.col_positions,
-            diagonal=plan.diagonal,
+    if num_edges != plan.num_edges:
+        raise ArchitectureError(
+            f"join plan covers {plan.num_edges} edges but the run "
+            f"supplies {num_edges}; compile a plan for this edge list"
         )
-        # Reduce each edge's pair run via prefix sums: exact for runs of
-        # any length, including the zero-pair edges np.add.reduceat
-        # would mis-handle.
-        prefix = np.zeros(pops.size + 1, dtype=np.int64)
-        np.cumsum(pops, out=prefix[1:])
-        bounds = plan.bounds
-        per_edge = prefix[bounds[1:]] - prefix[bounds[:-1]]
-        accumulator = int(prefix[-1])
+    sums = None
+    if per_edge:
+        sums = _plan_edge_sums(row_sliced, col_sliced, plan)
+        accumulator = int(sums.sum())
     else:
         accumulator = engine.pair_popcount(
             row_sliced.data, col_sliced.data, plan.row_positions, plan.col_positions,
             diagonal=plan.diagonal,
         )
-    matches = plan.num_pairs
-    events["and_operations"] = matches
-    events["bitcount_operations"] = matches
     cache_stats = plan.cache_statistics(column_capacity, policy, seed)
-    events["col_slice_writes"] = cache_stats.writes
-    events["col_slice_hits"] = cache_stats.hits
-    return WorkloadResult(
-        value=kernel.finalize(accumulator, per_edge, sources, destinations),
-        accumulator=accumulator,
-        events=events,
-        cache_stats=cache_stats,
+    events = _array_events(
+        num_edges, row_sliced.slices_per_row, row_writes, plan.num_pairs, cache_stats
+    )
+    return WorkloadResult(accumulator, sums, events, cache_stats)
+
+
+def _plan_edge_sums(row_sliced, col_sliced, plan) -> np.ndarray:
+    """Each edge's popcount sum over its run of ``plan``'s pairs."""
+    pops = engine.pair_popcounts(
+        row_sliced.data, col_sliced.data, plan.row_positions, plan.col_positions,
+        diagonal=plan.diagonal,
+    )
+    # Prefix sums reduce runs of any length exactly, including the
+    # zero-pair edges np.add.reduceat would mis-handle.
+    prefix = np.zeros(pops.size + 1, dtype=np.int64)
+    np.cumsum(pops, out=prefix[1:])
+    bounds = plan.bounds
+    return prefix[bounds[1:]] - prefix[bounds[:-1]]
+
+
+def _array_events(
+    num_edges: int,
+    slices_per_row: int,
+    row_writes: int,
+    pairs: int,
+    cache_stats: CacheStatistics,
+) -> EventCounts:
+    """The events of one array's pass over ``num_edges`` edges whose
+    ``pairs`` matched slice pairs ran the cache trace ``cache_stats``."""
+    return EventCounts(
+        row_slice_writes=row_writes,
+        col_slice_writes=cache_stats.writes,
+        col_slice_hits=cache_stats.hits,
+        and_operations=pairs,
+        bitcount_operations=pairs,
+        index_lookups=num_edges,
+        edges_processed=num_edges,
+        dense_pair_operations=num_edges * slices_per_row,
     )

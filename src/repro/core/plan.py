@@ -3,8 +3,8 @@
 The paper's central software insight (Section IV-B, Table IV) is that
 only *valid slice pairs* ever reach the computational array — and for a
 resident graph, which pairs those are is a pure function of the slice
-*structure*, not of the payload bits.  Yet every query through
-:func:`repro.core.engine.execute_batched` re-derives them: candidate
+*structure*, not of the payload bits.  Yet every plan-free run of
+:func:`repro.core.kernels.execute_workload` re-derives them: candidate
 expansion, the merge-join against the sorted slice keys, and the
 column-key cache trace are recomputed per call, which dominates repeat
 queries on an unchanged graph (the serving tier's bread and butter).
@@ -27,7 +27,7 @@ A :class:`JoinPlan` materialises that derivation once:
   of its positions (:func:`repro.core.sharding.price_partition`).
 
 With a plan, a query is gather → AND → popcount and nothing else; the
-engine's ``plan=`` fast path is bit-identical to the plan-free one.
+executor's ``plan=`` fast path is bit-identical to the plan-free one.
 
 Plans stay *coherent* with their structures through
 :attr:`SlicedMatrix.structure_version` (see :attr:`JoinPlan.stamp`): the

@@ -32,8 +32,8 @@ partition instead of executing it:
 Partitioning strategy matters as much as unit count — real-PIM follow-up
 work (Asquini et al.) shows per-bank load balance dominates multi-array
 triangle-counting performance — so four partitioners are provided.  The
-first three split *positions* of the shared oriented edge list (a
-:class:`ShardPlan`), and a shard is one lane: the plan runs of its
+first three split *positions* of the shared oriented edge list
+(:func:`position_shards`), and a shard is one lane: the plan runs of its
 positions.
 
 * ``"edges"`` — contiguous edge ranges, the cheapest split (a row's edges
@@ -61,11 +61,13 @@ additive event counters (``edges_processed``, ``and_operations``,
 ``dense_pair_operations``, ...) against their single-array totals,
 while coloring replicates each edge into ``C`` shards (the PIM-TC trade:
 ``C×`` the edge volume buys zero communication) and conserves the merged
-counters against the field-wise sum of its shards.
+counters against the field-wise sum of its shards.  The tests' execution
+oracle runs each shard through :func:`~repro.core.kernels.execute_workload`
+on the slices its array holds and compares field by field.
 
-:func:`run_shard` still *executes* one array: the delta join of
-:mod:`repro.core.incremental` runs its inclusion–exclusion terms through
-it, over edge lists no count plan covers.
+The delta join of :mod:`repro.core.incremental` splits each of its
+inclusion–exclusion terms with :func:`position_shards` too, and executes
+every shard: no count plan covers a term's edge list.
 """
 
 from __future__ import annotations
@@ -82,81 +84,27 @@ from repro.core.reuse import CacheStatistics, simulate_key_trace
 from repro.core.slicing import SlicedMatrix, SliceWindow, expand_runs
 from repro.errors import ArchitectureError
 from repro.graph import bitops
-from repro.graph.graph import Graph
 
 __all__ = [
     "PARTITIONERS",
     "POSITION_PARTITIONERS",
-    "ShardPlan",
     "ShardResult",
     "ShardedOutcome",
     "assign_colors",
     "color_triples",
     "min_colors",
     "num_color_shards",
-    "plan_shards",
     "position_shards",
     "price_partition",
-    "run_shard",
 ]
 
-#: Partitioners that split positions of one shared oriented edge list
-#: (the only values :func:`plan_shards` accepts).
+#: Partitioners that split positions of one shared oriented edge list.
 POSITION_PARTITIONERS = ("edges", "rows", "degree")
 
 #: Recognised values of ``AcceleratorConfig.shard_by``: the position
 #: partitioners plus ``"coloring"``, whose shards follow from the vertex
-#: colors rather than a :class:`ShardPlan`.
+#: colors rather than from edge positions.
 PARTITIONERS = POSITION_PARTITIONERS + ("coloring",)
-
-
-@dataclass(frozen=True, eq=False)
-class ShardPlan:
-    """Assignment of every oriented-edge position to one simulated array.
-
-    ``assignments[s]`` holds the positions (indices into the oriented
-    edge arrays) owned by shard ``s``, ascending — so each shard walks its
-    edges in the reference iteration order and its private cache trace
-    stays deterministic.  Shards may be empty (more arrays than edges).
-
-    :func:`price_partition` rejects a plan built for a different
-    partitioner, array count or edge count (the position spaces differ,
-    so reusing one silently prices the wrong partition).
-
-    ``eq=False``: ndarray fields make the generated ``__eq__`` ambiguous,
-    so plans compare (and hash) by identity.
-    """
-
-    num_arrays: int
-    shard_by: str
-    assignments: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        if self.num_arrays < 1:
-            raise ArchitectureError(
-                f"num_arrays must be >= 1, got {self.num_arrays}"
-            )
-        if self.shard_by not in POSITION_PARTITIONERS:
-            raise ArchitectureError(
-                f"a ShardPlan splits positions of a shared edge list, so "
-                f"shard_by must be one of {POSITION_PARTITIONERS}, got "
-                f"{self.shard_by!r} (coloring shards follow from the vertex "
-                "colors — see price_partition)"
-            )
-        if len(self.assignments) != self.num_arrays:
-            raise ArchitectureError(
-                f"plan has {len(self.assignments)} shards for "
-                f"{self.num_arrays} arrays"
-            )
-
-    @property
-    def num_edges(self) -> int:
-        """Total edges across all shards."""
-        return sum(int(positions.size) for positions in self.assignments)
-
-    def edges_per_shard(self) -> list[int]:
-        """Edge count of each shard (load-balance diagnostic)."""
-        return [int(positions.size) for positions in self.assignments]
 
 
 @dataclass
@@ -230,111 +178,30 @@ _PARTITIONER_FUNCS = {
 }
 
 
-def plan_shards(
-    graph: Graph | None,
-    num_arrays: int,
-    shard_by: str = "edges",
-    sources: np.ndarray | None = None,
-) -> ShardPlan:
-    """Split the upper-triangular edge list of ``graph`` across
-    ``num_arrays``.
+def position_shards(
+    sources: np.ndarray, num_arrays: int, shard_by: str
+) -> tuple[np.ndarray, ...]:
+    """Split the positions of an oriented edge list across ``num_arrays``.
 
-    ``sources`` optionally passes the source array of an edge list
-    (``oriented_edges(graph, "upper")[0]`` when it is the graph's) so
-    callers that hold it anyway skip a second O(m) expansion — with it
-    given, ``graph`` is never touched and may be ``None`` (the
-    incremental engine plans shards over delta edge lists without a
-    graph snapshot).
+    ``sources`` is the list's source array in the reference order (rows
+    ascending).  Returns one ascending position array per array (empty
+    when there are more arrays than edges), so each array walks its
+    edges in the reference order and its cache trace stays
+    deterministic.  ``"coloring"`` shards by vertex colors, which
+    :func:`price_partition` prices on its own; here it falls back to
+    degree-LPT, which balances the delta join's terms best (they run
+    over the shared symmetric structure, so they always split
+    positions).
     """
     if num_arrays < 1:
         raise ArchitectureError(f"num_arrays must be >= 1, got {num_arrays}")
     if shard_by == "coloring":
-        raise ArchitectureError(
-            "the coloring partitioner assigns vertex colors, not edge "
-            "positions; price it with price_partition"
-        )
+        shard_by = "degree"
     if shard_by not in POSITION_PARTITIONERS:
         raise ArchitectureError(
-            f"shard_by must be one of {POSITION_PARTITIONERS}, got {shard_by!r}"
+            f"shard_by must be one of {PARTITIONERS}, got {shard_by!r}"
         )
-    if sources is None:
-        if graph is None:
-            raise ArchitectureError(
-                "plan_shards needs a graph when sources is not provided"
-            )
-        sources, _ = engine.oriented_edges(graph, "upper")
-    assignments = _PARTITIONER_FUNCS[shard_by](sources, num_arrays)
-    return ShardPlan(
-        num_arrays=num_arrays,
-        shard_by=shard_by,
-        assignments=tuple(assignments),
-    )
-
-
-def position_shards(
-    sources: np.ndarray, num_arrays: int, shard_by: str
-) -> tuple[np.ndarray, ...]:
-    """Position shards of a transient symmetric edge list.
-
-    The delta join's inclusion–exclusion terms run over the shared
-    symmetric structure, so they always split positions: ``"coloring"``
-    falls back to degree-LPT, which balances them best.
-    """
-    if shard_by == "coloring":
-        shard_by = "degree"
-    return plan_shards(None, num_arrays, shard_by, sources=sources).assignments
-
-
-def run_shard(
-    shard_id: int,
-    row_sliced: SlicedMatrix,
-    col_sliced: SlicedMatrix,
-    sources: np.ndarray,
-    destinations: np.ndarray,
-    per_array_capacity: int,
-    policy,
-    seed: int,
-    *,
-    owner: str | None = None,
-) -> ShardResult:
-    """Execute one shard's edge list on its private simulated array.
-
-    ``(sources, destinations)`` is an edge list in the reference
-    iteration order (rows ascending, successors ascending).  The row
-    region holds the largest valid-slice count of any row it touches,
-    and the rest of ``per_array_capacity`` caches column slices
-    (:func:`~repro.core.accelerator.split_capacity`, whose capacity error
-    names ``owner``, by default ``"shard <id>"``).  One
-    :class:`~repro.core.kernels.CountKernel` pass of
-    :func:`~repro.core.kernels.execute_workload` then pays row-slice
-    WRITEs for the touched rows and runs the shard's own cache trace.
-    """
-    touched = np.unique(sources)
-    _, touched_counts = row_sliced.row_slice_ranges(touched)
-    row_region, column_capacity = split_capacity(
-        per_array_capacity, touched_counts, owner or f"shard {shard_id}"
-    )
-    outcome = kernels.execute_workload(
-        kernels.CountKernel(),
-        None,
-        row_sliced,
-        col_sliced,
-        column_capacity,
-        policy,
-        seed,
-        edges=(sources, destinations),
-        row_writes=int(touched_counts.sum()),
-    )
-    return ShardResult(
-        shard_id=shard_id,
-        edges=int(sources.size),
-        rows=int(touched.size),
-        accumulator=outcome.accumulator,
-        events=EventCounts(**outcome.events),
-        cache_stats=outcome.cache_stats,
-        row_region_slices=row_region,
-        column_cache_slices=column_capacity,
-    )
+    return tuple(_PARTITIONER_FUNCS[shard_by](sources, num_arrays))
 
 
 # ----------------------------------------------------------------------
@@ -370,20 +237,16 @@ def price_partition(
     col_sliced,
     edge_arrays: tuple[np.ndarray, np.ndarray],
     join_plan=None,
-    shard_plan: ShardPlan | None = None,
 ) -> ShardedOutcome:
     """Price ``config``'s partition of a full run across its arrays.
 
     ``edge_arrays`` is the oriented edge list in the reference order and
     ``join_plan`` its compiled :class:`~repro.core.plan.JoinPlan` against
-    these structures; ``None`` compiles a transient one.  The position
-    partitioners split ``shard_plan`` (planned here when ``None``), which
-    must match the config's partitioner and array count and the edge
-    list's length; ``"coloring"`` takes no shard plan.
+    these structures; ``None`` compiles a transient one.
 
     Each array's :class:`ShardResult` is a filter of the plan's pairs:
     one per color triple of ``C = min_colors(num_arrays)`` colors for
-    coloring, else one per ``shard_plan`` entry.  Capacity follows
+    coloring, else one per :func:`position_shards` entry.  Capacity follows
     :func:`~repro.core.accelerator.array_share` and
     :func:`~repro.core.accelerator.split_capacity` per shard (errors name
     ``"shard <id>"``), and ``and_operations`` / ``bitcount_operations``
@@ -397,15 +260,10 @@ def price_partition(
     sources = np.asarray(edge_arrays[0], dtype=np.int64)
     destinations = np.asarray(edge_arrays[1], dtype=np.int64)
     if config.shard_by == "coloring":
-        if shard_plan is not None:
-            raise ArchitectureError(
-                f"plan partitions by {shard_plan.shard_by!r} but the config "
-                "shards by 'coloring', which takes no shard plan"
-            )
         num_shards = num_color_shards(min_colors(config.num_arrays))
     else:
-        shard_plan = _checked_shard_plan(config, sources, shard_plan)
-        num_shards = shard_plan.num_arrays
+        assignments = position_shards(sources, config.num_arrays, config.shard_by)
+        num_shards = len(assignments)
     per_array_capacity = array_share(config.capacity_slices, num_shards)
     if join_plan is None:
         join_plan = build_join_plan(row_sliced, col_sliced, sources, destinations)
@@ -423,7 +281,7 @@ def price_partition(
         )
     else:
         shards = _position_shards(
-            row_sliced, col_sliced, sources, join_plan, shard_plan
+            row_sliced, col_sliced, sources, join_plan, assignments
         )
     return _merge_shard_results(
         [
@@ -434,32 +292,6 @@ def price_partition(
             for shard_id, shard in enumerate(shards)
         ]
     )
-
-
-def _checked_shard_plan(config, sources: np.ndarray, shard_plan) -> ShardPlan:
-    """``shard_plan``, or the config's own plan when ``None``; a plan for
-    another partitioner, array count or edge list raises."""
-    if shard_plan is None:
-        return plan_shards(
-            None, config.num_arrays, config.shard_by, sources=sources
-        )
-    if shard_plan.num_arrays != config.num_arrays:
-        raise ArchitectureError(
-            f"plan covers {shard_plan.num_arrays} arrays but the config asks "
-            f"for {config.num_arrays}; rebuild the plan with plan_shards"
-        )
-    if shard_plan.shard_by != config.shard_by:
-        raise ArchitectureError(
-            f"plan partitions by {shard_plan.shard_by!r} but the config "
-            f"shards by {config.shard_by!r}; rebuild the plan with plan_shards"
-        )
-    if shard_plan.num_edges != int(sources.size):
-        raise ArchitectureError(
-            f"plan covers {shard_plan.num_edges} edges but the oriented edge "
-            f"list has {sources.size}; the plan was built for a different "
-            "graph — rebuild it with plan_shards"
-        )
-    return shard_plan
 
 
 def _shard_result(
@@ -484,14 +316,8 @@ def _shard_result(
         stats = simulate_key_trace(
             trace_keys[pairs], column_capacity, policy=policy, seed=seed
         )
-        fields = engine._base_events(lane.edges, slices_per_row, lane.row_writes)
-        pairs = int(pairs.size)
-        events = events + EventCounts(
-            **fields,
-            and_operations=pairs,
-            bitcount_operations=pairs,
-            col_slice_writes=stats.writes,
-            col_slice_hits=stats.hits,
+        events = events + kernels._array_events(
+            lane.edges, slices_per_row, lane.row_writes, int(pairs.size), stats
         )
         cache_stats = cache_stats.merge(stats)
     return ShardResult(
@@ -529,21 +355,14 @@ def _run_heads(values: np.ndarray) -> np.ndarray:
 
 
 def _position_shards(
-    row_sliced, col_sliced, sources, join_plan, shard_plan
+    row_sliced, col_sliced, sources, join_plan, assignments
 ) -> list[_Shard]:
     """One lane per shard: the plan runs of its positions, which load the
     shared row structure's rows they touch."""
-    pops = engine.pair_popcounts(
-        row_sliced.data, col_sliced.data,
-        join_plan.row_positions, join_plan.col_positions,
-        diagonal=join_plan.diagonal,
-    )
-    prefix = np.zeros(pops.size + 1, dtype=np.int64)
-    np.cumsum(pops, out=prefix[1:])
+    per_edge = kernels._plan_edge_sums(row_sliced, col_sliced, join_plan)
     bounds = join_plan.bounds
-    per_edge = prefix[bounds[1:]] - prefix[bounds[:-1]]
     shards = []
-    for positions in shard_plan.assignments:
+    for positions in assignments:
         # Ascending positions of a sorted edge list: sorted sources.
         touched = _run_heads(sources[positions])
         _, row_loads = row_sliced.row_slice_ranges(touched)

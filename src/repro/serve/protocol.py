@@ -24,10 +24,11 @@ back in *completion* order, so correlate by id)::
 
 ``graph`` takes anything :func:`repro.api.resolve_graph` accepts — file
 paths and registered source schemes; ``config`` is an
-:class:`~repro.core.accelerator.AcceleratorConfig` mapping layered over
-the service's defaults.  Each request line is dispatched as its own
-task, so one slow query never blocks the connection — this is where the
-service's cross-session interleaving surfaces on the wire.
+:class:`~repro.core.accelerator.AcceleratorConfig` mapping (a JSON
+object, or ``null``) layered over the service's defaults.  Each request
+line is dispatched as its own task, so one slow query never blocks the
+connection — this is where the service's cross-session interleaving
+surfaces on the wire.
 
 The ``stats`` op returns the live scheduler counters plus the pool's
 out-of-core paging traffic when the service spills to disk
@@ -97,6 +98,8 @@ async def _dispatch(service: Service, op, request: dict):
     if not isinstance(graph, str):
         raise ValueError(f"op {op!r} needs a 'graph' spec string")
     config = request.get("config")
+    if config is not None and not isinstance(config, dict):
+        raise ValueError(f"op {op!r}: 'config' must be an object, got {config!r}")
     return await _GRAPH_OPS[op](service, graph, config, request)
 
 
@@ -202,6 +205,17 @@ async def _op_common_neighbors_many(service, graph, config, request):
         raise ValueError(
             "op 'common_neighbors_many' needs a 'pairs' list of [u, v] pairs"
         )
+    # Checked whole, as apply's ops are: "12" is not (1, 2), nor is [1.7, "2"].
+    for index, pair in enumerate(pairs):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ValueError(
+                f"op 'common_neighbors_many': pairs[{index}] must be a [u, v] "
+                f"array, got {pair!r}"
+            )
+        for name, value in zip(("u", "v"), pair):
+            _check_int(
+                value, f"op 'common_neighbors_many': pairs[{index}] field {name!r}"
+            )
     return await service.common_neighbors_many(graph, pairs, config)
 
 

@@ -1,14 +1,22 @@
-"""Reference executor of coloring shards, the oracle of their pricing.
+"""Reference executors of multi-array shards, the oracles of their pricing.
 
-Builds what a communication-free color-triple shard physically holds
-and runs it: for each triple ``T`` (in ``color_triples`` order), a row
-structure of every oriented edge whose color pair ``T`` contains, and
-for each witness color ``r`` of ``T`` a column structure of those edges
-whose source has color ``r``, both with ``SlicedMatrix.from_nonzeros``.
-Each lane's pivot edges — the color pair ``T ∖ {r}`` — then run through
-``execute_workload`` under ``run_shard``'s capacity split: one row
-region sized to the shard's touched rows, the rest of the array's share
-as the column cache, one private cache trace per lane.
+:func:`repro.core.sharding.price_partition` prices every shard from the
+count plan instead of executing it.  These functions build what each
+simulated array physically holds and run it through
+``execute_workload``, so the tests can compare the two field by field.
+
+* :func:`run_shard` runs one position shard's edge list on its private
+  array: a row region sized to the largest valid-slice count of the rows
+  it touches, the rest of the array's share as the column cache, and
+  row-slice WRITEs for the touched rows only.
+* :func:`execute_coloring` runs every communication-free color-triple
+  shard: for each triple ``T`` (in ``color_triples`` order), a row
+  structure of every oriented edge whose color pair ``T`` contains, and
+  for each witness color ``r`` of ``T`` a column structure of those
+  edges whose source has color ``r``, both with
+  ``SlicedMatrix.from_nonzeros``.  Each lane's pivot edges — the color
+  pair ``T ∖ {r}`` — then run under :func:`run_shard`'s capacity split
+  over the whole shard's touched rows, one private cache trace per lane.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import numpy as np
 
 from repro.core.accelerator import EventCounts, array_share, split_capacity
 from repro.core.engine import oriented_edges
-from repro.core.kernels import CountKernel, execute_workload
+from repro.core.kernels import execute_workload
 from repro.core.reuse import CacheStatistics
 from repro.core.sharding import (
     ShardResult,
@@ -27,6 +35,38 @@ from repro.core.sharding import (
     num_color_shards,
 )
 from repro.core.slicing import SlicedMatrix
+
+
+def run_shard(
+    shard_id: int,
+    row_sliced,
+    col_sliced,
+    sources: np.ndarray,
+    destinations: np.ndarray,
+    per_array_capacity: int,
+    policy,
+    seed: int,
+) -> ShardResult:
+    """Execute one shard's edge list (reference order) on its own array."""
+    touched = np.unique(sources)
+    _, touched_counts = row_sliced.row_slice_ranges(touched)
+    row_region, column_capacity = split_capacity(
+        per_array_capacity, touched_counts, f"shard {shard_id}"
+    )
+    outcome = execute_workload(
+        row_sliced, col_sliced, sources, destinations, column_capacity,
+        policy, seed, row_writes=int(touched_counts.sum()),
+    )
+    return ShardResult(
+        shard_id=shard_id,
+        edges=int(sources.size),
+        rows=int(touched.size),
+        accumulator=outcome.accumulator,
+        events=outcome.events,
+        cache_stats=outcome.cache_stats,
+        row_region_slices=row_region,
+        column_cache_slices=column_capacity,
+    )
 
 
 def execute_coloring(graph, config) -> list[ShardResult]:
@@ -60,14 +100,11 @@ def execute_coloring(graph, config) -> list[ShardResult]:
             col = SlicedMatrix.from_nonzeros(
                 own_dst[mask], own_src[mask], n, n, slice_bits=bits
             )
-            lane_src = sources[pivots]
             outcome = execute_workload(
-                CountKernel(), None, row, col, column_cache,
+                row, col, sources[pivots], destinations[pivots], column_cache,
                 config.policy, config.seed,
-                edges=(lane_src, destinations[pivots]),
-                row_writes=int(row.row_slice_ranges(np.unique(lane_src))[1].sum()),
             )
-            events = events + EventCounts(**outcome.events)
+            events = events + outcome.events
             cache_stats = cache_stats.merge(outcome.cache_stats)
             accumulator += outcome.accumulator
         results.append(

@@ -453,14 +453,12 @@ class TestCachedStructureReuse:
         accelerator = TCIMAccelerator(config)
         baseline = accelerator.run(graph)
         from repro.core.engine import oriented_edges
-        from repro.core.sharding import plan_shards
 
         row = SlicedMatrix.from_graph(graph, "upper")
         col = SlicedMatrix.from_graph(graph, "lower")
         edges = oriented_edges(graph, "upper")
-        plan = plan_shards(graph, 2, "edges", sources=edges[0])
         cached = accelerator.run(
-            graph, row_sliced=row, col_sliced=col, edge_arrays=edges, plan=plan
+            graph, row_sliced=row, col_sliced=col, edge_arrays=edges
         )
         assert cached.triangles == baseline.triangles
         _assert_same_events(cached.events, baseline.events)
@@ -473,14 +471,6 @@ class TestCachedStructureReuse:
         wrong_rows = SlicedMatrix.from_graph(Graph(9, [(0, 1)]), "upper")
         with pytest.raises(ArchitectureError, match="rows"):
             accelerator.run(paper_graph, row_sliced=wrong_rows)
-
-    def test_mismatched_plan_rejected(self, paper_graph):
-        from repro.core.sharding import plan_shards
-
-        accelerator = TCIMAccelerator(AcceleratorConfig(num_arrays=2))
-        plan = plan_shards(paper_graph, 3, "edges")
-        with pytest.raises(ArchitectureError, match="plan"):
-            accelerator.run(paper_graph, plan=plan)
 
 
 class TestConcurrency:

@@ -192,6 +192,27 @@ class TestCommands:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count"], ["simulate"], ["slice-stats"], ["validate"], ["truss"],
+            ["cluster"], ["common-neighbors", "{path}", "0"], ["approx"],
+            ["stream", "{path}", "--random", "3"],
+            ["snapshot", "{path}", "{out}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_missing_graph_file_is_one_error_line(self, capsys, tmp_path, argv):
+        path = str(tmp_path / "missing.edges")
+        if len(argv) == 1:
+            argv = argv + ["{path}"]
+        args = [arg.format(path=path, out=tmp_path / "out") for arg in argv]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert path in lines[0]
+
 class TestShardedFlags:
     """--num-arrays/--shard-by are shared by count and simulate."""
 

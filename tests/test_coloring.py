@@ -11,7 +11,7 @@ here pin:
   merged count is bit-identical to unsharded;
 * **pricing equals execution** — every priced :class:`ShardResult`
   field equals what executing each shard on structures holding only its
-  own slices produces (``coloring_reference.execute_coloring``),
+  own slices produces (``shard_reference.execute_coloring``),
   capacity errors included;
 * **sessions** — a coloring session's ``simulate()`` after a randomized
   op stream equals a fresh session's on the final graph, and a snapshot
@@ -27,7 +27,7 @@ import itertools
 import numpy as np
 import pytest
 
-from coloring_reference import execute_coloring
+from shard_reference import execute_coloring
 from repro import open_session
 from repro.core.accelerator import AcceleratorConfig, EventCounts, TCIMAccelerator
 from repro.core.engine import oriented_edges

@@ -18,9 +18,21 @@ import pytest
 from repro.analysis.validation import per_edge_reference
 from repro.core import engine
 from repro.core.accelerator import AcceleratorConfig, TCIMAccelerator
+from repro.core.kernels import execute_workload
 from repro.core.slicing import SlicedMatrix
 from repro.graph import generators
 from repro.graph.graph import Graph
+
+
+def execute(graph: Graph, column_capacity: int, edges=None, slice_bits=64):
+    """One :func:`execute_workload` call over ``graph``'s upper and lower
+    structures and its upper edge list (or the subset ``edges``)."""
+    row = SlicedMatrix.from_graph(graph, "upper", slice_bits=slice_bits)
+    col = SlicedMatrix.from_graph(graph, "lower", slice_bits=slice_bits)
+    sources, destinations = edges or engine.oriented_edges(graph, "upper")
+    return execute_workload(
+        row, col, sources, destinations, column_capacity, "lru", 0
+    )
 
 
 def run_both(graph: Graph, **config_kwargs):
@@ -105,20 +117,12 @@ class TestDifferentialJoinPaths:
             assert_identical(GRAPH_FAMILIES[family]())
             assert_identical(GRAPH_FAMILIES[family](), array_bytes=512)
 
-    def test_tiny_batches(self):
+    def test_tiny_batches(self, monkeypatch):
         graph = generators.barabasi_albert(120, 4, seed=8)
-        row_sliced = SlicedMatrix.from_graph(graph, "upper")
-        col_sliced = SlicedMatrix.from_graph(graph, "lower")
-        reference = engine.execute_batched(
-            graph, row_sliced, col_sliced, 1 << 16, "lru", 0
-        )
-        tiny = engine.execute_batched(
-            graph, row_sliced, col_sliced, 1 << 16, "lru", 0,
-            batch_candidates=3,
-        )
-        assert tiny[0] == reference[0]
-        assert tiny[1] == reference[1]
-        assert tiny[2] == reference[2]
+        reference = execute(graph, 1 << 16)
+        monkeypatch.setattr(engine, "DEFAULT_BATCH_CANDIDATES", 3)
+        tiny = execute(graph, 1 << 16)
+        assert tiny == reference
 
 
 class TestDifferentialProperty:
@@ -136,27 +140,17 @@ class TestEngineEdgeCases:
     """Degenerate inputs through the batched kernel and the trace sim."""
 
     def test_empty_graph_through_execute_batched(self):
-        graph = Graph(0)
-        row_sliced = SlicedMatrix.from_graph(graph, "upper")
-        col_sliced = SlicedMatrix.from_graph(graph, "lower")
-        accumulator, fields, cache_stats = engine.execute_batched(
-            graph, row_sliced, col_sliced, 16, "lru", 0
-        )
-        assert accumulator == 0
-        assert fields["edges_processed"] == 0
-        assert fields["and_operations"] == 0
-        assert fields["row_slice_writes"] == 0
-        assert cache_stats.accesses == 0
+        result = execute(Graph(0), 16)
+        assert result.accumulator == 0
+        assert result.events.edges_processed == 0
+        assert result.events.and_operations == 0
+        assert result.events.row_slice_writes == 0
+        assert result.cache_stats.accesses == 0
 
     def test_edgeless_graph_through_execute_batched(self):
-        graph = Graph(12)
-        row_sliced = SlicedMatrix.from_graph(graph, "upper")
-        col_sliced = SlicedMatrix.from_graph(graph, "lower")
-        accumulator, fields, _ = engine.execute_batched(
-            graph, row_sliced, col_sliced, 16, "lru", 0
-        )
-        assert accumulator == 0
-        assert fields["dense_pair_operations"] == 0
+        result = execute(Graph(12), 16)
+        assert result.accumulator == 0
+        assert result.events.dense_pair_operations == 0
 
     def test_no_valid_slice_pairs(self):
         """Edges whose row and column slices never share a slice index.
@@ -168,15 +162,11 @@ class TestEngineEdgeCases:
         counters still tick.
         """
         graph = Graph(17, [(0, 16), (1, 16)])
-        row_sliced = SlicedMatrix.from_graph(graph, "upper", slice_bits=8)
-        col_sliced = SlicedMatrix.from_graph(graph, "lower", slice_bits=8)
-        accumulator, fields, cache_stats = engine.execute_batched(
-            graph, row_sliced, col_sliced, 16, "lru", 0
-        )
-        assert accumulator == 0
-        assert fields["and_operations"] == 0
-        assert fields["edges_processed"] == 2
-        assert cache_stats.accesses == 0
+        result = execute(graph, 16, slice_bits=8)
+        assert result.accumulator == 0
+        assert result.events.and_operations == 0
+        assert result.events.edges_processed == 2
+        assert result.cache_stats.accesses == 0
         assert_identical(graph, slice_bits=8)
 
     def test_simulate_key_trace_capacity_one(self):
@@ -200,43 +190,22 @@ class TestEngineEdgeCases:
         assert stats.writes == 0
 
     def test_shard_edges_subset(self):
-        """``edges=`` runs a subset with row writes for touched rows only."""
+        """A subset of the edge list runs with row writes for touched rows only."""
         graph = generators.barabasi_albert(80, 4, seed=13)
-        row_sliced = SlicedMatrix.from_graph(graph, "upper")
-        col_sliced = SlicedMatrix.from_graph(graph, "lower")
         sources, destinations = engine.oriented_edges(graph, "upper")
         half = sources.size // 2
-        full = engine.execute_batched(
-            graph, row_sliced, col_sliced, 1 << 16, "lru", 0
-        )
-        first = engine.execute_batched(
-            graph, row_sliced, col_sliced, 1 << 16, "lru", 0,
-            edges=(sources[:half], destinations[:half]),
-        )
-        second = engine.execute_batched(
-            graph, row_sliced, col_sliced, 1 << 16, "lru", 0,
-            edges=(sources[half:], destinations[half:]),
-        )
-        assert first[0] + second[0] == full[0]
+        full = execute(graph, 1 << 16)
+        first = execute(graph, 1 << 16, edges=(sources[:half], destinations[:half]))
+        second = execute(graph, 1 << 16, edges=(sources[half:], destinations[half:]))
+        assert first.accumulator + second.accumulator == full.accumulator
         assert (
-            first[1]["and_operations"] + second[1]["and_operations"]
-            == full[1]["and_operations"]
+            first.events.and_operations + second.events.and_operations
+            == full.events.and_operations
         )
-        assert first[1]["edges_processed"] == half
-
-    def test_graph_run_reads_the_upper_edge_list(self):
-        # Without ``edges`` a run walks the graph's upper-triangular edge
-        # list, the one a count run uses.
-        graph = generators.complete_graph(5)
-        row_sliced = SlicedMatrix.from_graph(graph, "upper")
-        col_sliced = SlicedMatrix.from_graph(graph, "lower")
-        whole = engine.execute_batched(graph, row_sliced, col_sliced, 16, "lru", 0)
-        listed = engine.execute_batched(
-            None, row_sliced, col_sliced, 16, "lru", 0,
-            edges=engine.oriented_edges(graph, "upper"),
-        )
-        assert whole == listed
-        assert whole[0] == 10 and whole[1]["edges_processed"] == 10
+        assert first.events.edges_processed == half
+        upper = SlicedMatrix.from_graph(graph, "upper")
+        _, touched = upper.row_slice_ranges(np.unique(sources[:half]))
+        assert first.events.row_slice_writes == touched.sum()
 
 
 class TestEngineConfig:
@@ -259,15 +228,10 @@ class TestEngineConfig:
         # on the run's own column-cache budget.
         graph = GRAPH_FAMILIES["powerlaw"]()
         result = TCIMAccelerator().run(graph)
-        row_sliced = SlicedMatrix.from_graph(graph, "upper")
-        col_sliced = SlicedMatrix.from_graph(graph, "lower")
-        accumulator, fields, cache_stats = engine.execute_batched(
-            graph, row_sliced, col_sliced,
-            result.column_cache_slices, "lru", 0,
-        )
-        assert result.triangles == accumulator
-        assert dataclasses.asdict(result.events) == fields
-        assert result.cache_stats == cache_stats
+        direct = execute(graph, result.column_cache_slices)
+        assert result.triangles == direct.accumulator
+        assert result.events == direct.events
+        assert result.cache_stats == direct.cache_stats
 
     def test_oriented_edges_rejects_unknown_orientation(self):
         from repro.errors import ArchitectureError

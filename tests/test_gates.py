@@ -83,7 +83,7 @@ def test_failing_and_raising_gates_fail_the_run_and_every_gate_runs(
     assert "raising: ran without raising" in out.out
 
     payload = json.loads(output.read_text())
-    assert payload["schema"] == 13
+    assert payload["schema"] == 14
     assert payload["engine"] == {"triangles": 3, "plan_pairs": 5}
     assert payload["gates"]["failing"]["note"] == 1
     assert [c["passed"] for c in payload["gates"]["failing"]["checks"]] == [True, False]
@@ -119,4 +119,5 @@ def test_thresholds_are_the_carried_over_values(runner):
         "storage",
         "serving",
         "parallelism",
+        "code",
     ]

@@ -1,10 +1,10 @@
-"""Tests for the generic bulk-bitwise kernel layer (repro.core.kernels).
+"""Tests for the executor (:func:`repro.core.kernels.execute_workload`).
 
-The executor must be one dataflow with pluggable reductions: the
-counting kernel bit-identical to the engine's historical
-``execute_batched`` surface, the per-edge kernel value-identical to the
-pure-Python oracles, and every path — batched, planned, sharded edge
-subsets — producing the same values, events, and cache statistics.
+One dataflow with two reductions: a count run keeps only the scalar
+accumulator, a ``per_edge`` run also reduces each edge's popcounts,
+value-identical to the pure-Python oracles; and every path — batched,
+planned, edge subsets — produces the same values, events, and cache
+statistics.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis.truss import edge_support
 from repro.core import engine
-from repro.core.kernels import CountKernel, EdgeSupportKernel, execute_workload
+from repro.core.kernels import execute_workload
 from repro.core.plan import build_join_plan
 from repro.core.slicing import SlicedMatrix
 from repro.errors import ArchitectureError
@@ -28,18 +28,11 @@ def _sym_setup(graph):
     return sym, sources, destinations
 
 
-def _run(kernel, graph, plan=None, capacity=1 << 16):
+def _run(graph, plan=None, capacity=1 << 16, per_edge=True):
     sym, sources, destinations = _sym_setup(graph)
     return execute_workload(
-        kernel,
-        None,
-        sym,
-        sym,
-        capacity,
-        "lru",
-        0,
-        edges=(sources, destinations),
-        plan=plan,
+        sym, sym, sources, destinations, capacity, "lru", 0,
+        plan=plan, per_edge=per_edge,
     )
 
 
@@ -66,47 +59,52 @@ class TestPairPopcounts:
 
 class TestCountKernel:
     def test_matches_execute_batched(self, random_graphs):
+        # A count run is the per-edge run minus the per-edge sums, over
+        # the upper and lower structures as over the symmetric one.
         for graph in random_graphs:
             row = SlicedMatrix.from_graph(graph, "upper")
             col = SlicedMatrix.from_graph(graph, "lower")
-            accumulator, events, cache = engine.execute_batched(
-                graph, row, col, 1 << 16, "lru", 0
+            edges = engine.oriented_edges(graph, "upper")
+            count, support = (
+                execute_workload(row, col, *edges, 1 << 16, "lru", 0, per_edge=flag)
+                for flag in (False, True)
             )
-            result = execute_workload(
-                CountKernel(), graph, row, col, 1 << 16, "lru", 0
-            )
-            assert result.value == result.accumulator == accumulator
-            assert result.events == events
-            assert result.cache_stats == cache
+            assert count.accumulator == support.accumulator
+            assert count.accumulator == int(support.per_edge.sum())
+            assert count.events == support.events
+            assert count.cache_stats == support.cache_stats
+            symmetric = _run(graph, per_edge=False)
+            assert symmetric.accumulator == 6 * count.accumulator
 
     def test_no_per_edge_materialised(self, paper_graph):
-        result = _run(CountKernel(), paper_graph)
-        assert isinstance(result.value, int)
+        result = _run(paper_graph, per_edge=False)
+        assert result.per_edge is None
+        assert isinstance(result.accumulator, int)
 
 
 class TestEdgeSupportKernel:
     def test_matches_oracle(self, random_graphs):
         for graph in random_graphs:
-            result = _run(EdgeSupportKernel(), graph)
+            result = _run(graph)
             sources, destinations = engine.oriented_edges(graph, "symmetric")
             oracle = edge_support(graph)
             for u, v, got in zip(
-                sources.tolist(), destinations.tolist(), result.value.tolist()
+                sources.tolist(), destinations.tolist(), result.per_edge.tolist()
             ):
                 assert got == oracle[(min(u, v), max(u, v))]
 
     def test_accumulator_is_six_times_triangles(self, k5):
-        result = _run(EdgeSupportKernel(), k5)
+        result = _run(k5)
         assert result.accumulator == 6 * 10
-        assert int(result.value.sum()) == result.accumulator
+        assert int(result.per_edge.sum()) == result.accumulator
 
     def test_planned_matches_batched(self, random_graphs):
         for graph in random_graphs:
             sym, sources, destinations = _sym_setup(graph)
             plan = build_join_plan(sym, sym, sources, destinations)
-            free = _run(EdgeSupportKernel(), graph)
-            planned = _run(EdgeSupportKernel(), graph, plan=plan)
-            assert np.array_equal(free.value, planned.value)
+            free = _run(graph)
+            planned = _run(graph, plan=plan)
+            assert np.array_equal(free.per_edge, planned.per_edge)
             assert free.accumulator == planned.accumulator
             assert free.events == planned.events
             assert free.cache_stats == planned.cache_stats
@@ -117,50 +115,40 @@ class TestEdgeSupportKernel:
         graph = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         sym, sources, destinations = _sym_setup(graph)
         plan = build_join_plan(sym, sym, sources, destinations)
-        planned = _run(EdgeSupportKernel(), graph, plan=plan)
-        assert np.array_equal(planned.value, np.zeros(sources.size, dtype=np.int64))
+        planned = _run(graph, plan=plan)
+        assert np.array_equal(planned.per_edge, np.zeros(sources.size, dtype=np.int64))
 
     def test_edge_subset_matches_full(self, k5):
         # A shard-style subset run agrees positionally with the full run.
         sym, sources, destinations = _sym_setup(k5)
         positions = np.arange(0, sources.size, 2)
-        full = _run(EdgeSupportKernel(), k5)
+        full = _run(k5)
         subset = execute_workload(
-            EdgeSupportKernel(),
-            None,
-            sym,
-            sym,
-            1 << 16,
-            "lru",
-            0,
-            edges=(sources[positions], destinations[positions]),
+            sym, sym, sources[positions], destinations[positions], 1 << 16,
+            "lru", 0, per_edge=True,
         )
-        assert np.array_equal(subset.value, full.value[positions])
+        assert np.array_equal(subset.per_edge, full.per_edge[positions])
 
 
 class TestValidation:
     def test_graph_run_reads_the_upper_edge_list(self, paper_graph):
-        # Without ``edges`` a run walks the graph's upper-triangular edge
-        # list: one value per edge, summing to the triangle count.
+        # Over the upper-triangular edge list a per-edge run gives one
+        # value per edge, summing to the triangle count.
         row = SlicedMatrix.from_graph(paper_graph, "upper")
         col = SlicedMatrix.from_graph(paper_graph, "lower")
-        whole = execute_workload(
-            EdgeSupportKernel(), paper_graph, row, col, 8, "lru", 0
+        result = execute_workload(
+            row, col, *engine.oriented_edges(paper_graph, "upper"), 8, "lru", 0,
+            per_edge=True,
         )
-        listed = execute_workload(
-            EdgeSupportKernel(), None, row, col, 8, "lru", 0,
-            edges=engine.oriented_edges(paper_graph, "upper"),
-        )
-        assert whole.value.tolist() == listed.value.tolist()
-        assert whole.value.size == paper_graph.num_edges and whole.value.sum() == 2
+        assert result.per_edge.size == paper_graph.num_edges
+        assert result.per_edge.sum() == result.accumulator == 2
 
     def test_plan_edge_count_mismatch(self, paper_graph):
         sym, sources, destinations = _sym_setup(paper_graph)
         plan = build_join_plan(sym, sym, sources, destinations)
         with pytest.raises(ArchitectureError, match="compile a plan"):
             execute_workload(
-                EdgeSupportKernel(), None, sym, sym, 8, "lru", 0,
-                edges=(sources[:2], destinations[:2]), plan=plan,
+                sym, sym, sources[:2], destinations[:2], 8, "lru", 0, plan=plan,
             )
 
     def test_stale_plan_rejected(self):
@@ -177,6 +165,6 @@ class TestValidation:
         assert delta.changed
         with pytest.raises(ArchitectureError, match="stale join plan"):
             execute_workload(
-                EdgeSupportKernel(), None, sym, sym, 4096,
-                "lru", 0, edges=(sources, destinations), plan=plan,
+                sym, sym, sources, destinations, 4096, "lru", 0,
+                plan=plan, per_edge=True,
             )

@@ -32,8 +32,9 @@ from repro.core import incremental
 from repro.core import plan as joinplan
 from repro.core.accelerator import AcceleratorConfig, TCIMAccelerator
 from repro.core.dynamic import DynamicTriangleCounter
-from repro.core.engine import execute_batched, oriented_edges
+from repro.core.engine import oriented_edges
 from repro.core.incremental import StructureDelta
+from repro.core.kernels import execute_workload
 from repro.core.plan import (
     JoinPlan,
     build_join_plan,
@@ -143,14 +144,15 @@ class TestPlannedExecutionDifferential:
         edges = oriented_edges(graph, "symmetric")
         plan = build_join_plan(sym, sym, *edges)
         plain, planned = (
-            execute_batched(
-                None, sym, sym, 4096, "lru", 0, edges=edges, plan=p
-            )
+            execute_workload(sym, sym, *edges, 4096, "lru", 0, plan=p)
             for p in (None, plan)
         )
-        assert plain[0] == planned[0] == 6 * TCIMAccelerator().run(graph).triangles
-        assert plain[1] == planned[1]
-        assert dataclasses.asdict(plain[2]) == dataclasses.asdict(planned[2])
+        triangles = TCIMAccelerator().run(graph).triangles
+        assert plain.accumulator == planned.accumulator == 6 * triangles
+        assert plain.events == planned.events
+        assert dataclasses.asdict(plain.cache_stats) == dataclasses.asdict(
+            planned.cache_stats
+        )
 
     @pytest.mark.parametrize("slice_bits", [8, 64, 128])
     def test_slice_widths(self, slice_bits):
@@ -212,25 +214,16 @@ class TestPlannedExecutionDifferential:
         sources, destinations = oriented_edges(graph, "upper")
         plan = build_join_plan(row, col, sources[:10], destinations[:10])
         with pytest.raises(ArchitectureError, match="edges"):
-            execute_batched(
-                None, row, col, 4096, policy="lru", seed=0,
-                edges=(sources, destinations), plan=plan,
+            execute_workload(
+                row, col, sources, destinations, 4096, "lru", 0, plan=plan
             )
-        # Full-graph path (edges=None, the graph's upper list): the edge
-        # count is known without materialising the list, so a foreign
-        # plan is rejected there too, whatever structures it joins.
+        # A foreign plan is rejected whatever structures it joins.
+        sym = SlicedMatrix.from_graph(graph, "symmetric")
+        sym_sources, sym_destinations = oriented_edges(graph, "symmetric")
         with pytest.raises(ArchitectureError, match="edges"):
-            execute_batched(
-                graph, row, col, 4096, policy="lru", seed=0, plan=plan
-            )
-        sym_row = sym_col = SlicedMatrix.from_graph(graph, "symmetric")
-        with pytest.raises(ArchitectureError, match="edges"):
-            execute_batched(
-                graph, sym_row, sym_col, 4096, policy="lru", seed=0,
-                plan=build_join_plan(
-                    sym_row, sym_col,
-                    *(a[:6] for a in oriented_edges(graph, "symmetric")),
-                ),
+            execute_workload(
+                sym, sym, sym_sources, sym_destinations, 4096, "lru", 0,
+                plan=build_join_plan(sym, sym, sym_sources[:6], sym_destinations[:6]),
             )
 
 
@@ -320,8 +313,9 @@ class TestStructureVersionAudit:
         assert delta.changed
         assert not plan.matches(row, col)
         with pytest.raises(ArchitectureError, match="stale join plan"):
-            execute_batched(
-                None, row, col, 4096, policy="lru", seed=0, plan=plan
+            execute_workload(
+                row, col, *oriented_edges(graph, "upper"), 4096, "lru", 0,
+                plan=plan,
             )
 
     def test_stale_positions_really_point_at_wrong_slices(self):
@@ -721,29 +715,23 @@ class TestPlanPrimitives:
         empty = np.empty(0, dtype=np.int64)
         plan = build_join_plan(row, col, empty, empty)
         assert plan.num_pairs == 0 and plan.num_edges == 0
-        accumulator, events, stats = execute_batched(
-            None, row, col, 64, policy="lru", seed=0,
-            edges=(empty, empty), plan=plan,
-        )
-        assert accumulator == 0
-        assert events["and_operations"] == 0
-        assert stats.accesses == 0
+        result = execute_workload(row, col, empty, empty, 64, "lru", 0, plan=plan)
+        assert result.accumulator == 0
+        assert result.events.and_operations == 0
+        assert result.cache_stats.accesses == 0
 
     def test_single_pair_plan_matches_plan_free(self):
         row, col = structures(Graph(4, [(0, 1)]))
         edges = (np.array([0], dtype=np.int64), np.array([1], dtype=np.int64))
         plan = build_join_plan(row, col, *edges)
         assert plan.num_pairs == 1  # slice 0 valid on both sides, AND = 0
-        plain = execute_batched(
-            None, row, col, 64, policy="lru", seed=0, edges=edges
+        plain = execute_workload(row, col, *edges, 64, "lru", 0)
+        planned = execute_workload(row, col, *edges, 64, "lru", 0, plan=plan)
+        assert plain.accumulator == planned.accumulator == 0
+        assert plain.events == planned.events
+        assert dataclasses.asdict(plain.cache_stats) == dataclasses.asdict(
+            planned.cache_stats
         )
-        planned = execute_batched(
-            None, row, col, 64, policy="lru", seed=0,
-            edges=edges, plan=plan,
-        )
-        assert plain[0] == planned[0] == 0
-        assert plain[1] == planned[1]
-        assert dataclasses.asdict(plain[2]) == dataclasses.asdict(planned[2])
 
 
 class TestConcurrentReadsDuringApply:

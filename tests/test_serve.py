@@ -542,6 +542,47 @@ class TestProtocol:
 
         run(main())
 
+    @pytest.mark.parametrize(
+        ("fields", "named"),
+        [
+            ({"pairs": ["12"]}, "pairs[0]"),
+            ({"pairs": [[1.7, "2"]]}, "pairs[0] field 'u'"),
+            ({"pairs": [[True, 2]]}, "pairs[0] field 'u'"),
+            ({"pairs": [[0, 1], [1, "2"]]}, "pairs[1] field 'v'"),
+            ({"pairs": [[0, 1, 2]]}, "pairs[0]"),
+            ({"pairs": [[0, 1]], "config": [["num_arrays", 4]]}, "'config'"),
+            ({"op": "count", "config": [["num_arrays", 4]]}, "'config'"),
+            ({"op": "count", "config": "num_arrays=4"}, "'config'"),
+        ],
+        ids=[
+            "string-pair", "float-vertex", "bool-vertex", "string-target",
+            "triple", "probe-config-pairs", "count-config-pairs",
+            "config-string",
+        ],
+    )
+    def test_malformed_probe_or_config_is_rejected(
+        self, tmp_path, paper_graph, fields, named
+    ):
+        spec = self._spec(tmp_path, paper_graph)
+
+        async def main():
+            async with open_service(max_sessions=2) as service:
+                await handle_request(service, {"id": 1, "op": "count", "graph": spec})
+                request = {"id": 2, "op": "common_neighbors_many", "graph": spec,
+                           **fields}
+                reply = await handle_request(service, request)
+                assert not reply["ok"] and reply["id"] == 2
+                assert named in reply["error"]
+                # No second session opened under a coerced config.
+                assert len(service.pool.entries()) == 1
+                probe = await handle_request(
+                    service, {"id": 3, "op": "common_neighbors_many",
+                              "graph": spec, "pairs": [[1, 2], [0, 3]]},
+                )
+                assert probe["result"]["scores"] == [2, 2]
+
+        run(main())
+
     def test_serve_stream_round_trip(self, tmp_path, paper_graph):
         spec = self._spec(tmp_path, paper_graph)
         requests = [

@@ -5,11 +5,12 @@ calls (net batches and ``record=True`` streams, several between reads,
 with edges inside one diagonal slice, and whole-triangle inserts and
 triangle-breaking deletes), reads (``count``, ``simulate``,
 ``slice_stats``, ``support``, ``truss``, ``truss(k)``, ``clustering``,
-``pair_scores``, top-k ``common_neighbors``) and snapshot round trips,
-under drawn configurations: 8- and 64-bit slices, four coloring-shard
-arrays, four row-partitioned arrays, a memmap store with a tiny spill
-threshold, and an array small enough that delta joins at a hub raise
-capacity errors.
+``pair_scores``, ``common_neighbors_many``, top-k ``common_neighbors``)
+and snapshot round trips, under drawn configurations: 8- and 64-bit
+slices, four coloring-shard arrays, four row-partitioned arrays, a
+memmap store with a tiny spill threshold, an array small enough that
+delta joins at a hub raise capacity errors, and one whose column cache
+evicts while every run fits.
 
 Every read is checked against oracles that share no state with the
 session: :class:`~repro.core.dynamic.DynamicTriangleCounter` for the
@@ -51,7 +52,7 @@ from repro.analysis.truss import edge_support, k_truss, truss_decomposition
 from repro.api import open_session
 from repro.core import plan as joinplan
 from repro.core.dynamic import DynamicTriangleCounter
-from repro.errors import ArchitectureError
+from repro.errors import ArchitectureError, GraphError
 from repro.graph.graph import Graph
 
 NUM_VERTICES = 40
@@ -69,11 +70,24 @@ CONFIGS = {
     # Five 8-bit slices: the hub's symmetric row fills the whole array,
     # so a delta join at the hub raises while full upper runs fit.
     "upper-bits8-capacity": {"slice_bits": 8, "array_bytes": 5},
+    # Sixteen 8-bit slices: a row holds at most five, so every run fits,
+    # and the column cache of the rest evicts on dense examples
+    # (test_evicting_config_evicts).
+    "upper-bits8-evicting": {"slice_bits": 8, "array_bytes": 16},
     "coloring-arrays4-bits8": {"slice_bits": 8, "num_arrays": 4, "shard_by": "coloring"},
     "rows-arrays4-bits8": {"slice_bits": 8, "num_arrays": 4, "shard_by": "rows"},
 }
 
 PAIRS = [(u, v) for u in range(NUM_VERTICES) for v in range(u + 1, NUM_VERTICES)]
+
+vertex_pairs = st.lists(
+    st.tuples(st.integers(0, NUM_VERTICES - 1), st.integers(0, NUM_VERTICES - 1)),
+    min_size=1,
+    max_size=8,
+)
+
+#: Probe lists ``parse_pairs`` rejects with a GraphError.
+MALFORMED_PAIRS = ([(0, 1, 2)], [(0,)], [5], [(0, NUM_VERTICES)], [(-1, 0)])
 
 ops_strategy = st.lists(
     st.tuples(
@@ -271,15 +285,7 @@ class SessionMachine(RuleBasedStateMachine):
         expected = k_truss(self._graph(), k).edge_array()
         assert np.array_equal(self.session.truss(k).edge_array(), expected)
 
-    @rule(
-        pairs=st.lists(
-            st.tuples(
-                st.integers(0, NUM_VERTICES - 1), st.integers(0, NUM_VERTICES - 1)
-            ),
-            min_size=1,
-            max_size=8,
-        )
-    )
+    @rule(pairs=vertex_pairs)
     def pair_scores(self, pairs):
         graph = self._graph()
         neighbors = [set(graph.neighbors(u).tolist()) for u in range(NUM_VERTICES)]
@@ -291,6 +297,29 @@ class SessionMachine(RuleBasedStateMachine):
             assert "row region" in str(error) and "array_bytes" in self.config
             return
         assert scores.tolist() == [len(neighbors[u] & neighbors[v]) for u, v in pairs]
+
+    @rule(
+        pairs=vertex_pairs,
+        self_pair=st.integers(0, NUM_VERTICES - 1),
+        bad=st.sampled_from(MALFORMED_PAIRS),
+    )
+    def common_neighbors_many(self, pairs, self_pair, bad):
+        """Random probes with repeats and a self-pair, then a list that
+        ends in a malformed probe, which must change nothing."""
+        graph = self._graph()
+        neighbors = [set(graph.neighbors(u).tolist()) for u in range(NUM_VERTICES)]
+        pairs = pairs + pairs[:2] + [(self_pair, self_pair)]
+        try:
+            scores = self.session.common_neighbors_many(pairs)
+        except ArchitectureError as error:
+            assert "row region" in str(error) and "array_bytes" in self.config
+            return
+        assert scores == [len(neighbors[u] & neighbors[v]) for u, v in pairs]
+        generation = self.session.generation
+        with pytest.raises(GraphError):
+            self.session.common_neighbors_many(pairs + bad)
+        assert self.session.generation == generation
+        assert self.session.count() == self.oracle.triangles
 
     @rule(u=st.integers(0, NUM_VERTICES - 1), k=st.integers(1, 6))
     def common_neighbors_top_k(self, u, k):
@@ -348,3 +377,16 @@ def test_session_matches_oracles(config_id, request):
             suppress_health_check=[HealthCheck.too_slow],
         ),
     )
+
+
+def test_evicting_config_evicts():
+    # The evicting configuration's cache evicts on a dense example: 70
+    # random base pairs plus the machine's hub edges.
+    rng = np.random.default_rng(0)
+    edges = {PAIRS[i] for i in rng.choice(len(PAIRS), 70, replace=False)}
+    edges |= {(u, HUB) for u in range(0, HUB, 3)}
+    session = open_session(
+        Graph(NUM_VERTICES, sorted(edges)), **CONFIGS["upper-bits8-evicting"]
+    )
+    assert session.simulate().cache_stats.exchanges > 0
+    session.close()

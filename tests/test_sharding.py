@@ -9,8 +9,8 @@ paper's Fig. 4 bank organisation):
   is exact, and the additive event counters conserve the single-array
   totals (``edges_processed``, ``and_operations``,
   ``dense_pair_operations``, ``index_lookups``, ``bitcount_operations``);
-* each priced position shard equals executing its edges through
-  :func:`~repro.core.sharding.run_shard`, field by field.
+* each priced position shard equals executing its edges on its own
+  array (``shard_reference.run_shard``), field by field.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from shard_reference import run_shard
 from repro.core.accelerator import (
     AcceleratorConfig,
     EventCounts,
@@ -31,10 +32,8 @@ from repro.core.reuse import CacheStatistics
 from repro.core.sharding import (
     PARTITIONERS,
     POSITION_PARTITIONERS,
-    ShardPlan,
-    plan_shards,
+    position_shards,
     price_partition,
-    run_shard,
 )
 from repro.core.slicing import SlicedMatrix
 from repro.errors import ArchitectureError
@@ -95,13 +94,8 @@ class TestSingleArrayIdentity:
         baseline = run(graph)
         row_sliced = SlicedMatrix.from_graph(graph, "upper")
         col_sliced = SlicedMatrix.from_graph(graph, "lower")
-        plan = plan_shards(graph, 1, shard_by)
         outcome = price_partition(
-            config,
-            row_sliced,
-            col_sliced,
-            oriented_edges(graph, "upper"),
-            shard_plan=plan,
+            config, row_sliced, col_sliced, oriented_edges(graph, "upper")
         )
         assert outcome.accumulator == baseline.triangles
         assert dataclasses.asdict(outcome.events) == dataclasses.asdict(
@@ -179,37 +173,38 @@ class TestShardedExactness:
                 )
 
 
+def _sources(graph: Graph) -> np.ndarray:
+    return oriented_edges(graph, "upper")[0]
+
+
 class TestShardPlans:
     def test_edges_partitioner_is_contiguous(self):
         graph = GRAPHS["ba"]()
-        plan = plan_shards(graph, 4, "edges")
-        positions = np.concatenate(plan.assignments)
+        positions = np.concatenate(position_shards(_sources(graph), 4, "edges"))
         assert np.array_equal(positions, np.arange(graph.num_edges))
 
     def test_rows_partitioner_keeps_rows_together(self):
-        graph = GRAPHS["ba"]()
-        from repro.core.engine import oriented_edges
-
-        sources, _ = oriented_edges(graph, "upper")
-        plan = plan_shards(graph, 4, "rows")
-        for shard_id, positions in enumerate(plan.assignments):
+        sources = _sources(GRAPHS["ba"]())
+        for shard_id, positions in enumerate(position_shards(sources, 4, "rows")):
             assert np.all(sources[positions] % 4 == shard_id)
 
     def test_degree_partitioner_balances_better_than_rows(self):
         """LPT should not be worse-balanced than round-robin on a skewed
         power-law graph (measured by the heaviest shard's edge count)."""
         graph = generators.powerlaw_cluster(400, 8, 0.4, seed=9)
-        rows = plan_shards(graph, 8, "rows")
-        degree = plan_shards(graph, 8, "degree")
-        assert max(degree.edges_per_shard()) <= max(rows.edges_per_shard())
+        rows, degree = (
+            [s.edges for s in run(graph, num_arrays=8, shard_by=by).shards]
+            for by in ("rows", "degree")
+        )
+        assert max(degree) <= max(rows)
 
     def test_plan_covers_every_edge_once(self):
         graph = GRAPHS["powerlaw"]()
-        for shard_by in POSITION_PARTITIONERS:
-            plan = plan_shards(graph, 5, shard_by)
-            positions = np.sort(np.concatenate(plan.assignments))
+        for shard_by in PARTITIONERS:
+            shards = position_shards(_sources(graph), 5, shard_by)
+            assert len(shards) == 5
+            positions = np.sort(np.concatenate(shards))
             assert np.array_equal(positions, np.arange(graph.num_edges))
-            assert plan.num_edges == graph.num_edges
 
     def test_more_arrays_than_edges(self):
         graph = GRAPHS["single-edge"]()
@@ -240,58 +235,11 @@ class TestValidation:
                 AcceleratorConfig.from_mapping({key: value})
 
     def test_plan_validation(self):
-        graph = GRAPHS["ba"]()
+        sources = _sources(GRAPHS["ba"]())
         with pytest.raises(ArchitectureError, match="num_arrays"):
-            plan_shards(graph, 0, "edges")
+            position_shards(sources, 0, "edges")
         with pytest.raises(ArchitectureError, match="shard_by"):
-            plan_shards(graph, 2, "random")
-        with pytest.raises(ArchitectureError, match="shards"):
-            ShardPlan(2, "edges", (np.arange(3),))
-
-    def test_plan_graph_mismatch_rejected(self):
-        small = generators.barabasi_albert(50, 3, seed=4)
-        big = GRAPHS["ba"]()
-        plan = plan_shards(small, 4)
-        row_sliced = SlicedMatrix.from_graph(big, "upper")
-        col_sliced = SlicedMatrix.from_graph(big, "lower")
-        with pytest.raises(ArchitectureError, match="different graph"):
-            price_partition(
-                AcceleratorConfig(num_arrays=4),
-                row_sliced,
-                col_sliced,
-                oriented_edges(big, "upper"),
-                shard_plan=plan,
-            )
-
-    def test_plan_partitioner_mismatch_rejected(self):
-        # A "rows" plan on a degree config would silently price the
-        # row round-robin partition (491 / 413 / 467 / 393 edges per
-        # shard here, where degree-LPT gives 441 each).
-        graph = generators.barabasi_albert(300, 6, seed=1)
-        plan = plan_shards(graph, 4, "rows")
-        assert plan.edges_per_shard() == [491, 413, 467, 393]
-        accelerator = TCIMAccelerator(AcceleratorConfig(num_arrays=4, shard_by="degree"))
-        assert [s.edges for s in accelerator.run(graph).shards] == [441] * 4
-        with pytest.raises(ArchitectureError, match="partitions by 'rows'"):
-            accelerator.run(graph, plan=plan)
-        coloring = TCIMAccelerator(
-            AcceleratorConfig(num_arrays=4, shard_by="coloring")
-        )
-        with pytest.raises(ArchitectureError, match="takes no shard plan"):
-            coloring.run(graph, plan=plan)
-        with pytest.raises(ArchitectureError, match="arrays"):
-            TCIMAccelerator(
-                AcceleratorConfig(num_arrays=2, shard_by="rows")
-            ).run(graph, plan=plan)
-
-    def test_plan_identity_semantics(self):
-        """ndarray fields force identity equality — no crash either way."""
-        graph = GRAPHS["ba"]()
-        plan = plan_shards(graph, 2)
-        other = plan_shards(graph, 2)
-        assert plan == plan
-        assert plan != other
-        assert len({plan, other}) == 2
+            position_shards(sources, 2, "random")
 
     def test_array_too_small_to_split(self):
         graph = GRAPHS["ba"]()
@@ -326,14 +274,14 @@ class TestPricingMatchesExecution:
             row = SlicedMatrix.from_graph(graph, "upper", slice_bits=slice_bits)
             col = SlicedMatrix.from_graph(graph, "lower", slice_bits=slice_bits)
             sources, destinations = oriented_edges(graph, "upper")
-            plan = plan_shards(None, num_arrays, config.shard_by, sources=sources)
+            shards = position_shards(sources, num_arrays, config.shard_by)
             per_array = array_share(config.capacity_slices, num_arrays)
             expected = [
                 run_shard(
                     shard_id, row, col, sources[positions], destinations[positions],
                     per_array, config.policy, config.seed,
                 )
-                for shard_id, positions in enumerate(plan.assignments)
+                for shard_id, positions in enumerate(shards)
             ]
             outcome = price_partition(config, row, col, (sources, destinations))
             assert [dataclasses.asdict(s) for s in outcome.shards] == [
