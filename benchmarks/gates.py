@@ -878,7 +878,7 @@ def workloads():
         # timed call re-runs the witness pass against the resident count
         # plan, which is the quantity gated.
         def timed():
-            session._workload_cache.clear()
+            session._residency.workloads.clear()
             return work()
 
         return timed
@@ -951,7 +951,7 @@ def workloads():
         join_plan = session.join_plan  # flushed outside the clock
         start = time.perf_counter()
         listed = kernels.triangle_witnesses(
-            *session._oriented, *session._edge_arrays, plan=join_plan
+            *session._residency.windows, *session._residency.edges, plan=join_plan
         )
         supports = np.bincount(listed.reshape(-1), minlength=len(support))
         peeled = peel_trussness(supports, listed)
@@ -1294,8 +1294,7 @@ def _build_residency(session) -> None:
     """Force the structure, its windows and the plan resident, no engine
     query."""
     with session._lock:
-        session._prepare()
-        session._ensure_join_plan()
+        session._residency.count_inputs()
 
 
 def storage():
@@ -1362,7 +1361,7 @@ def storage():
             start = time.perf_counter()
             warm = open_session(snapshot=snap_dir)
             warm_s = min(warm_s, time.perf_counter() - start)
-            assert warm._join_plan is not None
+            assert warm._residency.plan is not None
             warm_count = warm.count()
             warm.close()
         hydrate_speedup = cold_s / warm_s if warm_s else float("inf")

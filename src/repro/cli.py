@@ -205,9 +205,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
             if result.notes:
                 payload["notes"] = dict(result.notes)
             if result.shards:
-                loads = [shard.edges for shard in result.shards]
-                mean = sum(loads) / len(loads)
-                payload["balance"] = max(loads) / mean if mean else 1.0
+                payload["balance"] = result.balance
                 payload["shards"] = [
                     {
                         "shard_id": shard.shard_id,
@@ -227,10 +225,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if args.method == "tcim":
         result = session.run()
         if result.shards:
-            loads = [shard.edges for shard in result.shards]
-            mean = sum(loads) / len(loads)
-            balance = max(loads) / mean if mean else 1.0
-            line = f"shards: {len(result.shards)}  balance(max/mean): {balance:.3f}"
+            line = (
+                f"shards: {len(result.shards)}  "
+                f"balance(max/mean): {result.balance:.3f}"
+            )
             if result.notes.get("shard_by") == "coloring":
                 line += (
                     f"  colors: {result.notes['colors']}"
@@ -424,13 +422,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         table.add_row(
             ["shard imbalance", f"{report.perf.latency_breakdown_s['imbalance']:.3f}"]
         )
-        loads = [shard.edges for shard in result.shards]
-        mean = sum(loads) / len(loads)
         table.add_row(
-            [
-                "partitioner balance (max/mean edges)",
-                f"{max(loads) / mean if mean else 1.0:.3f}",
-            ]
+            ["partitioner balance (max/mean edges)", f"{result.balance:.3f}"]
         )
         if result.notes.get("shard_by") == "coloring":
             table.add_row(

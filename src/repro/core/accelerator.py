@@ -315,6 +315,15 @@ class TCIMRunResult:
     shards: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
 
+    @property
+    def balance(self) -> float:
+        """Partitioner balance: max over mean shard edges, the latency
+        multiplier the heaviest shard imposes on an otherwise even fleet
+        (1.0 = perfect, and for a run without shards)."""
+        loads = [shard.edges for shard in self.shards]
+        mean = sum(loads) / len(loads) if loads else 0
+        return max(loads) / mean if mean else 1.0
+
 
 class TCIMAccelerator:
     """Functional + statistical simulator of the TCIM dataflow.
@@ -453,16 +462,11 @@ class TCIMAccelerator:
             row_region = max(s.row_region_slices for s in shards)
             column_capacity = min(s.column_cache_slices for s in shards)
             if config.shard_by == "coloring":
-                loads = [shard.edges for shard in shards]
-                mean = sum(loads) / len(loads)
                 notes = {
                     "shard_by": "coloring",
                     "colors": min_colors(config.num_arrays),
                     "num_shards": len(shards),
                     "communication_free": True,
-                    # Max over mean shard edges: the latency multiplier
-                    # the slowest shard imposes (1.0 = perfect).
-                    "balance": max(loads) / mean if mean else 1.0,
                 }
         else:
             row_region, column_capacity = split_capacity(
@@ -478,7 +482,7 @@ class TCIMAccelerator:
             row_sliced=row_sliced,
             col_sliced=col_sliced,
         )
-        return TCIMRunResult(
+        result = TCIMRunResult(
             triangles=accumulator,
             events=events,
             cache_stats=cache_stats,
@@ -489,6 +493,9 @@ class TCIMAccelerator:
             shards=shards,
             notes=notes,
         )
+        if notes:
+            notes["balance"] = result.balance
+        return result
 
     def _run_vectorized(
         self,

@@ -13,10 +13,12 @@ snapshots the current state for handoff to the TCIM accelerator.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import GraphError
 from repro.graph.graph import Graph
 
-__all__ = ["DynamicTriangleCounter", "OP_CODES", "parse_op"]
+__all__ = ["DynamicTriangleCounter", "OP_CODES", "parse_op", "parse_vertex"]
 
 #: Accepted operation codes for op streams, shared by the oracle and the
 #: session's incremental fast path (:mod:`repro.api`) so both fronts
@@ -32,8 +34,9 @@ OP_CODES = {
 def parse_op(op, index: int) -> tuple[str, int, int]:
     """Validate one stream entry; returns ``(action, u, v)``.
 
-    ``action`` is ``"insert"`` or ``"delete"``; malformed triples and
-    unknown codes raise :class:`GraphError` naming the offending index.
+    ``action`` is ``"insert"`` or ``"delete"``; malformed triples,
+    unknown codes and non-integer vertices (see :func:`parse_vertex`)
+    raise :class:`GraphError` naming the offending index.
     """
     try:
         code, u, v = op
@@ -48,7 +51,19 @@ def parse_op(op, index: int) -> tuple[str, int, int]:
             f"op {index}: unknown operation {code!r}; "
             "expected '+'/'insert' or '-'/'delete'"
         ) from None
+    if type(u) is not int or type(v) is not int:
+        u, v = (parse_vertex(end, f"op {index}") for end in (u, v))
     return action, u, v
+
+
+def parse_vertex(value, where: str) -> int:
+    """``value``, a Python or numpy integer, as an ``int``; a bool, a
+    float or a string raises :class:`GraphError` prefixed ``where``."""
+    if type(value) is int:
+        return value
+    if isinstance(value, np.integer):
+        return int(value)
+    raise GraphError(f"{where}: vertex {value!r} is not an integer")
 
 
 class DynamicTriangleCounter:

@@ -398,7 +398,7 @@ class SessionPool:
         # eviction snapshot holds no Graph, so close() keeps its symmetric
         # structure as the only edge set; closing the store unlinks those
         # spill files (the mappings stay readable).
-        entry.session._store.close()
+        entry.session._residency.store.close()
         self.stats.evictions += 1
         with entry.stats_lock:
             self._retired.append(

@@ -256,7 +256,7 @@ class TestIncremental:
         assert session.num_edges == graph.num_edges
         assert session.count() == before
         fresh = SlicedMatrix.from_graph(session.graph, "symmetric")
-        mutated = session._sym()
+        mutated = session._residency.structure()
         assert np.array_equal(fresh.indptr, mutated.indptr)
         assert np.array_equal(fresh.slice_ids, mutated.slice_ids)
         assert np.array_equal(fresh.data, mutated.data)
@@ -272,7 +272,7 @@ class TestIncremental:
                 ops.append(("+" if rng.random() < 0.6 else "-", u, v))
         session.apply(ops)
         fresh = SlicedMatrix.from_graph(session.graph, "symmetric")
-        mutated = session._sym()
+        mutated = session._residency.structure()
         assert np.array_equal(fresh.indptr, mutated.indptr)
         assert np.array_equal(fresh.slice_ids, mutated.slice_ids)
         assert np.array_equal(fresh.data, mutated.data)
@@ -357,6 +357,65 @@ class TestDifferential:
         session.apply(ops)
         oracle.apply_ops(ops)
         assert session.count() == oracle.triangles == 120  # K10
+
+
+class TestVertexFrontDoors:
+    """Every vertex a caller hands the session must be a Python or numpy
+    integer: a numeric string, a float or a bool is rejected with a
+    ``GraphError`` naming the op or pair, never coerced to a vertex."""
+
+    @pytest.mark.parametrize(
+        "pairs", [["12"], [(1.7, 2)], [(True, 2)], [("a", 1)], [(0, 1), (2, 1.0)]]
+    )
+    def test_common_neighbors_many_rejects(self, paper_graph, pairs):
+        session = open_session(paper_graph)
+        last = len(pairs) - 1
+        with pytest.raises(GraphError, match=rf"pair {last}: .*not an integer"):
+            session.common_neighbors_many(pairs)
+
+    @pytest.mark.parametrize("u", ["0", 0.4, False, "a"])
+    def test_apply_rejects_before_mutation(self, paper_graph, u):
+        session = open_session(paper_graph)
+        with pytest.raises(GraphError, match="op 1: .*not an integer"):
+            session.apply([("+", 0, 1), ("+", u, 3)])
+        assert session.generation == 0 and session.count() == 2
+        assert not session.has_edge(0, 3)
+
+    @pytest.mark.parametrize("bad", ["1", 1.7, True])
+    def test_common_neighbors_and_has_edge_reject(self, paper_graph, bad):
+        session = open_session(paper_graph)
+        for args, options in (((bad, 2), {}), ((1, bad), {}), ((bad,), {"k": 2})):
+            with pytest.raises(GraphError, match="not an integer"):
+                session.common_neighbors(*args, **options)
+        # has_edge too, before and after an apply makes the symmetric
+        # structure the edge set.
+        for ops in ([], [("+", 0, 3)]):
+            session.apply(ops)
+            with pytest.raises(GraphError, match="not an integer"):
+                session.has_edge(bad, 2)
+
+    @pytest.mark.parametrize(
+        "sources, destinations", [(["1"], ["2"]), ([1.7], [2]), ([True], [2])]
+    )
+    def test_pair_scores_rejects(self, paper_graph, sources, destinations):
+        session = open_session(paper_graph)
+        with pytest.raises(GraphError, match="integer vertex arrays"):
+            session.pair_scores(sources, destinations)
+
+    def test_integers_of_every_kind_accepted(self, paper_graph):
+        session = open_session(paper_graph)
+        assert session.pair_scores([], []).tolist() == []
+        assert session.pair_scores(np.array([1], np.uint8), [2]).tolist() == [2]
+        assert session.common_neighbors_many([(np.int64(1), np.int32(2))]) == [2]
+        session.apply([("+", np.int64(0), np.int16(3))])
+        assert session.has_edge(0, 3) and session.count() == 4
+
+    @pytest.mark.parametrize("u", ["1", 1.9, True])
+    def test_oracle_rejects_alike(self, u):
+        counter = DynamicTriangleCounter(4)
+        with pytest.raises(GraphError, match="op 0: .*not an integer"):
+            counter.apply_ops([("+", u, 3)])
+        assert counter.num_edges == 0
 
 
 class TestCanonicalDeltaEdges:
@@ -621,7 +680,7 @@ class TestApplyRollback:
         assert np.array_equal(session.graph.edge_array(), expected.edge_array())
         # The maintained symmetric structure equals a from-scratch build.
         _assert_same_structure(
-            SlicedMatrix.from_graph(expected, "symmetric"), session._sym()
+            SlicedMatrix.from_graph(expected, "symmetric"), session._residency.structure()
         )
         # Full queries still work and agree.
         assert session.run().triangles == oracle.triangles
@@ -710,14 +769,14 @@ class TestApplyRollback:
         assert session.count() == before - 1
         assert session.num_edges == len(star)
         fresh = SlicedMatrix.from_graph(Graph(n, star), "symmetric")
-        _assert_same_structure(fresh, session._sym())
+        _assert_same_structure(fresh, session._residency.structure())
         # Re-submitting is safe: the committed delete is now a no-op and
         # the insert fails again without side effects.
         with pytest.raises(ArchitectureError, match="row region") as again:
             session.apply(stream)
         assert again.value.partial_update.deleted == 0
         assert session.count() == before - 1
-        _assert_same_structure(fresh, session._sym())
+        _assert_same_structure(fresh, session._residency.structure())
 
 
 class TestResolveGraphScaleValidation:

@@ -113,7 +113,7 @@ class TestFailureInjection:
         )
         session.count()
         session.common_neighbors(0, 1)  # builds the spilled symmetric structure
-        assert isinstance(session._sym_sliced.data, np.memmap)
+        assert isinstance(session._residency.sym.data, np.memmap)
         return graph, session
 
     def _assert_matches_oracle(self, session, graph, committed, probes):
@@ -124,7 +124,7 @@ class TestFailureInjection:
         for u, v in probes:
             assert session.has_edge(u, v) == oracle.has_edge(u, v)
         _assert_same_structure(
-            SlicedMatrix.from_graph(oracle.to_graph(), "symmetric"), session._sym()
+            SlicedMatrix.from_graph(oracle.to_graph(), "symmetric"), session._residency.structure()
         )
 
     @staticmethod
@@ -167,7 +167,7 @@ class TestFailureInjection:
         pairs = _absent_pairs(graph, 20, np.random.default_rng(5))
         inserts = [("+", u, v) for u, v in pairs]
         session.apply(inserts)  # grows the room
-        buffers = session._sym_sliced.buffers
+        buffers = session._residency.sym.buffers
         edges = [tuple(map(int, e)) for e in graph.edge_array()[::30][:20]]
         deletes = [("-", u, v) for u, v in edges]
 
@@ -181,7 +181,7 @@ class TestFailureInjection:
         with pytest.raises(ArchitectureError, match="injected") as failure:
             session.apply(deletes)
         assert failure.value.applied_operations == []
-        sym = session._sym_sliced
+        sym = session._residency.sym
         assert sym.buffers[0] is buffers[0] and sym.buffers[1] is buffers[1]
         self._assert_matches_oracle(session, graph, inserts, edges + pairs)
         monkeypatch.undo()
@@ -228,7 +228,7 @@ class TestApplyReadsOnlyWhatItTouches:
         session.common_neighbors_many([(0, 1), (2, 3), (10, 400)])
         assert calls == []
         # The room exists now: an insert that fits keeps both buffers.
-        sym = session._sym_sliced
+        sym = session._residency.sym
         buffers = sym.buffers
         assert buffers[1].shape[0] > sym.num_valid_slices + 10
         session.apply([("+", u, v) for u, v in _absent_pairs(graph, 5, rng)])
@@ -248,7 +248,7 @@ class TestResidentBytesCountsRoom:
         indptr, indices = graph.csr
         held = graph.edge_array().nbytes + indptr.nbytes + indices.nbytes
         assert detail["graph"] == held
-        sources, destinations = session._edge_arrays
+        sources, destinations = session._residency.edges
         own = sum(
             array.nbytes for array in (sources, destinations)
             if not any(np.shares_memory(array, part) for part in (graph.edge_array(), indices))
@@ -272,14 +272,14 @@ class TestResidentBytesCountsRoom:
         session.apply([("+", u, v) for u, v in pairs])
         session.simulate()  # folds the batch into the windows and the plan
         detail = session.resident_bytes_detail()
-        structures = [session._sym_sliced]
+        structures = [session._residency.sym]
         live = sum(
             s.data.nbytes + s.slice_ids.nbytes + s.indptr.nbytes for s in structures
         )
         held = sum(
             sum(b.nbytes for b in s.buffers) + s.indptr.nbytes for s in structures
         )
-        windows = sum(window.offsets.nbytes for window in session._oriented)
+        windows = sum(window.offsets.nbytes for window in session._residency.windows)
         assert held > live
         assert detail["slices"] == held + windows
         assert detail["total"] == sum(

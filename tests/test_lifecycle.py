@@ -70,8 +70,8 @@ class TestRule:
         session.simulate()
         for ops in _calls(self.GRAPH, 2, seed=1):
             session.apply(ops)
-        assert session._oriented is None and session._join_plan is None
-        assert session._edge_arrays is None and not session._pending_patches
+        assert session._residency.windows is None and session._residency.plan is None
+        assert session._residency.edges is None and not session._residency.pending
         assert session.resident_bytes_detail()["plan"] == 0
         counted.update(dict.fromkeys(counted, 0))
         report = session.simulate().to_mapping()
@@ -107,9 +107,9 @@ class TestRule:
         for index, ops in enumerate(calls):
             session.apply(ops)
             # Every call patched the reader's triangle list...
-            assert "triangles" in session._workload_cache
+            assert "triangles" in session._residency.workloads
             # ...while the plan, which no read folded, went at the second.
-            assert (session._join_plan is not None) == (index == 0)
+            assert (session._residency.plan is not None) == (index == 0)
             session.support()
             session.clustering()
             session.truss()
@@ -125,9 +125,9 @@ class TestRule:
         session.support()
         calls = _calls(self.GRAPH, 2, seed=5)
         session.apply(calls[0])
-        assert session._workload_cache and session._edge_arrays is not None
+        assert session._residency.workloads and session._residency.edges is not None
         session.apply(calls[1])
-        assert not session._workload_cache and session._edge_arrays is None
+        assert not session._residency.workloads and session._residency.edges is None
 
     def test_fallbacks_are_the_three_patch_failures(self):
         session = open_session(self.GRAPH)
@@ -148,14 +148,14 @@ class TestOneEdgeList:
         session.simulate()
         support = session.support()
         trussness = session.truss()
-        sources, destinations = session._edge_arrays
+        sources, destinations = session._residency.edges
         for edge_map in (support, trussness):
             assert np.shares_memory(edge_map.sources, sources)
             assert np.shares_memory(edge_map.destinations, destinations)
-        assert "forward" not in session._workload_cache
+        assert "forward" not in session._residency.workloads
         detail = session.resident_bytes_detail()
         assert detail["edges"] == sources.nbytes + destinations.nbytes
-        cache = session._workload_cache
+        cache = session._residency.workloads
         assert detail["workloads"] == (
             cache["triangles"].nbytes
             + support.per_edge.nbytes
@@ -191,8 +191,8 @@ class TestCommitSpliceFailure:
         update = session.apply(ops)
         with open_session(session.graph) as fresh:
             assert update.triangles == session.count() == fresh.count()
-            assert session._edge_arrays is None and session._join_plan is None
-            assert session._workload_cache == {}
+            assert session._residency.edges is None and session._residency.plan is None
+            assert session._residency.workloads == {}
             assert dict(session.fallback_counts) == {
                 "flush_patch_error": 1, "truss_repeel": 0, "workload_patch_error": 0,
             }

@@ -46,8 +46,8 @@ def _assert_same_structure(left: SlicedMatrix, right: SlicedMatrix) -> None:
 
 def _assert_spilled(session) -> None:
     """Every resident slice array at or above the threshold is on disk."""
-    threshold = session._store.spill_threshold_bytes
-    sliced = session._sym_sliced
+    threshold = session._residency.store.spill_threshold_bytes
+    sliced = session._residency.sym
     for array in (sliced.data, sliced.slice_ids):
         if array.nbytes >= threshold:
             assert isinstance(array, np.memmap)
@@ -88,11 +88,11 @@ def test_net_effect_matches_oracle_and_record_twin(backing, calls):
         assert np.array_equal(session.graph.edge_array(), expected.edge_array())
         assert np.array_equal(twin.graph.edge_array(), expected.edge_array())
         _assert_same_structure(
-            session._sym(), SlicedMatrix.from_graph(expected, "symmetric")
+            session._residency.structure(), SlicedMatrix.from_graph(expected, "symmetric")
         )
         # The windows and the plan, patched call by call, equal rebuilds.
         plan = session.join_plan
-        for window, kind in zip(session._oriented, ("upper", "lower")):
+        for window, kind in zip(session._residency.windows, ("upper", "lower")):
             fresh = SlicedMatrix.from_graph(expected, kind)
             starts, counts = window.row_slice_ranges(np.arange(fresh.num_rows))
             assert np.array_equal(counts, fresh.row_valid_counts())

@@ -372,11 +372,11 @@ class TestPatchedPlanEqualsRebuild:
             patched = session.join_plan
             _, _, reference = self._reference(session)
             assert_plans_equal(patched, reference)
-            for window, kind in zip(session._oriented, ("upper", "lower")):
+            for window, kind in zip(session._residency.windows, ("upper", "lower")):
                 assert_window_holds(
                     window, SlicedMatrix.from_graph(session.graph, kind)
                 )
-            assert patched.matches(*session._oriented)
+            assert patched.matches(*session._residency.windows)
 
     def test_coalesced_batches_then_one_flush(self):
         graph = generators.barabasi_albert(250, 4, seed=6)
@@ -411,13 +411,13 @@ class TestPatchedPlanEqualsRebuild:
         graph = Graph(100, edges if not insert_first else edges[:1] + edges[2:])
         session = open_session(graph)
         session.count()
-        version = session._sym().structure_version
+        version = session._residency.structure().structure_version
         op = ("-" if not insert_first else "+", 5, 9)
         session.apply([op])
-        assert session._sym().structure_version == version  # payload-only
+        assert session._residency.structure().structure_version == version  # payload-only
         patched = session.join_plan
         assert_plans_equal(patched, self._reference(session)[2])
-        assert patched.matches(*session._oriented)
+        assert patched.matches(*session._residency.windows)
         fresh = TCIMAccelerator(AcceleratorConfig()).run(session.graph)
         assert_identical(fresh, session.run())
         assert session.count() == fresh.triangles == (1 if insert_first else 0)
@@ -433,7 +433,7 @@ class TestPatchedPlanEqualsRebuild:
         with pytest.raises(ArchitectureError, match="row region"):
             session.apply([("-", 0, n - 1)])
         assert session.join_plan is plan
-        assert plan.matches(*session._oriented)
+        assert plan.matches(*session._residency.windows)
         assert session.run().triangles == 1
         assert session.join_plan is plan
         assert dict(session.fallback_counts) == dict.fromkeys(session.fallback_counts, 0)
@@ -752,9 +752,9 @@ class TestConcurrentReadsDuringApply:
                         continue
                     # Under the lock the plan must be exactly current for
                     # the resident structures and internally consistent.
-                    if session._oriented is None:
+                    if session._residency.windows is None:
                         continue
-                    if not plan.matches(*session._oriented):
+                    if not plan.matches(*session._residency.windows):
                         failures.append("stale plan observed")
                     if int(plan.pair_counts.sum()) != plan.num_pairs:
                         failures.append("inconsistent plan arrays")

@@ -20,8 +20,11 @@ count, :func:`~repro.analysis.truss.edge_support` for supports,
 :mod:`repro.analysis.metrics` for clustering, the oracle graph's
 neighbour sets for common-neighbour scores and two-hop candidates, and
 a fresh session opened on the same edges for ``simulate()``,
-``slice_stats()`` and the resident count plan.  A rolled-back apply
-must leave the session exact without recompiling a plan it kept.
+``slice_stats()`` and the resident count plan.  After every step the
+session's resident state must equal a rebuild from its symmetric
+structure (``tests/residency_reference.py``), with no patch-failure
+fallback fired.  A rolled-back apply must leave the session exact
+without recompiling a plan it kept.
 Applies between reads patch the triangle list and the trussness, so the
 patched paths run under every configuration's op streams.
 
@@ -54,6 +57,7 @@ from repro.core import plan as joinplan
 from repro.core.dynamic import DynamicTriangleCounter
 from repro.errors import ArchitectureError, GraphError
 from repro.graph.graph import Graph
+from residency_reference import check_residency
 
 NUM_VERTICES = 40
 HUB = NUM_VERTICES - 1
@@ -87,7 +91,10 @@ vertex_pairs = st.lists(
 )
 
 #: Probe lists ``parse_pairs`` rejects with a GraphError.
-MALFORMED_PAIRS = ([(0, 1, 2)], [(0,)], [5], [(0, NUM_VERTICES)], [(-1, 0)])
+MALFORMED_PAIRS = (
+    [(0, 1, 2)], [(0,)], [5], [(0, NUM_VERTICES)], [(-1, 0)],
+    [("1", 2)], [(1.5, 2)], [(True, 2)],
+)
 
 ops_strategy = st.lists(
     st.tuples(
@@ -158,7 +165,7 @@ class SessionMachine(RuleBasedStateMachine):
         # The plan the apply keeps: none while no read folded the
         # previous call's batches, which the apply then drops.
         plan_before = (
-            None if self.session._pending_patches else self.session._join_plan
+            None if self.session._residency.pending else self.session._residency.plan
         )
         compiles = self.compiles
         fallbacks = dict(self.session.fallback_counts)
@@ -361,6 +368,14 @@ class SessionMachine(RuleBasedStateMachine):
         assert self.session.num_edges == self.oracle.num_edges
         for u, v in ((0, 1), (1, HUB), (3, 9)):
             assert self.session.has_edge(u, v) == self.oracle.has_edge(u, v)
+
+    @invariant()
+    def residency_equals_rebuild(self):
+        if self.session is None:
+            return
+        check_residency(self.session)
+        fallbacks = self.session.fallback_counts
+        assert fallbacks["flush_patch_error"] == fallbacks["workload_patch_error"] == 0
 
 
 @pytest.mark.parametrize("config_id", list(CONFIGS))

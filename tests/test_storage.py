@@ -235,8 +235,8 @@ class TestChunkedCompile:
         graph = _graph(seed=3)
         session = open_session(graph)
         session.count()
-        row, col = session._oriented
-        sources, destinations = session._edge_arrays
+        row, col = session._residency.windows
+        sources, destinations = session._residency.edges
         reference = build_join_plan(row, col, sources, destinations)
         for chunk_edges in (1, 7, 100, len(sources) - 1, len(sources), 10**6):
             plan = build_join_plan(
@@ -255,8 +255,8 @@ class TestChunkedCompile:
         graph = _graph(seed=4)
         session = open_session(graph)
         session.count()
-        row, col = session._oriented
-        sources, destinations = session._edge_arrays
+        row, col = session._residency.windows
+        sources, destinations = session._residency.edges
         store = BackingStore("memmap", tmp_path, spill_threshold_bytes=0)
         plan = build_join_plan(
             row, col, sources, destinations, chunk_edges=64, store=store
@@ -269,8 +269,8 @@ class TestChunkedCompile:
         graph = _graph(seed=5, n=30, m=60)
         session = open_session(graph)
         session.count()
-        row, col = session._oriented
-        sources, destinations = session._edge_arrays
+        row, col = session._residency.windows
+        sources, destinations = session._residency.edges
         with pytest.raises(ArchitectureError):
             build_join_plan(row, col, sources, destinations, chunk_edges=0)
 
@@ -318,15 +318,36 @@ class TestMemmapSessions:
         )
         session.simulate()
         session.common_neighbors(0, 1)  # builds the symmetric structure
-        sym = session._sym()
+        sym = session._residency.structure()
         assert isinstance(sym.data, np.memmap) and isinstance(sym.slice_ids, np.memmap)
         spilled = session.resident_bytes_detail()["spilled"]
         absent = [(0, v) for v in range(1, 4000) if not graph.has_edge(0, v)][:2]
         session.apply([("+", *edge) for edge in absent])
         session.simulate()
-        assert session._sym() is sym
+        assert session._residency.structure() is sym
         assert isinstance(sym.data, np.memmap) and isinstance(sym.slice_ids, np.memmap)
         assert session.resident_bytes_detail()["spilled"] >= spilled
+
+    def test_close_leaves_only_the_edge_set_spilled(self, tmp_path):
+        graph = generators.powerlaw_cluster(2_000, 4, 0.5, seed=3)
+        session = open_session(graph, storage_dir=str(tmp_path), spill_threshold_bytes=0)
+        session.simulate()
+        session.support()
+        session.clustering()
+        session.truss()
+        store = session._residency.store
+        assert store.spilled_files > 0
+        # The graph, a heap object, is the edge set: nothing stays spilled.
+        session.close()
+        assert store.spilled_files == 0
+        absent = next(v for v in range(1, 2_000) if not graph.has_edge(0, v))
+        session.apply([("+", 0, absent)])
+        # After an apply the symmetric structure is the only edge set: its
+        # two buffers stay spilled.
+        session.close()
+        buffers = session._residency.sym.buffers
+        assert all(isinstance(buffer, np.memmap) for buffer in buffers)
+        assert store.spilled_files == len(buffers) == 2
 
     def test_resident_bytes_detail_structure(self, tmp_path):
         session = open_session(
@@ -444,10 +465,10 @@ class TestSessionSnapshots:
         target = session.snapshot(tmp_path / "snap")
         restored = open_session(snapshot=target)
         # Warm: residency is present before any query.
-        assert restored._oriented is not None
-        assert restored._sym_sliced is not None
-        assert restored._edge_arrays is not None
-        assert restored._join_plan is not None
+        assert restored._residency.windows is not None
+        assert restored._residency.sym is not None
+        assert restored._residency.edges is not None
+        assert restored._residency.plan is not None
         assert restored.count() == baseline_count
         assert restored.support() == baseline_support
         assert restored.truss() == session.truss()
@@ -473,11 +494,11 @@ class TestSessionSnapshots:
         # The restored (patched) plan must match a from-scratch rebuild.
         rebuilt = open_session(restored.graph)
         assert rebuilt.count() == restored.count()
-        restored_plan = restored._join_plan
+        restored_plan = restored._residency.plan
         fresh_plan = build_join_plan(
-            *rebuilt._oriented,
-            rebuilt._edge_arrays[0],
-            rebuilt._edge_arrays[1],
+            *rebuilt._residency.windows,
+            rebuilt._residency.edges[0],
+            rebuilt._residency.edges[1],
         )
         np.testing.assert_array_equal(
             np.sort(restored_plan.trace_keys), np.sort(fresh_plan.trace_keys)
@@ -510,7 +531,7 @@ class TestSessionSnapshots:
         script = (
             "from repro.api import open_session\n"
             f"session = open_session(snapshot={str(target)!r})\n"
-            "assert session._join_plan is not None\n"
+            "assert session._residency.plan is not None\n"
             f"assert session.generation == {session.generation}\n"
             f"print(session.count())\n"
         )
@@ -543,7 +564,7 @@ class TestSessionSnapshots:
         manifest["meta"]["config"]["engine"] = "legacy"
         (target / "manifest.json").write_text(json.dumps(manifest))
         restored = open_session(snapshot=target)
-        assert restored._join_plan is not None
+        assert restored._residency.plan is not None
         assert restored.count() == count
         assert "engine" not in restored.config.to_mapping()
 
@@ -573,7 +594,7 @@ class TestSessionSnapshots:
             "repro.core.plan.build_join_plan", lambda *a, **k: builds.append("plan")
         )
         restored = open_session(snapshot=target)
-        assert restored._sym_sliced is not None and restored._join_plan is not None
+        assert restored._residency.sym is not None and restored._residency.plan is not None
         assert restored.simulate().to_mapping() == expected
         assert builds == []
         assert set(retired).isdisjoint(restored.config.to_mapping())
@@ -630,7 +651,7 @@ class TestSessionSnapshots:
         (edited / "manifest.json").write_text(json.dumps(manifest))
         for target in (written, edited):
             restored = open_session(snapshot=target)
-            assert restored._sym_sliced is None and restored._join_plan is None
+            assert restored._residency.sym is None and restored._residency.plan is None
             assert restored.num_edges == graph.num_edges
             assert "orientation" not in restored.config.to_mapping()
             assert restored.count() == fresh.count()
@@ -678,8 +699,8 @@ class TestSessionSnapshots:
         for name in ("sym.slice_ids", "oriented.sources", "oriented.destinations"):
             assert np.dtype(manifest["arrays"][name]["dtype"]) == np.int32
         restored = open_session(snapshot=target)
-        assert restored._sym_sliced.slice_ids.dtype == np.int64
-        assert restored._edge_arrays[0].dtype == np.int64
+        assert restored._residency.sym.slice_ids.dtype == np.int64
+        assert restored._residency.edges[0].dtype == np.int64
 
     def test_first_apply_after_open_patches_the_hydrated_structures(self, tmp_path):
         # The snapshot carries the edge arrays, so an apply before any
@@ -691,7 +712,7 @@ class TestSessionSnapshots:
         session.count()
         restored = open_session(snapshot=session.snapshot(tmp_path / "snap"))
         restored.apply(ops)
-        assert restored._oriented is not None and restored._pending_patches
+        assert restored._residency.windows is not None and restored._residency.pending
         session.apply(ops)
         assert restored.count() == session.count()
         assert restored.support() == session.support()
@@ -719,7 +740,7 @@ class TestSessionSnapshots:
             SlicedMatrix, "from_graph", lambda *a, **k: builds.append("slices")
         )
         restored = open_session(snapshot=target)
-        assert restored._sym_sliced is not None and restored._join_plan is None
+        assert restored._residency.sym is not None and restored._residency.plan is None
         got = (
             restored.count(), restored.support(), restored.truss(),
             restored.simulate().to_mapping(),
@@ -735,7 +756,7 @@ class TestSessionSnapshots:
         session.apply(_random_ops(graph, 30, seed=26))
         target = session.snapshot(tmp_path / "snap")
         restored = open_session(snapshot=target, **change)
-        assert restored._sym_sliced is None and restored._join_plan is None
+        assert restored._residency.sym is None and restored._residency.plan is None
         fresh = open_session(session.graph, **change)
         assert restored.count() == fresh.count() == session.count()
         assert restored.simulate().to_mapping() == fresh.simulate().to_mapping()
@@ -768,8 +789,8 @@ class TestPoolPaging:
         assert pool.stats.spilled_bytes > 0
         warm = pool.acquire(graph)
         assert pool.stats.hydrations == 1
-        assert warm.session._oriented is not None  # no re-slice
-        assert warm.session._join_plan is not None  # no recompile
+        assert warm.session._residency.windows is not None  # no re-slice
+        assert warm.session._residency.plan is not None  # no recompile
         assert warm.session.count() == count
         pool.release(warm)
         pool.close()

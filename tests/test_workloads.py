@@ -32,12 +32,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import api
 from repro.analysis import metrics
 from repro.analysis import truss as truss_module
 from repro.analysis.truss import edge_support, k_truss, truss_decomposition
 from repro.api import ClusteringReport, TCIMSession, open_session
-from repro.core import kernels
+from repro.core import kernels, residency
 from repro.core.accelerator import AcceleratorConfig, TCIMAccelerator
 from repro.core.engine import oriented_edges
 from repro.core.plan import build_join_plan
@@ -130,7 +129,7 @@ class TestSupport:
             assert session.support() is first
             session.apply([("-", 0, 1)])
             # The apply patched the triangle list and dropped the map.
-            assert set(session._workload_cache) == {"triangles"}
+            assert set(session._residency.workloads) == {"triangles"}
             second = session.support()
             assert second is not first
             assert second == edge_support(session.graph)
@@ -234,7 +233,7 @@ class TestTruss:
 
     def test_memmap_session(self, random_graphs, tmp_path, monkeypatch):
         # Tiny plan windows too, so the compile streams in chunks.
-        monkeypatch.setattr(api, "_PLAN_CHUNK_EDGES", 64)
+        monkeypatch.setattr(residency, "_PLAN_CHUNK_EDGES", 64)
         for index, graph in enumerate(random_graphs):
             with open_session(
                 graph,
@@ -242,9 +241,9 @@ class TestTruss:
                 spill_threshold_bytes=64,
             ) as session:
                 assert session.truss() == truss_decomposition(graph)
-                assert session._store.spilled_bytes > 0
+                assert session._residency.store.spilled_bytes > 0
                 # The triangle list spills with the structures it reads.
-                listed = session._workload_cache["triangles"]
+                listed = session._residency.workloads["triangles"]
                 assert isinstance(listed, np.memmap) or not listed.size
 
     @pytest.mark.parametrize("n", range(1, 13))
@@ -456,12 +455,12 @@ class TestCommonNeighbors:
         graph = random_graphs[3]
         with open_session(graph) as session:
             session.support()
-            cached = set(session._workload_cache)
+            cached = set(session._residency.workloads)
             before = session.resident_bytes()
             for u in range(graph.num_vertices):
                 top = session.common_neighbors(u, k=3)
                 assert top == session.common_neighbors(u, k=3)
-            assert set(session._workload_cache) == cached
+            assert set(session._residency.workloads) == cached
             assert session.resident_bytes() == before
 
 
@@ -558,11 +557,11 @@ class TestWorkloadPlanResidency:
             assert calls == ["witnesses", "peel"]  # both applies patched
             session.apply([("-", *edges[1])])  # read since: patched
             session.apply([("-", *edges[2])])  # no read since: dropped
-            assert session._workload_cache == {}
+            assert session._residency.workloads == {}
             assert_workloads_match_oracles(session, session.graph)
             assert calls == ["witnesses", "peel"] * 2
             session.close()
-            assert session._workload_cache == {}
+            assert session._residency.workloads == {}
             assert session.support() == edge_support(session.graph)
             assert calls == ["witnesses", "peel", "witnesses", "peel", "witnesses"]
 
@@ -580,7 +579,7 @@ class TestWorkloadPlanResidency:
         session = open_session(k5)
         session.support()
         session.close()
-        assert session._workload_cache == {}
+        assert session._residency.workloads == {}
 
     def test_resident_bytes_cover_workloads(self, tmp_path):
         """The workload arrays count toward ``total``, so the spilled
@@ -679,8 +678,8 @@ class TestPatchedWorkloads:
             session.clustering()
             for kind in self.STREAM:
                 session.apply(stream_ops(kind, session, rng), record=kind == "record")
-                cache = session._workload_cache
-                assert {"triangles", "tallies", "degrees", "truss"} <= set(cache), kind
+                cache = session._residency.workloads
+                assert {"triangles", "tallies", "truss"} <= set(cache), kind
                 mutated = session.graph
                 scratch = kernels.triangle_witnesses(
                     *count_structures(mutated)
@@ -820,7 +819,7 @@ class TestWorkloadPatchFallbacks:
             assert update.delta_triangles > 0
             assert update.triangles == session.count() == oracle.triangles
             assert session.has_edge(u, v)
-            assert session._workload_cache == {}
+            assert session._residency.workloads == {}
             assert session.fallback_counts["workload_patch_error"] == 1
             monkeypatch.undo()
             assert_workloads_match_oracles(session, session.graph)
@@ -847,7 +846,7 @@ class TestWorkloadPatchFallbacks:
             calls.clear()
             session.apply(stream_ops("mixed", session, rng))  # no read since
             assert calls == []
-            assert session._workload_cache == {}
+            assert session._residency.workloads == {}
             assert_workloads_match_oracles(session, session.graph)
 
 
