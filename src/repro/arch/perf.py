@@ -79,10 +79,6 @@ class PimTimingParams:
     #: Writing one workload result record (a per-edge support or a
     #: per-vertex tally) back through the data buffer.
     workload_write_latency_s: float = 4e-9
-    #: Sub-arrays operating concurrently.  The paper's dataflow streams the
-    #: valid pairs of one edge through a shared accumulating bit counter,
-    #: so the conservative default is serial issue.
-    parallel_and_units: int = 1
     #: Host-side cost of dispatching one kernel launch to the array
     #: fleet (command assembly, descriptor write, doorbell — work the
     #: controller performs once per sweep regardless of its size).  The
@@ -153,8 +149,6 @@ class PimPerformanceModel:
         timing: PimTimingParams,
         energy: PimEnergyParams,
     ) -> None:
-        if timing.parallel_and_units < 1:
-            raise ArchitectureError("parallel_and_units must be >= 1")
         self.timing = timing
         self.energy = energy
 
@@ -168,11 +162,7 @@ class PimPerformanceModel:
         """
         timing, energy = self.timing, self.energy
         rows = num_rows_processed if num_rows_processed is not None else 0
-        and_time = (
-            events.and_operations
-            * timing.and_latency_s
-            / timing.parallel_and_units
-        )
+        and_time = events.and_operations * timing.and_latency_s
         write_time = events.total_slice_writes * timing.write_latency_s
         # Bit counting is pipelined behind the AND stream: only the drain
         # of the final popcount is exposed.

@@ -86,10 +86,11 @@ class AcceleratorConfig:
     Defaults mirror the paper's evaluation setup: 64-bit slices and a
     16 MB computational STT-MRAM array with LRU replacement.
 
-    Runs execute the batched numpy dataflow of :mod:`repro.core.engine`
-    over the upper-triangular (DAG) orientation of Algorithm 1, which
-    finds each triangle once; the original per-edge Python loop survives
-    only as the differential-testing oracle
+    Runs price the batched numpy dataflow of :mod:`repro.core.engine`
+    from the count plan (:mod:`repro.core.plan`) over the
+    upper-triangular (DAG) orientation of Algorithm 1, which finds each
+    triangle once; the original per-edge Python loop survives only as
+    the differential-testing oracle
     :func:`repro.analysis.validation.per_edge_reference`.
 
     ``num_arrays`` splits the run across that many simulated sub-arrays
@@ -392,18 +393,17 @@ class TCIMAccelerator:
         structures are its only edge set, and it never reassembles a
         graph from their bits just to run.
 
-        ``join_plan`` additionally passes a compiled
-        :class:`repro.core.plan.JoinPlan` for the oriented edge list
-        against exactly these slice structures: the engine then skips
-        candidate expansion and the merge-join per query; results are
-        bit-identical with or without it.  A plan compiled for a
-        different edge count raises.
-
-        ``num_arrays > 1`` prices the config's partitioner from the count
-        plan (:func:`repro.core.sharding.price_partition`, compiling a
-        transient plan when ``join_plan`` is ``None``).  Coloring runs
-        record their metadata (colors, shard count, partitioner balance,
-        the communication-free flag) in :attr:`TCIMRunResult.notes`.
+        Every run prices the config's partition from the count plan
+        (:func:`repro.core.sharding.price_partition`); a single array is
+        one lane over the whole plan.  ``join_plan`` passes the compiled
+        :class:`repro.core.plan.JoinPlan` of the oriented edge list
+        against exactly these slice structures, and ``None`` compiles a
+        transient one; results are bit-identical either way.  A stale
+        plan, or one compiled for a different edge count, raises.
+        ``num_arrays > 1`` keeps the per-array breakdown in
+        :attr:`TCIMRunResult.shards`; coloring runs record their metadata
+        (colors, shard count, partitioner balance, the communication-free
+        flag) in :attr:`TCIMRunResult.notes`.
         """
         from repro.core.engine import oriented_edges
 
@@ -447,20 +447,15 @@ class TCIMAccelerator:
                     f"{name} covers {sliced.num_rows} rows but the graph has "
                     f"{num_vertices} vertices"
                 )
+        from repro.core.sharding import min_colors, price_partition
+
+        outcome = price_partition(
+            config, row_sliced, col_sliced, edge_arrays, join_plan
+        )
         shards: list = []
         notes: dict = {}
         if config.num_arrays > 1:
-            from repro.core.sharding import min_colors, price_partition
-
-            outcome = price_partition(
-                config, row_sliced, col_sliced, edge_arrays, join_plan
-            )
-            accumulator, events, cache_stats = (
-                outcome.accumulator, outcome.events, outcome.cache_stats
-            )
             shards = outcome.shards
-            row_region = max(s.row_region_slices for s in shards)
-            column_capacity = min(s.column_cache_slices for s in shards)
             if config.shard_by == "coloring":
                 notes = {
                     "shard_by": "coloring",
@@ -468,14 +463,6 @@ class TCIMAccelerator:
                     "num_shards": len(shards),
                     "communication_free": True,
                 }
-        else:
-            row_region, column_capacity = split_capacity(
-                config.capacity_slices, row_sliced.row_valid_counts()
-            )
-            accumulator, events, cache_stats = self._run_vectorized(
-                row_sliced, col_sliced, edge_arrays, column_capacity,
-                join_plan=join_plan,
-            )
         stats = slice_statistics(
             None,
             slice_bits=config.slice_bits,
@@ -483,44 +470,16 @@ class TCIMAccelerator:
             col_sliced=col_sliced,
         )
         result = TCIMRunResult(
-            triangles=accumulator,
-            events=events,
-            cache_stats=cache_stats,
+            triangles=outcome.accumulator,
+            events=outcome.events,
+            cache_stats=outcome.cache_stats,
             slice_stats=stats,
             config=config,
-            row_region_slices=row_region,
-            column_cache_slices=column_capacity,
+            row_region_slices=max(s.row_region_slices for s in outcome.shards),
+            column_cache_slices=min(s.column_cache_slices for s in outcome.shards),
             shards=shards,
             notes=notes,
         )
         if notes:
             notes["balance"] = result.balance
         return result
-
-    def _run_vectorized(
-        self,
-        row_sliced,
-        col_sliced,
-        edge_arrays: tuple[np.ndarray, np.ndarray],
-        column_capacity: int,
-        join_plan=None,
-    ) -> tuple[int, EventCounts, CacheStatistics]:
-        """One :func:`~repro.core.kernels.execute_workload` call over the
-        whole oriented edge list, whose rows all load once: rows without
-        successors hold no valid slices, so the row-slice WRITEs are the
-        row structure's valid-slice count.  Windows without ``join_plan``
-        run on a transient plan.
-        """
-        from repro.core import kernels
-
-        result = kernels.execute_workload(
-            row_sliced,
-            col_sliced,
-            *edge_arrays,
-            column_capacity,
-            self.config.policy,
-            self.config.seed,
-            row_writes=row_sliced.num_valid_slices,
-            plan=join_plan,
-        )
-        return result.accumulator, result.events, result.cache_stats

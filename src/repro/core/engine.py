@@ -33,17 +33,16 @@ side is probed, so the join direction never changes the trace.  The
 differential test-suite in ``tests/test_engine.py`` asserts all of this
 across generators, slice widths and capacity-starved caches.
 
-The executor itself, :func:`repro.core.kernels.execute_workload`, drives
-these steps for one edge list on one simulated array: a count run's
-whole upper-triangular list, a delta-join term, or a probe batch.
-
-Resident join plans (:mod:`repro.core.plan`) capture steps 1–2 once per
-session generation: a run given a plan skips candidate expansion and
-the merge-join entirely and goes straight to gather → AND → popcount
-over the plan's matched position arrays — the repeat-query fast path
-the serving tier leans on.  The planned path is bit-identical too (same
-accumulator, events, and cache statistics); ``tests/test_plan.py`` holds
-the differential suite.
+Join plans (:mod:`repro.core.plan`) capture steps 1–2 once per
+session generation, and every count run prices from one
+(:func:`repro.core.sharding.price_partition`): gather → AND → popcount
+over the plan's matched position arrays, with no candidate expansion
+or merge-join — the repeat-query path the serving tier leans on.  The
+plan-free executor, :func:`repro.core.kernels.execute_workload`, drives
+all four steps for an ad-hoc edge list on one simulated array: a
+delta-join term or a probe batch.  Both are bit-identical (same
+accumulator, events, and cache statistics); ``tests/test_plan.py``
+holds the differential suite.
 """
 
 from __future__ import annotations
@@ -107,8 +106,7 @@ class _Workspace:
     :func:`conjunctions` chunks its position arrays and re-gathers into
     these buffers with ``np.take(..., out=...)`` instead of allocating
     fresh temporaries per chunk — at millions of matched pairs per query
-    the allocator traffic is a measurable slice of the planned fast
-    path.
+    the allocator traffic is a measurable slice of a planned run.
     """
 
     __slots__ = ("left", "right", "counts")
@@ -231,7 +229,7 @@ def pair_popcounts(
     accumulating one scalar over the whole position list, it returns
     ``popcount(row_data[r] & col_data[c])`` for every pair — the quantity
     a per-edge run of :func:`repro.core.kernels.execute_workload` and the
-    multi-array pricing reduce over edge runs.  Summing the
+    pricing of scattered shards reduce over edge runs.  Summing the
     result equals :func:`pair_popcount` exactly; both walk the same
     chunked :func:`conjunctions`.
     """
@@ -271,10 +269,10 @@ def join_batches(
     a pair probe, a plan patch's re-join) never builds a whole-structure
     key array.
 
-    This is the shared join of the batched executor and the
+    This is the shared join of the plan-free executor and the
     :mod:`repro.core.plan` compiler; keeping it in one place is what
-    makes the planned fast path structurally incapable of joining
-    differently from the plan-free one.
+    makes a planned run structurally incapable of joining differently
+    from the plan-free one.
     """
     if batch_candidates < 1:
         batch_candidates = 1

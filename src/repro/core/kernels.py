@@ -5,7 +5,10 @@ adjacency rows (Algorithm 1, Fig. 2).  Every workload consumes the same
 joined (row, col) slice-pair positions; only the reduction differs:
 
 * **triangle counting** sums every pair popcount into one scalar
-  accumulator (the paper's pipelined bit counter);
+  accumulator (the paper's pipelined bit counter): a count run prices
+  its arrays from the count plan
+  (:func:`repro.core.sharding.price_partition`), a delta-join term runs
+  here;
 * **common-neighbour scores** reduce the pair popcounts *per edge*
   (``per_edge=True``) — over the symmetric structure joined with itself
   each directed pair's sum is ``|N(u) ∩ N(v)|``;
@@ -15,16 +18,14 @@ joined (row, col) slice-pair positions; only the reduction differs:
   triangle once by its three edge ids, and :func:`pair_witnesses` does
   the same for a few vertex pairs.
 
-:func:`execute_workload` is the one way to run the popcount dataflow:
-a count run (:meth:`repro.core.accelerator.TCIMAccelerator.run`), each
-delta-join term (:func:`repro.core.incremental.symmetric_delta`) and a
-session's probe batch (:meth:`repro.api.TCIMSession.pair_scores`) call
-it directly.  It shares :func:`repro.core.engine.join_batches` with the
-plan compiler and takes a resident :class:`repro.core.plan.JoinPlan`
-for the repeat-query fast path, so the compiled valid-pair index serves
-every workload.  Events and cache statistics do not depend on the
-reduction: the array executes the same gathers, ANDs and popcounts
-however the host reduces them.
+:func:`execute_workload` is the plan-free executor of ad-hoc edge
+lists: each delta-join term (:func:`repro.core.incremental.symmetric_delta`)
+and a session's probe batch (:meth:`repro.api.TCIMSession.pair_scores`)
+call it directly.  It shares :func:`repro.core.engine.join_batches` with
+the plan compiler, so a count plan holds exactly the pairs it would
+join.  Events and cache statistics do not depend on the reduction: the
+array executes the same gathers, ANDs and popcounts however the host
+reduces them.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ class WorkloadResult:
 
     ``accumulator`` is the raw popcount sum, ``per_edge`` the popcount
     sum of each edge (``None`` unless the run asked for it), and
-    ``events`` / ``cache_stats`` the array's, identical on every path.
+    ``events`` / ``cache_stats`` the array's.
     """
 
     accumulator: int
@@ -194,49 +195,40 @@ def execute_workload(
     seed: int,
     *,
     row_writes: int | None = None,
-    plan=None,
     per_edge: bool = False,
 ) -> WorkloadResult:
     """Run the dataflow over one edge list on one simulated array.
 
     ``(sources, destinations)`` is an oriented edge list in the
     reference iteration order (rows ascending, successors ascending
-    within a row): a count run's upper-triangular list, a delta-join
-    term, or a batch of probe pairs.  Every valid slice pair of every
-    edge is gathered, ANDed and popcounted, and its column slice goes
-    through a private cache of ``column_capacity`` slices (``policy``
-    and ``seed`` as for :func:`~repro.core.reuse.simulate_key_trace`).
-    ``row_writes`` is the run's row-slice WRITE count; ``None`` loads
-    each row the list touches once.
+    within a row): a delta-join term or a batch of probe pairs, joined
+    against two plain :class:`~repro.core.slicing.SlicedMatrix` sides.
+    Every valid slice pair of every edge is gathered, ANDed and
+    popcounted, and its column slice goes through a private cache of
+    ``column_capacity`` slices (``policy`` and ``seed`` as for
+    :func:`~repro.core.reuse.simulate_key_trace`).  ``row_writes`` is
+    the run's row-slice WRITE count; ``None`` loads each row the list
+    touches once.  ``per_edge`` also returns each edge's popcount sum:
+    over the symmetric structure joined with itself, the
+    common-neighbour score ``|N(u) ∩ N(v)|`` of each pair.
 
-    ``plan`` passes the :class:`~repro.core.plan.JoinPlan` of exactly
-    this edge list against these structures, and the merge-join is
-    skipped; a stale plan, or one of another edge count, raises
-    :class:`~repro.errors.ArchitectureError`.  Over
-    :class:`~repro.core.slicing.SliceWindow` sides a run without one
-    compiles a transient plan, so a window's diagonal slices are masked
-    on the one planned path.  ``per_edge`` also returns each edge's
-    popcount sum: over the symmetric structure joined with itself, the
-    common-neighbour score ``|N(u) ∩ N(v)|`` of each pair.  Every path
-    gives the same accumulator, sums, events and cache statistics.
+    A :class:`~repro.core.slicing.SliceWindow` side raises
+    :class:`~repro.errors.ArchitectureError`: its diagonal slices hold
+    the other side's bits, which only a count plan masks, so window
+    joins price through :func:`repro.core.sharding.price_partition`.
     """
+    if isinstance(row_sliced, SliceWindow) or isinstance(col_sliced, SliceWindow):
+        raise ArchitectureError(
+            "execute_workload joins plain SlicedMatrix sides; a SliceWindow's "
+            "diagonal slices need the count plan's masks, so price window "
+            "joins with repro.core.sharding.price_partition"
+        )
     sources = np.asarray(sources, dtype=np.int64)
     destinations = np.asarray(destinations, dtype=np.int64)
     num_edges = int(sources.size)
     if row_writes is None:
         _, touched_counts = row_sliced.row_slice_ranges(np.unique(sources))
         row_writes = int(touched_counts.sum())
-    if plan is None and (
-        isinstance(row_sliced, SliceWindow) or isinstance(col_sliced, SliceWindow)
-    ):
-        from repro.core.plan import build_join_plan
-
-        plan = build_join_plan(row_sliced, col_sliced, sources, destinations)
-    if plan is not None:
-        return _execute_planned(
-            row_sliced, col_sliced, num_edges, column_capacity, policy, seed,
-            plan, row_writes, per_edge,
-        )
     accumulator = 0
     matches = 0
     sums = np.zeros(num_edges, dtype=np.int64) if per_edge else None
@@ -270,56 +262,6 @@ def execute_workload(
         num_edges, row_sliced.slices_per_row, row_writes, matches, cache_stats
     )
     return WorkloadResult(accumulator, sums, events, cache_stats)
-
-
-def _execute_planned(
-    row_sliced,
-    col_sliced,
-    num_edges: int,
-    column_capacity: int,
-    policy,
-    seed: int,
-    plan,
-    row_writes: int,
-    per_edge: bool,
-) -> WorkloadResult:
-    """The planned path: gather → AND → popcount, nothing else."""
-    stale = plan.staleness(row_sliced, col_sliced)
-    if stale:
-        raise ArchitectureError(f"stale join plan: {stale}; rebuild or patch it")
-    if num_edges != plan.num_edges:
-        raise ArchitectureError(
-            f"join plan covers {plan.num_edges} edges but the run "
-            f"supplies {num_edges}; compile a plan for this edge list"
-        )
-    sums = None
-    if per_edge:
-        sums = _plan_edge_sums(row_sliced, col_sliced, plan)
-        accumulator = int(sums.sum())
-    else:
-        accumulator = engine.pair_popcount(
-            row_sliced.data, col_sliced.data, plan.row_positions, plan.col_positions,
-            diagonal=plan.diagonal,
-        )
-    cache_stats = plan.cache_statistics(column_capacity, policy, seed)
-    events = _array_events(
-        num_edges, row_sliced.slices_per_row, row_writes, plan.num_pairs, cache_stats
-    )
-    return WorkloadResult(accumulator, sums, events, cache_stats)
-
-
-def _plan_edge_sums(row_sliced, col_sliced, plan) -> np.ndarray:
-    """Each edge's popcount sum over its run of ``plan``'s pairs."""
-    pops = engine.pair_popcounts(
-        row_sliced.data, col_sliced.data, plan.row_positions, plan.col_positions,
-        diagonal=plan.diagonal,
-    )
-    # Prefix sums reduce runs of any length exactly, including the
-    # zero-pair edges np.add.reduceat would mis-handle.
-    prefix = np.zeros(pops.size + 1, dtype=np.int64)
-    np.cumsum(pops, out=prefix[1:])
-    bounds = plan.bounds
-    return prefix[bounds[1:]] - prefix[bounds[:-1]]
 
 
 def _array_events(

@@ -6,8 +6,9 @@ resident graph, which pairs those are is a pure function of the slice
 *structure*, not of the payload bits.  Yet every plan-free run of
 :func:`repro.core.kernels.execute_workload` re-derives them: candidate
 expansion, the merge-join against the sorted slice keys, and the
-column-key cache trace are recomputed per call, which dominates repeat
-queries on an unchanged graph (the serving tier's bread and butter).
+column-key cache trace are recomputed per call, which would dominate
+repeat queries on an unchanged graph (the serving tier's bread and
+butter).
 
 A :class:`JoinPlan` materialises that derivation once:
 
@@ -20,14 +21,15 @@ A :class:`JoinPlan` materialises that derivation once:
   diagonal slice, whose payload also holds the other side's bits, and
   the masks that keep only the bits strictly between the edge's
   endpoints (every sweep ANDs them in: :func:`repro.core.engine.conjunctions`);
-* ``trace_keys`` — the column-slice cache trace the pairs induce, whose
-  hit/miss/exchange classification is memoised per cache configuration;
+* ``trace_keys`` — the column-slice cache trace the pairs induce;
 * ``pair_counts`` — pairs per oriented edge, so any edge subset (a
   shard of the Fig. 4 bank organisation) finds its own pairs as the runs
-  of its positions (:func:`repro.core.sharding.price_partition`).
+  of its positions.
 
-With a plan, a query is gather → AND → popcount and nothing else; the
-executor's ``plan=`` fast path is bit-identical to the plan-free one.
+Every count run prices from a plan
+(:func:`repro.core.sharding.price_partition`, a single array included):
+gather → AND → popcount over its positions and one cache simulation of
+its trace, bit-identical to the plan-free join of the same edge list.
 
 Plans stay *coherent* with their structures through
 :attr:`SlicedMatrix.structure_version` (see :attr:`JoinPlan.stamp`): the
@@ -53,14 +55,12 @@ substrates.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core import engine
 from repro.core.incremental import StructureDelta
-from repro.core.reuse import CacheStatistics, ReplacementPolicy, simulate_key_trace
 from repro.core.slicing import SliceWindow, _alloc, bit_range_masks, expand_runs
 from repro.errors import ArchitectureError
 
@@ -204,9 +204,6 @@ class JoinPlan:
     #: pairs' conjunctions: the bits on both windows' sides.
     diagonal_masks: np.ndarray
     _bounds: np.ndarray | None = field(default=None, repr=False)
-    #: ``(capacity, policy, seed) -> CacheStatistics`` — the trace is part
-    #: of the plan, so its classification per cache configuration is too.
-    _stats_memo: dict = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -265,26 +262,6 @@ class JoinPlan:
     def matches(self, row_sliced, col_sliced) -> bool:
         """Whether the plan is current for these structures."""
         return self.staleness(row_sliced, col_sliced) is None
-
-    # ------------------------------------------------------------------
-    # Query-time services
-    # ------------------------------------------------------------------
-    def cache_statistics(self, capacity: int, policy, seed: int) -> CacheStatistics:
-        """Hit/miss/exchange classification of the plan's trace (memoised).
-
-        The trace is a plan artifact, so for a fixed cache configuration
-        its simulation result is too; repeat queries pay a dictionary
-        lookup instead of an O(n log n) trace pass.  A fresh copy is
-        returned per call so callers may merge/mutate freely.
-        """
-        key = (int(capacity), ReplacementPolicy(policy).value, int(seed))
-        stats = self._stats_memo.get(key)
-        if stats is None:
-            stats = simulate_key_trace(
-                self.trace_keys, capacity, policy=policy, seed=seed
-            )
-            self._stats_memo[key] = stats
-        return dataclasses.replace(stats)
 
 
 def build_join_plan(

@@ -29,12 +29,16 @@ partition instead of executing it:
    architecture model can price the *measured* critical path (slowest
    array) instead of a uniform analytic scaling.
 
+Every count run prices here, a single array included: one array is one
+position shard that no partitioner splits, priced like any other.
+
 Partitioning strategy matters as much as unit count — real-PIM follow-up
 work (Asquini et al.) shows per-bank load balance dominates multi-array
 triangle-counting performance — so four partitioners are provided.  The
 first three split *positions* of the shared oriented edge list
 (:func:`position_shards`), and a shard is one lane: the plan runs of its
-positions.
+positions, one range of the plan's arrays when the positions are
+contiguous.
 
 * ``"edges"`` — contiguous edge ranges, the cheapest split (a row's edges
   may straddle a boundary, costing duplicate row-slice loads);
@@ -55,7 +59,8 @@ traffic.  Its lanes are priced from the same count plan; see
 Invariants (asserted by ``tests/test_sharding.py``,
 ``tests/test_coloring.py`` and the golden fixture of
 ``tests/test_run_golden.py``): ``num_arrays=1`` reproduces the
-single-array vectorized engine bit for bit; for any ``num_arrays`` the
+plan-free executor and the per-edge reference bit for bit; for any
+``num_arrays`` the
 merged triangle count is exact; position partitioners conserve the
 additive event counters (``edges_processed``, ``and_operations``,
 ``dense_pair_operations``, ...) against their single-array totals,
@@ -67,7 +72,9 @@ on the slices its array holds and compares field by field.
 
 The delta join of :mod:`repro.core.incremental` splits each of its
 inclusion–exclusion terms with :func:`position_shards` too, and executes
-every shard: no count plan covers a term's edge list.
+every shard through the plan-free
+:func:`~repro.core.kernels.execute_workload`: no count plan covers a
+term's edge list.
 """
 
 from __future__ import annotations
@@ -187,7 +194,8 @@ def position_shards(
     ascending).  Returns one ascending position array per array (empty
     when there are more arrays than edges), so each array walks its
     edges in the reference order and its cache trace stays
-    deterministic.  ``"coloring"`` shards by vertex colors, which
+    deterministic; one array gets the whole list, whatever the
+    partitioner.  ``"coloring"`` shards by vertex colors, which
     :func:`price_partition` prices on its own; here it falls back to
     degree-LPT, which balances the delta join's terms best (they run
     over the shared symmetric structure, so they always split
@@ -201,6 +209,8 @@ def position_shards(
         raise ArchitectureError(
             f"shard_by must be one of {PARTITIONERS}, got {shard_by!r}"
         )
+    if num_arrays == 1:
+        return (np.arange(sources.size, dtype=np.int64),)
     return tuple(_PARTITIONER_FUNCS[shard_by](sources, num_arrays))
 
 
@@ -210,11 +220,12 @@ def position_shards(
 @dataclass(eq=False)
 class _Lane:
     """One run of an array: its edge count, row writes and accumulator,
-    and ``select``, which returns its plan pairs (indices, plan order).
+    and ``select``, which returns its plan pairs — one ``slice`` of the
+    plan's arrays for a contiguous lane, else their indices, plan order.
     Selecting on demand keeps one lane's pairs alive at a time, so memory
     does not grow as pairs × lanes."""
 
-    select: Callable[[], np.ndarray]
+    select: Callable[[], np.ndarray | slice]
     edges: int
     row_writes: int
     accumulator: int
@@ -242,16 +253,19 @@ def price_partition(
 
     ``edge_arrays`` is the oriented edge list in the reference order and
     ``join_plan`` its compiled :class:`~repro.core.plan.JoinPlan` against
-    these structures; ``None`` compiles a transient one.
+    these structures; ``None`` compiles a transient one.  A stale plan,
+    or one of another edge count, raises
+    :class:`~repro.errors.ArchitectureError`.
 
     Each array's :class:`ShardResult` is a filter of the plan's pairs:
-    one per color triple of ``C = min_colors(num_arrays)`` colors for
-    coloring, else one per :func:`position_shards` entry.  Capacity follows
+    above one array, one per color triple of ``C = min_colors(num_arrays)``
+    colors for coloring; else one per :func:`position_shards` entry, so a
+    single array is one lane over the whole plan.  Capacity follows
     :func:`~repro.core.accelerator.array_share` and
-    :func:`~repro.core.accelerator.split_capacity` per shard (errors name
-    ``"shard <id>"``), and ``and_operations`` / ``bitcount_operations``
-    count each lane's pairs.  The results equal, field by field,
-    executing every lane through
+    :func:`~repro.core.accelerator.split_capacity` per shard (above one
+    array, errors name ``"shard <id>"``), and ``and_operations`` /
+    ``bitcount_operations`` count each lane's pairs.  The results equal,
+    field by field, executing every lane through
     :func:`~repro.core.kernels.execute_workload` on the slices its array
     holds.
     """
@@ -259,7 +273,8 @@ def price_partition(
 
     sources = np.asarray(edge_arrays[0], dtype=np.int64)
     destinations = np.asarray(edge_arrays[1], dtype=np.int64)
-    if config.shard_by == "coloring":
+    coloring = config.shard_by == "coloring" and config.num_arrays > 1
+    if coloring:
         num_shards = num_color_shards(min_colors(config.num_arrays))
     else:
         assignments = position_shards(sources, config.num_arrays, config.shard_by)
@@ -275,7 +290,7 @@ def price_partition(
     stale = join_plan.staleness(row_sliced, col_sliced)
     if stale:
         raise ArchitectureError(f"stale join plan: {stale}; rebuild or patch it")
-    if config.shard_by == "coloring":
+    if coloring:
         shards = _coloring_shards(
             config, row_sliced, col_sliced, sources, destinations, join_plan
         )
@@ -288,6 +303,7 @@ def price_partition(
             _shard_result(
                 shard_id, shard, per_array_capacity, join_plan.trace_keys,
                 row_sliced.slices_per_row, config.policy, config.seed,
+                f"shard {shard_id}" if config.num_arrays > 1 else None,
             )
             for shard_id, shard in enumerate(shards)
         ]
@@ -302,22 +318,21 @@ def _shard_result(
     slices_per_row: int,
     policy,
     seed: int,
+    owner: str | None,
 ) -> ShardResult:
-    """One array's :class:`ShardResult`: its capacity split, then its
-    lanes' events and cache runs (one private trace per lane, as one
-    execution per lane would run)."""
+    """One array's :class:`ShardResult`: its capacity split (errors name
+    ``owner``), then its lanes' events and cache runs (one private trace
+    per lane, as one execution per lane would run)."""
     row_region, column_capacity = split_capacity(
-        per_array_capacity, shard.row_loads, f"shard {shard_id}"
+        per_array_capacity, shard.row_loads, owner
     )
     events = EventCounts()
     cache_stats = CacheStatistics()
     for lane in shard.lanes:
-        pairs = lane.select()
-        stats = simulate_key_trace(
-            trace_keys[pairs], column_capacity, policy=policy, seed=seed
-        )
+        trace = trace_keys[lane.select()]
+        stats = simulate_key_trace(trace, column_capacity, policy=policy, seed=seed)
         events = events + kernels._array_events(
-            lane.edges, slices_per_row, lane.row_writes, int(pairs.size), stats
+            lane.edges, slices_per_row, lane.row_writes, int(trace.size), stats
         )
         cache_stats = cache_stats.merge(stats)
     return ShardResult(
@@ -358,24 +373,113 @@ def _position_shards(
     row_sliced, col_sliced, sources, join_plan, assignments
 ) -> list[_Shard]:
     """One lane per shard: the plan runs of its positions, which load the
-    shared row structure's rows they touch."""
-    per_edge = kernels._plan_edge_sums(row_sliced, col_sliced, join_plan)
-    bounds = join_plan.bounds
+    shared row structure's rows they touch.
+
+    A lane whose positions form one contiguous run (a single array, every
+    ``edges`` shard) is priced from its pair range: one popcount pass
+    over views of the plan's position arrays, its trace a view of the
+    plan's, and its rows' loads read over its source range — a row there
+    that the lane does not touch has no edges, so no valid slices.
+    Scattered lanes gather their runs and their sources, and their
+    accumulators come from one per-edge pass over the whole plan.
+    """
+    spans = [_span(positions) for positions in assignments]
+    per_edge = valid_counts = None
+    if None in spans:
+        per_edge = _plan_edge_sums(row_sliced, col_sliced, join_plan)
+    if any(span is not None for span in spans):
+        valid_counts = row_sliced.row_valid_counts()
+        pair_starts = _pair_starts(join_plan, spans)
+    counts = join_plan.pair_counts
     shards = []
-    for positions in assignments:
-        # Ascending positions of a sorted edge list: sorted sources.
-        touched = _run_heads(sources[positions])
-        _, row_loads = row_sliced.row_slice_ranges(touched)
+    for positions, span in zip(assignments, spans):
+        if span is None:
+            # Ascending positions of a sorted edge list: sorted sources.
+            touched = _run_heads(sources[positions])
+            _, row_loads = row_sliced.row_slice_ranges(touched)
+            rows = int(touched.size)
+            select = partial(
+                expand_runs, join_plan.bounds[positions], counts[positions]
+            )
+            accumulator = int(per_edge[positions].sum())
+        else:
+            lo, hi = span
+            row_loads = (
+                valid_counts[sources[lo]: sources[hi - 1] + 1]
+                if hi > lo
+                else valid_counts[:0]
+            )
+            rows = int(np.count_nonzero(row_loads))
+            select = partial(slice, pair_starts[lo], pair_starts[hi])
+            accumulator = (
+                _range_popcount(row_sliced, col_sliced, join_plan, select())
+                if per_edge is None
+                else int(per_edge[lo:hi].sum())
+            )
         lane = _Lane(
-            select=partial(
-                expand_runs, bounds[positions], join_plan.pair_counts[positions]
-            ),
+            select=select,
             edges=int(positions.size),
             row_writes=int(row_loads.sum()),
-            accumulator=int(per_edge[positions].sum()),
+            accumulator=accumulator,
         )
-        shards.append(_Shard(int(touched.size), row_loads, [lane]))
+        shards.append(_Shard(rows, row_loads, [lane]))
     return shards
+
+
+def _span(positions: np.ndarray) -> tuple[int, int] | None:
+    """``(lo, hi)`` when ascending ``positions`` are exactly ``lo..hi-1``."""
+    if not positions.size:
+        return 0, 0
+    lo = int(positions[0])
+    hi = lo + int(positions.size)
+    return (lo, hi) if int(positions[-1]) == hi - 1 else None
+
+
+def _pair_starts(join_plan, spans) -> dict[int, int]:
+    """The first plan pair of each span end (the pairs of the edges
+    before it), summing the pair counts once up to the last end short of
+    the list's."""
+    counts = join_plan.pair_counts
+    starts = {join_plan.num_edges: join_plan.num_pairs}
+    total = previous = 0
+    for end in sorted({end for span in spans if span is not None for end in span}):
+        if end not in starts:
+            total += int(counts[previous:end].sum(dtype=np.int64))
+            starts[end], previous = total, end
+    return starts
+
+
+def _range_popcount(row_sliced, col_sliced, join_plan, pairs: slice) -> int:
+    """The popcount sum of the plan pairs ``pairs``, a range of its
+    arrays, with the diagonal pairs inside the range."""
+    diagonal = None
+    if join_plan.diagonal is not None:
+        first, last = np.searchsorted(
+            join_plan.diagonal_pairs, (pairs.start, pairs.stop)
+        )
+        if last > first:
+            diagonal = (
+                join_plan.diagonal_pairs[first:last] - pairs.start,
+                join_plan.diagonal_masks[first:last],
+            )
+    return engine.pair_popcount(
+        row_sliced.data, col_sliced.data, join_plan.row_positions[pairs],
+        join_plan.col_positions[pairs], diagonal=diagonal,
+    )
+
+
+def _plan_edge_sums(row_sliced, col_sliced, join_plan) -> np.ndarray:
+    """Each edge's popcount sum over its run of the plan's pairs."""
+    pops = engine.pair_popcounts(
+        row_sliced.data, col_sliced.data, join_plan.row_positions,
+        join_plan.col_positions, diagonal=join_plan.diagonal,
+    )
+    # Prefix sums reduce runs of any length exactly, including the
+    # zero-pair edges np.add.reduceat would mis-handle.
+    prefix = np.zeros(pops.size + 1, dtype=np.int64)
+    np.cumsum(pops, out=prefix[1:])
+    bounds = join_plan.bounds
+    return prefix[bounds[1:]] - prefix[bounds[:-1]]
 
 
 # ----------------------------------------------------------------------
@@ -404,8 +508,8 @@ def _position_shards(
 # injective, so a triangle with multiset exactly T is counted by exactly
 # one lane of exactly one shard — and by none elsewhere.  A shard has 3
 # lanes when its triple's colors are distinct, 2 when two coincide, and
-# 1 when monochromatic; C=1 degenerates to one shard with one unmasked
-# lane, bit-identical to the unsharded engine.
+# 1 when monochromatic.  One array is never colored: C=1 would be one
+# shard with one unmasked lane, which is the single position shard.
 
 
 def num_color_shards(colors: int) -> int:

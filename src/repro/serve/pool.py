@@ -104,8 +104,9 @@ class SessionEntry:
     #: Edges actually inserted + deleted (effective ops, not requested).
     ops_applied: int = 0
     events: EventCounts = field(default_factory=EventCounts)
-    #: Generations whose full-run events have been merged already.
-    priced_generations: set[int] = field(default_factory=set)
+    #: The last generation whose full-run events are merged.  Runs merge
+    #: under the session lock, so in generation order: one int suffices.
+    priced_generation: int | None = None
     #: Service-side mirror of ``session.generation``, updated by worker
     #: threads after each operation so the event loop can key its read
     #: coalescing without touching the session's (blocking) lock.
@@ -124,6 +125,8 @@ class SessionEntry:
     #: ints under its lock instead of taking every session's lock.
     cached_bytes: int = 0
     #: Guards the accounting fields against concurrent worker threads.
+    #: Taken inside the session lock, never around it: the event loop
+    #: takes it per request, so it must not wait on a session.
     stats_lock: threading.Lock = field(default_factory=threading.Lock)
 
     @property

@@ -753,15 +753,16 @@ class Service:
         if warm and entry.warmed:
             return
         session = entry.session
+        # Merging under the session lock prices generations in order.
         with session.lock:
             result = session.run()
             generation = session.generation
-        with entry.stats_lock:
-            entry.known_generation = max(entry.known_generation, generation)
-            if generation not in entry.priced_generations:
-                entry.events = entry.events.merge(result.events)
-                entry.priced_generations.add(generation)
-            entry.warmed = True
+            with entry.stats_lock:
+                entry.known_generation = max(entry.known_generation, generation)
+                if generation != entry.priced_generation:
+                    entry.events = entry.events.merge(result.events)
+                    entry.priced_generation = generation
+                entry.warmed = True
 
     def _count_work(self, entry: SessionEntry) -> int:
         self._price_run(entry, warm=True)
@@ -835,20 +836,18 @@ class Service:
             # and the journal keep matching the session's real state.
             partial = getattr(error, "partial_update", None)
             applied = getattr(error, "applied_operations", None)
+            generation = session.generation
             with entry.stats_lock:
-                entry.known_generation = max(
-                    entry.known_generation, session.generation
-                )
+                entry.known_generation = max(entry.known_generation, generation)
                 if partial is not None:
                     entry.events = entry.events.merge(partial.events)
                     entry.ops_applied += partial.inserted + partial.deleted
                 if self._record_journal and applied:
                     entry.journal.append(list(applied))
             raise
+        generation = session.generation
         with entry.stats_lock:
-            entry.known_generation = max(
-                entry.known_generation, session.generation
-            )
+            entry.known_generation = max(entry.known_generation, generation)
             entry.events = entry.events.merge(report.events)
             # Effective ops (edges actually changed), matching the unit
             # the partial-failure path can account in.
@@ -858,6 +857,12 @@ class Service:
         return report
 
     def _snapshot(self, entry: SessionEntry) -> SessionServeStats:
+        # Size the session before taking stats_lock: the event loop takes
+        # that lock per request, and must not wait behind a session lock.
+        session = entry.session
+        with session.lock:
+            detail = session.resident_bytes_detail()
+            plan_bytes = session.plan_resident_bytes()
         with entry.stats_lock:
             return SessionServeStats(
                 key=entry.key,
@@ -865,9 +870,9 @@ class Service:
                 by_kind=dict(entry.queries),
                 ops_applied=entry.ops_applied,
                 events=entry.events,
-                resident_bytes=entry.session.resident_bytes(),
-                plan_bytes=entry.session.plan_resident_bytes(),
-                resident_detail=entry.session.resident_bytes_detail(),
+                resident_bytes=detail["total"],
+                plan_bytes=plan_bytes,
+                resident_detail=detail,
             )
 
 

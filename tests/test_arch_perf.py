@@ -10,10 +10,10 @@ from repro.arch.perf import (
     GraphXCpuModel,
     PimEnergyParams,
     PimPerformanceModel,
-    PimTimingParams,
     SoftwareSlicedModel,
     default_pim_model,
 )
+from repro.arch.pipeline import ParallelConfig, ParallelPimModel
 from repro.core.accelerator import EventCounts, TCIMAccelerator
 from repro.graph import generators
 
@@ -61,27 +61,16 @@ class TestPimModel:
         assert heavy.latency_s > light.latency_s
 
     def test_parallel_units_speed_up_ands(self):
+        # AND parallelism is priced by the bank-parallel model's compute
+        # units, over the serial model's terms.
         base = default_pim_model()
-        parallel_timing = PimTimingParams(
-            and_latency_s=base.timing.and_latency_s,
-            write_latency_s=base.timing.write_latency_s,
-            bitcount_latency_s=base.timing.bitcount_latency_s,
-            parallel_and_units=16,
-        )
-        parallel = PimPerformanceModel(parallel_timing, base.energy)
+        parallel = ParallelPimModel(base, ParallelConfig(compute_units=16))
         events = _events(and_ops=1_000_000, edges=0, writes=0)
         assert parallel.evaluate(events).latency_s < base.evaluate(events).latency_s
 
     def test_invalid_parallelism(self):
-        base = default_pim_model()
-        timing = PimTimingParams(
-            and_latency_s=1e-9,
-            write_latency_s=1e-9,
-            bitcount_latency_s=1e-9,
-            parallel_and_units=0,
-        )
         with pytest.raises(ArchitectureError):
-            PimPerformanceModel(timing, base.energy)
+            ParallelConfig(compute_units=0)
 
     def test_row_overhead_applied(self, model):
         without = model.evaluate(_events())

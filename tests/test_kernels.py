@@ -2,9 +2,10 @@
 
 One dataflow with two reductions: a count run keeps only the scalar
 accumulator, a ``per_edge`` run also reduces each edge's popcounts,
-value-identical to the pure-Python oracles; and every path — batched,
-planned, edge subsets — produces the same values, events, and cache
-statistics.
+value-identical to the pure-Python oracles; and every path — the
+plan-free join, pricing from a count plan
+(:func:`repro.core.sharding.price_partition`), edge subsets — produces
+the same values, events, and cache statistics.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import pytest
 
 from repro.analysis.truss import edge_support
 from repro.core import engine
+from repro.core.accelerator import AcceleratorConfig
 from repro.core.kernels import execute_workload
 from repro.core.plan import build_join_plan
-from repro.core.slicing import SlicedMatrix
+from repro.core.sharding import _plan_edge_sums, price_partition
+from repro.core.slicing import SlicedMatrix, SliceWindow
 from repro.errors import ArchitectureError
 from repro.graph import generators
 from repro.graph.graph import Graph
@@ -28,11 +31,10 @@ def _sym_setup(graph):
     return sym, sources, destinations
 
 
-def _run(graph, plan=None, capacity=1 << 16, per_edge=True):
+def _run(graph, capacity=1 << 16, per_edge=True):
     sym, sources, destinations = _sym_setup(graph)
     return execute_workload(
-        sym, sym, sources, destinations, capacity, "lru", 0,
-        plan=plan, per_edge=per_edge,
+        sym, sym, sources, destinations, capacity, "lru", 0, per_edge=per_edge
     )
 
 
@@ -99,24 +101,30 @@ class TestEdgeSupportKernel:
         assert int(result.per_edge.sum()) == result.accumulator
 
     def test_planned_matches_batched(self, random_graphs):
+        # One array priced from the plan, and the plan's per-edge sums
+        # (what scattered shards reduce), equal the plan-free join under
+        # the same capacity split.
         for graph in random_graphs:
             sym, sources, destinations = _sym_setup(graph)
             plan = build_join_plan(sym, sym, sources, destinations)
-            free = _run(graph)
-            planned = _run(graph, plan=plan)
-            assert np.array_equal(free.per_edge, planned.per_edge)
-            assert free.accumulator == planned.accumulator
-            assert free.events == planned.events
-            assert free.cache_stats == planned.cache_stats
+            priced = price_partition(
+                AcceleratorConfig(), sym, sym, (sources, destinations), plan
+            )
+            (shard,) = priced.shards
+            free = _run(graph, capacity=shard.column_cache_slices)
+            assert np.array_equal(free.per_edge, _plan_edge_sums(sym, sym, plan))
+            assert free.accumulator == priced.accumulator
+            assert free.events == priced.events
+            assert free.cache_stats == priced.cache_stats
 
     def test_zero_pair_edges(self):
         # A path graph: no triangles, every edge's pair run reduces to 0 —
-        # the case np.add.reduceat would mis-handle on the planned path.
+        # the case np.add.reduceat would mis-handle in the plan's sums.
         graph = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         sym, sources, destinations = _sym_setup(graph)
         plan = build_join_plan(sym, sym, sources, destinations)
-        planned = _run(graph, plan=plan)
-        assert np.array_equal(planned.per_edge, np.zeros(sources.size, dtype=np.int64))
+        sums = _plan_edge_sums(sym, sym, plan)
+        assert np.array_equal(sums, np.zeros(sources.size, dtype=np.int64))
 
     def test_edge_subset_matches_full(self, k5):
         # A shard-style subset run agrees positionally with the full run.
@@ -147,9 +155,19 @@ class TestValidation:
         sym, sources, destinations = _sym_setup(paper_graph)
         plan = build_join_plan(sym, sym, sources, destinations)
         with pytest.raises(ArchitectureError, match="compile a plan"):
-            execute_workload(
-                sym, sym, sources[:2], destinations[:2], 8, "lru", 0, plan=plan,
+            price_partition(
+                AcceleratorConfig(), sym, sym, (sources[:2], destinations[:2]), plan
             )
+
+    def test_window_side_rejected(self, paper_graph):
+        # A window's diagonal slices carry the other side's bits, which
+        # only a count plan masks: the plan-free join refuses windows.
+        sym = SlicedMatrix.from_graph(paper_graph, "symmetric")
+        upper, lower = SliceWindow.pair(sym)
+        edges = engine.oriented_edges(paper_graph, "upper")
+        for row, col in ((upper, lower), (upper, sym), (sym, lower)):
+            with pytest.raises(ArchitectureError, match="SliceWindow"):
+                execute_workload(row, col, *edges, 8, "lru", 0)
 
     def test_stale_plan_rejected(self):
         from repro.core import incremental
@@ -164,7 +182,6 @@ class TestValidation:
         delta = incremental.set_bit(sym, 0, block * 64)
         assert delta.changed
         with pytest.raises(ArchitectureError, match="stale join plan"):
-            execute_workload(
-                sym, sym, sources, destinations, 4096, "lru", 0,
-                plan=plan, per_edge=True,
+            price_partition(
+                AcceleratorConfig(), sym, sym, (sources, destinations), plan
             )

@@ -2,9 +2,9 @@
 
 Three contracts, none negotiable:
 
-* **Exactness** — the planned fast path produces bit-identical triangle
+* **Exactness** — pricing from a plan produces bit-identical triangle
   counts, :class:`EventCounts` and :class:`CacheStatistics` versus the
-  plan-free engine, across graph families, slice widths,
+  plan-free join, across graph families, slice widths,
   cache pressure and shard layouts.
 * **Coherence** — a plan (and the keys cache beneath it) can never be
   served against structures it was not compiled for: the in-place slice
@@ -41,6 +41,7 @@ from repro.core.plan import (
     merge_oriented_edges,
     patch_join_plan,
 )
+from repro.core.sharding import price_partition
 from repro.core.slicing import SlicedMatrix, SliceWindow, expand_runs
 from repro.errors import ArchitectureError
 from repro.graph import generators
@@ -73,6 +74,19 @@ def run_with_and_without_plan(graph, **config_kwargs):
     plan = build_join_plan(row, col, *oriented_edges(graph, "upper"))
     planned = accelerator.run(graph, row_sliced=row, col_sliced=col, join_plan=plan)
     return plain, planned
+
+
+def price_and_join(row, col, edges, plan=None):
+    """``(planned, plain)``: one array priced from ``plan`` (a transient
+    one when ``None``) and the plan-free join of the same edge list under
+    that array's capacity split."""
+    config = AcceleratorConfig()
+    planned = price_partition(config, row, col, edges, plan)
+    (shard,) = planned.shards
+    plain = execute_workload(
+        row, col, *edges, shard.column_cache_slices, config.policy, config.seed
+    )
+    return planned, plain
 
 
 def assert_identical(plain, planned):
@@ -143,10 +157,7 @@ class TestPlannedExecutionDifferential:
         sym = SlicedMatrix.from_graph(graph, "symmetric")
         edges = oriented_edges(graph, "symmetric")
         plan = build_join_plan(sym, sym, *edges)
-        plain, planned = (
-            execute_workload(sym, sym, *edges, 4096, "lru", 0, plan=p)
-            for p in (None, plan)
-        )
+        planned, plain = price_and_join(sym, sym, edges, plan)
         triangles = TCIMAccelerator().run(graph).triangles
         assert plain.accumulator == planned.accumulator == 6 * triangles
         assert plain.events == planned.events
@@ -168,8 +179,8 @@ class TestPlannedExecutionDifferential:
     @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
     @pytest.mark.parametrize("array_bytes", [512, 4096])
     def test_cache_pressure(self, policy, array_bytes):
-        # The memoised trace classification must match the plan-free
-        # simulation even when the trace's serial eviction suffix runs.
+        # A plan's trace classification must match a transient plan's
+        # even when the trace's serial eviction suffix runs.
         plain, planned = run_with_and_without_plan(
             generators.powerlaw_cluster(150, 5, 0.7, seed=6),
             array_bytes=array_bytes,
@@ -214,16 +225,14 @@ class TestPlannedExecutionDifferential:
         sources, destinations = oriented_edges(graph, "upper")
         plan = build_join_plan(row, col, sources[:10], destinations[:10])
         with pytest.raises(ArchitectureError, match="edges"):
-            execute_workload(
-                row, col, sources, destinations, 4096, "lru", 0, plan=plan
-            )
+            price_and_join(row, col, (sources, destinations), plan)
         # A foreign plan is rejected whatever structures it joins.
         sym = SlicedMatrix.from_graph(graph, "symmetric")
-        sym_sources, sym_destinations = oriented_edges(graph, "symmetric")
+        sym_edges = oriented_edges(graph, "symmetric")
         with pytest.raises(ArchitectureError, match="edges"):
-            execute_workload(
-                sym, sym, sym_sources, sym_destinations, 4096, "lru", 0,
-                plan=build_join_plan(sym, sym, sym_sources[:6], sym_destinations[:6]),
+            price_and_join(
+                sym, sym, sym_edges,
+                build_join_plan(sym, sym, sym_edges[0][:6], sym_edges[1][:6]),
             )
 
 
@@ -313,9 +322,8 @@ class TestStructureVersionAudit:
         assert delta.changed
         assert not plan.matches(row, col)
         with pytest.raises(ArchitectureError, match="stale join plan"):
-            execute_workload(
-                row, col, *oriented_edges(graph, "upper"), 4096, "lru", 0,
-                plan=plan,
+            TCIMAccelerator().run(
+                graph, row_sliced=row, col_sliced=col, join_plan=plan
             )
 
     def test_stale_positions_really_point_at_wrong_slices(self):
@@ -691,17 +699,6 @@ class TestPlanPrimitives:
         assert plan.nbytes == sum(array.nbytes for array in arrays)
         assert session.resident_bytes_detail()["plan"] == plan.nbytes
 
-    def test_cache_statistics_memo_returns_fresh_copies(self):
-        graph = generators.barabasi_albert(200, 4, seed=5)
-        row, col = structures(graph)
-        plan = build_join_plan(row, col, *oriented_edges(graph, "upper"))
-        first = plan.cache_statistics(512, "lru", 0)
-        second = plan.cache_statistics(512, "lru", 0)
-        assert first is not second
-        assert dataclasses.asdict(first) == dataclasses.asdict(second)
-        first.hits += 1  # mutating a copy must not poison the memo
-        assert plan.cache_statistics(512, "lru", 0).hits == second.hits
-
     def test_merge_oriented_edges_rejects_overlap_and_misses(self):
         graph = Graph(6, [(0, 1), (1, 2), (3, 4)])
         sources, destinations = oriented_edges(graph, "upper")
@@ -715,18 +712,17 @@ class TestPlanPrimitives:
         empty = np.empty(0, dtype=np.int64)
         plan = build_join_plan(row, col, empty, empty)
         assert plan.num_pairs == 0 and plan.num_edges == 0
-        result = execute_workload(row, col, empty, empty, 64, "lru", 0, plan=plan)
-        assert result.accumulator == 0
-        assert result.events.and_operations == 0
-        assert result.cache_stats.accesses == 0
+        for result in price_and_join(row, col, (empty, empty), plan):
+            assert result.accumulator == 0
+            assert result.events.and_operations == 0
+            assert result.cache_stats.accesses == 0
 
     def test_single_pair_plan_matches_plan_free(self):
         row, col = structures(Graph(4, [(0, 1)]))
         edges = (np.array([0], dtype=np.int64), np.array([1], dtype=np.int64))
         plan = build_join_plan(row, col, *edges)
         assert plan.num_pairs == 1  # slice 0 valid on both sides, AND = 0
-        plain = execute_workload(row, col, *edges, 64, "lru", 0)
-        planned = execute_workload(row, col, *edges, 64, "lru", 0, plan=plan)
+        planned, plain = price_and_join(row, col, edges, plan)
         assert plain.accumulator == planned.accumulator == 0
         assert plain.events == planned.events
         assert dataclasses.asdict(plain.cache_stats) == dataclasses.asdict(

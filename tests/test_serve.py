@@ -791,6 +791,101 @@ class TestReviewRegressions:
         run(main())
 
 
+class TestLockOrder:
+    """Every lock nests session lock → ``stats_lock``; the event loop
+    takes ``stats_lock`` per request, so it never waits on a session."""
+
+    def test_report_behind_a_session_lock_never_freezes_the_loop(self):
+        # A report waiting on a held session lock must not hold the
+        # entry's stats lock, or the next request for that graph blocks
+        # the event loop (and with it a ping for any graph).
+        graph = generators.erdos_renyi(200, 800, seed=5)
+
+        async def main():
+            async with open_service(max_sessions=2) as service:
+                triangles = await service.count(graph)
+                (entry,) = service.pool.entries()
+                held, release = threading.Event(), threading.Event()
+
+                def hold() -> None:
+                    with entry.session.lock:
+                        held.set()
+                        release.wait(3.0)
+
+                holder = threading.Thread(target=hold)
+                holder.start()
+                assert held.wait(5.0)
+                loop = asyncio.get_running_loop()
+                try:
+                    report = loop.run_in_executor(None, service.report)
+                    await asyncio.sleep(0.2)  # the report waits on the lock
+                    start = time.perf_counter()
+                    count = asyncio.ensure_future(service.count(graph))
+                    await asyncio.sleep(0.05)  # the count takes its first step
+                    pong = await handle_request(service, {"id": 1, "op": "ping"})
+                    elapsed = time.perf_counter() - start
+                    answered_while_held = holder.is_alive()
+                finally:
+                    release.set()
+                    holder.join(5.0)
+                assert not holder.is_alive()
+                assert pong["ok"] and pong["result"] == {"pong": True}
+                assert answered_while_held and elapsed < 1.0
+                assert await count == triangles
+                assert (await report).sessions[0].resident_bytes > 0
+
+        run(main())
+
+    def test_pricing_state_stays_bounded_and_exact(self):
+        # 200 apply → simulate rounds keep O(1) pricing state, and the
+        # merged events equal a serial replay's: the warm run, every
+        # apply's events and one full run per generation a read priced.
+        from repro.api import open_session
+
+        graph = generators.erdos_renyi(60, 200, seed=8)
+        rng = np.random.default_rng(3)
+        rounds = [
+            [
+                (str(rng.choice(["+", "-"])), int(u), int(v))
+                for u, v in rng.integers(0, 60, size=(4, 2))
+                if u != v
+            ]
+            for _ in range(200)
+        ]
+
+        def sizes(entry) -> dict:
+            return {
+                name: len(value)
+                for name, value in vars(entry).items()
+                if isinstance(value, (set, list, dict))
+            }
+
+        async def main():
+            async with open_service(max_sessions=1) as service:
+                seen = {}
+                for index, ops in enumerate(rounds, 1):
+                    await service.apply(graph, ops)
+                    await service.simulate(graph)
+                    if index in (20, 200):
+                        (entry,) = service.pool.entries()
+                        seen[index] = sizes(entry)
+                (entry,) = service.pool.entries()
+                return seen, entry.events
+
+        seen, events = run(main())
+        assert seen[20] == seen[200]
+        session = open_session(graph)
+        expected = session.run().events
+        priced = session.generation
+        for ops in rounds:
+            expected = expected + session.apply(ops).events
+            if session.generation != priced:
+                expected = expected + session.run().events
+                priced = session.generation
+        assert events == expected
+        session.close()
+
+
 class TestSecondReviewRegressions:
     """Regressions for the pipelining, journal, and fleet-pricing findings."""
 

@@ -8,9 +8,10 @@ triangle-breaking deletes), reads (``count``, ``simulate``,
 ``pair_scores``, ``common_neighbors_many``, top-k ``common_neighbors``)
 and snapshot round trips, under drawn configurations: 8- and 64-bit
 slices, four coloring-shard arrays, four row-partitioned arrays, a
-memmap store with a tiny spill threshold, an array small enough that
-delta joins at a hub raise capacity errors, and one whose column cache
-evicts while every run fits.
+memmap store with a tiny spill threshold, the same store compiling its
+count plans through 3-edge windows, an array small enough that delta
+joins at a hub raise capacity errors, and one whose column cache evicts
+while every run fits.
 
 Every read is checked against oracles that share no state with the
 session: :class:`~repro.core.dynamic.DynamicTriangleCounter` for the
@@ -54,6 +55,7 @@ from repro.analysis import metrics
 from repro.analysis.truss import edge_support, k_truss, truss_decomposition
 from repro.api import open_session
 from repro.core import plan as joinplan
+from repro.core import residency
 from repro.core.dynamic import DynamicTriangleCounter
 from repro.errors import ArchitectureError, GraphError
 from repro.graph.graph import Graph
@@ -71,6 +73,11 @@ CONFIGS = {
     "upper-bits8-memmap": {
         "slice_bits": 8, "storage_dir": TMP_STORE, "spill_threshold_bytes": 16,
     },
+    # Plans compile through several edge windows (PLAN_CHUNK_EDGES), so
+    # chunked plans are patched, snapshotted and hydrated.
+    "upper-bits8-memmap-chunked": {
+        "slice_bits": 8, "storage_dir": TMP_STORE, "spill_threshold_bytes": 16,
+    },
     # Five 8-bit slices: the hub's symmetric row fills the whole array,
     # so a delta join at the hub raises while full upper runs fit.
     "upper-bits8-capacity": {"slice_bits": 8, "array_bytes": 5},
@@ -81,6 +88,11 @@ CONFIGS = {
     "coloring-arrays4-bits8": {"slice_bits": 8, "num_arrays": 4, "shard_by": "coloring"},
     "rows-arrays4-bits8": {"slice_bits": 8, "num_arrays": 4, "shard_by": "rows"},
 }
+
+#: ``residency._PLAN_CHUNK_EDGES`` per config, set for the machine's
+#: lifetime: a memmap session compiles its count plan through edge
+#: windows of this many edges (65,536 by default, far above these graphs).
+PLAN_CHUNK_EDGES = {"upper-bits8-memmap-chunked": 3}
 
 PAIRS = [(u, v) for u in range(NUM_VERTICES) for v in range(u + 1, NUM_VERTICES)]
 
@@ -121,6 +133,8 @@ def _plan_arrays(plan) -> dict:
 class SessionMachine(RuleBasedStateMachine):
     #: The configuration under test, set per test.
     CONFIG: dict = {}
+    #: Its plan-compile edge window, ``None`` for the default.
+    CHUNK_EDGES: int | None = None
 
     def __init__(self) -> None:
         super().__init__()
@@ -129,15 +143,19 @@ class SessionMachine(RuleBasedStateMachine):
         self.snapshots = 0
         self.compiles = 0
         self._original_build = joinplan.build_join_plan
+        self._original_chunk = residency._PLAN_CHUNK_EDGES
 
         def counting_build(*args, **kwargs):
             self.compiles += 1
             return self._original_build(*args, **kwargs)
 
         joinplan.build_join_plan = counting_build
+        if self.CHUNK_EDGES is not None:
+            residency._PLAN_CHUNK_EDGES = self.CHUNK_EDGES
 
     def teardown(self) -> None:
         joinplan.build_join_plan = self._original_build
+        residency._PLAN_CHUNK_EDGES = self._original_chunk
         if self.session is not None:
             self.session.close()
         shutil.rmtree(self.tmp, ignore_errors=True)
@@ -382,6 +400,7 @@ class SessionMachine(RuleBasedStateMachine):
 def test_session_matches_oracles(config_id, request):
     machine = type(f"SessionMachine[{config_id}]", (SessionMachine,), {
         "CONFIG": CONFIGS[config_id],
+        "CHUNK_EDGES": PLAN_CHUNK_EDGES.get(config_id),
     })
     run_state_machine_as_test(
         machine,
