@@ -91,6 +91,7 @@ from repro.core.reuse import CacheStatistics, simulate_key_trace
 from repro.core.slicing import SlicedMatrix, SliceWindow, expand_runs
 from repro.errors import ArchitectureError
 from repro.graph import bitops
+from repro.graph.graph import _run_heads
 
 __all__ = [
     "PARTITIONERS",
@@ -259,8 +260,9 @@ def price_partition(
 
     Each array's :class:`ShardResult` is a filter of the plan's pairs:
     above one array, one per color triple of ``C = min_colors(num_arrays)``
-    colors for coloring; else one per :func:`position_shards` entry, so a
-    single array is one lane over the whole plan.  Capacity follows
+    colors for coloring; else one per :func:`position_shards` entry; a
+    single array is one lane over the whole plan, its positions the
+    ``range`` of the list (none are allocated).  Capacity follows
     :func:`~repro.core.accelerator.array_share` and
     :func:`~repro.core.accelerator.split_capacity` per shard (above one
     array, errors name ``"shard <id>"``), and ``and_operations`` /
@@ -277,7 +279,11 @@ def price_partition(
     if coloring:
         num_shards = num_color_shards(min_colors(config.num_arrays))
     else:
-        assignments = position_shards(sources, config.num_arrays, config.shard_by)
+        assignments = (
+            position_shards(sources, config.num_arrays, config.shard_by)
+            if config.num_arrays > 1
+            else (range(sources.size),)
+        )
         num_shards = len(assignments)
     per_array_capacity = array_share(config.capacity_slices, num_shards)
     if join_plan is None:
@@ -362,13 +368,6 @@ def _merge_shard_results(shard_results: list[ShardResult]) -> ShardedOutcome:
     )
 
 
-def _run_heads(values: np.ndarray) -> np.ndarray:
-    """The distinct values of a sorted array (a hash-free ``np.unique``)."""
-    head = np.ones(values.size, dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=head[1:])
-    return values[head]
-
-
 def _position_shards(
     row_sliced, col_sliced, sources, join_plan, assignments
 ) -> list[_Shard]:
@@ -418,7 +417,7 @@ def _position_shards(
             )
         lane = _Lane(
             select=select,
-            edges=int(positions.size),
+            edges=len(positions),
             row_writes=int(row_loads.sum()),
             accumulator=accumulator,
         )
@@ -426,12 +425,12 @@ def _position_shards(
     return shards
 
 
-def _span(positions: np.ndarray) -> tuple[int, int] | None:
+def _span(positions: np.ndarray | range) -> tuple[int, int] | None:
     """``(lo, hi)`` when ascending ``positions`` are exactly ``lo..hi-1``."""
-    if not positions.size:
+    if not len(positions):
         return 0, 0
     lo = int(positions[0])
-    hi = lo + int(positions.size)
+    hi = lo + len(positions)
     return (lo, hi) if int(positions[-1]) == hi - 1 else None
 
 

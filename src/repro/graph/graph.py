@@ -336,37 +336,44 @@ def _as_edge_array(edges: Iterable | np.ndarray) -> np.ndarray:
 
 
 def _canonicalise_edges(edge_array: np.ndarray, num_vertices: int) -> np.ndarray:
-    """Drop self-loops, orient ``u < v``, deduplicate, sort lexicographically."""
+    """Drop self-loops, orient ``u < v``, deduplicate, sort lexicographically.
+
+    Sorts one ``u * n + v`` key per edge and drops equal neighbours, which
+    beats a hash-based ``np.unique`` on large int64 arrays.  The result is
+    always a new array, never the caller's.
+    """
     if edge_array.size == 0:
-        return edge_array.reshape(0, 2)
+        return np.empty((0, 2), dtype=np.int64)
+    n = np.int64(num_vertices)
     not_loop = edge_array[:, 0] != edge_array[:, 1]
-    edge_array = edge_array[not_loop]
-    if edge_array.size == 0:
-        return edge_array.reshape(0, 2)
-    u = np.minimum(edge_array[:, 0], edge_array[:, 1])
-    v = np.maximum(edge_array[:, 0], edge_array[:, 1])
-    # Encode each edge into one integer for a fast unique; safe because
-    # u * n + v < n**2 <= 2**63 for any graph that fits in memory.
-    keys = u * np.int64(num_vertices) + v
-    unique_keys = np.unique(keys)
-    out = np.empty((unique_keys.size, 2), dtype=np.int64)
-    out[:, 0] = unique_keys // num_vertices
-    out[:, 1] = unique_keys % num_vertices
+    u, v = edge_array[not_loop, 0], edge_array[not_loop, 1]
+    # Safe because u * n + v < n**2 <= 2**63 for any graph that fits in
+    # memory.
+    keys = np.minimum(u, v) * n + np.maximum(u, v)
+    keys.sort()
+    keys = _run_heads(keys)
+    out = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, n, out=(out[:, 0], out[:, 1]))
     return out
 
 
 def _build_csr(edges_uv: np.ndarray, num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
-    """Build the symmetric CSR arrays from canonical ``u < v`` edges."""
-    if edges_uv.size == 0:
-        return (
-            np.zeros(num_vertices + 1, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
-    sources = np.concatenate([edges_uv[:, 0], edges_uv[:, 1]])
-    targets = np.concatenate([edges_uv[:, 1], edges_uv[:, 0]])
-    order = np.lexsort((targets, sources))
-    indices = targets[order]
-    counts = np.bincount(sources, minlength=num_vertices)
+    """Build the symmetric CSR arrays from canonical ``u < v`` edges: one
+    sort of the ``source * n + target`` keys of both directions."""
     indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    if edges_uv.size == 0:
+        return indptr, np.empty(0, dtype=np.int64)
+    n = np.int64(num_vertices)
+    u, v = edges_uv[:, 0], edges_uv[:, 1]
+    keys = np.concatenate([u * n + v, v * n + u])
+    keys.sort()
+    indices = keys % n
+    np.cumsum(np.bincount(edges_uv.ravel(), minlength=num_vertices), out=indptr[1:])
     return indptr, indices
+
+
+def _run_heads(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array (a hash-free ``np.unique``)."""
+    head = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=head[1:])
+    return values[head]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graph_reference as reference
 from repro.errors import GraphError
 from repro.graph.graph import Graph
 
@@ -221,3 +222,59 @@ class TestProperties:
         permutation = list(range(20))
         rnd.shuffle(permutation)
         assert graph.relabel(np.array(permutation)).num_edges == graph.num_edges
+
+
+@st.composite
+def _edge_arrays(draw) -> tuple[int, np.ndarray]:
+    """Edge arrays with loops, duplicates and reversed rows, or canonical
+    ones with one such defect spliced in or not."""
+    num_vertices = draw(st.integers(1, 25))
+    vertex = st.integers(0, num_vertices - 1)
+    edges = np.array(
+        draw(st.lists(st.tuples(vertex, vertex), max_size=60)), dtype=np.int64
+    ).reshape(-1, 2)
+    shape = draw(st.sampled_from(["raw", "canonical", "reversed", "duplicate", "loop"]))
+    if shape != "raw":
+        edges = reference.canonical_edges(edges, num_vertices)
+    if shape != "canonical" and len(edges):
+        at = draw(st.integers(0, len(edges) - 1))
+        row = edges[at].copy()
+        if shape == "reversed":
+            edges[at] = row[::-1]
+        elif shape == "duplicate":
+            edges = np.insert(edges, at, row, axis=0)
+        elif shape == "loop":
+            edges = np.insert(edges, at, [row[0], row[0]], axis=0)
+    dtype = draw(st.sampled_from([np.int64, np.int32]))
+    order = draw(st.sampled_from(["C", "F"]))
+    return num_vertices, np.array(edges, dtype=dtype, order=order)
+
+
+class TestMatchesReference:
+    """One key sort builds what ``np.unique`` + ``np.lexsort`` built
+    (``graph_reference``)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_edge_arrays())
+    def test_construction_matches_reference(self, drawn):
+        num_vertices, edges = drawn
+        before = edges.copy()
+        graph = Graph(num_vertices, edges)
+        want_n, want_edges, want_indptr, want_indices = reference.build(
+            num_vertices, edges
+        )
+        indptr, indices = graph.csr
+        assert graph.num_vertices == want_n
+        np.testing.assert_array_equal(graph.edge_array(), want_edges)
+        np.testing.assert_array_equal(indptr, want_indptr)
+        np.testing.assert_array_equal(indices, want_indices)
+        np.testing.assert_array_equal(edges, before)
+        assert edges.flags.writeable
+
+    def test_canonical_input_is_copied_not_frozen(self):
+        edges = np.array([[0, 1], [0, 2], [1, 2], [2, 3]], dtype=np.int64)
+        graph = Graph(4, edges)
+        assert edges.flags.writeable
+        assert not np.shares_memory(edges, graph.edge_array())
+        edges[0] = (2, 3)
+        assert graph.edge_array().tolist() == [[0, 1], [0, 2], [1, 2], [2, 3]]

@@ -29,6 +29,7 @@ from repro.core.accelerator import (
 )
 from repro.core.engine import oriented_edges
 from repro.core.reuse import CacheStatistics
+from repro.core import sharding
 from repro.core.sharding import (
     PARTITIONERS,
     POSITION_PARTITIONERS,
@@ -87,13 +88,19 @@ class TestSingleArrayIdentity:
         assert single.shards == []
 
     @pytest.mark.parametrize("shard_by", POSITION_PARTITIONERS)
-    def test_orchestrator_with_one_shard(self, shard_by):
-        """The pricer itself, not just the accelerator shortcut."""
+    def test_orchestrator_with_one_shard(self, shard_by, monkeypatch):
+        """The pricer itself, not just the accelerator shortcut; one array
+        is one lane over the whole list, so no position array is built."""
         graph = GRAPHS["ba"]()
         config = AcceleratorConfig(shard_by=shard_by)
         baseline = run(graph)
         row_sliced = SlicedMatrix.from_graph(graph, "upper")
         col_sliced = SlicedMatrix.from_graph(graph, "lower")
+
+        def no_positions(*args):
+            raise AssertionError("one array partitioned its positions")
+
+        monkeypatch.setattr(sharding, "position_shards", no_positions)
         outcome = price_partition(
             config, row_sliced, col_sliced, oriented_edges(graph, "upper")
         )
