@@ -29,9 +29,12 @@ The session keeps the counts, the query-result caches and the mutation
 pipeline.  The edge set and everything derived from it live in one
 :class:`~repro.core.residency.Residency`, which folds every committed
 batch in and follows one lifecycle rule: an ``apply()`` call keeps the
-windows and count plan, the edge list and the workload cache only if a
-reader used them since the previous ``apply()`` call, patches what it
-keeps, and drops the rest for a lazy rebuild.
+count plan, the event totals and their windows, the edge list and the
+workload cache only if a reader used them since the previous
+``apply()`` call, patches what it keeps, and drops the rest for a lazy
+rebuild.  A priced read of a maintained count on one array prices from
+the event totals, so after a small apply it costs what the apply
+changed.
 
 Software baselines (:meth:`TCIMSession.baseline`) and graph-spec
 schemes (:func:`resolve_graph`) are looked up in :mod:`repro.registry`,
@@ -425,13 +428,15 @@ class TCIMSession:
         a mutation until something reads ``graph`` — the symmetric
         structure in ``slices`` is then the only edge set), ``slices``
         (the symmetric slice structure, the spare rows its buffers keep
-        for in-place inserts included, and its windows' offsets),
+        for in-place inserts included, its windows' offsets and the
+        per-column event totals),
         ``plan`` (the compiled count plan with its diagonal list),
         ``sym_plan`` (always 0: the workloads read the count plan; the
         key stays for readers of earlier releases), ``edges`` (the
         session's one edge list, unless the graph already holds it — a
         fresh session's are views of its edge list or CSR; the
-        ``support()`` / ``truss()`` maps share it), ``workloads`` (the
+        ``support()`` / ``truss()`` maps share it — and its sorted keys
+        once a fold has spliced them), ``workloads`` (the
         current generation's triangle list, supports, trussness and
         clustering arrays; 0 until a workload reads them, and after a
         mutation only what an apply that followed a read patched),
@@ -454,10 +459,14 @@ class TCIMSession:
         (:data:`repro.analysis.truss.LOCAL_UPDATE_CAP`), so the patched
         triangle list was re-peeled in full;
         ``workload_patch_error`` — patching the workload cache past a
-        batch raised, so the cache was dropped.  Every dropped cache is
-        rebuilt by the next query that needs it.  (An ``apply()`` that
-        drops what no reader used is the rule, not a fallback, and is
-        not counted.)  Takes no lock.
+        batch raised, so the cache was dropped; ``full_sweep`` — a
+        :meth:`simulate` / :meth:`run` of a maintained count could not
+        be priced from the event totals (the session has several arrays,
+        or its column trace would evict), so it flushed the plan and
+        swept it.  Every dropped cache is rebuilt by the next query that
+        needs it.  (An ``apply()`` that drops what no reader used is the
+        rule, not a fallback, and is not counted; moving the event
+        totals raising counts as ``flush_patch_error``.)  Takes no lock.
         """
         return MappingProxyType(self._residency.fallbacks)
 
@@ -466,9 +475,12 @@ class TCIMSession:
         """The resident :class:`~repro.core.plan.JoinPlan` (or ``None``).
 
         Compiled lazily by the first engine-executing query, then
-        patched rather than rebuilt across applies that reads separate
-        (an apply after an unread one drops it, see :meth:`apply`).
-        Reading the property folds the pending batches in first, so the
+        patched rather than rebuilt across applies that plan reads
+        separate (an apply after a call whose batches no read folded
+        drops it, see :meth:`apply`).  A :meth:`simulate` priced from
+        the event totals folds nothing, so after a loop of applies and
+        such reads this is ``None`` until a plan reader compiles it.
+        Reading the property folds the pending batches in first, so a
         returned plan always reflects the current graph.  Plans are
         immutable objects — the reference returned here stays internally
         consistent even if a later update swaps the session to a patched
@@ -547,6 +559,18 @@ class TCIMSession:
         Bit-identical to ``TCIMAccelerator(config).run(graph)`` plus the
         matching perf evaluation — the session only skips the re-slicing,
         never changes the dataflow.  Cached until the graph changes.
+
+        Once the count is maintained (after an :meth:`apply`, or from a
+        snapshot that recorded it), a single-array session prices the
+        run from its event totals instead of sweeping the count plan:
+        the plan's pairs, the upper window's row loads and, while the
+        column trace cannot evict, its distinct column-slice keys, kept
+        per column and moved by every apply — every field equal to the
+        sweep's.  The first such read after an apply builds the totals
+        from the current plan; later reads flush no plan and run no
+        gather, AND or popcount.  Several arrays, or a trace that would
+        evict, sweep as before (``full_sweep`` in
+        :attr:`fallback_counts`).
         """
         with self._lock:
             if self._report is None:
@@ -571,7 +595,8 @@ class TCIMSession:
             return self._report
 
     def run(self) -> TCIMRunResult:
-        """The raw functional run result (``simulate()`` without pricing)."""
+        """The raw functional run result (``simulate()`` without pricing,
+        from the event totals where ``simulate()`` would be)."""
         with self._lock:
             return self._full_run()
 
@@ -579,7 +604,7 @@ class TCIMSession:
         """Table III/IV compression statistics of the resident structures."""
         with self._lock:
             if self._slice_stats is None:
-                row_sliced, col_sliced = self._residency.slice_windows()
+                row_sliced, col_sliced = self._residency.priced_windows()
                 self._slice_stats = slice_statistics(
                     None,
                     slice_bits=self.config.slice_bits,
@@ -812,11 +837,12 @@ class TCIMSession:
         :meth:`Residency.start_call
         <repro.core.residency.Residency.start_call>`), so a pure update
         stream holds none after its second call.  Each batch splices a
-        kept edge list once, patches a kept workload cache through that
-        splice (the triangle list, tallies and trussness) and queues for
-        one lazy patch of kept windows and plan.  The patches are host
-        bookkeeping: :attr:`UpdateReport.events` prices the delta joins
-        only.
+        kept edge list and its keys once, patches a kept workload cache
+        through that splice (the triangle list, tallies and trussness),
+        moves kept event totals (the priced reads' state: only the
+        columns the batch can change re-join) and queues for one lazy
+        patch of a kept plan.  The patches are host bookkeeping:
+        :attr:`UpdateReport.events` prices the delta joins only.
 
         **Failure semantics**: if a batch raises (e.g. a capacity
         :class:`~repro.errors.ArchitectureError`), the failing batch is
@@ -1044,18 +1070,65 @@ class TCIMSession:
 
     def _full_run(self) -> TCIMRunResult:
         if self._run is None:
-            (row_sliced, col_sliced), edges, join_plan = self._residency.count_inputs()
-            self._run = self._accelerator.run(
-                None,
-                num_vertices=self._num_vertices,
-                row_sliced=row_sliced,
-                col_sliced=col_sliced,
-                edge_arrays=edges,
-                join_plan=join_plan,
-            )
-            self._triangles = self._run.triangles
-            self._slice_stats = self._run.slice_stats
+            run = self._totals_run() if self._triangles is not None else None
+            if run is None:
+                (row_sliced, col_sliced), edges, join_plan = (
+                    self._residency.count_inputs()
+                )
+                run = self._accelerator.run(
+                    None,
+                    num_vertices=self._num_vertices,
+                    row_sliced=row_sliced,
+                    col_sliced=col_sliced,
+                    edge_arrays=edges,
+                    join_plan=join_plan,
+                )
+            self._run = run
+            self._triangles = run.triangles
+            self._slice_stats = run.slice_stats
         return self._run
+
+    def _totals_run(self) -> TCIMRunResult | None:
+        """The single-array run of the maintained count, priced from the
+        residency's event totals, or ``None`` (counted as ``full_sweep``)
+        when they cannot price it: the session has several arrays, or its
+        column trace would evict.
+
+        Equal, field by field, to the planned run
+        (:func:`~repro.core.sharding.price_partition`) of the same graph:
+        the capacity split over the upper window's row loads (so the same
+        errors raise), one AND and bit count per plan pair, and, while
+        the distinct column keys fit the column cache, one write per
+        distinct key and a hit for every other access — the eviction-free
+        branch of :func:`~repro.core.reuse.simulate_key_trace`.
+        """
+        config = self.config
+        residency = self._residency
+        if config.num_arrays == 1:
+            totals = residency.event_totals()
+            upper, lower = residency.windows
+            row_loads = upper.row_valid_counts()
+            row_region, column_cache = split_capacity(config.capacity_slices, row_loads)
+            pairs, distinct = totals.num_pairs, totals.num_distinct
+            if distinct <= column_cache:
+                cache_stats = CacheStatistics(hits=pairs - distinct, misses=distinct)
+                return TCIMRunResult(
+                    triangles=self._triangles,
+                    events=kernels._array_events(
+                        self._num_edges, upper.slices_per_row, int(row_loads.sum()),
+                        pairs, cache_stats,
+                    ),
+                    cache_stats=cache_stats,
+                    slice_stats=slice_statistics(
+                        None, slice_bits=config.slice_bits,
+                        row_sliced=upper, col_sliced=lower,
+                    ),
+                    config=config,
+                    row_region_slices=row_region,
+                    column_cache_slices=column_cache,
+                )
+        residency.fallbacks["full_sweep"] += 1
+        return None
 
 
 def _both_directions(delta_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -369,6 +369,8 @@ def merge_oriented_edges(
     delta_edges: np.ndarray,
     num_vertices: int,
     insert: bool,
+    *,
+    keys: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, StructureDelta]:
     """Splice a canonical delta batch into a sorted upper-triangular
     edge list.
@@ -379,7 +381,9 @@ def merge_oriented_edges(
     the slice maintenance, and splices its one edge list this way as
     each batch commits.
     Preserves the reference iteration order (lexicographic by source, then
-    destination).
+    destination).  ``keys`` are the list's ascending ``u * n + v`` keys
+    when the caller keeps them (they splice at the same positions),
+    computed here when ``None``.
 
     Returns ``(sources, destinations, splice)``: the new edge list and a
     :class:`~repro.core.incremental.StructureDelta` over edge positions —
@@ -394,7 +398,7 @@ def merge_oriented_edges(
     order = np.argsort(delta_keys, kind="stable")
     delta_keys = delta_keys[order]
     delta_src, delta_dst = delta_src[order], delta_dst[order]
-    old_keys = sources * scale + destinations
+    old_keys = sources * scale + destinations if keys is None else keys
     where = np.searchsorted(old_keys, delta_keys)
     empty = np.empty(0, dtype=np.int64)
     if insert:

@@ -6,13 +6,13 @@ behind :class:`repro.api.TCIMSession`: the edge set (the opened
 :class:`Graph` until the first committed batch, then the symmetric
 :class:`SlicedMatrix` every batch splices in place), what derives from
 it (the structure's two :class:`SliceWindow` sides, the upper-triangular
-edge list, the count plan with its queued batches, and the workload
-cache), and the fallback counters.  :meth:`Residency.fold` moves the
-derived state past each committed batch, :meth:`Residency.start_call`
-is the lifecycle rule every ``apply()`` runs first, and
-:meth:`Residency.keep` does every drop; the readers fold the queued
-batches in and build whatever is missing.  Callers hold the session's
-lock.
+edge list with its sorted keys, the count plan with its queued batches,
+the count run's :class:`EventTotals`, and the workload cache), and the
+fallback counters.  :meth:`Residency.fold` moves the derived state past
+each committed batch, :meth:`Residency.start_call` is the lifecycle
+rule every ``apply()`` runs first, and :meth:`Residency.keep` does every
+drop; the readers fold the queued batches in and build whatever is
+missing.  Callers hold the session's lock.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ from repro.core import incremental
 from repro.core import kernels
 from repro.core import plan as joinplan
 from repro.core.engine import oriented_edges
-from repro.core.slicing import SlicedMatrix, SliceWindow
+from repro.core.slicing import SlicedMatrix, SliceWindow, expand_runs
 from repro.errors import ArchitectureError, StorageError
 from repro.graph.edgemap import EdgeMap
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, _run_heads
 
-__all__ = ["FALLBACKS", "Residency"]
+__all__ = ["FALLBACKS", "EventTotals", "Residency"]
 
 #: Edge-window size of chunked plan compiles on memmap-backed sessions.
 #: 64k edges keeps the compile's transient heap in the tens of MB even
@@ -38,9 +38,10 @@ _PLAN_CHUNK_EDGES = 65_536
 
 #: The silent fallbacks :attr:`Residency.fallbacks` counts: each is a
 #: place where an optimisation gives up and drops resident caches for a
-#: lazy rebuild (or, for ``truss_repeel``, recomputes eagerly) instead of
-#: failing the request.
-FALLBACKS = ("flush_patch_error", "truss_repeel", "workload_patch_error")
+#: lazy rebuild (or, for ``truss_repeel``, recomputes eagerly, and for
+#: ``full_sweep``, prices a read by the full sweep) instead of failing
+#: the request.
+FALLBACKS = ("flush_patch_error", "truss_repeel", "workload_patch_error", "full_sweep")
 
 #: The count plan's arrays, as snapshot segments ``plan.<name>``.
 _PLAN_ARRAYS = (
@@ -51,6 +52,49 @@ _PLAN_ARRAYS = (
     "diagonal_pairs",
     "diagonal_masks",
 )
+
+
+class EventTotals:
+    """The count plan's event totals, kept per column.
+
+    Every event a single-array count run prices follows from which slice
+    pairs the plan matches, never from their bits: its AND and bit-count
+    operations are the plan's pairs, and on an eviction-free column cache
+    its column-slice writes are the distinct column-slice keys of its
+    trace (every other access hits).  ``pairs[v]`` and ``distinct[v]``
+    count the pairs and the distinct keys of the edges into column ``v``
+    (a key is ``v * slices per row + slice id``, so no two columns share
+    one); a fold rewrites the columns it can change.
+    """
+
+    __slots__ = ("pairs", "distinct")
+
+    def __init__(self, pairs: np.ndarray, distinct: np.ndarray) -> None:
+        self.pairs, self.distinct = pairs, distinct
+
+    @classmethod
+    def from_plan(cls, plan, destinations: np.ndarray, num_columns: int, slices_per_row: int):
+        """The totals of a current count plan over the edge list whose
+        destinations are ``destinations``: one sort of its trace keys
+        (hash-free, unlike ``np.unique``) for the distinct ones."""
+        heads = _run_heads(np.sort(plan.trace_keys))
+        pairs = np.bincount(destinations, weights=plan.pair_counts, minlength=num_columns)
+        return cls(
+            pairs.astype(np.int64),
+            np.bincount(heads // slices_per_row, minlength=num_columns),
+        )
+
+    @property
+    def num_pairs(self) -> int:
+        return int(self.pairs.sum())
+
+    @property
+    def num_distinct(self) -> int:
+        return int(self.distinct.sum())
+
+    @property
+    def nbytes(self) -> int:
+        return self.pairs.nbytes + self.distinct.nbytes
 
 
 class Residency:
@@ -74,10 +118,18 @@ class Residency:
         #: ``(sources, destinations)``, the upper edge list in CSR order:
         #: the plan's edges, and edge i of every workload array.
         self.edges: tuple[np.ndarray, np.ndarray] | None = None
+        #: The edge list's ascending ``u * n + v`` keys, built on first
+        #: use and spliced with the list (see :meth:`edge_keys`).
+        self.keys: np.ndarray | None = None
         self.plan = None
         #: ``(delta_edges, edge_splice, sym_splice)`` of each committed
-        #: batch not yet folded into the windows and the plan.
+        #: batch not yet folded into the plan (and, while no totals are
+        #: kept, the windows).
         self.pending: list[tuple] = []
+        #: The count run's :class:`EventTotals`, moved by every fold.
+        self.totals: EventTotals | None = None
+        #: Whether a priced read ran since the last :meth:`start_call`.
+        self.totals_read = False
         #: The generation's workload results, every array non-writeable.
         self.workloads: dict = {}
         #: Whether a workload read ran since the last :meth:`start_call`.
@@ -127,6 +179,14 @@ class Residency:
                 self.edges = rows[forward], cols[forward]
         return self.edges
 
+    def edge_keys(self) -> np.ndarray:
+        """The edge list's ascending ``u * n + v`` keys, built once and
+        then spliced with the list by every :meth:`fold`."""
+        if self.keys is None:
+            sources, destinations = self.edge_list()
+            self.keys = sources * np.int64(self.num_vertices) + destinations
+        return self.keys
+
     # ------------------------------------------------------------------
     # The count run's inputs
     # ------------------------------------------------------------------
@@ -138,6 +198,27 @@ class Residency:
             self.windows = SliceWindow.pair(self.structure())
         self.edge_list()
         return self.windows
+
+    def priced_windows(self) -> tuple[SliceWindow, SliceWindow]:
+        """:meth:`slice_windows` for a priced read (``simulate``, ``run``,
+        ``slice_stats``), which marks the windows and the totals read;
+        kept totals imply current windows, so no queued plan batch folds."""
+        self.totals_read = True
+        if self.totals is not None:
+            return self.windows
+        return self.slice_windows()
+
+    def event_totals(self) -> EventTotals:
+        """The count run's :class:`EventTotals`, built from the current
+        plan when missing (:meth:`count_inputs`) and then moved by every
+        :meth:`fold`; marks them read."""
+        self.totals_read = True
+        if self.totals is None:
+            windows, (_, destinations), plan = self.count_inputs()
+            self.totals = EventTotals.from_plan(
+                plan, destinations, self.num_vertices, windows[1].slices_per_row
+            )
+        return self.totals
 
     def count_inputs(self) -> tuple:
         """``(windows, edges, plan)`` of a count run, all current.
@@ -236,7 +317,9 @@ class Residency:
             listed = self.triangle_list(count)
             sources, destinations = self.edge_list()
             supports = np.bincount(listed.reshape(-1), minlength=sources.size)
-            return EdgeMap(sources, destinations, supports, self.num_vertices)
+            return EdgeMap(
+                sources, destinations, supports, self.num_vertices, self.keys
+            )
 
         return self._cached("support", build)
 
@@ -249,7 +332,8 @@ class Residency:
             support = self.support_map(count)
             trussness = peel_trussness(support.per_edge, self.triangle_list(count))
             return EdgeMap(
-                support.sources, support.destinations, trussness, self.num_vertices
+                support.sources, support.destinations, trussness, self.num_vertices,
+                self.keys,
             )
 
         return self._cached("truss", build)
@@ -292,9 +376,12 @@ class Residency:
         :class:`~repro.core.incremental.StructureDelta` of the symmetric
         structure (now the edge set) and ``triangles`` the session's
         count after the batch.  A kept edge list is spliced once
-        (:func:`~repro.core.plan.merge_oriented_edges`), which maps every
-        old edge id to its new one, and kept windows and plan queue the
-        batch for :meth:`flush`.  Through the splice, a kept triangle
+        (:func:`~repro.core.plan.merge_oriented_edges`), with its keys,
+        which maps every old edge id to its new one.  Kept totals refresh
+        the windows of the batch's endpoint rows and move
+        (:meth:`_move_totals`); a kept plan, and kept windows without
+        totals, queue the batch for :meth:`flush`.  Through the splice, a
+        kept triangle
         list drops the rows that hold a deleted edge or appends the
         triangles the inserted edges close (read off the symmetric
         structure; row order may differ from a witness pass, and every
@@ -304,9 +391,9 @@ class Residency:
         (:func:`~repro.analysis.truss.trussness_after_deletes` /
         :func:`~repro.analysis.truss.trussness_after_inserts`) and past
         their cap re-peeled (``truss_repeel``).  The other workload
-        results go.  A failed splice drops all derived state
-        (``flush_patch_error``), a failed patch the workload cache
-        (``workload_patch_error``).
+        results go.  A failed splice drops all derived state, failed
+        totals the windows, plan and totals (both ``flush_patch_error``),
+        a failed patch the workload cache (``workload_patch_error``).
         """
         self.graph = None
         old_edges = self.edges
@@ -315,15 +402,30 @@ class Residency:
             self.keep()
             return
         try:
+            old_keys = self.edge_keys()
             *edges, edge_splice = joinplan.merge_oriented_edges(
-                *old_edges, delta_edges, self.num_vertices, insert
+                *old_edges, delta_edges, self.num_vertices, insert, keys=old_keys
             )
+            if insert:
+                delta_keys = np.sort(
+                    delta_edges[:, 0] * np.int64(self.num_vertices) + delta_edges[:, 1]
+                )
+                keys = np.insert(old_keys, edge_splice.inserted_before, delta_keys)
+            else:
+                keys = np.delete(old_keys, edge_splice.removed_at)
         except Exception:
             self.fallbacks["flush_patch_error"] += 1
             self.keep()
             return
-        self.edges = tuple(edges)
-        if self.windows is not None:
+        self.edges, self.keys = tuple(edges), keys
+        if self.totals is not None:
+            try:
+                SliceWindow.refresh(self.windows, np.unique(delta_edges))
+                self._move_totals(delta_edges)
+            except Exception:
+                self.fallbacks["flush_patch_error"] += 1
+                self.keep(workloads=True)
+        if self.windows is not None and (self.plan is not None or self.totals is None):
             self.pending.append((delta_edges, edge_splice, splice))
         cache, self.workloads = self.workloads, {}
         if "triangles" not in cache:
@@ -332,7 +434,6 @@ class Residency:
 
         try:
             sources, destinations = edges
-            keys = sources * np.int64(self.num_vertices) + destinations
             listed = cache["triangles"]
             count = old_edges[0].size
             table = joinplan._position_map(count, edge_splice, np.int64)
@@ -407,12 +508,58 @@ class Residency:
                         patched,
                     )
                 workloads["truss"] = EdgeMap(
-                    sources, destinations, trussness, self.num_vertices
+                    sources, destinations, trussness, self.num_vertices, keys
                 )
         except Exception:
             self.fallbacks["workload_patch_error"] += 1
             return
         self.workloads = workloads
+
+    def _move_totals(self, delta_edges: np.ndarray) -> None:
+        """Move the kept totals past a committed batch, over the current
+        windows.
+
+        Only a delta edge's source gains or loses upper slices, and only
+        its destination lower ones, so the columns whose pairs can change
+        are the batch's destinations and the upper neighbours of its
+        sources (one key-range search each).  Every edge into those
+        columns — their in-neighbours, read off the lower windows' bits —
+        re-joins: each slice of the column's lower window is a pair when
+        the source's upper window holds it, one ``np.isin`` of ``(source,
+        slice id)`` keys against the sources' upper windows.
+        """
+        upper, lower = self.windows
+        sym = self.sym
+        n = np.int64(self.num_vertices)
+        starts = np.unique(delta_edges[:, 0]) * n
+        lo = np.searchsorted(self.keys, starts)
+        hi = np.searchsorted(self.keys, starts + n)
+        neighbours = self.edges[1][expand_runs(lo, hi - lo)]
+        columns = np.unique(np.concatenate([delta_edges[:, 1], neighbours]))
+        first, counts = lower.row_slice_ranges(columns)
+        positions = expand_runs(first, counts)
+        owner = np.repeat(np.arange(columns.size, dtype=np.int64), counts)
+        slot, sources = sym.decode(sym.slice_ids[positions], sym.data[positions])
+        into = owner[slot]
+        below = sources < columns[into]
+        sources, into = sources[below], into[below]
+        per_row = np.int64(sym.slices_per_row)
+        rows, row_of = np.unique(sources, return_inverse=True)
+        first_row, row_counts = upper.row_slice_ranges(rows)
+        held = (
+            np.repeat(np.arange(rows.size, dtype=np.int64), row_counts) * per_row
+            + sym.slice_ids[expand_runs(first_row, row_counts)]
+        )
+        # One probe per (edge, slice of its column's lower window).
+        width = counts[into]
+        probes = sym.slice_ids[expand_runs(first[into], width)]
+        hit = np.isin(np.repeat(row_of, width) * per_row + probes, held)
+        keys = np.repeat(into, width)[hit] * per_row + probes[hit]
+        totals = self.totals
+        totals.pairs[columns] = np.bincount(keys // per_row, minlength=columns.size)
+        totals.distinct[columns] = np.bincount(
+            _run_heads(np.sort(keys)) // per_row, minlength=columns.size
+        )
 
     def _edge_triangles(self, keys: np.ndarray, u: np.ndarray, v: np.ndarray):
         """``(which, f, g)``: every triangle ``{u[i], v[i], w}`` of the
@@ -428,26 +575,38 @@ class Residency:
         )
 
     def start_call(self) -> None:
-        """The lifecycle rule, run as ``apply()`` starts: the windows and
-        the plan stay only if a read folded the batches the previous call
-        queued (or it queued none), the workload cache only if a workload
-        read ran since that call, and the edge list while either stays.
-        The queue never holds more than one call's batches."""
-        self.keep(plan=not self.pending, workloads=self.workloads_read)
-        self.workloads_read = False
+        """The lifecycle rule, run as ``apply()`` starts: the plan stays
+        only if a read folded the batches the previous call queued (or it
+        queued none), the totals only if a priced read ran since that
+        call, the windows while either stays, the workload cache only if
+        a workload read ran since that call, and the edge list while the
+        windows or the cache stay.  The queue never holds more than one
+        call's batches."""
+        self.keep(
+            plan=not self.pending, totals=self.totals_read, workloads=self.workloads_read
+        )
+        self.totals_read = self.workloads_read = False
 
-    def keep(self, *, plan: bool = False, workloads: bool = False) -> None:
+    def keep(
+        self, *, plan: bool = False, totals: bool = False, workloads: bool = False
+    ) -> None:
         """Drop the derived state not kept, for a lazy rebuild from the
-        symmetric structure: the windows and the count plan with their
-        queued batches unless ``plan``, the workload cache unless
-        ``workloads``, and the edge list once neither stays."""
+        symmetric structure: the count plan with its queued batches unless
+        ``plan``, the event totals unless ``totals``, the windows once
+        neither stays, the workload cache unless ``workloads``, and the
+        edge list with its keys once neither the windows nor the cache
+        stay."""
+        if not totals:
+            self.totals = None
         if not plan:
-            self.windows = self.plan = None
+            self.plan = None
             self.pending = []
+            if self.totals is None:
+                self.windows = None
         if not workloads:
             self.workloads = {}
         if self.windows is None and not self.workloads:
-            self.edges = None
+            self.edges = self.keys = None
 
     def close(self) -> None:
         """Drop all derived state and keep one edge set: the graph when
@@ -598,7 +757,7 @@ class Residency:
         graph_bytes, slices, edges, workloads = _held_bytes(
             (graph.edge_array(), *graph.csr) if graph is not None else (),
             (*sym.buffers, sym.indptr) if sym is not None else (),
-            self.edges or (),
+            (*(self.edges or ()), *([self.keys] if self.keys is not None else ())),
             [
                 *([cache["triangles"]] if "triangles" in cache else ()),
                 *cache.get("tallies", ()),
@@ -607,6 +766,8 @@ class Residency:
             ],
         )
         slices += sum(side.offsets.nbytes for side in self.windows or ())
+        if self.totals is not None:
+            slices += self.totals.nbytes
         plan = self.plan.nbytes if self.plan is not None else 0
         return {
             "slices": slices,

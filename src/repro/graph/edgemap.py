@@ -34,6 +34,9 @@ class EdgeMap(Mapping):
     order, Python ``int`` values, and ``==`` against any mapping.  It is
     immutable and unhashable; ``dict(m)`` makes a mutable copy (one
     lookup per key — ``dict(m.items())`` copies in one array pass).
+    ``keys``, when the owner keeps the edges' ascending ``u * n + v``
+    keys, serves the lookups (made non-writeable like the rest);
+    otherwise the first lookup builds them.
     """
 
     __slots__ = ("sources", "destinations", "per_edge", "_num_vertices", "_keys")
@@ -44,6 +47,7 @@ class EdgeMap(Mapping):
         destinations: np.ndarray,
         per_edge: np.ndarray,
         num_vertices: int,
+        keys: np.ndarray | None = None,
     ) -> None:
         arrays = [
             np.asarray(array, dtype=np.int64)
@@ -58,7 +62,9 @@ class EdgeMap(Mapping):
             array.flags.writeable = False
         self.sources, self.destinations, self.per_edge = arrays
         self._num_vertices = int(num_vertices)
-        self._keys: np.ndarray | None = None
+        if keys is not None:
+            keys.flags.writeable = False
+        self._keys: np.ndarray | None = keys
 
     def __getitem__(self, key) -> int:
         hash(key)  # an unhashable key raises TypeError, as in a dict

@@ -4,10 +4,10 @@
 :class:`repro.core.residency.Residency` derives from its symmetric
 structure — the edge list, the windows, the count plan, the triangle
 list, the vertex tallies, supports and trussness — and compares it with
-what the residency holds.  It reads the residency's fields only, never
-its readers, so it folds no queued batch in, builds nothing resident
-and marks nothing read: a check leaves the lifecycle rule's inputs as
-they were.
+what the residency holds, and the event totals from that plan.  It
+reads the residency's fields only, never its readers, so it folds no
+queued batch in, builds nothing resident and marks nothing read: a check
+leaves the lifecycle rule's inputs as they were.
 """
 
 from __future__ import annotations
@@ -39,7 +39,9 @@ def check_residency(session) -> None:
     The rebuild starts from the symmetric structure (or, before one is
     sliced, from the graph).  The windows are compared on the rows no
     queued batch touches — the rows of a queued batch re-derive when it
-    folds in — and the plan only when no batch is queued.
+    folds in — or on every row while totals are kept (each fold
+    refreshes them), the plan only when no batch is queued, and kept
+    totals always, column by column.
     """
     residency = session._residency
     sym = residency.sym
@@ -59,15 +61,18 @@ def check_residency(session) -> None:
     if residency.edges is not None:
         assert np.array_equal(residency.edges[0], sources)
         assert np.array_equal(residency.edges[1], destinations)
+    if residency.keys is not None:
+        assert residency.edges is not None
+        assert np.array_equal(residency.keys, sources * np.int64(sym.num_rows) + destinations)
 
     windows = SliceWindow.pair(sym)
-    if residency.pending:
+    if residency.pending and residency.totals is None:
         assert residency.windows is not None
         queued = np.concatenate([batch[0].reshape(-1) for batch in residency.pending])
     else:
         queued = np.empty(0, dtype=np.int64)
     if residency.windows is None:
-        assert residency.plan is None
+        assert residency.plan is None and residency.totals is None
     else:
         settled = np.setdiff1d(np.arange(sym.num_rows), queued)
         for held, fresh in zip(residency.windows, windows):
@@ -79,6 +84,19 @@ def check_residency(session) -> None:
         assert residency.plan.num_edges == plan.num_edges
         for name in PLAN_ARRAYS:
             assert np.array_equal(getattr(residency.plan, name), getattr(plan, name)), name
+    totals = residency.totals
+    if totals is not None:
+        # Pairs and distinct column-slice keys of the edges into each column.
+        columns = np.repeat(destinations, plan.pair_counts)
+        keys = np.asarray(plan.trace_keys, dtype=np.int64)
+        pairs = np.bincount(columns, minlength=sym.num_rows)
+        distinct = np.bincount(
+            np.unique(keys) // sym.slices_per_row, minlength=sym.num_rows
+        )
+        assert np.array_equal(totals.pairs, pairs)
+        assert np.array_equal(totals.distinct, distinct)
+        assert totals.num_pairs == plan.num_pairs
+        assert totals.num_distinct == np.unique(keys).size
 
     workloads = residency.workloads
     if not workloads:

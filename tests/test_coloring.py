@@ -253,6 +253,7 @@ class TestIncrementalColoring:
         plain = open_session(Graph(n, np.array(sorted(edges))))
         assert session.count() == plain.count()
         session.simulate()
+        swept = 0
 
         for step in range(120):
             u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
@@ -275,11 +276,17 @@ class TestIncrementalColoring:
                 assert _simulation_fields(session.simulate()) == _simulation_fields(
                     fresh.simulate()
                 ), step
+                swept += 1
 
         assert session.count() == plain.count()
-        # The stream patched the session's own count plan in place.
+        # The stream patched the session's own count plan in place, and
+        # every read of its maintained count swept it: the event totals
+        # price one array only.
         assert session.join_plan is not None
-        assert not any(session.fallback_counts.values())
+        assert dict(session.fallback_counts) == {
+            "flush_patch_error": 0, "truss_repeel": 0, "workload_patch_error": 0,
+            "full_sweep": swept,
+        }
         session.close()
         plain.close()
 

@@ -1,12 +1,13 @@
 """The lifecycle rule of a session's derived state.
 
-An ``apply()`` call keeps the windows and count plan, the edge list and
-the workload cache only if a reader used them since the previous call,
-and drops the rest for a lazy rebuild from the symmetric structure.
-These tests count plan compiles, plan patches and edge-list splices
-around reads after unread and read calls, check that the session holds
-one edge list (the ``support()`` / ``truss()`` maps share its arrays),
-and inject a failing edge-list splice at commit time.
+An ``apply()`` call keeps the count plan, the event totals, the windows,
+the edge list and the workload cache only if a reader used them since
+the previous call, and drops the rest for a lazy rebuild from the
+symmetric structure.  These tests count plan compiles, plan patches,
+popcount sweeps and edge-list splices around reads after unread and read
+calls, check that the session holds one edge list (the ``support()`` /
+``truss()`` maps share its arrays), and inject a failing edge-list
+splice at commit time.
 """
 
 from __future__ import annotations
@@ -15,25 +16,31 @@ import numpy as np
 import pytest
 
 from repro.api import open_session
+from repro.core import engine
 from repro.core import plan as joinplan
 from repro.graph import generators
 
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of ``build_join_plan``, ``patch_join_plan`` and
-    ``merge_oriented_edges`` calls, by function name."""
-    calls = dict.fromkeys(
-        ("build_join_plan", "patch_join_plan", "merge_oriented_edges"), 0
-    )
-    for name in calls:
-        original = getattr(joinplan, name)
+    """Counts of ``build_join_plan``, ``patch_join_plan``,
+    ``merge_oriented_edges`` and popcount-sweep calls, by function name."""
+    modules = {
+        "build_join_plan": joinplan,
+        "patch_join_plan": joinplan,
+        "merge_oriented_edges": joinplan,
+        "pair_popcount": engine,
+        "pair_popcounts": engine,
+    }
+    calls = dict.fromkeys(modules, 0)
+    for name, module in modules.items():
+        original = getattr(module, name)
 
         def wrapper(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(joinplan, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -89,16 +96,71 @@ class TestRule:
         assert counted["patch_join_plan"] == 1
         assert report == self._fresh_simulate(session)
 
-    def test_read_after_write_keeps_patching(self, counted):
+    def _reads_after_writes(self, session, counted, rounds: int) -> list[dict]:
+        """The plan and sweep calls of each ``simulate()`` after one
+        apply, every report equal to a fresh session's field by field
+        (row region, column cache and slice statistics included)."""
+        per_read = []
+        for ops in _calls(self.GRAPH, rounds, seed=3):
+            session.apply(ops)
+            counted.update(dict.fromkeys(counted, 0))
+            report = session.simulate()
+            per_read.append(dict(counted))
+            with open_session(session.graph) as fresh:
+                want = fresh.simulate()
+            assert report.result == want.result
+            assert report.perf == want.perf
+            assert session.slice_stats() == fresh.slice_stats()
+        assert not any(session.fallback_counts.values())
+        return per_read
+
+    def _patches_once(self, session, counted) -> None:
+        """After a first ``simulate()``: the first read after a write
+        builds the event totals from the plan, patched once and never
+        compiled; every later read prices from the totals its apply
+        moved, with no plan work and no popcount sweep at all."""
+        first, *later = self._reads_after_writes(session, counted, 4)
+        assert first["patch_join_plan"] == 1
+        assert first["build_join_plan"] == 0
+        for calls in [first, *later]:
+            assert calls["pair_popcount"] == calls["pair_popcounts"] == 0
+        for calls in later:
+            assert calls["patch_join_plan"] == calls["build_join_plan"] == 0
+        # No plan reader folded the later batches: the plan went.
+        assert session._residency.plan is None
+        assert session._residency.totals is not None
+
+    def test_read_after_write_patches_once(self, counted):
         session = open_session(self.GRAPH)
         session.simulate()
-        counted.update(dict.fromkeys(counted, 0))
-        for ops in _calls(self.GRAPH, 4, seed=3):
-            session.apply(ops)
-            session.simulate()
-        assert counted["build_join_plan"] == 0
-        assert counted["patch_join_plan"] == 4
-        assert session.simulate().to_mapping() == self._fresh_simulate(session)
+        self._patches_once(session, counted)
+
+    def test_hydrated_read_after_write_patches_once(self, counted, tmp_path):
+        # The analytics shape: a warm snapshot, one priced read, then
+        # small applies, each followed by a read.
+        with open_session(self.GRAPH) as writer:
+            writer.snapshot(tmp_path / "snap")
+        session = open_session(snapshot=tmp_path / "snap")
+        session.simulate()
+        self._patches_once(session, counted)
+
+    def test_unread_totals_go(self):
+        session = open_session(self.GRAPH)
+        session.simulate()
+        calls = _calls(self.GRAPH, 3, seed=10)
+        session.apply(calls[0])
+        session.simulate()
+        session.apply(calls[1])
+        assert session._residency.totals is not None
+        session.apply(calls[2])
+        assert session._residency.totals is None
+        assert session._residency.windows is None and session._residency.edges is None
+        assert session.simulate().result == self._fresh_result(session)
+
+    @staticmethod
+    def _fresh_result(session):
+        with open_session(session.graph) as fresh:
+            return fresh.simulate().result
 
     def test_workload_reader_keeps_its_cache_and_drops_the_plan(self, counted):
         session = open_session(self.GRAPH)
@@ -129,10 +191,10 @@ class TestRule:
         session.apply(calls[1])
         assert not session._residency.workloads and session._residency.edges is None
 
-    def test_fallbacks_are_the_three_patch_failures(self):
+    def test_fallbacks_are_the_patch_failures_and_the_sweep(self):
         session = open_session(self.GRAPH)
         assert set(session.fallback_counts) == {
-            "flush_patch_error", "truss_repeel", "workload_patch_error",
+            "flush_patch_error", "truss_repeel", "workload_patch_error", "full_sweep",
         }
         assert not hasattr(session, "_pending_edges")
 
@@ -154,7 +216,13 @@ class TestOneEdgeList:
             assert np.shares_memory(edge_map.destinations, destinations)
         assert "forward" not in session._residency.workloads
         detail = session.resident_bytes_detail()
-        assert detail["edges"] == sources.nbytes + destinations.nbytes
+        # The edge list's keys, spliced with it, count beside it.
+        keys = session._residency.keys
+        n = session.num_vertices
+        assert np.array_equal(keys, sources * n + destinations)
+        for edge_map in (support, trussness):
+            assert edge_map._keys is keys
+        assert detail["edges"] == sources.nbytes + destinations.nbytes + keys.nbytes
         cache = session._residency.workloads
         assert detail["workloads"] == (
             cache["triangles"].nbytes
@@ -195,6 +263,7 @@ class TestCommitSpliceFailure:
             assert session._residency.workloads == {}
             assert dict(session.fallback_counts) == {
                 "flush_patch_error": 1, "truss_repeel": 0, "workload_patch_error": 0,
+                "full_sweep": 0,
             }
             assert session.simulate().to_mapping() == fresh.simulate().to_mapping()
             assert session.support() == fresh.support()

@@ -522,7 +522,7 @@ class TestPatchedPlanEqualsRebuild:
             session.fallback_counts, 0
         )
         assert set(session.fallback_counts) == {
-            "flush_patch_error", "truss_repeel", "workload_patch_error",
+            "flush_patch_error", "truss_repeel", "workload_patch_error", "full_sweep",
         }
         with pytest.raises(TypeError):
             session.fallback_counts["flush_patch_error"] = 1

@@ -20,13 +20,15 @@ count, :func:`~repro.analysis.truss.edge_support` for supports,
 :func:`~repro.analysis.truss.k_truss` for trussness,
 :mod:`repro.analysis.metrics` for clustering, the oracle graph's
 neighbour sets for common-neighbour scores and two-hop candidates, and
-a fresh session opened on the same edges for ``simulate()``,
-``slice_stats()`` and the resident count plan.  After every step the
-session's resident state must equal a rebuild from its symmetric
-structure (``tests/residency_reference.py``), with no patch-failure
-fallback fired.  A rolled-back apply must leave the session exact
-without recompiling a plan it kept.
-Applies between reads patch the triangle list and the trussness, so the
+a fresh session opened on the same edges for the whole ``simulate()``
+run result, ``slice_stats()`` and the count plan.  A read of a
+maintained count sweeps (``full_sweep``) exactly where the event totals
+cannot price it: on several arrays, or when the fresh run's column cache
+evicts.  After every step the session's resident state must equal a
+rebuild from its symmetric structure (``tests/residency_reference.py``),
+with no patch-failure fallback fired.  A rolled-back apply must leave
+the session exact without recompiling a plan it kept.  Applies between
+reads patch the triangle list and the trussness, so the
 patched paths run under every configuration's op streams.
 
 Tier-1 runs 20 examples of 15 steps per configuration;
@@ -271,8 +273,12 @@ class SessionMachine(RuleBasedStateMachine):
     @rule()
     def simulate_and_stats(self):
         fresh = open_session(self._graph(), **self.config)
+        # A run of the maintained count, priced from the event totals
+        # unless they cannot price it.
+        priced = self.session._run is None and self.session._triangles is not None
+        swept = self.session.fallback_counts["full_sweep"]
         try:
-            want = fresh.simulate().to_mapping()
+            want = fresh.simulate()
         except ArchitectureError as error:
             try:
                 self.session.simulate()
@@ -281,8 +287,12 @@ class SessionMachine(RuleBasedStateMachine):
             else:
                 raise AssertionError("the fresh session raised, the session did not")
         else:
-            got = self.session.simulate().to_mapping()
-            assert got == want
+            got = self.session.simulate()
+            # Every field: row region, column cache, slice statistics, shards.
+            assert got.result == want.result
+            assert got.to_mapping() == want.to_mapping()
+            sweeps = self.config.get("num_arrays", 1) > 1 or want.cache_stats.exchanges > 0
+            assert self.session.fallback_counts["full_sweep"] == swept + (priced and sweeps)
         assert self.session.slice_stats() == fresh.slice_stats()
         fresh.close()
 
@@ -290,11 +300,14 @@ class SessionMachine(RuleBasedStateMachine):
     def plan_equals_rebuild(self):
         fresh = open_session(self._graph(), **self.config)
         try:
-            fresh.run()
+            want = fresh.run()
         except ArchitectureError:
             return
-        self.session.run()
-        assert _plan_arrays(self.session.join_plan) == _plan_arrays(fresh.join_plan)
+        assert self.session.run() == want
+        # A run priced from the event totals may leave no plan resident:
+        # the count run's inputs compile or patch it.
+        _, _, plan = self.session._residency.count_inputs()
+        assert _plan_arrays(plan) == _plan_arrays(fresh.join_plan)
         fresh.close()
 
     @rule()
@@ -411,6 +424,35 @@ def test_session_matches_oracles(config_id, request):
             suppress_health_check=[HealthCheck.too_slow],
         ),
     )
+
+
+@pytest.mark.parametrize("config_id", list(CONFIGS))
+def test_full_sweep_fires_only_where_totals_cannot_price(config_id, tmp_path):
+    # The evicting config's column cache evicts on this dense example and
+    # the multi-array configs price several arrays, so their reads of a
+    # maintained count sweep; the rest price from the totals (the
+    # capacity config's full runs do not fit, and raise either way).
+    rng = np.random.default_rng(0)
+    edges = {PAIRS[i] for i in rng.choice(len(PAIRS), 70, replace=False)}
+    edges |= {(u, HUB) for u in range(0, HUB, 3)}
+    config = dict(CONFIGS[config_id])
+    if config.get("storage_dir") == TMP_STORE:
+        config["storage_dir"] = str(tmp_path)
+    session = open_session(Graph(NUM_VERTICES, sorted(edges)), **config)
+    reads = 0
+    for ops in ([("+", 1, 2)], [("-", *sorted(edges)[0])]):
+        try:
+            session.apply(ops)
+            session.simulate()
+            session.run()  # the same generation's run: no second read
+        except ArchitectureError as error:
+            assert "row region" in str(error) and config_id == "upper-bits8-capacity"
+        else:
+            reads += 1
+    sweeps = config_id == "upper-bits8-evicting" or "num_arrays" in config
+    assert session.fallback_counts["full_sweep"] == (reads if sweeps else 0)
+    assert reads == (0 if config_id == "upper-bits8-capacity" else 2)
+    session.close()
 
 
 def test_evicting_config_evicts():
