@@ -74,7 +74,7 @@ from repro.core.dynamic import parse_op, parse_vertex
 from repro.core.residency import Residency
 from repro.core.reuse import CacheStatistics
 from repro.core.slicing import SliceStatistics, slice_statistics
-from repro.errors import GraphError, ReproError, StorageError
+from repro.errors import ArchitectureError, GraphError, ReproError, StorageError
 from repro.graph.edgemap import EdgeMap
 from repro.graph.graph import Graph
 from repro.storage import snapshot as storage_snapshot
@@ -514,15 +514,22 @@ class TCIMSession:
         triangle total — so ``open_session(snapshot=path)`` hydrates
         warm, without a :class:`Graph`, re-slicing or re-compiling.  Slice ids and edge
         endpoints are written as int32 where they fit.  ``ensure=True``
-        (the default) warms the structure and the plan first;
-        ``ensure=False`` (the pool's eviction write-back path) serialises
-        only what is already resident, never forcing a plan build at
-        eviction time.
+        (the default) warms the structure and the plan first and counts
+        as :meth:`count` does, so a hydrated session starts from a
+        maintained count (an array too small to price the graph records
+        no count, as before); ``ensure=False`` (the pool's eviction
+        write-back path) serialises only what is already resident, never
+        forcing a plan build or a run at eviction time.
 
         Returns the snapshot directory path.
         """
         with self._lock:
             if ensure:
+                if self._triangles is None:
+                    try:
+                        self._full_run()
+                    except ArchitectureError:
+                        pass
                 self._residency.count_inputs()
             else:
                 self._residency.flush()

@@ -29,17 +29,35 @@ the batch references.  Deletions are the time-reversed picture: remove
 the edges first, then the same three terms on the *post-deletion* graph
 count the destroyed triangles.
 
+Which edges each term needs
+---------------------------
+A triangle with two or three delta edges has a vertex that carries two
+of them, so terms 2 and 3 only need the edges at such vertices (the
+batch's *shared* endpoints).  Term 1 runs over every delta edge.  Term 2
+runs over the directed edges ``(x, y)`` whose ``y`` is shared: if
+``{x, y}`` is ``y``'s only delta edge, ``D[y] = {x}`` and ``x`` is not in
+``A[x]``, so the AND is zero.  Term 3 runs over the edges whose two
+endpoints are both shared: if ``{u, v}`` is ``u``'s only delta edge,
+``D[u] = {v}`` and ``v`` is not in ``D[v]``.  Dropping those edges
+changes no count and no parity check, only the priced events: each term
+loads, ANDs and caches just the pairs that can close a triangle, like
+TCIM skipping invalid slices.  Delta degrees come from a sort of the
+batch's ``2k`` endpoints, and ``D`` is sliced only when term 2 has an
+edge, so a batch whose endpoints are all distinct (every one-edge batch)
+runs term 1 alone.
+
 Sharding
 --------
 Each term's edge list is partitioned with
 :func:`repro.core.sharding.position_shards` across ``config.num_arrays``
 simulated arrays (same partitioners, same per-array capacity split as a
-full sharded run; ``"coloring"`` falls back to degree-LPT).  Each shard
-is one :func:`execute_workload` call on its own array: a row region
-sized to the rows it touches, the rest of the array's share as its
-column cache, and its own cache trace.  The per-shard
+full sharded run; ``"coloring"`` falls back to degree-LPT).  Each
+non-empty shard is one :func:`execute_workload` call on its own array:
+a row region sized to the rows it touches, the rest of the array's share
+as its column cache, and its own cache trace.  The per-shard
 :class:`EventCounts` merge with :meth:`EventCounts.merge`.  With
-``num_arrays=1`` each term is one call over its whole edge list.
+``num_arrays=1`` each term with an edge is one call over its whole edge
+list.
 
 The differential oracle remains :class:`DynamicTriangleCounter`; the
 randomized op-stream suite in ``tests/test_api.py`` checks this module
@@ -86,7 +104,9 @@ class DeltaOutcome:
     ``triangles`` is the number of triangles the batch creates (for
     insertions) or destroys (for deletions) — always non-negative; the
     caller applies the sign.  ``events`` and ``cache_stats`` account the
-    engine work of all three terms, merged across shards.
+    engine work of the terms that ran, merged across shards: term 1 over
+    every delta edge, terms 2–3 over only the delta edges at a vertex
+    with a second one (the pairs that can close a triangle).
     """
 
     triangles: int
@@ -412,10 +432,14 @@ def symmetric_delta(
     and the engine consume explicit edge arrays here, so a session can
     keep applying batches without ever materialising a graph snapshot.
 
-    The three inclusion–exclusion terms each run on the vectorized
+    The three inclusion–exclusion terms run in one loop on the vectorized
     engine, sharded across ``config.num_arrays`` simulated arrays, and
     the returned :class:`EventCounts` / cache statistics merge every
-    term's and every shard's accounting.
+    term's and every shard's accounting.  Term 1 joins every delta edge;
+    terms 2–3 join only the delta edges at a vertex with a second delta
+    edge (see the module docstring: every other AND is zero), and a term
+    or shard without an edge runs nothing, so a batch whose endpoints are
+    all distinct costs one sweep per non-empty shard and slices no ``D``.
     """
     if delta_edges.size == 0:
         return DeltaOutcome(triangles=0)
@@ -425,27 +449,41 @@ def symmetric_delta(
             f"base structure uses {base_sym.slice_bits}-bit slices but the "
             f"config asks for {slice_bits}"
         )
-    d_sym = delta_sliced(delta_edges, num_vertices, slice_bits)
     undirected_src = delta_edges[:, 0]
     undirected_dst = delta_edges[:, 1]
-    # Both directions of every delta edge, in engine iteration order.
-    directed_src = np.concatenate([undirected_src, undirected_dst])
-    directed_dst = np.concatenate([undirected_dst, undirected_src])
+    shared_src, shared_dst = _shared_endpoints(delta_edges)
+    # Each direction (x, y) of a delta edge whose y has a second delta
+    # edge, in engine iteration order; term 3 keeps the edges both of
+    # whose endpoints do.  Every other AND of terms 2-3 is zero.
+    directed_src = np.concatenate(
+        [undirected_src[shared_dst], undirected_dst[shared_src]]
+    )
+    directed_dst = np.concatenate(
+        [undirected_dst[shared_dst], undirected_src[shared_src]]
+    )
     order = np.lexsort((directed_dst, directed_src))
     directed_src, directed_dst = directed_src[order], directed_dst[order]
+    both = shared_src & shared_dst
+    d_sym = (
+        delta_sliced(delta_edges, num_vertices, slice_bits)
+        if directed_src.size
+        else None
+    )
     # (row structure, column structure, edges, divisor): the three terms of
     # the module docstring.  Divisors fold the multiplicity with which each
     # term sees a triangle back to 1.
     terms = (
         (base_sym, base_sym, undirected_src, undirected_dst, 1),
         (base_sym, d_sym, directed_src, directed_dst, 2),
-        (d_sym, d_sym, undirected_src, undirected_dst, 3),
+        (d_sym, d_sym, undirected_src[both], undirected_dst[both], 3),
     )
     per_array_capacity = array_share(config.capacity_slices, config.num_arrays)
     triangles = 0
     events = EventCounts()
     cache_stats = CacheStatistics()
     for row_sliced, col_sliced, sources, destinations, divisor in terms:
+        if not sources.size:
+            continue
         if config.num_arrays > 1:
             shards = [
                 (sources[positions], destinations[positions])
@@ -485,3 +523,20 @@ def symmetric_delta(
     return DeltaOutcome(
         triangles=triangles, events=events, cache_stats=cache_stats
     )
+
+
+def _shared_endpoints(delta_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each canonical delta edge's first / second endpoint has
+    another delta edge: a sort of the batch's ``2k`` endpoints, where a
+    vertex of delta degree two or more is a run of equal values."""
+    ends = delta_edges.T.reshape(-1)
+    order = np.argsort(ends, kind="stable")
+    ranked = ends[order]
+    repeat = ranked[1:] == ranked[:-1]
+    in_run = np.zeros(ends.size, dtype=bool)
+    in_run[1:] = repeat
+    in_run[:-1] |= repeat
+    shared = np.empty(ends.size, dtype=bool)
+    shared[order] = in_run
+    count = delta_edges.shape[0]
+    return shared[:count], shared[count:]

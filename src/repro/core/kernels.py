@@ -21,7 +21,10 @@ joined (row, col) slice-pair positions; only the reduction differs:
 :func:`execute_workload` is the plan-free executor of ad-hoc edge
 lists: each delta-join term (:func:`repro.core.incremental.symmetric_delta`)
 and a session's probe batch (:meth:`repro.api.TCIMSession.pair_scores`)
-call it directly.  It shares :func:`repro.core.engine.join_batches` with
+call it directly.  A delta join calls it once per term and array that
+has an edge that can close a triangle: terms 2–3 join only the delta
+edges at a vertex with a second delta edge, so a batch whose endpoints
+are all distinct (every one-edge apply) is one call per array.  It shares :func:`repro.core.engine.join_batches` with
 the plan compiler, so a count plan holds exactly the pairs it would
 join.  Events and cache statistics do not depend on the reduction: the
 array executes the same gathers, ANDs and popcounts however the host

@@ -244,17 +244,37 @@ class TestIncremental:
     def test_failed_delete_rolls_back(self):
         # Hub at the last vertex: the upper-oriented bootstrap fits the
         # tiny array, but the symmetric hub row exceeds the per-array
-        # capacity, so the delete's delta join raises mid-batch.  The
+        # capacity.  Vertex 0 loses two edges, so the delete's term 2
+        # joins the hub row against D's row 0 and raises mid-batch.  The
         # session must roll the removal back and stay fully consistent.
         n = 8194
-        graph = Graph(n, [(i, n - 1) for i in range(n - 1)])
+        graph = Graph(n, [(i, n - 1) for i in range(n - 1)] + [(0, 1)])
         session = open_session(graph, array_bytes=800)
         before = session.count()
-        with pytest.raises(ArchitectureError, match="row region"):
-            session.apply([("-", 0, n - 1)])
-        assert session.has_edge(0, n - 1)
+        with pytest.raises(ArchitectureError, match="row region needs 129"):
+            session.apply([("-", 0, n - 1), ("-", 0, 1)])
+        assert session.has_edge(0, n - 1) and session.has_edge(0, 1)
         assert session.num_edges == graph.num_edges
         assert session.count() == before
+        fresh = SlicedMatrix.from_graph(session.graph, "symmetric")
+        mutated = session._residency.structure()
+        assert np.array_equal(fresh.indptr, mutated.indptr)
+        assert np.array_equal(fresh.slice_ids, mutated.slice_ids)
+        assert np.array_equal(fresh.data, mutated.data)
+
+    def test_one_edge_delete_at_a_hub_loads_one_row(self):
+        # The same hub, one deleted edge: no vertex holds two delta
+        # edges, so only term 1 runs, over row 0 alone; the hub row that
+        # overflows the array is never loaded.
+        n = 8194
+        graph = Graph(n, [(i, n - 1) for i in range(n - 1)] + [(0, 1)])
+        session = open_session(graph, array_bytes=800)
+        assert session.count() == 1
+        update = session.apply([("-", 0, n - 1)])
+        assert update.delta_triangles == -1
+        assert update.events.row_slice_writes == 1
+        assert session.count() == 0
+        assert not session.has_edge(0, n - 1)
         fresh = SlicedMatrix.from_graph(session.graph, "symmetric")
         mutated = session._residency.structure()
         assert np.array_equal(fresh.indptr, mutated.indptr)
@@ -751,19 +771,21 @@ class TestApplyRollback:
         # Hub at the last vertex: the upper-oriented bootstrap fits the
         # tiny array, but the symmetric hub row exceeds the per-array
         # capacity.  The net-deletion batch (edge {1, 2}, off the hub)
-        # fits and commits; the net-insertion batch joins the hub row and
+        # fits and commits; the net-insertion batch gives vertex 0 two
+        # edges, so its term 2 joins the hub row against D's row 0 and
         # raises -- the non-injected variant of the late-segment test.
         n = 8194
         hub = n - 1
         star = [(i, hub) for i in range(1, hub)]
         session = open_session(Graph(n, star + [(1, 2)]), array_bytes=800)
         before = session.count()
-        stream = [("+", 0, hub), ("-", 1, 2)]
-        with pytest.raises(ArchitectureError, match="row region") as failure:
+        stream = [("+", 0, hub), ("+", 0, 3), ("-", 1, 2)]
+        with pytest.raises(ArchitectureError, match="row region needs 129") as failure:
             session.apply(stream)
         assert failure.value.applied_operations == [("-", 1, 2)]
         assert not session.has_edge(1, 2)  # first batch committed
-        assert not session.has_edge(0, hub)  # second batch rolled back
+        # The second batch rolled back.
+        assert not session.has_edge(0, hub) and not session.has_edge(0, 3)
         # The committed delete opens exactly one triangle (1, 2, hub);
         # the rolled-back insert must not have changed anything else.
         assert session.count() == before - 1

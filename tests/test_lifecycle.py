@@ -18,7 +18,8 @@ import pytest
 from repro.api import open_session
 from repro.core import engine
 from repro.core import plan as joinplan
-from repro.graph import generators
+from repro.errors import ArchitectureError
+from repro.graph import Graph, generators
 
 
 @pytest.fixture
@@ -135,14 +136,38 @@ class TestRule:
         session.simulate()
         self._patches_once(session, counted)
 
-    def test_hydrated_read_after_write_patches_once(self, counted, tmp_path):
+    def test_hydrated_reads_after_writes_patch_nothing(self, counted, tmp_path):
         # The analytics shape: a warm snapshot, one priced read, then
-        # small applies, each followed by a read.
+        # small applies, each followed by a read.  The snapshot recorded
+        # the writer's count, so the first read prices from event totals
+        # built from the hydrated plan without a sweep, and every read
+        # after a write prices from the totals its apply moved.
         with open_session(self.GRAPH) as writer:
             writer.snapshot(tmp_path / "snap")
+            swept = writer.simulate().result
         session = open_session(snapshot=tmp_path / "snap")
-        session.simulate()
-        self._patches_once(session, counted)
+        counted.update(dict.fromkeys(counted, 0))
+        assert session.simulate().result == swept
+        assert counted["pair_popcount"] == counted["pair_popcounts"] == 0
+        assert counted["patch_join_plan"] == counted["build_join_plan"] == 0
+        for calls in self._reads_after_writes(session, counted, 4):
+            assert calls["patch_join_plan"] == calls["build_join_plan"] == 0
+            assert calls["pair_popcount"] == calls["pair_popcounts"] == 0
+        assert session._residency.plan is None
+        assert session._residency.totals is not None
+
+    def test_snapshot_too_small_to_price_records_no_count(self, tmp_path):
+        # A graph the array cannot price still snapshots, as before: the
+        # count is left for the hydrated session, which raises the same
+        # capacity error when it counts.
+        n = 8194
+        graph = Graph(n, [(0, i) for i in range(1, n)])
+        with open_session(graph, array_bytes=800) as writer:
+            writer.snapshot(tmp_path / "snap")
+        session = open_session(snapshot=tmp_path / "snap")
+        assert session.has_edge(0, n - 1)
+        with pytest.raises(ArchitectureError, match="row region"):
+            session.count()
 
     def test_unread_totals_go(self):
         session = open_session(self.GRAPH)

@@ -431,15 +431,16 @@ class TestPatchedPlanEqualsRebuild:
         assert session.count() == fresh.triangles == (1 if insert_first else 0)
 
     def test_rolled_back_delete_keeps_the_plan_current(self):
-        # Hub at the last vertex: the symmetric hub row overflows the
-        # array in the delete's delta join, which rolls the removal back.
+        # Hub at the last vertex: vertex 0 loses two edges, so the
+        # delete's term 2 joins the symmetric hub row, which overflows
+        # the array; the delta join raises and the removal rolls back.
         n = 8194
         graph = Graph(n, [(i, n - 1) for i in range(n - 1)] + [(0, 1)])
         session = open_session(graph, array_bytes=800)
         session.count()
         plan = session.join_plan
-        with pytest.raises(ArchitectureError, match="row region"):
-            session.apply([("-", 0, n - 1)])
+        with pytest.raises(ArchitectureError, match="row region needs 129"):
+            session.apply([("-", 0, n - 1), ("-", 0, 1)])
         assert session.join_plan is plan
         assert plan.matches(*session._residency.windows)
         assert session.run().triangles == 1
