@@ -427,9 +427,9 @@ class TCIMSession:
         that holds it: ``graph`` (the graph's edge list and CSR; 0 after
         a mutation until something reads ``graph`` — the symmetric
         structure in ``slices`` is then the only edge set), ``slices``
-        (the symmetric slice structure, the spare rows its buffers keep
-        for in-place inserts included, its windows' offsets and the
-        per-column event totals),
+        (the symmetric slice structure, every slot included — the free
+        room in its rows and the per-row counts too — its windows'
+        offsets and the per-column event totals),
         ``plan`` (the compiled count plan with its diagonal list),
         ``sym_plan`` (always 0: the workloads read the count plan; the
         key stays for readers of earlier releases), ``edges`` (the
@@ -960,19 +960,24 @@ class TCIMSession:
         """Commit one canonical batch, account it in ``report`` and return
         its signed triangle delta.
 
-        The delta join runs while the structure lacks the batch's edges:
-        before an insert sets their bits, after a delete clears them.  If
-        either step raises, the rollback puts every delta bit back (a
-        clear never allocates, and a re-set fits the room the clear
-        freed), so every slice is back at its position and the structure
-        version with it.  Only a committed batch folds into the residency.
+        The batch's bits are located once, in both directions: the
+        forward half says which edges are no-ops, and the splice takes
+        the rest as located.  The delta join runs while the structure
+        lacks the batch's edges: before an insert sets their bits, after
+        a delete clears them.  If either step raises, the rollback puts
+        every delta bit back (a clear never allocates, and a re-set fits
+        the slots the clear freed), so every slice is back in its slot
+        and the structure version with it.  Only a committed batch folds
+        into the residency.
         """
         sym = self._residency.structure()
-        present = incremental.test_bits(sym, canonical[:, 0], canonical[:, 1])
-        delta_edges = canonical[present != insert]
+        located = incremental.locate_bits(sym, *_both_directions(canonical))
+        effective = located.present(sym)[: len(canonical)] != insert
+        delta_edges = canonical[effective]
         if not delta_edges.size:
             return 0
-        rows, cols = _both_directions(delta_edges)
+        located = located.take(np.concatenate([effective, effective]))
+        rows, cols = located.rows, located.cols
         store = self._residency.store
         version = sym.structure_version
         try:
@@ -980,9 +985,9 @@ class TCIMSession:
                 outcome = incremental.symmetric_delta(
                     self._num_vertices, sym, delta_edges, self.config
                 )
-                splice = incremental.set_bits(sym, rows, cols, store=store)
+                splice = incremental.set_bits(sym, located, None, store=store)
             else:
-                splice = incremental.clear_bits(sym, rows, cols)
+                splice = incremental.clear_bits(sym, located, None)
                 outcome = incremental.symmetric_delta(
                     self._num_vertices, sym, delta_edges, self.config
                 )

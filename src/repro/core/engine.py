@@ -370,7 +370,7 @@ def _referenced_keys(build, rows, key_dtype) -> tuple[np.ndarray, np.ndarray]:
     if rows is None:
         if isinstance(build, SlicedMatrix):
             keys = build.global_keys().astype(key_dtype, copy=False)
-            return keys, np.arange(keys.size, dtype=np.int32)
+            return keys, build.valid_positions()
         rows = np.arange(build.num_rows, dtype=np.int64)
     # A sort for a few rows, one pass over a row mask for many.
     elif rows.size * 8 < build.num_rows:

@@ -67,6 +67,7 @@ against it op by op.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,6 +85,7 @@ from repro.errors import ArchitectureError, GraphError
 
 __all__ = [
     "DeltaOutcome",
+    "LocatedBits",
     "StructureDelta",
     "canonical_delta_edges",
     "compose_deltas",
@@ -92,6 +94,7 @@ __all__ = [
     "set_bits",
     "clear_bit",
     "clear_bits",
+    "locate_bits",
     "test_bits",
     "symmetric_delta",
 ]
@@ -167,47 +170,64 @@ def delta_sliced(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class StructureDelta:
-    """Structural change report of one :func:`set_bits`/:func:`clear_bits`.
+    """Structural change report of one splice.
 
-    Describes exactly how the valid-slice arrays moved, in the compact
-    coordinates (positions among the live slices, spare rows never
-    counted) a position-holding artifact — a resident
-    :class:`~repro.core.plan.JoinPlan` — needs to renumber itself:
+    Describes exactly how positions moved, so a position-holding
+    artifact — a resident :class:`~repro.core.plan.JoinPlan` — can
+    renumber itself.  A splice reports in one of two coordinate kinds.
+
+    *Compact* — the splice of an edge list
+    (:func:`repro.core.plan.merge_oriented_edges`), whose positions are
+    edge indices; ``moved_from`` is ``None``:
 
     ``inserted_before``
         Sorted insertion points in *pre-insert* coordinates — the
         ``obj`` argument :func:`np.insert` would take (duplicates mark
-        several new slices landing at one point).  A pre-mutation
+        several new entries landing at one point).  A pre-mutation
         position ``p`` now lives at
         ``p + searchsorted(inserted_before, p, side="right")``.
     ``removed_at``
         Sorted removed positions in *pre-delete* coordinates; a
         surviving position ``p`` now lives at
         ``p - searchsorted(removed_at, p)``.
-    ``inserted_rows`` / ``removed_rows``
-        Owning row of each inserted/removed slice (aligned with the
-        position arrays) — the rows whose valid-slice *set* changed,
-        i.e. whose join pairs must be recomputed.
 
-    One call only ever inserts (``set_bits``) or removes
-    (``clear_bits``), never both; :func:`compose_deltas` folds a sequence
-    into one delta that removes, then inserts.  :attr:`changed` is
-    ``False`` for a payload-only mutation, whose positions all stay
-    valid.
+    *Slotted* — the splice of a :class:`SlicedMatrix`
+    (:func:`set_bits` / :func:`clear_bits`), whose positions are slots:
 
-    :func:`repro.core.plan.merge_oriented_edges` reports the splice of
-    an oriented edge list the same way: positions are edge indices and
-    the rows are the spliced edges' sources.
+    ``inserted_before``
+        The slot each inserted slice landed in.
+    ``removed_at``
+        The slot each removed slice held.
+    ``moved_from`` / ``moved_to``
+        The old and new slot of every surviving valid slice that moved:
+        the touched rows' tails, or every slice after a re-spread.  Any
+        other surviving slice kept its slot.
+
+    ``inserted_rows`` / ``removed_rows`` are the owning row of each
+    inserted / removed entry, aligned with the position arrays: the rows
+    whose valid-slice *set* changed, i.e. whose join pairs must be
+    recomputed (an edge list's are the spliced edges' sources).
+
+    One splice only ever inserts or removes, never both;
+    :func:`compose_deltas` folds a sequence into one delta that removes,
+    then inserts.  :attr:`changed` is ``False`` for a payload-only
+    mutation, whose positions all stay valid.
     """
 
     inserted_before: np.ndarray
     inserted_rows: np.ndarray
     removed_at: np.ndarray
     removed_rows: np.ndarray
+    moved_from: np.ndarray | None = None
+    moved_to: np.ndarray | None = None
 
     @property
     def changed(self) -> bool:
-        return bool(self.inserted_before.size or self.removed_at.size)
+        return bool(
+            self.inserted_before.size
+            or self.removed_at.size
+            or (self.moved_from is not None and self.moved_from.size)
+        )
 
     @classmethod
     def unchanged(cls) -> "StructureDelta":
@@ -216,21 +236,25 @@ class StructureDelta:
 
 
 def compose_deltas(size: int, deltas) -> StructureDelta:
-    """One :class:`StructureDelta` equal to applying ``deltas`` in order
-    to ``size`` positions.
+    """One :class:`StructureDelta` equal to applying ``deltas`` in order.
 
     The result removes first (``removed_at`` in the original
     coordinates) and then inserts (``inserted_before`` in the
-    coordinates left after the removals), which is how
-    :func:`repro.core.plan.patch_join_plan` reads a delta that holds
-    both.  A position inserted by one delta and removed by a later one
-    appears in neither list.  A session composes the batches of one
-    ``apply()`` call (its delete and insert batches, or ``record=True``'s
-    per-op batches): the next call drops what no read folded.
+    coordinates left after the removals, or for slotted deltas the final
+    slots), which is how :func:`repro.core.plan.patch_join_plan` reads a
+    delta that holds both.  An entry inserted by one delta and removed
+    by a later one appears in neither list.  ``size`` is the position
+    count of compact deltas before the first; slotted deltas follow only
+    the slots they name (:func:`_compose_slotted`).  A session composes
+    the batches of one ``apply()`` call (its delete and insert batches,
+    or ``record=True``'s per-op batches): the next call drops what no
+    read folded.
     """
     deltas = list(deltas)
     if len(deltas) == 1:
         return deltas[0]
+    if any(delta.moved_from is not None for delta in deltas):
+        return _compose_slotted(deltas)
     origin = np.arange(size, dtype=np.int64)
     owners = np.full(size, -1, dtype=np.int64)
     removed: list[np.ndarray] = []
@@ -257,31 +281,89 @@ def compose_deltas(size: int, deltas) -> StructureDelta:
     )
 
 
+def _compose_slotted(deltas) -> StructureDelta:
+    """:func:`compose_deltas` of slotted deltas, following only the
+    slices they name: each moved original slice's first and current slot,
+    and each slice inserted since by its current slot.  A slot a delta
+    names that holds neither holds an original slice that never moved."""
+    first, current, fresh, fresh_rows = (np.empty(0, dtype=np.int64) for _ in range(4))
+    removed, removed_rows = [first], [first]
+    for delta in deltas:
+        gone = delta.removed_at
+        if gone.size:
+            origin = gone.copy()
+            held, at = _lookup(current, gone)
+            origin[held] = first[at[held]]
+            kept = ~np.isin(gone, fresh)
+            removed.append(origin[kept])
+            removed_rows.append(delta.removed_rows[kept])
+            stays = ~np.isin(current, gone)
+            first, current = first[stays], current[stays]
+            stays = ~np.isin(fresh, gone)
+            fresh, fresh_rows = fresh[stays], fresh_rows[stays]
+        if delta.moved_from is not None and delta.moved_from.size:
+            source, target = delta.moved_from, delta.moved_to
+            unmoved = ~(np.isin(source, current) | np.isin(source, fresh))
+            for slots in (current, fresh):
+                held, at = _lookup(source, slots)
+                slots[held] = target[at[held]]
+            first = np.concatenate([first, source[unmoved]])
+            current = np.concatenate([current, target[unmoved]])
+        fresh = np.concatenate([fresh, delta.inserted_before])
+        fresh_rows = np.concatenate([fresh_rows, delta.inserted_rows])
+    moved = first != current
+    removed_at = np.concatenate(removed)
+    order = np.argsort(removed_at, kind="stable")
+    inserted = np.argsort(fresh, kind="stable")
+    return StructureDelta(
+        inserted_before=fresh[inserted],
+        inserted_rows=fresh_rows[inserted],
+        removed_at=removed_at[order],
+        removed_rows=np.concatenate(removed_rows)[order],
+        moved_from=first[moved],
+        moved_to=current[moved],
+    )
+
+
+def _lookup(keys: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(found, index)``: whether each ``wanted`` value is in the
+    unique ``keys``, and its index there where it is."""
+    order = np.argsort(keys, kind="stable")
+    at = np.minimum(np.searchsorted(keys[order], wanted), max(keys.size - 1, 0))
+    found = keys[order][at] == wanted if keys.size else np.zeros(wanted.size, dtype=bool)
+    return found, order[at] if keys.size else at
+
+
 def set_bits(
-    sliced: SlicedMatrix, rows: np.ndarray, cols: np.ndarray, store=None
+    sliced: SlicedMatrix, rows, cols, store=None
 ) -> StructureDelta:
     """Set many bits at once, inserting new valid slices as needed.
 
-    One splice covers every structural change of the batch: the stored
-    slices shift right in place inside the structure's spare rows
-    (:meth:`SlicedMatrix.insert_slices`), so a k-bit update moves
-    ``O(N_VS)`` bytes once instead of the ``O(k * N_VS)`` a per-bit loop
-    would pay, and allocates nothing while the room lasts.  Keeps the
-    CSR-of-slices invariants (ascending slice ids per row, no invalid
-    slices stored), so a mutated matrix is indistinguishable from one
-    rebuilt from scratch — the property the equivalence tests rely on.
+    One splice covers every structural change of the batch, and it
+    rewrites only the touched rows' slots
+    (:meth:`SlicedMatrix.insert_slices`): a k-bit update moves
+    ``O(Σ touched rows' slices)`` bytes and allocates nothing while the
+    rows have room.  Keeps the slotted invariants (ascending slice ids
+    in each row's leading slots, no invalid slice stored, free slots
+    zero), so a mutated matrix holds exactly the slices of one rebuilt
+    from scratch — the property the equivalence tests rely on.
+
+    ``rows`` may instead be the :class:`LocatedBits` of a
+    :func:`locate_bits` call on this structure since its last splice
+    (``cols`` is then ignored), which spares the search.
 
     ``store`` (a :class:`repro.storage.backing.BackingStore`) allocates
-    larger buffers when the room runs out, so a spilled structure stays
-    spilled; ``None`` allocates on the heap.  If that allocation fails,
-    the bits of already-valid slices are set and no slice is inserted:
-    clearing the batch's bits restores the structure.
+    the re-spread slot arrays when a touched row lacks the room, so a
+    spilled structure stays spilled; ``None`` allocates on the heap.  If
+    that allocation fails, the bits of already-valid slices are set and
+    no slice moved or was inserted: clearing the batch's bits restores
+    the structure.
 
-    Returns a :class:`StructureDelta` naming the inserted slices (empty
-    for a payload-only update), and bumps
+    Returns a slotted :class:`StructureDelta` naming the inserted slices
+    and the moved ones (empty for a payload-only update), and bumps
     :attr:`SlicedMatrix.structure_version` iff slices were inserted.
     """
-    rows, cols, positions, exists, bytes_, masks = _locate_bits(sliced, rows, cols)
+    rows, cols, positions, exists, bytes_, masks, _ = _located(sliced, rows, cols)
     if rows.size == 0:
         return StructureDelta.unchanged()
     # Existing slices: in-place OR.  ``.at`` handles several bits landing
@@ -309,31 +391,31 @@ def set_bits(
     np.bitwise_or.at(
         payloads, (ordinal, bytes_[missing][order]), masks[missing][order]
     )
-    # A missing bit's located position is exactly where its new slice
+    # A missing bit's located slot is exactly where its new slice
     # belongs, so no second search over the structure is needed.
     insert_at = positions[missing][order][head]
     owner_rows = unique_keys // spr
-    sliced.insert_slices(insert_at, owner_rows, unique_keys % spr, payloads, store)
-    empty = np.empty(0, dtype=np.int64)
-    return StructureDelta(
-        inserted_before=insert_at.astype(np.int64),
-        inserted_rows=owner_rows,
-        removed_at=empty,
-        removed_rows=empty,
+    landed, moved_from, moved_to = sliced.insert_slices(
+        insert_at, owner_rows, unique_keys % spr, payloads, store
     )
+    empty = np.empty(0, dtype=np.int64)
+    return StructureDelta(landed, owner_rows, empty, empty, moved_from, moved_to)
 
 
-def clear_bits(sliced: SlicedMatrix, rows: np.ndarray, cols: np.ndarray) -> StructureDelta:
+def clear_bits(sliced: SlicedMatrix, rows, cols) -> StructureDelta:
     """Clear many bits at once, dropping slices that become empty.
 
-    The kept slices shift left in place
-    (:meth:`SlicedMatrix.remove_slices`); a clear never allocates, so it
-    cannot fail half-way, and the rows it frees are room for the next
-    inserts.  Returns a :class:`StructureDelta` naming the dropped slices
-    (empty when every touched slice kept at least one bit), and bumps
+    Only the touched rows' slots are rewritten
+    (:meth:`SlicedMatrix.remove_slices`): their kept slices close the
+    gaps and the freed slots become room for the next inserts.  A clear
+    never allocates, so it cannot fail half-way, and re-setting its bits
+    fits the slots it freed.  ``rows`` may be a :class:`LocatedBits`, as
+    for :func:`set_bits`.  Returns a slotted :class:`StructureDelta`
+    naming the dropped and moved slices (empty when every touched slice
+    kept at least one bit), and bumps
     :attr:`SlicedMatrix.structure_version` iff slices were dropped.
     """
-    rows, cols, positions, exists, bytes_, masks = _locate_bits(sliced, rows, cols)
+    rows, cols, positions, exists, bytes_, masks, _ = _located(sliced, rows, cols)
     if not exists.any():
         return StructureDelta.unchanged()
     np.bitwise_and.at(
@@ -346,13 +428,11 @@ def clear_bits(sliced: SlicedMatrix, rows: np.ndarray, cols: np.ndarray) -> Stru
     if emptied.size == 0:
         return StructureDelta.unchanged()
     owners = np.searchsorted(sliced.indptr, emptied, side="right") - 1
-    sliced.remove_slices(emptied, owners)
+    moved_from, moved_to = sliced.remove_slices(emptied, owners)
     empty = np.empty(0, dtype=np.int64)
     return StructureDelta(
-        inserted_before=empty,
-        inserted_rows=empty,
-        removed_at=emptied.astype(np.int64),
-        removed_rows=owners.astype(np.int64),
+        empty, empty, emptied.astype(np.int64), owners.astype(np.int64),
+        moved_from, moved_to,
     )
 
 
@@ -372,22 +452,45 @@ def test_bits(sliced: SlicedMatrix, rows, cols) -> np.ndarray:
     The session's edge membership test — the symmetric structure is its
     only edge set.  ``O(k log(slices per row))``, read-only.
     """
-    _, _, positions, exists, bytes_, masks = _locate_bits(sliced, rows, cols)
-    present = exists.copy()
-    present[exists] = (
-        sliced.data[positions[exists], bytes_[exists]] & masks[exists]
-    ) != 0
-    return present
+    return locate_bits(sliced, rows, cols).present(sliced)
 
 
-def _locate_bits(sliced: SlicedMatrix, rows, cols):
-    """Vectorized lookup of each bit's slice position.
+class LocatedBits(NamedTuple):
+    """Where bits sit in a :class:`SlicedMatrix`: :func:`locate_bits`'
+    result, which :func:`set_bits` and :func:`clear_bits` take in place
+    of ``(rows, cols)`` to splice without searching again.
 
-    Returns ``(rows, cols, positions, exists, byte_index, bit_mask)``
-    int64/bool/uint8 arrays; ``positions[i]`` is the index of bit ``i``'s
-    slice in the valid-slice arrays when ``exists[i]`` (else where that
-    slice would be inserted).
+    ``positions[i]`` is the slot of bit ``i``'s slice when ``exists[i]``,
+    else the slot its slice would be inserted at; ``version`` is the
+    structure's ``structure_version`` when located.
     """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    positions: np.ndarray
+    exists: np.ndarray
+    byte_index: np.ndarray
+    bit_mask: np.ndarray
+    version: int
+
+    def present(self, sliced: SlicedMatrix) -> np.ndarray:
+        """Whether each located bit is set in ``sliced``."""
+        present = self.exists.copy()
+        held = self.exists
+        present[held] = (
+            sliced.data[self.positions[held], self.byte_index[held]]
+            & self.bit_mask[held]
+        ) != 0
+        return present
+
+    def take(self, keep: np.ndarray) -> "LocatedBits":
+        """The located bits ``keep`` selects."""
+        return LocatedBits(*(array[keep] for array in self[:6]), self.version)
+
+
+def locate_bits(sliced: SlicedMatrix, rows, cols) -> LocatedBits:
+    """Vectorized lookup of each bit's slice slot: one lockstep binary
+    search inside each bit's row (:meth:`SlicedMatrix.find_slices`)."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     if rows.shape != cols.shape:
@@ -405,9 +508,23 @@ def _locate_bits(sliced: SlicedMatrix, rows, cols):
         )
     positions, exists = sliced.find_slices(rows, cols // sliced.slice_bits)
     within = cols % sliced.slice_bits
-    bytes_ = within // 8
     masks = (np.uint8(1) << (within % 8).astype(np.uint8)).astype(np.uint8)
-    return rows, cols, positions, exists, bytes_, masks
+    return LocatedBits(
+        rows, cols, positions, exists, within // 8, masks, sliced.structure_version
+    )
+
+
+def _located(sliced: SlicedMatrix, rows, cols) -> LocatedBits:
+    """``rows`` when it is a :class:`LocatedBits` of ``sliced`` as it
+    stands, else the bits ``(rows, cols)`` located afresh."""
+    if not isinstance(rows, LocatedBits):
+        return locate_bits(sliced, rows, cols)
+    if rows.version != sliced.structure_version:
+        raise ArchitectureError(
+            f"bits located at structure version {rows.version} cannot splice "
+            f"version {sliced.structure_version}; locate them again"
+        )
+    return rows
 
 
 # ----------------------------------------------------------------------

@@ -90,7 +90,7 @@ def _owner(structure):
 
 
 def _stamp(row_sliced, col_sliced) -> tuple:
-    """``(structure_version, payload rows)`` of each distinct structure
+    """``(structure_version, valid slices)`` of each distinct structure
     the row and column sides index, row side first."""
     owners = [_owner(row_sliced)]
     if _owner(col_sliced) is not owners[0]:
@@ -192,9 +192,9 @@ class JoinPlan:
     pair_counts: np.ndarray
     #: Edges the plan covers.
     num_edges: int
-    #: ``(structure_version, payload rows)`` of each distinct structure
+    #: ``(structure_version, valid slices)`` of each distinct structure
     #: the positions index at compile/patch time — one entry for the two
-    #: windows of one symmetric structure.  The payload rows are a second
+    #: windows of one symmetric structure.  The valid slices are a second
     #: staleness guard: two *different* structures can share a version.
     stamp: tuple
     #: Ascending indices of the pairs on a :class:`SliceWindow`'s
@@ -215,7 +215,7 @@ class JoinPlan:
 
     @property
     def payload_rows(self) -> int:
-        """Rows of the payload the row positions index."""
+        """Valid slices of the payload the row positions index."""
         return self.stamp[0][1]
 
     @property
@@ -435,14 +435,22 @@ def _mask_rows(masks: np.ndarray) -> np.ndarray:
 
 
 def _position_map(old_size: int, delta: StructureDelta, dtype) -> np.ndarray:
-    """Old → new slice position table of a structure that moved by ``delta``.
+    """Old → new position table of positions that moved by ``delta``.
 
     ``delta`` removes, then inserts (:func:`~repro.core.incremental.compose_deltas`).
     A removed position's entry is meaningless: no surviving pair holds
-    it.  Each shift is a step function — -1 past every removed slice,
-    +1 past every insertion point — so the table is one ``arange`` plus
-    one ``repeat`` of the step heights per kind.
+    it.  A slotted delta names every slot that moved, so its table is
+    one ``arange`` with the moves scattered in (it also covers every
+    moved slot past ``old_size``).  In a compact delta each shift is a
+    step function — -1 past every removed entry, +1 past every insertion
+    point — so the table is one ``arange`` plus one ``repeat`` of the
+    step heights per kind.
     """
+    if delta.moved_from is not None:
+        size = max(old_size, int(delta.moved_from.max(initial=-1)) + 1)
+        table = np.arange(size, dtype=dtype)
+        table[delta.moved_from] = delta.moved_to
+        return table
     table = np.arange(old_size, dtype=dtype)
     removed = delta.removed_at
     if removed.size:
@@ -494,11 +502,10 @@ def patch_join_plan(
     ranges of the moved source rows, and the edges into moved
     destination rows (one boolean gather); only they go through
     :func:`repro.core.engine.join_batches`.  Every kept run between cuts
-    is block-copied: row positions plus one constant shift per run,
-    column positions through one old → new position table, trace keys
+    is block-copied: row and column positions through one old → new slot
+    table (the symmetric delta names every slot that moved), trace keys
     and diagonal masks verbatim (a surviving slice keeps its global
-    key).  Runs also break wherever the sources cross a row whose slices
-    moved, since the row shift changes there.
+    key).
 
     Returns ``plan`` itself when nothing moved, else a **new** plan (the
     input is never mutated), array-equal to ``build_join_plan`` on the
@@ -536,17 +543,10 @@ def patch_join_plan(
     inserted = inserted_before + np.arange(inserted_before.size)
     cut[inserted] = True
     cut_idx = np.flatnonzero(cut)
-    # --- kept runs: uncut stretches, also broken at deletion gaps and
-    # where the sources cross a row whose slices moved (the row shift
-    # steps there even when the list holds no edge of that row) ---------
+    # --- kept runs: uncut stretches, also broken at deletion gaps -------
     gaps_mid = removed_at - np.arange(removed_at.size)
     gaps = gaps_mid + np.searchsorted(inserted_before, gaps_mid, side="right")
-    shifted = np.searchsorted(
-        sources, np.concatenate((delta.inserted_rows, delta.removed_rows))
-    )
-    breaks = np.unique(
-        np.concatenate(([0, num_edges], cut_idx, cut_idx + 1, gaps, shifted))
-    )
+    breaks = np.unique(np.concatenate(([0, num_edges], cut_idx, cut_idx + 1, gaps)))
     run_lo, run_hi = breaks[:-1], breaks[1:]
     kept = ~cut[run_lo]
     run_lo, run_hi = run_lo[kept], run_hi[kept]
@@ -573,7 +573,8 @@ def patch_join_plan(
     # --- one copy pass over the kept runs -------------------------------
     # Both windows index one payload, so one table maps both sides.
     position_map = (
-        _position_map(plan.payload_rows, delta, row_dtype) if delta.changed else None
+        _position_map(row_sliced.data.shape[0], delta, row_dtype)
+        if delta.changed else None
     )
     old_bounds = plan.bounds
     src_lo = old_bounds[old_lo]
@@ -584,20 +585,13 @@ def patch_join_plan(
         if stop == src:
             continue
         end = dst + stop - src
-        # A run's row positions all shift alike: one table lookup.
-        shift = (
-            0 if position_map is None
-            else int(position_map[old_rows[src]]) - int(old_rows[src])
-        )
-        np.add(old_rows[src:stop], shift, out=row_positions[dst:end], casting="unsafe")
         if position_map is None:
+            row_positions[dst:end] = old_rows[src:stop]
             col_positions[dst:end] = old_cols[src:stop]
         else:
             # Unbuffered: the alignment check bounds every old position.
-            np.take(
-                position_map, old_cols[src:stop], out=col_positions[dst:end],
-                mode="clip",
-            )
+            for old, new in ((old_rows, row_positions), (old_cols, col_positions)):
+                np.take(position_map, old[src:stop], out=new[dst:end], mode="clip")
         trace_keys[dst:end] = plan.trace_keys[src:stop]
     # --- the cut's pairs land in their own slots ------------------------
     targets = expand_runs(bounds[cut_idx], redo_counts)

@@ -626,8 +626,12 @@ class Residency:
         symmetric structure with its windows' offsets and the plan only
         when resident, and the manifest's ``structures`` / ``plans``
         tables record what is present so hydration restores exactly the
-        warmth that was serialised.  Slice ids and edge endpoints are
-        written as int32 where they fit.
+        warmth that was serialised.  A structure with room is written
+        compact (:meth:`SlicedMatrix.compacted`), the layout every
+        release builds, and the plan's positions move to its slots; the
+        windows' offsets count from a row's first slot, so they carry
+        over.  Slice ids and edge endpoints are written as int32 where
+        they fit.
         """
         sources, destinations = self.edge_list()
         arrays: dict[str, np.ndarray] = {
@@ -635,7 +639,12 @@ class Residency:
             "oriented.destinations": _narrow(destinations, self.num_vertices),
         }
         structures: dict[str, dict] = {}
-        sym = self.sym
+        sym, slots = self.sym, None
+        if sym is not None and sym.num_valid_slices < sym.data.shape[0]:
+            # Each slot's position in the compact copy, for the plan's.
+            slots = np.zeros(sym.data.shape[0], dtype=np.int64)
+            slots[sym.valid_positions()] = np.arange(sym.num_valid_slices)
+            sym = sym.compacted(self.store)
         if sym is not None:
             structures["sym"] = {
                 "num_rows": sym.num_rows,
@@ -657,6 +666,10 @@ class Residency:
             }
             for name in _PLAN_ARRAYS:
                 arrays[f"plan.{name}"] = getattr(plan, name)
+            if slots is not None:
+                dtype = joinplan._position_dtype(max(sym.num_valid_slices, 1) - 1)
+                for name in ("row_positions", "col_positions"):
+                    arrays[f"plan.{name}"] = slots[getattr(plan, name)].astype(dtype)
         return arrays, structures, plans
 
     def adopt(self, meta: dict, arrays: dict, store) -> int:
@@ -756,7 +769,7 @@ class Residency:
         report = cache.get("clustering")
         graph_bytes, slices, edges, workloads = _held_bytes(
             (graph.edge_array(), *graph.csr) if graph is not None else (),
-            (*sym.buffers, sym.indptr) if sym is not None else (),
+            (sym.slice_ids, sym.data, sym.indptr, sym.counts) if sym is not None else (),
             (*(self.edges or ()), *([self.keys] if self.keys is not None else ())),
             [
                 *([cache["triangles"]] if "triangles" in cache else ()),

@@ -14,11 +14,15 @@ The compressed format stores, per valid slice, a 4-byte index plus
 exactly the paper's memory-requirement formula.
 
 :class:`SlicedMatrix` is a CSR-like container of valid slices, built fully
-vectorised so million-edge graphs compress in well under a second.  Its
-valid-slice arrays are leading views of buffers that may hold spare
-rows, so the streaming splices (:meth:`SlicedMatrix.insert_slices`,
-:meth:`SlicedMatrix.remove_slices`) shift slices in place instead of
-copying both arrays into new allocations.
+vectorised so million-edge graphs compress in well under a second.  Each
+row owns a run of *slots*, and its valid slices fill the leading ones;
+the rest are free room.  A built or hydrated structure is compact (no
+room).  The streaming splices (:meth:`SlicedMatrix.insert_slices`,
+:meth:`SlicedMatrix.remove_slices`) rewrite only the slots of the rows
+they touch, so an update costs ``O(touched rows)``, not ``O(N_VS)``,
+like TCIM writing only the slices an edge touches.  An insert into a
+row without room re-spreads the whole structure once, with room for
+every row.
 
 The row slices and column slices of the upper-triangular matrix (paper
 Fig. 4) are both read out of one symmetric structure:
@@ -46,41 +50,44 @@ __all__ = [
     "expand_runs",
     "bit_range_masks",
     "INDEX_BYTES",
-    "SPARE_ROOM_DIVISOR",
 ]
 
 #: Bytes used to store each valid-slice index in the compressed format
 #: ("we use an integer (four Bytes) to store each valid slice index").
 INDEX_BYTES = 4
 
-#: An insert that outgrows a structure's buffers reallocates them with
-#: ``n + k + max(k, n // SPARE_ROOM_DIVISOR)`` rows (``n`` slices stored,
-#: ``k`` inserted), so the following inserts shift in place.
-SPARE_ROOM_DIVISOR = 16
-
 _ORIENTATIONS = ("symmetric", "upper", "lower")
 
 
 class SlicedMatrix:
-    """Valid slices of a 0/1 matrix, stored row-major in CSR-of-slices form.
+    """Valid slices of a 0/1 matrix, stored row-major in slots.
 
     Attributes
     ----------
     slice_bits:
         ``|S|`` — bits per slice.  Must be a positive multiple of 8.
     indptr:
-        ``(num_rows + 1,)`` — CSR offsets into the valid-slice arrays.
+        ``(num_rows + 1,)``, ascending — row ``r`` owns the slots
+        ``[indptr[r], indptr[r + 1])`` of the slot arrays.
+    counts:
+        ``(num_rows,)`` — how many leading slots of each row hold its
+        valid slices; the row's other slots are free room.
     slice_ids:
-        ``(N_VS,)`` — for each valid slice, its slice index ``k`` within
-        the row (``0 <= k < slices_per_row``), ascending within a row.
+        ``(slots,)`` — the slice index ``k`` (``0 <= k < slices_per_row``)
+        of the valid slice in each slot, ascending within a row; 0 in a
+        free slot.
     data:
-        ``(N_VS, slice_bits // 8)`` uint8 — packed payload, little-endian
-        bit order (bit ``t`` of slice ``k`` is column ``k * |S| + t``).
+        ``(slots, slice_bits // 8)`` uint8 — packed payload, little-endian
+        bit order (bit ``t`` of slice ``k`` is column ``k * |S| + t``);
+        all zero in a free slot, so a reader of every slot sees no bit
+        and no slice past slice 0 there.
 
-    ``slice_ids`` and ``data`` are the leading ``N_VS`` rows of
-    :attr:`buffers`, which may hold spare rows for later inserts.  A
-    splice moves bytes inside those buffers, so an array taken from a
-    structure before a splice may change under its holder.
+    A built or hydrated structure is compact (``counts`` is
+    ``np.diff(indptr)``); its first structural insert re-spreads it with
+    room in every row.  Readers bound a row by ``counts``, never by
+    ``indptr[r + 1]``.  A splice rewrites slots in place (a re-spread
+    replaces the slot arrays), so an array taken from a structure before
+    a splice may change under its holder.
     """
 
     __slots__ = (
@@ -88,11 +95,11 @@ class SlicedMatrix:
         "num_cols",
         "slice_bits",
         "indptr",
+        "counts",
         "slice_ids",
         "data",
         "structure_version",
-        "_ids_buffer",
-        "_data_buffer",
+        "_num_valid",
     )
 
     def __init__(
@@ -125,14 +132,15 @@ class SlicedMatrix:
         self.indptr = indptr
         self.slice_ids = slice_ids
         self.data = data
-        # A built or hydrated structure has no spare rows; the first
-        # insert that needs room allocates it.
-        self._ids_buffer = slice_ids
-        self._data_buffer = data
+        # Built and hydrated structures are compact; the first insert
+        # that needs room re-spreads them.
+        self.counts = np.diff(indptr)
+        self._num_valid = int(self.counts.sum())
         #: Monotone counter of *structural* changes: bumped whenever the
-        #: set of valid slices changes (a slice inserted or dropped), so
-        #: positions into :attr:`slice_ids`/:attr:`data` from before the
-        #: bump are invalid.  Payload-only mutation (setting/clearing
+        #: set of valid slices changes (a slice inserted or dropped) or a
+        #: valid slice changes slot, so positions into
+        #: :attr:`slice_ids`/:attr:`data` from before the bump are
+        #: invalid.  Payload-only mutation (setting/clearing
         #: bits inside an existing slice) does not bump it — positions
         #: stay valid.  Derived artifacts (a
         #: :class:`repro.core.plan.JoinPlan`) key their coherence on
@@ -155,10 +163,10 @@ class SlicedMatrix:
         """Build from parallel arrays of non-zero coordinates.
 
         ``store`` (a :class:`repro.storage.backing.BackingStore`) decides
-        where the slice payload lives: a ``memmap`` store spills the
-        ``data`` array to disk once it crosses the spill threshold.  The
-        small index arrays (``indptr``, ``slice_ids``) stay on heap —
-        they are hot and tiny relative to the payload.
+        where the slot arrays live: a ``memmap`` store spills ``data``
+        and ``slice_ids`` to disk once each crosses the spill threshold.
+        The per-row arrays (``indptr``, ``counts``) stay on heap — they
+        are hot and small relative to the payload.
         """
         _check_slice_bits(slice_bits)
         rows = np.asarray(rows, dtype=np.int64)
@@ -271,12 +279,6 @@ class SlicedMatrix:
     # ------------------------------------------------------------------
     # Splices (the streaming path of repro.core.incremental)
     # ------------------------------------------------------------------
-    @property
-    def buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """The arrays behind :attr:`slice_ids` and :attr:`data`, spare
-        rows included — what the structure keeps resident."""
-        return self._ids_buffer, self._data_buffer
-
     def insert_slices(
         self,
         before: np.ndarray,
@@ -284,82 +286,152 @@ class SlicedMatrix:
         slice_ids: np.ndarray,
         payloads: np.ndarray,
         store=None,
-    ) -> None:
-        """Splice new valid slices in, shifting the stored ones in place.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Splice new valid slices into their rows' slots.
 
-        ``before`` holds sorted insertion points in pre-insert
-        coordinates (the ``obj`` of :func:`np.insert`; repeats land
-        several slices at one point), aligned with each new slice's
-        owning ``rows``, ``slice_ids`` and ``payloads``.  The stored runs
-        between insertion points move right, back to front, inside the
-        buffers when their spare rows suffice.  Otherwise both larger
-        buffers are allocated through ``store`` (a
+        ``before`` holds each new slice's insertion slot, where
+        :meth:`find_slices` reports it missing, aligned with its owning
+        ``rows``, its ``slice_ids`` and ``payloads`` and sorted by row,
+        then slice id; several slices may share a slot.  In each touched
+        row the valid slices from its first insertion slot on move right
+        inside the row's slots and the new ones land between them; no
+        other row is read or written.  When a touched row lacks the room,
+        the whole structure re-spreads once instead (:meth:`_respread`),
+        allocating through ``store`` (a
         :class:`repro.storage.backing.BackingStore`, so a spilled
         structure stays spilled; ``None`` allocates on the heap) before
         any byte moves, so a failed allocation leaves the structure as
         it was.
+
+        Returns ``(landed, moved_from, moved_to)``: the slot of each new
+        slice, and the old and new slot of every stored slice that moved
+        (after a re-spread, of every stored slice).
         """
         added = int(before.size)
         if not added:
-            return
-        size = self.num_valid_slices
-        ids_buffer, data_buffer = self._ids_buffer, self._data_buffer
-        grow = ids_buffer.shape[0] < size + added
-        if grow:
-            capacity = size + added + max(added, size // SPARE_ROOM_DIVISOR)
-            new_ids = _alloc(store, capacity, ids_buffer.dtype)
-            new_data = _alloc(store, (capacity, data_buffer.shape[1]), data_buffer.dtype)
-        else:
-            new_ids, new_data = ids_buffer, data_buffer
-        # Run j, the stored rows [before[j-1], before[j]), moves right by
-        # j; back to front, an in-place move never overwrites a run that
-        # has yet to move.
-        bounds = [0, *before.tolist(), size]
-        moves = [
-            (_word_rows(source), _word_rows(target))
-            for source, target in ((ids_buffer, new_ids), (data_buffer, new_data))
-        ]
-        for shift in range(added, -1 if grow else 0, -1):
-            lo, hi = bounds[shift], bounds[shift + 1]
-            if hi > lo:
-                for (source, width), (target, _) in moves:
-                    target[(lo + shift) * width: (hi + shift) * width] = (
-                        source[lo * width: hi * width]
-                    )
-        landed = before + np.arange(added)
-        new_ids[landed] = slice_ids
-        new_data[landed] = payloads
-        self._ids_buffer, self._data_buffer = new_ids, new_data
-        self.slice_ids = new_ids[: size + added]
-        self.data = new_data[: size + added]
-        self.indptr[1:] += np.cumsum(np.bincount(rows, minlength=self.num_rows))
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, empty
+        rows = np.asarray(rows, dtype=np.int64)
+        heads = np.flatnonzero(np.diff(rows, prepend=-1))
+        touched = rows[heads]
+        per_row = np.diff(heads, append=added)
+        counts = self.counts[touched] + per_row
+        spread = None
+        if bool((counts > self.indptr[touched + 1] - self.indptr[touched]).any()):
+            spread = self._respread(rows, store)
+            before = before + spread[2][rows]
+        # The stored tails, from each row's first insertion slot on, each
+        # move past the row's new slices at or before it; each new slice
+        # lands past the earlier new slices of its row.
+        start = before[heads]
+        lengths = self.indptr[touched] + self.counts[touched] - start
+        tails = expand_runs(start, lengths)
+        scale = np.int64(self.data.shape[0] + 1)
+        shift = np.searchsorted(
+            rows * scale + before,
+            np.repeat(touched, lengths) * scale + tails,
+            side="right",
+        ) - np.repeat(heads, lengths)
+        moved_to = tails + shift
+        landed = before + np.arange(added) - np.repeat(heads, per_row)
+        ids, data = self.slice_ids, _slot_items(self.data)
+        # Each right-hand side is a gathered copy, so no slot is read
+        # after it is overwritten.
+        ids[moved_to] = ids[tails]
+        data[moved_to] = data[tails]
+        ids[landed] = slice_ids
+        data[landed] = _slot_items(payloads)
+        self.counts[touched] = counts
+        self._num_valid += added
         self.mark_structure_changed()
+        if spread is None:
+            return landed, tails, moved_to
+        # The tails moved twice: re-laid, then past the new slices.
+        positions, targets, _ = spread
+        targets[np.searchsorted(targets, tails)] = moved_to
+        return landed, positions, targets
 
-    def remove_slices(self, positions: np.ndarray, rows: np.ndarray) -> None:
-        """Drop the valid slices at sorted, unique ``positions``.
+    def _respread(self, rows: np.ndarray, store):
+        """Re-lay every row's valid slices with room for the new slices
+        of ``rows`` and more: each row gets ``2 + count // 8`` free slots
+        past its ``count`` valid slices (new ones included), ~12.5 % over
+        ``N_VS`` plus two slots a row.
 
-        ``rows`` are their owning rows.  The kept runs between removed
-        slices shift left in place, front to back; nothing is allocated,
-        and the freed rows stay in the buffers as room for later inserts.
+        Both slot arrays are allocated through ``store`` before any byte
+        moves.  Returns ``(positions, targets, offsets)``: every valid
+        slice's old and new slot, and each row's first-slot shift.
+        """
+        counts = self.counts + np.bincount(rows, minlength=self.num_rows)
+        indptr = np.zeros(self.num_rows + 1, dtype=np.int64)
+        np.cumsum(counts + 2 + counts // 8, out=indptr[1:])
+        slots = int(indptr[-1])
+        new_ids = _alloc(store, slots, self.slice_ids.dtype)
+        new_data = _alloc(store, (slots, self.data.shape[1]), self.data.dtype)
+        new_ids.fill(0)
+        new_data.fill(0)
+        offsets = indptr[:-1] - self.indptr[:-1]
+        positions = self.valid_positions()
+        targets = positions + np.repeat(offsets, self.counts)
+        new_ids[targets] = self.slice_ids[positions]
+        _slot_items(new_data)[targets] = _slot_items(self.data)[positions]
+        self.indptr, self.slice_ids, self.data = indptr, new_ids, new_data
+        return positions, targets, offsets
+
+    def remove_slices(
+        self, positions: np.ndarray, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Drop the valid slices at sorted, unique slot ``positions``.
+
+        ``rows`` are their owning rows.  In each touched row the kept
+        slices after its first removed one move left inside the row's
+        slots, and the freed slots at the end of its valid run are zeroed
+        as room for later inserts; nothing is allocated, and no other row
+        is read or written.  Returns ``(moved_from, moved_to)``, the old
+        and new slot of every kept slice that moved.
         """
         removed = int(positions.size)
         if not removed:
-            return
-        size = self.num_valid_slices
-        starts = (positions + 1).tolist()
-        stops = [*positions[1:].tolist(), size]
-        moves = [_word_rows(self._ids_buffer), _word_rows(self._data_buffer)]
-        # Run j, the kept rows after the j-th removed slice, moves left by j.
-        for shift, (lo, hi) in enumerate(zip(starts, stops), start=1):
-            if hi > lo:
-                for words, width in moves:
-                    words[(lo - shift) * width: (hi - shift) * width] = (
-                        words[lo * width: hi * width]
-                    )
-        self.slice_ids = self._ids_buffer[: size - removed]
-        self.data = self._data_buffer[: size - removed]
-        self.indptr[1:] -= np.cumsum(np.bincount(rows, minlength=self.num_rows))
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
+        rows = np.asarray(rows, dtype=np.int64)
+        heads = np.flatnonzero(np.diff(rows, prepend=-1))
+        touched = rows[heads]
+        per_row = np.diff(heads, append=removed)
+        start = positions[heads]
+        end = self.indptr[touched] + self.counts[touched]
+        tails = expand_runs(start, end - start)
+        # Removed slices of the row before each tail slot.
+        before = np.searchsorted(positions, tails)
+        kept = positions[np.minimum(before, removed - 1)] != tails
+        moved_from = tails[kept]
+        moved_to = moved_from - (before - np.repeat(heads, end - start))[kept]
+        ids, data = self.slice_ids, _slot_items(self.data)
+        ids[moved_to] = ids[moved_from]
+        data[moved_to] = data[moved_from]
+        freed = expand_runs(end - per_row, per_row)
+        ids[freed] = 0
+        data[freed] = 0
+        self.counts[touched] -= per_row
+        self._num_valid -= removed
         self.mark_structure_changed()
+        return moved_from, moved_to
+
+    def compacted(self, store=None) -> "SlicedMatrix":
+        """A copy of the valid slices without room — the layout
+        :meth:`from_nonzeros` builds — at the same ``structure_version``;
+        its slice ``i`` comes from slot ``valid_positions()[i]``.
+        ``store`` allocates the payload, as in :meth:`insert_slices`."""
+        positions = self.valid_positions()
+        indptr = np.zeros(self.num_rows + 1, dtype=np.int64)
+        np.cumsum(self.counts, out=indptr[1:])
+        data = _alloc(store, (positions.size, self.data.shape[1]), self.data.dtype)
+        np.take(self.data, positions, axis=0, out=data)
+        copy = SlicedMatrix(
+            self.num_rows, self.num_cols, self.slice_bits, indptr,
+            self.slice_ids[positions], data,
+        )
+        copy.structure_version = self.structure_version
+        return copy
 
     # ------------------------------------------------------------------
     # Size / statistics (Table III & IV quantities)
@@ -367,7 +439,7 @@ class SlicedMatrix:
     @property
     def num_valid_slices(self) -> int:
         """``N_VS`` — total number of valid slices."""
-        return int(self.data.shape[0])
+        return self._num_valid
 
     @property
     def slices_per_row(self) -> int:
@@ -410,33 +482,42 @@ class SlicedMatrix:
         """``(slice_ids, data)`` views for one row (both read-only)."""
         if not 0 <= row < self.num_rows:
             raise SlicingError(f"row {row} out of range [0, {self.num_rows})")
-        lo, hi = int(self.indptr[row]), int(self.indptr[row + 1])
+        lo = int(self.indptr[row])
+        hi = lo + int(self.counts[row])
         ids = self.slice_ids[lo:hi]
         payload = self.data[lo:hi]
         ids.flags.writeable = False
         payload.flags.writeable = False
         return ids, payload
 
-    def owner_rows(self) -> np.ndarray:
-        """Owning row of every valid slice, aligned with :attr:`slice_ids`.
+    def valid_positions(self) -> np.ndarray:
+        """Slot of every valid slice, row-major (every slot when compact)."""
+        if self._num_valid == self.data.shape[0]:
+            return np.arange(self._num_valid, dtype=np.int64)
+        return expand_runs(self.indptr[:-1], self.counts)
 
-        Batch accessor for the vectorized engine: together with
-        :attr:`slice_ids` it identifies each valid slice globally without
+    def owner_rows(self) -> np.ndarray:
+        """Owning row of every valid slice, aligned with
+        :meth:`valid_positions`.
+
+        Batch accessor for the vectorized engine: together with the
+        slices' ids it identifies each valid slice globally without
         per-row Python calls.
         """
-        return np.repeat(
-            np.arange(self.num_rows, dtype=np.int64), np.diff(self.indptr)
-        )
+        return np.repeat(np.arange(self.num_rows, dtype=np.int64), self.counts)
 
     def nonzeros(self) -> tuple[np.ndarray, np.ndarray]:
         """``(rows, cols)`` of every set bit, in row-major order.
 
         The inverse of :meth:`from_nonzeros`.  Only bytes holding a set
         bit are unpacked, so the cost follows the non-zero count rather
-        than ``N_VS x |S|``.
+        than ``N_VS x |S|``; a free slot holds none.
         """
         slot, cols = self.decode(self.slice_ids, self.data)
-        return self.owner_rows()[slot], cols
+        owners = np.repeat(
+            np.arange(self.num_rows, dtype=np.int64), np.diff(self.indptr)
+        )
+        return owners[slot], cols
 
     def row_columns(self, rows: np.ndarray) -> np.ndarray:
         """Columns of the set bits of ``rows``, row by row, ascending
@@ -466,18 +547,18 @@ class SlicedMatrix:
         Because valid slices are stored row-major with ascending slice ids
         within each row, the returned array is strictly ascending.  Only
         the engine's dense position table reads the whole array; smaller
-        joins key just the rows they touch.
+        joins key just the rows they touch.  Aligned with
+        :meth:`valid_positions`.
         """
-        return self.owner_rows() * np.int64(self.slices_per_row) + self.slice_ids
+        ids = self.slice_ids[self.valid_positions()]
+        return self.owner_rows() * np.int64(self.slices_per_row) + ids
 
     def row_slice_ranges(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(starts, counts)`` of the valid-slice runs of many rows at once."""
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size and (rows.min() < 0 or rows.max() >= self.num_rows):
             raise SlicingError(f"row index out of range [0, {self.num_rows})")
-        starts = self.indptr[rows]
-        counts = self.indptr[rows + 1] - starts
-        return starts, counts
+        return self.indptr[rows], self.counts[rows]
 
     def find_slices(
         self, rows: np.ndarray, slice_ids: np.ndarray
@@ -491,7 +572,7 @@ class SlicedMatrix:
         """
         ids = self.slice_ids
         lo = self.indptr[rows]
-        end = self.indptr[rows + 1]
+        end = lo + self.counts[rows]
         hi = end.copy()
         last = max(ids.size - 1, 0)
         for _ in range(int((hi - lo).max(initial=0)).bit_length()):
@@ -506,7 +587,7 @@ class SlicedMatrix:
 
     def row_valid_counts(self) -> np.ndarray:
         """Valid-slice count for every row."""
-        return np.diff(self.indptr)
+        return self.counts.copy()
 
     def to_dense(self) -> np.ndarray:
         """Expand back to a dense boolean matrix (test helper)."""
@@ -544,8 +625,10 @@ class SliceWindow:
     (:attr:`repro.core.plan.JoinPlan.diagonal_pairs`).
 
     ``offsets`` counts, per row, the slices before an upper window or in
-    a lower one, relative to ``sym.indptr``, so a splice moves only the
-    windows of the rows it touches (:meth:`refresh`).  The window reads
+    a lower one, relative to the row's first slot (``sym.indptr``), so a
+    splice moves only the windows of the rows it touches
+    (:meth:`refresh`) and a re-spread, which moves every row's slots,
+    none.  The window reads
     the rest of a structure's surface through to :attr:`sym`, except the
     valid slices: ``num_valid_slices`` and the Table III/IV byte counts
     count the window's (the payload length is ``data.shape[0]``).
@@ -605,7 +688,7 @@ class SliceWindow:
     def row_valid_counts(self) -> np.ndarray:
         """Window size of every row."""
         if self.side == "upper":
-            return np.diff(self.sym.indptr) - self.offsets
+            return self.sym.counts - self.offsets
         return self.offsets.astype(np.int64)
 
     @property
@@ -822,18 +905,14 @@ def _alloc(store, shape, dtype) -> np.ndarray:
     return np.empty(shape, dtype=dtype) if store is None else store.empty(shape, dtype)
 
 
-def _word_rows(buffer: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(words, width)``: a flat view of ``buffer`` in the widest
-    unsigned word that divides its rows, and the words per row.
-
-    NumPy's overlapping rightward copies are several times slower on
-    byte items than on 64-bit words, so splices shift through this view.
-    """
-    row_bytes = buffer.itemsize * (buffer.shape[1] if buffer.ndim == 2 else 1)
-    word = next(size for size in (8, 4, 2, 1) if row_bytes % size == 0)
-    # copy=False: a copy would silently swallow the shift, so refuse one.
-    flat = buffer.reshape(-1, copy=False)
-    return flat.view(np.dtype(f"u{word}")), row_bytes // word
+def _slot_items(array: np.ndarray) -> np.ndarray:
+    """``array`` (a 2-D payload) as one item per slot, so a gather or
+    scatter of whole slots is one 1-D fancy index: a 2-D uint8 row
+    gather is several times slower."""
+    width = array.shape[1] * array.itemsize
+    dtype = np.dtype(f"u{width}") if width in (1, 2, 4, 8) else np.dtype((np.void, width))
+    # copy=False: a copy would silently swallow a scatter, so refuse one.
+    return array.view(dtype).reshape(-1, copy=False)
 
 
 def _slices_per_row(num_cols: int, slice_bits: int) -> int:

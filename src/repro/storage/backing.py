@@ -27,11 +27,13 @@ live :attr:`BackingStore.spilled_bytes` counter tracks exactly the
 backing bytes the session still references.
 
 Structural mutations (the slice splices of :mod:`repro.core.incremental`)
-shift slices in place inside a structure's buffers; an insertion that
-outgrows their spare rows allocates the larger buffers through the
-owning session's store, so a spilled structure stays spilled, and the
-superseded file is reclaimed when the old buffer is collected.  In-place
-payload mutation and shifts persist directly into the mapped file.
+rewrite only the slots of the rows they touch, in place; an insertion
+into a row without room re-spreads the structure, allocating both new
+slot arrays through the owning session's store before any byte moves,
+so a spilled structure stays spilled and a failed allocation leaves it
+as it was, and the superseded files are reclaimed when the old arrays
+are collected.  In-place payload mutation and slot rewrites persist
+directly into the mapped file.
 """
 
 from __future__ import annotations

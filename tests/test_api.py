@@ -31,6 +31,7 @@ from repro.core.slicing import SlicedMatrix
 from repro.errors import ArchitectureError, GraphError, ReproError
 from repro.graph import generators
 from repro.graph.graph import Graph
+from test_net_apply import _assert_same_structure
 
 
 def _assert_same_events(left: EventCounts, right: EventCounts) -> None:
@@ -275,11 +276,10 @@ class TestIncremental:
         assert update.events.row_slice_writes == 1
         assert session.count() == 0
         assert not session.has_edge(0, n - 1)
-        fresh = SlicedMatrix.from_graph(session.graph, "symmetric")
-        mutated = session._residency.structure()
-        assert np.array_equal(fresh.indptr, mutated.indptr)
-        assert np.array_equal(fresh.slice_ids, mutated.slice_ids)
-        assert np.array_equal(fresh.data, mutated.data)
+        _assert_same_structure(
+            SlicedMatrix.from_graph(session.graph, "symmetric"),
+            session._residency.structure(),
+        )
 
     def test_mutated_sym_structure_matches_rebuild(self):
         graph = generators.barabasi_albert(150, 4, seed=2)
@@ -291,11 +291,10 @@ class TestIncremental:
             if u != v:
                 ops.append(("+" if rng.random() < 0.6 else "-", u, v))
         session.apply(ops)
-        fresh = SlicedMatrix.from_graph(session.graph, "symmetric")
-        mutated = session._residency.structure()
-        assert np.array_equal(fresh.indptr, mutated.indptr)
-        assert np.array_equal(fresh.slice_ids, mutated.slice_ids)
-        assert np.array_equal(fresh.data, mutated.data)
+        _assert_same_structure(
+            SlicedMatrix.from_graph(session.graph, "symmetric"),
+            session._residency.structure(),
+        )
 
 
 class TestDifferential:
@@ -460,9 +459,7 @@ class TestBitMaintenance:
         set_bit(sliced, 39, 0)
         clear_bit(sliced, 0, 39)
         clear_bit(sliced, 39, 0)
-        assert np.array_equal(sliced.indptr, reference.indptr)
-        assert np.array_equal(sliced.slice_ids, reference.slice_ids)
-        assert np.array_equal(sliced.data, reference.data)
+        _assert_same_structure(sliced, reference)
 
     def test_clear_missing_bit_is_noop(self):
         sliced = SlicedMatrix.from_graph(Graph(8, [(0, 1)]), "symmetric")
@@ -652,12 +649,6 @@ class TestConcurrency:
         fresh = session.resident_bytes()
         session.simulate()
         assert session.resident_bytes() > fresh
-
-
-def _assert_same_structure(left: SlicedMatrix, right: SlicedMatrix) -> None:
-    assert np.array_equal(left.indptr, right.indptr)
-    assert np.array_equal(left.slice_ids, right.slice_ids)
-    assert np.array_equal(left.data, right.data)
 
 
 class TestApplyRollback:

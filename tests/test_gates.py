@@ -22,6 +22,7 @@ THRESHOLDS = {
     "MAX_KEY_BUILDS": 0,
     "MIN_PLAN_REUSE_SPEEDUP": 3.0,
     "MIN_PLAN_PATCH_SPEEDUP": 5.0,
+    "MAX_ONE_EDGE_GROWTH": 2.0,
     "MIN_SUPPORT_SPEEDUP": 5.0,
     "MIN_TRUSS_SPEEDUP": 5.0,
     "MIN_READ_AFTER_WRITE_SPEEDUP": 3.0,

@@ -1,37 +1,49 @@
-"""In-place splices: buffers with spare rows, failure safety, touch counts.
+"""Slotted splices: room in every row, failure safety, touch counts.
 
 :meth:`SlicedMatrix.insert_slices` / :meth:`~SlicedMatrix.remove_slices`
-shift slices inside buffers that keep spare rows, so an apply moves
-bytes in place instead of allocating two arrays per splice.  These
+rewrite only the slots of the rows they touch; a row without room
+re-spreads the whole structure once, with room in every row.  These
 tests pin:
 
-* spliced structures equal a from-scratch build on their live prefix,
-  on the heap and in memmap spill files, and a splice that fits keeps
-  its buffers;
+* after every splice, on 8- and 64-bit slices, on the heap and in memmap
+  spill files, a compact copy equals a from-scratch build, every free
+  slot is zero, ``indptr`` ascends with every row's count inside its
+  slots, and the reported moves map every surviving slice to its new
+  slot (a hypothesis property that exhausts the room);
+* a splice that fits leaves every untouched row's slots and bytes
+  alone, and keeps the slot arrays;
 * a failing backing store or a failing delta join leaves the session
   equal to a :class:`DynamicTriangleCounter` that applied exactly the
   committed operations (a delete never allocates; a rolled-back delete
-  re-inserts into the room it freed);
+  re-inserts into the slots it freed, positions and version exactly as
+  before; a failed re-spread moves nothing and keeps the plan current);
 * an apply reads only what it touches: neither ``apply()`` nor
   ``common_neighbors_many()`` builds a whole-structure key array
   (``global_keys`` / ``owner_rows``) once the count is resident;
-* ``resident_bytes_detail()`` counts the spare rows.
+* ``resident_bytes_detail()`` counts the room, and a snapshot of a
+  structure with room hydrates compact with its plan remapped.
 """
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from repro.api import open_session
 from repro.core import incremental
 from repro.core.dynamic import DynamicTriangleCounter
-from repro.core.slicing import SPARE_ROOM_DIVISOR, SlicedMatrix
+from repro.core.plan import build_join_plan
+from repro.core.slicing import SlicedMatrix, SliceWindow, expand_runs
 from repro.errors import ArchitectureError, StorageError
 from repro.graph import generators
 from repro.graph.graph import Graph
 from repro.storage.backing import BackingStore
-from test_net_apply import _assert_same_structure
+from test_net_apply import _assert_plan_current, _assert_same_structure
+from test_plan import assert_plans_identical
 from test_workloads import CONFIG_IDS, CONFIGS, TMP_STORE
 
 
@@ -69,30 +81,36 @@ class TestSliceBuffers:
             _assert_same_structure(
                 SlicedMatrix.from_nonzeros(*np.nonzero(dense), n, n), sliced
             )
-            ids_buffer, data_buffer = sliced.buffers
-            assert sliced.slice_ids.base is ids_buffer or sliced.slice_ids is ids_buffer
             if store is not None:
-                assert isinstance(data_buffer, np.memmap)
                 assert isinstance(sliced.data, np.memmap)
+                assert isinstance(sliced.slice_ids, np.memmap)
 
     def test_room_grows_once_then_shifts_in_place(self):
         graph = generators.barabasi_albert(400, 4, seed=1)
         sliced = SlicedMatrix.from_graph(graph, "symmetric")
         size = sliced.num_valid_slices
-        assert sliced.buffers[1].shape[0] == size  # built without room
+        # Built without room.
+        assert sliced.data.shape[0] == size
+        assert np.array_equal(sliced.counts, np.diff(sliced.indptr))
         rng = np.random.default_rng(2)
         pairs = np.array(_absent_pairs(graph, 30, rng))
         rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
         cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
         delta = incremental.set_bits(sliced, rows, cols)
-        added = delta.inserted_before.size
-        room = size + added + max(added, size // SPARE_ROOM_DIVISOR)
-        buffers = sliced.buffers
-        assert buffers[0].shape[0] == buffers[1].shape[0] == room
-        # A clear frees rows in place; re-setting the bits fits in them.
+        # The first structural insert re-spreads: every row gets
+        # ``2 + count // 8`` free slots past its valid ones.
+        counts = sliced.counts
+        assert np.array_equal(np.diff(sliced.indptr), counts + 2 + counts // 8)
+        assert sliced.num_valid_slices == size + delta.inserted_before.size
+        ids, data = sliced.slice_ids, sliced.data
+        slots = (sliced.indptr.copy(), ids.copy(), data.copy())
+        # A clear frees slots in place; re-setting the bits fits in them,
+        # at the very slots they held.
         incremental.clear_bits(sliced, rows, cols)
         incremental.set_bits(sliced, rows, cols)
-        assert sliced.buffers[0] is buffers[0] and sliced.buffers[1] is buffers[1]
+        assert sliced.slice_ids is ids and sliced.data is data
+        for now, then in zip((sliced.indptr, ids, data), slots):
+            assert np.array_equal(now, then)
         expected = SlicedMatrix.from_graph(
             Graph(
                 graph.num_vertices,
@@ -150,39 +168,63 @@ class TestFailureInjection:
 
     def test_store_failure_growing_the_room(self, tmp_path, monkeypatch):
         graph, session = self._session(tmp_path)
+        plan = session.join_plan
+        sym = session._residency.sym
+        ids, data, indptr = sym.slice_ids, sym.data, sym.indptr.copy()
         pairs = _absent_pairs(graph, 20, np.random.default_rng(4))
         inserts = [("+", u, v) for u, v in pairs]
+        edges = [tuple(map(int, e)) for e in graph.edge_array()[::50][:10]]
+        deletes = [("-", u, v) for u, v in edges]
+        # The delete batch commits; the insert batch after it needs a
+        # re-spread (the structure is compact), whose allocation fails
+        # before any slot moves.
         self._failing_store(monkeypatch)
         with pytest.raises(StorageError, match="injected") as failure:
-            session.apply(inserts)
-        assert failure.value.applied_operations == []
-        self._assert_matches_oracle(session, graph, [], pairs)
+            session.apply(deletes + inserts)
+        assert failure.value.applied_operations == deletes
+        # The failed re-spread moved nothing: the same slot arrays and
+        # slot bounds, holding the structure the delete batch left.
+        assert sym.slice_ids is ids and sym.data is data
+        assert np.array_equal(sym.indptr, indptr)
+        self._assert_matches_oracle(session, graph, deletes, pairs + edges)
+        # The plan stayed resident with the committed batch queued, and
+        # folds it in by one exact patch.
+        assert session._residency.plan is plan and len(session._residency.pending) == 1
         monkeypatch.undo()
+        _assert_plan_current(session)
+        assert dict(session.fallback_counts) == dict.fromkeys(session.fallback_counts, 0)
         session.apply(inserts)
-        self._assert_matches_oracle(session, graph, inserts, pairs)
+        self._assert_matches_oracle(session, graph, deletes + inserts, pairs + edges)
+        _assert_plan_current(session)
         assert session.run().triangles == session.count()
 
     def test_join_failure_after_delete_splice(self, tmp_path, monkeypatch):
         graph, session = self._session(tmp_path)
         pairs = _absent_pairs(graph, 20, np.random.default_rng(5))
         inserts = [("+", u, v) for u, v in pairs]
-        session.apply(inserts)  # grows the room
-        buffers = session._residency.sym.buffers
+        session.apply(inserts)  # re-spreads: every row has room
+        sym = session._residency.sym
+        version = sym.structure_version
+        slots = [array.copy() for array in (sym.indptr, sym.counts, sym.slice_ids, sym.data)]
+        ids, data = sym.slice_ids, sym.data
         edges = [tuple(map(int, e)) for e in graph.edge_array()[::30][:20]]
         deletes = [("-", u, v) for u, v in edges]
 
         def capacity_error(*args, **kwargs):
             raise ArchitectureError("injected: delta join exceeds the row region")
 
-        # The rollback re-inserts into the room the delete freed: with
-        # the store refusing every allocation it must still succeed.
+        # The rollback re-inserts into the slots the delete freed: with
+        # the store refusing every allocation it must still succeed, and
+        # every slice is back in its slot at the same version.
         self._failing_store(monkeypatch)
         monkeypatch.setattr(incremental, "symmetric_delta", capacity_error)
         with pytest.raises(ArchitectureError, match="injected") as failure:
             session.apply(deletes)
         assert failure.value.applied_operations == []
-        sym = session._residency.sym
-        assert sym.buffers[0] is buffers[0] and sym.buffers[1] is buffers[1]
+        assert sym.slice_ids is ids and sym.data is data
+        assert sym.structure_version == version
+        for now, then in zip((sym.indptr, sym.counts, sym.slice_ids, sym.data), slots):
+            assert np.array_equal(now, then)
         self._assert_matches_oracle(session, graph, inserts, edges + pairs)
         monkeypatch.undo()
         session.apply(deletes)
@@ -227,12 +269,18 @@ class TestApplyReadsOnlyWhatItTouches:
         session.apply([("+", u, v) for u, v in _absent_pairs(graph, 3, rng)], record=True)
         session.common_neighbors_many([(0, 1), (2, 3), (10, 400)])
         assert calls == []
-        # The room exists now: an insert that fits keeps both buffers.
+        # The room exists now: an insert whose rows have room keeps both
+        # slot arrays.
         sym = session._residency.sym
-        buffers = sym.buffers
-        assert buffers[1].shape[0] > sym.num_valid_slices + 10
-        session.apply([("+", u, v) for u, v in _absent_pairs(graph, 5, rng)])
-        assert sym.buffers[0] is buffers[0] and sym.buffers[1] is buffers[1]
+        ids, data = sym.slice_ids, sym.data
+        assert data.shape[0] > sym.num_valid_slices + 10
+        free = np.diff(sym.indptr) - sym.counts
+        pairs = [
+            (u, v) for u, v in _absent_pairs(graph, 40, rng) if min(free[u], free[v]) >= 2
+        ][:5]
+        assert len(pairs) == 5
+        session.apply([("+", u, v) for u, v in pairs])
+        assert sym.slice_ids is ids and sym.data is data
         assert calls == []
 
 
@@ -273,11 +321,15 @@ class TestResidentBytesCountsRoom:
         session.simulate()  # folds the batch into the windows and the plan
         detail = session.resident_bytes_detail()
         structures = [session._residency.sym]
+        width = structures[0].data.itemsize * structures[0].data.shape[1]
         live = sum(
-            s.data.nbytes + s.slice_ids.nbytes + s.indptr.nbytes for s in structures
+            s.num_valid_slices * (width + s.slice_ids.itemsize) + s.indptr.nbytes
+            for s in structures
         )
+        # The room and the per-row counts are resident too.
         held = sum(
-            sum(b.nbytes for b in s.buffers) + s.indptr.nbytes for s in structures
+            s.data.nbytes + s.slice_ids.nbytes + s.indptr.nbytes + s.counts.nbytes
+            for s in structures
         )
         windows = sum(window.offsets.nbytes for window in session._residency.windows)
         # The priced read keeps the count run's event totals beside them.
@@ -291,4 +343,169 @@ class TestResidentBytesCountsRoom:
         assert detail["spilled"] <= detail["total"]
         if backing == "memmap":
             assert detail["spilled"] > 0
-            assert all(isinstance(s.buffers[1], np.memmap) for s in structures)
+            assert all(isinstance(s.data, np.memmap) for s in structures)
+
+
+@st.composite
+def splice_streams(draw):
+    """A small graph and a stream of insert or delete batches; batches
+    at one vertex fill its row faster than the room grows."""
+    n = draw(st.integers(2, 40))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    hub = draw(st.integers(0, n - 1))
+    at_hub = [pair for pair in pairs if hub in pair]
+    base = draw(st.sets(st.sampled_from(pairs), max_size=40))
+    batches = draw(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.sets(st.sampled_from(pairs), max_size=6)
+                | st.sets(st.sampled_from(at_hub), max_size=12),
+            ),
+            min_size=1, max_size=12,
+        )
+    )
+    return n, draw(st.sampled_from([8, 64])), sorted(base), batches
+
+
+def _slots_by_key(sliced: SlicedMatrix) -> dict:
+    return dict(zip(sliced.global_keys().tolist(), sliced.valid_positions().tolist()))
+
+
+class TestSlottedSplices:
+    @pytest.mark.parametrize("backing", ["ram", "memmap"])
+    @settings(max_examples=60, deadline=None)
+    @given(case=splice_streams())
+    def test_every_splice_keeps_the_slot_invariants(self, backing, case):
+        n, bits, base, batches = case
+        with tempfile.TemporaryDirectory() as directory:
+            store = (
+                BackingStore("memmap", directory, spill_threshold_bytes=1)
+                if backing == "memmap" else None
+            )
+            sliced = SlicedMatrix.from_graph(
+                Graph(n, base), "symmetric", slice_bits=bits, store=store
+            )
+            present = set(base)
+            for insert, batch in batches:
+                chosen = sorted(batch - present if insert else batch & present)
+                if not chosen:
+                    continue
+                u, v = np.array(chosen).T
+                before, slots = _slots_by_key(sliced), sliced.data.shape[0]
+                old_indptr = sliced.indptr.copy()
+                if insert:
+                    delta = incremental.set_bits(
+                        sliced, np.concatenate([u, v]), np.concatenate([v, u]), store=store
+                    )
+                    present |= set(chosen)
+                else:
+                    delta = incremental.clear_bits(
+                        sliced, np.concatenate([u, v]), np.concatenate([v, u])
+                    )
+                    present -= set(chosen)
+                if sliced.data.shape[0] != slots:
+                    event("re-spread")
+                # A compact copy equals a rebuild; free slots are zero and
+                # every count fits its row's slots.
+                _assert_same_structure(
+                    sliced,
+                    SlicedMatrix.from_graph(
+                        Graph(n, sorted(present)), "symmetric", slice_bits=bits
+                    ),
+                )
+                assert (np.diff(sliced.indptr) >= 0).all()
+                if store is not None and sliced.data.size:
+                    assert isinstance(sliced.data, np.memmap)
+                # The report moves every surviving slice to its new slot
+                # and names the removed and inserted ones by slot and row.
+                after = _slots_by_key(sliced)
+                table = {}
+                if delta.moved_from is not None:
+                    table = dict(zip(delta.moved_from.tolist(), delta.moved_to.tolist()))
+                for key, old in before.items():
+                    if key in after:
+                        assert table.get(old, old) == after[key]
+                gone = [old for key, old in before.items() if key not in after]
+                assert sorted(delta.removed_at.tolist()) == sorted(gone)
+                fresh = [at for key, at in after.items() if key not in before]
+                assert sorted(delta.inserted_before.tolist()) == sorted(fresh)
+                for at, rows, indptr in (
+                    (delta.removed_at, delta.removed_rows, old_indptr),
+                    (delta.inserted_before, delta.inserted_rows, sliced.indptr),
+                ):
+                    assert np.array_equal(np.searchsorted(indptr, at, side="right") - 1, rows)
+
+    def test_room_runs_out_and_re_spreads_again(self):
+        sliced = SlicedMatrix.from_graph(Graph(64, [(0, 1)]), "symmetric", slice_bits=8)
+        spreads = 0
+        for v in range(2, 64):
+            slots = sliced.data.shape[0]
+            incremental.set_bits(sliced, np.array([0, v]), np.array([v, 0]))
+            spreads += sliced.data.shape[0] != slots
+        # Row 0 grows from 1 to 8 slices: the first insert re-spreads
+        # the compact structure, and its room runs out more than once.
+        assert spreads >= 3
+        edges = [(0, v) for v in range(1, 64)]
+        _assert_same_structure(
+            sliced, SlicedMatrix.from_graph(Graph(64, edges), "symmetric", slice_bits=8)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=splice_streams())
+    def test_a_splice_that_fits_touches_only_its_rows(self, case):
+        n, bits, base, batches = case
+        sliced = SlicedMatrix.from_graph(Graph(n, base), "symmetric", slice_bits=bits)
+        present = set(base)
+        for insert, batch in batches:
+            chosen = sorted(batch - present if insert else batch & present)
+            if not chosen:
+                continue
+            u, v = np.array(chosen).T
+            rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+            ids, data = sliced.slice_ids, sliced.data
+            copies = [array.copy() for array in (sliced.indptr, sliced.counts, ids, data)]
+            if insert:
+                incremental.set_bits(sliced, rows, cols)
+                present |= set(chosen)
+            else:
+                incremental.clear_bits(sliced, rows, cols)
+                present -= set(chosen)
+            if sliced.data is not data:
+                assert insert  # only an insert re-spreads
+                continue
+            assert sliced.slice_ids is ids
+            indptr, counts, old_ids, old_data = copies
+            assert np.array_equal(sliced.indptr, indptr)
+            untouched = np.setdiff1d(np.arange(n), rows)
+            assert np.array_equal(sliced.counts[untouched], counts[untouched])
+            starts, stops = indptr[untouched], indptr[untouched + 1]
+            slots = expand_runs(starts, stops - starts)
+            assert np.array_equal(ids[slots], old_ids[slots])
+            assert np.array_equal(data[slots], old_data[slots])
+
+
+class TestSnapshotWithRoom:
+    def test_hydrated_plan_equals_a_compile_over_the_hydrated_structure(self, tmp_path):
+        graph = generators.barabasi_albert(600, 5, seed=4)
+        session = open_session(graph)
+        session.count()
+        pairs = _absent_pairs(graph, 30, np.random.default_rng(6))
+        session.apply([("+", u, v) for u, v in pairs])
+        session.apply([("-", *pairs[0]), ("-", *pairs[1])])
+        sym = session._residency.sym
+        assert sym.data.shape[0] > sym.num_valid_slices  # holds room
+        path = tmp_path / "room.snap"
+        session.snapshot(path)
+        reopened = open_session(snapshot=path)
+        hydrated = reopened._residency.sym
+        # Written compact: the built layout, the same slices.
+        assert hydrated.data.shape[0] == hydrated.num_valid_slices
+        _assert_same_structure(hydrated, sym)
+        plan = reopened._residency.plan
+        assert plan is not None and plan.matches(*reopened._residency.windows)
+        assert_plans_identical(
+            plan, build_join_plan(*SliceWindow.pair(hydrated), *reopened._residency.edges)
+        )
+        assert reopened.count() == session.count()
+        assert reopened.run() == session.run()

@@ -39,9 +39,62 @@ _calls = st.lists(st.lists(_op, max_size=24), min_size=1, max_size=5)
 
 
 def _assert_same_structure(left: SlicedMatrix, right: SlicedMatrix) -> None:
+    """The same valid slices, row by row: a spliced structure keeps room
+    in its rows, so each side is compared through a compact copy, and
+    every slot outside the rows' valid runs must hold nothing."""
+    for structure in (left, right):
+        assert (structure.counts <= np.diff(structure.indptr)).all()
+        free = np.ones(structure.data.shape[0], dtype=bool)
+        free[structure.valid_positions()] = False
+        assert not structure.data[free].any()
+        assert not structure.slice_ids[free].any()
+    left, right = left.compacted(), right.compacted()
     assert np.array_equal(left.indptr, right.indptr)
     assert np.array_equal(left.slice_ids, right.slice_ids)
     assert np.array_equal(left.data, right.data)
+
+
+def _slot_keys(sym: SlicedMatrix, positions) -> np.ndarray:
+    """The global slice key ``row * slices_per_row + slice id`` held in
+    each slot ``positions`` of ``sym``."""
+    positions = np.asarray(positions, dtype=np.int64)
+    owners = np.searchsorted(sym.indptr, positions, side="right") - 1
+    return owners * sym.slices_per_row + sym.slice_ids[positions]
+
+
+def _assert_plan_current(session, plan=None) -> None:
+    """The session's count plan equals, position for position, a compile
+    over the session's own windows and edge list, and slice key for
+    slice key (trace, counts and diagonal masks verbatim) a compile over
+    a freshly sliced structure of its graph: slots depend on the layout,
+    the slices they hold do not."""
+    plan = session.join_plan if plan is None else plan
+    windows, edges = session._residency.windows, session._residency.edges
+    own = build_join_plan(*windows, *edges)
+    graph = session.graph
+    fresh_sym = SlicedMatrix.from_graph(
+        graph, "symmetric", slice_bits=windows[0].slice_bits
+    )
+    fresh = build_join_plan(
+        *SliceWindow.pair(fresh_sym), *oriented_edges(graph, "upper")
+    )
+    assert plan.num_edges == own.num_edges == fresh.num_edges
+    names = (
+        "row_positions", "col_positions", "trace_keys", "pair_counts",
+        "diagonal_pairs", "diagonal_masks",
+    )
+    for name in names:
+        assert np.array_equal(
+            np.asarray(getattr(plan, name), dtype=np.int64),
+            np.asarray(getattr(own, name), dtype=np.int64),
+        ), name
+    for name in names[2:]:
+        assert np.array_equal(getattr(own, name), getattr(fresh, name)), name
+    for name in names[:2]:
+        assert np.array_equal(
+            _slot_keys(windows[0].sym, getattr(own, name)),
+            _slot_keys(fresh_sym, getattr(fresh, name)),
+        ), name
 
 
 def _assert_spilled(session) -> None:
@@ -98,19 +151,7 @@ def test_net_effect_matches_oracle_and_record_twin(backing, calls):
             assert np.array_equal(counts, fresh.row_valid_counts())
             ids = window.slice_ids[expand_runs(starts, counts)]
             assert np.array_equal(ids, fresh.slice_ids)
-        reference = build_join_plan(
-            *SliceWindow.pair(SlicedMatrix.from_graph(expected, "symmetric")),
-            *oriented_edges(expected, "upper"),
-        )
-        assert plan.num_edges == reference.num_edges
-        for name in (
-            "row_positions", "col_positions", "trace_keys", "pair_counts",
-            "diagonal_pairs", "diagonal_masks",
-        ):
-            assert np.array_equal(
-                np.asarray(getattr(plan, name), dtype=np.int64),
-                np.asarray(getattr(reference, name), dtype=np.int64),
-            ), name
+        _assert_plan_current(session, plan)
         if backing == "memmap":
             _assert_spilled(session)
 

@@ -46,6 +46,7 @@ from repro.core.slicing import SlicedMatrix, SliceWindow, expand_runs
 from repro.errors import ArchitectureError
 from repro.graph import generators
 from repro.graph.graph import Graph
+from test_net_apply import _assert_plan_current, _assert_same_structure
 
 
 GRAPH_FAMILIES = {
@@ -121,9 +122,8 @@ def assert_plans_identical(patched: JoinPlan, rebuilt: JoinPlan):
 
 
 def assert_structures_equal(mutated: SlicedMatrix, fresh: SlicedMatrix):
-    assert np.array_equal(mutated.indptr, fresh.indptr)
-    assert np.array_equal(mutated.slice_ids, fresh.slice_ids)
-    assert np.array_equal(mutated.data, fresh.data)
+    """The same valid slices row by row, through compact copies."""
+    _assert_same_structure(mutated, fresh)
 
 
 def assert_window_holds(window, fresh: SlicedMatrix):
@@ -348,11 +348,6 @@ class TestStructureVersionAudit:
 
 
 class TestPatchedPlanEqualsRebuild:
-    def _reference(self, session):
-        graph = session.graph
-        row, col = SliceWindow.pair(SlicedMatrix.from_graph(graph, "symmetric"))
-        return row, col, build_join_plan(row, col, *oriented_edges(graph, "upper"))
-
     def test_randomized_stream_per_op(self):
         rng = np.random.default_rng(17)
         graph = generators.powerlaw_cluster(200, 4, 0.5, seed=4)
@@ -378,8 +373,7 @@ class TestPatchedPlanEqualsRebuild:
             # join_plan flushes the pending patch; it must equal a plan
             # compiled from scratch on freshly sliced structures.
             patched = session.join_plan
-            _, _, reference = self._reference(session)
-            assert_plans_equal(patched, reference)
+            _assert_plan_current(session, patched)
             for window, kind in zip(session._residency.windows, ("upper", "lower")):
                 assert_window_holds(
                     window, SlicedMatrix.from_graph(session.graph, kind)
@@ -399,8 +393,7 @@ class TestPatchedPlanEqualsRebuild:
         # Net effect: one deletion batch, then one insertion batch.
         assert report.segments == 2
         patched = session.join_plan
-        _, _, reference = self._reference(session)
-        assert_plans_equal(patched, reference)
+        _assert_plan_current(session, patched)
         # And the patched plan serves an exact full run.
         scratch = TCIMAccelerator(AcceleratorConfig()).run(session.graph)
         resident = session.run()
@@ -424,7 +417,7 @@ class TestPatchedPlanEqualsRebuild:
         session.apply([op])
         assert session._residency.structure().structure_version == version  # payload-only
         patched = session.join_plan
-        assert_plans_equal(patched, self._reference(session)[2])
+        _assert_plan_current(session, patched)
         assert patched.matches(*session._residency.windows)
         fresh = TCIMAccelerator(AcceleratorConfig()).run(session.graph)
         assert_identical(fresh, session.run())
@@ -497,10 +490,7 @@ class TestPatchedPlanEqualsRebuild:
         assert after.pop("flush_patch_error") == before.pop("flush_patch_error") + 1
         assert after == before
         monkeypatch.undo()
-        assert_plans_equal(
-            session.join_plan,
-            self._reference(session)[2],
-        )
+        _assert_plan_current(session)
 
     def test_read_after_write_stream_fires_no_fallback(self):
         graph = generators.powerlaw_cluster(300, 4, 0.5, seed=14)
@@ -659,10 +649,10 @@ class TestPlanPrimitives:
         sym = SlicedMatrix.from_graph(Graph(n, base), "symmetric", slice_bits=bits)
 
         def slices():
-            keys = sym.global_keys().tolist()
-            return dict(zip(keys, range(len(keys))))
+            return dict(zip(sym.global_keys().tolist(), sym.valid_positions().tolist()))
 
         before, present, deltas = slices(), set(base), []
+        slots = sym.data.shape[0]
         for insert, batch in batches:
             chosen = sorted(batch - present if insert else batch & present)
             if not chosen:
@@ -676,12 +666,21 @@ class TestPlanPrimitives:
         after = slices()
         composed = incremental.compose_deltas(len(before), deltas)
         assert len(before) - composed.removed_at.size + composed.inserted_before.size == len(after)
-        table = joinplan._position_map(len(before), composed, np.int64)
+        # Slots: a survivor's old slot maps to its new one, and the
+        # inserted slots hold every slice that is new (a slice removed
+        # and inserted again is both).
+        table = joinplan._position_map(slots, composed, np.int64)
         gone = set(composed.removed_at.tolist())
+        assert {old for key, old in before.items() if key not in after} <= gone
+        fresh = composed.inserted_before
+        landed = set(fresh.tolist())
         for key, old in before.items():
             if old not in gone:
                 assert table[old] == after[key]
-        fresh = composed.inserted_before + np.arange(composed.inserted_before.size)
+            elif key in after:
+                assert after[key] in landed
+        assert {at for key, at in after.items() if key not in before} <= landed
+        assert landed <= set(after.values())
         owners = np.searchsorted(sym.indptr, fresh, side="right") - 1
         assert np.array_equal(composed.inserted_rows, owners)
 

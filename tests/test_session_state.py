@@ -58,10 +58,12 @@ from repro.analysis.truss import edge_support, k_truss, truss_decomposition
 from repro.api import open_session
 from repro.core import plan as joinplan
 from repro.core import residency
+from repro.core.plan import build_join_plan
 from repro.core.dynamic import DynamicTriangleCounter
 from repro.errors import ArchitectureError, GraphError
 from repro.graph.graph import Graph
 from residency_reference import check_residency
+from test_net_apply import _slot_keys
 
 NUM_VERTICES = 40
 HUB = NUM_VERTICES - 1
@@ -121,13 +123,18 @@ ops_strategy = st.lists(
 )
 
 
-def _plan_arrays(plan) -> dict:
+def _plan_arrays(plan, sym) -> dict:
+    """A plan's arrays with its positions read as the global keys of the
+    slices in those slots of ``sym``: slots depend on the layout, the
+    slices they hold do not."""
     if plan is None:
         return {}
     arrays = {
-        name: np.asarray(getattr(plan, name)).tolist()
-        for name in ("row_positions", "col_positions", "trace_keys", "pair_counts")
+        name: _slot_keys(sym, getattr(plan, name)).tolist()
+        for name in ("row_positions", "col_positions")
     }
+    for name in ("trace_keys", "pair_counts"):
+        arrays[name] = np.asarray(getattr(plan, name)).tolist()
     arrays["num_edges"] = plan.num_edges
     return arrays
 
@@ -305,9 +312,16 @@ class SessionMachine(RuleBasedStateMachine):
             return
         assert self.session.run() == want
         # A run priced from the event totals may leave no plan resident:
-        # the count run's inputs compile or patch it.
-        _, _, plan = self.session._residency.count_inputs()
-        assert _plan_arrays(plan) == _plan_arrays(fresh.join_plan)
+        # the count run's inputs compile or patch it.  It must equal,
+        # position for position, a compile over the session's own
+        # windows, and slice for slice a fresh session's plan.
+        windows, edges, plan = self.session._residency.count_inputs()
+        own = build_join_plan(*windows, *edges)
+        for name in ("row_positions", "col_positions", "trace_keys", "pair_counts"):
+            assert np.array_equal(getattr(plan, name), getattr(own, name)), name
+        assert _plan_arrays(plan, windows[0].sym) == _plan_arrays(
+            fresh.join_plan, fresh._residency.structure()
+        )
         fresh.close()
 
     @rule()

@@ -343,11 +343,12 @@ class TestMemmapSessions:
         absent = next(v for v in range(1, 2_000) if not graph.has_edge(0, v))
         session.apply([("+", 0, absent)])
         # After an apply the symmetric structure is the only edge set: its
-        # two buffers stay spilled.
+        # two slot arrays stay spilled.
         session.close()
-        buffers = session._residency.sym.buffers
-        assert all(isinstance(buffer, np.memmap) for buffer in buffers)
-        assert store.spilled_files == len(buffers) == 2
+        sym = session._residency.sym
+        slots = (sym.slice_ids, sym.data)
+        assert all(isinstance(array, np.memmap) for array in slots)
+        assert store.spilled_files == len(slots) == 2
 
     def test_resident_bytes_detail_structure(self, tmp_path):
         session = open_session(
